@@ -6,8 +6,9 @@
 #                       -benchmem, raw output to stderr, parsed JSON to
 #                       BENCH_channel.json (compare against CHANGES.md)
 #   make bench-codegen  generated-API vs monitored head-to-heads (send/recv
-#                       microbench + end-to-end streaming and FFT), parsed
-#                       JSON to BENCH_codegen.json
+#                       microbench + end-to-end streaming and FFT) and the
+#                       cost of codegen.Generate itself, parsed JSON to
+#                       BENCH_codegen.json
 #   make bench-sched    multi-session scheduler throughput (sessions/sec vs
 #                       session count 1→100k at GOMAXPROCS 1/2/4, plus the
 #                       2-goroutines-per-session baseline), parsed JSON to
@@ -26,6 +27,13 @@
 #                       and the sched matrix) is present, and the
 #                       deterministic memory metrics have not regressed
 #                       against the committed snapshots — the CI bench job
+#   make perf           the repository benchmark (BENCHMARK.json,
+#                       perfbench/README.md): one WORKLOAD for SECONDS
+#                       measured seconds from inputs drawn from SEED;
+#                       TRACE=1 reports the per-layer metrics
+#   make perf-smoke     every perfbench workload for 2 s, failing unless
+#                       each run reports correct and zero failed ops — with
+#                       perfbench's own vet and tests, the CI perfbench job
 #   make chaos-smoke    the seeded fault-injection soak (internal/chaos):
 #                       every registry protocol × fault-family seeds ×
 #                       {blocking, stepped, scheduler}, -timeout as the
@@ -45,8 +53,8 @@
 #                       (the README/doc.go front-door gate)
 #   make ci             the full CI pipeline locally: vet + sessvet +
 #                       doccheck + verify + drift + race + chaos-smoke +
-#                       net-smoke + bench-smoke + lint, so a builder can
-#                       reproduce a CI failure before pushing
+#                       net-smoke + bench-smoke + perfbench + lint, so a CI
+#                       failure can be reproduced before pushing
 
 GO ?= go
 # bash + pipefail: a failing benchmark run must fail `make bench`, not let
@@ -68,9 +76,11 @@ BENCH_PKGS ?= ./internal/channel ./internal/session ./internal/bench
 # Unmonitored as the route-lookup baseline), the end-to-end streaming pair
 # (BenchmarkGenRunStreaming vs BenchmarkSessionRunStreaming), and the
 # generated FFT column (BenchmarkGenRunFFT: eight workers exchanging whole
-# vec<complex128> columns through the typed API).
-CODEGEN_BENCH_PATTERN ?= BenchmarkSendRecvMonitored|BenchmarkSendRecvUnchecked|BenchmarkSendRecvUnmonitored|BenchmarkGenRunStreaming|BenchmarkGenRunFFT|BenchmarkSessionRunStreaming
-CODEGEN_BENCH_PKGS ?= ./internal/session ./internal/bench
+# vec<complex128> columns through the typed API), and the generator itself
+# (BenchmarkGenerate: codegen.Generate on the Streaming and FFT machines,
+# whose gated allocs/op would catch a return of a whole-package re-print).
+CODEGEN_BENCH_PATTERN ?= BenchmarkSendRecvMonitored|BenchmarkSendRecvUnchecked|BenchmarkSendRecvUnmonitored|BenchmarkGenRunStreaming|BenchmarkGenRunFFT|BenchmarkSessionRunStreaming|BenchmarkGenerate
+CODEGEN_BENCH_PKGS ?= ./internal/session ./internal/bench ./internal/codegen
 
 # The multi-session scheduling axis: sessions/sec over the sched worker
 # pool — the forking matrix, the pooled matrix with its steal-on/steal-off
@@ -106,7 +116,7 @@ SCHED_BENCH_OUT ?= BENCH_sched.json
 NET_BENCH_OUT ?= BENCH_net.json
 CHECK_BENCH_OUT ?= BENCH_check.json
 
-.PHONY: verify race bench bench-codegen bench-sched bench-net bench-check bench-smoke chaos-smoke net-smoke fuzz-smoke sessvet lint generate drift doccheck ci
+.PHONY: verify race bench bench-codegen bench-sched bench-net bench-check bench-smoke perf perf-smoke chaos-smoke net-smoke fuzz-smoke sessvet lint generate drift doccheck ci
 
 # The staticcheck/govulncheck pins must match .github/workflows/ci.yml.
 STATICCHECK_VERSION ?= 2025.1.1
@@ -186,7 +196,8 @@ bench-smoke:
 		-expect BenchmarkSendRecvMonitored -expect BenchmarkSendRecvUnchecked \
 		-expect BenchmarkSendRecvUnmonitored \
 		-expect BenchmarkGenRunStreaming -expect BenchmarkGenRunFFT \
-		-expect BenchmarkSessionRunStreaming
+		-expect BenchmarkSessionRunStreaming \
+		-expect BenchmarkGenerate/Streaming -expect BenchmarkGenerate/FFT
 	$(GO) run ./cmd/benchcheck -file BENCH_smoke_sched.json -metric sessions/sec \
 		-baseline BENCH_sched.json \
 		-expect 'SchedThroughput/sessions=1/procs=1' \
@@ -211,6 +222,28 @@ bench-smoke:
 		-expect 'KmcScale/states=1001' \
 		-expect 'OptimiseScale/sends=8' \
 		-expect BenchmarkPipelineDeep
+
+# perf: the repository benchmark, built from this checkout by
+# perfbench/run.sh (BENCHMARK.json declares its workloads and metrics,
+# perfbench/README.md documents them). The last output line is the JSON
+# result.
+WORKLOAD ?= verify-corpus
+SEED ?= 1
+SECONDS ?= 10
+TRACE ?= 0
+perf:
+	bash perfbench/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds $(SECONDS) --trace $(TRACE)
+
+# perf-smoke: each perfbench workload for 2 s. Every op is reference-
+# checked, so a run passes only when its last line reports "correct":true
+# and "failed":0; timings are not gated.
+perf-smoke:
+	@for w in mux-inproc pingpong-unix verify-corpus; do \
+		last="$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 | tail -n 1)"; \
+		echo "perf-smoke: $$w: $$last"; \
+		if ! grep -q '"correct":true' <<<"$$last" || ! grep -q '"failed":0[,}]' <<<"$$last"; then \
+			echo "perf-smoke: $$w reported failed ops or no result"; exit 1; fi; \
+	done
 
 # fuzz-smoke: the wire-format fuzzers — the Scribble parse→format→parse
 # round trip and the wire codec encode→decode round trip — plus the
@@ -281,6 +314,8 @@ ci:
 	$(MAKE) chaos-smoke
 	$(MAKE) net-smoke
 	$(MAKE) bench-smoke
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+	$(MAKE) perf-smoke
 	$(MAKE) lint
 	@echo "ci: all local gates passed"
 

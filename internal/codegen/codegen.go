@@ -4,8 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"go/format"
+	"go/parser"
 	"go/token"
+	"slices"
 	"sort"
 	"strings"
 	"unicode"
@@ -152,7 +153,10 @@ func unknownSortsErr(proto string, bad []types.Sort) error {
 
 // Generate emits the typed state-pattern package for the given verified
 // machines. Machines must be directed (the shape of machines derived from
-// local session types); output is deterministic and gofmt-formatted.
+// local session types). Output is deterministic and gofmt-canonical by
+// construction: the emitter writes gofmt's layout itself (see aligned), so
+// no re-print pass runs. The emitted source is still parsed before it is
+// returned, and a parse failure is reported with the raw source attached.
 func Generate(proto string, fsms map[types.Role]*fsm.FSM, opts Options) ([]byte, error) {
 	if opts.Package == "" {
 		return nil, fmt.Errorf("codegen: Options.Package is required")
@@ -168,11 +172,11 @@ func Generate(proto string, fsms map[types.Role]*fsm.FSM, opts Options) ([]byte,
 		return nil, err
 	}
 	g.emit()
-	src, err := format.Source(g.b.Bytes())
-	if err != nil {
-		// A formatting failure is a generator bug; surface the raw source to
-		// make it debuggable.
-		return nil, fmt.Errorf("codegen: generated source does not parse: %w\n%s", err, g.b.String())
+	src := g.b.Bytes()
+	if _, err := parser.ParseFile(token.NewFileSet(), "", src, parser.SkipObjectResolution); err != nil {
+		// A parse failure is a generator bug; surface the raw source to make
+		// it debuggable.
+		return nil, fmt.Errorf("codegen: generated source does not parse: %w\n%s", err, src)
 	}
 	return src, nil
 }
@@ -350,6 +354,28 @@ func (g *generator) pf(format string, args ...any) {
 	fmt.Fprintf(&g.b, format, args...)
 }
 
+// aligned writes a run of tab-indented "name rest" rows the way gofmt lays
+// out consecutive struct fields or const specs: every name is padded with
+// spaces to the widest name in the run plus one. Width counts runes, as
+// gofmt's tabwriter does, because Scribble identifiers may be any Unicode
+// letter. A run ends wherever gofmt ends one, e.g. at a comment line, so
+// callers pass only the rows between such breaks.
+func (g *generator) aligned(rows [][2]string) {
+	w := 0
+	for _, r := range rows {
+		w = max(w, utf8.RuneCountInString(r[0]))
+	}
+	for _, r := range rows {
+		g.b.WriteByte('\t')
+		g.b.WriteString(r[0])
+		for n := utf8.RuneCountInString(r[0]); n <= w; n++ {
+			g.b.WriteByte(' ')
+		}
+		g.b.WriteString(r[1])
+		g.b.WriteByte('\n')
+	}
+}
+
 func (g *generator) emit() {
 	g.pf("// Code generated by sessgen (internal/codegen) from protocol %q, optimised=%s. DO NOT EDIT.\n\n", g.proto, g.opts.Mode)
 	g.pf("package %s\n\n", g.opts.Package)
@@ -367,6 +393,9 @@ func (g *generator) emit() {
 		imports = append(imports, imp)
 	}
 	sort.Strings(imports)
+	// A sort binding may name a package the API imports anyway; gofmt's
+	// canonical form lists each import once.
+	imports = slices.Compact(imports)
 	g.pf("import (\n")
 	for _, imp := range imports {
 		g.pf("\t%q\n", imp)
@@ -376,17 +405,21 @@ func (g *generator) emit() {
 	// Labels.
 	if len(g.labels) > 0 {
 		g.pf("// Message labels of the protocol.\nconst (\n")
-		for _, l := range g.labels {
-			g.pf("\tLabel%s types.Label = %q\n", exportIdent(string(l)), string(l))
+		rows := make([][2]string, len(g.labels))
+		for i, l := range g.labels {
+			rows[i] = [2]string{"Label" + exportIdent(string(l)), fmt.Sprintf("types.Label = %q", string(l))}
 		}
+		g.aligned(rows)
 		g.pf(")\n\n")
 	}
 
 	// Roles.
 	g.pf("// Participants of the protocol.\nconst (\n")
-	for _, rg := range g.rgs {
-		g.pf("\tRole%s types.Role = %q\n", rg.ident, string(rg.role))
+	rows := make([][2]string, len(g.rgs))
+	for i, rg := range g.rgs {
+		rows[i] = [2]string{"Role" + rg.ident, fmt.Sprintf("types.Role = %q", string(rg.role))}
 	}
+	g.aligned(rows)
 	g.pf(")\n\n")
 	g.pf("// Roles returns the participants in deterministic order.\n")
 	g.pf("func Roles() []types.Role {\n\treturn []types.Role{")
@@ -405,13 +438,18 @@ func (g *generator) emit() {
 	for _, rg := range g.rgs {
 		g.emitRole(rg)
 	}
+	// Every block above ends with a blank line; gofmt ends the file with
+	// exactly one newline.
+	g.b.Truncate(len(bytes.TrimRight(g.b.Bytes(), "\n")) + 1)
 }
 
 func (g *generator) emitProcs() {
 	g.pf("// Procs is one process per role, for Run.\ntype Procs struct {\n")
-	for _, rg := range g.rgs {
-		g.pf("\t%s %s\n", rg.ident, g.procSig(rg))
+	rows := make([][2]string, len(g.rgs))
+	for i, rg := range g.rgs {
+		rows[i] = [2]string{rg.ident, g.procSig(rg)}
 	}
+	g.aligned(rows)
 	g.pf("}\n\n")
 	g.pf("// Run executes one process per role concurrently over net and returns the\n")
 	g.pf("// first error; on error the network is torn down so sibling processes\n")
@@ -445,13 +483,15 @@ func (g *generator) emitRole(rg *roleGen) {
 	// Endpoint core: shared stamp counter plus route-bound monitor-free
 	// senders and receivers, resolved once at session start.
 	g.pf("// %s is role %s's session core: the shared one-shot stamp counter and the\n// pre-resolved monitor-free routes.\n", rg.ep, rg.role)
-	g.pf("type %s struct {\n\tc *genrt.Core\n", rg.ep)
+	g.pf("type %s struct {\n", rg.ep)
+	rows := [][2]string{{"c", "*genrt.Core"}}
 	for _, p := range rg.sendPeers {
-		g.pf("\tsend%s session.UncheckedSend\n", exportIdent(string(p)))
+		rows = append(rows, [2]string{"send" + exportIdent(string(p)), "session.UncheckedSend"})
 	}
 	for _, p := range rg.recvPeers {
-		g.pf("\trecv%s session.UncheckedRecv\n", exportIdent(string(p)))
+		rows = append(rows, [2]string{"recv" + exportIdent(string(p)), "session.UncheckedRecv"})
 	}
+	g.aligned(rows)
 	g.pf("}\n\n")
 
 	g.pf("func new%s(c *genrt.Core) (*%s, error) {\n\tep := &%s{c: c}\n\tvar err error\n", exportIdent(rg.ep), rg.ep, rg.ep)
@@ -634,13 +674,14 @@ func (g *generator) emitRecvBranch(rg *roleGen, state string, s fsm.State, ts []
 	for _, t := range ts {
 		label := exportIdent(string(t.Act.Label))
 		goType, _ := sortGo(t.Act.Sort)
+		next := [2]string{label + "Next", rg.stateName(t.To)}
 		if goType != "" {
 			g.pf("\t// %sPayload and %sNext are live when Label == Label%s.\n", label, label, label)
-			g.pf("\t%sPayload %s\n", label, goType)
+			g.aligned([][2]string{{label + "Payload", goType}, next})
 		} else {
 			g.pf("\t// %sNext is live when Label == Label%s.\n", label, label)
+			g.aligned([][2]string{next})
 		}
-		g.pf("\t%sNext %s\n", label, rg.stateName(t.To))
 	}
 	g.pf("}\n\n")
 

@@ -67,8 +67,9 @@ func TestGoldenAuthentication(t *testing.T) {
 	golden(t, "auth.go.golden", src)
 }
 
-func TestGoldenScribble(t *testing.T) {
-	p := scribble.MustParse(`
+// The Scribble sources of the greeter and vecswap golden files.
+const (
+	greeterScr = `
 global protocol Greeter(role c, role s) {
   hello(str) from c to s;
   choice at s {
@@ -76,8 +77,17 @@ global protocol Greeter(role c, role s) {
   } or {
     bye() from s to c;
   }
-}`)
-	src, err := codegen.FromScribble(p, codegen.Options{Package: "greeter"})
+}`
+	swapScr = `
+global protocol Swap(role a, role b) {
+  frame(vec<f64>) from a to b;
+  frame(vec<f64>) from b to a;
+  done() from a to b;
+}`
+)
+
+func TestGoldenScribble(t *testing.T) {
+	src, err := codegen.FromScribble(scribble.MustParse(greeterScr), codegen.Options{Package: "greeter"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,13 +138,7 @@ func TestCheckedInPackagesCurrent(t *testing.T) {
 // payload parameters, the typed genrt.As converter and the *new([]float64)
 // zero value — the whole registry-bound path, none of the scalar table.
 func TestGoldenVectorPayload(t *testing.T) {
-	p := scribble.MustParse(`
-global protocol Swap(role a, role b) {
-  frame(vec<f64>) from a to b;
-  frame(vec<f64>) from b to a;
-  done() from a to b;
-}`)
-	src, err := codegen.FromScribble(p, codegen.Options{Package: "swap"})
+	src, err := codegen.FromScribble(scribble.MustParse(swapScr), codegen.Options{Package: "swap"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,13 @@
 // affine use of state values, remains a cheap integer-compare guard at run
 // time. See DESIGN.md ("The three API tiers").
 //
+// The emitted source is gofmt-canonical by construction: the emitter pads
+// aligned blocks (const specs, struct fields) and ends the file the way
+// gofmt does, so no go/format re-print runs on the generation path.
+// TestGenerateIsGofmtCanonical pins that property over the registry, the
+// golden protocols and fuzz-generated protocols, and Generate still parses
+// its output before returning it.
+//
 // The command-line front end is cmd/sessgen; the checked-in packages under
 // examples/gen are regenerated with go:generate and gated against drift in
 // CI.
