@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/fsm"
 	"repro/internal/types"
@@ -66,33 +67,62 @@ var ErrUnknownSort = errors.New("core: machine carries an unregistered payload s
 // transitions, in deterministic order without duplicates.
 func unknownSorts(m *fsm.FSM) []types.Sort {
 	var out []types.Sort
-	seen := map[types.Sort]bool{}
 	for s := 0; s < m.NumStates(); s++ {
 		for _, t := range m.Transitions(fsm.State(s)) {
-			if types.KnownSort(t.Act.Sort) || seen[t.Act.Sort] {
-				continue
+			if !types.KnownSort(t.Act.Sort) && !slices.Contains(out, t.Act.Sort) {
+				out = append(out, t.Act.Sort)
 			}
-			seen[t.Act.Sort] = true
-			out = append(out, t.Act.Sort)
 		}
 	}
 	return out
 }
 
+// validate rejects a machine the checker cannot relate: one that is not
+// directed, or that carries an unregistered payload sort.
+func validate(m *fsm.FSM, what string) error {
+	if !m.Directed() {
+		return fmt.Errorf("%w: %s %s", ErrNotDirected, what, m.Role())
+	}
+	if bad := unknownSorts(m); len(bad) > 0 {
+		return fmt.Errorf("%w: %s %s carries %v", ErrUnknownSort, what, m.Role(), bad)
+	}
+	return nil
+}
+
 // Check reports whether sub is an asynchronous subtype of sup.
 func Check(sub, sup *fsm.FSM, opts Options) (Result, error) {
-	if !sub.Directed() {
-		return Result{}, fmt.Errorf("%w: candidate subtype %s", ErrNotDirected, sub.Role())
+	if err := validate(sub, "candidate subtype"); err != nil {
+		return Result{}, err
 	}
-	if !sup.Directed() {
-		return Result{}, fmt.Errorf("%w: supertype %s", ErrNotDirected, sup.Role())
+	if err := validate(sup, "supertype"); err != nil {
+		return Result{}, err
 	}
-	if bad := unknownSorts(sub); len(bad) > 0 {
-		return Result{}, fmt.Errorf("%w: candidate subtype %s carries %v", ErrUnknownSort, sub.Role(), bad)
+	return relate(sub, sup, opts), nil
+}
+
+// Supertype is a supertype machine validated once, for checking many
+// candidate subtypes against it: the optimiser certifies every rewrite of a
+// local type against the same original.
+type Supertype struct{ m *fsm.FSM }
+
+// NewSupertype validates sup as Check does.
+func NewSupertype(sup *fsm.FSM) (*Supertype, error) {
+	if err := validate(sup, "supertype"); err != nil {
+		return nil, err
 	}
-	if bad := unknownSorts(sup); len(bad) > 0 {
-		return Result{}, fmt.Errorf("%w: supertype %s carries %v", ErrUnknownSort, sup.Role(), bad)
+	return &Supertype{m: sup}, nil
+}
+
+// Check reports whether sub is an asynchronous subtype of the supertype; it
+// is Check(sub, sup, opts) without revalidating sup.
+func (s *Supertype) Check(sub *fsm.FSM, opts Options) (Result, error) {
+	if err := validate(sub, "candidate subtype"); err != nil {
+		return Result{}, err
 	}
+	return relate(sub, s.m, opts), nil
+}
+
+func relate(sub, sup *fsm.FSM, opts Options) Result {
 	bound := opts.Bound
 	if bound <= 0 {
 		bound = DefaultBound
@@ -111,7 +141,7 @@ func Check(sub, sup *fsm.FSM, opts Options) (Result, error) {
 	if v.tr != nil {
 		res.Trace = v.tr.lines
 	}
-	return res, nil
+	return res
 }
 
 // CheckTypes is Check on local types: both are converted to machines for the
@@ -238,7 +268,9 @@ func (v *visitor) visit(ls, rs fsm.State) bool {
 		v.pre[0].push(lt.Act)
 		v.pre[1].push(rt.Act)
 		v.rho = append(v.rho, lt.Act)
-		v.traceRule(rule, fmt.Sprintf("push %s / %s", lt.Act, rt.Act))
+		if v.tr != nil {
+			v.traceRule(rule, fmt.Sprintf("push %s / %s", lt.Act, rt.Act))
+		}
 		v.tr.push()
 		ok := v.visit(lt.To, rt.To)
 		v.tr.pop()

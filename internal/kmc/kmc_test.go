@@ -228,3 +228,20 @@ func TestQueueBoundRespected(t *testing.T) {
 		t.Errorf("larger k should reach more configs: k1=%d k3=%d", r1.Configs, r3.Configs)
 	}
 }
+
+func TestCheckUpToClampsBound(t *testing.T) {
+	// A bound below 1 is taken as 1, as Check takes k: CheckUpTo must still
+	// run a check rather than return a zero Result with no violation.
+	p := machine(t, "p", "q!a.end")
+	q := machine(t, "q", "p?a.end")
+	for _, maxK := range []int{0, -3} {
+		k, res := CheckUpTo(MustNewSystem(p, q), maxK)
+		if !res.OK || k != 1 || res.Configs == 0 {
+			t.Errorf("CheckUpTo(maxK=%d) = k=%d %+v, want 1-MC", maxK, k, res)
+		}
+	}
+	bad := MustNewSystem(machine(t, "p", "q!a.end"), machine(t, "q", "p?b.end"))
+	if k, res := CheckUpTo(bad, 0); res.OK || res.Violation == nil || k != 1 {
+		t.Errorf("CheckUpTo(maxK=0) on a failing system = k=%d %+v, want a violation at k=1", k, res)
+	}
+}

@@ -49,6 +49,7 @@ func newExportResolver(dir string) *exportResolver {
 type listExport struct {
 	ImportPath string
 	Export     string
+	ImportMap  map[string]string
 }
 
 // warm batch-resolves the transitive dependencies of patterns in one go
@@ -157,7 +158,7 @@ func Load(dir string, patterns ...string) ([]*Unit, error) {
 	var units []*Unit
 	for _, lp := range pkgs {
 		if len(lp.GoFiles)+len(lp.TestGoFiles) > 0 {
-			u, err := checkUnit(resolver, lp.Dir, lp.ImportPath,
+			u, err := checkUnit(resolver.lookup, lp.Dir, lp.ImportPath,
 				append(append([]string{}, lp.GoFiles...), lp.TestGoFiles...))
 			if err != nil {
 				return nil, fmt.Errorf("%s: %v", lp.ImportPath, err)
@@ -165,7 +166,15 @@ func Load(dir string, patterns ...string) ([]*Unit, error) {
 			units = append(units, u)
 		}
 		if len(lp.XTestGoFiles) > 0 {
-			u, err := checkUnit(resolver, lp.Dir, lp.ImportPath+"_test", lp.XTestGoFiles)
+			u, err := checkUnit(resolver.lookup, lp.Dir, lp.ImportPath+"_test", lp.XTestGoFiles)
+			if err != nil && len(lp.TestGoFiles) > 0 {
+				// The external tests may use names that the in-package
+				// test files export (the export_test.go idiom), which only
+				// the package's test variant declares.
+				if lookup, lerr := testVariantLookup(dir, lp.ImportPath); lerr == nil {
+					u, err = checkUnit(lookup, lp.Dir, lp.ImportPath+"_test", lp.XTestGoFiles)
+				}
+			}
 			if err != nil {
 				return nil, fmt.Errorf("%s external tests: %v", lp.ImportPath, err)
 			}
@@ -175,8 +184,46 @@ func Load(dir string, patterns ...string) ([]*Unit, error) {
 	return units, nil
 }
 
-// checkUnit parses and type-checks one compilation unit from source.
-func checkUnit(resolver *exportResolver, dir, pkgPath string, fileNames []string) (*Unit, error) {
+// testVariantLookup resolves the imports of pkgPath's external test package
+// as go test builds them: pkgPath compiled with its in-package test files,
+// and each dependency that imports pkgPath recompiled against that variant.
+func testVariantLookup(dir, pkgPath string) (func(path string) (io.ReadCloser, error), error) {
+	cmd := exec.Command("go", "list", "-test", "-export", "-deps", "-json=ImportPath,Export,ImportMap", "--", pkgPath)
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, err
+	}
+	xtest := pkgPath + "_test [" + pkgPath + ".test]"
+	exports := map[string]string{}
+	var importMap map[string]string
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for {
+		var le listExport
+		if err := dec.Decode(&le); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, err
+		}
+		exports[le.ImportPath] = le.Export
+		if le.ImportPath == xtest {
+			importMap = le.ImportMap
+		}
+	}
+	return func(path string) (io.ReadCloser, error) {
+		if variant, ok := importMap[path]; ok {
+			path = variant
+		}
+		if exports[path] == "" {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(exports[path])
+	}, nil
+}
+
+// checkUnit parses and type-checks one compilation unit from source,
+// resolving imports to gc export data through lookup.
+func checkUnit(lookup func(path string) (io.ReadCloser, error), dir, pkgPath string, fileNames []string) (*Unit, error) {
 	fset := token.NewFileSet()
 	var files []*ast.File
 	for _, name := range fileNames {
@@ -186,16 +233,11 @@ func checkUnit(resolver *exportResolver, dir, pkgPath string, fileNames []string
 		}
 		files = append(files, f)
 	}
-	pkg, info, err := typeCheck(fset, pkgPath, files, resolver)
+	pkg, info, err := CheckFiles(fset, pkgPath, files, lookup)
 	if err != nil {
 		return nil, err
 	}
 	return &Unit{PkgPath: pkgPath, Fset: fset, Files: files, Pkg: pkg, Info: info}, nil
-}
-
-// typeCheck runs go/types over the files with export-data imports.
-func typeCheck(fset *token.FileSet, pkgPath string, files []*ast.File, resolver *exportResolver) (*types.Package, *types.Info, error) {
-	return CheckFiles(fset, pkgPath, files, resolver.lookup)
 }
 
 // CheckFiles type-checks one parsed compilation unit, resolving imports

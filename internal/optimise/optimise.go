@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/fsm"
 	"repro/internal/types"
 )
 
@@ -92,9 +93,11 @@ type Result struct {
 	Certified []Candidate
 }
 
-// derived is a search node: a candidate plus its derivation.
+// derived is a search node: a candidate, its α-canonical key and its
+// derivation.
 type derived struct {
 	t       types.Local
+	key     string
 	steps   []string
 	unrolls int
 }
@@ -112,7 +115,18 @@ func Optimise(role types.Role, orig types.Local, opts Options) (Result, error) {
 
 	res := Result{Role: role, Original: orig}
 
-	baseline, err := core.CheckTypes(role, orig, orig, core.Options{Bound: opts.Bound, Trace: opts.Trace})
+	// Every candidate is certified against the same original machine, so
+	// it is built and validated once.
+	copts := core.Options{Bound: opts.Bound, Trace: opts.Trace}
+	msup, err := fsm.FromLocal(role, orig)
+	if err != nil {
+		return Result{}, fmt.Errorf("optimise: baseline check: %w", err)
+	}
+	sup, err := core.NewSupertype(msup)
+	if err != nil {
+		return Result{}, fmt.Errorf("optimise: baseline check: %w", err)
+	}
+	baseline, err := sup.Check(msup, copts)
 	if err != nil {
 		return Result{}, fmt.Errorf("optimise: baseline check: %w", err)
 	}
@@ -126,8 +140,9 @@ func Optimise(role types.Role, orig types.Local, opts Options) (Result, error) {
 	// Breadth-first search over composed rewrites, deduplicated by
 	// α-canonical rendering so differently named but equivalent derivations
 	// collapse.
-	seen := map[string]bool{canonKey(orig): true}
-	frontier := []derived{{t: orig}}
+	origKey := canonKey(orig)
+	seen := map[string]bool{origKey: true}
+	frontier := []derived{{t: orig, key: origKey}}
 	var pool []derived
 	for pass := 0; pass < opts.MaxPasses && len(frontier) > 0 && len(pool) < opts.MaxCandidates; pass++ {
 		var next []derived
@@ -146,6 +161,7 @@ func Optimise(role types.Role, orig types.Local, opts Options) (Result, error) {
 				seen[key] = true
 				d := derived{
 					t:       cand,
+					key:     key,
 					steps:   append(append([]string(nil), cur.steps...), mv.desc),
 					unrolls: cur.unrolls + mv.unrolls,
 				}
@@ -166,26 +182,35 @@ func Optimise(role types.Role, orig types.Local, opts Options) (Result, error) {
 	// Certify. Candidates that are not well-formed (a rewrite can in
 	// principle produce a non-contractive shape) or not asynchronous
 	// subtypes of the original are discarded — an uncertified rewrite is a
-	// bug, never an output.
-	res.Certified = []Candidate{{Type: orig, Lookahead: res.Baseline, Cert: baseline}}
+	// bug, never an output. Each keeps the α-canonical key the search
+	// deduplicated it by, for the ranking's last tie-break.
+	type keyed struct {
+		Candidate
+		key string
+	}
+	certified := []keyed{{Candidate{Type: orig, Lookahead: res.Baseline, Cert: baseline}, origKey}}
 	for _, d := range pool {
 		if types.ValidateLocal(d.t) != nil {
 			continue
 		}
-		cert, err := core.CheckTypes(role, d.t, orig, core.Options{Bound: opts.Bound, Trace: opts.Trace})
+		msub, err := fsm.FromLocal(role, d.t)
+		if err != nil {
+			continue
+		}
+		cert, err := sup.Check(msub, copts)
 		if err != nil || !cert.OK {
 			continue
 		}
-		res.Certified = append(res.Certified, Candidate{
+		certified = append(certified, keyed{Candidate{
 			Type:      d.t,
 			Lookahead: cert.Stats.MaxSendAhead,
 			Cert:      cert,
 			Steps:     d.steps,
 			Unrolls:   d.unrolls,
-		})
+		}, d.key})
 	}
-	sort.SliceStable(res.Certified, func(i, j int) bool {
-		a, b := res.Certified[i], res.Certified[j]
+	sort.SliceStable(certified, func(i, j int) bool {
+		a, b := certified[i], certified[j]
 		if a.Lookahead != b.Lookahead {
 			return a.Lookahead > b.Lookahead
 		}
@@ -195,8 +220,12 @@ func Optimise(role types.Role, orig types.Local, opts Options) (Result, error) {
 		if len(a.Steps) != len(b.Steps) {
 			return len(a.Steps) < len(b.Steps)
 		}
-		return canonKey(a.Type) < canonKey(b.Type)
+		return a.key < b.key
 	})
+	res.Certified = make([]Candidate, len(certified))
+	for i, c := range certified {
+		res.Certified[i] = c.Candidate
+	}
 	res.Best = res.Certified[0]
 	res.Improved = res.Best.Lookahead > res.Baseline
 	return res, nil

@@ -1,8 +1,10 @@
 // Package subsync implements synchronous multiparty session subtyping
 // (Fig. A.10 of the paper, after Chen et al.): the reference relation without
-// asynchronous message reordering. It is used by tests to confirm that the
-// asynchronous relation of internal/core strictly extends the synchronous one,
-// and by Table 1 to classify which optimisations *require* AMR.
+// asynchronous message reordering. It is a test oracle that no non-test code
+// imports: its tests use it to confirm that the asynchronous relation of
+// internal/core strictly extends the synchronous one (every synchronously
+// related pair is related asynchronously, and a reordering only
+// asynchronously).
 package subsync
 
 import (

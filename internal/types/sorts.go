@@ -330,8 +330,20 @@ func KnownSort(s Sort) bool {
 	if s == Unit {
 		return true
 	}
-	_, ok := LookupSort(s)
-	return ok
+	return hasPayload(s)
+}
+
+// hasPayload reports whether LookupSort binds s to a Go payload type,
+// without deriving vector codecs: the checkers ask KnownSort of every
+// transition they validate.
+func hasPayload(s Sort) bool {
+	if elem, ok := VecElem(s); ok {
+		return hasPayload(elem)
+	}
+	sortReg.RLock()
+	info := sortReg.m[s]
+	sortReg.RUnlock()
+	return info.Go != ""
 }
 
 // RegisteredSorts returns the registered entries (built-ins plus user

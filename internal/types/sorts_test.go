@@ -19,6 +19,20 @@ func TestBuiltinSortsKnown(t *testing.T) {
 	}
 }
 
+// TestKnownSortAgreesWithLookup pins KnownSort, which skips deriving
+// vector codecs, to LookupSort's verdict.
+func TestKnownSortAgreesWithLookup(t *testing.T) {
+	sorts := []Sort{"frob", "vec<frob>", "vec<vec<frob>>", "vec<unit>", "vec<vec<unit>>", "vec<>", "vec<vec<f64>>", "vec<str>"}
+	for _, info := range RegisteredSorts() {
+		sorts = append(sorts, info.Name, VecOf(info.Name), VecOf(VecOf(info.Name)))
+	}
+	for _, s := range sorts {
+		if _, ok := LookupSort(s); s != Unit && KnownSort(s) != ok {
+			t.Errorf("KnownSort(%q) = %v, LookupSort ok = %v", s, KnownSort(s), ok)
+		}
+	}
+}
+
 func TestVecSortDerivation(t *testing.T) {
 	v := VecOf(Complex128)
 	if v != "vec<complex128>" {

@@ -87,27 +87,63 @@ func (Rec) isLocal()  {}
 func (Send) isLocal() {}
 func (Recv) isLocal() {}
 
-func (End) String() string   { return "end" }
-func (v Var) String() string { return v.Name }
-func (r Rec) String() string { return fmt.Sprintf("mu %s.%s", r.Name, r.Body) }
+func (End) String() string    { return "end" }
+func (v Var) String() string  { return v.Name }
+func (r Rec) String() string  { return localString(r) }
+func (s Send) String() string { return localString(s) }
+func (r Recv) String() string { return localString(r) }
 
-func branchString(b Branch) string {
-	if b.Sort == Unit || b.Sort == "" {
-		return fmt.Sprintf("%s.%s", b.Label, b.Cont)
-	}
-	return fmt.Sprintf("%s(%s).%s", b.Label, b.Sort, b.Cont)
+// localString renders t in one strings.Builder pass, with no fmt: the optimiser
+// and subsync memo tables key on this text, so it is on their hot paths.
+func localString(t Local) string {
+	var b strings.Builder
+	writeLocal(&b, t)
+	return b.String()
 }
 
-func choiceString(peer Role, op string, branches []Branch) string {
-	parts := make([]string, len(branches))
-	for i, b := range branches {
-		parts[i] = branchString(b)
+// writeLocal appends t's concrete syntax to b. A nil continuation renders
+// as fmt's %s would render it.
+func writeLocal(b *strings.Builder, t Local) {
+	switch t := t.(type) {
+	case End:
+		b.WriteString("end")
+	case Var:
+		b.WriteString(t.Name)
+	case Rec:
+		b.WriteString("mu ")
+		b.WriteString(t.Name)
+		b.WriteByte('.')
+		writeLocal(b, t.Body)
+	case Send:
+		writeChoice(b, t.Peer, '!', t.Branches)
+	case Recv:
+		writeChoice(b, t.Peer, '?', t.Branches)
+	case nil:
+		b.WriteString("%!s(<nil>)")
+	default:
+		b.WriteString(t.String())
 	}
-	return fmt.Sprintf("%s%s{%s}", peer, op, strings.Join(parts, ", "))
 }
 
-func (s Send) String() string { return choiceString(s.Peer, "!", s.Branches) }
-func (r Recv) String() string { return choiceString(r.Peer, "?", r.Branches) }
+func writeChoice(b *strings.Builder, peer Role, op byte, branches []Branch) {
+	b.WriteString(string(peer))
+	b.WriteByte(op)
+	b.WriteByte('{')
+	for i, br := range branches {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString(string(br.Label))
+		if br.Sort != Unit && br.Sort != "" {
+			b.WriteByte('(')
+			b.WriteString(string(br.Sort))
+			b.WriteByte(')')
+		}
+		b.WriteByte('.')
+		writeLocal(b, br.Cont)
+	}
+	b.WriteByte('}')
+}
 
 // Global is a global session type describing a protocol from the perspective
 // of all participants at once.
