@@ -166,15 +166,14 @@ func Load(dir string, patterns ...string) ([]*Unit, error) {
 			units = append(units, u)
 		}
 		if len(lp.XTestGoFiles) > 0 {
-			u, err := checkUnit(resolver.lookup, lp.Dir, lp.ImportPath+"_test", lp.XTestGoFiles)
-			if err != nil && len(lp.TestGoFiles) > 0 {
-				// The external tests may use names that the in-package
-				// test files export (the export_test.go idiom), which only
-				// the package's test variant declares.
-				if lookup, lerr := testVariantLookup(dir, lp.ImportPath); lerr == nil {
-					u, err = checkUnit(lookup, lp.Dir, lp.ImportPath+"_test", lp.XTestGoFiles)
-				}
+			// External tests may use names the in-package test files
+			// export (the export_test.go idiom), which only the package's
+			// test variant declares.
+			lookup, err := testVariantLookup(dir, lp.ImportPath)
+			if err != nil {
+				return nil, fmt.Errorf("%s external tests: %v", lp.ImportPath, err)
 			}
+			u, err := checkUnit(lookup, lp.Dir, lp.ImportPath+"_test", lp.XTestGoFiles)
 			if err != nil {
 				return nil, fmt.Errorf("%s external tests: %v", lp.ImportPath, err)
 			}
