@@ -549,8 +549,9 @@ func (e *explorer) firstStuck() (blocked, bool) {
 func (e *explorer) drains(mi, q int) []bool {
 	in := make([]bool, len(e.keys))
 	var work []int32
+	cur := newConfig(e.n)
 	for c, key := range e.keys {
-		if queueLen(key, e.n, q) < e.k {
+		if cur.load(key); cur.qlen[q] < e.k {
 			in[c] = true
 			work = append(work, int32(c))
 		}
@@ -566,23 +567,6 @@ func (e *explorer) drains(mi, q int) []bool {
 		}
 	}
 	return in
-}
-
-// queueLen decodes the length of queue q from a key of an n-machine system.
-func queueLen(key string, n, q int) int {
-	p := 0
-	for range n {
-		_, p = uvarint(key, p)
-	}
-	for range q {
-		var l int
-		l, p = uvarint(key, p)
-		for range l {
-			_, p = uvarint(key, p)
-		}
-	}
-	l, _ := uvarint(key, p)
-	return l
 }
 
 func (e *explorer) notExhaustive(b blocked) *Violation {
