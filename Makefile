@@ -1,7 +1,8 @@
 # Tier-1 verification and the perf trajectory for the session runtime.
 #
 #   make verify         build + full test suite (the tier-1 gate)
-#   make race           the substrate stress tests under the race detector
+#   make race           the substrate stress tests and the execution-mode
+#                       runners (internal/equiv) under the race detector
 #   make bench          channel + session + Session.Run benchmarks with
 #                       -benchmem, raw output to stderr, parsed JSON to
 #                       BENCH_channel.json (compare against CHANGES.md)
@@ -36,7 +37,7 @@
 #                       perfbench's own vet and tests, the CI perfbench job
 #   make chaos-smoke    the seeded fault-injection soak (internal/chaos):
 #                       every registry protocol × fault-family seeds ×
-#                       {blocking, stepped, scheduler}, -timeout as the
+#                       {blocking, stepped, scheduled}, -timeout as the
 #                       hang detector — the CI chaos job
 #   make sessvet        build cmd/sessvet and run it over the whole module
 #                       through `go vet -vettool` — the session-misuse
@@ -127,11 +128,11 @@ verify:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race -timeout 600s ./internal/channel ./internal/session ./internal/sched ./internal/wire ./internal/netchan
+	$(GO) test -race -timeout 600s ./internal/channel ./internal/session ./internal/sched ./internal/wire ./internal/netchan ./internal/equiv
 	$(GO) test -race -short -timeout 600s ./internal/chaos
 
 # chaos-smoke: the seeded fault-injection soak — every registry protocol ×
-# seeds covering all four fault families × {blocking, stepped, scheduler},
+# seeds covering all four fault families × {blocking, stepped, scheduled},
 # each cell asserted to land in the failure trichotomy (clean / typed
 # timeout / typed abort) with no goroutine leaks. -timeout is the hang
 # detector: a cell that neither completes nor fails typed stalls the binary

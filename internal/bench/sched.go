@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/equiv"
 	"repro/internal/fsm"
 	"repro/internal/sched"
 	"repro/internal/session"
@@ -171,14 +172,7 @@ func SchedGoroutineBaseline(n int) (int, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			procs := map[types.Role]func(*session.Endpoint) error{}
-			for _, r := range inst.Roles() {
-				r := r
-				procs[r] = func(ep *session.Endpoint) error {
-					return session.Drive(ep, inst.FSM(r), schedStrategy(r), schedSessionBudget)
-				}
-			}
-			if err := inst.Run(procs); err != nil {
+			if err := equiv.Run(inst, equiv.Blocking, equiv.Bound(schedSessionBudget), schedStrategy, time.Time{}, nil); err != nil {
 				errs <- err
 			}
 		}()

@@ -1,7 +1,8 @@
 // Package chaos is the fault-injection harness for the runtime's failure
 // semantics: it drives verified protocols over networks of channel.Faulty
 // routes — deterministic, seed-scheduled delays, would-block storms, stalls
-// and early closes — across the runtime's three execution modes, and
+// and early closes — across the runtime's execution modes (equiv.Modes, run
+// by equiv.Run under a uniform budget bound and a per-run deadline), and
 // classifies each run against the failure trichotomy:
 //
 //   - Clean: the protocol completed (or stopped deliberately at its budget)
@@ -28,11 +29,10 @@ package chaos
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/channel"
-	"repro/internal/core"
+	"repro/internal/equiv"
 	"repro/internal/netchan"
 	"repro/internal/protocols"
 	"repro/internal/sched"
@@ -40,37 +40,6 @@ import (
 	"repro/internal/types"
 	"repro/internal/wire"
 )
-
-// Mode selects how a run executes its session.
-type Mode int
-
-const (
-	// ModeBlocking runs one goroutine per role over the blocking endpoint
-	// ops (session.Drive under session.Run), with per-endpoint deadlines.
-	ModeBlocking Mode = iota
-	// ModeStepped steps every role round-robin on the harness goroutine
-	// over the non-blocking Try* algebra (session.Stepper), with a
-	// wall-clock deadline on the whole run.
-	ModeStepped
-	// ModeScheduler multiplexes the session over an internal/sched worker
-	// pool with a per-session deadline (GoSessionWithDeadline).
-	ModeScheduler
-)
-
-// Modes lists every execution mode, in soak order.
-var Modes = []Mode{ModeBlocking, ModeStepped, ModeScheduler}
-
-func (m Mode) String() string {
-	switch m {
-	case ModeBlocking:
-		return "blocking"
-	case ModeStepped:
-		return "stepped"
-	case ModeScheduler:
-		return "scheduler"
-	}
-	return fmt.Sprintf("mode(%d)", int(m))
-}
 
 // Class is one arm of the failure trichotomy.
 type Class int
@@ -98,26 +67,8 @@ func (c Class) String() string {
 	return "UNCLASSIFIED"
 }
 
-// ErrBudgetCut is the cause runBlocking aborts a session with when one role
-// deliberately stops at its action budget (the bounded cut of an infinite
-// protocol): the teardown releases siblings blocked on messages the stopped
-// role will never send. Classify treats it as Clean — a budget cut is the
-// expected end of a bounded run, exactly as a deliberate stop is for
-// internal/sched's quiescence rule.
-var ErrBudgetCut = errors.New("chaos: bounded run reached its action budget")
-
-// The budget cut must keep its identity across the wire: on the network
-// column a blocking-mode sibling sees the abort as a goodbye frame, and
-// Classify's Clean arm works by errors.Is — so the sentinel travels by name
-// (wire.DecodeCause rehydrates it under the *wire.RemoteError).
-func init() {
-	if err := wire.RegisterCause("chaos/budget-cut", ErrBudgetCut); err != nil {
-		panic(err)
-	}
-}
-
 // Classify sorts a run outcome into the trichotomy. A nil error is Clean, as
-// is a teardown whose root cause is ErrBudgetCut (the bounded-run cut); a
+// is a teardown whose root cause is equiv.ErrBudgetCut (the bounded-run cut); a
 // timeout must reach session.ErrTimeout; an abort must reach
 // channel.ErrClosed and carry a cause — either a session.ProtocolError
 // (naming the failing role) or the injected channel.ErrInjected itself.
@@ -126,7 +77,7 @@ func Classify(err error) Class {
 	switch {
 	case err == nil:
 		return Clean
-	case errors.Is(err, ErrBudgetCut):
+	case errors.Is(err, equiv.ErrBudgetCut):
 		return Clean
 	case errors.Is(err, session.ErrTimeout):
 		return Timeout
@@ -174,7 +125,7 @@ func (c Config) withDefaults() Config {
 type Result struct {
 	Protocol string
 	Seed     uint64
-	Mode     Mode
+	Mode     equiv.Mode
 	Class    Class
 	// Err is the run's error (nil for Clean) — for Abort and Timeout, the
 	// typed chain the classification verified.
@@ -232,16 +183,6 @@ func planFor(seed uint64, n int) channel.FaultPlan {
 	}
 }
 
-// Build constructs the verified base session for a registry entry (top-down
-// from its global type when it has one, bottom-up k-MC otherwise). Runs fork
-// this base, so verification cost is paid once per protocol, not per seed.
-func Build(e protocols.Entry) (*session.Session, error) {
-	if e.Global != nil {
-		return session.TopDown(e.Global, nil, core.Options{})
-	}
-	return session.BottomUp(e.KmcBound, protocols.Machines(protocols.FSMs(e.Locals))...)
-}
-
 // faultyNetwork returns a network constructor whose routes are Faulty
 // wrappers over the default unbounded rings, with per-route plans derived
 // from seed.
@@ -258,7 +199,7 @@ func faultyNetwork(seed uint64) func(roles ...types.Role) *session.Network {
 
 // Run executes one (protocol, seed, mode) cell: base is forked, rewired onto
 // seed-derived Faulty routes, executed in the given mode, and classified.
-func Run(name string, base *session.Session, seed uint64, mode Mode, cfg Config) Result {
+func Run(name string, base *session.Session, seed uint64, mode equiv.Mode, cfg Config) Result {
 	cfg = cfg.withDefaults()
 	inst := base.Fork().Rewire(faultyNetwork(seed))
 	err := execute(inst, mode, cfg)
@@ -272,12 +213,12 @@ func Run(name string, base *session.Session, seed uint64, mode Mode, cfg Config)
 // a faulted cell leaves buffered frames behind on purpose, and a graceful
 // close there would wedge a writer against a ring nobody reads.
 //
-// All three modes reuse the in-memory runners. In scheduler mode that is
-// the deadline re-poll path rather than the external-readiness bridge
+// Every mode runs through equiv.Run, as in memory. In scheduled mode that
+// is the deadline re-poll path rather than the external-readiness bridge
 // (sched.GoExternal) the fabrics use: an injected would-block refusal comes
 // with no wire readiness event behind it, so a parked external session
 // would sleep through the retry that clears the storm.
-func RunNet(e protocols.Entry, base *session.Session, seed uint64, mode Mode, cfg Config) Result {
+func RunNet(e protocols.Entry, base *session.Session, seed uint64, mode equiv.Mode, cfg Config) Result {
 	cfg = cfg.withDefaults()
 	tab, err := wire.TableFromLocals(e.Name, e.Locals)
 	if err != nil {
@@ -301,145 +242,18 @@ func RunNet(e protocols.Entry, base *session.Session, seed uint64, mode Mode, cf
 	return Result{Protocol: e.Name, Seed: seed, Mode: mode, Class: Classify(err), Err: err}
 }
 
-// execute runs an already-rewired instance in the given mode against a
-// fresh deadline — the shared back half of Run and RunNet.
-func execute(inst *session.Session, mode Mode, cfg Config) error {
-	deadline := time.Now().Add(cfg.Timeout)
-	switch mode {
-	case ModeBlocking:
-		return runBlocking(inst, deadline, cfg.Budget)
-	case ModeStepped:
-		return runStepped(inst, deadline, cfg.Budget)
-	case ModeScheduler:
-		return runScheduler(inst, deadline, cfg.Budget, cfg.Workers)
-	default:
-		return fmt.Errorf("chaos: unknown mode %d", int(mode))
+// execute runs an already-rewired instance in the given mode under the
+// uniform budget bound and a fresh deadline — the shared back half of Run
+// and RunNet. Scheduled mode gets a fresh pool, closed before returning.
+func execute(inst *session.Session, mode equiv.Mode, cfg Config) error {
+	var s *sched.Scheduler
+	if mode == equiv.Scheduled {
+		s = sched.New(sched.Options{Workers: cfg.Workers})
+		defer s.Close()
 	}
+	return equiv.Run(inst, mode, equiv.Bound(cfg.Budget), strategyFor, time.Now().Add(cfg.Timeout), s)
 }
 
 // strategyFor returns the deterministic per-role driving strategy: cycling
 // real choices so branches are covered, nil payloads.
 func strategyFor(types.Role) session.Strategy { return &session.RoundRobin{} }
-
-// runBlocking is ModeBlocking: one goroutine per role, blocking ops, with
-// the run deadline armed on every endpoint so a stalled route times out
-// typed instead of hanging a goroutine. A role that stops at its budget
-// (the bounded cut of an infinite protocol) aborts the session with
-// ErrBudgetCut so siblings do not sit out the deadline waiting for messages
-// it will never send.
-func runBlocking(inst *session.Session, deadline time.Time, budget int) error {
-	procs := map[types.Role]func(*session.Endpoint) error{}
-	for _, r := range inst.Roles() {
-		role := r
-		procs[role] = func(e *session.Endpoint) error {
-			e.SetDeadline(deadline)
-			err := session.Drive(e, inst.FSM(role), strategyFor(role), budget)
-			if errors.Is(err, session.ErrStopped) {
-				inst.Abort(ErrBudgetCut)
-			}
-			return err
-		}
-	}
-	return inst.Run(procs)
-}
-
-// runStepped is ModeStepped: every role stepped round-robin on this
-// goroutine over the Try* algebra. A sterile pass inside the deadline naps
-// briefly and re-polls (injected storms clear with retries, not with peer
-// progress); at the deadline the run fails typed, naming the parked roles.
-func runStepped(inst *session.Session, deadline time.Time, budget int) error {
-	roles := inst.Roles()
-	steppers := make([]*session.Stepper, 0, len(roles))
-	abortAll := func() {
-		for _, st := range steppers {
-			st.Abort()
-		}
-	}
-	for _, r := range roles {
-		ep, err := inst.Endpoint(r)
-		if err != nil {
-			abortAll()
-			return err
-		}
-		st, err := session.NewStepper(ep, inst.FSM(r), strategyFor(r), budget)
-		if err != nil {
-			abortAll()
-			return err
-		}
-		steppers = append(steppers, st)
-	}
-	spins := 0
-	stopped := false
-	for {
-		progressed := false
-		live := 0
-		for _, st := range steppers {
-			if st.Done() {
-				continue
-			}
-			live++
-			done, err := st.Step()
-			if done {
-				if errors.Is(err, session.ErrStopped) {
-					stopped = true
-				} else if err != nil {
-					abortAll()
-					return fmt.Errorf("chaos: role %s: %w", st.Role(), err)
-				}
-				progressed = true
-				continue
-			}
-			if errors.Is(err, session.ErrWouldBlock) {
-				continue
-			}
-			if err != nil {
-				abortAll()
-				return fmt.Errorf("chaos: role %s: %w", st.Role(), err)
-			}
-			progressed = true
-		}
-		if live == 0 {
-			return nil
-		}
-		if progressed {
-			spins = 0
-			continue
-		}
-		if stopped {
-			// Quiescence after a deliberate stop is the expected end of a
-			// bounded run, not a stall — the same consistent-cut rule
-			// internal/sched applies.
-			abortAll()
-			return nil
-		}
-		if !time.Now().Before(deadline) {
-			var stuck []types.Role
-			for _, st := range steppers {
-				if !st.Done() {
-					stuck = append(stuck, st.Role())
-				}
-			}
-			abortAll()
-			return fmt.Errorf("chaos: stepped run: roles %v still parked: %w", stuck, session.ErrTimeout)
-		}
-		spins++
-		if spins < 64 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
-}
-
-// runScheduler is ModeScheduler: the session is multiplexed over a fresh
-// worker pool with a per-session deadline, and the pool is drained (the
-// worker-survival property — e.g. across stepper faults — is what the soak
-// exercises at scale here).
-func runScheduler(inst *session.Session, deadline time.Time, budget, workers int) error {
-	s := sched.New(sched.Options{Workers: workers})
-	if err := s.GoSessionWithDeadline(inst, budget, strategyFor, deadline); err != nil {
-		s.Close()
-		return err
-	}
-	return s.Close()
-}

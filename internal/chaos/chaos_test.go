@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/channel"
+	"repro/internal/equiv"
 	"repro/internal/netchan"
 	"repro/internal/protocols"
 	"repro/internal/sched"
@@ -91,12 +92,12 @@ func TestChaosSoak(t *testing.T) {
 	baseGoroutines := runtime.NumGoroutine()
 	var counts [4]int
 	for _, e := range soakEntries() {
-		base, err := Build(e)
+		base, err := equiv.BuildSession(e)
 		if err != nil {
 			t.Fatalf("%s: building session: %v", e.Name, err)
 		}
 		for _, seed := range soakSeeds() {
-			for _, mode := range Modes {
+			for _, mode := range equiv.Modes {
 				res := Run(e.Name, base, seed, mode, soakConfig)
 				counts[res.Class]++
 				if res.Class == Unclassified {
@@ -154,12 +155,12 @@ func TestChaosNetSoak(t *testing.T) {
 	baseGoroutines := runtime.NumGoroutine()
 	var counts [4]int
 	for _, e := range netSoakEntries(t) {
-		base, err := Build(e)
+		base, err := equiv.BuildSession(e)
 		if err != nil {
 			t.Fatalf("%s: building session: %v", e.Name, err)
 		}
 		for _, seed := range soakSeeds() {
-			for _, mode := range Modes {
+			for _, mode := range equiv.Modes {
 				res := RunNet(e, base, seed, mode, soakConfig)
 				counts[res.Class]++
 				if res.Class == Unclassified {
@@ -208,31 +209,19 @@ func TestChaosStealSoak(t *testing.T) {
 	}
 	var cells []*cell
 	for _, e := range soakEntries() {
-		base, err := Build(e)
+		base, err := equiv.BuildSession(e)
 		if err != nil {
 			t.Fatalf("%s: building session: %v", e.Name, err)
 		}
 		for _, seed := range soakSeeds() {
 			inst := base.Fork().Rewire(faultyNetwork(seed))
-			var steppers []sched.Stepper
-			fail := func(err error) {
-				for _, st := range steppers {
-					if a, ok := st.(interface{ Abort() }); ok {
-						a.Abort()
-					}
-				}
+			claimed, err := inst.Steppers(strategyFor, func(types.Role) int { return cfg.Budget })
+			if err != nil {
 				t.Fatalf("%s seed=%d: %v", e.Name, seed, err)
 			}
-			for _, r := range inst.Roles() {
-				ep, err := inst.Endpoint(r)
-				if err != nil {
-					fail(err)
-				}
-				st, err := session.NewStepper(ep, inst.FSM(r), strategyFor(r), cfg.Budget)
-				if err != nil {
-					fail(err)
-				}
-				steppers = append(steppers, st)
+			steppers := make([]sched.Stepper, len(claimed))
+			for i, st := range claimed {
+				steppers[i] = st
 			}
 			c := &cell{name: e.Name, seed: seed, res: make(chan error, 1)}
 			deadline := time.Now().Add(cfg.Timeout)
@@ -350,13 +339,13 @@ func TestFaultyWireScheduleMatchesRing(t *testing.T) {
 func TestChaosSteppedDeterministic(t *testing.T) {
 	entries := soakEntries()[:3]
 	for _, e := range entries {
-		base, err := Build(e)
+		base, err := equiv.BuildSession(e)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
 		}
 		for _, seed := range []uint64{1, 2, 3, 6, 7} {
-			a := Run(e.Name, base, seed, ModeStepped, soakConfig)
-			b := Run(e.Name, base, seed, ModeStepped, soakConfig)
+			a := Run(e.Name, base, seed, equiv.Stepped, soakConfig)
+			b := Run(e.Name, base, seed, equiv.Stepped, soakConfig)
 			if a.Class != b.Class || fmt.Sprint(a.Err) != fmt.Sprint(b.Err) {
 				t.Errorf("%s seed=%d replay diverged:\n  first:  %s\n  second: %s", e.Name, seed, a, b)
 			}
@@ -373,7 +362,7 @@ func TestClassify(t *testing.T) {
 		want Class
 	}{
 		{"nil", nil, Clean},
-		{"budget cut through abort chain", &channel.CloseError{Cause: &session.ProtocolError{Cause: ErrBudgetCut}}, Clean},
+		{"budget cut through abort chain", &channel.CloseError{Cause: &session.ProtocolError{Cause: equiv.ErrBudgetCut}}, Clean},
 		{"endpoint timeout", &session.TimeoutError{Role: "a", Op: "send", Peer: "b"}, Timeout},
 		{"wrapped timeout", fmt.Errorf("role a: %w", &session.TimeoutError{Role: "a"}), Timeout},
 		{"abort with role and cause", &channel.CloseError{Cause: &session.ProtocolError{Role: "b", Cause: root}}, Abort},
@@ -406,7 +395,7 @@ func (p *chaosPanicStepper) Abort() {}
 
 func TestPanickingStepperUnderScheduler(t *testing.T) {
 	e := soakEntries()[0]
-	base, err := Build(e)
+	base, err := equiv.BuildSession(e)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,21 +1,27 @@
 // Package equiv is the trace-equivalence machinery behind the repo's
 // strongest cross-cutting property: however a verified session is executed
-// — blocking goroutines, non-blocking steppers under the scheduler, or one
-// OS process per role over sockets (cmd/sessnet) — every role observes the
-// same ordered action trace.
+// — blocking goroutines, non-blocking steppers on one goroutine or under
+// the scheduler, or one OS process per role over sockets (cmd/sessnet) —
+// every role observes the same ordered action trace.
+//
+// It is also the one place that executes a session in a given mode: Run
+// takes an instance, a Mode (Blocking, Stepped, Scheduled), a per-role
+// Budget, a strategy factory, an optional deadline and a scheduler, and
+// internal/chaos, internal/protofuzz and the reference run below all
+// execute sessions through it.
 //
 // The anchor is the sequential stepped reference run (ReferenceRun): a
 // single goroutine round-robins every role until the session quiesces,
 // which yields a consistent cut — per-role action budgets under which every
-// receive in the cut has its matching send in the cut. Re-running any other
-// execution mode under those budgets must reproduce the reference traces
-// exactly; internal/sched pins this for the in-process scheduler, and
-// RunDistributed pins it across process boundaries over internal/netchan.
+// receive in the cut has its matching send in the cut. Replaying that cut
+// in any mode (Replay) must reproduce the reference traces exactly; the
+// package's tests pin this for every mode in Modes, and RunDistributed pins
+// it across process boundaries over internal/netchan.
 package equiv
 
 import (
-	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/fsm"
@@ -107,71 +113,26 @@ func ReferenceRun(sess *session.Session, maxCap int) (map[types.Role]int, map[ty
 
 // ReferenceRunWith is ReferenceRun with a caller-supplied strategy factory;
 // mk is called once per role. The factory's strategies must be
-// deterministic, or the returned budgets are not a replayable cut.
+// deterministic, or the returned budgets are not a replayable cut. It is
+// Stepped mode without a deadline, read out: each role's budget is the
+// number of actions its stepper performed.
 func ReferenceRunWith(sess *session.Session, maxCap int, mk func(types.Role) TraceRecorder) (map[types.Role]int, map[types.Role][]string, error) {
-	type refTask struct {
-		st    *session.Stepper
-		strat TraceRecorder
-		role  types.Role
-		done  bool
+	recs := map[types.Role]TraceRecorder{}
+	steppers, err := sess.Steppers(func(r types.Role) session.Strategy {
+		recs[r] = mk(r)
+		return recs[r]
+	}, Bound(maxCap).of)
+	if err != nil {
+		return nil, nil, fmt.Errorf("equiv: %w", err)
 	}
-	var tasks []*refTask
-	for _, r := range sess.Roles() {
-		ep, err := sess.Endpoint(r)
-		if err != nil {
-			return nil, nil, fmt.Errorf("equiv: %s: %w", r, err)
-		}
-		strat := mk(r)
-		st, err := session.NewStepper(ep, sess.FSM(r), strat, maxCap)
-		if err != nil {
-			return nil, nil, fmt.Errorf("equiv: %s: NewStepper: %w", r, err)
-		}
-		tasks = append(tasks, &refTask{st: st, strat: strat, role: r})
+	if err := step(steppers, time.Time{}); err != nil {
+		return nil, nil, fmt.Errorf("equiv: reference run faulted: %w", err)
 	}
-	for {
-		progressed := false
-		live := 0
-		for _, task := range tasks {
-			if task.done {
-				continue
-			}
-			done, err := task.st.Step()
-			if done {
-				task.done = true
-				if err != nil && !errors.Is(err, session.ErrStopped) {
-					return nil, nil, fmt.Errorf("equiv: %s: reference run faulted: %w", task.role, err)
-				}
-				progressed = true
-				continue
-			}
-			live++
-			if errors.Is(err, session.ErrWouldBlock) {
-				continue
-			}
-			if err != nil {
-				return nil, nil, fmt.Errorf("equiv: %s: reference run: %w", task.role, err)
-			}
-			progressed = true
-		}
-		if live == 0 {
-			break
-		}
-		if !progressed {
-			// Quiescent with parked tasks: budget-stopped peers will never
-			// feed them. That is the consistent cut; abort the leftovers.
-			for _, task := range tasks {
-				if !task.done {
-					task.st.Abort()
-				}
-			}
-			break
-		}
-	}
-	budgets := map[types.Role]int{}
-	traces := map[types.Role][]string{}
-	for _, task := range tasks {
-		budgets[task.role] = task.st.Steps()
-		traces[task.role] = task.strat.Trace()
+	budgets := make(map[types.Role]int, len(steppers))
+	traces := make(map[types.Role][]string, len(steppers))
+	for _, st := range steppers {
+		budgets[st.Role()] = st.Steps()
+		traces[st.Role()] = recs[st.Role()].Trace()
 	}
 	return budgets, traces, nil
 }

@@ -344,11 +344,12 @@ func RunPipeline(g types.Global, opts PipelineOptions) (Report, *Failure) {
 
 	// Stage: run. The plain system executes under all three modes against
 	// one consistent cut; the optimised system likewise under its own cut.
-	plainTraces, plainBudgets, fail := runAllModes(g, nil, opts)
+	pf := func(types.Role) equiv.TraceRecorder { return &pfStrategy{} }
+	plainTraces, plainBudgets, fail := runAllModes(g, nil, pf, opts)
 	if fail != nil {
 		return rep, fail
 	}
-	optTraces, optBudgets, fail := runAllModes(g, optFSMs, opts)
+	optTraces, optBudgets, fail := runAllModes(g, optFSMs, pf, opts)
 	if fail != nil {
 		return rep, fail
 	}
@@ -414,79 +415,34 @@ func buildSession(g types.Global, optimised map[types.Role]*fsm.FSM, certBound i
 // runAllModes derives the consistent cut from a sequential stepped
 // reference run, replays it under the blocking runtime and under the
 // scheduler, and asserts the per-role traces identical across all three.
-// It returns the reference traces and the cut's per-role budgets.
-func runAllModes(g types.Global, optimised map[types.Role]*fsm.FSM, opts PipelineOptions) (map[types.Role][]string, map[types.Role]int, *Failure) {
+// Every run drives role r with a fresh recorder mk(r). It returns the
+// reference traces and the cut's per-role budgets.
+func runAllModes(g types.Global, optimised map[types.Role]*fsm.FSM, mk func(types.Role) equiv.TraceRecorder, opts PipelineOptions) (map[types.Role][]string, map[types.Role]int, *Failure) {
 	sess, err := buildSession(g, optimised, certBound(opts.Optimise))
 	if err != nil {
 		return nil, nil, &Failure{Stage: StageRun, Err: fmt.Errorf("building session: %w", err)}
 	}
-	budgets, ref, err := equiv.ReferenceRunWith(sess, opts.RunCap, func(types.Role) equiv.TraceRecorder { return &pfStrategy{} })
+	budgets, ref, err := equiv.ReferenceRunWith(sess, opts.RunCap, mk)
 	if err != nil {
 		return nil, nil, &Failure{Stage: StageRun, Err: fmt.Errorf("stepped reference: %w", err)}
 	}
 	if err := CheckConsistentCut(ref); err != nil {
 		return nil, nil, &Failure{Stage: StageEquiv, Err: fmt.Errorf("reference cut: %w", err)}
 	}
-
-	// Blocking monitored run over the same budgets.
-	blkSess := sess.Fork()
-	blkStrats := map[types.Role]*pfStrategy{}
-	procs := map[types.Role]func(*session.Endpoint) error{}
-	for _, r := range blkSess.Roles() {
-		r := r
-		strat := &pfStrategy{}
-		blkStrats[r] = strat
-		procs[r] = func(ep *session.Endpoint) error {
-			return session.Drive(ep, blkSess.FSM(r), strat, budgets[r])
-		}
-	}
-	if err := blkSess.Run(procs); err != nil {
-		return nil, nil, &Failure{Stage: StageRun, Err: fmt.Errorf("blocking run: %w", err)}
-	}
-	for r, want := range ref {
-		if got := blkStrats[r].Trace(); !reflect.DeepEqual(want, got) {
-			return nil, nil, &Failure{Stage: StageEquiv, Err: fmt.Errorf("role %s: blocking trace %v diverges from stepped reference %v", r, got, want)}
-		}
-	}
-
-	// Scheduler-driven stepped run over the same budgets.
 	s := opts.Scheduler
-	private := false
 	if s == nil {
 		s = sched.New(sched.Options{Workers: 2, Quantum: 8})
-		private = true
+		defer s.Close()
 	}
-	schedSess := sess.Fork()
-	schedStrats := map[types.Role]*pfStrategy{}
-	var steppers []sched.Stepper
-	for _, r := range schedSess.Roles() {
-		ep, err := schedSess.Endpoint(r)
+	for _, mode := range []equiv.Mode{equiv.Blocking, equiv.Scheduled} {
+		got, err := equiv.Replay(sess.Fork(), mode, budgets, mk, s)
 		if err != nil {
-			return nil, nil, &Failure{Stage: StageRun, Err: err}
+			return nil, nil, &Failure{Stage: StageRun, Err: fmt.Errorf("%s run: %w", mode, err)}
 		}
-		strat := &pfStrategy{}
-		schedStrats[r] = strat
-		st, err := session.NewStepper(ep, schedSess.FSM(r), strat, budgets[r])
-		if err != nil {
-			return nil, nil, &Failure{Stage: StageRun, Err: fmt.Errorf("stepper for %s: %w", r, err)}
-		}
-		steppers = append(steppers, st)
-	}
-	done := make(chan error, 1)
-	if err := s.GoWithDone(func(err error) { done <- err }, steppers...); err != nil {
-		return nil, nil, &Failure{Stage: StageRun, Err: fmt.Errorf("scheduling: %w", err)}
-	}
-	if err := <-done; err != nil && !errors.Is(err, session.ErrStopped) {
-		return nil, nil, &Failure{Stage: StageRun, Err: fmt.Errorf("scheduled run: %w", err)}
-	}
-	if private {
-		if err := s.Close(); err != nil {
-			return nil, nil, &Failure{Stage: StageRun, Err: fmt.Errorf("scheduler close: %w", err)}
-		}
-	}
-	for r, want := range ref {
-		if got := schedStrats[r].Trace(); !reflect.DeepEqual(want, got) {
-			return nil, nil, &Failure{Stage: StageEquiv, Err: fmt.Errorf("role %s: scheduled trace %v diverges from stepped reference %v", r, got, want)}
+		for r, want := range ref {
+			if !reflect.DeepEqual(want, got[r]) {
+				return nil, nil, &Failure{Stage: StageEquiv, Err: fmt.Errorf("role %s: %s trace %v diverges from stepped reference %v", r, mode, got[r], want)}
+			}
 		}
 	}
 	return ref, budgets, nil

@@ -1,8 +1,13 @@
 package protofuzz
 
 import (
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/equiv"
+	"repro/internal/fsm"
 	"repro/internal/project"
 	"repro/internal/sched"
 	"repro/internal/types"
@@ -158,5 +163,39 @@ func TestGenerateProjectable(t *testing.T) {
 	g2, used2, ok2 := GenerateProjectable(Config{Seed: 42}, 50)
 	if !ok2 || used != used2 || !types.EqualGlobal(g, g2) {
 		t.Fatalf("GenerateProjectable is not deterministic: (%d,%v) vs (%d,%v)", used, ok, used2, ok2)
+	}
+}
+
+// badChoice is a recorder that picks an out-of-range option at every output
+// state, faulting the first send it is asked to decide.
+type badChoice struct{ pfStrategy }
+
+func (*badChoice) Choose(fsm.State, []fsm.Transition) int { return 99 }
+
+// TestScheduledFaultClosesPrivateScheduler pins that a fault in the
+// scheduled replay still closes the private scheduler a cell runs without
+// PipelineOptions.Scheduler: its workers must not outlive the failure.
+func TestScheduledFaultClosesPrivateScheduler(t *testing.T) {
+	g := types.MustParseGlobal("mu x.t->s:ready.s->t:{value(i32).x, stop.end}")
+	roles := len(types.Roles(g))
+	base := runtime.NumGoroutine()
+	made := 0
+	mk := func(types.Role) equiv.TraceRecorder {
+		made++
+		if made > 2*roles { // the reference and blocking runs stay healthy
+			return &badChoice{}
+		}
+		return &pfStrategy{}
+	}
+	_, _, fail := runAllModes(g, nil, mk, PipelineOptions{}.withDefaults())
+	if fail == nil || fail.Stage != StageRun || !strings.Contains(fail.Err.Error(), "scheduled") {
+		t.Fatalf("faulting scheduled replay: %v, want a run-stage failure of the scheduled run", fail)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d running, started with %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -11,13 +11,14 @@ import (
 	"repro/internal/types"
 )
 
-// This file is the stepping/blocking equivalence property: for EVERY
-// registry protocol, a session driven by non-blocking steppers under the
-// scheduler observes exactly the same per-role trace (the ordered sequence
-// of performed actions) as the classic blocking monitored run. The
-// consistent-cut derivation and the deterministic trace strategy live in
-// internal/equiv — the same machinery cmd/sessnet uses to pin the
-// multi-process socket run against the same reference.
+// This file is the stepping/blocking equivalence property at scheduler
+// scale: for EVERY registry protocol, all in flight at once on one pool, a
+// session driven by non-blocking steppers observes exactly the same per-role
+// trace (the ordered sequence of performed actions) as the classic blocking
+// monitored run. The consistent-cut derivation, the deterministic trace
+// strategy and the one-mode-at-a-time oracle live in internal/equiv — the
+// same machinery cmd/sessnet uses to pin the multi-process socket run
+// against the same reference.
 
 // entrySession builds a monitored session for a registry entry, failing the
 // test on error.
@@ -40,29 +41,24 @@ func referenceRun(t *testing.T, e protocols.Entry, sess *session.Session, maxCap
 	return budgets, traces
 }
 
-// blockingRun replays the cut through the classic blocking monitored
-// runtime (Session.Run + Drive, one goroutine per role) and returns the
-// observed traces.
-func blockingRun(t *testing.T, e protocols.Entry, sess *session.Session, budgets map[types.Role]int) map[types.Role][]string {
+// claimTraced claims one stepper per role of inst with Session.Steppers,
+// each within its cut budget and recording into a fresh TraceStrategy, and
+// returns them as scheduler tasks with the recorders.
+func claimTraced(t *testing.T, e protocols.Entry, inst *session.Session, budgets map[types.Role]int) ([]sched.Stepper, map[types.Role]*equiv.TraceStrategy) {
 	t.Helper()
 	strats := map[types.Role]*equiv.TraceStrategy{}
-	procs := map[types.Role]func(*session.Endpoint) error{}
-	for _, r := range sess.Roles() {
-		r := r
-		strat := &equiv.TraceStrategy{}
-		strats[r] = strat
-		procs[r] = func(ep *session.Endpoint) error {
-			return session.Drive(ep, sess.FSM(r), strat, budgets[r])
-		}
+	claimed, err := inst.Steppers(func(r types.Role) session.Strategy {
+		strats[r] = &equiv.TraceStrategy{}
+		return strats[r]
+	}, func(r types.Role) int { return budgets[r] })
+	if err != nil {
+		t.Fatalf("%s: %v", e.Name, err)
 	}
-	if err := sess.Run(procs); err != nil {
-		t.Fatalf("%s: blocking run: %v", e.Name, err)
+	steppers := make([]sched.Stepper, len(claimed))
+	for i, st := range claimed {
+		steppers[i] = st
 	}
-	traces := map[types.Role][]string{}
-	for r, strat := range strats {
-		traces[r] = strat.Trace()
-	}
-	return traces
+	return steppers, strats
 }
 
 // TestSteppedTraceEqualsBlockingTrace is the acceptance property: for every
@@ -85,26 +81,15 @@ func TestSteppedTraceEqualsBlockingTrace(t *testing.T) {
 		budgets, refTraces := referenceRun(t, e, refSess, maxCap)
 
 		// 2. Blocking monitored run over the same budgets.
-		blkTraces := blockingRun(t, e, refSess.Fork(), budgets)
+		blkTraces, err := equiv.Replay(refSess.Fork(), equiv.Blocking, budgets,
+			func(types.Role) equiv.TraceRecorder { return &equiv.TraceStrategy{} }, nil)
+		if err != nil {
+			t.Fatalf("%s: blocking run: %v", e.Name, err)
+		}
 
 		// 3. Scheduler-driven stepped run, all protocols in flight at once
 		// over four workers.
-		stepSess := refSess.Fork()
-		strats := map[types.Role]*equiv.TraceStrategy{}
-		var steppers []sched.Stepper
-		for _, r := range stepSess.Roles() {
-			ep, err := stepSess.Endpoint(r)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", e.Name, r, err)
-			}
-			strat := &equiv.TraceStrategy{}
-			strats[r] = strat
-			st, err := session.NewStepper(ep, stepSess.FSM(r), strat, budgets[r])
-			if err != nil {
-				t.Fatalf("%s/%s: NewStepper: %v", e.Name, r, err)
-			}
-			steppers = append(steppers, st)
-		}
+		steppers, strats := claimTraced(t, e, refSess.Fork(), budgets)
 		if err := s.Go(steppers...); err != nil {
 			t.Fatalf("%s: Go: %v", e.Name, err)
 		}
@@ -158,22 +143,7 @@ func TestStealAblationTraceEquivalence(t *testing.T) {
 		s := sched.New(sched.Options{Workers: 4, Quantum: 1, MaxActive: 1, NoSteal: noSteal})
 		perEntry := map[string]map[types.Role]*equiv.TraceStrategy{}
 		for _, c := range cuts {
-			inst := c.base.Fork()
-			strats := map[types.Role]*equiv.TraceStrategy{}
-			var steppers []sched.Stepper
-			for _, r := range inst.Roles() {
-				ep, err := inst.Endpoint(r)
-				if err != nil {
-					t.Fatalf("%s/%s: %v", c.entry.Name, r, err)
-				}
-				strat := &equiv.TraceStrategy{}
-				strats[r] = strat
-				st, err := session.NewStepper(ep, inst.FSM(r), strat, c.budgets[r])
-				if err != nil {
-					t.Fatalf("%s/%s: NewStepper: %v", c.entry.Name, r, err)
-				}
-				steppers = append(steppers, st)
-			}
+			steppers, strats := claimTraced(t, c.entry, c.base.Fork(), c.budgets)
 			if err := s.Go(steppers...); err != nil {
 				t.Fatalf("%s: Go(noSteal=%v): %v", c.entry.Name, noSteal, err)
 			}

@@ -513,27 +513,19 @@ func (s *Scheduler) GoSession(sess *session.Session, maxSteps int, strat func(ty
 // GoWithDeadline): the whole session — all roles — must complete before
 // deadline or it fails with a *TimeoutError naming the stuck roles.
 func (s *Scheduler) GoSessionWithDeadline(sess *session.Session, maxSteps int, strat func(types.Role) session.Strategy, deadline time.Time) error {
-	roles := sess.Roles()
-	steppers := make([]Stepper, 0, len(roles))
-	fail := func(err error) error {
-		for _, st := range steppers {
-			st.(*session.Stepper).Abort()
-		}
+	steppers, err := sess.Steppers(strat, func(types.Role) int { return maxSteps })
+	if err != nil {
 		return err
 	}
-	for _, r := range roles {
-		ep, err := sess.Endpoint(r)
-		if err != nil {
-			return fail(err)
-		}
-		st, err := session.NewStepper(ep, sess.FSM(r), strat(r), maxSteps)
-		if err != nil {
-			return fail(err)
-		}
-		steppers = append(steppers, st)
+	tasks := make([]Stepper, len(steppers))
+	for i, st := range steppers {
+		tasks[i] = st
 	}
-	if err := s.GoWithDeadline(deadline, nil, steppers...); err != nil {
-		return fail(err)
+	if err := s.GoWithDeadline(deadline, nil, tasks...); err != nil {
+		for _, st := range steppers {
+			st.Abort()
+		}
+		return err
 	}
 	return nil
 }
@@ -624,32 +616,19 @@ func (s *Scheduler) GoSessionPooled(base *session.Session, maxSteps int, strat f
 func newBundle(base *session.Session, maxSteps int, strat func(types.Role) session.Strategy) (*bundle, error) {
 	sess := base.Fork()
 	roles := sess.Roles()
-	b := &bundle{
-		base:     base,
-		sess:     sess,
-		steppers: make([]*session.Stepper, 0, len(roles)),
-		strats:   make([]session.Strategy, 0, len(roles)),
-		job:      &job{},
-	}
-	fail := func(err error) (*bundle, error) {
-		for _, st := range b.steppers {
-			st.Abort()
-		}
+	b := &bundle{base: base, sess: sess, strats: make([]session.Strategy, 0, len(roles)), job: &job{}}
+	steppers, err := sess.Steppers(func(r types.Role) session.Strategy {
+		sg := strat(r)
+		b.strats = append(b.strats, sg)
+		return sg
+	}, func(types.Role) int { return maxSteps })
+	if err != nil {
 		return nil, err
 	}
-	for _, r := range roles {
-		ep, err := sess.Endpoint(r)
-		if err != nil {
-			return fail(err)
-		}
-		sg := strat(r)
-		st, err := session.NewStepper(ep, sess.FSM(r), sg, maxSteps)
-		if err != nil {
-			return fail(err)
-		}
-		b.steppers = append(b.steppers, st)
-		b.strats = append(b.strats, sg)
-		b.job.tasks = append(b.job.tasks, &task{s: st})
+	b.steppers = steppers
+	b.job.tasks = make([]*task, len(steppers))
+	for i, st := range steppers {
+		b.job.tasks[i] = &task{s: st}
 	}
 	b.job.bundle = b
 	return b, nil

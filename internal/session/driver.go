@@ -1,7 +1,6 @@
 package session
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/fsm"
@@ -116,110 +115,43 @@ var (
 )
 
 // Drive executes a process for the endpoint directly from a verified
-// machine: at output states the strategy selects a branch; at input states
-// the process receives and follows the matching transition. It runs until
-// the machine reaches a final state or maxSteps actions were performed; a
-// budget exhaustion on an infinite protocol returns ErrStopped so callers
-// under Run treat it as a clean bounded execution.
+// machine: the Stepper's walk over the blocking Send/Receive. At output
+// states the strategy selects a branch; at input states the process
+// receives and follows the matching transition. It runs until the machine
+// reaches a final state or maxSteps actions were performed; a budget
+// exhaustion on an infinite protocol returns ErrStopped so callers under Run
+// treat it as a clean bounded execution. Drive takes no claim of its own:
+// it runs inside Run/TrySession, which already hold the endpoint. With a
+// deadline armed on the endpoint (SetDeadline) every blocking action fails
+// typed with a *TimeoutError instead of hanging.
 //
 // Drive only makes sense for machines verified in advance (the session's own
 // FSMs); a mismatch between the machine and the network's actual traffic
 // surfaces as a protocol or routing error.
 func Drive(e *Endpoint, m *fsm.FSM, strat Strategy, maxSteps int) error {
-	cur := m.Initial()
-	for step := 0; step < maxSteps; step++ {
-		ts := m.Transitions(cur)
-		if len(ts) == 0 {
-			return nil // final
+	w := newWalk(m, strat, maxSteps)
+	for {
+		ts, done, err := w.next()
+		if done {
+			return err
 		}
 		if ts[0].Act.Dir == fsm.Send {
-			i := strat.Choose(cur, ts)
-			if i < 0 || i >= len(ts) {
-				return fmt.Errorf("session: strategy chose %d of %d options", i, len(ts))
+			t, v, err := w.decide(ts)
+			if err == nil {
+				err = e.Send(t.Act.Peer, t.Act.Label, v)
 			}
-			t := ts[i]
-			if err := e.Send(t.Act.Peer, t.Act.Label, strat.Payload(t.Act)); err != nil {
+			if err != nil {
 				return err
 			}
-			cur = t.To
+			w.sent(t)
 			continue
 		}
 		label, value, err := e.Receive(ts[0].Act.Peer)
+		if err == nil {
+			err = w.received(e.role, ts, label, value)
+		}
 		if err != nil {
 			return err
 		}
-		matched := false
-		for _, t := range ts {
-			if t.Act.Label == label {
-				strat.Received(t.Act, value)
-				cur = t.To
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			return fmt.Errorf("session: role %s received unexpected label %s in state %d", e.Role(), label, cur)
-		}
 	}
-	if m.IsFinal(cur) {
-		return nil
-	}
-	return ErrStopped
-}
-
-// DriveContext is Drive bound to a context: the context's deadline (when it
-// has one) is armed on the endpoint for the duration, so every blocking step
-// parks with a deadline and fails with a *TimeoutError instead of hanging,
-// and cancellation is observed between steps (the step in flight still
-// returns first — pair DriveContext with Session.RunContext or an Abort
-// watcher for prompt mid-step cancellation). The endpoint's previous
-// deadline is restored on return.
-func DriveContext(ctx context.Context, e *Endpoint, m *fsm.FSM, strat Strategy, maxSteps int) error {
-	if dl, ok := ctx.Deadline(); ok {
-		prev := e.Deadline()
-		e.SetDeadline(dl)
-		defer e.SetDeadline(prev)
-	}
-	cur := m.Initial()
-	for step := 0; step < maxSteps; step++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		ts := m.Transitions(cur)
-		if len(ts) == 0 {
-			return nil // final
-		}
-		if ts[0].Act.Dir == fsm.Send {
-			i := strat.Choose(cur, ts)
-			if i < 0 || i >= len(ts) {
-				return fmt.Errorf("session: strategy chose %d of %d options", i, len(ts))
-			}
-			t := ts[i]
-			if err := e.Send(t.Act.Peer, t.Act.Label, strat.Payload(t.Act)); err != nil {
-				return err
-			}
-			cur = t.To
-			continue
-		}
-		label, value, err := e.Receive(ts[0].Act.Peer)
-		if err != nil {
-			return err
-		}
-		matched := false
-		for _, t := range ts {
-			if t.Act.Label == label {
-				strat.Received(t.Act, value)
-				cur = t.To
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			return fmt.Errorf("session: role %s received unexpected label %s in state %d", e.Role(), label, cur)
-		}
-	}
-	if m.IsFinal(cur) {
-		return nil
-	}
-	return ErrStopped
 }

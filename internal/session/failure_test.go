@@ -276,10 +276,9 @@ func TestRunContextCancelAborts(t *testing.T) {
 	}
 }
 
-// TestDriveContextDeadline pins DriveContext: a context deadline arms the
-// endpoint, so driving against a silent peer times out typed instead of
-// hanging.
-func TestDriveContextDeadline(t *testing.T) {
+// TestDriveDeadline pins Drive under an armed endpoint deadline: driving
+// against a silent peer times out typed instead of hanging.
+func TestDriveDeadline(t *testing.T) {
 	p := fsm.MustFromLocal("p", types.MustParse("q?rep.end"))
 	q := fsm.MustFromLocal("q", types.MustParse("p!rep.end"))
 	s, err := BottomUp(1, p, q)
@@ -290,14 +289,9 @@ func TestDriveContextDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	derr := DriveContext(ctx, ep, s.FSM("p"), FirstBranch{}, 16)
-	if !errors.Is(derr, ErrTimeout) {
-		t.Fatalf("DriveContext against a silent peer: %v, want ErrTimeout", derr)
-	}
-	if got := ep.Deadline(); !got.IsZero() {
-		t.Errorf("DriveContext left a deadline armed: %v", got)
+	ep.SetDeadline(time.Now().Add(10 * time.Millisecond))
+	if err := Drive(ep, s.FSM("p"), FirstBranch{}, 16); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("Drive against a silent peer: %v, want ErrTimeout", err)
 	}
 }
 

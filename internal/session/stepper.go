@@ -7,6 +7,81 @@ import (
 	"repro/internal/types"
 )
 
+// walk is a process's position in its verified machine — the one place the
+// runtime walks a machine. Stepper runs it over the non-blocking Try* ops and
+// Drive over the blocking ones; both ask it what may happen next (next) and
+// which output the strategy takes (decide), and commit what the endpoint did
+// (sent, or received with the delivered label).
+type walk struct {
+	m        *fsm.FSM
+	strat    Strategy
+	cur      fsm.State
+	steps    int
+	maxSteps int
+
+	// pending caches an internal-choice decision (transition index and
+	// payload) taken before a send that then would-block, so retries commit
+	// the decided action instead of re-asking the strategy.
+	pending        int
+	pendingPayload any
+}
+
+func newWalk(m *fsm.FSM, strat Strategy, maxSteps int) walk {
+	return walk{m: m, strat: strat, cur: m.Initial(), maxSteps: maxSteps, pending: -1}
+}
+
+// next returns the transitions the walk may take from its current state. It
+// reports done when the walk is over: at a final state (err nil) or with the
+// step budget exhausted mid-protocol (ErrStopped, the bounded-execution
+// sentinel Run filters).
+func (w *walk) next() (ts []fsm.Transition, done bool, err error) {
+	ts = w.m.Transitions(w.cur)
+	if len(ts) == 0 {
+		return nil, true, nil
+	}
+	if w.steps >= w.maxSteps {
+		return nil, true, ErrStopped
+	}
+	return ts, false, nil
+}
+
+// decide returns the output transition the strategy picks among ts, and its
+// payload. The strategy is consulted once per performed action: until sent
+// commits it, every call replays the cached decision.
+func (w *walk) decide(ts []fsm.Transition) (*fsm.Transition, any, error) {
+	if w.pending < 0 {
+		i := w.strat.Choose(w.cur, ts)
+		if i < 0 || i >= len(ts) {
+			return nil, nil, fmt.Errorf("session: strategy chose %d of %d options", i, len(ts))
+		}
+		w.pending = i
+		w.pendingPayload = w.strat.Payload(ts[i].Act)
+	}
+	return &ts[w.pending], w.pendingPayload, nil
+}
+
+// sent commits the decided output t.
+func (w *walk) sent(t *fsm.Transition) {
+	w.pending = -1
+	w.pendingPayload = nil
+	w.cur = t.To
+	w.steps++
+}
+
+// received follows the input transition among ts whose label matches a
+// delivered message, and hands its payload to the strategy.
+func (w *walk) received(role types.Role, ts []fsm.Transition, label types.Label, value any) error {
+	for i := range ts {
+		if ts[i].Act.Label == label {
+			w.strat.Received(ts[i].Act, value)
+			w.cur = ts[i].To
+			w.steps++
+			return nil
+		}
+	}
+	return fmt.Errorf("session: role %s received unexpected label %s in state %d", role, label, w.cur)
+}
+
 // Stepper drives a process for an endpoint directly from its verified
 // machine — exactly what Drive does — but in non-blocking units: each Step
 // performs at most one protocol action via TrySendMsg/TryRecvMsg and yields
@@ -24,22 +99,10 @@ import (
 // per performed action — a would-block retry replays the cached decision —
 // so a stepped run makes the same choices, sends the same payloads and
 // observes the same per-role trace as Drive over the same strategy. The
-// equivalence property test in internal/sched pins this for every registry
-// protocol.
+// trace oracle in internal/equiv pins this for every registry protocol.
 type Stepper struct {
+	walk
 	e        *Endpoint
-	m        *fsm.FSM
-	strat    Strategy
-	cur      fsm.State
-	steps    int
-	maxSteps int
-
-	// pending caches an internal-choice decision (transition index and
-	// payload) taken before a send that then would-block, so retries commit
-	// the decided action instead of re-asking the strategy.
-	pending        int
-	pendingPayload any
-
 	finished bool
 }
 
@@ -55,7 +118,7 @@ func NewStepper(e *Endpoint, m *fsm.FSM, strat Strategy, maxSteps int) (*Stepper
 	if e.mon != nil {
 		e.mon.reset()
 	}
-	return &Stepper{e: e, m: m, strat: strat, cur: m.Initial(), maxSteps: maxSteps, pending: -1}, nil
+	return &Stepper{walk: newWalk(m, strat, maxSteps), e: e}, nil
 }
 
 // Reset re-arms a finished stepper over the same endpoint and machine for a
@@ -76,12 +139,7 @@ func (s *Stepper) Reset(strat Strategy, maxSteps int) error {
 	if s.e.mon != nil {
 		s.e.mon.reset()
 	}
-	s.strat = strat
-	s.cur = s.m.Initial()
-	s.steps = 0
-	s.maxSteps = maxSteps
-	s.pending = -1
-	s.pendingPayload = nil
+	s.walk = newWalk(s.m, strat, maxSteps)
 	s.finished = false
 	return nil
 }
@@ -125,70 +183,67 @@ func (s *Stepper) Step() (bool, error) {
 	if s.finished {
 		return true, ErrStepperDone
 	}
-	ts := s.m.Transitions(s.cur)
-	if len(ts) == 0 {
-		// Terminal. Mirror TrySession's completion check on the monitor.
+	ts, done, err := s.next()
+	if done {
 		s.finish()
-		if s.e.mon != nil && !s.e.mon.Terminal() {
-			return true, fmt.Errorf("%w: role %s stopped in state %d", ErrIncomplete, s.e.role, s.e.mon.State())
+		// Mirror TrySession's completion check on the monitor.
+		if err == nil && s.e.mon != nil && !s.e.mon.Terminal() {
+			err = fmt.Errorf("%w: role %s stopped in state %d", ErrIncomplete, s.e.role, s.e.mon.State())
 		}
-		return true, nil
-	}
-	if s.steps >= s.maxSteps {
-		s.finish()
-		if s.m.IsFinal(s.cur) {
-			return true, nil
-		}
-		return true, ErrStopped
-	}
-
-	if ts[0].Act.Dir == fsm.Send {
-		if s.pending < 0 {
-			i := s.strat.Choose(s.cur, ts)
-			if i < 0 || i >= len(ts) {
-				s.finish()
-				return true, fmt.Errorf("session: strategy chose %d of %d options", i, len(ts))
-			}
-			s.pending = i
-			s.pendingPayload = s.strat.Payload(ts[i].Act)
-		}
-		t := ts[s.pending]
-		switch err := s.e.TrySendMsg(t.Act.Peer, t.Act.Label, s.pendingPayload); err {
-		case nil:
-			s.pending = -1
-			s.pendingPayload = nil
-			s.cur = t.To
-			s.steps++
-			return false, nil
-		case ErrWouldBlock:
-			return false, ErrWouldBlock
-		default:
-			s.finish()
-			return true, err
-		}
-	}
-
-	label, value, err := s.e.TryRecvMsg(ts[0].Act.Peer)
-	if err == ErrWouldBlock {
-		return false, ErrWouldBlock
-	}
-	if err != nil {
-		s.finish()
 		return true, err
 	}
-	for _, t := range ts {
-		if t.Act.Label == label {
-			s.strat.Received(t.Act, value)
-			s.cur = t.To
-			s.steps++
-			return false, nil
+	if ts[0].Act.Dir == fsm.Send {
+		t, v, err := s.decide(ts)
+		if err == nil {
+			if err = s.e.TrySendMsg(t.Act.Peer, t.Act.Label, v); err == nil {
+				s.sent(t)
+			}
 		}
+		return s.settle(err)
+	}
+	label, value, err := s.e.TryRecvMsg(ts[0].Act.Peer)
+	if err == nil {
+		err = s.received(s.e.role, ts, label, value)
+	}
+	return s.settle(err)
+}
+
+// settle maps the outcome of one attempted action onto Step's contract: a
+// would-block has no effect, any other error ends the stepper.
+func (s *Stepper) settle(err error) (bool, error) {
+	if err == nil || err == ErrWouldBlock {
+		return false, err
 	}
 	s.finish()
-	return true, fmt.Errorf("session: role %s received unexpected label %s in state %d", s.e.Role(), label, s.cur)
+	return true, err
 }
 
 // ErrStepperDone is returned by Step on a stepper that already finished with
 // an error or was aborted: stepping it again is a scheduler bug, not a
 // recoverable condition.
 var ErrStepperDone = fmt.Errorf("session: stepper already finished")
+
+// Steppers claims one stepper per role, in Roles order: role r's stepper
+// walks its verified machine under the strategy strat(r), within budget(r)
+// actions. strat is called once per role, in the same order, on the calling
+// goroutine. If any claim fails, the steppers already claimed are aborted,
+// so every endpoint of the session is claimable again.
+func (s *Session) Steppers(strat func(types.Role) Strategy, budget func(types.Role) int) ([]*Stepper, error) {
+	roles := s.Roles()
+	steppers := make([]*Stepper, 0, len(roles))
+	for _, r := range roles {
+		ep, err := s.Endpoint(r)
+		if err == nil {
+			var st *Stepper
+			if st, err = NewStepper(ep, s.FSM(r), strat(r), budget(r)); err == nil {
+				steppers = append(steppers, st)
+				continue
+			}
+		}
+		for _, st := range steppers {
+			st.Abort()
+		}
+		return nil, fmt.Errorf("session: stepper for %s: %w", r, err)
+	}
+	return steppers, nil
+}

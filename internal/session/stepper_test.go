@@ -350,3 +350,40 @@ func (c *countingStrategy) Choose(_ fsm.State, _ []fsm.Transition) int {
 }
 func (c *countingStrategy) Payload(fsm.Action) any   { return nil }
 func (c *countingStrategy) Received(fsm.Action, any) {}
+
+// TestSteppersReleaseEarlierClaims pins Session.Steppers' failure path:
+// when a later role's endpoint is already claimed, the steppers claimed
+// before it are aborted, so every endpoint is claimable again once the
+// foreign claim is gone.
+func TestSteppersReleaseEarlierClaims(t *testing.T) {
+	sess := twoAdderSession(t)
+	roles := sess.Roles()
+	last := roles[len(roles)-1]
+	ep, err := sess.Endpoint(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, err := NewStepper(ep, sess.FSM(last), FirstBranch{}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strat := func(types.Role) Strategy { return FirstBranch{} }
+	budget := func(types.Role) int { return 8 }
+	if _, err := sess.Steppers(strat, budget); !errors.Is(err, ErrLinearity) {
+		t.Fatalf("Steppers over a claimed %s endpoint: %v, want ErrLinearity", last, err)
+	}
+	held.Abort()
+	steppers, err := sess.Steppers(strat, budget)
+	if err != nil {
+		t.Fatalf("earlier claims leaked past the failed build: %v", err)
+	}
+	if len(steppers) != len(roles) {
+		t.Fatalf("%d steppers for %d roles", len(steppers), len(roles))
+	}
+	for i, st := range steppers {
+		if st.Role() != roles[i] {
+			t.Errorf("stepper %d drives %s, want %s (Roles order)", i, st.Role(), roles[i])
+		}
+		st.Abort()
+	}
+}
