@@ -74,13 +74,16 @@ BENCH_PKGS ?= ./internal/channel ./internal/session ./internal/bench
 
 # The codegen head-to-head: the monitor-free generated-API hot path against
 # the monitored endpoint (BenchmarkSendRecvMonitored vs Unchecked, raw
-# Unmonitored as the route-lookup baseline), the end-to-end streaming pair
-# (BenchmarkGenRunStreaming vs BenchmarkSessionRunStreaming), and the
-# generated FFT column (BenchmarkGenRunFFT: eight workers exchanging whole
-# vec<complex128> columns through the typed API), and the generator itself
-# (BenchmarkGenerate: codegen.Generate on the Streaming and FFT machines,
-# whose gated allocs/op would catch a return of a whole-package re-print).
-CODEGEN_BENCH_PATTERN ?= BenchmarkSendRecvMonitored|BenchmarkSendRecvUnchecked|BenchmarkSendRecvUnmonitored|BenchmarkGenRunStreaming|BenchmarkGenRunFFT|BenchmarkSessionRunStreaming|BenchmarkGenerate
+# Unmonitored as the route-lookup baseline) and against the scheduler's
+# stepper, which walks the verified machine as its own monitor
+# (BenchmarkStepperStep: one streamed value, four Steps), the end-to-end
+# streaming pair (BenchmarkGenRunStreaming vs BenchmarkSessionRunStreaming),
+# the generated FFT column (BenchmarkGenRunFFT: eight workers exchanging
+# whole vec<complex128> columns through the typed API), and the generator
+# itself (BenchmarkGenerate: codegen.Generate on the Streaming and FFT
+# machines, whose gated allocs/op would catch a return of a whole-package
+# re-print).
+CODEGEN_BENCH_PATTERN ?= BenchmarkSendRecvMonitored|BenchmarkSendRecvUnchecked|BenchmarkSendRecvUnmonitored|BenchmarkStepperStep|BenchmarkGenRunStreaming|BenchmarkGenRunFFT|BenchmarkSessionRunStreaming|BenchmarkGenerate
 CODEGEN_BENCH_PKGS ?= ./internal/session ./internal/bench ./internal/codegen
 
 # The multi-session scheduling axis: sessions/sec over the sched worker
@@ -195,7 +198,7 @@ bench-smoke:
 	$(GO) run ./cmd/benchcheck -file BENCH_smoke_codegen.json \
 		-baseline BENCH_codegen.json \
 		-expect BenchmarkSendRecvMonitored -expect BenchmarkSendRecvUnchecked \
-		-expect BenchmarkSendRecvUnmonitored \
+		-expect BenchmarkSendRecvUnmonitored -expect BenchmarkStepperStep \
 		-expect BenchmarkGenRunStreaming -expect BenchmarkGenRunFFT \
 		-expect BenchmarkSessionRunStreaming \
 		-expect BenchmarkGenerate/Streaming -expect BenchmarkGenerate/FFT

@@ -376,11 +376,22 @@ func (r *Ring) Reset() bool {
 			break
 		}
 	}
-	// Clear the cause before reopening so the "cause installed before the
-	// closed flag" publication invariant holds again for the next close.
-	r.cause.Store(nil)
-	r.closed.Store(false)
+	reopen(&r.cause, &r.closed)
 	return true
+}
+
+// reopen clears a drained substrate's close state for Reset. The cause is
+// cleared before the flag so the "cause installed before the closed flag"
+// publication invariant holds again for the next close; each store is made
+// only when its field is set, so recycling a cleanly finished route costs
+// two loads rather than two atomic exchanges.
+func reopen(cause *atomic.Pointer[CloseError], closed *atomic.Bool) {
+	if cause.Load() != nil {
+		cause.Store(nil)
+	}
+	if closed.Load() {
+		closed.Store(false)
+	}
 }
 
 // ringSegShift sizes RingQueue segments: 64 messages (2 KiB) each, so the
@@ -417,7 +428,7 @@ type RingQueue struct {
 	headSeg    *ringSeg      // consumer-owned segment holding slot head
 	_          cacheLinePad
 
-	first    atomic.Pointer[ringSeg] // lazily allocated initial segment
+	first    atomic.Pointer[ringSeg] // segment holding position 0: lazily allocated, or the one Reset rewound onto
 	free     atomic.Pointer[ringSeg] // one-slot recycle cache, consumer → producer
 	closed   atomic.Bool
 	cause    atomic.Pointer[CloseError] // set before closed; first cause wins
@@ -467,8 +478,15 @@ func (q *RingQueue) TrySend(m Message) (bool, error) {
 }
 
 // growTail links a fresh (or recycled) segment after the full tail segment,
-// or installs the lazily allocated first segment when t == 0.
+// or installs the first segment when t == 0: the one a Reset rewound onto,
+// else a lazily allocated one.
 func (q *RingQueue) growTail(t uint64) {
+	if t == 0 {
+		if seg := q.first.Load(); seg != nil {
+			q.tailSeg = seg
+			return
+		}
+	}
 	seg := q.free.Swap(nil)
 	if seg == nil {
 		seg = &ringSeg{}
@@ -651,15 +669,24 @@ func (q *RingQueue) CloseWithError(err error) {
 
 // Reset restores the queue to its empty, open state, draining through the
 // normal consumer path so segments are recycled into the free cache rather
-// than leaked. Quiescence contract as documented on Resetter.
+// than leaked. The drained queue then rewinds to position 0 on the segment
+// it ended in (head and tail share it once empty), so a recycled route
+// writes the same slots every run instead of whichever slots it last
+// touched up to a segment ago. Quiescence contract as documented on
+// Resetter.
 func (q *RingQueue) Reset() bool {
 	for {
 		if _, ok, _ := q.TryRecv(); !ok {
 			break
 		}
 	}
-	q.cause.Store(nil)
-	q.closed.Store(false)
+	if q.tail.Load() != 0 {
+		q.first.Store(q.headSeg)
+		q.head.Store(0)
+		q.tail.Store(0)
+		q.cachedTail = 0
+	}
+	reopen(&q.cause, &q.closed)
 	return true
 }
 

@@ -247,84 +247,108 @@ func TestRingQueueUnboundedGrowthAndRecycle(t *testing.T) {
 
 // TestRingStress is the -race workhorse: one producer and one consumer
 // hammer a small ring across wraparound, batches, a mid-stream close and
-// the final drain.
+// the final drain. The route is then Reset at that quiescent point and the
+// next round runs on it with a fresh producer goroutine, as the pooled
+// scheduler recycles routes between sessions.
 func TestRingStress(t *testing.T) {
-	variants := map[string]func() ringLike{
-		"ring":      func() ringLike { return NewRing(8) },
-		"ringqueue": func() ringLike { return NewRingQueue() },
+	variants := map[string]func() resetRingLike{
+		"ring":      func() resetRingLike { return NewRing(8) },
+		"ringqueue": func() resetRingLike { return NewRingQueue() },
 	}
 	for name, mk := range variants {
 		t.Run(name, func(t *testing.T) {
-			const total = 200000
+			const rounds, total = 4, 50000
 			r := mk()
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() { // producer: mixes single sends and batches
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(1))
-				i := 0
-				var batch [17]Message
-				for i < total {
-					if rng.Intn(4) == 0 {
-						n := 1 + rng.Intn(len(batch))
-						if n > total-i {
-							n = total - i
-						}
-						for j := 0; j < n; j++ {
-							batch[j] = Message{Label: "v", Value: i + j}
-						}
-						if _, err := r.SendN(batch[:n]); err != nil {
-							t.Errorf("SendN: %v", err)
-							return
-						}
-						i += n
-					} else {
-						if err := r.Send(Message{Label: "v", Value: i}); err != nil {
-							t.Errorf("Send: %v", err)
-							return
-						}
-						i++
-					}
+			for round := int64(0); round < rounds; round++ {
+				if round > 0 && !r.Reset() {
+					t.Fatalf("round %d: Reset declined", round)
 				}
-				r.Close() // producer-side close: everything sent must drain
-			}()
-			rng := rand.New(rand.NewSource(2))
-			expect := 0
-			var batch [13]Message
-			for {
-				if rng.Intn(4) == 0 {
-					n, err := r.RecvN(batch[:])
-					if err == ErrClosed {
-						break
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					for j := 0; j < n; j++ {
-						if batch[j].Value.(int) != expect {
-							t.Fatalf("got %v, want %d", batch[j].Value, expect)
-						}
-						expect++
-					}
-				} else {
-					m, err := r.Recv()
-					if err == ErrClosed {
-						break
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					if m.Value.(int) != expect {
-						t.Fatalf("got %v, want %d", m.Value, expect)
-					}
-					expect++
-				}
-			}
-			wg.Wait()
-			if expect != total {
-				t.Fatalf("consumed %d of %d", expect, total)
+				stressRound(t, r, total, 2*round+1)
 			}
 		})
+	}
+}
+
+// resetRingLike is a ringLike the pooled path can recycle.
+type resetRingLike interface {
+	ringLike
+	Resetter
+}
+
+// stressRound streams total messages through r from a fresh producer
+// goroutine, which then closes r, and checks the consumer drains them all
+// in order.
+func stressRound(t *testing.T, r ringLike, total int, seed int64) {
+	t.Helper()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // producer: mixes single sends and batches
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(seed))
+		i := 0
+		var batch [17]Message
+		for i < total {
+			if rng.Intn(4) == 0 {
+				n := 1 + rng.Intn(len(batch))
+				if n > total-i {
+					n = total - i
+				}
+				for j := 0; j < n; j++ {
+					batch[j] = Message{Label: "v", Value: i + j}
+				}
+				if _, err := r.SendN(batch[:n]); err != nil {
+					t.Errorf("SendN: %v", err)
+					return
+				}
+				i += n
+			} else {
+				if err := r.Send(Message{Label: "v", Value: i}); err != nil {
+					t.Errorf("Send: %v", err)
+					return
+				}
+				i++
+			}
+		}
+		r.Close() // producer-side close: everything sent must drain
+	}()
+	defer func() {
+		r.Close() // already closed unless the consumer failed early
+		wg.Wait()
+	}()
+	rng := rand.New(rand.NewSource(seed + 1))
+	expect := 0
+	var batch [13]Message
+	for {
+		if rng.Intn(4) == 0 {
+			n, err := r.RecvN(batch[:])
+			if err == ErrClosed {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := 0; j < n; j++ {
+				if batch[j].Value.(int) != expect {
+					t.Fatalf("got %v, want %d", batch[j].Value, expect)
+				}
+				expect++
+			}
+		} else {
+			m, err := r.Recv()
+			if err == ErrClosed {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Value.(int) != expect {
+				t.Fatalf("got %v, want %d", m.Value, expect)
+			}
+			expect++
+		}
+	}
+	if expect != total {
+		t.Fatalf("consumed %d of %d", expect, total)
 	}
 }
 

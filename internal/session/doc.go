@@ -27,5 +27,8 @@
 // runtime monitor" and "Non-blocking stepping and the scheduler" are the
 // design arguments for the monitor's fault discipline and for the
 // commit-on-success Try operations (TrySendMsg/TryRecvMsg, Stepper) that
-// internal/sched schedules.
+// internal/sched schedules. A Stepper on a session endpoint is that
+// endpoint's monitor: it walks the monitor's own machine over routes the
+// session resolved once, rather than having the monitor re-check each
+// action it takes.
 package session

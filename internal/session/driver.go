@@ -148,7 +148,7 @@ func Drive(e *Endpoint, m *fsm.FSM, strat Strategy, maxSteps int) error {
 		}
 		label, value, err := e.Receive(ts[0].Act.Peer)
 		if err == nil {
-			err = w.received(e.role, ts, label, value)
+			err = w.received(ts, label, value)
 		}
 		if err != nil {
 			return err

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -780,6 +781,10 @@ func (e *Endpoint) ReceiveLabel(from types.Role, want types.Label) (any, error) 
 type Monitor struct {
 	fsm *fsm.FSM
 	cur fsm.State
+	// peers is the machine's route plan (see routePlan) when the monitor
+	// belongs to a session endpoint whose network keeps the session's role
+	// order; nil otherwise. A Stepper walking the machine routes by it.
+	peers [][]int
 }
 
 // NewMonitor returns a monitor at the machine's initial state.
@@ -846,9 +851,14 @@ var ErrStopped = errors.New("session: process stopped deliberately")
 // Session is a verified protocol instance: a network plus one verified FSM
 // per role. Endpoints handed out by a Session are monitored.
 type Session struct {
-	net  *Network
-	fsms map[types.Role]*fsm.FSM
-	mk   func(roles ...types.Role) *Network // substrate constructor; Fork reuses it
+	net *Network
+	// roles, fsms and peers are fixed at verification and shared by every
+	// fork: roles is sorted once, so every fork's network indexes its roles
+	// alike and the per-role route plans in peers hold for all of them.
+	roles []types.Role
+	fsms  map[types.Role]*fsm.FSM
+	peers map[types.Role][][]int
+	mk    func(roles ...types.Role) *Network // substrate constructor; Fork reuses it
 
 	mu  sync.Mutex
 	eps map[types.Role]*Endpoint // memoized monitored endpoints
@@ -919,22 +929,45 @@ func BottomUp(k int, machines ...*fsm.FSM) (*Session, error) {
 	return newSession(fsms), nil
 }
 
+// newSession builds a session over the verified machines on the default
+// network, ordering its roles and resolving their route plans once for it
+// and all its forks.
 func newSession(fsms map[types.Role]*fsm.FSM) *Session {
-	return newSessionOn(fsms, NewNetwork)
-}
-
-// newSessionOn builds a session whose network (and every Fork's network)
-// comes from mk.
-func newSessionOn(fsms map[types.Role]*fsm.FSM, mk func(roles ...types.Role) *Network) *Session {
 	roles := make([]types.Role, 0, len(fsms))
 	for r := range fsms {
 		roles = append(roles, r)
 	}
-	return &Session{net: mk(roles...), fsms: fsms, mk: mk}
+	slices.Sort(roles)
+	peers := make(map[types.Role][][]int, len(fsms))
+	for r, m := range fsms {
+		peers[r] = routePlan(m, roles)
+	}
+	return &Session{net: NewNetwork(roles...), roles: roles, fsms: fsms, peers: peers, mk: NewNetwork}
 }
 
-// Roles returns the session's participants.
-func (s *Session) Roles() []types.Role { return s.net.Roles() }
+// routePlan resolves a machine's routes against a network's role order:
+// plan[s][i] is the index in roles of the peer of the machine's i-th
+// transition out of state s, or -1 when that peer has no route (it is not
+// in roles, or it is the machine's own role).
+func routePlan(m *fsm.FSM, roles []types.Role) [][]int {
+	plan := make([][]int, m.NumStates())
+	for s := range plan {
+		ts := m.Transitions(fsm.State(s))
+		row := make([]int, len(ts))
+		for i, t := range ts {
+			row[i] = -1
+			if t.Act.Peer != m.Role() {
+				row[i] = slices.Index(roles, t.Act.Peer)
+			}
+		}
+		plan[s] = row
+	}
+	return plan
+}
+
+// Roles returns the session's participants, in the order fixed at
+// verification: the same for the session and every fork of it.
+func (s *Session) Roles() []types.Role { return append([]types.Role(nil), s.roles...) }
 
 // Rewire replaces the session's network with one built by mk over the same
 // roles, and returns the session. Verification is untouched — the point is
@@ -949,7 +982,7 @@ func (s *Session) Rewire(mk func(roles ...types.Role) *Network) *Session {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.mk = mk
-	s.net = mk(s.net.roles...)
+	s.net = mk(s.roles...)
 	s.eps = nil
 	return s
 }
@@ -969,10 +1002,7 @@ func (s *Session) Fork() *Session {
 	s.mu.Lock()
 	mk := s.mk
 	s.mu.Unlock()
-	if mk == nil {
-		mk = NewNetwork // hand-constructed Session literals (tests)
-	}
-	return newSessionOn(s.fsms, mk)
+	return &Session{net: mk(s.roles...), roles: s.roles, fsms: s.fsms, peers: s.peers, mk: mk}
 }
 
 // Reset restores a finished (or aborted) instance for reuse: every route of
@@ -1015,7 +1045,11 @@ func (s *Session) Endpoint(role types.Role) (*Endpoint, error) {
 	if ep, ok := s.eps[role]; ok {
 		return ep, nil
 	}
-	ep := &Endpoint{role: role, net: s.net, mon: NewMonitor(m)}
+	mon := NewMonitor(m)
+	if slices.Equal(s.net.roles, s.roles) {
+		mon.peers = s.peers[role]
+	}
+	ep := &Endpoint{role: role, net: s.net, mon: mon}
 	ep.resolveRoutes()
 	if s.eps == nil {
 		s.eps = make(map[types.Role]*Endpoint)

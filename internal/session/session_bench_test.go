@@ -213,3 +213,39 @@ func BenchmarkMonitorStepBranching(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStepperStep is the scheduler's per-action cost in isolation: a
+// source and sink stepper pair exchanging Streaming values over the default
+// ring network, stepped from one goroutine with no would-blocks. One op is
+// one value streamed — four Steps (t!ready, s?ready, s!value, t?value) over
+// two messages — each taking its transition, route and sort check from the
+// verified machine the stepper walks as its endpoint's monitor. Set against
+// BenchmarkSendRecvMonitored (the monitored ops, one message per op) and
+// BenchmarkSendRecvUnchecked (the generated API's monitor-free path).
+func BenchmarkStepperStep(b *testing.B) {
+	sess := streamingSession(b)
+	steppers := map[types.Role]*Stepper{}
+	for r, sg := range map[types.Role]Strategy{"s": &streamValues{v: int32(7), left: -1}, "t": FirstBranch{}} {
+		ep, err := sess.Endpoint(r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if steppers[r], err = NewStepper(ep, sess.FSM(r), sg, 1<<62); err != nil {
+			b.Fatal(err)
+		}
+	}
+	order := [4]*Stepper{steppers["t"], steppers["s"], steppers["s"], steppers["t"]}
+	round := func() {
+		for _, st := range order {
+			if done, err := st.Step(); done || err != nil {
+				b.Fatalf("role %s: Step = (%v, %v)", st.Role(), done, err)
+			}
+		}
+	}
+	round() // the routes allocate their first segments here, untimed
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+}

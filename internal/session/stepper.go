@@ -1,17 +1,20 @@
 package session
 
 import (
+	"errors"
 	"fmt"
 
+	"repro/internal/channel"
 	"repro/internal/fsm"
 	"repro/internal/types"
 )
 
 // walk is a process's position in its verified machine — the one place the
-// runtime walks a machine. Stepper runs it over the non-blocking Try* ops and
-// Drive over the blocking ones; both ask it what may happen next (next) and
-// which output the strategy takes (decide), and commit what the endpoint did
-// (sent, or received with the delivered label).
+// runtime walks a machine. Stepper runs it straight over the routes (it is
+// its endpoint's monitor) and Drive over the monitored blocking ops; both ask
+// it what may happen next (next) and which output the strategy takes
+// (decide), and commit what the endpoint did (sent, or received with the
+// delivered label).
 type walk struct {
 	m        *fsm.FSM
 	strat    Strategy
@@ -68,26 +71,39 @@ func (w *walk) sent(t *fsm.Transition) {
 	w.steps++
 }
 
-// received follows the input transition among ts whose label matches a
-// delivered message, and hands its payload to the strategy.
-func (w *walk) received(role types.Role, ts []fsm.Transition, label types.Label, value any) error {
+// received follows the input transition among ts that matches a message
+// delivered from ts[0]'s peer, and hands its payload to the strategy. A label
+// the machine does not accept there is a *ProtocolError, as from a monitor.
+func (w *walk) received(ts []fsm.Transition, label types.Label, value any) error {
+	act := fsm.Action{Dir: fsm.Recv, Peer: ts[0].Act.Peer, Label: label}
 	for i := range ts {
-		if ts[i].Act.Label == label {
+		if ts[i].Act.Label == label && ts[i].Act.Dir == act.Dir && ts[i].Act.Peer == act.Peer {
 			w.strat.Received(ts[i].Act, value)
 			w.cur = ts[i].To
 			w.steps++
 			return nil
 		}
 	}
-	return fmt.Errorf("session: role %s received unexpected label %s in state %d", role, label, w.cur)
+	return &ProtocolError{Role: w.m.Role(), State: w.cur, Action: act}
 }
 
 // Stepper drives a process for an endpoint directly from its verified
 // machine — exactly what Drive does — but in non-blocking units: each Step
-// performs at most one protocol action via TrySendMsg/TryRecvMsg and yields
-// ErrWouldBlock, with no effect, when the substrate cannot make progress.
-// That inversion is what lets thousands of sessions multiplex over a fixed
-// worker pool (internal/sched) instead of parking two goroutines each.
+// performs at most one protocol action with the substrate's TrySend/TryRecv
+// and yields ErrWouldBlock, with no effect, when the substrate cannot make
+// progress. That inversion is what lets thousands of sessions multiplex over
+// a fixed worker pool (internal/sched) instead of parking two goroutines
+// each.
+//
+// On a monitored endpoint the stepper is the monitor: it walks the
+// monitor's own machine, so it can only take verified transitions, and it
+// makes one transition choice per action instead of having the monitor
+// find the transition again. It keeps the checks the machine cannot make —
+// the strategy's payload must inhabit the transition's sort (*SortError)
+// and a received label must be one the state accepts (*ProtocolError) — and
+// moves the monitor to its own state after every committed action, so
+// Monitor.State and the ErrIncomplete check keep their meaning. Routes come
+// from the session's route plan, resolved once per verified protocol.
 //
 // Lifecycle: NewStepper claims the endpoint (the TrySession linearity CAS)
 // and Step releases it when the protocol completes, faults, or exhausts its
@@ -102,23 +118,38 @@ func (w *walk) received(role types.Role, ts []fsm.Transition, label types.Label,
 // trace oracle in internal/equiv pins this for every registry protocol.
 type Stepper struct {
 	walk
-	e        *Endpoint
+	e *Endpoint
+	// peers is e's monitor's route plan; nil routes every action by role
+	// lookup.
+	peers    [][]int
 	finished bool
 }
 
+// ErrForeignMachine is returned by NewStepper when asked to walk a machine
+// other than the monitored endpoint's own: the stepper stands in for the
+// monitor, so it may only walk the machine the monitor enforces.
+var ErrForeignMachine = errors.New("session: stepper machine is not the endpoint's verified machine")
+
 // NewStepper claims the endpoint and returns a stepper that will drive it
 // through at most maxSteps actions of its verified machine, deciding
-// internal choices and payloads with strat. It fails with ErrLinearity if
-// the endpoint is already owned by a running session or another stepper.
-// A monitored endpoint's monitor is reset, as at TrySession entry.
+// internal choices and payloads with strat. On a monitored endpoint m must
+// be the monitor's machine (Session.FSM of the role), or NewStepper fails
+// with ErrForeignMachine. It fails with ErrLinearity if the endpoint is
+// already owned by a running session or another stepper. A monitored
+// endpoint's monitor is reset, as at TrySession entry.
 func NewStepper(e *Endpoint, m *fsm.FSM, strat Strategy, maxSteps int) (*Stepper, error) {
+	if e.mon != nil && e.mon.fsm != m {
+		return nil, fmt.Errorf("%w: role %s", ErrForeignMachine, e.role)
+	}
 	if !e.inUse.CompareAndSwap(false, true) {
 		return nil, ErrLinearity
 	}
+	st := &Stepper{walk: newWalk(m, strat, maxSteps), e: e}
 	if e.mon != nil {
 		e.mon.reset()
+		st.peers = e.mon.peers
 	}
-	return &Stepper{walk: newWalk(m, strat, maxSteps), e: e}, nil
+	return st, nil
 }
 
 // Reset re-arms a finished stepper over the same endpoint and machine for a
@@ -195,23 +226,81 @@ func (s *Stepper) Step() (bool, error) {
 	if ts[0].Act.Dir == fsm.Send {
 		t, v, err := s.decide(ts)
 		if err == nil {
-			if err = s.e.TrySendMsg(t.Act.Peer, t.Act.Label, v); err == nil {
+			if err = s.send(t, v); err == nil {
 				s.sent(t)
 			}
 		}
 		return s.settle(err)
 	}
-	label, value, err := s.e.TryRecvMsg(ts[0].Act.Peer)
+	m, err := s.recv(&ts[0])
 	if err == nil {
-		err = s.received(s.e.role, ts, label, value)
+		err = s.received(ts, m.Label, m.Value)
 	}
 	return s.settle(err)
 }
 
+// send offers the decided output t (the pending transition), carrying v, to
+// its route. On a monitored endpoint v must inhabit t's sort first: the
+// machine fixes the action, but only this check holds the strategy's
+// payload to it.
+func (s *Stepper) send(t *fsm.Transition, v any) error {
+	if s.e.mon != nil && !sortAccepts(t.Act.Sort, v) {
+		return &SortError{Role: s.e.role, Act: t.Act, Value: v}
+	}
+	q, err := s.route(s.pending, t)
+	if err != nil {
+		return err
+	}
+	ok, err := q.TrySend(channel.Message{Label: t.Act.Label, Value: v})
+	if err == nil && !ok {
+		err = ErrWouldBlock
+	}
+	return err
+}
+
+// recv takes the next message off the route of the input state whose first
+// transition is t.
+func (s *Stepper) recv(t *fsm.Transition) (channel.Message, error) {
+	q, err := s.route(0, t)
+	if err != nil {
+		return channel.Message{}, err
+	}
+	m, ok, err := q.TryRecv()
+	if err == nil && !ok {
+		err = ErrWouldBlock
+	}
+	return m, err
+}
+
+// route returns the substrate carrying t, the i-th transition out of the
+// current state: an index into the endpoint's route row by the route plan,
+// or a lookup by role on endpoints without one.
+func (s *Stepper) route(i int, t *fsm.Transition) (route, error) {
+	if s.peers != nil {
+		if j := s.peers[s.cur][i]; j >= 0 {
+			if t.Act.Dir == fsm.Send {
+				return s.e.out[j], nil
+			}
+			return s.e.in[j], nil
+		}
+	}
+	if t.Act.Dir == fsm.Send {
+		return s.e.outRoute(t.Act.Peer)
+	}
+	return s.e.inRoute(t.Act.Peer)
+}
+
 // settle maps the outcome of one attempted action onto Step's contract: a
-// would-block has no effect, any other error ends the stepper.
+// committed action moves the monitor to the walk's state, a would-block has
+// no effect, any other error ends the stepper.
 func (s *Stepper) settle(err error) (bool, error) {
-	if err == nil || err == ErrWouldBlock {
+	if err == nil {
+		if s.e.mon != nil {
+			s.e.mon.cur = s.cur
+		}
+		return false, nil
+	}
+	if err == ErrWouldBlock {
 		return false, err
 	}
 	s.finish()
@@ -229,9 +318,8 @@ var ErrStepperDone = fmt.Errorf("session: stepper already finished")
 // goroutine. If any claim fails, the steppers already claimed are aborted,
 // so every endpoint of the session is claimable again.
 func (s *Session) Steppers(strat func(types.Role) Strategy, budget func(types.Role) int) ([]*Stepper, error) {
-	roles := s.Roles()
-	steppers := make([]*Stepper, 0, len(roles))
-	for _, r := range roles {
+	steppers := make([]*Stepper, 0, len(s.roles))
+	for _, r := range s.roles {
 		ep, err := s.Endpoint(r)
 		if err == nil {
 			var st *Stepper
