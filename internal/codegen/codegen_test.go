@@ -98,19 +98,7 @@ func TestGoldenScribble(t *testing.T) {
 // regenerating the examples/gen packages with the options recorded in
 // their go:generate directives must reproduce the checked-in sources.
 func TestCheckedInPackagesCurrent(t *testing.T) {
-	cases := []struct {
-		protocol string
-		pkg      string
-		dir      string
-		mode     codegen.Mode
-	}{
-		{"streaming", "streaming", "streaming", codegen.ModeAuto},
-		{"doublebuffering", "doublebuffer", "doublebuffer", codegen.ModePlain},
-		{"ring", "ring", "ring", codegen.ModePlain},
-		{"elevator", "elevator", "elevator", codegen.ModePlain},
-		{"optimisedfft", "fft", "fft", codegen.ModeHand},
-	}
-	for _, c := range cases {
+	for _, c := range checkedIn {
 		t.Run(c.pkg, func(t *testing.T) {
 			e, ok := protocols.Find(c.protocol)
 			if !ok {
