@@ -81,8 +81,8 @@ BENCH_PKGS ?= ./internal/channel ./internal/session ./internal/bench
 # the generated FFT column (BenchmarkGenRunFFT: eight workers exchanging
 # whole vec<complex128> columns through the typed API), and the generator
 # itself (BenchmarkGenerate: codegen.Generate on the Streaming and FFT
-# machines, whose gated allocs/op would catch a return of a whole-package
-# re-print).
+# machines and the branch-heavy depth-2 nested-choice system, whose gated
+# allocs/op would catch a return of a whole-package re-print).
 CODEGEN_BENCH_PATTERN ?= BenchmarkSendRecvMonitored|BenchmarkSendRecvUnchecked|BenchmarkSendRecvUnmonitored|BenchmarkStepperStep|BenchmarkGenRunStreaming|BenchmarkGenRunFFT|BenchmarkSessionRunStreaming|BenchmarkGenerate
 CODEGEN_BENCH_PKGS ?= ./internal/session ./internal/bench ./internal/codegen
 
@@ -201,7 +201,8 @@ bench-smoke:
 		-expect BenchmarkSendRecvUnmonitored -expect BenchmarkStepperStep \
 		-expect BenchmarkGenRunStreaming -expect BenchmarkGenRunFFT \
 		-expect BenchmarkSessionRunStreaming \
-		-expect BenchmarkGenerate/Streaming -expect BenchmarkGenerate/FFT
+		-expect BenchmarkGenerate/Streaming -expect BenchmarkGenerate/FFT \
+		-expect BenchmarkGenerate/NestedChoice
 	$(GO) run ./cmd/benchcheck -file BENCH_smoke_sched.json -metric sessions/sec \
 		-baseline BENCH_sched.json \
 		-expect 'SchedThroughput/sessions=1/procs=1' \

@@ -3,7 +3,6 @@
 package doublebuffer
 
 import (
-	"errors"
 	"repro/internal/codegen/genrt"
 	"repro/internal/session"
 	"repro/internal/types"
@@ -116,28 +115,21 @@ type K0 struct {
 
 // SendReady sends s!ready to s, consuming the state and returning the next one.
 func (s K0) SendReady() (K2, error) {
-	if err := s.st.UseAs("doublebuffer.K0"); err != nil {
+	st, err := genrt.Send(s.st, "doublebuffer.K0", s.ep.sendS, LabelReady, nil)
+	if err != nil {
 		return K2{}, err
 	}
-	if err := s.ep.sendS.Send(LabelReady, nil); err != nil {
-		return K2{}, err
-	}
-	return K2{ep: s.ep, st: s.st.Next()}, nil
+	return K2{ep: s.ep, st: st}, nil
 }
 
 // TrySendReady is the non-blocking SendReady: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s K0) TrySendReady() (K2, error) {
-	if err := s.st.PeekAs("doublebuffer.K0"); err != nil {
+	st, err := genrt.TrySend(s.st, "doublebuffer.K0", s.ep.sendS, LabelReady, nil)
+	if err != nil {
 		return K2{}, err
 	}
-	if err := s.ep.sendS.TrySend(LabelReady, nil); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return K2{}, err
-	}
-	return K2{ep: s.ep, st: s.st.Advance()}, nil
+	return K2{ep: s.ep, st: st}, nil
 }
 
 // K2 is role k's protocol state 2: s?value → state 3.
@@ -150,37 +142,21 @@ type K2 struct {
 
 // RecvValue receives s?value from s, consuming the state and returning the next one.
 func (s K2) RecvValue() (K3, error) {
-	if err := s.st.UseAs("doublebuffer.K2"); err != nil {
-		return K3{}, err
-	}
-	label, _, err := s.ep.recvS.Recv()
+	_, st, err := genrt.Recv(s.st, "doublebuffer.K2", s.ep.recvS, RoleS, LabelValue, genrt.Signal)
 	if err != nil {
 		return K3{}, err
 	}
-	if label != LabelValue {
-		return K3{}, genrt.Unexpected(RoleK, "K2", RoleS, label)
-	}
-	return K3{ep: s.ep, st: s.st.Next()}, nil
+	return K3{ep: s.ep, st: st}, nil
 }
 
 // TryRecvValue is the non-blocking RecvValue: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s K2) TryRecvValue() (K3, error) {
-	if err := s.st.PeekAs("doublebuffer.K2"); err != nil {
-		return K3{}, err
-	}
-	label, _, err := s.ep.recvS.TryRecv()
+	_, st, err := genrt.TryRecv(s.st, "doublebuffer.K2", s.ep.recvS, RoleS, LabelValue, genrt.Signal)
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return K3{}, err
 	}
-	if label != LabelValue {
-		s.st.Advance()
-		return K3{}, genrt.Unexpected(RoleK, "K2", RoleS, label)
-	}
-	return K3{ep: s.ep, st: s.st.Advance()}, nil
+	return K3{ep: s.ep, st: st}, nil
 }
 
 // K3 is role k's protocol state 3: t?ready → state 4.
@@ -193,37 +169,21 @@ type K3 struct {
 
 // RecvReady receives t?ready from t, consuming the state and returning the next one.
 func (s K3) RecvReady() (K4, error) {
-	if err := s.st.UseAs("doublebuffer.K3"); err != nil {
-		return K4{}, err
-	}
-	label, _, err := s.ep.recvT.Recv()
+	_, st, err := genrt.Recv(s.st, "doublebuffer.K3", s.ep.recvT, RoleT, LabelReady, genrt.Signal)
 	if err != nil {
 		return K4{}, err
 	}
-	if label != LabelReady {
-		return K4{}, genrt.Unexpected(RoleK, "K3", RoleT, label)
-	}
-	return K4{ep: s.ep, st: s.st.Next()}, nil
+	return K4{ep: s.ep, st: st}, nil
 }
 
 // TryRecvReady is the non-blocking RecvReady: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s K3) TryRecvReady() (K4, error) {
-	if err := s.st.PeekAs("doublebuffer.K3"); err != nil {
-		return K4{}, err
-	}
-	label, _, err := s.ep.recvT.TryRecv()
+	_, st, err := genrt.TryRecv(s.st, "doublebuffer.K3", s.ep.recvT, RoleT, LabelReady, genrt.Signal)
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return K4{}, err
 	}
-	if label != LabelReady {
-		s.st.Advance()
-		return K4{}, genrt.Unexpected(RoleK, "K3", RoleT, label)
-	}
-	return K4{ep: s.ep, st: s.st.Advance()}, nil
+	return K4{ep: s.ep, st: st}, nil
 }
 
 // K4 is role k's protocol state 4: t!value → state 0.
@@ -236,28 +196,21 @@ type K4 struct {
 
 // SendValue sends t!value to t, consuming the state and returning the next one.
 func (s K4) SendValue() (K0, error) {
-	if err := s.st.UseAs("doublebuffer.K4"); err != nil {
+	st, err := genrt.Send(s.st, "doublebuffer.K4", s.ep.sendT, LabelValue, nil)
+	if err != nil {
 		return K0{}, err
 	}
-	if err := s.ep.sendT.Send(LabelValue, nil); err != nil {
-		return K0{}, err
-	}
-	return K0{ep: s.ep, st: s.st.Next()}, nil
+	return K0{ep: s.ep, st: st}, nil
 }
 
 // TrySendValue is the non-blocking SendValue: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s K4) TrySendValue() (K0, error) {
-	if err := s.st.PeekAs("doublebuffer.K4"); err != nil {
+	st, err := genrt.TrySend(s.st, "doublebuffer.K4", s.ep.sendT, LabelValue, nil)
+	if err != nil {
 		return K0{}, err
 	}
-	if err := s.ep.sendT.TrySend(LabelValue, nil); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return K0{}, err
-	}
-	return K0{ep: s.ep, st: s.st.Advance()}, nil
+	return K0{ep: s.ep, st: st}, nil
 }
 
 // ---- role s ----
@@ -308,37 +261,21 @@ type S0 struct {
 
 // RecvReady receives k?ready from k, consuming the state and returning the next one.
 func (s S0) RecvReady() (S2, error) {
-	if err := s.st.UseAs("doublebuffer.S0"); err != nil {
-		return S2{}, err
-	}
-	label, _, err := s.ep.recvK.Recv()
+	_, st, err := genrt.Recv(s.st, "doublebuffer.S0", s.ep.recvK, RoleK, LabelReady, genrt.Signal)
 	if err != nil {
 		return S2{}, err
 	}
-	if label != LabelReady {
-		return S2{}, genrt.Unexpected(RoleS, "S0", RoleK, label)
-	}
-	return S2{ep: s.ep, st: s.st.Next()}, nil
+	return S2{ep: s.ep, st: st}, nil
 }
 
 // TryRecvReady is the non-blocking RecvReady: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s S0) TryRecvReady() (S2, error) {
-	if err := s.st.PeekAs("doublebuffer.S0"); err != nil {
-		return S2{}, err
-	}
-	label, _, err := s.ep.recvK.TryRecv()
+	_, st, err := genrt.TryRecv(s.st, "doublebuffer.S0", s.ep.recvK, RoleK, LabelReady, genrt.Signal)
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return S2{}, err
 	}
-	if label != LabelReady {
-		s.st.Advance()
-		return S2{}, genrt.Unexpected(RoleS, "S0", RoleK, label)
-	}
-	return S2{ep: s.ep, st: s.st.Advance()}, nil
+	return S2{ep: s.ep, st: st}, nil
 }
 
 // S2 is role s's protocol state 2: k!value → state 0.
@@ -351,28 +288,21 @@ type S2 struct {
 
 // SendValue sends k!value to k, consuming the state and returning the next one.
 func (s S2) SendValue() (S0, error) {
-	if err := s.st.UseAs("doublebuffer.S2"); err != nil {
+	st, err := genrt.Send(s.st, "doublebuffer.S2", s.ep.sendK, LabelValue, nil)
+	if err != nil {
 		return S0{}, err
 	}
-	if err := s.ep.sendK.Send(LabelValue, nil); err != nil {
-		return S0{}, err
-	}
-	return S0{ep: s.ep, st: s.st.Next()}, nil
+	return S0{ep: s.ep, st: st}, nil
 }
 
 // TrySendValue is the non-blocking SendValue: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s S2) TrySendValue() (S0, error) {
-	if err := s.st.PeekAs("doublebuffer.S2"); err != nil {
+	st, err := genrt.TrySend(s.st, "doublebuffer.S2", s.ep.sendK, LabelValue, nil)
+	if err != nil {
 		return S0{}, err
 	}
-	if err := s.ep.sendK.TrySend(LabelValue, nil); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return S0{}, err
-	}
-	return S0{ep: s.ep, st: s.st.Advance()}, nil
+	return S0{ep: s.ep, st: st}, nil
 }
 
 // ---- role t ----
@@ -423,28 +353,21 @@ type T0 struct {
 
 // SendReady sends k!ready to k, consuming the state and returning the next one.
 func (s T0) SendReady() (T2, error) {
-	if err := s.st.UseAs("doublebuffer.T0"); err != nil {
+	st, err := genrt.Send(s.st, "doublebuffer.T0", s.ep.sendK, LabelReady, nil)
+	if err != nil {
 		return T2{}, err
 	}
-	if err := s.ep.sendK.Send(LabelReady, nil); err != nil {
-		return T2{}, err
-	}
-	return T2{ep: s.ep, st: s.st.Next()}, nil
+	return T2{ep: s.ep, st: st}, nil
 }
 
 // TrySendReady is the non-blocking SendReady: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s T0) TrySendReady() (T2, error) {
-	if err := s.st.PeekAs("doublebuffer.T0"); err != nil {
+	st, err := genrt.TrySend(s.st, "doublebuffer.T0", s.ep.sendK, LabelReady, nil)
+	if err != nil {
 		return T2{}, err
 	}
-	if err := s.ep.sendK.TrySend(LabelReady, nil); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return T2{}, err
-	}
-	return T2{ep: s.ep, st: s.st.Advance()}, nil
+	return T2{ep: s.ep, st: st}, nil
 }
 
 // T2 is role t's protocol state 2: k?value → state 0.
@@ -457,35 +380,19 @@ type T2 struct {
 
 // RecvValue receives k?value from k, consuming the state and returning the next one.
 func (s T2) RecvValue() (T0, error) {
-	if err := s.st.UseAs("doublebuffer.T2"); err != nil {
-		return T0{}, err
-	}
-	label, _, err := s.ep.recvK.Recv()
+	_, st, err := genrt.Recv(s.st, "doublebuffer.T2", s.ep.recvK, RoleK, LabelValue, genrt.Signal)
 	if err != nil {
 		return T0{}, err
 	}
-	if label != LabelValue {
-		return T0{}, genrt.Unexpected(RoleT, "T2", RoleK, label)
-	}
-	return T0{ep: s.ep, st: s.st.Next()}, nil
+	return T0{ep: s.ep, st: st}, nil
 }
 
 // TryRecvValue is the non-blocking RecvValue: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s T2) TryRecvValue() (T0, error) {
-	if err := s.st.PeekAs("doublebuffer.T2"); err != nil {
-		return T0{}, err
-	}
-	label, _, err := s.ep.recvK.TryRecv()
+	_, st, err := genrt.TryRecv(s.st, "doublebuffer.T2", s.ep.recvK, RoleK, LabelValue, genrt.Signal)
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return T0{}, err
 	}
-	if label != LabelValue {
-		s.st.Advance()
-		return T0{}, genrt.Unexpected(RoleT, "T2", RoleK, label)
-	}
-	return T0{ep: s.ep, st: s.st.Advance()}, nil
+	return T0{ep: s.ep, st: st}, nil
 }

@@ -3,7 +3,6 @@
 package elevator
 
 import (
-	"errors"
 	"repro/internal/codegen/genrt"
 	"repro/internal/session"
 	"repro/internal/types"
@@ -110,37 +109,21 @@ type D0 struct {
 
 // RecvOpen receives e?open from e, consuming the state and returning the next one.
 func (s D0) RecvOpen() (D2, error) {
-	if err := s.st.UseAs("elevator.D0"); err != nil {
-		return D2{}, err
-	}
-	label, _, err := s.ep.recvE.Recv()
+	_, st, err := genrt.Recv(s.st, "elevator.D0", s.ep.recvE, RoleE, LabelOpen, genrt.Signal)
 	if err != nil {
 		return D2{}, err
 	}
-	if label != LabelOpen {
-		return D2{}, genrt.Unexpected(RoleD, "D0", RoleE, label)
-	}
-	return D2{ep: s.ep, st: s.st.Next()}, nil
+	return D2{ep: s.ep, st: st}, nil
 }
 
 // TryRecvOpen is the non-blocking RecvOpen: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s D0) TryRecvOpen() (D2, error) {
-	if err := s.st.PeekAs("elevator.D0"); err != nil {
-		return D2{}, err
-	}
-	label, _, err := s.ep.recvE.TryRecv()
+	_, st, err := genrt.TryRecv(s.st, "elevator.D0", s.ep.recvE, RoleE, LabelOpen, genrt.Signal)
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return D2{}, err
 	}
-	if label != LabelOpen {
-		s.st.Advance()
-		return D2{}, genrt.Unexpected(RoleD, "D0", RoleE, label)
-	}
-	return D2{ep: s.ep, st: s.st.Advance()}, nil
+	return D2{ep: s.ep, st: st}, nil
 }
 
 // D2 is role d's protocol state 2: e!done → state 0.
@@ -153,28 +136,21 @@ type D2 struct {
 
 // SendDone sends e!done to e, consuming the state and returning the next one.
 func (s D2) SendDone() (D0, error) {
-	if err := s.st.UseAs("elevator.D2"); err != nil {
+	st, err := genrt.Send(s.st, "elevator.D2", s.ep.sendE, LabelDone, nil)
+	if err != nil {
 		return D0{}, err
 	}
-	if err := s.ep.sendE.Send(LabelDone, nil); err != nil {
-		return D0{}, err
-	}
-	return D0{ep: s.ep, st: s.st.Next()}, nil
+	return D0{ep: s.ep, st: st}, nil
 }
 
 // TrySendDone is the non-blocking SendDone: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s D2) TrySendDone() (D0, error) {
-	if err := s.st.PeekAs("elevator.D2"); err != nil {
+	st, err := genrt.TrySend(s.st, "elevator.D2", s.ep.sendE, LabelDone, nil)
+	if err != nil {
 		return D0{}, err
 	}
-	if err := s.ep.sendE.TrySend(LabelDone, nil); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return D0{}, err
-	}
-	return D0{ep: s.ep, st: s.st.Advance()}, nil
+	return D0{ep: s.ep, st: st}, nil
 }
 
 // ---- role e ----
@@ -244,19 +220,16 @@ type E0Branch struct {
 // Branch receives the next message from p and returns the branch it
 // selects, consuming the state.
 func (s E0) Branch() (E0Branch, error) {
-	if err := s.st.UseAs("elevator.E0"); err != nil {
-		return E0Branch{}, err
-	}
-	label, _, err := s.ep.recvP.Recv()
+	label, _, st, err := genrt.Branch(s.st, "elevator.E0", s.ep.recvP)
 	if err != nil {
 		return E0Branch{}, err
 	}
 	b := E0Branch{Label: label}
 	switch label {
 	case LabelUp:
-		b.UpNext = E2{ep: s.ep, st: s.st.Next()}
+		b.UpNext = E2{ep: s.ep, st: st}
 	case LabelDown:
-		b.DownNext = E4{ep: s.ep, st: s.st.Next()}
+		b.DownNext = E4{ep: s.ep, st: st}
 	default:
 		return E0Branch{}, genrt.Unexpected(RoleE, "E0", RoleP, label)
 	}
@@ -266,17 +239,10 @@ func (s E0) Branch() (E0Branch, error) {
 // TryBranch is the non-blocking Branch: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s E0) TryBranch() (E0Branch, error) {
-	if err := s.st.PeekAs("elevator.E0"); err != nil {
-		return E0Branch{}, err
-	}
-	label, _, err := s.ep.recvP.TryRecv()
+	label, _, st, err := genrt.TryBranch(s.st, "elevator.E0", s.ep.recvP)
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return E0Branch{}, err
 	}
-	st := s.st.Advance()
 	b := E0Branch{Label: label}
 	switch label {
 	case LabelUp:
@@ -299,28 +265,21 @@ type E2 struct {
 
 // SendOpen sends d!open to d, consuming the state and returning the next one.
 func (s E2) SendOpen() (E3, error) {
-	if err := s.st.UseAs("elevator.E2"); err != nil {
+	st, err := genrt.Send(s.st, "elevator.E2", s.ep.sendD, LabelOpen, nil)
+	if err != nil {
 		return E3{}, err
 	}
-	if err := s.ep.sendD.Send(LabelOpen, nil); err != nil {
-		return E3{}, err
-	}
-	return E3{ep: s.ep, st: s.st.Next()}, nil
+	return E3{ep: s.ep, st: st}, nil
 }
 
 // TrySendOpen is the non-blocking SendOpen: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s E2) TrySendOpen() (E3, error) {
-	if err := s.st.PeekAs("elevator.E2"); err != nil {
+	st, err := genrt.TrySend(s.st, "elevator.E2", s.ep.sendD, LabelOpen, nil)
+	if err != nil {
 		return E3{}, err
 	}
-	if err := s.ep.sendD.TrySend(LabelOpen, nil); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return E3{}, err
-	}
-	return E3{ep: s.ep, st: s.st.Advance()}, nil
+	return E3{ep: s.ep, st: st}, nil
 }
 
 // E3 is role e's protocol state 3: d?done → state 0.
@@ -333,37 +292,21 @@ type E3 struct {
 
 // RecvDone receives d?done from d, consuming the state and returning the next one.
 func (s E3) RecvDone() (E0, error) {
-	if err := s.st.UseAs("elevator.E3"); err != nil {
-		return E0{}, err
-	}
-	label, _, err := s.ep.recvD.Recv()
+	_, st, err := genrt.Recv(s.st, "elevator.E3", s.ep.recvD, RoleD, LabelDone, genrt.Signal)
 	if err != nil {
 		return E0{}, err
 	}
-	if label != LabelDone {
-		return E0{}, genrt.Unexpected(RoleE, "E3", RoleD, label)
-	}
-	return E0{ep: s.ep, st: s.st.Next()}, nil
+	return E0{ep: s.ep, st: st}, nil
 }
 
 // TryRecvDone is the non-blocking RecvDone: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s E3) TryRecvDone() (E0, error) {
-	if err := s.st.PeekAs("elevator.E3"); err != nil {
-		return E0{}, err
-	}
-	label, _, err := s.ep.recvD.TryRecv()
+	_, st, err := genrt.TryRecv(s.st, "elevator.E3", s.ep.recvD, RoleD, LabelDone, genrt.Signal)
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return E0{}, err
 	}
-	if label != LabelDone {
-		s.st.Advance()
-		return E0{}, genrt.Unexpected(RoleE, "E3", RoleD, label)
-	}
-	return E0{ep: s.ep, st: s.st.Advance()}, nil
+	return E0{ep: s.ep, st: st}, nil
 }
 
 // E4 is role e's protocol state 4: d!open → state 5.
@@ -376,28 +319,21 @@ type E4 struct {
 
 // SendOpen sends d!open to d, consuming the state and returning the next one.
 func (s E4) SendOpen() (E5, error) {
-	if err := s.st.UseAs("elevator.E4"); err != nil {
+	st, err := genrt.Send(s.st, "elevator.E4", s.ep.sendD, LabelOpen, nil)
+	if err != nil {
 		return E5{}, err
 	}
-	if err := s.ep.sendD.Send(LabelOpen, nil); err != nil {
-		return E5{}, err
-	}
-	return E5{ep: s.ep, st: s.st.Next()}, nil
+	return E5{ep: s.ep, st: st}, nil
 }
 
 // TrySendOpen is the non-blocking SendOpen: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s E4) TrySendOpen() (E5, error) {
-	if err := s.st.PeekAs("elevator.E4"); err != nil {
+	st, err := genrt.TrySend(s.st, "elevator.E4", s.ep.sendD, LabelOpen, nil)
+	if err != nil {
 		return E5{}, err
 	}
-	if err := s.ep.sendD.TrySend(LabelOpen, nil); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return E5{}, err
-	}
-	return E5{ep: s.ep, st: s.st.Advance()}, nil
+	return E5{ep: s.ep, st: st}, nil
 }
 
 // E5 is role e's protocol state 5: d?done → state 0.
@@ -410,37 +346,21 @@ type E5 struct {
 
 // RecvDone receives d?done from d, consuming the state and returning the next one.
 func (s E5) RecvDone() (E0, error) {
-	if err := s.st.UseAs("elevator.E5"); err != nil {
-		return E0{}, err
-	}
-	label, _, err := s.ep.recvD.Recv()
+	_, st, err := genrt.Recv(s.st, "elevator.E5", s.ep.recvD, RoleD, LabelDone, genrt.Signal)
 	if err != nil {
 		return E0{}, err
 	}
-	if label != LabelDone {
-		return E0{}, genrt.Unexpected(RoleE, "E5", RoleD, label)
-	}
-	return E0{ep: s.ep, st: s.st.Next()}, nil
+	return E0{ep: s.ep, st: st}, nil
 }
 
 // TryRecvDone is the non-blocking RecvDone: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s E5) TryRecvDone() (E0, error) {
-	if err := s.st.PeekAs("elevator.E5"); err != nil {
-		return E0{}, err
-	}
-	label, _, err := s.ep.recvD.TryRecv()
+	_, st, err := genrt.TryRecv(s.st, "elevator.E5", s.ep.recvD, RoleD, LabelDone, genrt.Signal)
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return E0{}, err
 	}
-	if label != LabelDone {
-		s.st.Advance()
-		return E0{}, genrt.Unexpected(RoleE, "E5", RoleD, label)
-	}
-	return E0{ep: s.ep, st: s.st.Advance()}, nil
+	return E0{ep: s.ep, st: st}, nil
 }
 
 // ---- role p ----
@@ -487,52 +407,38 @@ type P0 struct {
 
 // SendUp sends e!up to e, consuming the state and returning the next one.
 func (s P0) SendUp() (P0, error) {
-	if err := s.st.UseAs("elevator.P0"); err != nil {
+	st, err := genrt.Send(s.st, "elevator.P0", s.ep.sendE, LabelUp, nil)
+	if err != nil {
 		return P0{}, err
 	}
-	if err := s.ep.sendE.Send(LabelUp, nil); err != nil {
-		return P0{}, err
-	}
-	return P0{ep: s.ep, st: s.st.Next()}, nil
+	return P0{ep: s.ep, st: st}, nil
 }
 
 // TrySendUp is the non-blocking SendUp: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s P0) TrySendUp() (P0, error) {
-	if err := s.st.PeekAs("elevator.P0"); err != nil {
+	st, err := genrt.TrySend(s.st, "elevator.P0", s.ep.sendE, LabelUp, nil)
+	if err != nil {
 		return P0{}, err
 	}
-	if err := s.ep.sendE.TrySend(LabelUp, nil); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return P0{}, err
-	}
-	return P0{ep: s.ep, st: s.st.Advance()}, nil
+	return P0{ep: s.ep, st: st}, nil
 }
 
 // SendDown sends e!down to e, consuming the state and returning the next one.
 func (s P0) SendDown() (P0, error) {
-	if err := s.st.UseAs("elevator.P0"); err != nil {
+	st, err := genrt.Send(s.st, "elevator.P0", s.ep.sendE, LabelDown, nil)
+	if err != nil {
 		return P0{}, err
 	}
-	if err := s.ep.sendE.Send(LabelDown, nil); err != nil {
-		return P0{}, err
-	}
-	return P0{ep: s.ep, st: s.st.Next()}, nil
+	return P0{ep: s.ep, st: st}, nil
 }
 
 // TrySendDown is the non-blocking SendDown: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s P0) TrySendDown() (P0, error) {
-	if err := s.st.PeekAs("elevator.P0"); err != nil {
+	st, err := genrt.TrySend(s.st, "elevator.P0", s.ep.sendE, LabelDown, nil)
+	if err != nil {
 		return P0{}, err
 	}
-	if err := s.ep.sendE.TrySend(LabelDown, nil); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return P0{}, err
-	}
-	return P0{ep: s.ep, st: s.st.Advance()}, nil
+	return P0{ep: s.ep, st: st}, nil
 }

@@ -3,7 +3,6 @@
 package fft
 
 import (
-	"errors"
 	"repro/internal/codegen/genrt"
 	"repro/internal/session"
 	"repro/internal/types"
@@ -164,28 +163,21 @@ type W00 struct {
 
 // SendCol sends w4!col(vec<complex128>) to w4, consuming the state and returning the next one.
 func (s W00) SendCol(payload []complex128) (W01, error) {
-	if err := s.st.UseAs("fft.W00"); err != nil {
+	st, err := genrt.Send(s.st, "fft.W00", s.ep.sendW4, LabelCol, payload)
+	if err != nil {
 		return W01{}, err
 	}
-	if err := s.ep.sendW4.Send(LabelCol, payload); err != nil {
-		return W01{}, err
-	}
-	return W01{ep: s.ep, st: s.st.Next()}, nil
+	return W01{ep: s.ep, st: st}, nil
 }
 
 // TrySendCol is the non-blocking SendCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s W00) TrySendCol(payload []complex128) (W01, error) {
-	if err := s.st.PeekAs("fft.W00"); err != nil {
+	st, err := genrt.TrySend(s.st, "fft.W00", s.ep.sendW4, LabelCol, payload)
+	if err != nil {
 		return W01{}, err
 	}
-	if err := s.ep.sendW4.TrySend(LabelCol, payload); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return W01{}, err
-	}
-	return W01{ep: s.ep, st: s.st.Advance()}, nil
+	return W01{ep: s.ep, st: st}, nil
 }
 
 // W01 is role w0's protocol state 1: w4?col(vec<complex128>) → state 2.
@@ -198,46 +190,21 @@ type W01 struct {
 
 // RecvCol receives w4?col(vec<complex128>) from w4, consuming the state and returning the next one.
 func (s W01) RecvCol() ([]complex128, W02, error) {
-	if err := s.st.UseAs("fft.W01"); err != nil {
-		return *new([]complex128), W02{}, err
-	}
-	label, v, err := s.ep.recvW4.Recv()
+	payload, st, err := genrt.Recv(s.st, "fft.W01", s.ep.recvW4, RoleW4, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
 		return *new([]complex128), W02{}, err
 	}
-	if label != LabelCol {
-		return *new([]complex128), W02{}, genrt.Unexpected(RoleW0, "W01", RoleW4, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		return *new([]complex128), W02{}, err
-	}
-	return payload, W02{ep: s.ep, st: s.st.Next()}, nil
+	return payload, W02{ep: s.ep, st: st}, nil
 }
 
 // TryRecvCol is the non-blocking RecvCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s W01) TryRecvCol() ([]complex128, W02, error) {
-	if err := s.st.PeekAs("fft.W01"); err != nil {
-		return *new([]complex128), W02{}, err
-	}
-	label, v, err := s.ep.recvW4.TryRecv()
+	payload, st, err := genrt.TryRecv(s.st, "fft.W01", s.ep.recvW4, RoleW4, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return *new([]complex128), W02{}, err
 	}
-	if label != LabelCol {
-		s.st.Advance()
-		return *new([]complex128), W02{}, genrt.Unexpected(RoleW0, "W01", RoleW4, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		s.st.Advance()
-		return *new([]complex128), W02{}, err
-	}
-	return payload, W02{ep: s.ep, st: s.st.Advance()}, nil
+	return payload, W02{ep: s.ep, st: st}, nil
 }
 
 // W02 is role w0's protocol state 2: w2!col(vec<complex128>) → state 3.
@@ -250,28 +217,21 @@ type W02 struct {
 
 // SendCol sends w2!col(vec<complex128>) to w2, consuming the state and returning the next one.
 func (s W02) SendCol(payload []complex128) (W03, error) {
-	if err := s.st.UseAs("fft.W02"); err != nil {
+	st, err := genrt.Send(s.st, "fft.W02", s.ep.sendW2, LabelCol, payload)
+	if err != nil {
 		return W03{}, err
 	}
-	if err := s.ep.sendW2.Send(LabelCol, payload); err != nil {
-		return W03{}, err
-	}
-	return W03{ep: s.ep, st: s.st.Next()}, nil
+	return W03{ep: s.ep, st: st}, nil
 }
 
 // TrySendCol is the non-blocking SendCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s W02) TrySendCol(payload []complex128) (W03, error) {
-	if err := s.st.PeekAs("fft.W02"); err != nil {
+	st, err := genrt.TrySend(s.st, "fft.W02", s.ep.sendW2, LabelCol, payload)
+	if err != nil {
 		return W03{}, err
 	}
-	if err := s.ep.sendW2.TrySend(LabelCol, payload); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return W03{}, err
-	}
-	return W03{ep: s.ep, st: s.st.Advance()}, nil
+	return W03{ep: s.ep, st: st}, nil
 }
 
 // W03 is role w0's protocol state 3: w2?col(vec<complex128>) → state 4.
@@ -284,46 +244,21 @@ type W03 struct {
 
 // RecvCol receives w2?col(vec<complex128>) from w2, consuming the state and returning the next one.
 func (s W03) RecvCol() ([]complex128, W04, error) {
-	if err := s.st.UseAs("fft.W03"); err != nil {
-		return *new([]complex128), W04{}, err
-	}
-	label, v, err := s.ep.recvW2.Recv()
+	payload, st, err := genrt.Recv(s.st, "fft.W03", s.ep.recvW2, RoleW2, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
 		return *new([]complex128), W04{}, err
 	}
-	if label != LabelCol {
-		return *new([]complex128), W04{}, genrt.Unexpected(RoleW0, "W03", RoleW2, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		return *new([]complex128), W04{}, err
-	}
-	return payload, W04{ep: s.ep, st: s.st.Next()}, nil
+	return payload, W04{ep: s.ep, st: st}, nil
 }
 
 // TryRecvCol is the non-blocking RecvCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s W03) TryRecvCol() ([]complex128, W04, error) {
-	if err := s.st.PeekAs("fft.W03"); err != nil {
-		return *new([]complex128), W04{}, err
-	}
-	label, v, err := s.ep.recvW2.TryRecv()
+	payload, st, err := genrt.TryRecv(s.st, "fft.W03", s.ep.recvW2, RoleW2, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return *new([]complex128), W04{}, err
 	}
-	if label != LabelCol {
-		s.st.Advance()
-		return *new([]complex128), W04{}, genrt.Unexpected(RoleW0, "W03", RoleW2, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		s.st.Advance()
-		return *new([]complex128), W04{}, err
-	}
-	return payload, W04{ep: s.ep, st: s.st.Advance()}, nil
+	return payload, W04{ep: s.ep, st: st}, nil
 }
 
 // W04 is role w0's protocol state 4: w1!col(vec<complex128>) → state 5.
@@ -336,28 +271,21 @@ type W04 struct {
 
 // SendCol sends w1!col(vec<complex128>) to w1, consuming the state and returning the next one.
 func (s W04) SendCol(payload []complex128) (W05, error) {
-	if err := s.st.UseAs("fft.W04"); err != nil {
+	st, err := genrt.Send(s.st, "fft.W04", s.ep.sendW1, LabelCol, payload)
+	if err != nil {
 		return W05{}, err
 	}
-	if err := s.ep.sendW1.Send(LabelCol, payload); err != nil {
-		return W05{}, err
-	}
-	return W05{ep: s.ep, st: s.st.Next()}, nil
+	return W05{ep: s.ep, st: st}, nil
 }
 
 // TrySendCol is the non-blocking SendCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s W04) TrySendCol(payload []complex128) (W05, error) {
-	if err := s.st.PeekAs("fft.W04"); err != nil {
+	st, err := genrt.TrySend(s.st, "fft.W04", s.ep.sendW1, LabelCol, payload)
+	if err != nil {
 		return W05{}, err
 	}
-	if err := s.ep.sendW1.TrySend(LabelCol, payload); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return W05{}, err
-	}
-	return W05{ep: s.ep, st: s.st.Advance()}, nil
+	return W05{ep: s.ep, st: st}, nil
 }
 
 // W05 is role w0's protocol state 5: w1?col(vec<complex128>) → state 6.
@@ -370,46 +298,21 @@ type W05 struct {
 
 // RecvCol receives w1?col(vec<complex128>) from w1, consuming the state and returning the next one.
 func (s W05) RecvCol() ([]complex128, W0End, error) {
-	if err := s.st.UseAs("fft.W05"); err != nil {
-		return *new([]complex128), W0End{}, err
-	}
-	label, v, err := s.ep.recvW1.Recv()
+	payload, st, err := genrt.Recv(s.st, "fft.W05", s.ep.recvW1, RoleW1, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
 		return *new([]complex128), W0End{}, err
 	}
-	if label != LabelCol {
-		return *new([]complex128), W0End{}, genrt.Unexpected(RoleW0, "W05", RoleW1, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		return *new([]complex128), W0End{}, err
-	}
-	return payload, W0End{ep: s.ep, st: s.st.Next()}, nil
+	return payload, W0End{ep: s.ep, st: st}, nil
 }
 
 // TryRecvCol is the non-blocking RecvCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s W05) TryRecvCol() ([]complex128, W0End, error) {
-	if err := s.st.PeekAs("fft.W05"); err != nil {
-		return *new([]complex128), W0End{}, err
-	}
-	label, v, err := s.ep.recvW1.TryRecv()
+	payload, st, err := genrt.TryRecv(s.st, "fft.W05", s.ep.recvW1, RoleW1, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return *new([]complex128), W0End{}, err
 	}
-	if label != LabelCol {
-		s.st.Advance()
-		return *new([]complex128), W0End{}, genrt.Unexpected(RoleW0, "W05", RoleW1, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		s.st.Advance()
-		return *new([]complex128), W0End{}, err
-	}
-	return payload, W0End{ep: s.ep, st: s.st.Advance()}, nil
+	return payload, W0End{ep: s.ep, st: st}, nil
 }
 
 // ---- role w1 ----
@@ -487,28 +390,21 @@ type W10 struct {
 
 // SendCol sends w5!col(vec<complex128>) to w5, consuming the state and returning the next one.
 func (s W10) SendCol(payload []complex128) (W11, error) {
-	if err := s.st.UseAs("fft.W10"); err != nil {
+	st, err := genrt.Send(s.st, "fft.W10", s.ep.sendW5, LabelCol, payload)
+	if err != nil {
 		return W11{}, err
 	}
-	if err := s.ep.sendW5.Send(LabelCol, payload); err != nil {
-		return W11{}, err
-	}
-	return W11{ep: s.ep, st: s.st.Next()}, nil
+	return W11{ep: s.ep, st: st}, nil
 }
 
 // TrySendCol is the non-blocking SendCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s W10) TrySendCol(payload []complex128) (W11, error) {
-	if err := s.st.PeekAs("fft.W10"); err != nil {
+	st, err := genrt.TrySend(s.st, "fft.W10", s.ep.sendW5, LabelCol, payload)
+	if err != nil {
 		return W11{}, err
 	}
-	if err := s.ep.sendW5.TrySend(LabelCol, payload); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return W11{}, err
-	}
-	return W11{ep: s.ep, st: s.st.Advance()}, nil
+	return W11{ep: s.ep, st: st}, nil
 }
 
 // W11 is role w1's protocol state 1: w5?col(vec<complex128>) → state 2.
@@ -521,46 +417,21 @@ type W11 struct {
 
 // RecvCol receives w5?col(vec<complex128>) from w5, consuming the state and returning the next one.
 func (s W11) RecvCol() ([]complex128, W12, error) {
-	if err := s.st.UseAs("fft.W11"); err != nil {
-		return *new([]complex128), W12{}, err
-	}
-	label, v, err := s.ep.recvW5.Recv()
+	payload, st, err := genrt.Recv(s.st, "fft.W11", s.ep.recvW5, RoleW5, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
 		return *new([]complex128), W12{}, err
 	}
-	if label != LabelCol {
-		return *new([]complex128), W12{}, genrt.Unexpected(RoleW1, "W11", RoleW5, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		return *new([]complex128), W12{}, err
-	}
-	return payload, W12{ep: s.ep, st: s.st.Next()}, nil
+	return payload, W12{ep: s.ep, st: st}, nil
 }
 
 // TryRecvCol is the non-blocking RecvCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s W11) TryRecvCol() ([]complex128, W12, error) {
-	if err := s.st.PeekAs("fft.W11"); err != nil {
-		return *new([]complex128), W12{}, err
-	}
-	label, v, err := s.ep.recvW5.TryRecv()
+	payload, st, err := genrt.TryRecv(s.st, "fft.W11", s.ep.recvW5, RoleW5, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return *new([]complex128), W12{}, err
 	}
-	if label != LabelCol {
-		s.st.Advance()
-		return *new([]complex128), W12{}, genrt.Unexpected(RoleW1, "W11", RoleW5, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		s.st.Advance()
-		return *new([]complex128), W12{}, err
-	}
-	return payload, W12{ep: s.ep, st: s.st.Advance()}, nil
+	return payload, W12{ep: s.ep, st: st}, nil
 }
 
 // W12 is role w1's protocol state 2: w3!col(vec<complex128>) → state 3.
@@ -573,28 +444,21 @@ type W12 struct {
 
 // SendCol sends w3!col(vec<complex128>) to w3, consuming the state and returning the next one.
 func (s W12) SendCol(payload []complex128) (W13, error) {
-	if err := s.st.UseAs("fft.W12"); err != nil {
+	st, err := genrt.Send(s.st, "fft.W12", s.ep.sendW3, LabelCol, payload)
+	if err != nil {
 		return W13{}, err
 	}
-	if err := s.ep.sendW3.Send(LabelCol, payload); err != nil {
-		return W13{}, err
-	}
-	return W13{ep: s.ep, st: s.st.Next()}, nil
+	return W13{ep: s.ep, st: st}, nil
 }
 
 // TrySendCol is the non-blocking SendCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s W12) TrySendCol(payload []complex128) (W13, error) {
-	if err := s.st.PeekAs("fft.W12"); err != nil {
+	st, err := genrt.TrySend(s.st, "fft.W12", s.ep.sendW3, LabelCol, payload)
+	if err != nil {
 		return W13{}, err
 	}
-	if err := s.ep.sendW3.TrySend(LabelCol, payload); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return W13{}, err
-	}
-	return W13{ep: s.ep, st: s.st.Advance()}, nil
+	return W13{ep: s.ep, st: st}, nil
 }
 
 // W13 is role w1's protocol state 3: w3?col(vec<complex128>) → state 4.
@@ -607,46 +471,21 @@ type W13 struct {
 
 // RecvCol receives w3?col(vec<complex128>) from w3, consuming the state and returning the next one.
 func (s W13) RecvCol() ([]complex128, W14, error) {
-	if err := s.st.UseAs("fft.W13"); err != nil {
-		return *new([]complex128), W14{}, err
-	}
-	label, v, err := s.ep.recvW3.Recv()
+	payload, st, err := genrt.Recv(s.st, "fft.W13", s.ep.recvW3, RoleW3, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
 		return *new([]complex128), W14{}, err
 	}
-	if label != LabelCol {
-		return *new([]complex128), W14{}, genrt.Unexpected(RoleW1, "W13", RoleW3, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		return *new([]complex128), W14{}, err
-	}
-	return payload, W14{ep: s.ep, st: s.st.Next()}, nil
+	return payload, W14{ep: s.ep, st: st}, nil
 }
 
 // TryRecvCol is the non-blocking RecvCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s W13) TryRecvCol() ([]complex128, W14, error) {
-	if err := s.st.PeekAs("fft.W13"); err != nil {
-		return *new([]complex128), W14{}, err
-	}
-	label, v, err := s.ep.recvW3.TryRecv()
+	payload, st, err := genrt.TryRecv(s.st, "fft.W13", s.ep.recvW3, RoleW3, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return *new([]complex128), W14{}, err
 	}
-	if label != LabelCol {
-		s.st.Advance()
-		return *new([]complex128), W14{}, genrt.Unexpected(RoleW1, "W13", RoleW3, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		s.st.Advance()
-		return *new([]complex128), W14{}, err
-	}
-	return payload, W14{ep: s.ep, st: s.st.Advance()}, nil
+	return payload, W14{ep: s.ep, st: st}, nil
 }
 
 // W14 is role w1's protocol state 4: w0!col(vec<complex128>) → state 5.
@@ -659,28 +498,21 @@ type W14 struct {
 
 // SendCol sends w0!col(vec<complex128>) to w0, consuming the state and returning the next one.
 func (s W14) SendCol(payload []complex128) (W15, error) {
-	if err := s.st.UseAs("fft.W14"); err != nil {
+	st, err := genrt.Send(s.st, "fft.W14", s.ep.sendW0, LabelCol, payload)
+	if err != nil {
 		return W15{}, err
 	}
-	if err := s.ep.sendW0.Send(LabelCol, payload); err != nil {
-		return W15{}, err
-	}
-	return W15{ep: s.ep, st: s.st.Next()}, nil
+	return W15{ep: s.ep, st: st}, nil
 }
 
 // TrySendCol is the non-blocking SendCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s W14) TrySendCol(payload []complex128) (W15, error) {
-	if err := s.st.PeekAs("fft.W14"); err != nil {
+	st, err := genrt.TrySend(s.st, "fft.W14", s.ep.sendW0, LabelCol, payload)
+	if err != nil {
 		return W15{}, err
 	}
-	if err := s.ep.sendW0.TrySend(LabelCol, payload); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return W15{}, err
-	}
-	return W15{ep: s.ep, st: s.st.Advance()}, nil
+	return W15{ep: s.ep, st: st}, nil
 }
 
 // W15 is role w1's protocol state 5: w0?col(vec<complex128>) → state 6.
@@ -693,46 +525,21 @@ type W15 struct {
 
 // RecvCol receives w0?col(vec<complex128>) from w0, consuming the state and returning the next one.
 func (s W15) RecvCol() ([]complex128, W1End, error) {
-	if err := s.st.UseAs("fft.W15"); err != nil {
-		return *new([]complex128), W1End{}, err
-	}
-	label, v, err := s.ep.recvW0.Recv()
+	payload, st, err := genrt.Recv(s.st, "fft.W15", s.ep.recvW0, RoleW0, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
 		return *new([]complex128), W1End{}, err
 	}
-	if label != LabelCol {
-		return *new([]complex128), W1End{}, genrt.Unexpected(RoleW1, "W15", RoleW0, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		return *new([]complex128), W1End{}, err
-	}
-	return payload, W1End{ep: s.ep, st: s.st.Next()}, nil
+	return payload, W1End{ep: s.ep, st: st}, nil
 }
 
 // TryRecvCol is the non-blocking RecvCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s W15) TryRecvCol() ([]complex128, W1End, error) {
-	if err := s.st.PeekAs("fft.W15"); err != nil {
-		return *new([]complex128), W1End{}, err
-	}
-	label, v, err := s.ep.recvW0.TryRecv()
+	payload, st, err := genrt.TryRecv(s.st, "fft.W15", s.ep.recvW0, RoleW0, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return *new([]complex128), W1End{}, err
 	}
-	if label != LabelCol {
-		s.st.Advance()
-		return *new([]complex128), W1End{}, genrt.Unexpected(RoleW1, "W15", RoleW0, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		s.st.Advance()
-		return *new([]complex128), W1End{}, err
-	}
-	return payload, W1End{ep: s.ep, st: s.st.Advance()}, nil
+	return payload, W1End{ep: s.ep, st: st}, nil
 }
 
 // ---- role w2 ----
@@ -810,28 +617,21 @@ type W20 struct {
 
 // SendCol sends w6!col(vec<complex128>) to w6, consuming the state and returning the next one.
 func (s W20) SendCol(payload []complex128) (W21, error) {
-	if err := s.st.UseAs("fft.W20"); err != nil {
+	st, err := genrt.Send(s.st, "fft.W20", s.ep.sendW6, LabelCol, payload)
+	if err != nil {
 		return W21{}, err
 	}
-	if err := s.ep.sendW6.Send(LabelCol, payload); err != nil {
-		return W21{}, err
-	}
-	return W21{ep: s.ep, st: s.st.Next()}, nil
+	return W21{ep: s.ep, st: st}, nil
 }
 
 // TrySendCol is the non-blocking SendCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s W20) TrySendCol(payload []complex128) (W21, error) {
-	if err := s.st.PeekAs("fft.W20"); err != nil {
+	st, err := genrt.TrySend(s.st, "fft.W20", s.ep.sendW6, LabelCol, payload)
+	if err != nil {
 		return W21{}, err
 	}
-	if err := s.ep.sendW6.TrySend(LabelCol, payload); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return W21{}, err
-	}
-	return W21{ep: s.ep, st: s.st.Advance()}, nil
+	return W21{ep: s.ep, st: st}, nil
 }
 
 // W21 is role w2's protocol state 1: w6?col(vec<complex128>) → state 2.
@@ -844,46 +644,21 @@ type W21 struct {
 
 // RecvCol receives w6?col(vec<complex128>) from w6, consuming the state and returning the next one.
 func (s W21) RecvCol() ([]complex128, W22, error) {
-	if err := s.st.UseAs("fft.W21"); err != nil {
-		return *new([]complex128), W22{}, err
-	}
-	label, v, err := s.ep.recvW6.Recv()
+	payload, st, err := genrt.Recv(s.st, "fft.W21", s.ep.recvW6, RoleW6, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
 		return *new([]complex128), W22{}, err
 	}
-	if label != LabelCol {
-		return *new([]complex128), W22{}, genrt.Unexpected(RoleW2, "W21", RoleW6, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		return *new([]complex128), W22{}, err
-	}
-	return payload, W22{ep: s.ep, st: s.st.Next()}, nil
+	return payload, W22{ep: s.ep, st: st}, nil
 }
 
 // TryRecvCol is the non-blocking RecvCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s W21) TryRecvCol() ([]complex128, W22, error) {
-	if err := s.st.PeekAs("fft.W21"); err != nil {
-		return *new([]complex128), W22{}, err
-	}
-	label, v, err := s.ep.recvW6.TryRecv()
+	payload, st, err := genrt.TryRecv(s.st, "fft.W21", s.ep.recvW6, RoleW6, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return *new([]complex128), W22{}, err
 	}
-	if label != LabelCol {
-		s.st.Advance()
-		return *new([]complex128), W22{}, genrt.Unexpected(RoleW2, "W21", RoleW6, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		s.st.Advance()
-		return *new([]complex128), W22{}, err
-	}
-	return payload, W22{ep: s.ep, st: s.st.Advance()}, nil
+	return payload, W22{ep: s.ep, st: st}, nil
 }
 
 // W22 is role w2's protocol state 2: w0!col(vec<complex128>) → state 3.
@@ -896,28 +671,21 @@ type W22 struct {
 
 // SendCol sends w0!col(vec<complex128>) to w0, consuming the state and returning the next one.
 func (s W22) SendCol(payload []complex128) (W23, error) {
-	if err := s.st.UseAs("fft.W22"); err != nil {
+	st, err := genrt.Send(s.st, "fft.W22", s.ep.sendW0, LabelCol, payload)
+	if err != nil {
 		return W23{}, err
 	}
-	if err := s.ep.sendW0.Send(LabelCol, payload); err != nil {
-		return W23{}, err
-	}
-	return W23{ep: s.ep, st: s.st.Next()}, nil
+	return W23{ep: s.ep, st: st}, nil
 }
 
 // TrySendCol is the non-blocking SendCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s W22) TrySendCol(payload []complex128) (W23, error) {
-	if err := s.st.PeekAs("fft.W22"); err != nil {
+	st, err := genrt.TrySend(s.st, "fft.W22", s.ep.sendW0, LabelCol, payload)
+	if err != nil {
 		return W23{}, err
 	}
-	if err := s.ep.sendW0.TrySend(LabelCol, payload); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return W23{}, err
-	}
-	return W23{ep: s.ep, st: s.st.Advance()}, nil
+	return W23{ep: s.ep, st: st}, nil
 }
 
 // W23 is role w2's protocol state 3: w0?col(vec<complex128>) → state 4.
@@ -930,46 +698,21 @@ type W23 struct {
 
 // RecvCol receives w0?col(vec<complex128>) from w0, consuming the state and returning the next one.
 func (s W23) RecvCol() ([]complex128, W24, error) {
-	if err := s.st.UseAs("fft.W23"); err != nil {
-		return *new([]complex128), W24{}, err
-	}
-	label, v, err := s.ep.recvW0.Recv()
+	payload, st, err := genrt.Recv(s.st, "fft.W23", s.ep.recvW0, RoleW0, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
 		return *new([]complex128), W24{}, err
 	}
-	if label != LabelCol {
-		return *new([]complex128), W24{}, genrt.Unexpected(RoleW2, "W23", RoleW0, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		return *new([]complex128), W24{}, err
-	}
-	return payload, W24{ep: s.ep, st: s.st.Next()}, nil
+	return payload, W24{ep: s.ep, st: st}, nil
 }
 
 // TryRecvCol is the non-blocking RecvCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s W23) TryRecvCol() ([]complex128, W24, error) {
-	if err := s.st.PeekAs("fft.W23"); err != nil {
-		return *new([]complex128), W24{}, err
-	}
-	label, v, err := s.ep.recvW0.TryRecv()
+	payload, st, err := genrt.TryRecv(s.st, "fft.W23", s.ep.recvW0, RoleW0, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return *new([]complex128), W24{}, err
 	}
-	if label != LabelCol {
-		s.st.Advance()
-		return *new([]complex128), W24{}, genrt.Unexpected(RoleW2, "W23", RoleW0, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		s.st.Advance()
-		return *new([]complex128), W24{}, err
-	}
-	return payload, W24{ep: s.ep, st: s.st.Advance()}, nil
+	return payload, W24{ep: s.ep, st: st}, nil
 }
 
 // W24 is role w2's protocol state 4: w3!col(vec<complex128>) → state 5.
@@ -982,28 +725,21 @@ type W24 struct {
 
 // SendCol sends w3!col(vec<complex128>) to w3, consuming the state and returning the next one.
 func (s W24) SendCol(payload []complex128) (W25, error) {
-	if err := s.st.UseAs("fft.W24"); err != nil {
+	st, err := genrt.Send(s.st, "fft.W24", s.ep.sendW3, LabelCol, payload)
+	if err != nil {
 		return W25{}, err
 	}
-	if err := s.ep.sendW3.Send(LabelCol, payload); err != nil {
-		return W25{}, err
-	}
-	return W25{ep: s.ep, st: s.st.Next()}, nil
+	return W25{ep: s.ep, st: st}, nil
 }
 
 // TrySendCol is the non-blocking SendCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s W24) TrySendCol(payload []complex128) (W25, error) {
-	if err := s.st.PeekAs("fft.W24"); err != nil {
+	st, err := genrt.TrySend(s.st, "fft.W24", s.ep.sendW3, LabelCol, payload)
+	if err != nil {
 		return W25{}, err
 	}
-	if err := s.ep.sendW3.TrySend(LabelCol, payload); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return W25{}, err
-	}
-	return W25{ep: s.ep, st: s.st.Advance()}, nil
+	return W25{ep: s.ep, st: st}, nil
 }
 
 // W25 is role w2's protocol state 5: w3?col(vec<complex128>) → state 6.
@@ -1016,46 +752,21 @@ type W25 struct {
 
 // RecvCol receives w3?col(vec<complex128>) from w3, consuming the state and returning the next one.
 func (s W25) RecvCol() ([]complex128, W2End, error) {
-	if err := s.st.UseAs("fft.W25"); err != nil {
-		return *new([]complex128), W2End{}, err
-	}
-	label, v, err := s.ep.recvW3.Recv()
+	payload, st, err := genrt.Recv(s.st, "fft.W25", s.ep.recvW3, RoleW3, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
 		return *new([]complex128), W2End{}, err
 	}
-	if label != LabelCol {
-		return *new([]complex128), W2End{}, genrt.Unexpected(RoleW2, "W25", RoleW3, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		return *new([]complex128), W2End{}, err
-	}
-	return payload, W2End{ep: s.ep, st: s.st.Next()}, nil
+	return payload, W2End{ep: s.ep, st: st}, nil
 }
 
 // TryRecvCol is the non-blocking RecvCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s W25) TryRecvCol() ([]complex128, W2End, error) {
-	if err := s.st.PeekAs("fft.W25"); err != nil {
-		return *new([]complex128), W2End{}, err
-	}
-	label, v, err := s.ep.recvW3.TryRecv()
+	payload, st, err := genrt.TryRecv(s.st, "fft.W25", s.ep.recvW3, RoleW3, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return *new([]complex128), W2End{}, err
 	}
-	if label != LabelCol {
-		s.st.Advance()
-		return *new([]complex128), W2End{}, genrt.Unexpected(RoleW2, "W25", RoleW3, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		s.st.Advance()
-		return *new([]complex128), W2End{}, err
-	}
-	return payload, W2End{ep: s.ep, st: s.st.Advance()}, nil
+	return payload, W2End{ep: s.ep, st: st}, nil
 }
 
 // ---- role w3 ----
@@ -1133,28 +844,21 @@ type W30 struct {
 
 // SendCol sends w7!col(vec<complex128>) to w7, consuming the state and returning the next one.
 func (s W30) SendCol(payload []complex128) (W31, error) {
-	if err := s.st.UseAs("fft.W30"); err != nil {
+	st, err := genrt.Send(s.st, "fft.W30", s.ep.sendW7, LabelCol, payload)
+	if err != nil {
 		return W31{}, err
 	}
-	if err := s.ep.sendW7.Send(LabelCol, payload); err != nil {
-		return W31{}, err
-	}
-	return W31{ep: s.ep, st: s.st.Next()}, nil
+	return W31{ep: s.ep, st: st}, nil
 }
 
 // TrySendCol is the non-blocking SendCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s W30) TrySendCol(payload []complex128) (W31, error) {
-	if err := s.st.PeekAs("fft.W30"); err != nil {
+	st, err := genrt.TrySend(s.st, "fft.W30", s.ep.sendW7, LabelCol, payload)
+	if err != nil {
 		return W31{}, err
 	}
-	if err := s.ep.sendW7.TrySend(LabelCol, payload); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return W31{}, err
-	}
-	return W31{ep: s.ep, st: s.st.Advance()}, nil
+	return W31{ep: s.ep, st: st}, nil
 }
 
 // W31 is role w3's protocol state 1: w7?col(vec<complex128>) → state 2.
@@ -1167,46 +871,21 @@ type W31 struct {
 
 // RecvCol receives w7?col(vec<complex128>) from w7, consuming the state and returning the next one.
 func (s W31) RecvCol() ([]complex128, W32, error) {
-	if err := s.st.UseAs("fft.W31"); err != nil {
-		return *new([]complex128), W32{}, err
-	}
-	label, v, err := s.ep.recvW7.Recv()
+	payload, st, err := genrt.Recv(s.st, "fft.W31", s.ep.recvW7, RoleW7, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
 		return *new([]complex128), W32{}, err
 	}
-	if label != LabelCol {
-		return *new([]complex128), W32{}, genrt.Unexpected(RoleW3, "W31", RoleW7, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		return *new([]complex128), W32{}, err
-	}
-	return payload, W32{ep: s.ep, st: s.st.Next()}, nil
+	return payload, W32{ep: s.ep, st: st}, nil
 }
 
 // TryRecvCol is the non-blocking RecvCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s W31) TryRecvCol() ([]complex128, W32, error) {
-	if err := s.st.PeekAs("fft.W31"); err != nil {
-		return *new([]complex128), W32{}, err
-	}
-	label, v, err := s.ep.recvW7.TryRecv()
+	payload, st, err := genrt.TryRecv(s.st, "fft.W31", s.ep.recvW7, RoleW7, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return *new([]complex128), W32{}, err
 	}
-	if label != LabelCol {
-		s.st.Advance()
-		return *new([]complex128), W32{}, genrt.Unexpected(RoleW3, "W31", RoleW7, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		s.st.Advance()
-		return *new([]complex128), W32{}, err
-	}
-	return payload, W32{ep: s.ep, st: s.st.Advance()}, nil
+	return payload, W32{ep: s.ep, st: st}, nil
 }
 
 // W32 is role w3's protocol state 2: w1!col(vec<complex128>) → state 3.
@@ -1219,28 +898,21 @@ type W32 struct {
 
 // SendCol sends w1!col(vec<complex128>) to w1, consuming the state and returning the next one.
 func (s W32) SendCol(payload []complex128) (W33, error) {
-	if err := s.st.UseAs("fft.W32"); err != nil {
+	st, err := genrt.Send(s.st, "fft.W32", s.ep.sendW1, LabelCol, payload)
+	if err != nil {
 		return W33{}, err
 	}
-	if err := s.ep.sendW1.Send(LabelCol, payload); err != nil {
-		return W33{}, err
-	}
-	return W33{ep: s.ep, st: s.st.Next()}, nil
+	return W33{ep: s.ep, st: st}, nil
 }
 
 // TrySendCol is the non-blocking SendCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s W32) TrySendCol(payload []complex128) (W33, error) {
-	if err := s.st.PeekAs("fft.W32"); err != nil {
+	st, err := genrt.TrySend(s.st, "fft.W32", s.ep.sendW1, LabelCol, payload)
+	if err != nil {
 		return W33{}, err
 	}
-	if err := s.ep.sendW1.TrySend(LabelCol, payload); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return W33{}, err
-	}
-	return W33{ep: s.ep, st: s.st.Advance()}, nil
+	return W33{ep: s.ep, st: st}, nil
 }
 
 // W33 is role w3's protocol state 3: w1?col(vec<complex128>) → state 4.
@@ -1253,46 +925,21 @@ type W33 struct {
 
 // RecvCol receives w1?col(vec<complex128>) from w1, consuming the state and returning the next one.
 func (s W33) RecvCol() ([]complex128, W34, error) {
-	if err := s.st.UseAs("fft.W33"); err != nil {
-		return *new([]complex128), W34{}, err
-	}
-	label, v, err := s.ep.recvW1.Recv()
+	payload, st, err := genrt.Recv(s.st, "fft.W33", s.ep.recvW1, RoleW1, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
 		return *new([]complex128), W34{}, err
 	}
-	if label != LabelCol {
-		return *new([]complex128), W34{}, genrt.Unexpected(RoleW3, "W33", RoleW1, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		return *new([]complex128), W34{}, err
-	}
-	return payload, W34{ep: s.ep, st: s.st.Next()}, nil
+	return payload, W34{ep: s.ep, st: st}, nil
 }
 
 // TryRecvCol is the non-blocking RecvCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s W33) TryRecvCol() ([]complex128, W34, error) {
-	if err := s.st.PeekAs("fft.W33"); err != nil {
-		return *new([]complex128), W34{}, err
-	}
-	label, v, err := s.ep.recvW1.TryRecv()
+	payload, st, err := genrt.TryRecv(s.st, "fft.W33", s.ep.recvW1, RoleW1, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return *new([]complex128), W34{}, err
 	}
-	if label != LabelCol {
-		s.st.Advance()
-		return *new([]complex128), W34{}, genrt.Unexpected(RoleW3, "W33", RoleW1, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		s.st.Advance()
-		return *new([]complex128), W34{}, err
-	}
-	return payload, W34{ep: s.ep, st: s.st.Advance()}, nil
+	return payload, W34{ep: s.ep, st: st}, nil
 }
 
 // W34 is role w3's protocol state 4: w2!col(vec<complex128>) → state 5.
@@ -1305,28 +952,21 @@ type W34 struct {
 
 // SendCol sends w2!col(vec<complex128>) to w2, consuming the state and returning the next one.
 func (s W34) SendCol(payload []complex128) (W35, error) {
-	if err := s.st.UseAs("fft.W34"); err != nil {
+	st, err := genrt.Send(s.st, "fft.W34", s.ep.sendW2, LabelCol, payload)
+	if err != nil {
 		return W35{}, err
 	}
-	if err := s.ep.sendW2.Send(LabelCol, payload); err != nil {
-		return W35{}, err
-	}
-	return W35{ep: s.ep, st: s.st.Next()}, nil
+	return W35{ep: s.ep, st: st}, nil
 }
 
 // TrySendCol is the non-blocking SendCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s W34) TrySendCol(payload []complex128) (W35, error) {
-	if err := s.st.PeekAs("fft.W34"); err != nil {
+	st, err := genrt.TrySend(s.st, "fft.W34", s.ep.sendW2, LabelCol, payload)
+	if err != nil {
 		return W35{}, err
 	}
-	if err := s.ep.sendW2.TrySend(LabelCol, payload); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return W35{}, err
-	}
-	return W35{ep: s.ep, st: s.st.Advance()}, nil
+	return W35{ep: s.ep, st: st}, nil
 }
 
 // W35 is role w3's protocol state 5: w2?col(vec<complex128>) → state 6.
@@ -1339,46 +979,21 @@ type W35 struct {
 
 // RecvCol receives w2?col(vec<complex128>) from w2, consuming the state and returning the next one.
 func (s W35) RecvCol() ([]complex128, W3End, error) {
-	if err := s.st.UseAs("fft.W35"); err != nil {
-		return *new([]complex128), W3End{}, err
-	}
-	label, v, err := s.ep.recvW2.Recv()
+	payload, st, err := genrt.Recv(s.st, "fft.W35", s.ep.recvW2, RoleW2, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
 		return *new([]complex128), W3End{}, err
 	}
-	if label != LabelCol {
-		return *new([]complex128), W3End{}, genrt.Unexpected(RoleW3, "W35", RoleW2, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		return *new([]complex128), W3End{}, err
-	}
-	return payload, W3End{ep: s.ep, st: s.st.Next()}, nil
+	return payload, W3End{ep: s.ep, st: st}, nil
 }
 
 // TryRecvCol is the non-blocking RecvCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s W35) TryRecvCol() ([]complex128, W3End, error) {
-	if err := s.st.PeekAs("fft.W35"); err != nil {
-		return *new([]complex128), W3End{}, err
-	}
-	label, v, err := s.ep.recvW2.TryRecv()
+	payload, st, err := genrt.TryRecv(s.st, "fft.W35", s.ep.recvW2, RoleW2, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return *new([]complex128), W3End{}, err
 	}
-	if label != LabelCol {
-		s.st.Advance()
-		return *new([]complex128), W3End{}, genrt.Unexpected(RoleW3, "W35", RoleW2, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		s.st.Advance()
-		return *new([]complex128), W3End{}, err
-	}
-	return payload, W3End{ep: s.ep, st: s.st.Advance()}, nil
+	return payload, W3End{ep: s.ep, st: st}, nil
 }
 
 // ---- role w4 ----
@@ -1456,28 +1071,21 @@ type W40 struct {
 
 // SendCol sends w0!col(vec<complex128>) to w0, consuming the state and returning the next one.
 func (s W40) SendCol(payload []complex128) (W41, error) {
-	if err := s.st.UseAs("fft.W40"); err != nil {
+	st, err := genrt.Send(s.st, "fft.W40", s.ep.sendW0, LabelCol, payload)
+	if err != nil {
 		return W41{}, err
 	}
-	if err := s.ep.sendW0.Send(LabelCol, payload); err != nil {
-		return W41{}, err
-	}
-	return W41{ep: s.ep, st: s.st.Next()}, nil
+	return W41{ep: s.ep, st: st}, nil
 }
 
 // TrySendCol is the non-blocking SendCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s W40) TrySendCol(payload []complex128) (W41, error) {
-	if err := s.st.PeekAs("fft.W40"); err != nil {
+	st, err := genrt.TrySend(s.st, "fft.W40", s.ep.sendW0, LabelCol, payload)
+	if err != nil {
 		return W41{}, err
 	}
-	if err := s.ep.sendW0.TrySend(LabelCol, payload); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return W41{}, err
-	}
-	return W41{ep: s.ep, st: s.st.Advance()}, nil
+	return W41{ep: s.ep, st: st}, nil
 }
 
 // W41 is role w4's protocol state 1: w0?col(vec<complex128>) → state 2.
@@ -1490,46 +1098,21 @@ type W41 struct {
 
 // RecvCol receives w0?col(vec<complex128>) from w0, consuming the state and returning the next one.
 func (s W41) RecvCol() ([]complex128, W42, error) {
-	if err := s.st.UseAs("fft.W41"); err != nil {
-		return *new([]complex128), W42{}, err
-	}
-	label, v, err := s.ep.recvW0.Recv()
+	payload, st, err := genrt.Recv(s.st, "fft.W41", s.ep.recvW0, RoleW0, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
 		return *new([]complex128), W42{}, err
 	}
-	if label != LabelCol {
-		return *new([]complex128), W42{}, genrt.Unexpected(RoleW4, "W41", RoleW0, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		return *new([]complex128), W42{}, err
-	}
-	return payload, W42{ep: s.ep, st: s.st.Next()}, nil
+	return payload, W42{ep: s.ep, st: st}, nil
 }
 
 // TryRecvCol is the non-blocking RecvCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s W41) TryRecvCol() ([]complex128, W42, error) {
-	if err := s.st.PeekAs("fft.W41"); err != nil {
-		return *new([]complex128), W42{}, err
-	}
-	label, v, err := s.ep.recvW0.TryRecv()
+	payload, st, err := genrt.TryRecv(s.st, "fft.W41", s.ep.recvW0, RoleW0, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return *new([]complex128), W42{}, err
 	}
-	if label != LabelCol {
-		s.st.Advance()
-		return *new([]complex128), W42{}, genrt.Unexpected(RoleW4, "W41", RoleW0, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		s.st.Advance()
-		return *new([]complex128), W42{}, err
-	}
-	return payload, W42{ep: s.ep, st: s.st.Advance()}, nil
+	return payload, W42{ep: s.ep, st: st}, nil
 }
 
 // W42 is role w4's protocol state 2: w6!col(vec<complex128>) → state 3.
@@ -1542,28 +1125,21 @@ type W42 struct {
 
 // SendCol sends w6!col(vec<complex128>) to w6, consuming the state and returning the next one.
 func (s W42) SendCol(payload []complex128) (W43, error) {
-	if err := s.st.UseAs("fft.W42"); err != nil {
+	st, err := genrt.Send(s.st, "fft.W42", s.ep.sendW6, LabelCol, payload)
+	if err != nil {
 		return W43{}, err
 	}
-	if err := s.ep.sendW6.Send(LabelCol, payload); err != nil {
-		return W43{}, err
-	}
-	return W43{ep: s.ep, st: s.st.Next()}, nil
+	return W43{ep: s.ep, st: st}, nil
 }
 
 // TrySendCol is the non-blocking SendCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s W42) TrySendCol(payload []complex128) (W43, error) {
-	if err := s.st.PeekAs("fft.W42"); err != nil {
+	st, err := genrt.TrySend(s.st, "fft.W42", s.ep.sendW6, LabelCol, payload)
+	if err != nil {
 		return W43{}, err
 	}
-	if err := s.ep.sendW6.TrySend(LabelCol, payload); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return W43{}, err
-	}
-	return W43{ep: s.ep, st: s.st.Advance()}, nil
+	return W43{ep: s.ep, st: st}, nil
 }
 
 // W43 is role w4's protocol state 3: w6?col(vec<complex128>) → state 4.
@@ -1576,46 +1152,21 @@ type W43 struct {
 
 // RecvCol receives w6?col(vec<complex128>) from w6, consuming the state and returning the next one.
 func (s W43) RecvCol() ([]complex128, W44, error) {
-	if err := s.st.UseAs("fft.W43"); err != nil {
-		return *new([]complex128), W44{}, err
-	}
-	label, v, err := s.ep.recvW6.Recv()
+	payload, st, err := genrt.Recv(s.st, "fft.W43", s.ep.recvW6, RoleW6, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
 		return *new([]complex128), W44{}, err
 	}
-	if label != LabelCol {
-		return *new([]complex128), W44{}, genrt.Unexpected(RoleW4, "W43", RoleW6, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		return *new([]complex128), W44{}, err
-	}
-	return payload, W44{ep: s.ep, st: s.st.Next()}, nil
+	return payload, W44{ep: s.ep, st: st}, nil
 }
 
 // TryRecvCol is the non-blocking RecvCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s W43) TryRecvCol() ([]complex128, W44, error) {
-	if err := s.st.PeekAs("fft.W43"); err != nil {
-		return *new([]complex128), W44{}, err
-	}
-	label, v, err := s.ep.recvW6.TryRecv()
+	payload, st, err := genrt.TryRecv(s.st, "fft.W43", s.ep.recvW6, RoleW6, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return *new([]complex128), W44{}, err
 	}
-	if label != LabelCol {
-		s.st.Advance()
-		return *new([]complex128), W44{}, genrt.Unexpected(RoleW4, "W43", RoleW6, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		s.st.Advance()
-		return *new([]complex128), W44{}, err
-	}
-	return payload, W44{ep: s.ep, st: s.st.Advance()}, nil
+	return payload, W44{ep: s.ep, st: st}, nil
 }
 
 // W44 is role w4's protocol state 4: w5!col(vec<complex128>) → state 5.
@@ -1628,28 +1179,21 @@ type W44 struct {
 
 // SendCol sends w5!col(vec<complex128>) to w5, consuming the state and returning the next one.
 func (s W44) SendCol(payload []complex128) (W45, error) {
-	if err := s.st.UseAs("fft.W44"); err != nil {
+	st, err := genrt.Send(s.st, "fft.W44", s.ep.sendW5, LabelCol, payload)
+	if err != nil {
 		return W45{}, err
 	}
-	if err := s.ep.sendW5.Send(LabelCol, payload); err != nil {
-		return W45{}, err
-	}
-	return W45{ep: s.ep, st: s.st.Next()}, nil
+	return W45{ep: s.ep, st: st}, nil
 }
 
 // TrySendCol is the non-blocking SendCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s W44) TrySendCol(payload []complex128) (W45, error) {
-	if err := s.st.PeekAs("fft.W44"); err != nil {
+	st, err := genrt.TrySend(s.st, "fft.W44", s.ep.sendW5, LabelCol, payload)
+	if err != nil {
 		return W45{}, err
 	}
-	if err := s.ep.sendW5.TrySend(LabelCol, payload); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return W45{}, err
-	}
-	return W45{ep: s.ep, st: s.st.Advance()}, nil
+	return W45{ep: s.ep, st: st}, nil
 }
 
 // W45 is role w4's protocol state 5: w5?col(vec<complex128>) → state 6.
@@ -1662,46 +1206,21 @@ type W45 struct {
 
 // RecvCol receives w5?col(vec<complex128>) from w5, consuming the state and returning the next one.
 func (s W45) RecvCol() ([]complex128, W4End, error) {
-	if err := s.st.UseAs("fft.W45"); err != nil {
-		return *new([]complex128), W4End{}, err
-	}
-	label, v, err := s.ep.recvW5.Recv()
+	payload, st, err := genrt.Recv(s.st, "fft.W45", s.ep.recvW5, RoleW5, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
 		return *new([]complex128), W4End{}, err
 	}
-	if label != LabelCol {
-		return *new([]complex128), W4End{}, genrt.Unexpected(RoleW4, "W45", RoleW5, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		return *new([]complex128), W4End{}, err
-	}
-	return payload, W4End{ep: s.ep, st: s.st.Next()}, nil
+	return payload, W4End{ep: s.ep, st: st}, nil
 }
 
 // TryRecvCol is the non-blocking RecvCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s W45) TryRecvCol() ([]complex128, W4End, error) {
-	if err := s.st.PeekAs("fft.W45"); err != nil {
-		return *new([]complex128), W4End{}, err
-	}
-	label, v, err := s.ep.recvW5.TryRecv()
+	payload, st, err := genrt.TryRecv(s.st, "fft.W45", s.ep.recvW5, RoleW5, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return *new([]complex128), W4End{}, err
 	}
-	if label != LabelCol {
-		s.st.Advance()
-		return *new([]complex128), W4End{}, genrt.Unexpected(RoleW4, "W45", RoleW5, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		s.st.Advance()
-		return *new([]complex128), W4End{}, err
-	}
-	return payload, W4End{ep: s.ep, st: s.st.Advance()}, nil
+	return payload, W4End{ep: s.ep, st: st}, nil
 }
 
 // ---- role w5 ----
@@ -1779,28 +1298,21 @@ type W50 struct {
 
 // SendCol sends w1!col(vec<complex128>) to w1, consuming the state and returning the next one.
 func (s W50) SendCol(payload []complex128) (W51, error) {
-	if err := s.st.UseAs("fft.W50"); err != nil {
+	st, err := genrt.Send(s.st, "fft.W50", s.ep.sendW1, LabelCol, payload)
+	if err != nil {
 		return W51{}, err
 	}
-	if err := s.ep.sendW1.Send(LabelCol, payload); err != nil {
-		return W51{}, err
-	}
-	return W51{ep: s.ep, st: s.st.Next()}, nil
+	return W51{ep: s.ep, st: st}, nil
 }
 
 // TrySendCol is the non-blocking SendCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s W50) TrySendCol(payload []complex128) (W51, error) {
-	if err := s.st.PeekAs("fft.W50"); err != nil {
+	st, err := genrt.TrySend(s.st, "fft.W50", s.ep.sendW1, LabelCol, payload)
+	if err != nil {
 		return W51{}, err
 	}
-	if err := s.ep.sendW1.TrySend(LabelCol, payload); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return W51{}, err
-	}
-	return W51{ep: s.ep, st: s.st.Advance()}, nil
+	return W51{ep: s.ep, st: st}, nil
 }
 
 // W51 is role w5's protocol state 1: w1?col(vec<complex128>) → state 2.
@@ -1813,46 +1325,21 @@ type W51 struct {
 
 // RecvCol receives w1?col(vec<complex128>) from w1, consuming the state and returning the next one.
 func (s W51) RecvCol() ([]complex128, W52, error) {
-	if err := s.st.UseAs("fft.W51"); err != nil {
-		return *new([]complex128), W52{}, err
-	}
-	label, v, err := s.ep.recvW1.Recv()
+	payload, st, err := genrt.Recv(s.st, "fft.W51", s.ep.recvW1, RoleW1, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
 		return *new([]complex128), W52{}, err
 	}
-	if label != LabelCol {
-		return *new([]complex128), W52{}, genrt.Unexpected(RoleW5, "W51", RoleW1, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		return *new([]complex128), W52{}, err
-	}
-	return payload, W52{ep: s.ep, st: s.st.Next()}, nil
+	return payload, W52{ep: s.ep, st: st}, nil
 }
 
 // TryRecvCol is the non-blocking RecvCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s W51) TryRecvCol() ([]complex128, W52, error) {
-	if err := s.st.PeekAs("fft.W51"); err != nil {
-		return *new([]complex128), W52{}, err
-	}
-	label, v, err := s.ep.recvW1.TryRecv()
+	payload, st, err := genrt.TryRecv(s.st, "fft.W51", s.ep.recvW1, RoleW1, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return *new([]complex128), W52{}, err
 	}
-	if label != LabelCol {
-		s.st.Advance()
-		return *new([]complex128), W52{}, genrt.Unexpected(RoleW5, "W51", RoleW1, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		s.st.Advance()
-		return *new([]complex128), W52{}, err
-	}
-	return payload, W52{ep: s.ep, st: s.st.Advance()}, nil
+	return payload, W52{ep: s.ep, st: st}, nil
 }
 
 // W52 is role w5's protocol state 2: w7!col(vec<complex128>) → state 3.
@@ -1865,28 +1352,21 @@ type W52 struct {
 
 // SendCol sends w7!col(vec<complex128>) to w7, consuming the state and returning the next one.
 func (s W52) SendCol(payload []complex128) (W53, error) {
-	if err := s.st.UseAs("fft.W52"); err != nil {
+	st, err := genrt.Send(s.st, "fft.W52", s.ep.sendW7, LabelCol, payload)
+	if err != nil {
 		return W53{}, err
 	}
-	if err := s.ep.sendW7.Send(LabelCol, payload); err != nil {
-		return W53{}, err
-	}
-	return W53{ep: s.ep, st: s.st.Next()}, nil
+	return W53{ep: s.ep, st: st}, nil
 }
 
 // TrySendCol is the non-blocking SendCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s W52) TrySendCol(payload []complex128) (W53, error) {
-	if err := s.st.PeekAs("fft.W52"); err != nil {
+	st, err := genrt.TrySend(s.st, "fft.W52", s.ep.sendW7, LabelCol, payload)
+	if err != nil {
 		return W53{}, err
 	}
-	if err := s.ep.sendW7.TrySend(LabelCol, payload); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return W53{}, err
-	}
-	return W53{ep: s.ep, st: s.st.Advance()}, nil
+	return W53{ep: s.ep, st: st}, nil
 }
 
 // W53 is role w5's protocol state 3: w7?col(vec<complex128>) → state 4.
@@ -1899,46 +1379,21 @@ type W53 struct {
 
 // RecvCol receives w7?col(vec<complex128>) from w7, consuming the state and returning the next one.
 func (s W53) RecvCol() ([]complex128, W54, error) {
-	if err := s.st.UseAs("fft.W53"); err != nil {
-		return *new([]complex128), W54{}, err
-	}
-	label, v, err := s.ep.recvW7.Recv()
+	payload, st, err := genrt.Recv(s.st, "fft.W53", s.ep.recvW7, RoleW7, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
 		return *new([]complex128), W54{}, err
 	}
-	if label != LabelCol {
-		return *new([]complex128), W54{}, genrt.Unexpected(RoleW5, "W53", RoleW7, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		return *new([]complex128), W54{}, err
-	}
-	return payload, W54{ep: s.ep, st: s.st.Next()}, nil
+	return payload, W54{ep: s.ep, st: st}, nil
 }
 
 // TryRecvCol is the non-blocking RecvCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s W53) TryRecvCol() ([]complex128, W54, error) {
-	if err := s.st.PeekAs("fft.W53"); err != nil {
-		return *new([]complex128), W54{}, err
-	}
-	label, v, err := s.ep.recvW7.TryRecv()
+	payload, st, err := genrt.TryRecv(s.st, "fft.W53", s.ep.recvW7, RoleW7, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return *new([]complex128), W54{}, err
 	}
-	if label != LabelCol {
-		s.st.Advance()
-		return *new([]complex128), W54{}, genrt.Unexpected(RoleW5, "W53", RoleW7, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		s.st.Advance()
-		return *new([]complex128), W54{}, err
-	}
-	return payload, W54{ep: s.ep, st: s.st.Advance()}, nil
+	return payload, W54{ep: s.ep, st: st}, nil
 }
 
 // W54 is role w5's protocol state 4: w4!col(vec<complex128>) → state 5.
@@ -1951,28 +1406,21 @@ type W54 struct {
 
 // SendCol sends w4!col(vec<complex128>) to w4, consuming the state and returning the next one.
 func (s W54) SendCol(payload []complex128) (W55, error) {
-	if err := s.st.UseAs("fft.W54"); err != nil {
+	st, err := genrt.Send(s.st, "fft.W54", s.ep.sendW4, LabelCol, payload)
+	if err != nil {
 		return W55{}, err
 	}
-	if err := s.ep.sendW4.Send(LabelCol, payload); err != nil {
-		return W55{}, err
-	}
-	return W55{ep: s.ep, st: s.st.Next()}, nil
+	return W55{ep: s.ep, st: st}, nil
 }
 
 // TrySendCol is the non-blocking SendCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s W54) TrySendCol(payload []complex128) (W55, error) {
-	if err := s.st.PeekAs("fft.W54"); err != nil {
+	st, err := genrt.TrySend(s.st, "fft.W54", s.ep.sendW4, LabelCol, payload)
+	if err != nil {
 		return W55{}, err
 	}
-	if err := s.ep.sendW4.TrySend(LabelCol, payload); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return W55{}, err
-	}
-	return W55{ep: s.ep, st: s.st.Advance()}, nil
+	return W55{ep: s.ep, st: st}, nil
 }
 
 // W55 is role w5's protocol state 5: w4?col(vec<complex128>) → state 6.
@@ -1985,46 +1433,21 @@ type W55 struct {
 
 // RecvCol receives w4?col(vec<complex128>) from w4, consuming the state and returning the next one.
 func (s W55) RecvCol() ([]complex128, W5End, error) {
-	if err := s.st.UseAs("fft.W55"); err != nil {
-		return *new([]complex128), W5End{}, err
-	}
-	label, v, err := s.ep.recvW4.Recv()
+	payload, st, err := genrt.Recv(s.st, "fft.W55", s.ep.recvW4, RoleW4, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
 		return *new([]complex128), W5End{}, err
 	}
-	if label != LabelCol {
-		return *new([]complex128), W5End{}, genrt.Unexpected(RoleW5, "W55", RoleW4, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		return *new([]complex128), W5End{}, err
-	}
-	return payload, W5End{ep: s.ep, st: s.st.Next()}, nil
+	return payload, W5End{ep: s.ep, st: st}, nil
 }
 
 // TryRecvCol is the non-blocking RecvCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s W55) TryRecvCol() ([]complex128, W5End, error) {
-	if err := s.st.PeekAs("fft.W55"); err != nil {
-		return *new([]complex128), W5End{}, err
-	}
-	label, v, err := s.ep.recvW4.TryRecv()
+	payload, st, err := genrt.TryRecv(s.st, "fft.W55", s.ep.recvW4, RoleW4, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return *new([]complex128), W5End{}, err
 	}
-	if label != LabelCol {
-		s.st.Advance()
-		return *new([]complex128), W5End{}, genrt.Unexpected(RoleW5, "W55", RoleW4, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		s.st.Advance()
-		return *new([]complex128), W5End{}, err
-	}
-	return payload, W5End{ep: s.ep, st: s.st.Advance()}, nil
+	return payload, W5End{ep: s.ep, st: st}, nil
 }
 
 // ---- role w6 ----
@@ -2102,28 +1525,21 @@ type W60 struct {
 
 // SendCol sends w2!col(vec<complex128>) to w2, consuming the state and returning the next one.
 func (s W60) SendCol(payload []complex128) (W61, error) {
-	if err := s.st.UseAs("fft.W60"); err != nil {
+	st, err := genrt.Send(s.st, "fft.W60", s.ep.sendW2, LabelCol, payload)
+	if err != nil {
 		return W61{}, err
 	}
-	if err := s.ep.sendW2.Send(LabelCol, payload); err != nil {
-		return W61{}, err
-	}
-	return W61{ep: s.ep, st: s.st.Next()}, nil
+	return W61{ep: s.ep, st: st}, nil
 }
 
 // TrySendCol is the non-blocking SendCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s W60) TrySendCol(payload []complex128) (W61, error) {
-	if err := s.st.PeekAs("fft.W60"); err != nil {
+	st, err := genrt.TrySend(s.st, "fft.W60", s.ep.sendW2, LabelCol, payload)
+	if err != nil {
 		return W61{}, err
 	}
-	if err := s.ep.sendW2.TrySend(LabelCol, payload); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return W61{}, err
-	}
-	return W61{ep: s.ep, st: s.st.Advance()}, nil
+	return W61{ep: s.ep, st: st}, nil
 }
 
 // W61 is role w6's protocol state 1: w2?col(vec<complex128>) → state 2.
@@ -2136,46 +1552,21 @@ type W61 struct {
 
 // RecvCol receives w2?col(vec<complex128>) from w2, consuming the state and returning the next one.
 func (s W61) RecvCol() ([]complex128, W62, error) {
-	if err := s.st.UseAs("fft.W61"); err != nil {
-		return *new([]complex128), W62{}, err
-	}
-	label, v, err := s.ep.recvW2.Recv()
+	payload, st, err := genrt.Recv(s.st, "fft.W61", s.ep.recvW2, RoleW2, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
 		return *new([]complex128), W62{}, err
 	}
-	if label != LabelCol {
-		return *new([]complex128), W62{}, genrt.Unexpected(RoleW6, "W61", RoleW2, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		return *new([]complex128), W62{}, err
-	}
-	return payload, W62{ep: s.ep, st: s.st.Next()}, nil
+	return payload, W62{ep: s.ep, st: st}, nil
 }
 
 // TryRecvCol is the non-blocking RecvCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s W61) TryRecvCol() ([]complex128, W62, error) {
-	if err := s.st.PeekAs("fft.W61"); err != nil {
-		return *new([]complex128), W62{}, err
-	}
-	label, v, err := s.ep.recvW2.TryRecv()
+	payload, st, err := genrt.TryRecv(s.st, "fft.W61", s.ep.recvW2, RoleW2, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return *new([]complex128), W62{}, err
 	}
-	if label != LabelCol {
-		s.st.Advance()
-		return *new([]complex128), W62{}, genrt.Unexpected(RoleW6, "W61", RoleW2, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		s.st.Advance()
-		return *new([]complex128), W62{}, err
-	}
-	return payload, W62{ep: s.ep, st: s.st.Advance()}, nil
+	return payload, W62{ep: s.ep, st: st}, nil
 }
 
 // W62 is role w6's protocol state 2: w4!col(vec<complex128>) → state 3.
@@ -2188,28 +1579,21 @@ type W62 struct {
 
 // SendCol sends w4!col(vec<complex128>) to w4, consuming the state and returning the next one.
 func (s W62) SendCol(payload []complex128) (W63, error) {
-	if err := s.st.UseAs("fft.W62"); err != nil {
+	st, err := genrt.Send(s.st, "fft.W62", s.ep.sendW4, LabelCol, payload)
+	if err != nil {
 		return W63{}, err
 	}
-	if err := s.ep.sendW4.Send(LabelCol, payload); err != nil {
-		return W63{}, err
-	}
-	return W63{ep: s.ep, st: s.st.Next()}, nil
+	return W63{ep: s.ep, st: st}, nil
 }
 
 // TrySendCol is the non-blocking SendCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s W62) TrySendCol(payload []complex128) (W63, error) {
-	if err := s.st.PeekAs("fft.W62"); err != nil {
+	st, err := genrt.TrySend(s.st, "fft.W62", s.ep.sendW4, LabelCol, payload)
+	if err != nil {
 		return W63{}, err
 	}
-	if err := s.ep.sendW4.TrySend(LabelCol, payload); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return W63{}, err
-	}
-	return W63{ep: s.ep, st: s.st.Advance()}, nil
+	return W63{ep: s.ep, st: st}, nil
 }
 
 // W63 is role w6's protocol state 3: w4?col(vec<complex128>) → state 4.
@@ -2222,46 +1606,21 @@ type W63 struct {
 
 // RecvCol receives w4?col(vec<complex128>) from w4, consuming the state and returning the next one.
 func (s W63) RecvCol() ([]complex128, W64, error) {
-	if err := s.st.UseAs("fft.W63"); err != nil {
-		return *new([]complex128), W64{}, err
-	}
-	label, v, err := s.ep.recvW4.Recv()
+	payload, st, err := genrt.Recv(s.st, "fft.W63", s.ep.recvW4, RoleW4, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
 		return *new([]complex128), W64{}, err
 	}
-	if label != LabelCol {
-		return *new([]complex128), W64{}, genrt.Unexpected(RoleW6, "W63", RoleW4, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		return *new([]complex128), W64{}, err
-	}
-	return payload, W64{ep: s.ep, st: s.st.Next()}, nil
+	return payload, W64{ep: s.ep, st: st}, nil
 }
 
 // TryRecvCol is the non-blocking RecvCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s W63) TryRecvCol() ([]complex128, W64, error) {
-	if err := s.st.PeekAs("fft.W63"); err != nil {
-		return *new([]complex128), W64{}, err
-	}
-	label, v, err := s.ep.recvW4.TryRecv()
+	payload, st, err := genrt.TryRecv(s.st, "fft.W63", s.ep.recvW4, RoleW4, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return *new([]complex128), W64{}, err
 	}
-	if label != LabelCol {
-		s.st.Advance()
-		return *new([]complex128), W64{}, genrt.Unexpected(RoleW6, "W63", RoleW4, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		s.st.Advance()
-		return *new([]complex128), W64{}, err
-	}
-	return payload, W64{ep: s.ep, st: s.st.Advance()}, nil
+	return payload, W64{ep: s.ep, st: st}, nil
 }
 
 // W64 is role w6's protocol state 4: w7!col(vec<complex128>) → state 5.
@@ -2274,28 +1633,21 @@ type W64 struct {
 
 // SendCol sends w7!col(vec<complex128>) to w7, consuming the state and returning the next one.
 func (s W64) SendCol(payload []complex128) (W65, error) {
-	if err := s.st.UseAs("fft.W64"); err != nil {
+	st, err := genrt.Send(s.st, "fft.W64", s.ep.sendW7, LabelCol, payload)
+	if err != nil {
 		return W65{}, err
 	}
-	if err := s.ep.sendW7.Send(LabelCol, payload); err != nil {
-		return W65{}, err
-	}
-	return W65{ep: s.ep, st: s.st.Next()}, nil
+	return W65{ep: s.ep, st: st}, nil
 }
 
 // TrySendCol is the non-blocking SendCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s W64) TrySendCol(payload []complex128) (W65, error) {
-	if err := s.st.PeekAs("fft.W64"); err != nil {
+	st, err := genrt.TrySend(s.st, "fft.W64", s.ep.sendW7, LabelCol, payload)
+	if err != nil {
 		return W65{}, err
 	}
-	if err := s.ep.sendW7.TrySend(LabelCol, payload); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return W65{}, err
-	}
-	return W65{ep: s.ep, st: s.st.Advance()}, nil
+	return W65{ep: s.ep, st: st}, nil
 }
 
 // W65 is role w6's protocol state 5: w7?col(vec<complex128>) → state 6.
@@ -2308,46 +1660,21 @@ type W65 struct {
 
 // RecvCol receives w7?col(vec<complex128>) from w7, consuming the state and returning the next one.
 func (s W65) RecvCol() ([]complex128, W6End, error) {
-	if err := s.st.UseAs("fft.W65"); err != nil {
-		return *new([]complex128), W6End{}, err
-	}
-	label, v, err := s.ep.recvW7.Recv()
+	payload, st, err := genrt.Recv(s.st, "fft.W65", s.ep.recvW7, RoleW7, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
 		return *new([]complex128), W6End{}, err
 	}
-	if label != LabelCol {
-		return *new([]complex128), W6End{}, genrt.Unexpected(RoleW6, "W65", RoleW7, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		return *new([]complex128), W6End{}, err
-	}
-	return payload, W6End{ep: s.ep, st: s.st.Next()}, nil
+	return payload, W6End{ep: s.ep, st: st}, nil
 }
 
 // TryRecvCol is the non-blocking RecvCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s W65) TryRecvCol() ([]complex128, W6End, error) {
-	if err := s.st.PeekAs("fft.W65"); err != nil {
-		return *new([]complex128), W6End{}, err
-	}
-	label, v, err := s.ep.recvW7.TryRecv()
+	payload, st, err := genrt.TryRecv(s.st, "fft.W65", s.ep.recvW7, RoleW7, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return *new([]complex128), W6End{}, err
 	}
-	if label != LabelCol {
-		s.st.Advance()
-		return *new([]complex128), W6End{}, genrt.Unexpected(RoleW6, "W65", RoleW7, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		s.st.Advance()
-		return *new([]complex128), W6End{}, err
-	}
-	return payload, W6End{ep: s.ep, st: s.st.Advance()}, nil
+	return payload, W6End{ep: s.ep, st: st}, nil
 }
 
 // ---- role w7 ----
@@ -2425,28 +1752,21 @@ type W70 struct {
 
 // SendCol sends w3!col(vec<complex128>) to w3, consuming the state and returning the next one.
 func (s W70) SendCol(payload []complex128) (W71, error) {
-	if err := s.st.UseAs("fft.W70"); err != nil {
+	st, err := genrt.Send(s.st, "fft.W70", s.ep.sendW3, LabelCol, payload)
+	if err != nil {
 		return W71{}, err
 	}
-	if err := s.ep.sendW3.Send(LabelCol, payload); err != nil {
-		return W71{}, err
-	}
-	return W71{ep: s.ep, st: s.st.Next()}, nil
+	return W71{ep: s.ep, st: st}, nil
 }
 
 // TrySendCol is the non-blocking SendCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s W70) TrySendCol(payload []complex128) (W71, error) {
-	if err := s.st.PeekAs("fft.W70"); err != nil {
+	st, err := genrt.TrySend(s.st, "fft.W70", s.ep.sendW3, LabelCol, payload)
+	if err != nil {
 		return W71{}, err
 	}
-	if err := s.ep.sendW3.TrySend(LabelCol, payload); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return W71{}, err
-	}
-	return W71{ep: s.ep, st: s.st.Advance()}, nil
+	return W71{ep: s.ep, st: st}, nil
 }
 
 // W71 is role w7's protocol state 1: w3?col(vec<complex128>) → state 2.
@@ -2459,46 +1779,21 @@ type W71 struct {
 
 // RecvCol receives w3?col(vec<complex128>) from w3, consuming the state and returning the next one.
 func (s W71) RecvCol() ([]complex128, W72, error) {
-	if err := s.st.UseAs("fft.W71"); err != nil {
-		return *new([]complex128), W72{}, err
-	}
-	label, v, err := s.ep.recvW3.Recv()
+	payload, st, err := genrt.Recv(s.st, "fft.W71", s.ep.recvW3, RoleW3, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
 		return *new([]complex128), W72{}, err
 	}
-	if label != LabelCol {
-		return *new([]complex128), W72{}, genrt.Unexpected(RoleW7, "W71", RoleW3, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		return *new([]complex128), W72{}, err
-	}
-	return payload, W72{ep: s.ep, st: s.st.Next()}, nil
+	return payload, W72{ep: s.ep, st: st}, nil
 }
 
 // TryRecvCol is the non-blocking RecvCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s W71) TryRecvCol() ([]complex128, W72, error) {
-	if err := s.st.PeekAs("fft.W71"); err != nil {
-		return *new([]complex128), W72{}, err
-	}
-	label, v, err := s.ep.recvW3.TryRecv()
+	payload, st, err := genrt.TryRecv(s.st, "fft.W71", s.ep.recvW3, RoleW3, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return *new([]complex128), W72{}, err
 	}
-	if label != LabelCol {
-		s.st.Advance()
-		return *new([]complex128), W72{}, genrt.Unexpected(RoleW7, "W71", RoleW3, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		s.st.Advance()
-		return *new([]complex128), W72{}, err
-	}
-	return payload, W72{ep: s.ep, st: s.st.Advance()}, nil
+	return payload, W72{ep: s.ep, st: st}, nil
 }
 
 // W72 is role w7's protocol state 2: w5!col(vec<complex128>) → state 3.
@@ -2511,28 +1806,21 @@ type W72 struct {
 
 // SendCol sends w5!col(vec<complex128>) to w5, consuming the state and returning the next one.
 func (s W72) SendCol(payload []complex128) (W73, error) {
-	if err := s.st.UseAs("fft.W72"); err != nil {
+	st, err := genrt.Send(s.st, "fft.W72", s.ep.sendW5, LabelCol, payload)
+	if err != nil {
 		return W73{}, err
 	}
-	if err := s.ep.sendW5.Send(LabelCol, payload); err != nil {
-		return W73{}, err
-	}
-	return W73{ep: s.ep, st: s.st.Next()}, nil
+	return W73{ep: s.ep, st: st}, nil
 }
 
 // TrySendCol is the non-blocking SendCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s W72) TrySendCol(payload []complex128) (W73, error) {
-	if err := s.st.PeekAs("fft.W72"); err != nil {
+	st, err := genrt.TrySend(s.st, "fft.W72", s.ep.sendW5, LabelCol, payload)
+	if err != nil {
 		return W73{}, err
 	}
-	if err := s.ep.sendW5.TrySend(LabelCol, payload); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return W73{}, err
-	}
-	return W73{ep: s.ep, st: s.st.Advance()}, nil
+	return W73{ep: s.ep, st: st}, nil
 }
 
 // W73 is role w7's protocol state 3: w5?col(vec<complex128>) → state 4.
@@ -2545,46 +1833,21 @@ type W73 struct {
 
 // RecvCol receives w5?col(vec<complex128>) from w5, consuming the state and returning the next one.
 func (s W73) RecvCol() ([]complex128, W74, error) {
-	if err := s.st.UseAs("fft.W73"); err != nil {
-		return *new([]complex128), W74{}, err
-	}
-	label, v, err := s.ep.recvW5.Recv()
+	payload, st, err := genrt.Recv(s.st, "fft.W73", s.ep.recvW5, RoleW5, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
 		return *new([]complex128), W74{}, err
 	}
-	if label != LabelCol {
-		return *new([]complex128), W74{}, genrt.Unexpected(RoleW7, "W73", RoleW5, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		return *new([]complex128), W74{}, err
-	}
-	return payload, W74{ep: s.ep, st: s.st.Next()}, nil
+	return payload, W74{ep: s.ep, st: st}, nil
 }
 
 // TryRecvCol is the non-blocking RecvCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s W73) TryRecvCol() ([]complex128, W74, error) {
-	if err := s.st.PeekAs("fft.W73"); err != nil {
-		return *new([]complex128), W74{}, err
-	}
-	label, v, err := s.ep.recvW5.TryRecv()
+	payload, st, err := genrt.TryRecv(s.st, "fft.W73", s.ep.recvW5, RoleW5, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return *new([]complex128), W74{}, err
 	}
-	if label != LabelCol {
-		s.st.Advance()
-		return *new([]complex128), W74{}, genrt.Unexpected(RoleW7, "W73", RoleW5, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		s.st.Advance()
-		return *new([]complex128), W74{}, err
-	}
-	return payload, W74{ep: s.ep, st: s.st.Advance()}, nil
+	return payload, W74{ep: s.ep, st: st}, nil
 }
 
 // W74 is role w7's protocol state 4: w6!col(vec<complex128>) → state 5.
@@ -2597,28 +1860,21 @@ type W74 struct {
 
 // SendCol sends w6!col(vec<complex128>) to w6, consuming the state and returning the next one.
 func (s W74) SendCol(payload []complex128) (W75, error) {
-	if err := s.st.UseAs("fft.W74"); err != nil {
+	st, err := genrt.Send(s.st, "fft.W74", s.ep.sendW6, LabelCol, payload)
+	if err != nil {
 		return W75{}, err
 	}
-	if err := s.ep.sendW6.Send(LabelCol, payload); err != nil {
-		return W75{}, err
-	}
-	return W75{ep: s.ep, st: s.st.Next()}, nil
+	return W75{ep: s.ep, st: st}, nil
 }
 
 // TrySendCol is the non-blocking SendCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s W74) TrySendCol(payload []complex128) (W75, error) {
-	if err := s.st.PeekAs("fft.W74"); err != nil {
+	st, err := genrt.TrySend(s.st, "fft.W74", s.ep.sendW6, LabelCol, payload)
+	if err != nil {
 		return W75{}, err
 	}
-	if err := s.ep.sendW6.TrySend(LabelCol, payload); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return W75{}, err
-	}
-	return W75{ep: s.ep, st: s.st.Advance()}, nil
+	return W75{ep: s.ep, st: st}, nil
 }
 
 // W75 is role w7's protocol state 5: w6?col(vec<complex128>) → state 6.
@@ -2631,44 +1887,19 @@ type W75 struct {
 
 // RecvCol receives w6?col(vec<complex128>) from w6, consuming the state and returning the next one.
 func (s W75) RecvCol() ([]complex128, W7End, error) {
-	if err := s.st.UseAs("fft.W75"); err != nil {
-		return *new([]complex128), W7End{}, err
-	}
-	label, v, err := s.ep.recvW6.Recv()
+	payload, st, err := genrt.Recv(s.st, "fft.W75", s.ep.recvW6, RoleW6, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
 		return *new([]complex128), W7End{}, err
 	}
-	if label != LabelCol {
-		return *new([]complex128), W7End{}, genrt.Unexpected(RoleW7, "W75", RoleW6, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		return *new([]complex128), W7End{}, err
-	}
-	return payload, W7End{ep: s.ep, st: s.st.Next()}, nil
+	return payload, W7End{ep: s.ep, st: st}, nil
 }
 
 // TryRecvCol is the non-blocking RecvCol: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s W75) TryRecvCol() ([]complex128, W7End, error) {
-	if err := s.st.PeekAs("fft.W75"); err != nil {
-		return *new([]complex128), W7End{}, err
-	}
-	label, v, err := s.ep.recvW6.TryRecv()
+	payload, st, err := genrt.TryRecv(s.st, "fft.W75", s.ep.recvW6, RoleW6, LabelCol, func(v any) ([]complex128, error) { return genrt.As[[]complex128]("vec<complex128>", v) })
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return *new([]complex128), W7End{}, err
 	}
-	if label != LabelCol {
-		s.st.Advance()
-		return *new([]complex128), W7End{}, genrt.Unexpected(RoleW7, "W75", RoleW6, label)
-	}
-	payload, err := genrt.As[[]complex128]("vec<complex128>", v)
-	if err != nil {
-		s.st.Advance()
-		return *new([]complex128), W7End{}, err
-	}
-	return payload, W7End{ep: s.ep, st: s.st.Advance()}, nil
+	return payload, W7End{ep: s.ep, st: st}, nil
 }

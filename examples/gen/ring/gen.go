@@ -3,7 +3,6 @@
 package ring
 
 import (
-	"errors"
 	"repro/internal/codegen/genrt"
 	"repro/internal/session"
 	"repro/internal/types"
@@ -107,28 +106,21 @@ type A0 struct {
 
 // SendV sends b!v to b, consuming the state and returning the next one.
 func (s A0) SendV() (A2, error) {
-	if err := s.st.UseAs("ring.A0"); err != nil {
+	st, err := genrt.Send(s.st, "ring.A0", s.ep.sendB, LabelV, nil)
+	if err != nil {
 		return A2{}, err
 	}
-	if err := s.ep.sendB.Send(LabelV, nil); err != nil {
-		return A2{}, err
-	}
-	return A2{ep: s.ep, st: s.st.Next()}, nil
+	return A2{ep: s.ep, st: st}, nil
 }
 
 // TrySendV is the non-blocking SendV: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s A0) TrySendV() (A2, error) {
-	if err := s.st.PeekAs("ring.A0"); err != nil {
+	st, err := genrt.TrySend(s.st, "ring.A0", s.ep.sendB, LabelV, nil)
+	if err != nil {
 		return A2{}, err
 	}
-	if err := s.ep.sendB.TrySend(LabelV, nil); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return A2{}, err
-	}
-	return A2{ep: s.ep, st: s.st.Advance()}, nil
+	return A2{ep: s.ep, st: st}, nil
 }
 
 // A2 is role a's protocol state 2: c?v → state 0.
@@ -141,37 +133,21 @@ type A2 struct {
 
 // RecvV receives c?v from c, consuming the state and returning the next one.
 func (s A2) RecvV() (A0, error) {
-	if err := s.st.UseAs("ring.A2"); err != nil {
-		return A0{}, err
-	}
-	label, _, err := s.ep.recvC.Recv()
+	_, st, err := genrt.Recv(s.st, "ring.A2", s.ep.recvC, RoleC, LabelV, genrt.Signal)
 	if err != nil {
 		return A0{}, err
 	}
-	if label != LabelV {
-		return A0{}, genrt.Unexpected(RoleA, "A2", RoleC, label)
-	}
-	return A0{ep: s.ep, st: s.st.Next()}, nil
+	return A0{ep: s.ep, st: st}, nil
 }
 
 // TryRecvV is the non-blocking RecvV: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s A2) TryRecvV() (A0, error) {
-	if err := s.st.PeekAs("ring.A2"); err != nil {
-		return A0{}, err
-	}
-	label, _, err := s.ep.recvC.TryRecv()
+	_, st, err := genrt.TryRecv(s.st, "ring.A2", s.ep.recvC, RoleC, LabelV, genrt.Signal)
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return A0{}, err
 	}
-	if label != LabelV {
-		s.st.Advance()
-		return A0{}, genrt.Unexpected(RoleA, "A2", RoleC, label)
-	}
-	return A0{ep: s.ep, st: s.st.Advance()}, nil
+	return A0{ep: s.ep, st: st}, nil
 }
 
 // ---- role b ----
@@ -222,37 +198,21 @@ type B0 struct {
 
 // RecvV receives a?v from a, consuming the state and returning the next one.
 func (s B0) RecvV() (B2, error) {
-	if err := s.st.UseAs("ring.B0"); err != nil {
-		return B2{}, err
-	}
-	label, _, err := s.ep.recvA.Recv()
+	_, st, err := genrt.Recv(s.st, "ring.B0", s.ep.recvA, RoleA, LabelV, genrt.Signal)
 	if err != nil {
 		return B2{}, err
 	}
-	if label != LabelV {
-		return B2{}, genrt.Unexpected(RoleB, "B0", RoleA, label)
-	}
-	return B2{ep: s.ep, st: s.st.Next()}, nil
+	return B2{ep: s.ep, st: st}, nil
 }
 
 // TryRecvV is the non-blocking RecvV: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s B0) TryRecvV() (B2, error) {
-	if err := s.st.PeekAs("ring.B0"); err != nil {
-		return B2{}, err
-	}
-	label, _, err := s.ep.recvA.TryRecv()
+	_, st, err := genrt.TryRecv(s.st, "ring.B0", s.ep.recvA, RoleA, LabelV, genrt.Signal)
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return B2{}, err
 	}
-	if label != LabelV {
-		s.st.Advance()
-		return B2{}, genrt.Unexpected(RoleB, "B0", RoleA, label)
-	}
-	return B2{ep: s.ep, st: s.st.Advance()}, nil
+	return B2{ep: s.ep, st: st}, nil
 }
 
 // B2 is role b's protocol state 2: c!v → state 0.
@@ -265,28 +225,21 @@ type B2 struct {
 
 // SendV sends c!v to c, consuming the state and returning the next one.
 func (s B2) SendV() (B0, error) {
-	if err := s.st.UseAs("ring.B2"); err != nil {
+	st, err := genrt.Send(s.st, "ring.B2", s.ep.sendC, LabelV, nil)
+	if err != nil {
 		return B0{}, err
 	}
-	if err := s.ep.sendC.Send(LabelV, nil); err != nil {
-		return B0{}, err
-	}
-	return B0{ep: s.ep, st: s.st.Next()}, nil
+	return B0{ep: s.ep, st: st}, nil
 }
 
 // TrySendV is the non-blocking SendV: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s B2) TrySendV() (B0, error) {
-	if err := s.st.PeekAs("ring.B2"); err != nil {
+	st, err := genrt.TrySend(s.st, "ring.B2", s.ep.sendC, LabelV, nil)
+	if err != nil {
 		return B0{}, err
 	}
-	if err := s.ep.sendC.TrySend(LabelV, nil); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return B0{}, err
-	}
-	return B0{ep: s.ep, st: s.st.Advance()}, nil
+	return B0{ep: s.ep, st: st}, nil
 }
 
 // ---- role c ----
@@ -337,37 +290,21 @@ type C0 struct {
 
 // RecvV receives b?v from b, consuming the state and returning the next one.
 func (s C0) RecvV() (C2, error) {
-	if err := s.st.UseAs("ring.C0"); err != nil {
-		return C2{}, err
-	}
-	label, _, err := s.ep.recvB.Recv()
+	_, st, err := genrt.Recv(s.st, "ring.C0", s.ep.recvB, RoleB, LabelV, genrt.Signal)
 	if err != nil {
 		return C2{}, err
 	}
-	if label != LabelV {
-		return C2{}, genrt.Unexpected(RoleC, "C0", RoleB, label)
-	}
-	return C2{ep: s.ep, st: s.st.Next()}, nil
+	return C2{ep: s.ep, st: st}, nil
 }
 
 // TryRecvV is the non-blocking RecvV: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s C0) TryRecvV() (C2, error) {
-	if err := s.st.PeekAs("ring.C0"); err != nil {
-		return C2{}, err
-	}
-	label, _, err := s.ep.recvB.TryRecv()
+	_, st, err := genrt.TryRecv(s.st, "ring.C0", s.ep.recvB, RoleB, LabelV, genrt.Signal)
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return C2{}, err
 	}
-	if label != LabelV {
-		s.st.Advance()
-		return C2{}, genrt.Unexpected(RoleC, "C0", RoleB, label)
-	}
-	return C2{ep: s.ep, st: s.st.Advance()}, nil
+	return C2{ep: s.ep, st: st}, nil
 }
 
 // C2 is role c's protocol state 2: a!v → state 0.
@@ -380,26 +317,19 @@ type C2 struct {
 
 // SendV sends a!v to a, consuming the state and returning the next one.
 func (s C2) SendV() (C0, error) {
-	if err := s.st.UseAs("ring.C2"); err != nil {
+	st, err := genrt.Send(s.st, "ring.C2", s.ep.sendA, LabelV, nil)
+	if err != nil {
 		return C0{}, err
 	}
-	if err := s.ep.sendA.Send(LabelV, nil); err != nil {
-		return C0{}, err
-	}
-	return C0{ep: s.ep, st: s.st.Next()}, nil
+	return C0{ep: s.ep, st: st}, nil
 }
 
 // TrySendV is the non-blocking SendV: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s C2) TrySendV() (C0, error) {
-	if err := s.st.PeekAs("ring.C2"); err != nil {
+	st, err := genrt.TrySend(s.st, "ring.C2", s.ep.sendA, LabelV, nil)
+	if err != nil {
 		return C0{}, err
 	}
-	if err := s.ep.sendA.TrySend(LabelV, nil); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return C0{}, err
-	}
-	return C0{ep: s.ep, st: s.st.Advance()}, nil
+	return C0{ep: s.ep, st: st}, nil
 }

@@ -3,7 +3,6 @@
 package streaming
 
 import (
-	"errors"
 	"repro/internal/codegen/genrt"
 	"repro/internal/session"
 	"repro/internal/types"
@@ -114,28 +113,21 @@ type S0 struct {
 
 // SendValue sends t!value(i32) to t, consuming the state and returning the next one.
 func (s S0) SendValue(payload int32) (S1, error) {
-	if err := s.st.UseAs("streaming.S0"); err != nil {
+	st, err := genrt.Send(s.st, "streaming.S0", s.ep.sendT, LabelValue, payload)
+	if err != nil {
 		return S1{}, err
 	}
-	if err := s.ep.sendT.Send(LabelValue, payload); err != nil {
-		return S1{}, err
-	}
-	return S1{ep: s.ep, st: s.st.Next()}, nil
+	return S1{ep: s.ep, st: st}, nil
 }
 
 // TrySendValue is the non-blocking SendValue: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s S0) TrySendValue(payload int32) (S1, error) {
-	if err := s.st.PeekAs("streaming.S0"); err != nil {
+	st, err := genrt.TrySend(s.st, "streaming.S0", s.ep.sendT, LabelValue, payload)
+	if err != nil {
 		return S1{}, err
 	}
-	if err := s.ep.sendT.TrySend(LabelValue, payload); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return S1{}, err
-	}
-	return S1{ep: s.ep, st: s.st.Advance()}, nil
+	return S1{ep: s.ep, st: st}, nil
 }
 
 // S1 is role s's protocol state 1: t!value(i32) → state 2.
@@ -148,28 +140,21 @@ type S1 struct {
 
 // SendValue sends t!value(i32) to t, consuming the state and returning the next one.
 func (s S1) SendValue(payload int32) (S2, error) {
-	if err := s.st.UseAs("streaming.S1"); err != nil {
+	st, err := genrt.Send(s.st, "streaming.S1", s.ep.sendT, LabelValue, payload)
+	if err != nil {
 		return S2{}, err
 	}
-	if err := s.ep.sendT.Send(LabelValue, payload); err != nil {
-		return S2{}, err
-	}
-	return S2{ep: s.ep, st: s.st.Next()}, nil
+	return S2{ep: s.ep, st: st}, nil
 }
 
 // TrySendValue is the non-blocking SendValue: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s S1) TrySendValue(payload int32) (S2, error) {
-	if err := s.st.PeekAs("streaming.S1"); err != nil {
+	st, err := genrt.TrySend(s.st, "streaming.S1", s.ep.sendT, LabelValue, payload)
+	if err != nil {
 		return S2{}, err
 	}
-	if err := s.ep.sendT.TrySend(LabelValue, payload); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return S2{}, err
-	}
-	return S2{ep: s.ep, st: s.st.Advance()}, nil
+	return S2{ep: s.ep, st: st}, nil
 }
 
 // S2 is role s's protocol state 2: t!value(i32) → state 4, t!stop → state 5.
@@ -182,54 +167,40 @@ type S2 struct {
 
 // SendValue sends t!value(i32) to t, consuming the state and returning the next one.
 func (s S2) SendValue(payload int32) (S4, error) {
-	if err := s.st.UseAs("streaming.S2"); err != nil {
+	st, err := genrt.Send(s.st, "streaming.S2", s.ep.sendT, LabelValue, payload)
+	if err != nil {
 		return S4{}, err
 	}
-	if err := s.ep.sendT.Send(LabelValue, payload); err != nil {
-		return S4{}, err
-	}
-	return S4{ep: s.ep, st: s.st.Next()}, nil
+	return S4{ep: s.ep, st: st}, nil
 }
 
 // TrySendValue is the non-blocking SendValue: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s S2) TrySendValue(payload int32) (S4, error) {
-	if err := s.st.PeekAs("streaming.S2"); err != nil {
+	st, err := genrt.TrySend(s.st, "streaming.S2", s.ep.sendT, LabelValue, payload)
+	if err != nil {
 		return S4{}, err
 	}
-	if err := s.ep.sendT.TrySend(LabelValue, payload); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return S4{}, err
-	}
-	return S4{ep: s.ep, st: s.st.Advance()}, nil
+	return S4{ep: s.ep, st: st}, nil
 }
 
 // SendStop sends t!stop to t, consuming the state and returning the next one.
 func (s S2) SendStop() (S5, error) {
-	if err := s.st.UseAs("streaming.S2"); err != nil {
+	st, err := genrt.Send(s.st, "streaming.S2", s.ep.sendT, LabelStop, nil)
+	if err != nil {
 		return S5{}, err
 	}
-	if err := s.ep.sendT.Send(LabelStop, nil); err != nil {
-		return S5{}, err
-	}
-	return S5{ep: s.ep, st: s.st.Next()}, nil
+	return S5{ep: s.ep, st: st}, nil
 }
 
 // TrySendStop is the non-blocking SendStop: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s S2) TrySendStop() (S5, error) {
-	if err := s.st.PeekAs("streaming.S2"); err != nil {
+	st, err := genrt.TrySend(s.st, "streaming.S2", s.ep.sendT, LabelStop, nil)
+	if err != nil {
 		return S5{}, err
 	}
-	if err := s.ep.sendT.TrySend(LabelStop, nil); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return S5{}, err
-	}
-	return S5{ep: s.ep, st: s.st.Advance()}, nil
+	return S5{ep: s.ep, st: st}, nil
 }
 
 // S4 is role s's protocol state 4: t?ready → state 2.
@@ -242,37 +213,21 @@ type S4 struct {
 
 // RecvReady receives t?ready from t, consuming the state and returning the next one.
 func (s S4) RecvReady() (S2, error) {
-	if err := s.st.UseAs("streaming.S4"); err != nil {
-		return S2{}, err
-	}
-	label, _, err := s.ep.recvT.Recv()
+	_, st, err := genrt.Recv(s.st, "streaming.S4", s.ep.recvT, RoleT, LabelReady, genrt.Signal)
 	if err != nil {
 		return S2{}, err
 	}
-	if label != LabelReady {
-		return S2{}, genrt.Unexpected(RoleS, "S4", RoleT, label)
-	}
-	return S2{ep: s.ep, st: s.st.Next()}, nil
+	return S2{ep: s.ep, st: st}, nil
 }
 
 // TryRecvReady is the non-blocking RecvReady: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s S4) TryRecvReady() (S2, error) {
-	if err := s.st.PeekAs("streaming.S4"); err != nil {
-		return S2{}, err
-	}
-	label, _, err := s.ep.recvT.TryRecv()
+	_, st, err := genrt.TryRecv(s.st, "streaming.S4", s.ep.recvT, RoleT, LabelReady, genrt.Signal)
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return S2{}, err
 	}
-	if label != LabelReady {
-		s.st.Advance()
-		return S2{}, genrt.Unexpected(RoleS, "S4", RoleT, label)
-	}
-	return S2{ep: s.ep, st: s.st.Advance()}, nil
+	return S2{ep: s.ep, st: st}, nil
 }
 
 // S5 is role s's protocol state 5: t?ready → state 6.
@@ -285,37 +240,21 @@ type S5 struct {
 
 // RecvReady receives t?ready from t, consuming the state and returning the next one.
 func (s S5) RecvReady() (S6, error) {
-	if err := s.st.UseAs("streaming.S5"); err != nil {
-		return S6{}, err
-	}
-	label, _, err := s.ep.recvT.Recv()
+	_, st, err := genrt.Recv(s.st, "streaming.S5", s.ep.recvT, RoleT, LabelReady, genrt.Signal)
 	if err != nil {
 		return S6{}, err
 	}
-	if label != LabelReady {
-		return S6{}, genrt.Unexpected(RoleS, "S5", RoleT, label)
-	}
-	return S6{ep: s.ep, st: s.st.Next()}, nil
+	return S6{ep: s.ep, st: st}, nil
 }
 
 // TryRecvReady is the non-blocking RecvReady: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s S5) TryRecvReady() (S6, error) {
-	if err := s.st.PeekAs("streaming.S5"); err != nil {
-		return S6{}, err
-	}
-	label, _, err := s.ep.recvT.TryRecv()
+	_, st, err := genrt.TryRecv(s.st, "streaming.S5", s.ep.recvT, RoleT, LabelReady, genrt.Signal)
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return S6{}, err
 	}
-	if label != LabelReady {
-		s.st.Advance()
-		return S6{}, genrt.Unexpected(RoleS, "S5", RoleT, label)
-	}
-	return S6{ep: s.ep, st: s.st.Advance()}, nil
+	return S6{ep: s.ep, st: st}, nil
 }
 
 // S6 is role s's protocol state 6: t?ready → state 7.
@@ -328,37 +267,21 @@ type S6 struct {
 
 // RecvReady receives t?ready from t, consuming the state and returning the next one.
 func (s S6) RecvReady() (S7, error) {
-	if err := s.st.UseAs("streaming.S6"); err != nil {
-		return S7{}, err
-	}
-	label, _, err := s.ep.recvT.Recv()
+	_, st, err := genrt.Recv(s.st, "streaming.S6", s.ep.recvT, RoleT, LabelReady, genrt.Signal)
 	if err != nil {
 		return S7{}, err
 	}
-	if label != LabelReady {
-		return S7{}, genrt.Unexpected(RoleS, "S6", RoleT, label)
-	}
-	return S7{ep: s.ep, st: s.st.Next()}, nil
+	return S7{ep: s.ep, st: st}, nil
 }
 
 // TryRecvReady is the non-blocking RecvReady: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s S6) TryRecvReady() (S7, error) {
-	if err := s.st.PeekAs("streaming.S6"); err != nil {
-		return S7{}, err
-	}
-	label, _, err := s.ep.recvT.TryRecv()
+	_, st, err := genrt.TryRecv(s.st, "streaming.S6", s.ep.recvT, RoleT, LabelReady, genrt.Signal)
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return S7{}, err
 	}
-	if label != LabelReady {
-		s.st.Advance()
-		return S7{}, genrt.Unexpected(RoleS, "S6", RoleT, label)
-	}
-	return S7{ep: s.ep, st: s.st.Advance()}, nil
+	return S7{ep: s.ep, st: st}, nil
 }
 
 // S7 is role s's protocol state 7: t?ready → state 8.
@@ -371,37 +294,21 @@ type S7 struct {
 
 // RecvReady receives t?ready from t, consuming the state and returning the next one.
 func (s S7) RecvReady() (SEnd, error) {
-	if err := s.st.UseAs("streaming.S7"); err != nil {
-		return SEnd{}, err
-	}
-	label, _, err := s.ep.recvT.Recv()
+	_, st, err := genrt.Recv(s.st, "streaming.S7", s.ep.recvT, RoleT, LabelReady, genrt.Signal)
 	if err != nil {
 		return SEnd{}, err
 	}
-	if label != LabelReady {
-		return SEnd{}, genrt.Unexpected(RoleS, "S7", RoleT, label)
-	}
-	return SEnd{ep: s.ep, st: s.st.Next()}, nil
+	return SEnd{ep: s.ep, st: st}, nil
 }
 
 // TryRecvReady is the non-blocking RecvReady: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s S7) TryRecvReady() (SEnd, error) {
-	if err := s.st.PeekAs("streaming.S7"); err != nil {
-		return SEnd{}, err
-	}
-	label, _, err := s.ep.recvT.TryRecv()
+	_, st, err := genrt.TryRecv(s.st, "streaming.S7", s.ep.recvT, RoleT, LabelReady, genrt.Signal)
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return SEnd{}, err
 	}
-	if label != LabelReady {
-		s.st.Advance()
-		return SEnd{}, genrt.Unexpected(RoleS, "S7", RoleT, label)
-	}
-	return SEnd{ep: s.ep, st: s.st.Advance()}, nil
+	return SEnd{ep: s.ep, st: st}, nil
 }
 
 // ---- role t ----
@@ -463,28 +370,21 @@ type T0 struct {
 
 // SendReady sends s!ready to s, consuming the state and returning the next one.
 func (s T0) SendReady() (T2, error) {
-	if err := s.st.UseAs("streaming.T0"); err != nil {
+	st, err := genrt.Send(s.st, "streaming.T0", s.ep.sendS, LabelReady, nil)
+	if err != nil {
 		return T2{}, err
 	}
-	if err := s.ep.sendS.Send(LabelReady, nil); err != nil {
-		return T2{}, err
-	}
-	return T2{ep: s.ep, st: s.st.Next()}, nil
+	return T2{ep: s.ep, st: st}, nil
 }
 
 // TrySendReady is the non-blocking SendReady: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when the outgoing route is full.
 func (s T0) TrySendReady() (T2, error) {
-	if err := s.st.PeekAs("streaming.T0"); err != nil {
+	st, err := genrt.TrySend(s.st, "streaming.T0", s.ep.sendS, LabelReady, nil)
+	if err != nil {
 		return T2{}, err
 	}
-	if err := s.ep.sendS.TrySend(LabelReady, nil); err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
-		return T2{}, err
-	}
-	return T2{ep: s.ep, st: s.st.Advance()}, nil
+	return T2{ep: s.ep, st: st}, nil
 }
 
 // T2 is role t's protocol state 2: s?value(i32) → state 0, s?stop → state 3.
@@ -513,24 +413,19 @@ type T2Branch struct {
 // Branch receives the next message from s and returns the branch it
 // selects, consuming the state.
 func (s T2) Branch() (T2Branch, error) {
-	if err := s.st.UseAs("streaming.T2"); err != nil {
-		return T2Branch{}, err
-	}
-	label, v, err := s.ep.recvS.Recv()
+	label, v, st, err := genrt.Branch(s.st, "streaming.T2", s.ep.recvS)
 	if err != nil {
 		return T2Branch{}, err
 	}
 	b := T2Branch{Label: label}
 	switch label {
 	case LabelValue:
-		payload, err := genrt.I32(v)
-		if err != nil {
+		if b.ValuePayload, err = genrt.I32(v); err != nil {
 			return T2Branch{}, err
 		}
-		b.ValuePayload = payload
-		b.ValueNext = T0{ep: s.ep, st: s.st.Next()}
+		b.ValueNext = T0{ep: s.ep, st: st}
 	case LabelStop:
-		b.StopNext = TEnd{ep: s.ep, st: s.st.Next()}
+		b.StopNext = TEnd{ep: s.ep, st: st}
 	default:
 		return T2Branch{}, genrt.Unexpected(RoleT, "T2", RoleS, label)
 	}
@@ -540,25 +435,16 @@ func (s T2) Branch() (T2Branch, error) {
 // TryBranch is the non-blocking Branch: it returns session.ErrWouldBlock —
 // leaving the state live for a retry — when no message has arrived yet.
 func (s T2) TryBranch() (T2Branch, error) {
-	if err := s.st.PeekAs("streaming.T2"); err != nil {
-		return T2Branch{}, err
-	}
-	label, v, err := s.ep.recvS.TryRecv()
+	label, v, st, err := genrt.TryBranch(s.st, "streaming.T2", s.ep.recvS)
 	if err != nil {
-		if !errors.Is(err, session.ErrWouldBlock) {
-			s.st.Advance()
-		}
 		return T2Branch{}, err
 	}
-	st := s.st.Advance()
 	b := T2Branch{Label: label}
 	switch label {
 	case LabelValue:
-		payload, err := genrt.I32(v)
-		if err != nil {
+		if b.ValuePayload, err = genrt.I32(v); err != nil {
 			return T2Branch{}, err
 		}
-		b.ValuePayload = payload
 		b.ValueNext = T0{ep: s.ep, st: st}
 	case LabelStop:
 		b.StopNext = TEnd{ep: s.ep, st: st}

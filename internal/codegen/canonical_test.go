@@ -75,6 +75,21 @@ global protocol Uni(role ä, role bcdefg) {
 		t.Errorf("unicode: role block not padded to rune width:\n%s", src)
 	}
 
+	// A caseless (CJK) role and label: the mangler prefixes X, and the
+	// padding still counts runes.
+	src, err = codegen.FromScribble(scribble.MustParse(`
+global protocol Cjk(role 数, role b) {
+  choice at 数 {
+    值(i32) from 数 to b;
+  } or {
+    停() from 数 to b;
+  }
+}`), codegen.Options{Package: "cjk"})
+	check("caseless", src, err)
+	if !bytes.Contains(src, []byte("\tRoleX数 types.Role")) {
+		t.Errorf("caseless: role block not padded to rune width:\n%s", src)
+	}
+
 	// A sort bound to a type from a package the API imports anyway: gofmt
 	// lists that import once.
 	if err := types.RegisterSort(types.SortInfo{Name: "peerrole", Go: "types.Role", Import: "repro/internal/types"}); err != nil {
@@ -111,31 +126,41 @@ global protocol Uni(role ä, role bcdefg) {
 
 // BenchmarkGenerate times Generate alone, machines built beforehand, on
 // the examples/gen Streaming (auto-optimised) and FFT (hand-optimised)
-// packages. Its allocs/op is gated against BENCH_codegen.json, so a return
-// of a whole-package re-print shows up as a regression.
+// packages and on the depth-2 nested-choice system, whose branching
+// receives exercise Branch emission. Its allocs/op is gated against
+// BENCH_codegen.json, so a return of a whole-package re-print shows up as a
+// regression.
 func BenchmarkGenerate(b *testing.B) {
-	for _, c := range []struct {
-		name, entry string
+	type genCase struct {
+		name, proto string
 		mode        codegen.Mode
-	}{
-		{"Streaming", "streaming", codegen.ModeAuto},
-		{"FFT", "optimisedfft", codegen.ModeHand},
+		fsms        map[types.Role]*fsm.FSM
+	}
+	fromEntry := func(name, entry string, mode codegen.Mode) genCase {
+		e, ok := protocols.Find(entry)
+		if !ok {
+			b.Fatalf("%s not in registry", entry)
+		}
+		locals := e.AutoSystem()
+		if mode == codegen.ModeHand {
+			locals = e.System()
+		}
+		return genCase{name, e.Name, mode, protocols.FSMs(locals)}
+	}
+	nested := genCase{name: "NestedChoice", proto: "NestedChoice2", fsms: map[types.Role]*fsm.FSM{}}
+	for _, m := range protocols.NestedChoiceSystem(2) {
+		nested.fsms[m.Role()] = m
+	}
+	for _, c := range []genCase{
+		fromEntry("Streaming", "streaming", codegen.ModeAuto),
+		fromEntry("FFT", "optimisedfft", codegen.ModeHand),
+		nested,
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			e, ok := protocols.Find(c.entry)
-			if !ok {
-				b.Fatalf("%s not in registry", c.entry)
-			}
-			locals := e.AutoSystem()
-			if c.mode == codegen.ModeHand {
-				locals = e.System()
-			}
-			fsms := protocols.FSMs(locals)
 			opts := codegen.Options{Package: "gen", Mode: c.mode}
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := codegen.Generate(e.Name, fsms, opts); err != nil {
+				if _, err := codegen.Generate(c.proto, c.fsms, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -8,6 +8,7 @@ import (
 	"go/token"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -219,7 +220,7 @@ func (r *roleGen) stateName(s fsm.State) string {
 	if r.m.IsFinal(s) {
 		return r.ident + "End"
 	}
-	return fmt.Sprintf("%s%d", r.ident, s)
+	return r.ident + strconv.Itoa(int(s))
 }
 
 func (g *generator) prepare() error {
@@ -288,11 +289,11 @@ func (g *generator) prepare() error {
 			return err
 		}
 		for _, s := range rg.states {
-			if err := g.reserve(rg.stateName(s), fmt.Sprintf("state %d of role %s", s, role)); err != nil {
+			if err := g.reserve(rg.stateName(s), "state "+strconv.Itoa(int(s))+" of role "+string(role)); err != nil {
 				return err
 			}
 			if len(m.Transitions(s)) > 1 && m.Transitions(s)[0].Act.Dir == fsm.Recv {
-				if err := g.reserve(rg.stateName(s)+"Branch", fmt.Sprintf("branch sum of state %d of role %s", s, role)); err != nil {
+				if err := g.reserve(rg.stateName(s)+"Branch", "branch sum of state "+strconv.Itoa(int(s))+" of role "+string(role)); err != nil {
 					return err
 				}
 			}
@@ -350,8 +351,46 @@ func sortedRoles(set map[types.Role]bool) []types.Role {
 	return out
 }
 
+// pf appends format to the output with its verbs replaced by args in
+// order. It knows only the verbs the emitter uses: %s and %d write the
+// argument's text, %q writes it quoted as fmt's %q does (strconv.Quote).
+// Arguments are strings, roles, labels, states or Stringers; anything else
+// is a generator bug.
 func (g *generator) pf(format string, args ...any) {
-	fmt.Fprintf(&g.b, format, args...)
+	for {
+		i := strings.IndexByte(format, '%')
+		if i < 0 {
+			g.b.WriteString(format)
+			return
+		}
+		g.b.WriteString(format[:i])
+		verb := format[i+1]
+		format = format[i+2:]
+		var text string
+		switch a := args[0].(type) {
+		case string:
+			text = a
+		case types.Role:
+			text = string(a)
+		case types.Label:
+			text = string(a)
+		case fsm.State:
+			text = strconv.Itoa(int(a))
+		case interface{ String() string }:
+			text = a.String()
+		default:
+			panic("codegen: pf argument of unsupported type")
+		}
+		args = args[1:]
+		switch verb {
+		case 's', 'd':
+			g.b.WriteString(text)
+		case 'q':
+			g.b.Write(strconv.AppendQuote(g.b.AvailableBuffer(), text))
+		default:
+			panic("codegen: pf verb %" + string(verb) + " unsupported")
+		}
+	}
 }
 
 // aligned writes a run of tab-indented "name rest" rows the way gofmt lays
@@ -380,15 +419,6 @@ func (g *generator) emit() {
 	g.pf("// Code generated by sessgen (internal/codegen) from protocol %q, optimised=%s. DO NOT EDIT.\n\n", g.proto, g.opts.Mode)
 	g.pf("package %s\n\n", g.opts.Package)
 	imports := []string{"repro/internal/codegen/genrt", "repro/internal/session", "repro/internal/types"}
-	// The Try* stepping face tests for session.ErrWouldBlock with errors.Is;
-	// a role set with no non-final states emits no methods at all, and must
-	// not import what it does not use.
-	for _, rg := range g.rgs {
-		if len(rg.states) > 0 {
-			imports = append(imports, "errors")
-			break
-		}
-	}
 	for imp := range g.extraImports {
 		imports = append(imports, imp)
 	}
@@ -407,7 +437,7 @@ func (g *generator) emit() {
 		g.pf("// Message labels of the protocol.\nconst (\n")
 		rows := make([][2]string, len(g.labels))
 		for i, l := range g.labels {
-			rows[i] = [2]string{"Label" + exportIdent(string(l)), fmt.Sprintf("types.Label = %q", string(l))}
+			rows[i] = [2]string{"Label" + exportIdent(string(l)), "types.Label = " + strconv.Quote(string(l))}
 		}
 		g.aligned(rows)
 		g.pf(")\n\n")
@@ -417,7 +447,7 @@ func (g *generator) emit() {
 	g.pf("// Participants of the protocol.\nconst (\n")
 	rows := make([][2]string, len(g.rgs))
 	for i, rg := range g.rgs {
-		rows[i] = [2]string{"Role" + rg.ident, fmt.Sprintf("types.Role = %q", string(rg.role))}
+		rows[i] = [2]string{"Role" + rg.ident, "types.Role = " + strconv.Quote(string(rg.role))}
 	}
 	g.aligned(rows)
 	g.pf(")\n\n")
@@ -468,9 +498,9 @@ func (g *generator) emitProcs() {
 func (g *generator) procSig(rg *roleGen) string {
 	init := rg.stateName(rg.m.Initial())
 	if rg.terminating() {
-		return fmt.Sprintf("func(%s) (%s, error)", init, rg.ident+"End")
+		return "func(" + init + ") (" + rg.ident + "End, error)"
 	}
-	return fmt.Sprintf("func(%s) error", init)
+	return "func(" + init + ") error"
 }
 
 func (g *generator) emitRole(rg *roleGen) {
@@ -545,7 +575,7 @@ func (g *generator) stateRef(state string) string {
 func transitionsComment(m *fsm.FSM, s fsm.State) string {
 	var parts []string
 	for _, t := range m.Transitions(s) {
-		parts = append(parts, fmt.Sprintf("%s → state %d", t.Act, t.To))
+		parts = append(parts, t.Act.String()+" → state "+strconv.Itoa(int(t.To)))
 	}
 	return strings.Join(parts, ", ")
 }
@@ -569,102 +599,86 @@ func (g *generator) emitState(rg *roleGen, s fsm.State) {
 		g.emitRecvSingle(rg, name, ts[0])
 		return
 	}
-	g.emitRecvBranch(rg, name, s, ts)
+	g.emitRecvBranch(rg, name, ts)
 }
 
 func (g *generator) emitSend(rg *roleGen, state string, t fsm.Transition) {
 	peer := exportIdent(string(t.Act.Peer))
 	label := exportIdent(string(t.Act.Label))
 	next := rg.stateName(t.To)
-	goType, _ := sortGo(t.Act.Sort)
-	g.pf("// Send%s sends %s to %s, consuming the state and returning the next one.\n", label, t.Act, t.Act.Peer)
-	if goType == "" {
-		g.pf("func (s %s) Send%s() (%s, error) {\n", state, label, next)
-		g.pf("\tif err := s.st.UseAs(%q); err != nil {\n\t\treturn %s{}, err\n\t}\n", g.stateRef(state), next)
-		g.pf("\tif err := s.ep.send%s.Send(Label%s, nil); err != nil {\n\t\treturn %s{}, err\n\t}\n", peer, label, next)
-	} else {
-		g.pf("func (s %s) Send%s(payload %s) (%s, error) {\n", state, label, goType, next)
-		g.pf("\tif err := s.st.UseAs(%q); err != nil {\n\t\treturn %s{}, err\n\t}\n", g.stateRef(state), next)
-		g.pf("\tif err := s.ep.send%s.Send(Label%s, payload); err != nil {\n\t\treturn %s{}, err\n\t}\n", peer, label, next)
+	arg, val := "", "nil"
+	if goType, _ := sortGo(t.Act.Sort); goType != "" {
+		arg, val = "payload "+goType, "payload"
 	}
-	g.pf("\treturn %s{ep: s.ep, st: s.st.Next()}, nil\n}\n\n", next)
+	g.pf("// Send%s sends %s to %s, consuming the state and returning the next one.\n", label, t.Act, t.Act.Peer)
+	g.pf("func (s %s) Send%s(%s) (%s, error) {\n", state, label, arg, next)
+	g.pf("\tst, err := genrt.Send(s.st, %q, s.ep.send%s, Label%s, %s)\n", g.stateRef(state), peer, label, val)
+	g.ret(next, "")
 
 	// The non-blocking stepping face: on session.ErrWouldBlock the state is
 	// NOT consumed, so the caller (an event loop or internal/sched worker)
 	// retries the same state value once the peer makes progress; every other
 	// outcome consumes the state exactly as the blocking method does.
-	arg, val := "", "nil"
-	if goType != "" {
-		arg, val = "payload "+goType, "payload"
-	}
 	g.pf("// TrySend%s is the non-blocking Send%s: it returns session.ErrWouldBlock —\n// leaving the state live for a retry — when the outgoing route is full.\n", label, label)
 	g.pf("func (s %s) TrySend%s(%s) (%s, error) {\n", state, label, arg, next)
-	g.pf("\tif err := s.st.PeekAs(%q); err != nil {\n\t\treturn %s{}, err\n\t}\n", g.stateRef(state), next)
-	g.pf("\tif err := s.ep.send%s.TrySend(Label%s, %s); err != nil {\n", peer, label, val)
-	g.pf("\t\tif !errors.Is(err, session.ErrWouldBlock) {\n\t\t\ts.st.Advance()\n\t\t}\n\t\treturn %s{}, err\n\t}\n", next)
-	g.pf("\treturn %s{ep: s.ep, st: s.st.Advance()}, nil\n}\n\n", next)
+	g.pf("\tst, err := genrt.TrySend(s.st, %q, s.ep.send%s, Label%s, %s)\n", g.stateRef(state), peer, label, val)
+	g.ret(next, "")
 }
 
+// ret closes a single-transition method: the error return with zero
+// values, then the successor built from the helper's stamp st, led by the
+// received payload when zero (the payload's zero value) is not "".
+func (g *generator) ret(next, zero string) {
+	if zero == "" {
+		g.pf("\tif err != nil {\n\t\treturn %s{}, err\n\t}\n\treturn %s{ep: s.ep, st: st}, nil\n}\n\n", next, next)
+		return
+	}
+	g.pf("\tif err != nil {\n\t\treturn %s, %s{}, err\n\t}\n\treturn payload, %s{ep: s.ep, st: st}, nil\n}\n\n", zero, next, next)
+}
+
+// emitRecvSingle emits a single-transition receive and its non-blocking
+// face: session.ErrWouldBlock (nothing arrived yet) leaves the state live;
+// a delivered message consumes it, whether it converts or faults.
 func (g *generator) emitRecvSingle(rg *roleGen, state string, t fsm.Transition) {
 	peer := exportIdent(string(t.Act.Peer))
 	label := exportIdent(string(t.Act.Label))
 	next := rg.stateName(t.To)
 	goType, conv := sortGo(t.Act.Sort)
+	results, lhs, zero := next+", error", "_", ""
+	if goType == "" {
+		conv = "genrt.Signal"
+	} else {
+		results, lhs, zero = goType+", "+results, "payload", zeroOf(goType)
+		conv = convValue(goType, conv)
+	}
 	g.pf("// Recv%s receives %s from %s, consuming the state and returning the next one.\n", label, t.Act, t.Act.Peer)
-	if goType == "" {
-		g.pf("func (s %s) Recv%s() (%s, error) {\n", state, label, next)
-		g.pf("\tif err := s.st.UseAs(%q); err != nil {\n\t\treturn %s{}, err\n\t}\n", g.stateRef(state), next)
-		g.pf("\tlabel, _, err := s.ep.recv%s.Recv()\n\tif err != nil {\n\t\treturn %s{}, err\n\t}\n", peer, next)
-		g.pf("\tif label != Label%s {\n\t\treturn %s{}, genrt.Unexpected(Role%s, %q, Role%s, label)\n\t}\n", label, next, rg.ident, state, peer)
-		g.pf("\treturn %s{ep: s.ep, st: s.st.Next()}, nil\n}\n\n", next)
-		g.emitTryRecvSingle(rg, state, t)
-		return
-	}
-	zero := zeroOf(goType)
-	g.pf("func (s %s) Recv%s() (%s, %s, error) {\n", state, label, goType, next)
-	g.pf("\tif err := s.st.UseAs(%q); err != nil {\n\t\treturn %s, %s{}, err\n\t}\n", g.stateRef(state), zero, next)
-	g.pf("\tlabel, v, err := s.ep.recv%s.Recv()\n\tif err != nil {\n\t\treturn %s, %s{}, err\n\t}\n", peer, zero, next)
-	g.pf("\tif label != Label%s {\n\t\treturn %s, %s{}, genrt.Unexpected(Role%s, %q, Role%s, label)\n\t}\n", label, zero, next, rg.ident, state, peer)
-	g.pf("\tpayload, err := %s\n\tif err != nil {\n\t\treturn %s, %s{}, err\n\t}\n", conv, zero, next)
-	g.pf("\treturn payload, %s{ep: s.ep, st: s.st.Next()}, nil\n}\n\n", next)
-	g.emitTryRecvSingle(rg, state, t)
-}
-
-// emitTryRecvSingle emits the non-blocking face of a single-transition
-// receive: session.ErrWouldBlock (nothing arrived yet) leaves the state
-// live; a delivered message consumes it, whether it converts or faults.
-func (g *generator) emitTryRecvSingle(rg *roleGen, state string, t fsm.Transition) {
-	peer := exportIdent(string(t.Act.Peer))
-	label := exportIdent(string(t.Act.Label))
-	next := rg.stateName(t.To)
-	goType, conv := sortGo(t.Act.Sort)
+	g.pf("func (s %s) Recv%s() (%s) {\n", state, label, results)
+	g.pf("\t%s, st, err := genrt.Recv(s.st, %q, s.ep.recv%s, Role%s, Label%s, %s)\n", lhs, g.stateRef(state), peer, peer, label, conv)
+	g.ret(next, zero)
 	g.pf("// TryRecv%s is the non-blocking Recv%s: it returns session.ErrWouldBlock —\n// leaving the state live for a retry — when no message has arrived yet.\n", label, label)
-	if goType == "" {
-		g.pf("func (s %s) TryRecv%s() (%s, error) {\n", state, label, next)
-		g.pf("\tif err := s.st.PeekAs(%q); err != nil {\n\t\treturn %s{}, err\n\t}\n", g.stateRef(state), next)
-		g.pf("\tlabel, _, err := s.ep.recv%s.TryRecv()\n\tif err != nil {\n", peer)
-		g.pf("\t\tif !errors.Is(err, session.ErrWouldBlock) {\n\t\t\ts.st.Advance()\n\t\t}\n\t\treturn %s{}, err\n\t}\n", next)
-		g.pf("\tif label != Label%s {\n\t\ts.st.Advance()\n\t\treturn %s{}, genrt.Unexpected(Role%s, %q, Role%s, label)\n\t}\n", label, next, rg.ident, state, peer)
-		g.pf("\treturn %s{ep: s.ep, st: s.st.Advance()}, nil\n}\n\n", next)
-		return
-	}
-	zero := zeroOf(goType)
-	g.pf("func (s %s) TryRecv%s() (%s, %s, error) {\n", state, label, goType, next)
-	g.pf("\tif err := s.st.PeekAs(%q); err != nil {\n\t\treturn %s, %s{}, err\n\t}\n", g.stateRef(state), zero, next)
-	g.pf("\tlabel, v, err := s.ep.recv%s.TryRecv()\n\tif err != nil {\n", peer)
-	g.pf("\t\tif !errors.Is(err, session.ErrWouldBlock) {\n\t\t\ts.st.Advance()\n\t\t}\n\t\treturn %s, %s{}, err\n\t}\n", zero, next)
-	g.pf("\tif label != Label%s {\n\t\ts.st.Advance()\n\t\treturn %s, %s{}, genrt.Unexpected(Role%s, %q, Role%s, label)\n\t}\n", label, zero, next, rg.ident, state, peer)
-	g.pf("\tpayload, err := %s\n\tif err != nil {\n\t\ts.st.Advance()\n\t\treturn %s, %s{}, err\n\t}\n", conv, zero, next)
-	g.pf("\treturn payload, %s{ep: s.ep, st: s.st.Advance()}, nil\n}\n\n", next)
+	g.pf("func (s %s) TryRecv%s() (%s) {\n", state, label, results)
+	g.pf("\t%s, st, err := genrt.TryRecv(s.st, %q, s.ep.recv%s, Role%s, Label%s, %s)\n", lhs, g.stateRef(state), peer, peer, label, conv)
+	g.ret(next, zero)
 }
 
-func (g *generator) emitRecvBranch(rg *roleGen, state string, s fsm.State, ts []fsm.Transition) {
+// convValue renders a receive's payload converter as the function value
+// genrt.Recv takes: a scalar converter by name, a registry sort's genrt.As
+// call inside a literal that captures nothing, so passing it allocates
+// nothing.
+func convValue(goType, call string) string {
+	if f, ok := strings.CutSuffix(call, "(v)"); ok {
+		return f
+	}
+	return "func(v any) (" + goType + ", error) { return " + call + " }"
+}
+
+func (g *generator) emitRecvBranch(rg *roleGen, state string, ts []fsm.Transition) {
 	peer := exportIdent(string(ts[0].Act.Peer))
 	sum := state + "Branch"
-	anyPayload := false
+	payload := "_"
 	for _, t := range ts {
 		if gt, _ := sortGo(t.Act.Sort); gt != "" {
-			anyPayload = true
+			payload = "v"
 		}
 	}
 
@@ -686,13 +700,19 @@ func (g *generator) emitRecvBranch(rg *roleGen, state string, s fsm.State, ts []
 	g.pf("}\n\n")
 
 	g.pf("// Branch receives the next message from %s and returns the branch it\n// selects, consuming the state.\n", ts[0].Act.Peer)
-	g.pf("func (s %s) Branch() (%s, error) {\n", state, sum)
-	g.pf("\tif err := s.st.UseAs(%q); err != nil {\n\t\treturn %s{}, err\n\t}\n", g.stateRef(state), sum)
-	if anyPayload {
-		g.pf("\tlabel, v, err := s.ep.recv%s.Recv()\n", peer)
-	} else {
-		g.pf("\tlabel, _, err := s.ep.recv%s.Recv()\n", peer)
-	}
+	g.emitBranchMethod(rg, state, "Branch", payload, peer, ts)
+	g.pf("// TryBranch is the non-blocking Branch: it returns session.ErrWouldBlock —\n// leaving the state live for a retry — when no message has arrived yet.\n")
+	g.emitBranchMethod(rg, state, "TryBranch", payload, peer, ts)
+}
+
+// emitBranchMethod emits Branch or TryBranch (method, which is also the
+// genrt helper it calls): the helper receives, then the cases match the
+// label and convert the payload (held in v, or discarded as _ when no case
+// carries one).
+func (g *generator) emitBranchMethod(rg *roleGen, state, method, payload, peer string, ts []fsm.Transition) {
+	sum := state + "Branch"
+	g.pf("func (s %s) %s() (%s, error) {\n", state, method, sum)
+	g.pf("\tlabel, %s, st, err := genrt.%s(s.st, %q, s.ep.recv%s)\n", payload, method, g.stateRef(state), peer)
 	g.pf("\tif err != nil {\n\t\treturn %s{}, err\n\t}\n", sum)
 	g.pf("\tb := %s{Label: label}\n\tswitch label {\n", sum)
 	for _, t := range ts {
@@ -700,33 +720,7 @@ func (g *generator) emitRecvBranch(rg *roleGen, state string, s fsm.State, ts []
 		goType, conv := sortGo(t.Act.Sort)
 		g.pf("\tcase Label%s:\n", label)
 		if goType != "" {
-			g.pf("\t\tpayload, err := %s\n\t\tif err != nil {\n\t\t\treturn %s{}, err\n\t\t}\n", conv, sum)
-			g.pf("\t\tb.%sPayload = payload\n", label)
-		}
-		g.pf("\t\tb.%sNext = %s{ep: s.ep, st: s.st.Next()}\n", label, rg.stateName(t.To))
-	}
-	g.pf("\tdefault:\n\t\treturn %s{}, genrt.Unexpected(Role%s, %q, Role%s, label)\n\t}\n", sum, rg.ident, state, peer)
-	g.pf("\treturn b, nil\n}\n\n")
-
-	g.pf("// TryBranch is the non-blocking Branch: it returns session.ErrWouldBlock —\n// leaving the state live for a retry — when no message has arrived yet.\n")
-	g.pf("func (s %s) TryBranch() (%s, error) {\n", state, sum)
-	g.pf("\tif err := s.st.PeekAs(%q); err != nil {\n\t\treturn %s{}, err\n\t}\n", g.stateRef(state), sum)
-	if anyPayload {
-		g.pf("\tlabel, v, err := s.ep.recv%s.TryRecv()\n", peer)
-	} else {
-		g.pf("\tlabel, _, err := s.ep.recv%s.TryRecv()\n", peer)
-	}
-	g.pf("\tif err != nil {\n")
-	g.pf("\t\tif !errors.Is(err, session.ErrWouldBlock) {\n\t\t\ts.st.Advance()\n\t\t}\n\t\treturn %s{}, err\n\t}\n", sum)
-	g.pf("\tst := s.st.Advance()\n")
-	g.pf("\tb := %s{Label: label}\n\tswitch label {\n", sum)
-	for _, t := range ts {
-		label := exportIdent(string(t.Act.Label))
-		goType, conv := sortGo(t.Act.Sort)
-		g.pf("\tcase Label%s:\n", label)
-		if goType != "" {
-			g.pf("\t\tpayload, err := %s\n\t\tif err != nil {\n\t\t\treturn %s{}, err\n\t\t}\n", conv, sum)
-			g.pf("\t\tb.%sPayload = payload\n", label)
+			g.pf("\t\tif b.%sPayload, err = %s; err != nil {\n\t\t\treturn %s{}, err\n\t\t}\n", label, conv, sum)
 		}
 		g.pf("\t\tb.%sNext = %s{ep: s.ep, st: st}\n", label, rg.stateName(t.To))
 	}
@@ -772,7 +766,7 @@ func sortGo(s types.Sort) (goType, convCall string) {
 			// generator bug, not a user error.
 			panic(fmt.Sprintf("codegen: unvalidated unknown sort %q", s))
 		}
-		return info.Go, fmt.Sprintf("genrt.As[%s](%q, v)", info.Go, string(s))
+		return info.Go, "genrt.As[" + info.Go + "](" + strconv.Quote(string(s)) + ", v)"
 	}
 }
 
@@ -789,14 +783,15 @@ func zeroOf(goType string) string {
 	default:
 		// Registered sorts bind arbitrary Go types; *new(T) is T's zero
 		// value as an expression (nil for the slice-typed vector sorts).
-		return fmt.Sprintf("*new(%s)", goType)
+		return "*new(" + goType + ")"
 	}
 }
 
 // exportIdent mangles an arbitrary protocol identifier into an exported Go
-// identifier: invalid runes become underscores, a leading digit is prefixed,
-// and the first rune is upper-cased (rune-aware: Scribble identifiers may
-// carry any unicode letter).
+// identifier: invalid runes become underscores and the first rune is
+// upper-cased (rune-aware: Scribble identifiers may carry any unicode
+// letter). A first rune with no upper-case form — a digit, an underscore, a
+// caseless letter such as CJK — is prefixed with X instead.
 func exportIdent(s string) string {
 	var b strings.Builder
 	for _, r := range s {
@@ -811,7 +806,7 @@ func exportIdent(s string) string {
 		out = "X"
 	}
 	first, _ := utf8.DecodeRuneInString(out)
-	if unicode.IsDigit(first) {
+	if !unicode.IsUpper(unicode.ToUpper(first)) {
 		out = "X" + out
 	}
 	return mapFirstRune(out, unicode.ToUpper)

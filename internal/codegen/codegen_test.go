@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -262,21 +265,81 @@ func TestGenerateUnicodeIdentifiers(t *testing.T) {
 	// Scribble identifiers may carry any unicode letter (the .scr lexer
 	// accepts them even though the local-type literal parser does not); the
 	// mangler must be rune-aware, not byte-slicing.
-	mk := func(role, peer types.Role, dir fsm.Dir) *fsm.FSM {
+	mk := func(role, peer types.Role, dir fsm.Dir, label types.Label) *fsm.FSM {
 		m := fsm.New(role)
 		end := m.AddState()
-		m.MustAddTransition(m.Initial(), fsm.Action{Dir: dir, Peer: peer, Label: "μsg", Sort: types.Unit}, end)
+		m.MustAddTransition(m.Initial(), fsm.Action{Dir: dir, Peer: peer, Label: label, Sort: types.Unit}, end)
 		return m
 	}
 	src, err := codegen.Generate("p", map[types.Role]*fsm.FSM{
-		"δ": mk("δ", "ρ", fsm.Send),
-		"ρ": mk("ρ", "δ", fsm.Recv),
+		"δ": mk("δ", "ρ", fsm.Send, "μsg"),
+		"ρ": mk("ρ", "δ", fsm.Recv, "μsg"),
 	}, codegen.Options{Package: "p"})
 	if err != nil {
 		t.Fatalf("unicode identifiers: %v", err)
 	}
 	if !bytes.Contains(src, []byte("RoleΔ")) || !bytes.Contains(src, []byte("LabelΜsg")) {
 		t.Errorf("mangled unicode identifiers missing from output")
+	}
+	assertStatesExported(t, src)
+
+	// A caseless leading letter (CJK) has no upper-case form: like a
+	// leading digit it is prefixed with X, so the API stays exported.
+	src, err = codegen.Generate("p", map[types.Role]*fsm.FSM{
+		"数": mk("数", "δ", fsm.Send, "值"),
+		"δ": mk("δ", "数", fsm.Recv, "值"),
+	}, codegen.Options{Package: "p"})
+	if err != nil {
+		t.Fatalf("caseless identifiers: %v", err)
+	}
+	for _, frag := range []string{"RoleX数", "LabelX值", "type X数0 struct", "type X数End struct", ") SendX值(", ") RecvX值("} {
+		if !bytes.Contains(src, []byte(frag)) {
+			t.Errorf("caseless identifiers: output lacks %q", frag)
+		}
+	}
+	assertStatesExported(t, src)
+}
+
+// assertStatesExported parses a generated package and requires every state
+// type, End type and Procs field to be exported. State and End types are
+// the structs carrying the genrt.St stamp.
+func assertStatesExported(t *testing.T, src []byte) {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "", src, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := 0
+	for _, d := range f.Decls {
+		gd, ok := d.(*ast.GenDecl)
+		if !ok || gd.Tok != token.TYPE {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			ts := spec.(*ast.TypeSpec)
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok {
+				continue
+			}
+			for _, field := range st.Fields.List {
+				if ts.Name.Name == "Procs" {
+					for _, n := range field.Names {
+						if !n.IsExported() {
+							t.Errorf("Procs field %s is not exported", n.Name)
+						}
+					}
+				}
+				if sel, ok := field.Type.(*ast.SelectorExpr); ok && sel.Sel.Name == "St" {
+					states++
+					if !ts.Name.IsExported() {
+						t.Errorf("state type %s is not exported", ts.Name.Name)
+					}
+				}
+			}
+		}
+	}
+	if states == 0 {
+		t.Error("no state types found")
 	}
 }
 

@@ -24,6 +24,7 @@ package genrt
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 
 	"repro/internal/session"
@@ -73,9 +74,9 @@ type St struct {
 	Seq uint32
 }
 
-// Use consumes the stamp: it must match the core's live sequence number
-// exactly once. All generated transition methods call this first.
-func (s St) Use() error {
+// use consumes the stamp: it must match the core's live sequence number
+// exactly once.
+func (s St) use() error {
 	if s.C == nil || s.Seq != s.C.seq {
 		return ErrStateConsumed
 	}
@@ -83,51 +84,51 @@ func (s St) Use() error {
 	return nil
 }
 
-// UseAs is Use with the generated state type's name attached to the
+// useAs is use with the generated state type's name attached to the
 // fault, so a dynamic linearity violation that slipped past sessvet points
 // at the violating state (e.g. "streaming.B2: state value already
-// consumed..."). Generated transition methods call this form.
-func (s St) UseAs(state string) error {
-	if err := s.Use(); err != nil {
+// consumed..."). The blocking transition helpers call this form.
+func (s St) useAs(state string) error {
+	if err := s.use(); err != nil {
 		return fmt.Errorf("%s: %w", state, err)
 	}
 	return nil
 }
 
-// Next mints the stamp for the successor state value after a Use.
-func (s St) Next() St { return St{C: s.C, Seq: s.C.seq} }
+// next mints the stamp for the successor state value after a use.
+func (s St) next() St { return St{C: s.C, Seq: s.C.seq} }
 
-// Peek verifies the stamp is live without consuming it: the entry check of
-// the generated Try* methods, which must leave the state value usable when
-// the substrate refuses the operation (session.ErrWouldBlock).
-func (s St) Peek() error {
+// peek verifies the stamp is live without consuming it: the entry check of
+// the Try* helpers, which must leave the state value usable when the
+// substrate refuses the operation (session.ErrWouldBlock).
+func (s St) peek() error {
 	if s.C == nil || s.Seq != s.C.seq {
 		return ErrStateConsumed
 	}
 	return nil
 }
 
-// PeekAs is Peek with the generated state type's name attached to the
-// fault, mirroring UseAs for the non-blocking Try* entry check.
-func (s St) PeekAs(state string) error {
-	if err := s.Peek(); err != nil {
+// peekAs is peek with the generated state type's name attached to the
+// fault, mirroring useAs for the non-blocking entry check.
+func (s St) peekAs(state string) error {
+	if err := s.peek(); err != nil {
 		return fmt.Errorf("%s: %w", state, err)
 	}
 	return nil
 }
 
-// Advance consumes a stamp already verified live (Peek) and mints the
-// successor. It is Use+Next split apart so the generated Try* methods can
-// separate the liveness check (before the substrate probe) from the
-// consumption (only once the probe succeeds or faults — never on
-// would-block, where the protocol state genuinely has not moved).
-func (s St) Advance() St {
+// advance consumes a stamp already verified live (peek) and mints the
+// successor. It is use+next split apart so the Try* helpers can separate
+// the liveness check (before the substrate probe) from the consumption
+// (only once the probe succeeds or faults — never on would-block, where the
+// protocol state genuinely has not moved).
+func (s St) advance() St {
 	s.C.seq++
 	return St{C: s.C, Seq: s.C.seq}
 }
 
 // Live reports whether the stamp is the core's current state (used by
-// Finish via generated End accessors).
+// Finish on the End value a process returns).
 func (s St) Live() bool { return s.C != nil && s.Seq == s.C.seq }
 
 // Session runs body with exclusive ownership of role's endpoint on net,
@@ -159,6 +160,122 @@ func Finish(c *Core, end St) error {
 // is hand-written.
 func Unexpected(role types.Role, state string, from types.Role, got types.Label) error {
 	return fmt.Errorf("genrt: role %s in state %s received unexpected label %s from %s", role, state, got, from)
+}
+
+// The transition helpers below are the bodies of the generated transition
+// methods: each generated Send*, Recv*, Branch and their Try* forms is one
+// call into them followed by building the successor state from the stamp
+// they return. state is the qualified name of the generated state type
+// (e.g. "auth.A1"), used for stale-stamp faults; Unexpected is given its
+// unqualified form. Every error return carries the zero St. The blocking
+// helpers consume the stamp before touching the route, so any failure
+// leaves the state consumed. The Try* helpers consume it on every outcome
+// except session.ErrWouldBlock, which leaves the state live for a retry.
+
+// Send is a generated blocking Send: consume the stamp, then send label and
+// payload (nil for a signal) on the bound route.
+func Send(st St, state string, to session.UncheckedSend, label types.Label, payload any) (St, error) {
+	if err := st.useAs(state); err != nil {
+		return St{}, err
+	}
+	if err := to.Send(label, payload); err != nil {
+		return St{}, err
+	}
+	return st.next(), nil
+}
+
+// TrySend is the non-blocking Send.
+func TrySend(st St, state string, to session.UncheckedSend, label types.Label, payload any) (St, error) {
+	if err := st.peekAs(state); err != nil {
+		return St{}, err
+	}
+	if err := to.TrySend(label, payload); err != nil {
+		if !errors.Is(err, session.ErrWouldBlock) {
+			st.advance()
+		}
+		return St{}, err
+	}
+	return st.advance(), nil
+}
+
+// Recv is a generated blocking single-transition receive: consume the
+// stamp, receive from peer on the bound route, require label and convert
+// the payload with conv (Signal for a payload-free message).
+func Recv[T any](st St, state string, from session.UncheckedRecv, peer types.Role, label types.Label, conv func(any) (T, error)) (T, St, error) {
+	var zero T
+	if err := st.useAs(state); err != nil {
+		return zero, St{}, err
+	}
+	got, v, err := from.Recv()
+	if err != nil {
+		return zero, St{}, err
+	}
+	if got != label {
+		return zero, St{}, Unexpected(st.C.role, bare(state), peer, got)
+	}
+	payload, err := conv(v)
+	if err != nil {
+		return zero, St{}, err
+	}
+	return payload, st.next(), nil
+}
+
+// TryRecv is the non-blocking Recv.
+func TryRecv[T any](st St, state string, from session.UncheckedRecv, peer types.Role, label types.Label, conv func(any) (T, error)) (T, St, error) {
+	var zero T
+	if err := st.peekAs(state); err != nil {
+		return zero, St{}, err
+	}
+	got, v, err := from.TryRecv()
+	if err != nil {
+		if !errors.Is(err, session.ErrWouldBlock) {
+			st.advance()
+		}
+		return zero, St{}, err
+	}
+	next := st.advance()
+	if got != label {
+		return zero, St{}, Unexpected(st.C.role, bare(state), peer, got)
+	}
+	payload, err := conv(v)
+	if err != nil {
+		return zero, St{}, err
+	}
+	return payload, next, nil
+}
+
+// Branch is a generated blocking branching receive: consume the stamp and
+// return the next message on the bound route. The generated method matches
+// the label against its cases and converts the payload.
+func Branch(st St, state string, from session.UncheckedRecv) (types.Label, any, St, error) {
+	if err := st.useAs(state); err != nil {
+		return "", nil, St{}, err
+	}
+	label, v, err := from.Recv()
+	if err != nil {
+		return "", nil, St{}, err
+	}
+	return label, v, st.next(), nil
+}
+
+// TryBranch is the non-blocking Branch.
+func TryBranch(st St, state string, from session.UncheckedRecv) (types.Label, any, St, error) {
+	if err := st.peekAs(state); err != nil {
+		return "", nil, St{}, err
+	}
+	label, v, err := from.TryRecv()
+	if err != nil {
+		if !errors.Is(err, session.ErrWouldBlock) {
+			st.advance()
+		}
+		return "", nil, St{}, err
+	}
+	return label, v, st.advance(), nil
+}
+
+// bare strips the package qualifier from a qualified state name.
+func bare(state string) string {
+	return state[strings.LastIndexByte(state, '.')+1:]
 }
 
 // Runner collects one goroutine per generated role process, errgroup-style:
@@ -205,6 +322,10 @@ func (r *Runner) Wait() error {
 func convErr(sort string, v any) error {
 	return fmt.Errorf("genrt: payload %T does not inhabit sort %s", v, sort)
 }
+
+// Signal is the converter of a payload-free receive: a generated signal has
+// no payload result, so whatever value rides along is ignored.
+func Signal(any) (struct{}, error) { return struct{}{}, nil }
 
 // As converts a received payload of a registry-bound sort (types.LookupSort)
 // to its exact Go binding T: a single type assertion on the interface value,

@@ -15,11 +15,11 @@ func TestStOneShot(t *testing.T) {
 		if !st.Live() {
 			t.Error("initial stamp not live")
 		}
-		if err := st.Use(); err != nil {
+		if err := st.use(); err != nil {
 			t.Fatalf("first use: %v", err)
 		}
-		err = st.Use() // second use of the same stamp
-		next := st.Next()
+		err = st.use() // second use of the same stamp
+		next := st.next()
 		if !next.Live() {
 			t.Error("minted successor not live")
 		}
@@ -35,12 +35,12 @@ func TestStOneShot(t *testing.T) {
 		t.Errorf("second use = %v, want ErrStateConsumed", err)
 	}
 	var zero St
-	if err := zero.Use(); !errors.Is(err, ErrStateConsumed) {
+	if err := zero.use(); !errors.Is(err, ErrStateConsumed) {
 		t.Errorf("zero stamp use = %v, want ErrStateConsumed", err)
 	}
 }
 
-// TestStNamedFaults pins the generated diagnostic form: UseAs/PeekAs wrap
+// TestStNamedFaults pins the generated diagnostic form: useAs/peekAs wrap
 // ErrStateConsumed with the violating state type's name, so dynamic
 // violations that slip past sessvet point at the state that faulted.
 func TestStNamedFaults(t *testing.T) {
@@ -49,8 +49,8 @@ func TestStNamedFaults(t *testing.T) {
 		face string
 		err  error
 	}{
-		{"UseAs", zero.UseAs("streaming.B2")},
-		{"PeekAs", zero.PeekAs("streaming.B2")},
+		{"useAs", zero.useAs("streaming.B2")},
+		{"peekAs", zero.peekAs("streaming.B2")},
 	} {
 		if !errors.Is(probe.err, ErrStateConsumed) {
 			t.Errorf("%s = %v, want ErrStateConsumed", probe.face, probe.err)
@@ -61,11 +61,11 @@ func TestStNamedFaults(t *testing.T) {
 	}
 	sessionErr := Session(session.NewNetwork("a", "b"), "a", func(c *Core) error {
 		st := c.Init()
-		if err := st.UseAs("p.S0"); err != nil {
-			t.Fatalf("live UseAs: %v", err)
+		if err := st.useAs("p.S0"); err != nil {
+			t.Fatalf("live useAs: %v", err)
 		}
-		if err := st.PeekAs("p.S0"); err == nil || !strings.Contains(err.Error(), "p.S0") {
-			t.Errorf("consumed PeekAs = %v, want named fault", err)
+		if err := st.peekAs("p.S0"); err == nil || !strings.Contains(err.Error(), "p.S0") {
+			t.Errorf("consumed peekAs = %v, want named fault", err)
 		}
 		return nil
 	})
@@ -81,7 +81,7 @@ func TestFinish(t *testing.T) {
 			t.Errorf("live end rejected: %v", err)
 		}
 		stale := c.Init()
-		if err := stale.Use(); err != nil {
+		if err := stale.use(); err != nil {
 			t.Fatal(err)
 		}
 		if err := Finish(c, stale); !errors.Is(err, ErrIncomplete) {

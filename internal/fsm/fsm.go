@@ -42,10 +42,11 @@ type Action struct {
 }
 
 func (a Action) String() string {
+	s := string(a.Peer) + a.Dir.String() + string(a.Label)
 	if a.Sort == types.Unit || a.Sort == "" {
-		return fmt.Sprintf("%s%s%s", a.Peer, a.Dir, a.Label)
+		return s
 	}
-	return fmt.Sprintf("%s%s%s(%s)", a.Peer, a.Dir, a.Label, a.Sort)
+	return s + "(" + string(a.Sort) + ")"
 }
 
 // Dual returns the matching action from the peer's perspective, relative to

@@ -100,6 +100,8 @@ func TestExportIdentMatchesCodegen(t *testing.T) {
 		"2fast":     "X2fast",
 		"ok_now":    "Ok_now",
 		"weird~lbl": "Weird_lbl",
+		"数":         "X数",
+		"_under":    "X_under",
 	}
 	for in, want := range cases {
 		if got := exportIdent(in); got != want {

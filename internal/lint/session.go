@@ -250,7 +250,7 @@ func exportIdent(s string) string {
 		out = "X"
 	}
 	first, _ := utf8.DecodeRuneInString(out)
-	if unicode.IsDigit(first) {
+	if !unicode.IsUpper(unicode.ToUpper(first)) {
 		out = "X" + out
 	}
 	r, size := utf8.DecodeRuneInString(out)
