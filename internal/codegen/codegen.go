@@ -354,8 +354,8 @@ func sortedRoles(set map[types.Role]bool) []types.Role {
 // pf appends format to the output with its verbs replaced by args in
 // order. It knows only the verbs the emitter uses: %s and %d write the
 // argument's text, %q writes it quoted as fmt's %q does (strconv.Quote).
-// Arguments are strings, roles, labels, states or Stringers; anything else
-// is a generator bug.
+// Arguments are strings, roles, states or Stringers; anything else is a
+// generator bug.
 func (g *generator) pf(format string, args ...any) {
 	for {
 		i := strings.IndexByte(format, '%')
@@ -372,11 +372,9 @@ func (g *generator) pf(format string, args ...any) {
 			text = a
 		case types.Role:
 			text = string(a)
-		case types.Label:
-			text = string(a)
 		case fsm.State:
 			text = strconv.Itoa(int(a))
-		case interface{ String() string }:
+		case fmt.Stringer:
 			text = a.String()
 		default:
 			panic("codegen: pf argument of unsupported type")
@@ -564,9 +562,10 @@ func (g *generator) emitRole(rg *roleGen) {
 	}
 }
 
-// stateRef renders a state type's name as it appears in runtime linearity
-// faults (UseAs/PeekAs): qualified by the generated package name, e.g.
-// "streaming.B2", so a dynamic violation points at the violating state.
+// stateRef renders a state type's name as it appears in the runtime
+// linearity faults of the genrt transition helpers: qualified by the
+// generated package name, e.g. "streaming.B2", so a dynamic violation points
+// at the violating state.
 func (g *generator) stateRef(state string) string {
 	return g.opts.Package + "." + state
 }

@@ -22,6 +22,14 @@
 // affine use of state values, remains a cheap integer-compare guard at run
 // time. See DESIGN.md ("The three API tiers").
 //
+// The generated types carry the protocol; the method bodies do not repeat
+// it. Each transition method is one call to a genrt helper (genrt.Send,
+// TrySend, Recv, TryRecv, Branch, TryBranch), which checks and advances the
+// one-shot stamp around the route operation, followed by building the
+// successor state. Branch methods keep their label switch and per-case
+// payload conversion. The stamp guard runs inside the helpers: one integer
+// compare per transition.
+//
 // The emitted source is gofmt-canonical by construction: the emitter pads
 // aligned blocks (const specs, struct fields) and ends the file the way
 // gofmt does, so no go/format re-print runs on the generation path.

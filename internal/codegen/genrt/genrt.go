@@ -16,6 +16,13 @@
 // compare per operation, far below the monitor's per-message FSM scan and
 // sort check.
 //
+// genrt also holds the bodies of the generated transition methods. A
+// generated Send*, Recv*, Branch or Try* method is one call to Send,
+// TrySend, Recv, TryRecv, Branch or TryBranch, which check and advance the
+// stamp around the route operation, and then builds its successor state
+// from the stamp the helper returns. Only the helpers step a stamp, so
+// St's stepping methods are unexported.
+//
 // Nothing in this package is useful to hand-written application code; it is
 // public to the module only so that generated packages (which live outside
 // internal/codegen) can import it.
@@ -74,54 +81,30 @@ type St struct {
 	Seq uint32
 }
 
-// use consumes the stamp: it must match the core's live sequence number
-// exactly once.
-func (s St) use() error {
-	if s.C == nil || s.Seq != s.C.seq {
-		return ErrStateConsumed
-	}
-	s.C.seq++
-	return nil
-}
-
-// useAs is use with the generated state type's name attached to the
-// fault, so a dynamic linearity violation that slipped past sessvet points
-// at the violating state (e.g. "streaming.B2: state value already
-// consumed..."). The blocking transition helpers call this form.
-func (s St) useAs(state string) error {
-	if err := s.use(); err != nil {
-		return fmt.Errorf("%s: %w", state, err)
-	}
-	return nil
-}
-
-// next mints the stamp for the successor state value after a use.
-func (s St) next() St { return St{C: s.C, Seq: s.C.seq} }
-
-// peek verifies the stamp is live without consuming it: the entry check of
-// the Try* helpers, which must leave the state value usable when the
-// substrate refuses the operation (session.ErrWouldBlock).
-func (s St) peek() error {
-	if s.C == nil || s.Seq != s.C.seq {
-		return ErrStateConsumed
-	}
-	return nil
-}
-
-// peekAs is peek with the generated state type's name attached to the
-// fault, mirroring useAs for the non-blocking entry check.
+// peekAs verifies the stamp is live without consuming it; a stale stamp
+// faults with the generated state type's name attached, so a dynamic
+// linearity violation that slipped past sessvet points at the violating
+// state (e.g. "streaming.B2: state value already consumed...").
 func (s St) peekAs(state string) error {
-	if err := s.peek(); err != nil {
-		return fmt.Errorf("%s: %w", state, err)
+	if s.Live() {
+		return nil
 	}
-	return nil
+	return stale(state)
 }
 
-// advance consumes a stamp already verified live (peek) and mints the
-// successor. It is use+next split apart so the Try* helpers can separate
-// the liveness check (before the substrate probe) from the consumption
-// (only once the probe succeeds or faults — never on would-block, where the
-// protocol state genuinely has not moved).
+// stale is peekAs's fault, kept out of line so that peekAs inlines into
+// the transition helpers.
+//
+//go:noinline
+func stale(state string) error {
+	return fmt.Errorf("%s: %w", state, ErrStateConsumed)
+}
+
+// advance consumes a stamp already verified live (peekAs) and mints the
+// successor. The blocking helpers advance before the route operation, so
+// any failure leaves the state consumed; the Try* helpers advance only once
+// the operation succeeds or faults — never on would-block, where the
+// protocol state genuinely has not moved.
 func (s St) advance() St {
 	s.C.seq++
 	return St{C: s.C, Seq: s.C.seq}
@@ -175,13 +158,14 @@ func Unexpected(role types.Role, state string, from types.Role, got types.Label)
 // Send is a generated blocking Send: consume the stamp, then send label and
 // payload (nil for a signal) on the bound route.
 func Send(st St, state string, to session.UncheckedSend, label types.Label, payload any) (St, error) {
-	if err := st.useAs(state); err != nil {
+	if err := st.peekAs(state); err != nil {
 		return St{}, err
 	}
+	next := st.advance()
 	if err := to.Send(label, payload); err != nil {
 		return St{}, err
 	}
-	return st.next(), nil
+	return next, nil
 }
 
 // TrySend is the non-blocking Send.
@@ -203,9 +187,10 @@ func TrySend(st St, state string, to session.UncheckedSend, label types.Label, p
 // the payload with conv (Signal for a payload-free message).
 func Recv[T any](st St, state string, from session.UncheckedRecv, peer types.Role, label types.Label, conv func(any) (T, error)) (T, St, error) {
 	var zero T
-	if err := st.useAs(state); err != nil {
+	if err := st.peekAs(state); err != nil {
 		return zero, St{}, err
 	}
+	next := st.advance()
 	got, v, err := from.Recv()
 	if err != nil {
 		return zero, St{}, err
@@ -217,7 +202,7 @@ func Recv[T any](st St, state string, from session.UncheckedRecv, peer types.Rol
 	if err != nil {
 		return zero, St{}, err
 	}
-	return payload, st.next(), nil
+	return payload, next, nil
 }
 
 // TryRecv is the non-blocking Recv.
@@ -248,14 +233,15 @@ func TryRecv[T any](st St, state string, from session.UncheckedRecv, peer types.
 // return the next message on the bound route. The generated method matches
 // the label against its cases and converts the payload.
 func Branch(st St, state string, from session.UncheckedRecv) (types.Label, any, St, error) {
-	if err := st.useAs(state); err != nil {
+	if err := st.peekAs(state); err != nil {
 		return "", nil, St{}, err
 	}
+	next := st.advance()
 	label, v, err := from.Recv()
 	if err != nil {
 		return "", nil, St{}, err
 	}
-	return label, v, st.next(), nil
+	return label, v, next, nil
 }
 
 // TryBranch is the non-blocking Branch.

@@ -12,14 +12,11 @@ func TestStOneShot(t *testing.T) {
 	var err error
 	sessionErr := Session(session.NewNetwork("a", "b"), "a", func(c *Core) error {
 		st := c.Init()
-		if !st.Live() {
-			t.Error("initial stamp not live")
+		if err := st.peekAs("p.S0"); err != nil {
+			t.Fatalf("initial stamp not live: %v", err)
 		}
-		if err := st.use(); err != nil {
-			t.Fatalf("first use: %v", err)
-		}
-		err = st.use() // second use of the same stamp
-		next := st.next()
+		next := st.advance()
+		err = st.peekAs("p.S0") // the consumed stamp
 		if !next.Live() {
 			t.Error("minted successor not live")
 		}
@@ -32,40 +29,32 @@ func TestStOneShot(t *testing.T) {
 		t.Fatal(sessionErr)
 	}
 	if !errors.Is(err, ErrStateConsumed) {
-		t.Errorf("second use = %v, want ErrStateConsumed", err)
+		t.Errorf("consumed stamp = %v, want ErrStateConsumed", err)
 	}
 	var zero St
-	if err := zero.use(); !errors.Is(err, ErrStateConsumed) {
-		t.Errorf("zero stamp use = %v, want ErrStateConsumed", err)
+	if err := zero.peekAs("p.S0"); !errors.Is(err, ErrStateConsumed) {
+		t.Errorf("zero stamp = %v, want ErrStateConsumed", err)
 	}
 }
 
-// TestStNamedFaults pins the generated diagnostic form: useAs/peekAs wrap
-// ErrStateConsumed with the violating state type's name, so dynamic
-// violations that slip past sessvet point at the state that faulted.
+// TestStNamedFaults pins the generated diagnostic form: a stale stamp's
+// fault wraps ErrStateConsumed with the violating state type's name, so
+// dynamic violations that slip past sessvet point at the state that
+// faulted.
 func TestStNamedFaults(t *testing.T) {
 	var zero St
-	for _, probe := range []struct {
-		face string
-		err  error
-	}{
-		{"useAs", zero.useAs("streaming.B2")},
-		{"peekAs", zero.peekAs("streaming.B2")},
-	} {
-		if !errors.Is(probe.err, ErrStateConsumed) {
-			t.Errorf("%s = %v, want ErrStateConsumed", probe.face, probe.err)
-		}
-		if !strings.HasPrefix(probe.err.Error(), "streaming.B2: ") {
-			t.Errorf("%s message = %q, want the state name as prefix", probe.face, probe.err)
-		}
+	err := zero.peekAs("streaming.B2")
+	if !errors.Is(err, ErrStateConsumed) {
+		t.Errorf("zero stamp = %v, want ErrStateConsumed", err)
+	}
+	if !strings.HasPrefix(err.Error(), "streaming.B2: ") {
+		t.Errorf("message = %q, want the state name as prefix", err)
 	}
 	sessionErr := Session(session.NewNetwork("a", "b"), "a", func(c *Core) error {
 		st := c.Init()
-		if err := st.useAs("p.S0"); err != nil {
-			t.Fatalf("live useAs: %v", err)
-		}
+		st.advance()
 		if err := st.peekAs("p.S0"); err == nil || !strings.Contains(err.Error(), "p.S0") {
-			t.Errorf("consumed peekAs = %v, want named fault", err)
+			t.Errorf("consumed stamp = %v, want named fault", err)
 		}
 		return nil
 	})
@@ -81,9 +70,7 @@ func TestFinish(t *testing.T) {
 			t.Errorf("live end rejected: %v", err)
 		}
 		stale := c.Init()
-		if err := stale.use(); err != nil {
-			t.Fatal(err)
-		}
+		stale.advance()
 		if err := Finish(c, stale); !errors.Is(err, ErrIncomplete) {
 			t.Errorf("stale end = %v, want ErrIncomplete", err)
 		}
