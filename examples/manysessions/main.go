@@ -3,7 +3,9 @@
 // instances, and multiplexes all of them over a fixed pool of worker
 // goroutines with non-blocking stepping (internal/sched) — the
 // production-scale execution shape, as opposed to the paper evaluation's
-// one-session-per-goroutine-pair runs.
+// one-session-per-goroutine-pair runs. GoSession is admission-controlled:
+// once a worker has Options.Backlog sessions in flight the enqueue loop
+// blocks until one finishes, so memory stays bounded at any -sessions.
 //
 //	go run ./examples/manysessions [-sessions n] [-workers w] [-values k]
 package main

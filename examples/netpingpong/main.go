@@ -80,7 +80,7 @@ func runRing(base *session.Session) time.Duration {
 	for _, r := range inst.Roles() {
 		steppers = append(steppers, newStepper(inst, r))
 	}
-	if err := s.Go(steppers...); err != nil {
+	if err := s.Go(time.Time{}, nil, steppers...); err != nil {
 		log.Fatalf("ring: %v", err)
 	}
 	if err := s.Close(); err != nil {

@@ -225,8 +225,8 @@ func TestChaosStealSoak(t *testing.T) {
 			}
 			c := &cell{name: e.Name, seed: seed, res: make(chan error, 1)}
 			deadline := time.Now().Add(cfg.Timeout)
-			if err := s.GoWithDeadline(deadline, func(err error) { c.res <- err }, steppers...); err != nil {
-				t.Fatalf("%s seed=%d: GoWithDeadline: %v", e.Name, seed, err)
+			if err := s.Go(deadline, func(err error) { c.res <- err }, steppers...); err != nil {
+				t.Fatalf("%s seed=%d: Go: %v", e.Name, seed, err)
 			}
 			cells = append(cells, c)
 		}
@@ -403,14 +403,13 @@ func TestPanickingStepperUnderScheduler(t *testing.T) {
 	healthy := 0
 	for i := 0; i < 8; i++ {
 		if i == 3 {
-			if err := s.Go(&chaosPanicStepper{left: 2}); err != nil {
+			if err := s.Go(time.Time{}, nil, &chaosPanicStepper{left: 2}); err != nil {
 				t.Fatal(err)
 			}
 			continue
 		}
 		healthy++
-		inst := base.Fork()
-		if err := s.GoSessionWithDeadline(inst, 4096, strategyFor, time.Now().Add(5*time.Second)); err != nil {
+		if err := s.GoSessionPooled(base, 4096, strategyFor, time.Now().Add(5*time.Second), nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -113,7 +113,7 @@ func Run(inst *session.Session, mode Mode, b Budget, strat func(types.Role) sess
 		tasks[i] = st
 	}
 	done := make(chan error, 1)
-	if err := s.GoWithDeadline(deadline, func(err error) { done <- err }, tasks...); err != nil {
+	if err := s.Go(deadline, func(err error) { done <- err }, tasks...); err != nil {
 		abort(steppers)
 		return err
 	}

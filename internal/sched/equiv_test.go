@@ -3,6 +3,7 @@ package sched_test
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/equiv"
 	"repro/internal/protocols"
@@ -90,7 +91,7 @@ func TestSteppedTraceEqualsBlockingTrace(t *testing.T) {
 		// 3. Scheduler-driven stepped run, all protocols in flight at once
 		// over four workers.
 		steppers, strats := claimTraced(t, e, refSess.Fork(), budgets)
-		if err := s.Go(steppers...); err != nil {
+		if err := s.Go(time.Time{}, nil, steppers...); err != nil {
 			t.Fatalf("%s: Go: %v", e.Name, err)
 		}
 		runs = append(runs, &pending{entry: e, strats: strats, ref: refTraces, blk: blkTraces})
@@ -144,7 +145,7 @@ func TestStealAblationTraceEquivalence(t *testing.T) {
 		perEntry := map[string]map[types.Role]*equiv.TraceStrategy{}
 		for _, c := range cuts {
 			steppers, strats := claimTraced(t, c.entry, c.base.Fork(), c.budgets)
-			if err := s.Go(steppers...); err != nil {
+			if err := s.Go(time.Time{}, nil, steppers...); err != nil {
 				t.Fatalf("%s: Go(noSteal=%v): %v", c.entry.Name, noSteal, err)
 			}
 			perEntry[c.entry.Name] = strats

@@ -66,7 +66,7 @@ func TestExternalWakeup(t *testing.T) {
 		s := New(Options{Workers: 1})
 		defer s.Close()
 		done := make(chan error, 1)
-		if err := s.GoWithDone(func(err error) { done <- err },
+		if err := s.Go(time.Time{}, func(err error) { done <- err },
 			&netReceiver{route: route, want: 1}); err != nil {
 			t.Fatal(err)
 		}

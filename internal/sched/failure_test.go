@@ -45,14 +45,14 @@ func (c *countingStepper) Step() (bool, error) {
 // TestSchedStepperPanicIsolated is the satellite regression test: a
 // panicking Stepper faults only its own session. The worker survives, a
 // sibling session sharded onto the same worker still completes, Close
-// returns (today, without the recover barrier, this hangs), and GoWithDone
-// observes a *PanicError carrying the panic value.
+// returns (today, without the recover barrier, this hangs), and the
+// session's onDone observes a *PanicError carrying the panic value.
 func TestSchedStepperPanicIsolated(t *testing.T) {
 	s := New(Options{Workers: 1}) // one worker: both sessions share it
 	var panicErr error
 	var panicDone atomic.Bool
 	sibling := &panicStepper{left: 2}
-	if err := s.GoWithDone(func(err error) {
+	if err := s.Go(time.Time{}, func(err error) {
 		panicErr = err
 		panicDone.Store(true)
 	}, &panicStepper{left: 5}, sibling); err != nil {
@@ -60,7 +60,7 @@ func TestSchedStepperPanicIsolated(t *testing.T) {
 	}
 	healthy := &countingStepper{left: 50}
 	var healthyErr error
-	if err := s.GoWithDone(func(err error) { healthyErr = err }, healthy); err != nil {
+	if err := s.Go(time.Time{}, func(err error) { healthyErr = err }, healthy); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Wait(); err == nil {
@@ -109,7 +109,7 @@ func (r *roleStepper) Role() types.Role    { return r.role }
 // stuck roles, and still satisfies errors.Is(err, ErrDeadlock).
 func TestSchedDeadlockErrorNamesSessionAndRoles(t *testing.T) {
 	s := New(Options{Workers: 1})
-	if err := s.Go(&roleStepper{role: "alice"}, &roleStepper{role: "bob"}); err != nil {
+	if err := s.Go(time.Time{}, nil, &roleStepper{role: "alice"}, &roleStepper{role: "bob"}); err != nil {
 		t.Fatal(err)
 	}
 	err := s.Close()
@@ -137,7 +137,7 @@ func TestSchedSessionDeadlineTimesOutParkedSession(t *testing.T) {
 	s := New(Options{Workers: 1})
 	stuck := &roleStepper{role: "carol"}
 	start := time.Now()
-	if err := s.GoWithDeadline(start.Add(20*time.Millisecond), nil, stuck); err != nil {
+	if err := s.Go(start.Add(20*time.Millisecond), nil, stuck); err != nil {
 		t.Fatal(err)
 	}
 	err := s.Close()
@@ -178,7 +178,7 @@ func (s *slowStepper) Step() (bool, error) {
 func TestSchedDeadlineRepollsTransientQuiescence(t *testing.T) {
 	s := New(Options{Workers: 1})
 	slow := &slowStepper{ready: time.Now().Add(5 * time.Millisecond)}
-	if err := s.GoWithDeadline(time.Now().Add(time.Second), nil, slow); err != nil {
+	if err := s.Go(time.Now().Add(time.Second), nil, slow); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -190,7 +190,7 @@ func TestSchedDeadlineRepollsTransientQuiescence(t *testing.T) {
 // behaviour: every session enqueued inherits Now+SessionTimeout.
 func TestSchedOptionsSessionTimeout(t *testing.T) {
 	s := New(Options{Workers: 1, SessionTimeout: 20 * time.Millisecond})
-	if err := s.Go(&roleStepper{role: "dave"}); err != nil {
+	if err := s.Go(time.Time{}, nil, &roleStepper{role: "dave"}); err != nil {
 		t.Fatal(err)
 	}
 	err := s.Close()
@@ -200,18 +200,17 @@ func TestSchedOptionsSessionTimeout(t *testing.T) {
 }
 
 // TestSchedGoSessionWithDeadline drives a real verified session under a
-// generous deadline: it must complete cleanly (armed-but-unfired deadlines
-// change nothing observable).
+// generous deadline (the deadline argument of GoSessionPooled): it must
+// complete cleanly (armed-but-unfired deadlines change nothing observable).
 func TestSchedGoSessionWithDeadline(t *testing.T) {
 	base := adderSession(t)
 	s := New(Options{Workers: 2})
 	for i := 0; i < 20; i++ {
-		inst := base.Fork()
-		err := s.GoSessionWithDeadline(inst, 1000, func(types.Role) session.Strategy {
+		err := s.GoSessionPooled(base, 1000, func(types.Role) session.Strategy {
 			return session.FirstBranch{}
-		}, time.Now().Add(5*time.Second))
+		}, time.Now().Add(5*time.Second), nil)
 		if err != nil {
-			t.Fatalf("GoSessionWithDeadline %d: %v", i, err)
+			t.Fatalf("GoSessionPooled %d: %v", i, err)
 		}
 	}
 	if err := s.Close(); err != nil {

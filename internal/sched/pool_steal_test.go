@@ -125,20 +125,20 @@ func TestSchedStealRebalances(t *testing.T) {
 	s := New(Options{Workers: 2, MaxActive: 1})
 	release := &atomic.Bool{}
 	// id 1 -> workers[1]: the spinner.
-	if err := s.Go(&gateStepper{release: release}); err != nil {
+	if err := s.Go(time.Time{}, nil, &gateStepper{release: release}); err != nil {
 		t.Fatalf("Go spinner: %v", err)
 	}
 	var completed atomic.Int64
 	const n = 40 // ids 2..41: evens to workers[0], odds to workers[1]
 	deadline := time.Now().Add(30 * time.Second)
 	for i := 0; i < n; i++ {
-		err := s.GoWithDeadline(deadline, func(err error) {
+		err := s.Go(deadline, func(err error) {
 			if err == nil {
 				completed.Add(1)
 			}
 		}, doneStepper{})
 		if err != nil {
-			t.Fatalf("GoWithDeadline %d: %v", i, err)
+			t.Fatalf("Go %d: %v", i, err)
 		}
 	}
 	waitUntil := time.Now().Add(20 * time.Second)
@@ -164,20 +164,20 @@ func TestSchedStealRebalances(t *testing.T) {
 func TestSchedNoStealHonoured(t *testing.T) {
 	s := New(Options{Workers: 2, MaxActive: 1, NoSteal: true})
 	release := &atomic.Bool{}
-	if err := s.Go(&gateStepper{release: release}); err != nil { // id 1 -> workers[1]
+	if err := s.Go(time.Time{}, nil, &gateStepper{release: release}); err != nil { // id 1 -> workers[1]
 		t.Fatalf("Go spinner: %v", err)
 	}
 	var oddDone atomic.Int64
 	deadline := time.Now().Add(30 * time.Second)
 	for i := 0; i < 6; i++ { // ids 2..7
 		id := i
-		err := s.GoWithDeadline(deadline, func(err error) {
+		err := s.Go(deadline, func(err error) {
 			if err == nil && id%2 == 1 { // odd i -> odd id+... track odd-routed
 				oddDone.Add(1)
 			}
 		}, doneStepper{})
 		if err != nil {
-			t.Fatalf("GoWithDeadline %d: %v", i, err)
+			t.Fatalf("Go %d: %v", i, err)
 		}
 	}
 	time.Sleep(50 * time.Millisecond)
@@ -206,13 +206,13 @@ func (e *extStepper) Step() (bool, error) {
 func TestSchedWakeAfterSteal(t *testing.T) {
 	s := New(Options{Workers: 2, MaxActive: 1})
 	release := &atomic.Bool{}
-	if err := s.Go(&gateStepper{release: release}); err != nil { // id 1 -> workers[1]
+	if err := s.Go(time.Time{}, nil, &gateStepper{release: release}); err != nil { // id 1 -> workers[1]
 		t.Fatalf("Go spinner: %v", err)
 	}
 	// id 2 -> workers[0]: keeps worker 0 from stealing before the external
 	// session is enqueued (ordering is best-effort; the test is correct
 	// either way since the steal is only observed via Steals()).
-	if err := s.Go(doneStepper{}); err != nil {
+	if err := s.Go(time.Time{}, nil, doneStepper{}); err != nil {
 		t.Fatalf("Go filler: %v", err)
 	}
 	ready := &atomic.Bool{}

@@ -9,10 +9,15 @@
 //
 // Design:
 //
+//   - Submission. Go (raw steppers), GoExternal (raw steppers woken from
+//     outside), GoSession (a session instance) and GoSessionPooled (recycled
+//     instances of a base session) all enqueue through one path.
+//
 //   - Sharding. Every session is placed whole on one worker (round-robin at
-//     Go time). All of a session's peers therefore live on the same worker,
-//     so ready/parked bookkeeping needs no cross-worker synchronisation and
-//     the SPSC substrate operations of one session never contend.
+//     enqueue time). All of a session's peers therefore live on the same
+//     worker, so ready/parked bookkeeping needs no cross-worker
+//     synchronisation and the SPSC substrate operations of one session
+//     never contend.
 //
 //   - Work stealing. Round-robin placement balances counts, not durations: a
 //     shard that drew the long sessions stalls its backlog while other
@@ -31,11 +36,11 @@
 //     steppers, job and task records — through per-worker free lists keyed
 //     by the base session, so scheduler steady state allocates nothing per
 //     session-run (the Session.Reset/Stepper.Reset reuse path). Admission
-//     is bounded: Options.Backlog caps each worker's in-flight pooled
-//     sessions and GoSessionPooled blocks until a slot frees, which both
-//     bounds memory at any concurrency and is what makes the pool actually
-//     hit (an unbounded producer outruns the workers and every enqueue
-//     would miss).
+//     is bounded: Options.Backlog caps each worker's in-flight sessions
+//     built by the scheduler (GoSession, GoSessionPooled), and those calls
+//     block until a slot frees, which both bounds memory at any concurrency
+//     and is what makes the pool actually hit (an unbounded producer
+//     outruns the workers and every enqueue would miss).
 //
 //   - Ready/parked bookkeeping. Within a session, a task that reports
 //     ErrWouldBlock is parked; any sibling progress (the only thing that can
@@ -98,7 +103,8 @@ type Aborter interface {
 	Abort()
 }
 
-// ErrClosed is returned by Go on a scheduler that has been closed.
+// ErrClosed is returned by every enqueue (Go, GoExternal, GoSession,
+// GoSessionPooled) on a scheduler whose Close has begun.
 var ErrClosed = errors.New("sched: scheduler closed")
 
 // ErrDeadlock reports a session whose tasks were all parked on would-block
@@ -132,11 +138,11 @@ func (e *DeadlockError) Error() string {
 // Unwrap exposes the ErrDeadlock sentinel to errors.Is.
 func (e *DeadlockError) Unwrap() error { return ErrDeadlock }
 
-// TimeoutError reports a session that exceeded its deadline (GoWithDeadline,
-// GoSessionWithDeadline or Options.SessionTimeout) while parked: the
-// scheduler abandons it instead of re-polling forever. It unwraps to
-// session.ErrTimeout, the sentinel shared by every deadline expiry in the
-// runtime.
+// TimeoutError reports a session that exceeded its deadline (the deadline
+// argument of Go, GoExternal or GoSessionPooled, or Options.SessionTimeout)
+// while parked: the scheduler abandons it instead of re-polling forever. It
+// unwraps to session.ErrTimeout, the sentinel shared by every deadline
+// expiry in the runtime.
 type TimeoutError struct {
 	// Session is the scheduler-wide enqueue sequence number of the session.
 	Session uint64
@@ -156,8 +162,8 @@ func (e *TimeoutError) Unwrap() error { return session.ErrTimeout }
 
 // PanicError is a stepper panic converted into a session fault: the worker
 // survives (the panic is recovered in the step loop), the panicking task and
-// its siblings are aborted, and GoWithDone observes this error carrying the
-// recovered value and the stack at the panic site.
+// its siblings are aborted, and the session's onDone observes this error
+// carrying the recovered value and the stack at the panic site.
 type PanicError struct {
 	// Value is the value the stepper panicked with.
 	Value any
@@ -195,16 +201,16 @@ type Options struct {
 	// 256. A smaller cap makes a hot shard's backlog visible (stealable)
 	// sooner at the cost of more inbox churn.
 	MaxActive int
-	// Backlog caps each worker's in-flight pooled sessions
-	// (GoSessionPooled): enqueues beyond it block until a slot frees. 0
-	// means 1024. The cap bounds resident memory at any offered load and
-	// keeps the recycle loop tight enough that the free lists actually hit.
-	// Non-pooled enqueues (Go, GoSession, GoExternal) are not admission
+	// Backlog caps each worker's in-flight sessions built by the scheduler
+	// (GoSession, GoSessionPooled): enqueues beyond it block until a slot
+	// frees. 0 means 1024. The cap bounds resident memory at any offered
+	// load and keeps the recycle loop tight enough that the free lists
+	// actually hit. Raw-stepper enqueues (Go, GoExternal) are not admission
 	// controlled.
 	Backlog int
 }
 
-// Scheduler runs sessions added with Go or GoSession until they complete.
+// Scheduler runs enqueued sessions until they complete.
 // Workers start immediately at New; Wait blocks for completion of everything
 // added so far; Close drains and stops the pool.
 type Scheduler struct {
@@ -220,7 +226,7 @@ type Scheduler struct {
 	jobs sync.WaitGroup // in-flight sessions
 
 	mu     sync.Mutex
-	closed bool  // intake stopped; guarded by mu so Go's jobs.Add
+	closed bool  // intake stopped; guarded by mu so enqueue's jobs.Add
 	first  error // serializes against Close's jobs.Wait
 
 	join sync.WaitGroup // worker goroutines
@@ -261,10 +267,10 @@ type job struct {
 	// can complete concurrently. Waker.Wake navigates by it.
 	owner atomic.Pointer[worker]
 	// home is the worker whose admission slot (Backlog) the job occupies;
-	// nil for non-pooled jobs. Unlike owner it never changes: a stolen
-	// pooled job still releases its home's slot at finish.
+	// nil for raw-stepper jobs. Unlike owner it never changes: a stolen job
+	// still releases its home's slot at finish.
 	home   *worker
-	bundle *bundle // pooled object graph to recycle at finish; nil if unpooled
+	bundle *bundle // the scheduler-built object graph; nil for raw steppers
 }
 
 type worker struct {
@@ -274,7 +280,7 @@ type worker struct {
 	inbox    []*job
 	stopped  bool
 	waiting  map[*job]struct{} // external sessions parked until a Wake
-	pending  int               // in-flight pooled jobs homed here (Backlog slots)
+	pending  int               // in-flight scheduler-built jobs homed here (Backlog slots)
 	free     map[*session.Session][]*bundle
 	idle     bool // asleep (or hunting): a wakeOne candidate
 	poked    bool // wakeOne fired since the worker last cleared it
@@ -282,17 +288,19 @@ type worker struct {
 	active []*job // owned by the worker goroutine
 }
 
-// bundle is the pooled per-instance object graph GoSessionPooled recycles:
-// one forked session (network, routes, endpoints, monitors), its steppers
-// and strategies, and the job/task records that schedule it. A bundle lives
-// on exactly one worker's free list between runs, keyed by the base session
-// it was forked from so protocol-mismatched reuse is impossible.
+// bundle is the per-instance object graph of a session the scheduler
+// builds: one session instance (network, routes, endpoints, monitors), its
+// steppers and strategies, and the job/task records that schedule it. A
+// pooled bundle (GoSessionPooled) lives on exactly one worker's free list
+// between runs, keyed by the base session it was forked from so
+// protocol-mismatched reuse is impossible; one with no base (GoSession) is
+// dropped at finish.
 type bundle struct {
-	base     *session.Session
+	base     *session.Session // pool key; nil: never recycled
 	sess     *session.Session
 	steppers []*session.Stepper
 	strats   []session.Strategy
-	job      *job
+	job      job
 }
 
 // New starts a scheduler with opts.Workers worker goroutines.
@@ -347,62 +355,22 @@ func (s *Scheduler) Steals() uint64 { return s.stole.Load() }
 // Go enqueues one session given its tasks. All tasks are placed on the same
 // worker (sessions are sharded whole; see the package comment), chosen
 // round-robin. It returns ErrClosed after Close has begun.
-func (s *Scheduler) Go(steppers ...Stepper) error {
-	return s.GoWithDone(nil, steppers...)
-}
-
-// GoWithDone is Go with a completion callback: onDone, when non-nil, is
-// invoked exactly once from the worker goroutine with the session's outcome
-// (nil for clean completion — deliberate stops included — or its first
-// task's fault). The callback must be cheap; it runs on the worker.
-func (s *Scheduler) GoWithDone(onDone func(error), steppers ...Stepper) error {
-	return s.GoWithDeadline(time.Time{}, onDone, steppers...)
-}
-
-// GoWithDeadline is GoWithDone with a per-session deadline: a session still
-// parked when the deadline passes fails with a *TimeoutError (wrapping
-// session.ErrTimeout) naming the session and its stuck roles, instead of
-// being re-polled forever. A deadline also changes the meaning of sterile
-// quiescence: with one armed, a pass in which every task would-blocks is
-// treated as possibly-transient (a fault-injected route may admit the retry)
-// and the session is re-polled until the deadline; with the zero deadline
-// (and no Options.SessionTimeout) sterile quiescence keeps today's fail-fast
-// *DeadlockError semantics.
-func (s *Scheduler) GoWithDeadline(deadline time.Time, onDone func(error), steppers ...Stepper) error {
-	if len(steppers) == 0 {
-		return fmt.Errorf("sched: session with no tasks")
-	}
-	if deadline.IsZero() && s.timeout > 0 {
-		deadline = time.Now().Add(s.timeout)
-	}
-	j := &job{deadline: deadline, onDone: onDone}
-	for _, st := range steppers {
-		j.tasks = append(j.tasks, &task{s: st})
-	}
-	// The closed check and the counter increment are one critical section:
-	// Close sets closed under the same lock before waiting on the counter,
-	// so a concurrent Go either fails with ErrClosed or has its Add ordered
-	// before Close's Wait (never an Add racing a Wait at zero).
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	s.jobs.Add(1)
-	s.mu.Unlock()
-	j.id = s.next.Add(1)
-	w := s.workers[int(j.id)%len(s.workers)]
-	j.owner.Store(w)
-	w.mu.Lock()
-	if w.stopped {
-		w.mu.Unlock()
-		s.jobs.Done()
-		return ErrClosed
-	}
-	w.inbox = append(w.inbox, j)
-	w.cond.Signal()
-	w.mu.Unlock()
-	return nil
+//
+// onDone, when non-nil, is invoked exactly once from the worker goroutine
+// with the session's outcome (nil for clean completion — deliberate stops
+// included — or its first task's fault). The callback must be cheap; it
+// runs on the worker.
+//
+// deadline bounds the session: one still parked when it passes fails with
+// a *TimeoutError (wrapping session.ErrTimeout) naming the session and its
+// stuck roles, instead of being re-polled forever. A zero deadline takes
+// Options.SessionTimeout, like every enqueue. A deadline also changes the
+// meaning of sterile quiescence: with one armed, a pass in which every task
+// would-blocks is treated as possibly-transient (a fault-injected route may
+// admit the retry) and the session is re-polled until the deadline; with
+// none, sterile quiescence fails fast with a *DeadlockError.
+func (s *Scheduler) Go(deadline time.Time, onDone func(error), steppers ...Stepper) error {
+	return s.enqueue(submission{deadline: deadline, onDone: onDone, steppers: steppers})
 }
 
 // Waker re-readies an externally-driven session (GoExternal). Wake is safe
@@ -457,46 +425,10 @@ func (k *Waker) Wake() {
 // Options.SessionTimeout) an un-woken session parks indefinitely: close
 // the transport or arm a deadline for Close/Wait to be able to return.
 func (s *Scheduler) GoExternal(deadline time.Time, onDone func(error), steppers ...Stepper) (*Waker, error) {
-	if len(steppers) == 0 {
-		return nil, fmt.Errorf("sched: session with no tasks")
+	k := &Waker{}
+	if err := s.enqueue(submission{deadline: deadline, onDone: onDone, steppers: steppers, wake: k}); err != nil {
+		return nil, err
 	}
-	if deadline.IsZero() && s.timeout > 0 {
-		deadline = time.Now().Add(s.timeout)
-	}
-	j := &job{deadline: deadline, onDone: onDone, external: true}
-	for _, st := range steppers {
-		j.tasks = append(j.tasks, &task{s: st})
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrClosed
-	}
-	s.jobs.Add(1)
-	s.mu.Unlock()
-	j.id = s.next.Add(1)
-	w := s.workers[int(j.id)%len(s.workers)]
-	j.owner.Store(w)
-	k := &Waker{j: j}
-	// Arm the deadline requeue before the job is visible to the worker, so
-	// finish's timer.Stop never races this write. A parked session has no
-	// poll loop to notice its deadline; the timer's Wake requeues it and the
-	// next visit turns the expiry into a *TimeoutError.
-	if !deadline.IsZero() {
-		j.timer = time.AfterFunc(time.Until(deadline), k.Wake)
-	}
-	w.mu.Lock()
-	if w.stopped {
-		w.mu.Unlock()
-		if j.timer != nil {
-			j.timer.Stop()
-		}
-		s.jobs.Done()
-		return nil, ErrClosed
-	}
-	w.inbox = append(w.inbox, j)
-	w.cond.Signal()
-	w.mu.Unlock()
 	return k, nil
 }
 
@@ -505,37 +437,21 @@ func (s *Scheduler) GoExternal(deadline time.Time, onDone func(error), steppers 
 // each bounded to maxSteps actions. This is the convenience the throughput
 // benchmarks and examples/manysessions use — verify a protocol once, then
 // sess.Fork() per instance and GoSession each fork.
+//
+// GoSession is GoSessionPooled without the fork and the recycle: sess
+// itself runs, and is dropped (never pooled) when it finishes. Like every
+// session the scheduler builds, it takes a Backlog slot, so GoSession
+// blocks while the target worker has Options.Backlog of them in flight.
 func (s *Scheduler) GoSession(sess *session.Session, maxSteps int, strat func(types.Role) session.Strategy) error {
-	return s.GoSessionWithDeadline(sess, maxSteps, strat, time.Time{})
+	return s.enqueue(submission{sess: sess, maxSteps: maxSteps, strat: strat})
 }
 
-// GoSessionWithDeadline is GoSession with a per-session deadline (see
-// GoWithDeadline): the whole session — all roles — must complete before
-// deadline or it fails with a *TimeoutError naming the stuck roles.
-func (s *Scheduler) GoSessionWithDeadline(sess *session.Session, maxSteps int, strat func(types.Role) session.Strategy, deadline time.Time) error {
-	steppers, err := sess.Steppers(strat, func(types.Role) int { return maxSteps })
-	if err != nil {
-		return err
-	}
-	tasks := make([]Stepper, len(steppers))
-	for i, st := range steppers {
-		tasks[i] = st
-	}
-	if err := s.GoWithDeadline(deadline, nil, tasks...); err != nil {
-		for _, st := range steppers {
-			st.Abort()
-		}
-		return err
-	}
-	return nil
-}
-
-// GoSessionPooled is GoSession over recycled instances: instead of forking
-// base per call, it reuses a finished instance's entire object graph —
-// network, routes, endpoints, monitors, steppers, job records — from the
-// target worker's free list (Session.Reset + Stepper.Reset), forking fresh
-// only on a pool miss or when the substrate declines to reset. In steady
-// state the call allocates nothing.
+// GoSessionPooled is GoSession over recycled instances: instead of running
+// a fork of base per call, it reuses a finished instance's entire object
+// graph — network, routes, endpoints, monitors, steppers, job records —
+// from the target worker's free list (Session.Reset + Stepper.Reset),
+// forking fresh only on a pool miss or when the substrate declines to
+// reset. In steady state the call allocates nothing.
 //
 // Strategies are pooled too: a recycled instance's strategies are rewound
 // in place when they implement session.StrategyResetter, and only otherwise
@@ -543,16 +459,48 @@ func (s *Scheduler) GoSessionWithDeadline(sess *session.Session, maxSteps int, s
 // make strat return resettable strategies.
 //
 // Admission is bounded: when the target worker already has Options.Backlog
-// pooled sessions in flight, GoSessionPooled blocks until one finishes.
-// That backpressure is load-bearing — it bounds resident memory at any
-// offered load (1M sessions run in Backlog×Workers instances) and keeps
-// enqueues behind the recycle loop so the pool hits. A zero deadline gets
-// Options.SessionTimeout like every other enqueue. onDone may be nil; like
-// GoWithDone it runs on the worker and must be cheap.
+// scheduler-built sessions in flight, GoSessionPooled blocks until one
+// finishes. That backpressure is load-bearing — it bounds resident memory
+// at any offered load (1M sessions run in Backlog×Workers instances) and
+// keeps enqueues behind the recycle loop so the pool hits. deadline and
+// onDone are as for Go.
 func (s *Scheduler) GoSessionPooled(base *session.Session, maxSteps int, strat func(types.Role) session.Strategy, deadline time.Time, onDone func(error)) error {
-	if deadline.IsZero() && s.timeout > 0 {
-		deadline = time.Now().Add(s.timeout)
+	return s.enqueue(submission{deadline: deadline, onDone: onDone, base: base, maxSteps: maxSteps, strat: strat})
+}
+
+// submission is one enqueue request as an entry point hands it to enqueue:
+// either raw steppers (Go, GoExternal), or a session for the scheduler to
+// build (GoSession's sess, or a recycled or fresh fork of GoSessionPooled's
+// base).
+type submission struct {
+	deadline time.Time
+	onDone   func(error)
+	steppers []Stepper
+	wake     *Waker // non-nil: externally driven; enqueue binds it to the job
+
+	base     *session.Session // pooled: instances are recycled keyed by base
+	sess     *session.Session // run as is, never recycled
+	maxSteps int
+	strat    func(types.Role) session.Strategy
+}
+
+// enqueue is the one submission path: closed check and job count, id and
+// round-robin worker, a Backlog slot and the job for scheduler-built
+// sessions, the deadline (Options.SessionTimeout for a zero one) and the
+// external deadline timer, then publication to the worker's inbox.
+func (s *Scheduler) enqueue(sub submission) error {
+	built := sub.base != nil || sub.sess != nil
+	if !built && len(sub.steppers) == 0 {
+		return fmt.Errorf("sched: session with no tasks")
 	}
+	// The closed check and the counter increment are one critical section:
+	// Close sets closed under the same lock before waiting on the counter,
+	// so a concurrent enqueue either fails with ErrClosed or has its Add
+	// ordered before Close's Wait (never an Add racing a Wait at zero). It
+	// follows that no worker is stopped before this job finishes: Close
+	// stops workers only once jobs.Wait returns, and this count holds it up.
+	// So neither the admission wait nor the publication below re-checks
+	// w.stopped.
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -562,48 +510,39 @@ func (s *Scheduler) GoSessionPooled(base *session.Session, maxSteps int, strat f
 	s.mu.Unlock()
 	id := s.next.Add(1)
 	w := s.workers[int(id)%len(s.workers)]
-	// Admission: wait for a Backlog slot, then reserve it and try the free
-	// list. The job is already counted (jobs.Add above), so Close cannot
-	// stop this worker while we wait — it drains in-flight jobs first, and
-	// their finishes are what signal prodCond.
-	w.mu.Lock()
-	for w.pending >= s.backlog && !w.stopped {
-		w.prodCond.Wait()
-	}
-	if w.stopped {
-		w.mu.Unlock()
-		s.jobs.Done()
-		return ErrClosed
-	}
-	w.pending++
-	var b *bundle
-	if lst := w.free[base]; len(lst) > 0 {
-		b = lst[len(lst)-1]
-		lst[len(lst)-1] = nil
-		w.free[base] = lst[:len(lst)-1]
-	}
-	w.mu.Unlock()
-	if b != nil {
-		b = resetBundle(b, maxSteps, strat)
-	}
-	if b == nil {
-		nb, err := newBundle(base, maxSteps, strat)
+	var j *job
+	if built {
+		b, err := s.admit(w, sub)
 		if err != nil {
-			w.mu.Lock()
-			w.pending--
-			w.prodCond.Signal()
-			w.mu.Unlock()
 			s.jobs.Done()
 			return err
 		}
-		b = nb
+		j = &b.job
+		j.home = w
+	} else {
+		j = &job{tasks: make([]*task, len(sub.steppers))}
+		for i, st := range sub.steppers {
+			j.tasks[i] = &task{s: st}
+		}
 	}
-	j := b.job
 	j.id = id
-	j.deadline = deadline
-	j.onDone = onDone
-	j.home = w
+	j.deadline = sub.deadline
+	if j.deadline.IsZero() && s.timeout > 0 {
+		j.deadline = time.Now().Add(s.timeout)
+	}
+	j.onDone = sub.onDone
 	j.owner.Store(w)
+	if k := sub.wake; k != nil {
+		j.external = true
+		k.j = j
+		// Arm the deadline requeue before the job is visible to the worker,
+		// so finish's timer.Stop never races this write. A parked session
+		// has no poll loop to notice its deadline; the timer's Wake requeues
+		// it and the next visit turns the expiry into a *TimeoutError.
+		if !j.deadline.IsZero() {
+			j.timer = time.AfterFunc(time.Until(j.deadline), k.Wake)
+		}
+	}
 	w.mu.Lock()
 	w.inbox = append(w.inbox, j)
 	w.cond.Signal()
@@ -611,12 +550,51 @@ func (s *Scheduler) GoSessionPooled(base *session.Session, maxSteps int, strat f
 	return nil
 }
 
-// newBundle forks a fresh instance of base and builds its pooled object
-// graph: the pool-miss (and first-use) path of GoSessionPooled.
-func newBundle(base *session.Session, maxSteps int, strat func(types.Role) session.Strategy) (*bundle, error) {
-	sess := base.Fork()
-	roles := sess.Roles()
-	b := &bundle{base: base, sess: sess, strats: make([]session.Strategy, 0, len(roles)), job: &job{}}
+// admit takes a Backlog slot on w for a scheduler-built session — blocking
+// while w has Options.Backlog of them in flight — and returns its bundle:
+// a recycled one from w's free list when sub is pooled and one is there,
+// otherwise a fresh one. The wait and the free-list pop are one critical
+// section. On error the slot is released again.
+func (s *Scheduler) admit(w *worker, sub submission) (*bundle, error) {
+	w.mu.Lock()
+	for w.pending >= s.backlog {
+		w.prodCond.Wait()
+	}
+	w.pending++
+	var b *bundle
+	if lst := w.free[sub.base]; len(lst) > 0 { // free never holds a nil key
+		b = lst[len(lst)-1]
+		lst[len(lst)-1] = nil
+		w.free[sub.base] = lst[:len(lst)-1]
+	}
+	w.mu.Unlock()
+	if b != nil {
+		b = resetBundle(b, sub.maxSteps, sub.strat)
+	}
+	if b == nil {
+		sess := sub.sess
+		if sub.base != nil {
+			sess = sub.base.Fork()
+		}
+		var err error
+		if b, err = newBundle(sub.base, sess, sub.maxSteps, sub.strat); err != nil {
+			w.mu.Lock()
+			w.pending--
+			w.prodCond.Signal()
+			w.mu.Unlock()
+			return nil, err
+		}
+	}
+	return b, nil
+}
+
+// newBundle builds the object graph that schedules sess: its steppers and
+// strategies, and the job/task records. base is the pool key (nil: the
+// bundle is never recycled). It is the one builder of scheduler-built
+// sessions — GoSession's, and the pool-miss (and first-use) path of
+// GoSessionPooled.
+func newBundle(base, sess *session.Session, maxSteps int, strat func(types.Role) session.Strategy) (*bundle, error) {
+	b := &bundle{base: base, sess: sess, strats: make([]session.Strategy, 0, len(sess.Roles()))}
 	steppers, err := sess.Steppers(func(r types.Role) session.Strategy {
 		sg := strat(r)
 		b.strats = append(b.strats, sg)
@@ -657,14 +635,8 @@ func resetBundle(b *bundle, maxSteps int, strat func(types.Role) session.Strateg
 			return nil
 		}
 	}
-	j := b.job
-	j.parked = 0
-	j.done = 0
-	j.stopped = false
-	j.idle = false
-	j.external = false
-	j.timer = nil
-	for _, t := range j.tasks {
+	b.job = job{tasks: b.job.tasks, bundle: b}
+	for _, t := range b.job.tasks {
 		t.parked = false
 		t.done = false
 	}
@@ -673,7 +645,7 @@ func resetBundle(b *bundle, maxSteps int, strat func(types.Role) session.Strateg
 
 // Wait blocks until every session enqueued so far has completed and returns
 // the first failure (deliberate session.ErrStopped stops are not failures).
-// Wait must not race Go: enqueue, then wait.
+// Wait must not race an enqueue: enqueue, then wait.
 func (s *Scheduler) Wait() error {
 	s.jobs.Wait()
 	s.mu.Lock()
@@ -683,7 +655,7 @@ func (s *Scheduler) Wait() error {
 
 // Close drains cleanly: it stops intake, waits for every in-flight session
 // to complete, stops the workers, and returns the first session failure.
-// Close is idempotent; concurrent Go calls fail with ErrClosed.
+// Close is idempotent; concurrent enqueues fail with ErrClosed.
 func (s *Scheduler) Close() error {
 	s.mu.Lock()
 	s.closed = true
@@ -725,7 +697,8 @@ const (
 // over the active ones, stepping each for up to a quantum of actions. A
 // session leaves the active list only by completing or failing, so a pass
 // always makes global progress; when there is nothing to do the worker
-// sleeps on its condition variable until Go hands it work or Close stops it.
+// sleeps on its condition variable until an enqueue hands it work or Close
+// stops it.
 // When every surviving session is deadline-parked (visit reported a sterile
 // pass inside an armed deadline), the worker naps briefly — capped by the
 // nearest deadline — instead of spinning.
@@ -1092,9 +1065,9 @@ func (j *job) unparkAll() {
 // their endpoint claims release, and a non-nil err is recorded as the
 // scheduler's first failure. A pooled job's bundle is recycled onto the
 // finishing worker's free list (clean outcomes only — a faulted instance's
-// substrate state is not trusted for reuse) and its home worker's Backlog
-// slot is released, unblocking one waiting producer. It always reports
-// false (drop from the active list).
+// substrate state is not trusted for reuse), and a scheduler-built job's
+// home worker's Backlog slot is released, unblocking one waiting producer.
+// It always reports false (drop from the active list).
 func (s *Scheduler) finish(w *worker, j *job, err error) bool {
 	if j.timer != nil {
 		j.timer.Stop()
@@ -1115,11 +1088,14 @@ func (s *Scheduler) finish(w *worker, j *job, err error) bool {
 	// producer may pop it and re-arm the job. Recycling first also means a
 	// producer unblocked by onDone — the synchronous enqueue-then-wait
 	// loop — always finds the bundle already pooled.
+	//
+	// No w.stopped check is needed: Close stops workers only after every
+	// counted job, this one included, has finished.
 	onDone := j.onDone
 	if b := j.bundle; b != nil {
 		home := j.home
 		w.mu.Lock()
-		if err == nil && !w.stopped {
+		if err == nil && b.base != nil {
 			w.free[b.base] = append(w.free[b.base], b)
 		}
 		if home == w {

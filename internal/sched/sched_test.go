@@ -3,10 +3,14 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/fsm"
 	"repro/internal/session"
 	"repro/internal/types"
 )
@@ -60,7 +64,7 @@ func TestSchedCompletionCallbacksAndWait(t *testing.T) {
 			}
 			steppers = append(steppers, st)
 		}
-		if err := s.GoWithDone(func(err error) {
+		if err := s.Go(time.Time{}, func(err error) {
 			if err == nil {
 				done.Add(1)
 			}
@@ -89,7 +93,7 @@ func (b *blockedStepper) Abort()              { b.aborted = true }
 func TestSchedDeadlockDetection(t *testing.T) {
 	s := New(Options{Workers: 1})
 	b1, b2 := &blockedStepper{}, &blockedStepper{}
-	if err := s.Go(b1, b2); err != nil {
+	if err := s.Go(time.Time{}, nil, b1, b2); err != nil {
 		t.Fatal(err)
 	}
 	err := s.Close()
@@ -115,7 +119,7 @@ func (f *faultStepper) Step() (bool, error) {
 func TestSchedFaultAbortsSiblings(t *testing.T) {
 	s := New(Options{Workers: 1})
 	sib := &blockedStepper{}
-	if err := s.Go(&faultStepper{left: 3}, sib); err != nil {
+	if err := s.Go(time.Time{}, nil, &faultStepper{left: 3}, sib); err != nil {
 		t.Fatal(err)
 	}
 	err := s.Close()
@@ -145,7 +149,7 @@ func TestSchedDeliberateStopQuiescesCleanly(t *testing.T) {
 	// and the parked sibling must be aborted so its resources release.
 	s := New(Options{Workers: 1})
 	sib := &blockedStepper{}
-	if err := s.Go(&stopStepper{left: 3}, sib); err != nil {
+	if err := s.Go(time.Time{}, nil, &stopStepper{left: 3}, sib); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -161,7 +165,7 @@ func TestSchedCloseRejectsNewWork(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Go(&stopStepper{}); !errors.Is(err, ErrClosed) {
+	if err := s.Go(time.Time{}, nil, &stopStepper{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Go after Close: %v, want ErrClosed", err)
 	}
 }
@@ -170,9 +174,22 @@ func TestSchedQuantumFairness(t *testing.T) {
 	// Two long sessions on one worker: with a small quantum, neither may
 	// finish wholly before the other starts. Track interleaving by
 	// recording which session each progress step belongs to.
+	const quantum = 8
 	var order []int
-	mk := func(id, steps int) Stepper {
+	// The single worker may step session 1 before the second Go lands, so
+	// session 1 spins through unrecorded steps until it has seen session 2
+	// enqueued, then through one more quantum: the visit in which it saw
+	// the flag ends inside that quantum, and the worker pulls session 2
+	// from its inbox at the next pass, before session 1 records a step.
+	var enqueued2 atomic.Bool
+	mk := func(id, steps, spin int) Stepper {
 		return stepFunc(func() (bool, error) {
+			if spin > 0 {
+				if enqueued2.Load() {
+					spin--
+				}
+				return false, nil
+			}
 			if steps == 0 {
 				return true, session.ErrStopped
 			}
@@ -181,13 +198,14 @@ func TestSchedQuantumFairness(t *testing.T) {
 			return false, nil
 		})
 	}
-	s := New(Options{Workers: 1, Quantum: 8})
-	if err := s.Go(mk(1, 64)); err != nil {
+	s := New(Options{Workers: 1, Quantum: quantum})
+	if err := s.Go(time.Time{}, nil, mk(1, 64, quantum)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Go(mk(2, 64)); err != nil {
+	if err := s.Go(time.Time{}, nil, mk(2, 64, 0)); err != nil {
 		t.Fatal(err)
 	}
+	enqueued2.Store(true)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +218,7 @@ func TestSchedQuantumFairness(t *testing.T) {
 			break
 		}
 	}
-	if first2 < 0 || first2 > 8+1 {
+	if first2 < 0 || first2 > quantum+1 {
 		t.Fatalf("quantum rotation did not interleave sessions: first step of session 2 at %d", first2)
 	}
 }
@@ -210,3 +228,176 @@ func TestSchedQuantumFairness(t *testing.T) {
 type stepFunc func() (bool, error)
 
 func (f stepFunc) Step() (bool, error) { return f() }
+
+// TestSchedCloseVersusConcurrentEnqueue pins the invariant the enqueue path
+// relies on: a call to any entry point racing Close either fails with
+// ErrClosed or has its session finish before Close returns, so no enqueue
+// can find a stopped worker. Producers block in admission (Backlog 1) while
+// Close runs, and no goroutine outlives the scheduler.
+func TestSchedCloseVersusConcurrentEnqueue(t *testing.T) {
+	base := adderSession(t)
+	baseline := runtime.NumGoroutine()
+	s := New(Options{Workers: 2, Backlog: 1})
+	var finished atomic.Int64 // onDone calls
+	onDone := func(err error) {
+		if err != nil {
+			t.Errorf("session failed: %v", err)
+		}
+		finished.Add(1)
+	}
+	var forksMu sync.Mutex
+	var forks []*session.Session // GoSession instances, accepted or not
+	const perEntry = 8
+	entries := []func() error{
+		func() error { return s.Go(time.Time{}, onDone, doneStepper{}) },
+		func() error {
+			_, err := s.GoExternal(time.Now().Add(time.Minute), onDone, doneStepper{})
+			return err
+		},
+		func() error {
+			return s.GoSessionPooled(base, 1000, firstBranchStrat, time.Time{}, onDone)
+		},
+		func() error {
+			inst := base.Fork()
+			forksMu.Lock()
+			forks = append(forks, inst)
+			forksMu.Unlock()
+			// GoSession has no onDone: a claimable instance after Close
+			// (checked below) is its proof of completion.
+			return s.GoSession(inst, 1000, firstBranchStrat)
+		},
+	}
+	var perEntryAccepted [4]atomic.Int64
+	var wg sync.WaitGroup
+	for e, enqueue := range entries {
+		for g := 0; g < perEntry; g++ {
+			wg.Add(1)
+			go func(e int, enqueue func() error) {
+				defer wg.Done()
+				for {
+					err := enqueue()
+					if errors.Is(err, ErrClosed) {
+						return
+					}
+					if err != nil {
+						t.Errorf("entry %d: %v", e, err)
+						return
+					}
+					perEntryAccepted[e].Add(1)
+				}
+			}(e, enqueue)
+		}
+	}
+	waitUntil := time.Now().Add(20 * time.Second)
+	for e := range perEntryAccepted {
+		for perEntryAccepted[e].Load() == 0 {
+			if time.Now().After(waitUntil) {
+				t.Fatalf("entry %d never accepted a session", e)
+			}
+			runtime.Gosched()
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	atClose := finished.Load()
+	wg.Wait()
+	accepted := perEntryAccepted[0].Load() + perEntryAccepted[1].Load() + perEntryAccepted[2].Load()
+	if atClose != accepted || finished.Load() != accepted {
+		t.Fatalf("%d onDone sessions accepted; %d finished before Close returned, %d in all",
+			accepted, atClose, finished.Load())
+	}
+	for i, inst := range forks {
+		steppers, err := inst.Steppers(firstBranchStrat, func(types.Role) int { return 1 })
+		if err != nil {
+			t.Fatalf("GoSession instance %d still claimed after Close: %v", i, err)
+		}
+		for _, st := range steppers {
+			st.Abort()
+		}
+	}
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(waitUntil) {
+			t.Fatalf("%d goroutines after Close, %d before New", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// payloadGate is FirstBranch except that every send blocks until gate is
+// closed: a session that holds its worker, and its Backlog slot, on demand.
+type payloadGate struct {
+	session.FirstBranch
+	gate <-chan struct{}
+}
+
+func (p payloadGate) Payload(fsm.Action) any {
+	<-p.gate
+	return nil
+}
+
+// TestSchedGoSessionAdmissionAndNoPooling pins GoSession's contract: it
+// takes a Backlog slot like every scheduler-built session, and its
+// one-shot instances never reach a free list, while their endpoints are
+// released at finish.
+func TestSchedGoSessionAdmissionAndNoPooling(t *testing.T) {
+	base := adderSession(t)
+	s := New(Options{Workers: 1, Backlog: 1})
+	defer s.Close()
+	gate := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate) }) }
+	defer release() // before Close, so a failed assertion cannot hang it
+	strat := func(types.Role) session.Strategy { return payloadGate{gate: gate} }
+	var forks []*session.Session
+	fork := func() *session.Session {
+		inst := base.Fork()
+		forks = append(forks, inst)
+		return inst
+	}
+	if err := s.GoSession(fork(), 64, strat); err != nil {
+		t.Fatal(err)
+	}
+	second := fork()
+	returned := make(chan error, 1)
+	go func() { returned <- s.GoSession(second, 64, strat) }()
+	select {
+	case err := <-returned:
+		t.Fatalf("second GoSession returned (%v) while the first held the only Backlog slot", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	select {
+	case err := <-returned:
+		if err != nil {
+			t.Fatalf("second GoSession: %v", err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("second GoSession never returned after the first session was released")
+	}
+	for i := 0; i < 100; i++ {
+		if err := s.GoSession(fork(), 64, strat); err != nil {
+			t.Fatalf("GoSession %d: %v", i, err)
+		}
+	}
+	if err := s.Wait(); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	for i, w := range s.workers {
+		w.mu.Lock()
+		n := len(w.free)
+		w.mu.Unlock()
+		if n != 0 {
+			t.Errorf("worker %d free list holds %d keys after GoSession runs, want 0", i, n)
+		}
+	}
+	for i, inst := range forks {
+		steppers, err := inst.Steppers(firstBranchStrat, func(types.Role) int { return 1 })
+		if err != nil {
+			t.Fatalf("instance %d not claimable after its session finished: %v", i, err)
+		}
+		for _, st := range steppers {
+			st.Abort()
+		}
+	}
+}
