@@ -140,12 +140,15 @@ race:
 # timeout / typed abort) with no goroutine leaks. -timeout is the hang
 # detector: a cell that neither completes nor fails typed stalls the binary
 # past it and fails the job.
+# -cpu 1,2,4 runs the soak at three GOMAXPROCS settings: more Ps than
+# vCPUs is where a latency cliff on the deadline path shows, and the
+# package alone at the default setting hides it.
 # CHAOS_TEST_TIMEOUT scales with the seed sweep: the nightly workflow widens
 # the sweep via the CHAOS_SOAK_SEEDS env knob (internal/chaos reads it) and
 # raises this accordingly.
 CHAOS_TEST_TIMEOUT ?= 300s
 chaos-smoke:
-	$(GO) test -count=1 -timeout $(CHAOS_TEST_TIMEOUT) ./internal/chaos
+	$(GO) test -count=1 -cpu 1,2,4 -timeout $(CHAOS_TEST_TIMEOUT) ./internal/chaos
 
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem $(BENCH_FLAGS) -timeout 1800s $(BENCH_PKGS) \

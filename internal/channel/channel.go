@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/types"
 )
@@ -17,6 +18,11 @@ type Message struct {
 // ErrClosed is returned by receives once a channel is closed and drained, and
 // by sends on a closed channel.
 var ErrClosed = errors.New("channel: closed")
+
+// ErrDeadline is returned by WaitSend and WaitRecv when their deadline
+// passes before the route became ready. The route is unchanged: nothing was
+// sent or received.
+var ErrDeadline = errors.New("channel: deadline exceeded")
 
 // CloseError is the error observed on a substrate that was torn down with
 // CloseWithError: it carries the cause the closer supplied. It matches both
@@ -37,9 +43,10 @@ func (e *CloseError) Unwrap() error { return e.Cause }
 func (e *CloseError) Is(target error) bool { return target == ErrClosed }
 
 // Substrate is the full per-route channel contract the session runtimes
-// build networks from: both directions of the non-blocking algebra plus
-// teardown with and without a cause. All five substrates (Queue, Bounded,
-// Rendezvous, Ring, RingQueue) and the Faulty wrapper implement it.
+// build networks from: both directions of the non-blocking algebra, the
+// deadline-bounded wait between its probes, and teardown with and without a
+// cause. All five substrates (Queue, Bounded, Rendezvous, Ring, RingQueue)
+// and the Faulty wrapper implement it.
 type Substrate interface {
 	Sender
 	Receiver
@@ -63,6 +70,14 @@ type Sender interface {
 	// that never fill (Queue, RingQueue) never report (false, nil);
 	// their TrySend fails only with ErrClosed.
 	TrySend(Message) (ok bool, err error)
+	// WaitSend parks until a TrySend is worth retrying — the substrate
+	// has room, or a refusal it injected has passed — returning nil; until
+	// the substrate is closed, returning the close error; or until deadline
+	// passes, returning ErrDeadline. A zero deadline waits without bound.
+	// It sends nothing, and a would-block TrySend followed by WaitSend is
+	// how a deadline-armed sender waits: parked on the substrate, woken by
+	// the receiver's progress, not polling.
+	WaitSend(deadline time.Time) error
 }
 
 // Receiver is the input half of a channel.
@@ -72,6 +87,11 @@ type Receiver interface {
 	Recv() (Message, error)
 	// TryRecv returns immediately; ok reports whether a message was taken.
 	TryRecv() (msg Message, ok bool, err error)
+	// WaitRecv is WaitSend's receiving twin: it parks until a TryRecv is
+	// worth retrying (a message is buffered, or an injected refusal has
+	// passed), until the substrate is closed and drained (the close error),
+	// or until deadline passes (ErrDeadline). It consumes nothing.
+	WaitRecv(deadline time.Time) error
 }
 
 // Resetter is implemented by substrates that can be returned to their
@@ -109,6 +129,7 @@ type BatchReceiver interface {
 type Queue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
+	alarm  alarm // bounds WaitRecv
 	buf    []Message
 	head   int
 	closed bool
@@ -134,7 +155,8 @@ func (q *Queue) lockedCond() *sync.Cond {
 	return q.cond
 }
 
-// Send appends m. It never blocks.
+// Send appends m. It never blocks. It broadcasts rather than signals: a
+// WaitRecv caller may be among the woken, and it does not take the message.
 func (q *Queue) Send(m Message) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -142,7 +164,7 @@ func (q *Queue) Send(m Message) error {
 		return q.closeErr()
 	}
 	q.buf = append(q.buf, m)
-	q.lockedCond().Signal()
+	q.lockedCond().Broadcast()
 	return nil
 }
 
@@ -165,6 +187,33 @@ func (q *Queue) TrySend(m Message) (bool, error) {
 		return false, err
 	}
 	return true, nil
+}
+
+// WaitSend returns at once: the queue never fills, so the sender only
+// waits on a closed queue, which it reports.
+func (q *Queue) WaitSend(time.Time) error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed {
+		return q.closeErr()
+	}
+	return nil
+}
+
+// WaitRecv parks until a message is buffered (nil), the queue is closed and
+// drained (the close error), or deadline passes (ErrDeadline).
+func (q *Queue) WaitRecv(deadline time.Time) error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for q.head >= len(q.buf) && !q.closed {
+		if !q.alarm.wait(q.lockedCond(), deadline) {
+			return ErrDeadline
+		}
+	}
+	if q.head >= len(q.buf) {
+		return q.closeErr()
+	}
+	return nil
 }
 
 // TryRecv removes the oldest message if one is present.
@@ -243,6 +292,8 @@ func (q *Queue) Reset() bool {
 // queue keeps delivering buffered messages in order before receives report
 // ErrClosed, sends on a closed queue return ErrClosed (they do not panic),
 // and senders blocked on a full queue are woken by Close with ErrClosed.
+// Progress broadcasts its cond rather than signalling it, because a
+// WaitSend or WaitRecv caller may be the one woken and it moves nothing.
 type Bounded struct {
 	mu       sync.Mutex
 	notFull  *sync.Cond
@@ -252,6 +303,8 @@ type Bounded struct {
 	n        int
 	closed   bool
 	cause    *CloseError
+
+	fullAlarm, emptyAlarm alarm // bound WaitSend and WaitRecv
 }
 
 // closeErr returns the error a closed queue reports; assumes b.mu held.
@@ -286,7 +339,7 @@ func (b *Bounded) Send(m Message) error {
 	}
 	b.buf[(b.head+b.n)%len(b.buf)] = m
 	b.n++
-	b.notEmpty.Signal()
+	b.notEmpty.Broadcast()
 	return nil
 }
 
@@ -317,8 +370,40 @@ func (b *Bounded) TrySend(m Message) (bool, error) {
 	}
 	b.buf[(b.head+b.n)%len(b.buf)] = m
 	b.n++
-	b.notEmpty.Signal()
+	b.notEmpty.Broadcast()
 	return true, nil
+}
+
+// WaitSend parks until the queue has a free slot (nil), is closed (the
+// close error), or deadline passes while it is full (ErrDeadline).
+func (b *Bounded) WaitSend(deadline time.Time) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for b.n == len(b.buf) && !b.closed {
+		if !b.fullAlarm.wait(b.notFull, deadline) {
+			return ErrDeadline
+		}
+	}
+	if b.closed {
+		return b.closeErr()
+	}
+	return nil
+}
+
+// WaitRecv parks until a message is buffered (nil), the queue is closed and
+// drained (the close error), or deadline passes (ErrDeadline).
+func (b *Bounded) WaitRecv(deadline time.Time) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for b.n == 0 && !b.closed {
+		if !b.emptyAlarm.wait(b.notEmpty, deadline) {
+			return ErrDeadline
+		}
+	}
+	if b.n == 0 {
+		return b.closeErr()
+	}
+	return nil
 }
 
 // TryRecv returns immediately; a closed-but-nonempty queue still delivers.
@@ -340,7 +425,7 @@ func (b *Bounded) pop() Message {
 	b.buf[b.head] = Message{} // release the payload for GC
 	b.head = (b.head + 1) % len(b.buf)
 	b.n--
-	b.notFull.Signal()
+	b.notFull.Broadcast()
 	return m
 }
 
@@ -392,10 +477,21 @@ func (b *Bounded) Reset() bool {
 
 // Rendezvous is a synchronous channel: Send blocks until a receiver takes the
 // message, as in the synchronous baselines (Sesh, MultiCrusty).
+//
+// A native channel cannot be probed without committing, so readiness for
+// the deadline waits is a count of the parties blocked in the opposite
+// blocking operation: TrySend can succeed only while a receiver is blocked
+// in Recv, and TryRecv only while a sender is blocked in Send. Two
+// deadline-armed parties therefore never meet on a Rendezvous; they time
+// out.
 type Rendezvous struct {
 	ch     chan Message
 	cause  atomic.Pointer[CloseError]
 	closed atomic.Bool
+
+	senders   atomic.Int32 // parties in Send
+	receivers atomic.Int32 // parties in Recv
+	gate      parkGate     // WaitSend/WaitRecv park here
 }
 
 // closeErr returns the error a closed rendezvous reports. The cause store in
@@ -413,7 +509,10 @@ func NewRendezvous() *Rendezvous { return &Rendezvous{ch: make(chan Message)} }
 
 // Send blocks until the message is received.
 func (r *Rendezvous) Send(m Message) error {
+	r.senders.Add(1)
+	r.gate.wake()
 	r.ch <- m
+	r.senders.Add(-1)
 	return nil
 }
 
@@ -429,9 +528,36 @@ func (r *Rendezvous) TrySend(m Message) (bool, error) {
 	}
 }
 
+// WaitSend parks until a receiver is blocked in Recv (nil), the channel is
+// closed (the close error), or deadline passes (ErrDeadline).
+func (r *Rendezvous) WaitSend(deadline time.Time) error {
+	if !r.gate.park(func() bool { return r.receivers.Load() > 0 || r.closed.Load() }, deadline) {
+		return ErrDeadline
+	}
+	if r.closed.Load() {
+		return r.closeErr()
+	}
+	return nil
+}
+
+// WaitRecv parks until a sender is blocked in Send (nil), the channel is
+// closed (the close error), or deadline passes (ErrDeadline).
+func (r *Rendezvous) WaitRecv(deadline time.Time) error {
+	if !r.gate.park(func() bool { return r.senders.Load() > 0 || r.closed.Load() }, deadline) {
+		return ErrDeadline
+	}
+	if r.senders.Load() == 0 && r.closed.Load() {
+		return r.closeErr()
+	}
+	return nil
+}
+
 // Recv blocks until a sender arrives.
 func (r *Rendezvous) Recv() (Message, error) {
+	r.receivers.Add(1)
+	r.gate.wake()
 	m, ok := <-r.ch
+	r.receivers.Add(-1)
 	if !ok {
 		return Message{}, r.closeErr()
 	}
@@ -457,6 +583,7 @@ func (r *Rendezvous) TryRecv() (Message, bool, error) {
 func (r *Rendezvous) Close() {
 	if r.closed.CompareAndSwap(false, true) {
 		close(r.ch)
+		r.gate.wake()
 	}
 }
 

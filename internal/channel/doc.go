@@ -23,7 +23,11 @@
 //
 // The non-blocking half of the algebra (TrySend mirroring TryRecv) is what
 // the multi-session scheduler steps on: see DESIGN.md, "Non-blocking
-// stepping and the scheduler", and internal/sched. The substrate
+// stepping and the scheduler", and internal/sched. Its deadline-bounded wait
+// (WaitSend, WaitRecv: park until a retry is worth it, the substrate closes,
+// or the deadline passes, returning ErrDeadline) is what a deadline-armed
+// session endpoint parks on between probes, instead of polling: see
+// DESIGN.md, "Why deadlines ride the Try* algebra". The substrate
 // head-to-heads behind the table above are recorded in BENCH_channel.json
 // (EXPERIMENTS.md).
 package channel

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"runtime"
 	"sync/atomic"
+	"time"
 )
 
 // This file implements Faulty, the fault-injection wrapper substrate behind
@@ -74,21 +75,31 @@ type FaultPlan struct {
 // Faulty deliberately does not implement BatchSender/BatchReceiver: batch
 // operations decay to per-message calls at the session layer, so every
 // message is a fault opportunity.
+//
+// The waits follow the faults: after a spurious refusal WaitSend/WaitRecv
+// return at once (the retry passes through), on a stalled route they park
+// until the route is closed or the deadline passes (no probe can succeed
+// before then, whatever the inner substrate holds), and otherwise they wait
+// on the inner substrate.
 type Faulty struct {
 	inner Substrate
 	plan  FaultPlan
 
 	ops    atomic.Int64 // effective operations completed, both sides
 	closed atomic.Bool  // a close passed through (or was injected) — stop stalling
+	stall  parkGate     // waiters on a stalled route park here until closed
 
 	// Producer-owned ordinal state: sendK counts messages accepted by the
 	// inner substrate; sendRefused marks that message sendK+1 already paid
-	// its spurious refusal.
+	// its spurious refusal; sendRetry marks that the last TrySend was that
+	// refusal, so the next one passes through.
 	sendK       uint64
 	sendRefused bool
+	sendRetry   bool
 	// Consumer-owned ordinal state, same shape.
 	recvK       uint64
 	recvRefused bool
+	recvRetry   bool
 }
 
 // NewFaulty wraps inner with the given fault plan.
@@ -139,9 +150,30 @@ func (f *Faulty) effective() {
 		if cause == nil {
 			cause = ErrInjected
 		}
-		f.closed.Store(true)
 		f.inner.CloseWithError(cause)
+		f.shut()
 	}
+}
+
+// shut marks the route closed — faults stop masking the closure — and
+// releases the waiters parked on a stall. The inner substrate is closed
+// first, so a released waiter finds it closed.
+func (f *Faulty) shut() {
+	f.closed.Store(true)
+	f.stall.wake()
+}
+
+// waitStall parks a waiter on a stalled route until the route is closed or
+// deadline passes: a stall refuses every probe until the close, so waking
+// on the inner substrate's readiness would only spin.
+func (f *Faulty) waitStall(deadline time.Time) error {
+	if !f.stalled() || f.closed.Load() {
+		return nil
+	}
+	if !f.stall.park(f.closed.Load, deadline) {
+		return ErrDeadline
+	}
+	return nil
 }
 
 // stalled reports whether the StallAfter threshold has been crossed: the
@@ -178,13 +210,14 @@ func (f *Faulty) Send(m Message) error {
 // retries pass through. Once the route is closed, faults stop masking the
 // closure: the caller must observe the teardown cause, not an eternal storm.
 func (f *Faulty) TrySend(m Message) (bool, error) {
+	f.sendRetry = false
 	if f.stalled() && !f.closed.Load() {
 		return false, nil
 	}
 	k := f.sendK + 1
 	if !f.sendRefused && !f.closed.Load() &&
 		ordinalRoll(f.plan.Seed, saltSendBlock, k, f.plan.WouldBlockP) {
-		f.sendRefused = true
+		f.sendRefused, f.sendRetry = true, true
 		return false, nil
 	}
 	ok, err := f.inner.TrySend(m)
@@ -210,13 +243,14 @@ func (f *Faulty) Recv() (Message, error) {
 // message's would-block fault fires, in which case it reports no message
 // with no effect; refusals are charged per message, exactly as in TrySend.
 func (f *Faulty) TryRecv() (Message, bool, error) {
+	f.recvRetry = false
 	if f.stalled() && !f.closed.Load() {
 		return Message{}, false, nil
 	}
 	k := f.recvK + 1
 	if !f.recvRefused && !f.closed.Load() &&
 		ordinalRoll(f.plan.Seed, saltRecvBlock, k, f.plan.WouldBlockP) {
-		f.recvRefused = true
+		f.recvRefused, f.recvRetry = true, true
 		return Message{}, false, nil
 	}
 	m, ok, err := f.inner.TryRecv()
@@ -228,16 +262,39 @@ func (f *Faulty) TryRecv() (Message, bool, error) {
 	return m, ok, err
 }
 
+// WaitSend returns at once after a spurious refusal, parks on a stall until
+// close or deadline, and otherwise waits on the inner substrate.
+func (f *Faulty) WaitSend(deadline time.Time) error {
+	if f.sendRetry {
+		return nil
+	}
+	if err := f.waitStall(deadline); err != nil {
+		return err
+	}
+	return f.inner.WaitSend(deadline)
+}
+
+// WaitRecv is WaitSend for the receiving side.
+func (f *Faulty) WaitRecv(deadline time.Time) error {
+	if f.recvRetry {
+		return nil
+	}
+	if err := f.waitStall(deadline); err != nil {
+		return err
+	}
+	return f.inner.WaitRecv(deadline)
+}
+
 // Close forwards the teardown and releases any stall.
 func (f *Faulty) Close() {
-	f.closed.Store(true)
 	f.inner.Close()
+	f.shut()
 }
 
 // CloseWithError forwards the cause-carrying teardown and releases any stall.
 func (f *Faulty) CloseWithError(err error) {
-	f.closed.Store(true)
 	f.inner.CloseWithError(err)
+	f.shut()
 }
 
 // Ops returns the number of effective operations completed so far (both

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // laggyRing wraps a ring so every message needs several Try probes before
@@ -37,8 +38,10 @@ func (l *laggyRing) TryRecv() (Message, bool, error) {
 	}
 	return l.inner.TryRecv()
 }
-func (l *laggyRing) Close()                 { l.inner.Close() }
-func (l *laggyRing) CloseWithError(e error) { l.inner.CloseWithError(e) }
+func (l *laggyRing) WaitSend(d time.Time) error { return l.inner.WaitSend(d) }
+func (l *laggyRing) WaitRecv(d time.Time) error { return l.inner.WaitRecv(d) }
+func (l *laggyRing) Close()                     { l.inner.Close() }
+func (l *laggyRing) CloseWithError(e error)     { l.inner.CloseWithError(e) }
 
 // schedule drives a fixed alternating workload — send message k (retrying
 // through refusals), then receive it (ditto) — over a Faulty route and

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // This file implements the lock-free substrates exploiting the structural
@@ -18,7 +19,10 @@ import (
 // Close wake parties blocked on the fast path: closing sets the flag and
 // broadcasts both gates, so a receiver blocked on an empty ring (or a sender
 // blocked on a full one) fails promptly with ErrClosed instead of spinning
-// or sleeping forever.
+// or sleeping forever. The deadline waits (WaitSend, WaitRecv) run the same
+// state machine with the gate's park bounded by an alarm, so a
+// deadline-armed party parks exactly as a blocking one does and is woken by
+// the same publication.
 //
 // Concurrency contract: at most one goroutine sends and at most one
 // goroutine receives at any time (the sender and receiver may be different
@@ -33,9 +37,11 @@ import (
 // ready-predicate: a closure-based helper would allocate on every blocked
 // wait (the predicates capture loop-local positions), breaking the
 // zero-allocation contract of the hot path. Closures appear only inside
-// park(), which is reached rarely. Keep the three copies — and the
-// closed-then-reload drain check they share with TryRecv — in sync when
-// changing the wait or close protocol.
+// park(), which is reached rarely. Each copy serves both the blocking
+// operation (zero deadline) and the deadline wait of its side, so there are
+// three copies, not six. Keep them — and the closed-then-reload drain check
+// they share with TryRecv — in sync when changing the wait or close
+// protocol.
 
 // hotSpins is the number of tight spins before yielding. On a single-P
 // runtime a tight spin cannot observe progress (the peer is not running),
@@ -58,23 +64,79 @@ type parkGate struct {
 	mu      sync.Mutex
 	cond    sync.Cond
 	waiters atomic.Int32
+	alarm   alarm // bounds deadline parks; guarded by mu
 }
 
-// park sleeps until ready() holds. ready must be monotonic with respect to
-// wake() calls (checked again under the lock, closing the lost-wakeup race:
-// the waiter counter is incremented before the final check, and publishers
-// load it after publishing).
-func (g *parkGate) park(ready func() bool) {
+// park sleeps until ready() holds or, when deadline is non-zero, until the
+// deadline passes; it reports whether ready() held. ready must be monotonic
+// with respect to wake() calls (checked again under the lock, closing the
+// lost-wakeup race: the waiter counter is incremented before the final
+// check, and publishers load it after publishing).
+func (g *parkGate) park(ready func() bool, deadline time.Time) bool {
 	g.mu.Lock()
 	if g.cond.L == nil {
 		g.cond.L = &g.mu
 	}
 	g.waiters.Add(1)
-	for !ready() {
-		g.cond.Wait()
+	ok := true
+	for ok && !ready() {
+		ok = g.alarm.wait(&g.cond, deadline)
 	}
 	g.waiters.Add(-1)
 	g.mu.Unlock()
+	return ok
+}
+
+// alarm is the timed half of a cond wait: one timer that broadcasts the
+// cond when the earliest deadline armed on it passes. A waiter re-arms it
+// only when its deadline is earlier than the one already pending, so a run
+// of parks under one deadline (every wait of a deadline-armed session) arms
+// the timer once. Every firing clears the pending deadline and wakes all
+// waiters, and each waiter re-arms before it sleeps again, so several
+// waiters with different deadlines share one timer without missing theirs.
+// A timer left pending after its waiter was released fires into an empty
+// cond. The zero alarm is ready to use: its timer is built on the first
+// timed wait, so a substrate that never waits under a deadline pays one
+// pointer for it.
+type alarm struct{ t *alarmTimer }
+
+type alarmTimer struct {
+	cond  *sync.Cond
+	timer *time.Timer
+	at    time.Time // deadline of the pending timer; zero when none is
+}
+
+// wait blocks on c (whose lock the caller holds) until a broadcast or, when
+// deadline is non-zero, until the deadline passes. It reports false,
+// without waiting, once the deadline has passed. Wakes may be spurious:
+// callers re-check their condition in a loop. An alarm serves one cond.
+func (a *alarm) wait(c *sync.Cond, deadline time.Time) bool {
+	if deadline.IsZero() {
+		c.Wait()
+		return true
+	}
+	d := time.Until(deadline)
+	if d <= 0 {
+		return false
+	}
+	switch t := a.t; {
+	case t == nil:
+		t = &alarmTimer{cond: c, at: deadline}
+		t.timer = time.AfterFunc(d, t.fire)
+		a.t = t
+	case t.at.IsZero() || deadline.Before(t.at):
+		t.at = deadline
+		t.timer.Reset(d)
+	}
+	c.Wait()
+	return true
+}
+
+func (t *alarmTimer) fire() {
+	t.cond.L.Lock()
+	t.at = time.Time{}
+	t.cond.Broadcast()
+	t.cond.L.Unlock()
 }
 
 // wake releases all parked parties. Cheap when nobody is parked.
@@ -156,7 +218,7 @@ func (r *Ring) Send(m Message) error {
 	}
 	t := r.tail.Load()
 	if t-r.cachedHead >= r.capacity {
-		h, err := r.waitNotFull(t)
+		h, err := r.waitNotFull(t, time.Time{})
 		if err != nil {
 			return err
 		}
@@ -188,9 +250,31 @@ func (r *Ring) TrySend(m Message) (bool, error) {
 	return true, nil
 }
 
+// WaitSend parks the sender until the ring has a free slot (nil), is closed
+// (the close error), or deadline passes while it is full (ErrDeadline); a
+// zero deadline waits without bound. It is the wait a deadline-armed
+// session runs between TrySend probes, and it moves no message. Same
+// single-producer contract as Send.
+func (r *Ring) WaitSend(deadline time.Time) error {
+	if r.closed.Load() {
+		return r.closeErr()
+	}
+	t := r.tail.Load()
+	if t-r.cachedHead < r.capacity {
+		return nil
+	}
+	h, err := r.waitNotFull(t, deadline)
+	if err != nil {
+		return err
+	}
+	r.cachedHead = h
+	return nil
+}
+
 // waitNotFull blocks until head has advanced enough that slot t is free,
-// returning the observed head.
-func (r *Ring) waitNotFull(t uint64) (uint64, error) {
+// returning the observed head; with a non-zero deadline it gives up with
+// ErrDeadline once the deadline passes.
+func (r *Ring) waitNotFull(t uint64, deadline time.Time) (uint64, error) {
 	spins := 0
 	for {
 		h := r.head.Load()
@@ -207,9 +291,11 @@ func (r *Ring) waitNotFull(t uint64) (uint64, error) {
 		case spins < hotSpins+yieldSpins:
 			runtime.Gosched()
 		default:
-			r.sendGate.park(func() bool {
+			if !r.sendGate.park(func() bool {
 				return t-r.head.Load() < r.capacity || r.closed.Load()
-			})
+			}, deadline) {
+				return 0, ErrDeadline
+			}
 			spins = 0
 		}
 	}
@@ -220,7 +306,7 @@ func (r *Ring) waitNotFull(t uint64) (uint64, error) {
 func (r *Ring) Recv() (Message, error) {
 	h := r.head.Load()
 	if r.cachedTail == h {
-		t, err := r.waitNotEmpty(h)
+		t, err := r.waitNotEmpty(h, time.Time{})
 		if err != nil {
 			return Message{}, err
 		}
@@ -234,10 +320,29 @@ func (r *Ring) Recv() (Message, error) {
 	return m, nil
 }
 
+// WaitRecv parks the receiver until a message is buffered (nil), the ring
+// is closed and drained (the close error), or deadline passes while it is
+// empty (ErrDeadline); a zero deadline waits without bound. It consumes
+// nothing. Same single-consumer contract as Recv.
+func (r *Ring) WaitRecv(deadline time.Time) error {
+	h := r.head.Load()
+	if r.cachedTail != h {
+		return nil
+	}
+	t, err := r.waitNotEmpty(h, deadline)
+	if err != nil {
+		return err
+	}
+	r.cachedTail = t
+	return nil
+}
+
 // waitNotEmpty blocks until tail has advanced past h, returning the
-// observed tail. Close wakes it: after observing the closed flag it reloads
-// tail once more so every message published before the close is drained.
-func (r *Ring) waitNotEmpty(h uint64) (uint64, error) {
+// observed tail; with a non-zero deadline it gives up with ErrDeadline once
+// the deadline passes. Close wakes it: after observing the closed flag it
+// reloads tail once more so every message published before the close is
+// drained.
+func (r *Ring) waitNotEmpty(h uint64, deadline time.Time) (uint64, error) {
 	spins := 0
 	for {
 		t := r.tail.Load()
@@ -257,9 +362,11 @@ func (r *Ring) waitNotEmpty(h uint64) (uint64, error) {
 		case spins < hotSpins+yieldSpins:
 			runtime.Gosched()
 		default:
-			r.recvGate.park(func() bool {
+			if !r.recvGate.park(func() bool {
 				return r.tail.Load() != h || r.closed.Load()
-			})
+			}, deadline) {
+				return 0, ErrDeadline
+			}
 			spins = 0
 		}
 	}
@@ -299,7 +406,7 @@ func (r *Ring) SendN(ms []Message) (int, error) {
 		}
 		t := r.tail.Load()
 		if t-r.cachedHead >= r.capacity {
-			h, err := r.waitNotFull(t)
+			h, err := r.waitNotFull(t, time.Time{})
 			if err != nil {
 				return sent, err
 			}
@@ -329,7 +436,7 @@ func (r *Ring) RecvN(dst []Message) (int, error) {
 	}
 	h := r.head.Load()
 	if r.cachedTail == h {
-		t, err := r.waitNotEmpty(h)
+		t, err := r.waitNotEmpty(h, time.Time{})
 		if err != nil {
 			return 0, err
 		}
@@ -477,6 +584,15 @@ func (q *RingQueue) TrySend(m Message) (bool, error) {
 	return true, nil
 }
 
+// WaitSend returns at once: the queue never fills, so the sender only
+// waits on a closed queue, which it reports.
+func (q *RingQueue) WaitSend(time.Time) error {
+	if q.closed.Load() {
+		return q.closeErr()
+	}
+	return nil
+}
+
 // growTail links a fresh (or recycled) segment after the full tail segment,
 // or installs the first segment when t == 0: the one a Reset rewound onto,
 // else a lazily allocated one.
@@ -529,7 +645,7 @@ func (q *RingQueue) SendN(ms []Message) (int, error) {
 func (q *RingQueue) Recv() (Message, error) {
 	h := q.head.Load()
 	if q.cachedTail == h {
-		t, err := q.waitNotEmpty(h)
+		t, err := q.waitNotEmpty(h, time.Time{})
 		if err != nil {
 			return Message{}, err
 		}
@@ -561,7 +677,23 @@ func (q *RingQueue) advanceHead(h uint64) {
 	q.free.Store(old)
 }
 
-func (q *RingQueue) waitNotEmpty(h uint64) (uint64, error) {
+// WaitRecv parks the receiver until a message is buffered, the queue is
+// closed and drained, or deadline passes: Ring.WaitRecv's contract.
+func (q *RingQueue) WaitRecv(deadline time.Time) error {
+	h := q.head.Load()
+	if q.cachedTail != h {
+		return nil
+	}
+	t, err := q.waitNotEmpty(h, deadline)
+	if err != nil {
+		return err
+	}
+	q.cachedTail = t
+	return nil
+}
+
+// waitNotEmpty is Ring.waitNotEmpty over the queue's counters.
+func (q *RingQueue) waitNotEmpty(h uint64, deadline time.Time) (uint64, error) {
 	spins := 0
 	for {
 		t := q.tail.Load()
@@ -581,9 +713,11 @@ func (q *RingQueue) waitNotEmpty(h uint64) (uint64, error) {
 		case spins < hotSpins+yieldSpins:
 			runtime.Gosched()
 		default:
-			q.recvGate.park(func() bool {
+			if !q.recvGate.park(func() bool {
 				return q.tail.Load() != h || q.closed.Load()
-			})
+			}, deadline) {
+				return 0, ErrDeadline
+			}
 			spins = 0
 		}
 	}
@@ -621,7 +755,7 @@ func (q *RingQueue) RecvN(dst []Message) (int, error) {
 	}
 	h := q.head.Load()
 	if q.cachedTail == h {
-		t, err := q.waitNotEmpty(h)
+		t, err := q.waitNotEmpty(h, time.Time{})
 		if err != nil {
 			return 0, err
 		}

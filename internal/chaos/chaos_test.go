@@ -20,8 +20,11 @@ import (
 )
 
 // soakConfig keeps the full soak around the 30s mark: the per-run deadline
-// bounds only the timeout arm (seeds ≡ 3 mod 4 with the stalled route
-// actually in use); every other cell finishes in microseconds.
+// bounds the timeout arm (seeds ≡ 3 mod 4 with the stalled route actually
+// in use). Every other cell must finish well inside it: a fault-free cell
+// takes up to tens of milliseconds (2048 actions per role), armed or not,
+// since a deadline-armed blocking operation parks on the substrate just as
+// an unarmed one does.
 var soakConfig = Config{Timeout: 300 * time.Millisecond}
 
 // soakEntries is every registry protocol — the paper's Table 1 set plus the

@@ -404,8 +404,10 @@ func (s *stubRoute) Recv() (channel.Message, error) { panic(s.misuse("Recv")) }
 func (s *stubRoute) TryRecv() (channel.Message, bool, error) {
 	panic(s.misuse("TryRecv"))
 }
-func (s *stubRoute) Close()               {}
-func (s *stubRoute) CloseWithError(error) {}
+func (s *stubRoute) WaitSend(time.Time) error { panic(s.misuse("WaitSend")) }
+func (s *stubRoute) WaitRecv(time.Time) error { panic(s.misuse("WaitRecv")) }
+func (s *stubRoute) Close()                   {}
+func (s *stubRoute) CloseWithError(error)     {}
 
 func (s *stubRoute) misuse(op string) string {
 	return fmt.Sprintf("netchan: %s on route %s->%s, which is not local to this process", op, s.from, s.to)

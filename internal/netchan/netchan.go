@@ -171,11 +171,17 @@ func (s *sendHalf) TrySend(m channel.Message) (bool, error) {
 }
 func (s *sendHalf) SendN(ms []channel.Message) (int, error) { return s.ring.SendN(ms) }
 
+// WaitSend parks on the ring the writer drains: a freed slot wakes it.
+func (s *sendHalf) WaitSend(deadline time.Time) error { return s.ring.WaitSend(deadline) }
+
 func (s *sendHalf) Recv() (channel.Message, error) {
 	panic("netchan: Recv on the sending end of a network route")
 }
 func (s *sendHalf) TryRecv() (channel.Message, bool, error) {
 	panic("netchan: TryRecv on the sending end of a network route")
+}
+func (s *sendHalf) WaitRecv(time.Time) error {
+	panic("netchan: WaitRecv on the sending end of a network route")
 }
 
 func (s *sendHalf) Close() { s.ring.Close() }
@@ -341,6 +347,11 @@ func (r *recvHalf) RecvN(dst []channel.Message) (int, error) {
 	return n, err
 }
 
+// WaitRecv parks on the ring the pump fills: a delivery (or the close a
+// goodbye frame or a dropped connection brings) wakes it. It consumes
+// nothing, so a stashed polled connection stays stashed.
+func (r *recvHalf) WaitRecv(deadline time.Time) error { return r.ring.WaitRecv(deadline) }
+
 // drained re-arms a stashed polled connection: the consumer just freed
 // ring space, so the pump can deliver again.
 func (r *recvHalf) drained() {
@@ -462,6 +473,9 @@ func (r *recvHalf) Send(channel.Message) error {
 func (r *recvHalf) TrySend(channel.Message) (bool, error) {
 	panic("netchan: TrySend on the receiving end of a network route")
 }
+func (r *recvHalf) WaitSend(time.Time) error {
+	panic("netchan: WaitSend on the receiving end of a network route")
+}
 
 // Close tears the receiving end down locally: buffered messages stay
 // receivable (ring drain semantics), the pump stops. Messages still in the
@@ -505,6 +519,8 @@ func (p *Route) SendN(ms []channel.Message) (int, error)  { return p.send.SendN(
 func (p *Route) Recv() (channel.Message, error)           { return p.recv.Recv() }
 func (p *Route) TryRecv() (channel.Message, bool, error)  { return p.recv.TryRecv() }
 func (p *Route) RecvN(dst []channel.Message) (int, error) { return p.recv.RecvN(dst) }
+func (p *Route) WaitSend(deadline time.Time) error        { return p.send.WaitSend(deadline) }
+func (p *Route) WaitRecv(deadline time.Time) error        { return p.recv.WaitRecv(deadline) }
 
 // Close closes the sending end only: the goodbye frame closes the
 // receiving end after every in-flight data frame has drained, so a

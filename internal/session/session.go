@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -341,8 +340,8 @@ type Endpoint struct {
 	inUse  atomic.Bool
 	closed bool
 	// deadline, when non-zero, bounds every blocking operation on the
-	// endpoint: Send/Receive/SendN/ReceiveN park-with-deadline over the
-	// Try* algebra instead of blocking on the substrate, and fail with a
+	// endpoint: Send/Receive/SendN/ReceiveN probe with the Try* algebra and
+	// park on the route's deadline wait between probes, failing with a
 	// *TimeoutError once the deadline passes. Owned by the endpoint's
 	// process like the rest of the endpoint state (not synchronized).
 	deadline time.Time
@@ -350,14 +349,17 @@ type Endpoint struct {
 
 // SetDeadline arms (or, with the zero time, clears) an absolute deadline for
 // every subsequent blocking operation on the endpoint. With a deadline
-// armed, Send/Receive and their batched forms are implemented by
-// park-with-deadline over the non-blocking Try* algebra — each refused probe
-// has no observable effect and the monitor commits only on success, so the
-// Tier-2 safety argument is exactly the one stepping already relies on (see
-// DESIGN.md, "Failure semantics"). On expiry the operation fails with a
-// *TimeoutError (errors.Is(err, ErrTimeout)) naming the role, the operation
-// and the peer; the session is otherwise untouched — the caller decides
-// whether to retry with a later deadline or Abort the session.
+// armed, Send/Receive and their batched forms probe with the non-blocking
+// Try* algebra and, between probes, park on the route until it is ready,
+// closed or past the deadline (channel.Sender.WaitSend,
+// channel.Receiver.WaitRecv) — each refused probe has no observable effect
+// and the monitor commits only on success, so the Tier-2 safety argument is
+// exactly the one stepping already relies on (see DESIGN.md, "Failure
+// semantics"), and the wait costs what a blocking operation's park costs.
+// On expiry the operation fails with a *TimeoutError (errors.Is(err,
+// ErrTimeout)) naming the role, the operation and the peer; the session is
+// otherwise untouched — the caller decides whether to retry with a later
+// deadline or Abort the session.
 //
 // Like every other endpoint operation, SetDeadline is owned by the
 // endpoint's process: arm it before handing the endpoint to Run/Drive or
@@ -368,42 +370,14 @@ func (e *Endpoint) SetDeadline(t time.Time) { e.deadline = t }
 // Deadline returns the currently armed deadline (zero when none).
 func (e *Endpoint) Deadline() time.Time { return e.deadline }
 
-// deadlineYields is the number of scheduler yields a deadline-armed
-// operation performs between Try* probes before it starts napping; the naps
-// are then capped at deadlineNap so expiry is observed promptly without
-// spinning a core for the whole wait.
-const (
-	deadlineYields = 64
-	deadlineNap    = 100 * time.Microsecond
-)
-
-// parkDeadline is the wait half of park-with-deadline: called after a Try*
-// probe refused with ErrWouldBlock, it yields (then naps) until the next
-// probe is due, or reports a *TimeoutError once the deadline has passed.
-func (e *Endpoint) parkDeadline(spins *int, op string, peer types.Role) error {
-	now := time.Now()
-	if !now.Before(e.deadline) {
-		return &TimeoutError{Role: e.role, Op: op, Peer: peer}
-	}
-	*spins++
-	if *spins < deadlineYields {
-		runtime.Gosched()
-		return nil
-	}
-	nap := e.deadline.Sub(now)
-	if nap > deadlineNap {
-		nap = deadlineNap
-	}
-	time.Sleep(nap)
-	return nil
-}
-
-// sendDeadline is Send under an armed deadline: TrySendMsg until accepted,
-// timed out, or failed. Every refused probe left no trace (the monitor
-// rewinds on would-block), so the committed run is indistinguishable from a
-// blocking send that happened to wait.
+// sendDeadline is Send under an armed deadline: probe with TrySendMsg, and
+// while it would block, park on the route (channel.Sender.WaitSend) until
+// the route is worth probing again or the deadline passes. Every refused
+// probe left no trace (the monitor rewinds on would-block), so the
+// committed run is indistinguishable from a blocking send that happened to
+// wait — and the wait is the substrate's own park, woken by the receiver's
+// progress exactly as a blocking Send is.
 func (e *Endpoint) sendDeadline(to types.Role, label types.Label, value any) error {
-	spins := 0
 	for {
 		// Try* on an Endpoint reports a refusal as the bare ErrWouldBlock
 		// sentinel, so the probe loop compares directly instead of paying
@@ -412,23 +386,27 @@ func (e *Endpoint) sendDeadline(to types.Role, label types.Label, value any) err
 		if err != ErrWouldBlock {
 			return err
 		}
-		if err := e.parkDeadline(&spins, "send", to); err != nil {
-			return err
+		// A would-block probe resolved the route, so this lookup succeeds.
+		q, _ := e.outRoute(to)
+		if q.WaitSend(e.deadline) == channel.ErrDeadline {
+			return &TimeoutError{Role: e.role, Op: "send", Peer: to}
 		}
+		// Anything else — ready, or closed — is for the next probe to
+		// report.
 	}
 }
 
 // receiveDeadline is Receive under an armed deadline, symmetric to
 // sendDeadline.
 func (e *Endpoint) receiveDeadline(from types.Role) (types.Label, any, error) {
-	spins := 0
 	for {
 		label, value, err := e.TryRecvMsg(from)
 		if err != ErrWouldBlock {
 			return label, value, err
 		}
-		if err := e.parkDeadline(&spins, "receive", from); err != nil {
-			return "", nil, err
+		q, _ := e.inRoute(from)
+		if q.WaitRecv(e.deadline) == channel.ErrDeadline {
+			return "", nil, &TimeoutError{Role: e.role, Op: "receive", Peer: from}
 		}
 	}
 }

@@ -136,13 +136,13 @@ func BenchmarkSendRecvMonitored(b *testing.B) {
 
 // BenchmarkSessionSendRecvDeadline is BenchmarkSendRecvMonitored under the
 // failure-semantics machinery: the armed sub-run puts a far-future deadline
-// on both endpoints, so every Send/Receive takes the deadline path (Try*
-// probe loop with park-on-refusal) instead of the blocking fast path — but
-// the deadline never fires and the probes never refuse. The unarmed sub-run
-// is the identical workload on the blocking path, measured back to back so
-// the armed/unarmed ratio is robust to clock drift across a long bench
-// sweep. That ratio is the whole price of arming a deadline; the budget is
-// ≤10%.
+// on both endpoints, so every Send/Receive takes the deadline path (a Try*
+// probe, parked on the route's WaitSend/WaitRecv after a refusal) instead
+// of the blocking fast path — but the deadline never fires and the probes
+// never refuse, so no wait runs. The unarmed sub-run is the identical
+// workload on the blocking path, measured back to back so the
+// armed/unarmed ratio is robust to clock drift across a long bench sweep.
+// That ratio is the whole price of arming a deadline; the budget is ≤10%.
 func BenchmarkSessionSendRecvDeadline(b *testing.B) {
 	for _, armed := range []bool{false, true} {
 		name := "unarmed"
