@@ -221,7 +221,8 @@ bench-smoke:
 		-baseline BENCH_net.json \
 		-expect BenchmarkNetSendRecv/ring -expect BenchmarkNetSendRecv/unix \
 		-expect BenchmarkNetSendRecv/tcp \
-		-expect BenchmarkNetPingPong/ring -expect BenchmarkNetPingPong/tcp \
+		-expect BenchmarkNetPingPong/ring -expect BenchmarkNetPingPong/unix \
+		-expect BenchmarkNetPingPong/tcp \
 		-expect BenchmarkNetBatch64/ring -expect BenchmarkNetBatch64/unix \
 		-expect BenchmarkNetBatch64/tcp
 	$(GO) run ./cmd/benchcheck -file BENCH_smoke_check.json \

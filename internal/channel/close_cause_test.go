@@ -18,15 +18,17 @@ import (
 
 var errBoom = errors.New("boom: peer crashed")
 
-// substrates returns one fresh instance of each of the five substrates. The
-// bounded ones get capacity 2 so fill-up paths are easy to reach.
+// causeSubstrates returns one fresh instance of each of the five
+// substrates, plus the ring whose waits park at once. The bounded ones get
+// capacity 2 so fill-up paths are easy to reach.
 func causeSubstrates() map[string]Substrate {
 	return map[string]Substrate{
-		"queue":      NewQueue(),
-		"bounded":    NewBounded(2),
-		"rendezvous": NewRendezvous(),
-		"ring":       NewRing(2),
-		"ringqueue":  NewRingQueue(),
+		"queue":       NewQueue(),
+		"bounded":     NewBounded(2),
+		"rendezvous":  NewRendezvous(),
+		"ring":        NewRing(2),
+		"parkingring": NewParkingRing(2),
+		"ringqueue":   NewRingQueue(),
 	}
 }
 
@@ -198,10 +200,11 @@ func TestCloseWithErrorDrainThenCause(t *testing.T) {
 // ErrClosed.
 func TestCloseWithErrorCauseUnderConcurrentTraffic(t *testing.T) {
 	for name, mk := range map[string]func() Substrate{
-		"ring":      func() Substrate { return NewRing(4) },
-		"ringqueue": func() Substrate { return NewRingQueue() },
-		"bounded":   func() Substrate { return NewBounded(4) },
-		"queue":     func() Substrate { return NewQueue() },
+		"ring":        func() Substrate { return NewRing(4) },
+		"parkingring": func() Substrate { return NewParkingRing(4) },
+		"ringqueue":   func() Substrate { return NewRingQueue() },
+		"bounded":     func() Substrate { return NewBounded(4) },
+		"queue":       func() Substrate { return NewQueue() },
 	} {
 		mk := mk
 		t.Run(name, func(t *testing.T) {

@@ -12,7 +12,11 @@
 // RingQueue and Ring exploit the session-network invariant that every
 // ordered role pair has exactly one sender and one receiver: their hot path
 // is a slot write plus one atomic publication — no locks and no steady-state
-// allocation (see ring.go for the waiting and close protocol). Queue and
+// allocation (see ring.go for the waiting and close protocol). A blocked
+// ring party spins, then yields, then parks, since an in-memory peer
+// usually moves within a yield; a ring built by NewParkingRing parks at
+// once, since its peer is a socket pump (internal/netchan) waiting on I/O,
+// and spinning for it only takes CPU from the sessions. Queue and
 // Bounded remain the mutex-based baselines for comparison (and for callers
 // that need multiple concurrent senders); Rendezvous models the synchronous
 // baselines of the paper's evaluation.

@@ -13,16 +13,26 @@ import (
 // single-producer single-consumer queues whose hot paths are one slot write
 // and one atomic publication — no locks, no allocation.
 //
-// Waiting is spin-then-park: a short spin (skipped when GOMAXPROCS is 1,
-// where spinning can only delay the peer), a few scheduler yields, then a
-// futex-style park on a mutex+cond fallback gate. The gate is also what lets
-// Close wake parties blocked on the fast path: closing sets the flag and
-// broadcasts both gates, so a receiver blocked on an empty ring (or a sender
-// blocked on a full one) fails promptly with ErrClosed instead of spinning
-// or sleeping forever. The deadline waits (WaitSend, WaitRecv) run the same
-// state machine with the gate's park bounded by an alarm, so a
-// deadline-armed party parks exactly as a blocking one does and is woken by
-// the same publication.
+// Every wait is one helper, ringState.await: block until a counter moves
+// off a value — tail off head for a receiver, head off tail−k for a sender,
+// since a ring is full exactly when head == tail−k. It has three tiers: a
+// short spin (skipped when GOMAXPROCS is 1, where spinning can only delay
+// the peer), a few scheduler yields, then a futex-style park on a
+// mutex+cond gate. The first two pay off when the peer is a goroutine of
+// this process moving messages in memory: it usually publishes within a
+// yield, and parking at once slows the Session.Run streaming benchmark on
+// rings by about a tenth (EXPERIMENTS.md). A ring built by NewParkingRing
+// skips them and parks at once: its peer is a socket pump
+// (internal/netchan) whose next move waits on a syscall, so spinning or
+// yielding for it only takes the CPU the sessions need.
+//
+// The gate is also what lets Close wake parties blocked on the fast path:
+// closing sets the flag and broadcasts both gates, so a receiver blocked on
+// an empty ring (or a sender blocked on a full one) fails promptly with
+// ErrClosed instead of spinning or sleeping forever. The deadline waits
+// (WaitSend, WaitRecv) run the same helper with the gate's park bounded by
+// an alarm, so a deadline-armed party parks exactly as a blocking one does
+// and is woken by the same publication.
 //
 // Concurrency contract: at most one goroutine sends and at most one
 // goroutine receives at any time (the sender and receiver may be different
@@ -30,18 +40,6 @@ import (
 // runtimes satisfy this by construction — an endpoint is owned by one
 // process (linearity), and the (from, to) route is written only by from's
 // process and read only by to's.
-
-// The spin-then-park state machine below is deliberately written out in
-// each wait site (Ring.waitNotFull, Ring.waitNotEmpty,
-// RingQueue.waitNotEmpty) rather than factored into a helper taking a
-// ready-predicate: a closure-based helper would allocate on every blocked
-// wait (the predicates capture loop-local positions), breaking the
-// zero-allocation contract of the hot path. Closures appear only inside
-// park(), which is reached rarely. Each copy serves both the blocking
-// operation (zero deadline) and the deadline wait of its side, so there are
-// three copies, not six. Keep them — and the closed-then-reload drain check
-// they share with TryRecv — in sync when changing the wait or close
-// protocol.
 
 // hotSpins is the number of tight spins before yielding. On a single-P
 // runtime a tight spin cannot observe progress (the peer is not running),
@@ -151,6 +149,77 @@ func (g *parkGate) wake() {
 	g.mu.Unlock()
 }
 
+// ringState is the close state and wait policy Ring and RingQueue share.
+type ringState struct {
+	closed  atomic.Bool
+	parkNow bool                       // skip the spin and yield tiers (NewParkingRing)
+	cause   atomic.Pointer[CloseError] // set before closed; first cause wins
+}
+
+// closeErr returns the error a closed ring reports. The cause pointer is
+// CAS-installed before the closed flag is stored, so any party that observed
+// closed == true also observes the cause.
+func (s *ringState) closeErr() error {
+	if c := s.cause.Load(); c != nil {
+		return c
+	}
+	return ErrClosed
+}
+
+// setCause records the cause of a CloseWithError (first cause wins); the
+// caller then closes.
+func (s *ringState) setCause(err error) {
+	if err != nil && !s.closed.Load() {
+		s.cause.CompareAndSwap(nil, &CloseError{Cause: err})
+	}
+}
+
+// reopen clears a drained substrate's close state for Reset. The cause is
+// cleared before the flag so the "cause installed before the closed flag"
+// publication invariant holds again for the next close; each store is made
+// only when its field is set, so recycling a cleanly finished route costs
+// two loads rather than two atomic exchanges.
+func (s *ringState) reopen() {
+	if s.cause.Load() != nil {
+		s.cause.Store(nil)
+	}
+	if s.closed.Load() {
+		s.closed.Store(false)
+	}
+}
+
+// await blocks until c no longer reads v and returns what it read; with a
+// non-zero deadline it gives up with ErrDeadline once the deadline passes.
+// Close wakes it: after observing the closed flag it reloads c once more,
+// so every message published before the close is drained, with the same
+// closed-then-reload check as TryRecv. It allocates nothing: the park
+// closure captures only the arguments and does not escape.
+func (s *ringState) await(c *atomic.Uint64, v uint64, g *parkGate, deadline time.Time) (uint64, error) {
+	spins := 0
+	if s.parkNow {
+		spins = hotSpins + yieldSpins
+	}
+	for ; ; spins++ {
+		if n := c.Load(); n != v {
+			return n, nil
+		}
+		if s.closed.Load() {
+			if n := c.Load(); n != v {
+				return n, nil
+			}
+			return 0, s.closeErr()
+		}
+		switch {
+		case spins < hotSpins:
+			// hot spin
+		case spins < hotSpins+yieldSpins:
+			runtime.Gosched()
+		case !g.park(func() bool { return c.Load() != v || s.closed.Load() }, deadline):
+			return 0, ErrDeadline
+		}
+	}
+}
+
 // cacheLinePad separates producer- and consumer-owned fields so the two
 // sides do not false-share a cache line.
 type cacheLinePad [64]byte
@@ -174,20 +243,9 @@ type Ring struct {
 	cachedTail uint64        // consumer's snapshot of tail
 	_          cacheLinePad
 
-	closed   atomic.Bool
-	cause    atomic.Pointer[CloseError] // set before closed; first cause wins
-	recvGate parkGate                   // receivers park here when the ring is empty
-	sendGate parkGate                   // senders park here when the ring is full
-}
-
-// closeErr returns the error a closed ring reports. The cause pointer is
-// CAS-installed before the closed flag is stored, so any party that observed
-// closed == true also observes the cause.
-func (r *Ring) closeErr() error {
-	if c := r.cause.Load(); c != nil {
-		return c
-	}
-	return ErrClosed
+	ringState
+	recvGate parkGate // receivers park here when the ring is empty
+	sendGate parkGate // senders park here when the ring is full
 }
 
 // NewRing returns a ring with logical capacity k (k ≥ 1). The backing array
@@ -204,6 +262,15 @@ func NewRing(k int) *Ring {
 	return &Ring{buf: make([]Message, n), mask: uint64(n - 1), capacity: uint64(k)}
 }
 
+// NewParkingRing returns a ring like NewRing(k) whose waits park at once,
+// without the spin and yield tiers: the ring for a socket pump, whose peer's
+// next move waits on I/O (see the file comment).
+func NewParkingRing(k int) *Ring {
+	r := NewRing(k)
+	r.parkNow = true
+	return r
+}
+
 // Cap returns the logical capacity.
 func (r *Ring) Cap() int { return int(r.capacity) }
 
@@ -218,7 +285,7 @@ func (r *Ring) Send(m Message) error {
 	}
 	t := r.tail.Load()
 	if t-r.cachedHead >= r.capacity {
-		h, err := r.waitNotFull(t, time.Time{})
+		h, err := r.await(&r.head, t-r.capacity, &r.sendGate, time.Time{})
 		if err != nil {
 			return err
 		}
@@ -263,7 +330,7 @@ func (r *Ring) WaitSend(deadline time.Time) error {
 	if t-r.cachedHead < r.capacity {
 		return nil
 	}
-	h, err := r.waitNotFull(t, deadline)
+	h, err := r.await(&r.head, t-r.capacity, &r.sendGate, deadline)
 	if err != nil {
 		return err
 	}
@@ -271,42 +338,12 @@ func (r *Ring) WaitSend(deadline time.Time) error {
 	return nil
 }
 
-// waitNotFull blocks until head has advanced enough that slot t is free,
-// returning the observed head; with a non-zero deadline it gives up with
-// ErrDeadline once the deadline passes.
-func (r *Ring) waitNotFull(t uint64, deadline time.Time) (uint64, error) {
-	spins := 0
-	for {
-		h := r.head.Load()
-		if t-h < r.capacity {
-			return h, nil
-		}
-		if r.closed.Load() {
-			return 0, r.closeErr()
-		}
-		spins++
-		switch {
-		case spins < hotSpins:
-			// hot spin
-		case spins < hotSpins+yieldSpins:
-			runtime.Gosched()
-		default:
-			if !r.sendGate.park(func() bool {
-				return t-r.head.Load() < r.capacity || r.closed.Load()
-			}, deadline) {
-				return 0, ErrDeadline
-			}
-			spins = 0
-		}
-	}
-}
-
 // Recv removes and returns the oldest message, blocking while empty. Once
 // the ring is closed and drained it returns ErrClosed.
 func (r *Ring) Recv() (Message, error) {
 	h := r.head.Load()
 	if r.cachedTail == h {
-		t, err := r.waitNotEmpty(h, time.Time{})
+		t, err := r.await(&r.tail, h, &r.recvGate, time.Time{})
 		if err != nil {
 			return Message{}, err
 		}
@@ -329,47 +366,12 @@ func (r *Ring) WaitRecv(deadline time.Time) error {
 	if r.cachedTail != h {
 		return nil
 	}
-	t, err := r.waitNotEmpty(h, deadline)
+	t, err := r.await(&r.tail, h, &r.recvGate, deadline)
 	if err != nil {
 		return err
 	}
 	r.cachedTail = t
 	return nil
-}
-
-// waitNotEmpty blocks until tail has advanced past h, returning the
-// observed tail; with a non-zero deadline it gives up with ErrDeadline once
-// the deadline passes. Close wakes it: after observing the closed flag it
-// reloads tail once more so every message published before the close is
-// drained.
-func (r *Ring) waitNotEmpty(h uint64, deadline time.Time) (uint64, error) {
-	spins := 0
-	for {
-		t := r.tail.Load()
-		if t != h {
-			return t, nil
-		}
-		if r.closed.Load() {
-			if t = r.tail.Load(); t != h {
-				return t, nil
-			}
-			return 0, r.closeErr()
-		}
-		spins++
-		switch {
-		case spins < hotSpins:
-			// hot spin
-		case spins < hotSpins+yieldSpins:
-			runtime.Gosched()
-		default:
-			if !r.recvGate.park(func() bool {
-				return r.tail.Load() != h || r.closed.Load()
-			}, deadline) {
-				return 0, ErrDeadline
-			}
-			spins = 0
-		}
-	}
 }
 
 // TryRecv removes the oldest message if one is present.
@@ -406,7 +408,7 @@ func (r *Ring) SendN(ms []Message) (int, error) {
 		}
 		t := r.tail.Load()
 		if t-r.cachedHead >= r.capacity {
-			h, err := r.waitNotFull(t, time.Time{})
+			h, err := r.await(&r.head, t-r.capacity, &r.sendGate, time.Time{})
 			if err != nil {
 				return sent, err
 			}
@@ -436,7 +438,7 @@ func (r *Ring) RecvN(dst []Message) (int, error) {
 	}
 	h := r.head.Load()
 	if r.cachedTail == h {
-		t, err := r.waitNotEmpty(h, time.Time{})
+		t, err := r.await(&r.tail, h, &r.recvGate, time.Time{})
 		if err != nil {
 			return 0, err
 		}
@@ -467,9 +469,7 @@ func (r *Ring) Close() {
 // CloseWithError closes the ring with a cause (first cause wins): blocked
 // and future parties — after the drain — observe a *CloseError wrapping err.
 func (r *Ring) CloseWithError(err error) {
-	if err != nil && !r.closed.Load() {
-		r.cause.CompareAndSwap(nil, &CloseError{Cause: err})
-	}
+	r.setCause(err)
 	r.Close()
 }
 
@@ -483,22 +483,8 @@ func (r *Ring) Reset() bool {
 			break
 		}
 	}
-	reopen(&r.cause, &r.closed)
+	r.reopen()
 	return true
-}
-
-// reopen clears a drained substrate's close state for Reset. The cause is
-// cleared before the flag so the "cause installed before the closed flag"
-// publication invariant holds again for the next close; each store is made
-// only when its field is set, so recycling a cleanly finished route costs
-// two loads rather than two atomic exchanges.
-func reopen(cause *atomic.Pointer[CloseError], closed *atomic.Bool) {
-	if cause.Load() != nil {
-		cause.Store(nil)
-	}
-	if closed.Load() {
-		closed.Store(false)
-	}
 }
 
 // ringSegShift sizes RingQueue segments: 64 messages (2 KiB) each, so the
@@ -535,20 +521,10 @@ type RingQueue struct {
 	headSeg    *ringSeg      // consumer-owned segment holding slot head
 	_          cacheLinePad
 
-	first    atomic.Pointer[ringSeg] // segment holding position 0: lazily allocated, or the one Reset rewound onto
-	free     atomic.Pointer[ringSeg] // one-slot recycle cache, consumer → producer
-	closed   atomic.Bool
-	cause    atomic.Pointer[CloseError] // set before closed; first cause wins
+	first atomic.Pointer[ringSeg] // segment holding position 0: lazily allocated, or the one Reset rewound onto
+	free  atomic.Pointer[ringSeg] // one-slot recycle cache, consumer → producer
+	ringState
 	recvGate parkGate
-}
-
-// closeErr returns the error a closed queue reports; same publication
-// argument as Ring.closeErr.
-func (q *RingQueue) closeErr() error {
-	if c := q.cause.Load(); c != nil {
-		return c
-	}
-	return ErrClosed
 }
 
 // NewRingQueue returns an empty unbounded ring queue. No segment is
@@ -645,7 +621,7 @@ func (q *RingQueue) SendN(ms []Message) (int, error) {
 func (q *RingQueue) Recv() (Message, error) {
 	h := q.head.Load()
 	if q.cachedTail == h {
-		t, err := q.waitNotEmpty(h, time.Time{})
+		t, err := q.await(&q.tail, h, &q.recvGate, time.Time{})
 		if err != nil {
 			return Message{}, err
 		}
@@ -684,43 +660,12 @@ func (q *RingQueue) WaitRecv(deadline time.Time) error {
 	if q.cachedTail != h {
 		return nil
 	}
-	t, err := q.waitNotEmpty(h, deadline)
+	t, err := q.await(&q.tail, h, &q.recvGate, deadline)
 	if err != nil {
 		return err
 	}
 	q.cachedTail = t
 	return nil
-}
-
-// waitNotEmpty is Ring.waitNotEmpty over the queue's counters.
-func (q *RingQueue) waitNotEmpty(h uint64, deadline time.Time) (uint64, error) {
-	spins := 0
-	for {
-		t := q.tail.Load()
-		if t != h {
-			return t, nil
-		}
-		if q.closed.Load() {
-			if t = q.tail.Load(); t != h {
-				return t, nil
-			}
-			return 0, q.closeErr()
-		}
-		spins++
-		switch {
-		case spins < hotSpins:
-			// hot spin
-		case spins < hotSpins+yieldSpins:
-			runtime.Gosched()
-		default:
-			if !q.recvGate.park(func() bool {
-				return q.tail.Load() != h || q.closed.Load()
-			}, deadline) {
-				return 0, ErrDeadline
-			}
-			spins = 0
-		}
-	}
 }
 
 // TryRecv removes the oldest message if one is present.
@@ -755,7 +700,7 @@ func (q *RingQueue) RecvN(dst []Message) (int, error) {
 	}
 	h := q.head.Load()
 	if q.cachedTail == h {
-		t, err := q.waitNotEmpty(h, time.Time{})
+		t, err := q.await(&q.tail, h, &q.recvGate, time.Time{})
 		if err != nil {
 			return 0, err
 		}
@@ -795,9 +740,7 @@ func (q *RingQueue) Close() {
 // CloseWithError closes the queue with a cause (first cause wins): blocked
 // and future parties — after the drain — observe a *CloseError wrapping err.
 func (q *RingQueue) CloseWithError(err error) {
-	if err != nil && !q.closed.Load() {
-		q.cause.CompareAndSwap(nil, &CloseError{Cause: err})
-	}
+	q.setCause(err)
 	q.Close()
 }
 
@@ -820,7 +763,7 @@ func (q *RingQueue) Reset() bool {
 		q.tail.Store(0)
 		q.cachedTail = 0
 	}
-	reopen(&q.cause, &q.closed)
+	q.reopen()
 	return true
 }
 

@@ -18,11 +18,12 @@ import (
 // ones get capacity 1, so a single message fills them.
 func waitSubstrates() map[string]func() Substrate {
 	return map[string]func() Substrate{
-		"ring":      func() Substrate { return NewRing(1) },
-		"ringqueue": func() Substrate { return NewRingQueue() },
-		"queue":     func() Substrate { return NewQueue() },
-		"bounded":   func() Substrate { return NewBounded(1) },
-		"faulty":    func() Substrate { return NewFaulty(NewRing(1), FaultPlan{}) },
+		"ring":        func() Substrate { return NewRing(1) },
+		"parkingring": func() Substrate { return NewParkingRing(1) },
+		"ringqueue":   func() Substrate { return NewRingQueue() },
+		"queue":       func() Substrate { return NewQueue() },
+		"bounded":     func() Substrate { return NewBounded(1) },
+		"faulty":      func() Substrate { return NewFaulty(NewRing(1), FaultPlan{}) },
 	}
 }
 

@@ -29,7 +29,15 @@
 // interest on demand. Either way, every delivery and close fires the
 // fabric's notify hook, which cmd/sessnet wires to a sched.Waker so
 // sessions parked on ErrWouldBlock are woken by readiness instead of
-// sterile re-polling.
+// sterile re-polling. A freed send slot fires it only after a refused
+// TrySend: the writer notifies once per drain that follows a refusal, not
+// per written frame, so a sender that never found its route full is not
+// requeued for every message it sends.
+//
+// The rings on both ends are built by channel.NewParkingRing: every wait
+// on them (the writer's RecvN, the reader's Send, and a session's
+// Send/Recv/WaitSend/WaitRecv) waits for socket I/O, so it parks at once
+// instead of spinning and yielding the CPU the sessions need.
 //
 // Fabric ties the halves to a session: it listens for peers, dials them
 // with retry, matches connections to routes by the wire hello handshake

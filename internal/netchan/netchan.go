@@ -36,8 +36,10 @@ type Options struct {
 	// retries while the peer's listener is still coming up (default 10s).
 	DialTimeout time.Duration
 	// Notify, when set, is invoked (on pump goroutines) after every
-	// delivery, freed send slot, and close — the readiness hook a
-	// scheduler's waker plugs into.
+	// delivery and close, and after the writer frees send slots while a
+	// TrySend refused since its last drain is waiting for one — the
+	// readiness hook a scheduler's waker plugs into. A sender that never
+	// found the route full is not woken for the slots its frames free.
 	Notify func()
 }
 
@@ -74,10 +76,11 @@ func (n *notifier) wake() {
 // by a writer goroutine that frames whole runs into single writes and
 // carries Close/CloseWithError as a goodbye frame after the drain.
 type sendHalf struct {
-	ring   *channel.Ring
-	tab    *wire.Table
-	batch  int
-	notify *notifier
+	ring    *channel.Ring
+	tab     *wire.Table
+	batch   int
+	notify  *notifier
+	refused atomic.Bool // a TrySend found the ring full since the writer's last drain
 
 	ready   chan struct{} // closed once conn or dialErr is set
 	conn    net.Conn
@@ -87,7 +90,7 @@ type sendHalf struct {
 
 func newSendHalf(tab *wire.Table, opts Options, n *notifier) *sendHalf {
 	s := &sendHalf{
-		ring:   channel.NewRing(opts.Buffer),
+		ring:   channel.NewParkingRing(opts.Buffer),
 		tab:    tab,
 		batch:  opts.Batch,
 		notify: n,
@@ -113,6 +116,12 @@ func (s *sendHalf) fail(err error) { s.dialErr = err; close(s.ready) }
 // the dial deadline) aborts it — so messages accepted before Close still
 // reach the wire ahead of the goodbye, even when the sender finished its
 // whole role before any connection existed.
+//
+// A drain notifies only when a TrySend was refused since the last one. No
+// wake is lost: the CAS that clears the flag comes after RecvN has freed
+// the slots, and TrySend probes again after raising it, so either the
+// refused sender's second probe sees a free slot or this drain sees the
+// flag.
 func (s *sendHalf) run() {
 	defer close(s.done)
 	<-s.ready
@@ -135,6 +144,9 @@ func (s *sendHalf) run() {
 			s.notify.wake()
 			return
 		}
+		if s.refused.CompareAndSwap(true, false) {
+			s.notify.wake() // slots freed: the sender parked would-block may retry
+		}
 		wbuf = wbuf[:0]
 		werr := error(nil)
 		for _, m := range batch[:n] {
@@ -151,7 +163,6 @@ func (s *sendHalf) run() {
 			s.notify.wake()
 			return
 		}
-		s.notify.wake() // ring slots freed: senders parked would-block may retry
 	}
 }
 
@@ -166,7 +177,15 @@ func closeCause(err error) error {
 }
 
 func (s *sendHalf) Send(m channel.Message) error { return s.ring.Send(m) }
+
+// TrySend is the ring's TrySend. A refusal raises the flag that makes the
+// writer's next drain notify, then probes once more: a drain that cleared
+// the flag before it was raised has already freed a slot.
 func (s *sendHalf) TrySend(m channel.Message) (bool, error) {
+	if ok, err := s.ring.TrySend(m); ok || err != nil {
+		return ok, err
+	}
+	s.refused.Store(true)
 	return s.ring.TrySend(m)
 }
 func (s *sendHalf) SendN(ms []channel.Message) (int, error) { return s.ring.SendN(ms) }
@@ -214,7 +233,7 @@ type recvHalf struct {
 
 func newRecvHalf(tab *wire.Table, opts Options, n *notifier) *recvHalf {
 	return &recvHalf{
-		ring:   channel.NewRing(opts.Buffer),
+		ring:   channel.NewParkingRing(opts.Buffer),
 		tab:    tab,
 		notify: n,
 		rbuf:   make([]byte, 64<<10),

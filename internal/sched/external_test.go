@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -170,4 +171,105 @@ func TestExternalWakeup(t *testing.T) {
 			t.Fatalf("raced session failed: %v", err)
 		}
 	})
+}
+
+// netSender is a stepper that sends n messages over a socket-backed route,
+// would-blocking whenever the route is full.
+type netSender struct {
+	route *netchan.Route
+	n     int64
+	sent  atomic.Int64
+}
+
+func (s *netSender) Step() (bool, error) {
+	i := s.sent.Load()
+	ok, err := s.route.TrySend(channel.Message{Label: "val", Value: int32(i)})
+	if err != nil {
+		return false, err
+	}
+	if !ok {
+		return false, session.ErrWouldBlock
+	}
+	s.sent.Add(1)
+	return i+1 == s.n, nil
+}
+
+func (s *netSender) Role() types.Role { return "p" }
+
+// A sender refused by a full route is woken when the route's writer frees
+// a slot. The receiver is slow on purpose: it takes the next message only
+// once the sender has filled the route again, so every send follows a
+// refusal and, at every receive, the reader pump is blocked delivering into
+// a full ring. The notify hook lingers after waking, as a busy waker might,
+// so the sender woken by that delivery steps while the reader pump is
+// still in the hook — before the writer has freed a slot — and is refused
+// again. From there only the writer's notify can wake it: if that one is
+// lost, both sides wait until the session deadline.
+func TestExternalRefusedSendWoken(t *testing.T) {
+	route := netchan.Pipe(netTable(t), netchan.Options{Buffer: 1})
+	defer route.Abandon()
+	// The route's capacity end to end (rings, pumps and pipe) is what
+	// TrySend fits in, retried until it keeps refusing, while nothing
+	// receives. The probe messages are drained before the sender starts.
+	var capacity int64
+	for refusals := 0; refusals < 10; {
+		ok, err := route.TrySend(channel.Message{Label: "val", Value: int32(0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			capacity, refusals = capacity+1, 0
+			continue
+		}
+		refusals++
+		time.Sleep(2 * time.Millisecond)
+	}
+	for i := int64(0); i < capacity; i++ {
+		if _, err := route.Recv(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s := New(Options{Workers: 1})
+	defer s.Close()
+	const n = 1000
+	const timeout = 10 * time.Second
+	snd := &netSender{route: route, n: n}
+	done := make(chan error, 1)
+	start := time.Now()
+	wk, err := s.GoExternal(start.Add(timeout), func(err error) { done <- err }, snd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	route.SetNotify(func() {
+		wk.Wake()
+		time.Sleep(50 * time.Microsecond)
+	})
+	wk.Wake() // for a notify the route fired before the hook was installed
+	ended := false
+	end := func(err error) {
+		if err != nil {
+			t.Fatalf("sender failed after %d of %d sends: %v", snd.sent.Load(), n, err)
+		}
+		ended = true
+	}
+	for got := int64(0); got < n; got++ {
+		m, err := route.Recv()
+		if err != nil || m.Value != int32(got) {
+			t.Fatalf("receive %d = (%v, %v)", got, m, err)
+		}
+		for sent := snd.sent.Load(); sent-got-1 < capacity && sent < n && !ended; sent = snd.sent.Load() {
+			select {
+			case err := <-done:
+				end(err)
+			case <-time.After(20 * time.Microsecond):
+			}
+		}
+	}
+	if !ended {
+		end(<-done)
+	}
+	if el := time.Since(start); el > timeout/2 {
+		t.Fatalf("%d refused sends took %v against a %v deadline", n, el, timeout)
+	}
 }

@@ -970,7 +970,9 @@ func (s *Scheduler) visit(w *worker, j *job) (bool, int) {
 				// published messages parked siblings wait for.
 				progressed = true
 				j.unparkAll()
-			case errors.Is(err, session.ErrWouldBlock):
+			case err == session.ErrWouldBlock, err != nil && errors.Is(err, session.ErrWouldBlock):
+				// Step returns the bare sentinel; errors.Is runs only for
+				// other errors, so a stepper that wraps it still parks.
 				t.parked = true
 				j.parked++
 			case err != nil:

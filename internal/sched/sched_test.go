@@ -84,15 +84,21 @@ func TestSchedCompletionCallbacksAndWait(t *testing.T) {
 }
 
 // blockedStepper always would-blocks: the shape of a buggy hand stepper
-// waiting on a message no peer will send.
-type blockedStepper struct{ aborted bool }
+// waiting on a message no peer will send. With wrap set it returns the
+// sentinel wrapped, which must park the task just as the bare one does.
+type blockedStepper struct{ aborted, wrap bool }
 
-func (b *blockedStepper) Step() (bool, error) { return false, session.ErrWouldBlock }
-func (b *blockedStepper) Abort()              { b.aborted = true }
+func (b *blockedStepper) Step() (bool, error) {
+	if b.wrap {
+		return false, fmt.Errorf("hand stepper: %w", session.ErrWouldBlock)
+	}
+	return false, session.ErrWouldBlock
+}
+func (b *blockedStepper) Abort() { b.aborted = true }
 
 func TestSchedDeadlockDetection(t *testing.T) {
 	s := New(Options{Workers: 1})
-	b1, b2 := &blockedStepper{}, &blockedStepper{}
+	b1, b2 := &blockedStepper{}, &blockedStepper{wrap: true}
 	if err := s.Go(time.Time{}, nil, b1, b2); err != nil {
 		t.Fatal(err)
 	}
