@@ -95,8 +95,10 @@ SCHED_BENCH_PKGS ?= ./internal/bench
 
 # The network substrate axis: one message, a round trip and a 64-message
 # batch over Unix sockets and loopback TCP against the in-memory ring the
-# session layer wires by default.
-NET_BENCH_PATTERN ?= BenchmarkNetSendRecv|BenchmarkNetPingPong|BenchmarkNetBatch64
+# session layer wires by default, plus the stepped round trip of two
+# sched.GoExternal sessions over Unix sockets (the pingpong-unix path:
+# direct write, inline wake, scheduler visit).
+NET_BENCH_PATTERN ?= BenchmarkNetSendRecv|BenchmarkNetPingPong|BenchmarkNetBatch64|BenchmarkNetSchedPingPong
 NET_BENCH_PKGS ?= ./internal/netchan
 
 # The static-verification scalability axis (internal/protofuzz/scale_test):
@@ -224,7 +226,7 @@ bench-smoke:
 		-expect BenchmarkNetPingPong/ring -expect BenchmarkNetPingPong/unix \
 		-expect BenchmarkNetPingPong/tcp \
 		-expect BenchmarkNetBatch64/ring -expect BenchmarkNetBatch64/unix \
-		-expect BenchmarkNetBatch64/tcp
+		-expect BenchmarkNetBatch64/tcp -expect BenchmarkNetSchedPingPong/unix
 	$(GO) run ./cmd/benchcheck -file BENCH_smoke_check.json \
 		-baseline BENCH_check.json \
 		-expect 'CheckScale/states=1201' \

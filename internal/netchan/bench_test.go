@@ -2,9 +2,13 @@ package netchan
 
 import (
 	"path/filepath"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/channel"
+	"repro/internal/sched"
+	"repro/internal/session"
 	"repro/internal/types"
 )
 
@@ -23,10 +27,18 @@ var benchMsg = channel.Message{Label: "val", Value: int32(42)}
 // spq/rpq are the sending and receiving ends of p→q, sqp/rqp of q→p.
 func benchFabricRoutes(b *testing.B, network string) (spq, rpq, sqp, rqp channel.Substrate) {
 	b.Helper()
+	_, _, spq, rpq, sqp, rqp = benchFabrics(b, network)
+	return spq, rpq, sqp, rqp
+}
+
+// benchFabrics is benchFabricRoutes that also returns the two fabrics, for
+// benchmarks that install a notify hook.
+func benchFabrics(b *testing.B, network string) (fp, fq *Fabric, spq, rpq, sqp, rqp channel.Substrate) {
+	b.Helper()
 	tab := testTable(b)
 	roles := []types.Role{"p", "q"}
-	fp := NewFabric("p", tab, Options{})
-	fq := NewFabric("q", tab, Options{})
+	fp = NewFabric("p", tab, Options{})
+	fq = NewFabric("q", tab, Options{})
 	addrOf := func(f *Fabric, name string) string {
 		addr := ":0"
 		if network == "unix" {
@@ -62,7 +74,7 @@ func benchFabricRoutes(b *testing.B, network string) (spq, rpq, sqp, rqp channel
 			b.Fatal(err)
 		}
 	}
-	return spq, rpq, sqp, rqp
+	return fp, fq, spq, rpq, sqp, rqp
 }
 
 // BenchmarkNetSendRecv is one message end to end: a blocking send, then a
@@ -179,4 +191,127 @@ func BenchmarkNetBatch64(b *testing.B) {
 			drive(b, spq.(channel.BatchSender), rpq.(channel.BatchReceiver))
 		})
 	}
+}
+
+// BenchmarkNetSchedPingPong is a round trip on the stepped socket path that
+// perfbench's pingpong-unix runs: two sched.GoExternal sessions, one per
+// role, each woken by its fabric's notify hook, exchange b.N round trips
+// through TrySend/TryRecv. Unlike the blocking columns above, this one pays
+// the direct write, the inline wake and the scheduler visit, so its gated
+// allocs/op catch a regression there. A warm-up pair runs first, and the
+// measured pair is enqueued held, so session setup stays out of the
+// measurement.
+func BenchmarkNetSchedPingPong(b *testing.B) {
+	b.Run("unix", func(b *testing.B) {
+		fp, fq, spq, rpq, sqp, rqp := benchFabrics(b, "unix")
+		s := sched.New(sched.Options{Workers: 2})
+		defer s.Close()
+		pair := func(n int, hold *atomic.Bool) (wp *sched.Waker, done chan error) {
+			done = make(chan error, 2)
+			onDone := func(err error) { done <- err }
+			deadline := time.Now().Add(5 * time.Minute)
+			wq, err := s.GoExternal(deadline, onDone, &benchPonger{out: sqp, in: rpq, n: n})
+			if err != nil {
+				b.Fatal(err)
+			}
+			fq.SetNotify(wq.Wake)
+			wq.Wake()
+			if wp, err = s.GoExternal(deadline, onDone, &benchPinger{out: spq, in: rqp, n: n, hold: hold}); err != nil {
+				b.Fatal(err)
+			}
+			fp.SetNotify(wp.Wake)
+			return wp, done
+		}
+		wait := func(done chan error) {
+			for i := 0; i < 2; i++ {
+				if err := <-done; err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		var hold atomic.Bool
+		wp, done := pair(64, &hold)
+		wp.Wake()
+		wait(done)
+		hold.Store(true)
+		wp, done = pair(b.N, &hold)
+		b.ReportAllocs()
+		b.ResetTimer()
+		hold.Store(false)
+		wp.Wake()
+		wait(done)
+	})
+}
+
+// benchPinger sends benchMsg and takes the answer, n times; while hold is
+// set it would-blocks without starting.
+type benchPinger struct {
+	out, in channel.Substrate
+	n, i    int
+	sent    bool
+	hold    *atomic.Bool
+}
+
+func (p *benchPinger) Step() (bool, error) {
+	if p.hold.Load() {
+		return false, session.ErrWouldBlock
+	}
+	if p.i == p.n {
+		return true, nil
+	}
+	if !p.sent {
+		ok, err := p.out.TrySend(benchMsg)
+		if err != nil {
+			return true, err
+		}
+		if !ok {
+			return false, session.ErrWouldBlock
+		}
+		p.sent = true
+		return false, nil
+	}
+	_, ok, err := p.in.TryRecv()
+	if err != nil {
+		return true, err
+	}
+	if !ok {
+		return false, session.ErrWouldBlock
+	}
+	p.i++
+	p.sent = false
+	return false, nil
+}
+
+// benchPonger answers each message it takes with benchMsg, n times.
+type benchPonger struct {
+	out, in channel.Substrate
+	n, i    int
+	got     bool
+}
+
+func (q *benchPonger) Step() (bool, error) {
+	if q.i == q.n {
+		return true, nil
+	}
+	if !q.got {
+		_, ok, err := q.in.TryRecv()
+		if err != nil {
+			return true, err
+		}
+		if !ok {
+			return false, session.ErrWouldBlock
+		}
+		q.got = true
+		return false, nil
+	}
+	ok, err := q.out.TrySend(benchMsg)
+	if err != nil {
+		return true, err
+	}
+	if !ok {
+		return false, session.ErrWouldBlock
+	}
+	q.got = false
+	q.i++
+	return false, nil
 }

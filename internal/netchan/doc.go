@@ -4,10 +4,10 @@
 //
 // A network route is one direction of one role pair, carried on its own
 // connection. Each end is a pump pair around a bounded channel.Ring: the
-// sending half buffers TrySend/SendN traffic in its ring and a writer
-// goroutine drains it, encoding whole runs into single writes; the
-// receiving half parses frames off the socket into its ring, from which
-// TryRecv/RecvN pop. The rings are the would-block boundary — a full send
+// sending half buffers Send/SendN traffic (and TrySend traffic that finds
+// frames ahead of it) in its ring and a writer goroutine drains it,
+// encoding whole runs into single writes; the receiving half parses frames
+// off the socket into its ring, from which TryRecv/RecvN pop. The rings are the would-block boundary — a full send
 // ring is exactly the full-socket-buffer condition, reported as
 // (false, nil) per the Try* contract — and the receive ring's bound gives
 // end-to-end backpressure: when the consumer lags, the reader stops
@@ -32,7 +32,22 @@
 // sterile re-polling. A freed send slot fires it only after a refused
 // TrySend: the writer notifies once per drain that follows a refusal, not
 // per written frame, so a sender that never found its route full is not
-// requeued for every message it sends.
+// requeued for every message it sends. The hook is always fired with no
+// lock held: a sched.Waker runs the woken session on the pump's goroutine,
+// so the session's next Try* lands on the routes the pump serves.
+//
+// Who writes a frame, and when: a TrySend that finds nothing queued ahead
+// of it (the ring empty and the writer not holding an unwritten batch)
+// writes its frame to the socket itself, on the sender's goroutine, in one
+// non-blocking write. If the socket takes only part of the frame, or none
+// of it, the rest is handed to the writer goroutine ahead of anything
+// queued later, and TrySend still returns at once. Every other frame —
+// TrySend behind a queue, blocking Send and SendN, every frame on a
+// net.Pipe route, and the goodbye — is written by the writer goroutine, so
+// blocking senders keep their batching and the goodbye still follows the
+// last data frame. A stepped session woken by a delivery therefore sends
+// its reply from the goroutine that read the delivery, with no goroutine
+// hand-off in the round trip.
 //
 // The rings on both ends are built by channel.NewParkingRing: every wait
 // on them (the writer's RecvN, the reader's Send, and a session's

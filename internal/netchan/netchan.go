@@ -7,6 +7,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/channel"
@@ -40,6 +41,12 @@ type Options struct {
 	// TrySend refused since its last drain is waiting for one — the
 	// readiness hook a scheduler's waker plugs into. A sender that never
 	// found the route full is not woken for the slots its frames free.
+	// The pumps call it with no lock held, because it may do the woken
+	// session's work on the calling goroutine: a sched.Waker's Wake runs
+	// a parked session there for up to one quantum, and that session's
+	// TryRecv and TrySend take the route's locks. A hook installed here
+	// must likewise not be called with a lock held that the session's
+	// routes take.
 	Notify func()
 }
 
@@ -74,13 +81,31 @@ func (n *notifier) wake() {
 
 // sendHalf is the sending end of a network route: a bounded ring drained
 // by a writer goroutine that frames whole runs into single writes and
-// carries Close/CloseWithError as a goodbye frame after the drain.
+// carries Close/CloseWithError as a goodbye frame after the drain. TrySend
+// skips the ring when nothing is queued ahead of it and writes the frame to
+// the socket itself (writeDirect).
 type sendHalf struct {
 	ring    *channel.Ring
 	tab     *wire.Table
 	batch   int
 	notify  *notifier
 	refused atomic.Bool // a TrySend found the ring full since the writer's last drain
+
+	// wmu orders direct writes against the writer. The writer takes it to
+	// pop a batch and raise busy, and for its goodbye; busy drops once the
+	// batch is written. TrySend takes wmu with TryLock, so a sender never
+	// waits for the writer. Held with the ring empty and busy down, it means
+	// every frame accepted so far is on the wire, or in carry.
+	wmu     sync.Mutex
+	busy    atomic.Bool        // the writer holds a popped batch not yet written
+	raw     syscall.RawConn    // direct-write handle; nil: the writer writes everything
+	writeFn func(uintptr) bool // raw's write callback, bound once (bindDirect)
+	frame   []byte             // TrySend's encoded frame
+	wrote   int                // bytes of frame the last direct write took
+	// carry is the unwritten tail of a direct write. It belongs to the
+	// ring's head message, which the writer then sends as these bytes
+	// instead of encoding it again.
+	carry []byte
 
 	ready   chan struct{} // closed once conn or dialErr is set
 	conn    net.Conn
@@ -103,6 +128,9 @@ func newSendHalf(tab *wire.Table, opts Options, n *notifier) *sendHalf {
 
 // attach hands the half its connection; fail aborts it with a dial error.
 func (s *sendHalf) attach(conn net.Conn) {
+	s.wmu.Lock()
+	s.bindDirect(conn)
+	s.wmu.Unlock()
 	s.conn = conn
 	close(s.ready)
 }
@@ -121,7 +149,9 @@ func (s *sendHalf) fail(err error) { s.dialErr = err; close(s.ready) }
 // wake is lost: the CAS that clears the flag comes after RecvN has freed
 // the slots, and TrySend probes again after raising it, so either the
 // refused sender's second probe sees a free slot or this drain sees the
-// flag.
+// flag. The hook fires with no lock held, before the batch's write, which
+// may block on a peer that is itself waiting for the woken sender: the hook
+// may run that session on this goroutine, and its TrySend takes wmu.
 func (s *sendHalf) run() {
 	defer close(s.done)
 	<-s.ready
@@ -133,23 +163,35 @@ func (s *sendHalf) run() {
 	batch := make([]channel.Message, s.batch)
 	var wbuf []byte
 	for {
-		n, err := s.ring.RecvN(batch)
+		err := s.ring.WaitRecv(time.Time{})
+		s.wmu.Lock()
+		wbuf = append(wbuf[:0], s.carry...)
+		first := 0
+		if len(s.carry) > 0 {
+			first = 1 // the head message, already framed in carry
+		}
+		s.carry = nil
 		if err != nil {
 			// Closed and drained: say goodbye. Best-effort with a short
 			// deadline — the peer may already be gone — and the cause,
 			// when one was set, crosses the wire by name (wire.EncodeCause).
 			s.conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
-			s.conn.Write(wire.AppendGoodbye(nil, closeCause(err)))
+			s.conn.Write(wire.AppendGoodbye(wbuf, closeCause(err)))
 			s.conn.Close()
+			s.wmu.Unlock()
 			s.notify.wake()
 			return
 		}
+		// WaitRecv saw a message and only this goroutine consumes, so RecvN
+		// returns at once.
+		n, _ := s.ring.RecvN(batch)
+		s.busy.Store(true)
+		s.wmu.Unlock()
 		if s.refused.CompareAndSwap(true, false) {
 			s.notify.wake() // slots freed: the sender parked would-block may retry
 		}
-		wbuf = wbuf[:0]
 		werr := error(nil)
-		for _, m := range batch[:n] {
+		for _, m := range batch[first:n] {
 			if wbuf, werr = s.tab.AppendData(wbuf, m.Label, m.Value); werr != nil {
 				break
 			}
@@ -157,6 +199,7 @@ func (s *sendHalf) run() {
 		if werr == nil {
 			_, werr = s.conn.Write(wbuf)
 		}
+		s.busy.Store(false)
 		if werr != nil {
 			s.ring.CloseWithError(werr)
 			s.conn.Close()
@@ -178,16 +221,64 @@ func closeCause(err error) error {
 
 func (s *sendHalf) Send(m channel.Message) error { return s.ring.Send(m) }
 
-// TrySend is the ring's TrySend. A refusal raises the flag that makes the
-// writer's next drain notify, then probes once more: a drain that cleared
-// the flag before it was raised has already freed a slot.
+// TrySend writes m straight to the socket when nothing is queued ahead of
+// it (writeDirect); otherwise it is the ring's TrySend. A refusal raises
+// the flag that makes the writer's next drain notify, then probes once
+// more: a drain that cleared the flag before it was raised has already
+// freed a slot.
 func (s *sendHalf) TrySend(m channel.Message) (bool, error) {
+	if s.ring.Len() == 0 && s.wmu.TryLock() {
+		ok, err := s.writeDirect(m)
+		s.wmu.Unlock()
+		if ok || err != nil {
+			return ok, err
+		}
+	}
 	if ok, err := s.ring.TrySend(m); ok || err != nil {
 		return ok, err
 	}
 	s.refused.Store(true)
 	return s.ring.TrySend(m)
 }
+
+// writeDirect is TrySend's path past the writer, run with wmu held. When
+// the ring is still empty and the writer is not busy, every earlier frame
+// is written, so this one can go out on this goroutine in one non-blocking
+// write. Whatever the socket does not take (EAGAIN, a short write, an error
+// the writer's own write will meet again) becomes carry, and m is queued
+// behind it for the writer: the caller never blocks, and frames stay in
+// order. It reports false with no error when m should take the ring path
+// instead: no raw connection (not attached yet, net.Pipe), a frame queued
+// or being written ahead of it, or an encode error, which the writer then
+// meets as on the ring path.
+func (s *sendHalf) writeDirect(m channel.Message) (bool, error) {
+	if s.raw == nil || s.ring.Len() != 0 || s.busy.Load() {
+		return false, nil
+	}
+	// With the ring empty, WaitSend returns at once: nil, or the close error.
+	if err := s.ring.WaitSend(time.Time{}); err != nil {
+		return false, err
+	}
+	var err error
+	if s.frame, err = s.tab.AppendData(s.frame[:0], m.Label, m.Value); err != nil {
+		return false, nil
+	}
+	s.wrote = 0
+	s.raw.Write(s.writeFn)
+	if s.wrote >= len(s.frame) {
+		return true, nil
+	}
+	s.carry = s.frame[max(s.wrote, 0):]
+	if _, err := s.ring.TrySend(m); err != nil && s.wrote <= 0 {
+		// Closed since the check, with nothing written: refuse m as the
+		// ring would. After a partial write the carry stays, and the
+		// writer finishes the frame ahead of its goodbye.
+		s.carry = nil
+		return false, err
+	}
+	return true, nil
+}
+
 func (s *sendHalf) SendN(ms []channel.Message) (int, error) { return s.ring.SendN(ms) }
 
 // WaitSend parks on the ring the writer drains: a freed slot wakes it.
@@ -224,6 +315,7 @@ type recvHalf struct {
 	// poller/consumer under mu in polled mode).
 	buf     []byte
 	pending *channel.Message // decoded but undelivered (polled mode, ring full)
+	woke    bool             // polled mode: this pump run delivered or closed
 
 	polled  bool
 	poller  *poller
@@ -386,10 +478,23 @@ var errAgain = errors.New("netchan: read would block")
 // buffered, read what is ready — stopping without blocking at the first
 // full ring (stash: the consumer re-arms via drained) or dry socket
 // (re-arm epoll interest). Serialised by r.mu against concurrent poller
-// and consumer calls.
+// and consumer calls. The notify hook fires once the run is over and r.mu
+// is released: it may run the woken session, whose TryRecv re-enters pump
+// through drained.
 func (r *recvHalf) pump() {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.pumpLocked()
+	wake := r.woke
+	r.woke = false
+	r.mu.Unlock()
+	if wake {
+		r.notify.wake()
+	}
+}
+
+// pumpLocked is pump's body, run with r.mu held. Every delivery and close
+// sets r.woke instead of firing the hook.
+func (r *recvHalf) pumpLocked() {
 	if !r.polled || r.stopped {
 		return
 	}
@@ -410,13 +515,13 @@ func (r *recvHalf) pump() {
 			if rerr := r.poller.rearm(r.conn); rerr != nil {
 				r.ring.CloseWithError(rerr)
 				r.finishPolled()
-				r.notify.wake()
+				r.woke = true
 			}
 			return
 		}
 		r.ring.CloseWithError(readCause(err))
 		r.finishPolled()
-		r.notify.wake()
+		r.woke = true
 		return
 	}
 }
@@ -430,10 +535,10 @@ const (
 )
 
 // drainTry is drainBlocking with TrySend delivery: it never blocks the
-// poller thread. A full ring stashes the half (pending holds the decoded
-// message), with a lost-wakeup guard: if the consumer drained between the
-// failed TrySend and the stash, the stash is taken back and delivery
-// retried.
+// poller thread, and it marks r.woke for pump instead of notifying. A full
+// ring stashes the half (pending holds the decoded message), with a
+// lost-wakeup guard: if the consumer drained between the failed TrySend and
+// the stash, the stash is taken back and delivery retried.
 func (r *recvHalf) drainTry() pumpState {
 	for {
 		if r.pending != nil {
@@ -449,7 +554,7 @@ func (r *recvHalf) drainTry() pumpState {
 				return pumpFull
 			}
 			r.pending = nil
-			r.notify.wake()
+			r.woke = true
 		}
 		f, n, err := r.tab.Parse(r.buf)
 		if errors.Is(err, wire.ErrIncomplete) {
@@ -457,7 +562,7 @@ func (r *recvHalf) drainTry() pumpState {
 		}
 		if err != nil {
 			r.ring.CloseWithError(err)
-			r.notify.wake()
+			r.woke = true
 			return pumpDone
 		}
 		r.buf = append(r.buf[:0], r.buf[n:]...)
@@ -467,11 +572,11 @@ func (r *recvHalf) drainTry() pumpState {
 			r.pending = &m
 		case wire.KindGoodbye:
 			r.ring.CloseWithError(f.Cause)
-			r.notify.wake()
+			r.woke = true
 			return pumpDone
 		default:
 			r.ring.CloseWithError(&wire.FormatError{Reason: "unexpected handshake frame mid-stream"})
-			r.notify.wake()
+			r.woke = true
 			return pumpDone
 		}
 	}

@@ -18,8 +18,9 @@ import (
 // wakeup loop, and kernel-side backpressure does the buffering.
 //
 // Registered fds stay in the Go runtime's netpoller too (the two epoll
-// instances are independent); only reads go through here — writes keep the
-// runtime's blocking path on the writer goroutine.
+// instances are independent); only reads go through here — writes are the
+// writer goroutine's blocking path or a sender's non-blocking direct write
+// (bindDirect).
 type poller struct {
 	epfd int
 	// Self-pipe: closing the epoll fd does not unblock a pending
@@ -206,4 +207,24 @@ func (r *recvHalf) readNB() (int, error) {
 		return 0, ErrDisconnected
 	}
 	return n, nil
+}
+
+// bindDirect readies TrySend's direct write on conn: the RawConn, and the
+// callback bound once here, so that a direct write allocates nothing. The
+// callback never asks the runtime to wait for writability: a full socket
+// buffer leaves the rest of the frame to the writer goroutine.
+func (s *sendHalf) bindDirect(conn net.Conn) {
+	sc, ok := conn.(syscall.Conn)
+	if !ok {
+		return
+	}
+	rc, err := sc.SyscallConn()
+	if err != nil {
+		return
+	}
+	s.raw = rc
+	s.writeFn = func(fd uintptr) bool {
+		s.wrote, _ = syscall.Write(int(fd), s.frame)
+		return true
+	}
 }

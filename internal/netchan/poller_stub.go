@@ -27,3 +27,7 @@ func (p *poller) close()                        {}
 
 // readNB is unreachable off Linux (no conn is ever polled).
 func (r *recvHalf) readNB() (int, error) { return 0, errAgain }
+
+// bindDirect leaves the direct write off: every frame goes through the
+// writer goroutine.
+func (s *sendHalf) bindDirect(net.Conn) {}

@@ -2,6 +2,9 @@ package sched
 
 import (
 	"errors"
+	"fmt"
+	"path/filepath"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -271,5 +274,275 @@ func TestExternalRefusedSendWoken(t *testing.T) {
 	}
 	if el := time.Since(start); el > timeout/2 {
 		t.Fatalf("%d refused sends took %v against a %v deadline", n, el, timeout)
+	}
+}
+
+// pollFabrics builds two connected unix-socket fabrics for roles p and q
+// with the epoll pump on, and returns each role's two halves: p sends on
+// pq and receives on qp, q the reverse. The caller closes the fabrics.
+func pollFabrics(t *testing.T) (fp, fq *netchan.Fabric, pOut, pIn, qOut, qIn channel.Substrate) {
+	t.Helper()
+	var pq types.Local = types.Send{Peer: "q", Branches: []types.Branch{
+		{Label: "val", Sort: types.I32, Cont: types.End{}},
+	}}
+	tab, err := wire.TableFromLocals("schedpolltest", map[types.Role]types.Local{"p": pq})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := netchan.Options{UsePoller: true, DialTimeout: 5 * time.Second}
+	fp, fq = netchan.NewFabric("p", tab, opts), netchan.NewFabric("q", tab, opts)
+	if !fp.Polling() || !fq.Polling() {
+		fp.Close()
+		fq.Close()
+		t.Skip("no epoll pump on this platform")
+	}
+	dir := t.TempDir()
+	ap, err := fp.Listen("unix", filepath.Join(dir, "p.sock"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	aq, err := fq.Listen("unix", filepath.Join(dir, "q.sock"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp.SetPeer("q", aq)
+	fq.SetPeer("p", ap)
+	roles := []types.Role{"p", "q"}
+	mkP, mkQ := fp.RouteMaker(roles), fq.RouteMaker(roles)
+	// Row-major ordinals over (p, q): 0 = p->q, 1 = q->p.
+	pOut, pIn = mkP(), mkP()
+	qIn, qOut = mkQ(), mkQ()
+	return fp, fq, pOut, pIn, qOut, qIn
+}
+
+// pinger sends rounds values and checks each answer is the value plus one;
+// ponger answers. Each closes both its routes from inside its last step,
+// the way a role tears its network down when its protocol ends.
+type pinger struct {
+	out, in   channel.Substrate
+	n, rounds int
+	sent      bool
+}
+
+func (p *pinger) Step() (bool, error) {
+	if p.rounds == p.n {
+		p.out.Close()
+		p.in.Close()
+		return true, nil
+	}
+	if !p.sent {
+		ok, err := p.out.TrySend(channel.Message{Label: "val", Value: int32(p.rounds)})
+		if err != nil {
+			return true, err
+		}
+		if !ok {
+			return false, session.ErrWouldBlock
+		}
+		p.sent = true
+		return false, nil
+	}
+	m, ok, err := p.in.TryRecv()
+	if err != nil {
+		return true, err
+	}
+	if !ok {
+		return false, session.ErrWouldBlock
+	}
+	if m.Value != int32(p.rounds+1) {
+		return true, fmt.Errorf("round %d: answer %v", p.rounds, m.Value)
+	}
+	p.rounds++
+	p.sent = false
+	return false, nil
+}
+
+type ponger struct {
+	out, in   channel.Substrate
+	n, rounds int
+	pending   *channel.Message
+}
+
+func (q *ponger) Step() (bool, error) {
+	if q.pending == nil {
+		if q.rounds == q.n {
+			q.out.Close()
+			q.in.Close()
+			return true, nil
+		}
+		m, ok, err := q.in.TryRecv()
+		if err != nil {
+			return true, err
+		}
+		if !ok {
+			return false, session.ErrWouldBlock
+		}
+		m.Value = m.Value.(int32) + 1
+		q.pending = &m
+		return false, nil
+	}
+	ok, err := q.out.TrySend(*q.pending)
+	if err != nil {
+		return true, err
+	}
+	if !ok {
+		return false, session.ErrWouldBlock
+	}
+	q.pending = nil
+	q.rounds++
+	return false, nil
+}
+
+// Two GoExternal sessions ping-pong over epoll-pumped unix fabrics. A
+// delivery wakes the parked receiver, which then runs on the poller
+// goroutine that delivered it; the last delivery on each side is followed,
+// in the same visit, by a Close of the half it arrived on, which takes the
+// half's pump lock. A pump that fired its notify hook while holding that
+// lock would deadlock on itself there. The scheduler and fabrics are closed
+// only on success: after a stall their Close would wait on the stuck pump.
+func TestExternalPingPongPolled(t *testing.T) {
+	const rounds = 1000
+	fp, fq, pOut, pIn, qOut, qIn := pollFabrics(t)
+	s := New(Options{Workers: 2})
+	done := make(chan error, 2)
+	deadline := time.Now().Add(30 * time.Second)
+	wq, err := s.GoExternal(deadline, func(err error) { done <- err }, &ponger{out: qOut, in: qIn, n: rounds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fq.SetNotify(wq.Wake)
+	wq.Wake()
+	wp, err := s.GoExternal(deadline, func(err error) { done <- err }, &pinger{out: pOut, in: pIn, n: rounds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp.SetNotify(wp.Wake)
+	wp.Wake()
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatal("polled ping-pong stalled: a pump deadlocked or a wake was lost")
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fp.Close()
+	fq.Close()
+}
+
+// chainLink is one session of a wake chain: it would-blocks until its turn,
+// then records how many visits are on its goroutine's stack and wakes the
+// next link from inside its own step.
+type chainLink struct {
+	turn  atomic.Bool
+	next  *chainLink
+	wake  *Waker
+	depth *atomic.Int32 // deepest visit nesting seen by any link
+}
+
+func (c *chainLink) Step() (bool, error) {
+	if !c.turn.Load() {
+		return false, session.ErrWouldBlock
+	}
+	d := int32(visitsOnStack())
+	for {
+		old := c.depth.Load()
+		if d <= old || c.depth.CompareAndSwap(old, d) {
+			break
+		}
+	}
+	if c.next != nil {
+		c.next.turn.Store(true)
+		c.next.wake.Wake()
+	}
+	return true, nil
+}
+
+// visitsOnStack counts the scheduler visits on the calling goroutine's
+// stack: one for a plain visit, more when a Wake made inside a visit ran
+// another session inline.
+func visitsOnStack() int {
+	pcs := make([]uintptr, 512)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(1, pcs)])
+	n := 0
+	for {
+		f, more := frames.Next()
+		if f.Function == "repro/internal/sched.(*Scheduler).visit" {
+			n++
+		}
+		if !more {
+			return n
+		}
+	}
+}
+
+// A Wake made from inside a visit may run the woken session inline, but at
+// most one inline visit runs per worker: a chain of parked sessions, each
+// waking the next from inside its step, nests no deeper than one visit per
+// worker plus the visit that started it — not one per link — and every link
+// still runs (no wakeup is lost to the hand-off to the worker's inbox).
+func TestNestedWakeBounded(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			const links = 64
+			// No stealing: link i stays on worker i mod workers, so with two
+			// workers every wake crosses to the other worker's shard.
+			s := New(Options{Workers: workers, NoSteal: true})
+			defer s.Close()
+			var depth atomic.Int32
+			chain := make([]*chainLink, links)
+			for i := range chain {
+				chain[i] = &chainLink{depth: &depth}
+				if i > 0 {
+					chain[i-1].next = chain[i]
+				}
+			}
+			done := make(chan error, links)
+			for _, c := range chain {
+				wk, err := s.GoExternal(time.Now().Add(30*time.Second), func(err error) { done <- err }, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.wake = wk
+			}
+			// Every link parked before the chain starts, so each Wake finds
+			// its session in a waiting map.
+			parked := func() int {
+				n := 0
+				for _, w := range s.workers {
+					w.mu.Lock()
+					n += len(w.waiting)
+					w.mu.Unlock()
+				}
+				return n
+			}
+			for start := time.Now(); parked() < links; time.Sleep(time.Millisecond) {
+				if time.Since(start) > 10*time.Second {
+					t.Fatalf("%d of %d links parked", parked(), links)
+				}
+			}
+			chain[0].turn.Store(true)
+			chain[0].wake.Wake()
+			for i := 0; i < links; i++ {
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Fatal(err)
+					}
+				case <-time.After(20 * time.Second):
+					t.Fatalf("%d of %d links ran: a nested wake was lost", i, links)
+				}
+			}
+			if d, bound := depth.Load(), int32(workers+1); d > bound {
+				t.Fatalf("visits nested %d deep, want at most %d", d, bound)
+			}
+			if workers > 1 && depth.Load() < 2 {
+				t.Fatalf("visits nested %d deep: a wake from a visit never ran its session inline", depth.Load())
+			}
+		})
 	}
 }

@@ -50,6 +50,13 @@
 //     deadlock — impossible for verified sessions, loud for buggy steppers —
 //     and fails the session with ErrDeadlock instead of spinning.
 //
+//   - External readiness. A GoExternal session whose tasks all would-block
+//     parks off the active list until its Waker fires. Wake visits it at
+//     once on the waking goroutine — usually the transport pump that just
+//     delivered its message — so a round trip over a socket needs no
+//     hand-off to a worker; at most one such inline visit runs per worker,
+//     and a wake that finds one running hands the session to the inbox.
+//
 //   - Fairness. A worker steps each session for at most Quantum actions
 //     before rotating to its next session, so one long-running session
 //     cannot starve the rest of its shard.
@@ -284,6 +291,7 @@ type worker struct {
 	free     map[*session.Session][]*bundle
 	idle     bool // asleep (or hunting): a wakeOne candidate
 	poked    bool // wakeOne fired since the worker last cleared it
+	inline   bool // a Waker.Wake is visiting one of this worker's sessions
 
 	active []*job // owned by the worker goroutine
 }
@@ -377,42 +385,80 @@ func (s *Scheduler) Go(deadline time.Time, onDone func(error), steppers ...Stepp
 // from any goroutine — it is designed to be installed as a transport's
 // readiness hook (netchan's Options.Notify / Fabric.SetNotify) — and is
 // cheap enough to call per delivery: a counter bump plus, when the session
-// is parked, a requeue and worker signal. Wakes on a finished session are
-// no-ops.
+// is parked, one visit of it. Wakes on a finished session are no-ops.
 type Waker struct {
+	s *Scheduler
 	j *job
 }
 
 // Wake marks the session ready. The counter bump is ordered before the
 // waiting-list check, mirroring the park protocol's order (snapshot, then
 // park): whichever side loses the race, the wake is observed — either the
-// worker sees the moved counter and keeps the session active, or Wake finds
-// it parked and requeues it.
+// visiting goroutine sees the moved counter and keeps the session runnable,
+// or Wake finds it parked and takes it.
+//
+// A session Wake finds parked runs on the caller's goroutine for at most
+// one quantum (see runInline), so the reader pump that just delivered its
+// message steps it with no hand-off to a worker. Afterwards it is parked
+// again, finished, or appended to its worker's inbox. Only one such inline
+// visit runs per worker at a time: a Wake that finds its worker already
+// running one (a wake made from inside an inline visit, or a second pump
+// delivering at once) hands the session to the worker's inbox instead, so
+// wakes nested inside visits recurse at most once per worker. Because of
+// the inline visit, Wake must not be called while holding a lock that the
+// session's routes take, and it may take as long as one quantum of the
+// session's actions.
 //
 // Wake navigates by the job's owner pointer, which work stealing may
 // retarget. The load-lock-recheck loop makes that safe: migrations store
 // the new owner under the old owner's lock, so once Wake holds the lock of
 // the worker it loaded and the pointer still matches, no migration can
 // complete until it releases the lock — and a session parked in a waiting
-// map is never stolen at all, so the requeue itself cannot race a
-// migration.
+// map (or being visited inline) is never stolen at all, so taking it cannot
+// race a migration.
 func (k *Waker) Wake() {
-	k.j.wakes.Add(1)
+	j := k.j
+	j.wakes.Add(1)
 	for {
-		w := k.j.owner.Load()
+		w := j.owner.Load()
 		w.mu.Lock()
-		if k.j.owner.Load() != w {
+		if j.owner.Load() != w {
 			w.mu.Unlock()
 			continue
 		}
-		if _, ok := w.waiting[k.j]; ok {
-			delete(w.waiting, k.j)
-			w.inbox = append(w.inbox, k.j)
-			w.cond.Signal()
+		if _, ok := w.waiting[j]; !ok {
+			w.mu.Unlock()
+			return
 		}
+		delete(w.waiting, j)
+		if w.inline {
+			w.inbox = append(w.inbox, j)
+			w.cond.Signal()
+			w.mu.Unlock()
+			return
+		}
+		w.inline = true
 		w.mu.Unlock()
+		k.s.runInline(w, j)
 		return
 	}
+}
+
+// runInline is one visit of an external session taken out of w's waiting
+// map, on the goroutine that woke it. While it runs the session is in no
+// list of w's, so no worker steps it and no thief can move it. After the
+// visit the session parks again (under the same lock that clears
+// w.inline), finishes, or — quantum exhausted, or a wake raced the sterile
+// pass — goes to w's inbox for the worker.
+func (s *Scheduler) runInline(w *worker, j *job) {
+	live, _ := s.visit(w, j)
+	w.mu.Lock()
+	w.inline = false
+	if live && !(j.idle && w.park(j)) {
+		w.inbox = append(w.inbox, j)
+		w.cond.Signal()
+	}
+	w.mu.Unlock()
 }
 
 // GoExternal enqueues a session whose progress can come from outside the
@@ -425,7 +471,7 @@ func (k *Waker) Wake() {
 // Options.SessionTimeout) an un-woken session parks indefinitely: close
 // the transport or arm a deadline for Close/Wait to be able to return.
 func (s *Scheduler) GoExternal(deadline time.Time, onDone func(error), steppers ...Stepper) (*Waker, error) {
-	k := &Waker{}
+	k := &Waker{s: s}
 	if err := s.enqueue(submission{deadline: deadline, onDone: onDone, steppers: steppers, wake: k}); err != nil {
 		return nil, err
 	}
@@ -1039,12 +1085,16 @@ func (s *Scheduler) visit(w *worker, j *job) (bool, int) {
 // structurally impossible.
 func (s *Scheduler) parkExternal(w *worker, j *job) bool {
 	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.park(j)
+}
+
+// park is parkExternal's check and insert, with w.mu held.
+func (w *worker) park(j *job) bool {
 	if j.wakes.Load() != j.seen {
-		w.mu.Unlock()
 		return false
 	}
 	w.waiting[j] = struct{}{}
-	w.mu.Unlock()
 	return true
 }
 

@@ -161,17 +161,27 @@ func (t *Table) Parse(buf []byte) (Frame, int, error) {
 	}
 }
 
-// cutString pops a uvarint-length-prefixed string off rest.
-func cutString(rest []byte, what string) (string, []byte, error) {
+// cutBytes pops a uvarint-length-prefixed byte run off rest.
+func cutBytes(rest []byte, what string) ([]byte, []byte, error) {
 	n, used := binary.Uvarint(rest)
 	if used <= 0 || n > uint64(len(rest)-used) {
-		return "", nil, &FormatError{Reason: "truncated " + what}
+		return nil, nil, &FormatError{Reason: "truncated " + what}
 	}
-	return string(rest[used : used+int(n)]), rest[used+int(n):], nil
+	return rest[used : used+int(n)], rest[used+int(n):], nil
 }
 
+// cutString pops a uvarint-length-prefixed string off rest.
+func cutString(rest []byte, what string) (string, []byte, error) {
+	b, rest, err := cutBytes(rest, what)
+	return string(b), rest, err
+}
+
+// parseData decodes a data frame body. The label is looked up with the
+// frame's own bytes (a map index by a converted []byte does not allocate)
+// and the table's copy of the string goes into the frame, so a signal frame
+// decodes without allocating.
 func (t *Table) parseData(rest []byte) (Frame, error) {
-	label, rest, err := cutString(rest, "label")
+	label, rest, err := cutBytes(rest, "label")
 	if err != nil {
 		return Frame{}, err
 	}
@@ -179,14 +189,14 @@ func (t *Table) parseData(rest []byte) (Frame, error) {
 		return Frame{}, &FormatError{Reason: "truncated payload flag"}
 	}
 	flag, payload := rest[0], rest[1:]
-	f := Frame{Kind: KindData, Label: types.Label(label)}
 	if t == nil {
 		return Frame{}, &FormatError{Reason: "data frame on a table-less parser"}
 	}
-	c, ok := t.codecs[f.Label]
+	c, ok := t.codecs[types.Label(label)]
 	if !ok {
 		return Frame{}, &FormatError{Reason: fmt.Sprintf("unknown label %q for protocol %s", label, t.protocol)}
 	}
+	f := Frame{Kind: KindData, Label: c.label}
 	switch flag {
 	case 0:
 		if len(payload) != 0 {
@@ -194,7 +204,7 @@ func (t *Table) parseData(rest []byte) (Frame, error) {
 		}
 	case 1:
 		if c.info.Decode == nil {
-			return Frame{}, &FormatError{Reason: fmt.Sprintf("label %q is a signal but the frame carries a payload", label)}
+			return Frame{}, &FormatError{Reason: fmt.Sprintf("label %q is a signal but the frame carries a payload", c.label)}
 		}
 		v, err := c.info.Decode(payload)
 		if err != nil {

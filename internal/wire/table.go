@@ -7,10 +7,13 @@ import (
 	"repro/internal/types"
 )
 
-// codecEntry binds one label to its sort and the sort's codec.
+// codecEntry binds one label to its sort and the sort's codec. It keeps the
+// label itself so the parser can hand out the table's copy of the string
+// instead of allocating one per frame.
 type codecEntry struct {
-	sort types.Sort
-	info types.SortInfo // zero (no codec) for signal labels
+	label types.Label
+	sort  types.Sort
+	info  types.SortInfo // zero (no codec) for signal labels
 }
 
 // Table maps every message label of one protocol to its sort codec. It is
@@ -87,7 +90,7 @@ func (t *Table) add(label types.Label, s types.Sort) error {
 		}
 		return nil
 	}
-	entry := codecEntry{sort: s}
+	entry := codecEntry{label: label, sort: s}
 	if s != "" && s != types.Unit {
 		info, ok := types.LookupSort(s)
 		if !ok {

@@ -231,3 +231,25 @@ func TestAppendDataRejectsUnknownLabelAndWrongType(t *testing.T) {
 		t.Fatal("payload on a signal label must fail")
 	}
 }
+
+// TestParseSignalFrameAllocatesNothing pins the label decode: the parser
+// looks the label up with the frame's bytes and returns the table's copy of
+// the string, so a signal frame (no payload to box) decodes with zero
+// allocations. A payload frame pays only its codec's decode.
+func TestParseSignalFrameAllocatesNothing(t *testing.T) {
+	tab := testTable(t)
+	buf, err := tab.AppendData(nil, "sig", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f Frame
+	allocs := testing.AllocsPerRun(1000, func() {
+		f, _, err = tab.Parse(buf)
+	})
+	if err != nil || f.Kind != KindData || f.Label != "sig" || f.Value != nil {
+		t.Fatalf("Parse = (%+v, %v)", f, err)
+	}
+	if allocs != 0 {
+		t.Fatalf("Table.Parse of a signal frame: %v allocs, want 0", allocs)
+	}
+}
