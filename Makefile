@@ -37,7 +37,8 @@
 #                       perfbench's own vet and tests, the CI perfbench job
 #   make chaos-smoke    the seeded fault-injection soak (internal/chaos):
 #                       every registry protocol × fault-family seeds ×
-#                       {blocking, stepped, scheduled}, -timeout as the
+#                       {blocking, stepped, scheduled}, with the sched and
+#                       equiv suites, at -cpu 1,2,4, -timeout as the
 #                       hang detector — the CI chaos job
 #   make sessvet        build cmd/sessvet and run it over the whole module
 #                       through `go vet -vettool` — the session-misuse
@@ -97,7 +98,8 @@ SCHED_BENCH_PKGS ?= ./internal/bench
 # batch over Unix sockets and loopback TCP against the in-memory ring the
 # session layer wires by default, plus the stepped round trip of two
 # sched.GoExternal sessions over Unix sockets (the pingpong-unix path:
-# direct write, inline wake, scheduler visit).
+# direct write, inline wake, scheduler visit), read by goroutine pumps and
+# by the epoll pump (polled).
 NET_BENCH_PATTERN ?= BenchmarkNetSendRecv|BenchmarkNetPingPong|BenchmarkNetBatch64|BenchmarkNetSchedPingPong
 NET_BENCH_PKGS ?= ./internal/netchan
 
@@ -144,13 +146,15 @@ race:
 # past it and fails the job.
 # -cpu 1,2,4 runs the soak at three GOMAXPROCS settings: more Ps than
 # vCPUs is where a latency cliff on the deadline path shows, and the
-# package alone at the default setting hides it.
+# package alone at the default setting hides it. The scheduler and the
+# execution-mode runners (internal/sched, internal/equiv) run at the same
+# settings: their parks and wakes are what the soak's deadlines lean on.
 # CHAOS_TEST_TIMEOUT scales with the seed sweep: the nightly workflow widens
 # the sweep via the CHAOS_SOAK_SEEDS env knob (internal/chaos reads it) and
 # raises this accordingly.
 CHAOS_TEST_TIMEOUT ?= 300s
 chaos-smoke:
-	$(GO) test -count=1 -cpu 1,2,4 -timeout $(CHAOS_TEST_TIMEOUT) ./internal/chaos
+	$(GO) test -count=1 -cpu 1,2,4 -timeout $(CHAOS_TEST_TIMEOUT) ./internal/chaos ./internal/sched ./internal/equiv
 
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem $(BENCH_FLAGS) -timeout 1800s $(BENCH_PKGS) \
@@ -226,7 +230,8 @@ bench-smoke:
 		-expect BenchmarkNetPingPong/ring -expect BenchmarkNetPingPong/unix \
 		-expect BenchmarkNetPingPong/tcp \
 		-expect BenchmarkNetBatch64/ring -expect BenchmarkNetBatch64/unix \
-		-expect BenchmarkNetBatch64/tcp -expect BenchmarkNetSchedPingPong/unix
+		-expect BenchmarkNetBatch64/tcp -expect BenchmarkNetSchedPingPong/unix \
+		-expect BenchmarkNetSchedPingPong/polled
 	$(GO) run ./cmd/benchcheck -file BENCH_smoke_check.json \
 		-baseline BENCH_check.json \
 		-expect 'CheckScale/states=1201' \

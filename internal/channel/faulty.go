@@ -297,6 +297,15 @@ func (f *Faulty) CloseWithError(err error) {
 	f.shut()
 }
 
+// SetNotify forwards a readiness hook to the inner substrate when it has
+// one (a netchan route). Faults need no hook of their own: a spurious
+// refusal passes on the retry, and a stall ends only with a close.
+func (f *Faulty) SetNotify(fn func()) {
+	if n, ok := f.inner.(interface{ SetNotify(func()) }); ok {
+		n.SetNotify(fn)
+	}
+}
+
 // Ops returns the number of effective operations completed so far (both
 // sides); chaos reports use it to describe how deep into a schedule a fault
 // fired.

@@ -213,11 +213,12 @@ func Run(name string, base *session.Session, seed uint64, mode equiv.Mode, cfg C
 // a faulted cell leaves buffered frames behind on purpose, and a graceful
 // close there would wedge a writer against a ring nobody reads.
 //
-// Every mode runs through equiv.Run, as in memory. In scheduled mode that
-// is the deadline re-poll path rather than the external-readiness bridge
-// (sched.GoExternal) the fabrics use: an injected would-block refusal comes
-// with no wire readiness event behind it, so a parked external session
-// would sleep through the retry that clears the storm.
+// Every mode runs through equiv.Run, as in memory. Under its deadline the
+// stepped and scheduled modes park on the pipes' readiness hooks
+// (Session.SetNotify; sched.GoExternal in scheduled mode), the bridge the
+// fabrics use. An injected would-block refusal has no wire readiness event
+// behind it, but it needs none: it is charged once per message, so the
+// confirming pass that precedes every park retries it.
 func RunNet(e protocols.Entry, base *session.Session, seed uint64, mode equiv.Mode, cfg Config) Result {
 	cfg = cfg.withDefaults()
 	tab, err := wire.TableFromLocals(e.Name, e.Locals)

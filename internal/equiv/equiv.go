@@ -125,7 +125,7 @@ func ReferenceRunWith(sess *session.Session, maxCap int, mk func(types.Role) Tra
 	if err != nil {
 		return nil, nil, fmt.Errorf("equiv: %w", err)
 	}
-	if err := step(steppers, time.Time{}); err != nil {
+	if err := step(steppers, time.Time{}, nil); err != nil {
 		return nil, nil, fmt.Errorf("equiv: reference run faulted: %w", err)
 	}
 	budgets := make(map[types.Role]int, len(steppers))

@@ -3,7 +3,6 @@ package equiv
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/sched"
@@ -90,9 +89,11 @@ func init() {
 // strat(r) within the budget's actions for r. strat is called once per
 // role, in Roles order, on the calling goroutine. A non-zero deadline bounds
 // the run: blocking actions fail with a *session.TimeoutError, and the
-// stepped loop and the scheduler with errors reaching session.ErrTimeout.
-// Scheduled mode enqueues the session on s; the other modes ignore it.
-// Deliberate stops at the budget are not failures.
+// stepped loop and the scheduler with errors reaching session.ErrTimeout;
+// until then they wait on the routes' readiness hooks (inst.SetNotify),
+// which makes a Scheduled run a sched.GoExternal session. Scheduled mode
+// enqueues the session on s; the other modes ignore it. Deliberate stops at
+// the budget are not failures.
 func Run(inst *session.Session, mode Mode, b Budget, strat func(types.Role) session.Strategy, deadline time.Time, s *sched.Scheduler) error {
 	switch mode {
 	case Blocking:
@@ -106,14 +107,29 @@ func Run(inst *session.Session, mode Mode, b Budget, strat func(types.Role) sess
 		return err
 	}
 	if mode == Stepped {
-		return step(steppers, deadline)
+		wake := make(chan struct{}, 1)
+		inst.SetNotify(func() {
+			select {
+			case wake <- struct{}{}:
+			default:
+			}
+		})
+		return step(steppers, deadline, wake)
 	}
 	tasks := make([]sched.Stepper, len(steppers))
 	for i, st := range steppers {
 		tasks[i] = st
 	}
 	done := make(chan error, 1)
-	if err := s.Go(deadline, func(err error) { done <- err }, tasks...); err != nil {
+	onDone := func(err error) { done <- err }
+	var k *sched.Waker
+	if deadline.IsZero() {
+		err = s.Go(deadline, onDone, tasks...)
+	} else if k, err = s.GoExternal(deadline, onDone, tasks...); err == nil {
+		inst.SetNotify(k.Wake)
+		k.Wake() // a delivery that landed before the hook woke nobody
+	}
+	if err != nil {
 		abort(steppers)
 		return err
 	}
@@ -140,15 +156,16 @@ func runBlocking(inst *session.Session, b Budget, strat func(types.Role) session
 
 // step is Stepped mode: it round-robins the steppers on the calling
 // goroutine until every one is done. A sterile pass — every live stepper
-// would-blocks — ends the run when no deadline is set or when a role
-// stopped deliberately: that quiescence is the consistent cut, and the
-// parked leftovers are aborted. With a deadline and no stop, the quiescence
-// may be transient (a fault-injected route refuses spuriously and admits a
-// retry), so the loop backs off and re-polls until the deadline, then fails
+// would-blocks — is confirmed by one more: a channel.Faulty route charges
+// its spurious refusal once per message and passes the retry, so after two
+// sterile passes only a close, a delivery by a transport pump or the
+// deadline can unblock the session. Then, with no deadline or after a
+// deliberate stop, the quiescence is the consistent cut: the run ends and
+// the parked leftovers are aborted. Otherwise the loop waits for wake (the
+// routes' readiness hook) or the deadline, and past the deadline fails
 // typed, naming the parked roles. A fault aborts every sibling.
-func step(steppers []*session.Stepper, deadline time.Time) error {
-	spins := 0
-	stopped := false
+func step(steppers []*session.Stepper, deadline time.Time, wake <-chan struct{}) error {
+	stopped, sterile := false, 0
 	for {
 		progressed, parked := false, 0
 		for _, st := range steppers {
@@ -170,10 +187,15 @@ func step(steppers []*session.Stepper, deadline time.Time) error {
 		}
 		switch {
 		case progressed:
-			spins = 0
+			sterile = 0
 			continue
 		case parked == 0:
 			return nil
+		}
+		if sterile++; sterile < 2 {
+			continue
+		}
+		switch {
 		case deadline.IsZero() || stopped:
 			abort(steppers)
 			return nil
@@ -187,12 +209,11 @@ func step(steppers []*session.Stepper, deadline time.Time) error {
 			abort(steppers)
 			return fmt.Errorf("stepped run: roles %v still parked: %w", stuck, session.ErrTimeout)
 		}
-		spins++
-		if spins < 64 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(100 * time.Microsecond)
+		select {
+		case <-wake:
+		case <-time.After(time.Until(deadline)):
 		}
+		sterile = 0
 	}
 }
 

@@ -4,12 +4,16 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"time"
 
+	"repro/internal/channel"
 	"repro/internal/fsm"
+	"repro/internal/netchan"
 	"repro/internal/protocols"
 	"repro/internal/sched"
 	"repro/internal/session"
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 // TestModesReplayReferenceCut is the trace oracle over every execution
@@ -83,5 +87,50 @@ func TestReferenceRunFaultReleasesClaims(t *testing.T) {
 			t.Fatal(err)
 		}
 		st.Abort()
+	}
+}
+
+// TestRunOverPipesWokenBySetNotify pins the readiness bridge of the
+// deadline-armed stepped and scheduled runs: over netchan pipes a message
+// lands after the pump's hop, so the run parks, and only the routes'
+// notify hooks (installed by Run through Session.SetNotify) can wake it
+// before its deadline. Without them the stepped loop and the scheduler
+// would sleep to the deadline and end there.
+func TestRunOverPipesWokenBySetNotify(t *testing.T) {
+	e, err := Lookup("Ring")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := BuildSession(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := wire.TableFromLocals(e.Name, e.Locals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sched.New(sched.Options{Workers: 2})
+	defer s.Close()
+	for _, mode := range []Mode{Stepped, Scheduled} {
+		var routes []*netchan.Route
+		inst := base.Fork().Rewire(func(roles ...types.Role) *session.Network {
+			return session.NewCustomNetwork(func() channel.Substrate {
+				r := netchan.Pipe(tab, netchan.Options{})
+				routes = append(routes, r)
+				return r
+			}, roles...)
+		})
+		deadline := time.Now().Add(30 * time.Second)
+		err := Run(inst, mode, Bound(60), func(types.Role) session.Strategy { return &TraceStrategy{} }, deadline, s)
+		ended := time.Now()
+		for _, r := range routes {
+			r.Abandon()
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		if !ended.Before(deadline) {
+			t.Fatalf("%s: the run ended only at its deadline", mode)
+		}
 	}
 }

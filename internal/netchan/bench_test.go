@@ -27,18 +27,18 @@ var benchMsg = channel.Message{Label: "val", Value: int32(42)}
 // spq/rpq are the sending and receiving ends of p→q, sqp/rqp of q→p.
 func benchFabricRoutes(b *testing.B, network string) (spq, rpq, sqp, rqp channel.Substrate) {
 	b.Helper()
-	_, _, spq, rpq, sqp, rqp = benchFabrics(b, network)
+	_, _, spq, rpq, sqp, rqp = benchFabrics(b, network, Options{})
 	return spq, rpq, sqp, rqp
 }
 
 // benchFabrics is benchFabricRoutes that also returns the two fabrics, for
 // benchmarks that install a notify hook.
-func benchFabrics(b *testing.B, network string) (fp, fq *Fabric, spq, rpq, sqp, rqp channel.Substrate) {
+func benchFabrics(b *testing.B, network string, opts Options) (fp, fq *Fabric, spq, rpq, sqp, rqp channel.Substrate) {
 	b.Helper()
 	tab := testTable(b)
 	roles := []types.Role{"p", "q"}
-	fp = NewFabric("p", tab, Options{})
-	fq = NewFabric("q", tab, Options{})
+	fp = NewFabric("p", tab, opts)
+	fq = NewFabric("q", tab, opts)
 	addrOf := func(f *Fabric, name string) string {
 		addr := ":0"
 		if network == "unix" {
@@ -200,47 +200,56 @@ func BenchmarkNetBatch64(b *testing.B) {
 // the direct write, the inline wake and the scheduler visit, so its gated
 // allocs/op catch a regression there. A warm-up pair runs first, and the
 // measured pair is enqueued held, so session setup stays out of the
-// measurement.
+// measurement. The polled column is the same round trip over Unix sockets
+// read by the epoll pump (Options.UsePoller) instead of a goroutine per
+// connection; its allocs/op should not exceed the unix column's.
 func BenchmarkNetSchedPingPong(b *testing.B) {
-	b.Run("unix", func(b *testing.B) {
-		fp, fq, spq, rpq, sqp, rqp := benchFabrics(b, "unix")
-		s := sched.New(sched.Options{Workers: 2})
-		defer s.Close()
-		pair := func(n int, hold *atomic.Bool) (wp *sched.Waker, done chan error) {
-			done = make(chan error, 2)
-			onDone := func(err error) { done <- err }
-			deadline := time.Now().Add(5 * time.Minute)
-			wq, err := s.GoExternal(deadline, onDone, &benchPonger{out: sqp, in: rpq, n: n})
-			if err != nil {
+	for _, c := range []struct {
+		name string
+		opts Options
+	}{{"unix", Options{}}, {"polled", Options{UsePoller: true}}} {
+		b.Run(c.name, func(b *testing.B) { benchSchedPingPong(b, c.opts) })
+	}
+}
+
+func benchSchedPingPong(b *testing.B, opts Options) {
+	fp, fq, spq, rpq, sqp, rqp := benchFabrics(b, "unix", opts)
+	s := sched.New(sched.Options{Workers: 2})
+	defer s.Close()
+	pair := func(n int, hold *atomic.Bool) (wp *sched.Waker, done chan error) {
+		done = make(chan error, 2)
+		onDone := func(err error) { done <- err }
+		deadline := time.Now().Add(5 * time.Minute)
+		wq, err := s.GoExternal(deadline, onDone, &benchPonger{out: sqp, in: rpq, n: n})
+		if err != nil {
+			b.Fatal(err)
+		}
+		fq.SetNotify(wq.Wake)
+		wq.Wake()
+		if wp, err = s.GoExternal(deadline, onDone, &benchPinger{out: spq, in: rqp, n: n, hold: hold}); err != nil {
+			b.Fatal(err)
+		}
+		fp.SetNotify(wp.Wake)
+		return wp, done
+	}
+	wait := func(done chan error) {
+		for i := 0; i < 2; i++ {
+			if err := <-done; err != nil {
 				b.Fatal(err)
 			}
-			fq.SetNotify(wq.Wake)
-			wq.Wake()
-			if wp, err = s.GoExternal(deadline, onDone, &benchPinger{out: spq, in: rqp, n: n, hold: hold}); err != nil {
-				b.Fatal(err)
-			}
-			fp.SetNotify(wp.Wake)
-			return wp, done
 		}
-		wait := func(done chan error) {
-			for i := 0; i < 2; i++ {
-				if err := <-done; err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		var hold atomic.Bool
-		wp, done := pair(64, &hold)
-		wp.Wake()
-		wait(done)
-		hold.Store(true)
-		wp, done = pair(b.N, &hold)
-		b.ReportAllocs()
-		b.ResetTimer()
-		hold.Store(false)
-		wp.Wake()
-		wait(done)
-	})
+	}
+	var hold atomic.Bool
+	wp, done := pair(64, &hold)
+	wp.Wake()
+	wait(done)
+	hold.Store(true)
+	wp, done = pair(b.N, &hold)
+	b.ReportAllocs()
+	b.ResetTimer()
+	hold.Store(false)
+	wp.Wake()
+	wait(done)
 }
 
 // benchPinger sends benchMsg and takes the answer, n times; while hold is

@@ -314,13 +314,15 @@ type recvHalf struct {
 	// Pump parse state (owned by the pump: the reader goroutine, or the
 	// poller/consumer under mu in polled mode).
 	buf     []byte
-	pending *channel.Message // decoded but undelivered (polled mode, ring full)
-	woke    bool             // polled mode: this pump run delivered or closed
+	pending channel.Message // decoded but undelivered (polled mode, ring full)
+	held    bool            // pending holds a message
+	woke    bool            // polled mode: this pump run delivered or closed
 
 	polled  bool
 	poller  *poller
 	stashed atomic.Bool // polled mode: interest disarmed because the ring was full
 	rbuf    []byte
+	polledConn
 }
 
 func newRecvHalf(tab *wire.Table, opts Options, n *notifier) *recvHalf {
@@ -512,7 +514,7 @@ func (r *recvHalf) pumpLocked() {
 			continue
 		}
 		if err == errAgain {
-			if rerr := r.poller.rearm(r.conn); rerr != nil {
+			if rerr := r.poller.rearm(r); rerr != nil {
 				r.ring.CloseWithError(rerr)
 				r.finishPolled()
 				r.woke = true
@@ -541,8 +543,8 @@ const (
 // the stash, the stash is taken back and delivery retried.
 func (r *recvHalf) drainTry() pumpState {
 	for {
-		if r.pending != nil {
-			ok, err := r.ring.TrySend(*r.pending)
+		if r.held {
+			ok, err := r.ring.TrySend(r.pending)
 			if err != nil {
 				return pumpDone // locally closed
 			}
@@ -553,7 +555,7 @@ func (r *recvHalf) drainTry() pumpState {
 				}
 				return pumpFull
 			}
-			r.pending = nil
+			r.pending, r.held = channel.Message{}, false
 			r.woke = true
 		}
 		f, n, err := r.tab.Parse(r.buf)
@@ -568,8 +570,7 @@ func (r *recvHalf) drainTry() pumpState {
 		r.buf = append(r.buf[:0], r.buf[n:]...)
 		switch f.Kind {
 		case wire.KindData:
-			m := channel.Message{Label: f.Label, Value: f.Value}
-			r.pending = &m
+			r.pending, r.held = channel.Message{Label: f.Label, Value: f.Value}, true
 		case wire.KindGoodbye:
 			r.ring.CloseWithError(f.Cause)
 			r.woke = true
@@ -586,7 +587,7 @@ func (r *recvHalf) drainTry() pumpState {
 func (r *recvHalf) finishPolled() {
 	r.stopped = true
 	if r.poller != nil {
-		r.poller.remove(r.conn)
+		r.poller.remove(r)
 	}
 	r.conn.Close()
 }

@@ -94,29 +94,36 @@ func (p *poller) loop() {
 	}
 }
 
-// connFD resolves the raw fd of a connection; errors for conns that do not
-// expose one (e.g. net.Pipe).
-func connFD(conn net.Conn) (int32, error) {
+// polledConn is a polled recvHalf's handle on its connection, bound once by
+// add: the RawConn, the fd, and the read callback with its results, so the
+// pump's reads and re-arms allocate nothing.
+type polledConn struct {
+	raw    syscall.RawConn
+	fd     int32
+	readFn func(uintptr) bool
+	nread  int
+	rerr   error
+}
+
+// add registers conn, armed one-shot for readability, owned by r. It binds
+// r's polledConn. It errors for conns that expose no raw fd (net.Pipe).
+func (p *poller) add(conn net.Conn, r *recvHalf) error {
 	sc, ok := conn.(syscall.Conn)
 	if !ok {
-		return 0, errors.New("netchan: connection does not expose a raw fd")
+		return errors.New("netchan: connection does not expose a raw fd")
 	}
 	rc, err := sc.SyscallConn()
 	if err != nil {
-		return 0, err
+		return err
 	}
 	var fd int32 = -1
 	if err := rc.Control(func(f uintptr) { fd = int32(f) }); err != nil {
-		return 0, err
-	}
-	return fd, nil
-}
-
-// add registers conn, armed one-shot for readability, owned by r.
-func (p *poller) add(conn net.Conn, r *recvHalf) error {
-	fd, err := connFD(conn)
-	if err != nil {
 		return err
+	}
+	r.raw, r.fd = rc, fd
+	r.readFn = func(fd uintptr) bool {
+		r.nread, r.rerr = syscall.Read(int(fd), r.rbuf)
+		return true // never let the runtime park: we manage readiness
 	}
 	p.mu.Lock()
 	if p.closed {
@@ -135,28 +142,21 @@ func (p *poller) add(conn net.Conn, r *recvHalf) error {
 	return nil
 }
 
-// rearm re-enables readiness interest after the pump drained the socket.
-func (p *poller) rearm(conn net.Conn) error {
-	fd, err := connFD(conn)
-	if err != nil {
-		return err
-	}
-	ev := syscall.EpollEvent{Events: syscall.EPOLLIN | syscall.EPOLLRDHUP | epollOneShot, Fd: fd}
-	if err := syscall.EpollCtl(p.epfd, syscall.EPOLL_CTL_MOD, int(fd), &ev); err != nil {
+// rearm re-enables r's readiness interest after the pump drained the
+// socket.
+func (p *poller) rearm(r *recvHalf) error {
+	ev := syscall.EpollEvent{Events: syscall.EPOLLIN | syscall.EPOLLRDHUP | epollOneShot, Fd: r.fd}
+	if err := syscall.EpollCtl(p.epfd, syscall.EPOLL_CTL_MOD, int(r.fd), &ev); err != nil {
 		return fmt.Errorf("netchan: epoll_ctl mod: %w", err)
 	}
 	return nil
 }
 
-// remove deregisters a finished connection.
-func (p *poller) remove(conn net.Conn) {
-	fd, err := connFD(conn)
-	if err != nil {
-		return
-	}
-	syscall.EpollCtl(p.epfd, syscall.EPOLL_CTL_DEL, int(fd), nil)
+// remove deregisters r's finished connection.
+func (p *poller) remove(r *recvHalf) {
+	syscall.EpollCtl(p.epfd, syscall.EPOLL_CTL_DEL, int(r.fd), nil)
 	p.mu.Lock()
-	delete(p.halves, fd)
+	delete(p.halves, r.fd)
 	p.mu.Unlock()
 }
 
@@ -178,26 +178,13 @@ func (p *poller) close() {
 }
 
 // readNB does one non-blocking read off the polled connection into r.rbuf
-// through the sanctioned RawConn path (the net package owns the fd).
-// Returns errAgain when the socket is dry.
+// through the sanctioned RawConn path (the net package owns the fd), with
+// the callback add bound. Returns errAgain when the socket is dry.
 func (r *recvHalf) readNB() (int, error) {
-	sc, ok := r.conn.(syscall.Conn)
-	if !ok {
-		return 0, errors.New("netchan: polled connection lost its raw fd")
-	}
-	rc, err := sc.SyscallConn()
-	if err != nil {
+	if err := r.raw.Read(r.readFn); err != nil {
 		return 0, err
 	}
-	var n int
-	var rerr error
-	cerr := rc.Read(func(fd uintptr) bool {
-		n, rerr = syscall.Read(int(fd), r.rbuf)
-		return true // never let the runtime park: we manage readiness
-	})
-	if cerr != nil {
-		return 0, cerr
-	}
+	n, rerr := r.nread, r.rerr
 	switch {
 	case rerr == syscall.EAGAIN || rerr == syscall.EWOULDBLOCK:
 		return 0, errAgain

@@ -16,13 +16,16 @@ const pollerSupported = false
 // platform-independent pump code compiles.
 type poller struct{}
 
+// polledConn holds nothing off Linux.
+type polledConn struct{}
+
 func newPoller() (*poller, error) {
 	return nil, errors.New("netchan: readiness poller not supported on this platform")
 }
 
 func (p *poller) add(net.Conn, *recvHalf) error { return errors.New("netchan: poller unavailable") }
-func (p *poller) rearm(net.Conn) error          { return errors.New("netchan: poller unavailable") }
-func (p *poller) remove(net.Conn)               {}
+func (p *poller) rearm(*recvHalf) error         { return errors.New("netchan: poller unavailable") }
+func (p *poller) remove(*recvHalf)              {}
 func (p *poller) close()                        {}
 
 // readNB is unreachable off Linux (no conn is ever polled).

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/channel"
 	"repro/internal/session"
 	"repro/internal/types"
 )
@@ -132,7 +133,7 @@ func TestSchedDeadlockErrorNamesSessionAndRoles(t *testing.T) {
 // a session whose tasks never unblock fails with a *TimeoutError (wrapping
 // session.ErrTimeout, naming session and stuck roles) once its deadline
 // passes — instead of the instant DeadlockError fail-fast, and instead of
-// being re-polled forever.
+// staying parked forever.
 func TestSchedSessionDeadlineTimesOutParkedSession(t *testing.T) {
 	s := New(Options{Workers: 1})
 	stuck := &roleStepper{role: "carol"}
@@ -159,10 +160,10 @@ func TestSchedSessionDeadlineTimesOutParkedSession(t *testing.T) {
 	}
 }
 
-// slowStepper would-blocks until a wall-clock instant, then completes: the
-// shape of a fault-injected stall that clears. Under a deadline the
-// scheduler must re-poll (not fail fast on the first sterile pass) and see
-// the clean completion.
+// slowStepper would-blocks until a wall-clock instant, then completes: a
+// stall that clears with no wake event behind it. Under a deadline the
+// scheduler must not fail fast on the sterile passes; it parks the session
+// and revisits it when its deadline timer fires.
 type slowStepper struct{ ready time.Time }
 
 func (s *slowStepper) Step() (bool, error) {
@@ -172,10 +173,13 @@ func (s *slowStepper) Step() (bool, error) {
 	return true, nil
 }
 
-// TestSchedDeadlineRepollsTransientQuiescence pins the semantic shift a
-// deadline brings: sterile quiescence is re-polled until the deadline, so a
-// stall that clears in time yields a clean completion, not a deadlock.
-func TestSchedDeadlineRepollsTransientQuiescence(t *testing.T) {
+// TestSchedDeadlineTimerRevisitsParkedSession pins what a deadline does to
+// a confirmed sterile pass: the session parks instead of failing with a
+// *DeadlockError, and the visit its deadline timer triggers steps it once
+// more before the expiry is judged. The stall here clears after 5ms but
+// fires no wake, so the session completes cleanly at that visit, at its
+// deadline.
+func TestSchedDeadlineTimerRevisitsParkedSession(t *testing.T) {
 	s := New(Options{Workers: 1})
 	slow := &slowStepper{ready: time.Now().Add(5 * time.Millisecond)}
 	if err := s.Go(time.Now().Add(time.Second), nil, slow); err != nil {
@@ -183,6 +187,42 @@ func TestSchedDeadlineRepollsTransientQuiescence(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("transiently stalled session under a deadline failed: %v", err)
+	}
+}
+
+// TestSchedDeadlineRetriesFaultyRefusal pins the confirming pass: on
+// routes that refuse every message's first probe, a pass in which every
+// task refuses is routine, and the retry passes. A deadline-armed session
+// started with Go has no Waker — only its deadline timer could wake it once
+// parked — so finishing clean before that deadline shows the scheduler
+// retried the refusals instead of parking on them.
+func TestSchedDeadlineRetriesFaultyRefusal(t *testing.T) {
+	inst := adderSession(t).Rewire(func(roles ...types.Role) *session.Network {
+		return session.NewCustomNetwork(func() channel.Substrate {
+			return channel.NewFaulty(channel.NewRingQueue(), channel.FaultPlan{Seed: 1, WouldBlockP: 1000})
+		}, roles...)
+	})
+	steppers, err := inst.Steppers(func(types.Role) session.Strategy { return session.FirstBranch{} },
+		func(types.Role) int { return 200 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks := make([]Stepper, len(steppers))
+	for i, st := range steppers {
+		tasks[i] = st
+	}
+	s := New(Options{Workers: 1})
+	defer s.Close()
+	deadline := time.Now().Add(30 * time.Second)
+	done := make(chan error, 1)
+	if err := s.Go(deadline, func(err error) { done <- err }, tasks...); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("session under spurious refusals: %v", err)
+	}
+	if !time.Now().Before(deadline) {
+		t.Fatal("session finished only when its deadline timer woke it")
 	}
 }
 

@@ -190,6 +190,49 @@ func TestSchedNoStealHonoured(t *testing.T) {
 	}
 }
 
+// TestSchedPooledBundlesGoHome pins bounded pool memory under stealing:
+// with the spinner pinning one worker (MaxActive 1), every pooled session
+// routed to it is stolen and finishes on the other worker. Its bundle must
+// go back to its home worker's free list, where that worker's next admit
+// finds it, so the scheduler builds at most Backlog×Workers bundles for the
+// base however many sessions run. Recycled onto the thief's list instead,
+// the pinned worker's list stays empty and every session routed to it
+// builds a fresh bundle.
+func TestSchedPooledBundlesGoHome(t *testing.T) {
+	const workers, backlog, n = 2, 4, 200
+	base := adderSession(t)
+	s := New(Options{Workers: workers, MaxActive: 1, Backlog: backlog})
+	release := &atomic.Bool{}
+	if err := s.Go(time.Time{}, nil, &gateStepper{release: release}); err != nil {
+		t.Fatalf("Go spinner: %v", err)
+	}
+	var clean atomic.Int64
+	for i := 0; i < n; i++ {
+		err := s.GoSessionPooled(base, 200, firstBranchStrat, time.Time{}, func(err error) {
+			if err == nil {
+				clean.Add(1)
+			}
+		})
+		if err != nil {
+			t.Fatalf("GoSessionPooled %d: %v", i, err)
+		}
+	}
+	release.Store(true)
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if clean.Load() != n {
+		t.Fatalf("%d of %d pooled sessions completed cleanly", clean.Load(), n)
+	}
+	if s.Steals() == 0 {
+		t.Fatal("no steals: the pinned worker's sessions must migrate")
+	}
+	if built := s.built.Load(); built > backlog*workers {
+		t.Fatalf("built %d bundles for one base over %d sessions, want at most Backlog×Workers = %d",
+			built, n, backlog*workers)
+	}
+}
+
 // extStepper would-blocks until released: the externally-driven shape.
 type extStepper struct{ ready *atomic.Bool }
 

@@ -43,19 +43,25 @@
 //     outruns the workers and every enqueue would miss).
 //
 //   - Ready/parked bookkeeping. Within a session, a task that reports
-//     ErrWouldBlock is parked; any sibling progress (the only thing that can
-//     change the session's channel state) moves all parked tasks back to
-//     ready. A session whose ready set drains with no intervening progress
-//     has every task blocked on a peer that cannot move: that is a genuine
-//     deadlock — impossible for verified sessions, loud for buggy steppers —
-//     and fails the session with ErrDeadlock instead of spinning.
+//     ErrWouldBlock is parked; any sibling progress moves all parked tasks
+//     back to ready. A pass in which no task progresses is sterile, and a
+//     sterile pass is confirmed by one more before anything is decided: a
+//     fault-injected route (channel.Faulty) charges its spurious refusal
+//     once per message and passes the retry, so after two sterile passes
+//     only a close, a delivery from outside the session or the deadline
+//     can unblock it. Then a session with a deliberately stopped task
+//     finishes clean; one past its deadline fails with a *TimeoutError;
+//     one with neither a deadline nor a Waker fails with a *DeadlockError
+//     (impossible for verified sessions, loud for buggy steppers) instead
+//     of spinning; and the rest park. Nothing polls.
 //
-//   - External readiness. A GoExternal session whose tasks all would-block
-//     parks off the active list until its Waker fires. Wake visits it at
-//     once on the waking goroutine — usually the transport pump that just
-//     delivered its message — so a round trip over a socket needs no
-//     hand-off to a worker; at most one such inline visit runs per worker,
-//     and a wake that finds one running hands the session to the inbox.
+//   - Parking. A parked session leaves the active list until its Waker
+//     fires (GoExternal: wire Wake as a transport's readiness hook) or its
+//     deadline timer does. Wake visits it at once on the waking goroutine
+//     — usually the transport pump that just delivered its message — so a
+//     round trip over a socket needs no hand-off to a worker; at most one
+//     such inline visit runs per worker, and a wake that finds one running
+//     hands the session to the inbox.
 //
 //   - Fairness. A worker steps each session for at most Quantum actions
 //     before rotating to its next session, so one long-running session
@@ -147,8 +153,8 @@ func (e *DeadlockError) Unwrap() error { return ErrDeadlock }
 
 // TimeoutError reports a session that exceeded its deadline (the deadline
 // argument of Go, GoExternal or GoSessionPooled, or Options.SessionTimeout)
-// while parked: the scheduler abandons it instead of re-polling forever. It
-// unwraps to session.ErrTimeout, the sentinel shared by every deadline
+// while parked: its deadline timer wakes it and the scheduler abandons it.
+// It unwraps to session.ErrTimeout, the sentinel shared by every deadline
 // expiry in the runtime.
 type TimeoutError struct {
 	// Session is the scheduler-wide enqueue sequence number of the session.
@@ -190,12 +196,13 @@ type Options struct {
 	Quantum int
 	// SessionTimeout, when positive, arms a deadline of Now+SessionTimeout on
 	// every session at enqueue (unless the enqueue supplies its own): a
-	// session still parked at its deadline fails with a *TimeoutError instead
-	// of being re-polled forever. With no deadline the scheduler keeps
-	// today's fail-fast behaviour — sterile quiescence is an immediate
-	// *DeadlockError — which is the right inference only when routes never
-	// spuriously refuse; fault-injected substrates (channel.Faulty) need a
-	// timeout.
+	// session whose tasks refuse through a confirmed sterile pass parks
+	// until a wake or its deadline timer, and one still parked at its
+	// deadline fails with a *TimeoutError. Without a deadline or a Waker,
+	// a confirmed sterile pass is a *DeadlockError: nothing can unblock
+	// the session (a channel.Faulty refusal has passed by the confirming
+	// pass). A deadline costs a timer per session, so the zero-alloc
+	// steady state is a deadline-free one.
 	SessionTimeout time.Duration
 	// NoSteal disables work stealing: sessions run to completion on the
 	// worker they were placed on, as before the stealing scheduler. The
@@ -229,6 +236,7 @@ type Scheduler struct {
 	backlog   int
 	next      atomic.Uint64 // round-robin shard counter; also the session id
 	stole     atomic.Uint64 // sessions migrated by stealing, for Steals()
+	built     atomic.Uint64 // pooled bundles built on a pool miss, for tests
 
 	jobs sync.WaitGroup // in-flight sessions
 
@@ -254,18 +262,19 @@ type job struct {
 	parked   int
 	done     int
 	stopped  bool // some task stopped deliberately (session.ErrStopped)
-	idle     bool // last visit was a sterile pass inside the deadline
+	idle     bool // last visit ended sterile with a wake to wait for: park it
 	onDone   func(error)
 
-	// External-readiness bookkeeping (GoExternal). wakes counts Waker.Wake
-	// calls; seen is the worker's snapshot taken at the top of each visit.
-	// A session is parked off the active list only when the two match at
-	// park time — a wake that raced the sterile pass keeps it active, so a
-	// readiness event can never be lost between a failed Try and the park.
-	external bool
+	// Parking bookkeeping. wakes counts Waker.Wake calls (the GoExternal
+	// Waker's, or the deadline timer's); seen is the snapshot taken at the
+	// top of each visit. A session is parked off the active list only when
+	// the two match at park time — a wake that raced the sterile passes
+	// keeps it active, so a readiness event can never be lost between a
+	// failed Try and the park.
+	external bool // a GoExternal Waker can wake it
 	wakes    atomic.Uint64
 	seen     uint64
-	timer    *time.Timer // deadline requeue while parked; stopped at finish
+	timer    *time.Timer // wakes the session at its deadline; stopped at finish
 
 	// owner is the worker currently responsible for the job. It changes
 	// only when the job is stolen — in an inbox, hence quiescent — and the
@@ -286,7 +295,7 @@ type worker struct {
 	prodCond *sync.Cond // pooled producers blocked on a full Backlog
 	inbox    []*job
 	stopped  bool
-	waiting  map[*job]struct{} // external sessions parked until a Wake
+	waiting  map[*job]struct{} // sessions parked until a Wake
 	pending  int               // in-flight scheduler-built jobs homed here (Backlog slots)
 	free     map[*session.Session][]*bundle
 	idle     bool // asleep (or hunting): a wakeOne candidate
@@ -371,12 +380,11 @@ func (s *Scheduler) Steals() uint64 { return s.stole.Load() }
 //
 // deadline bounds the session: one still parked when it passes fails with
 // a *TimeoutError (wrapping session.ErrTimeout) naming the session and its
-// stuck roles, instead of being re-polled forever. A zero deadline takes
-// Options.SessionTimeout, like every enqueue. A deadline also changes the
-// meaning of sterile quiescence: with one armed, a pass in which every task
-// would-blocks is treated as possibly-transient (a fault-injected route may
-// admit the retry) and the session is re-polled until the deadline; with
-// none, sterile quiescence fails fast with a *DeadlockError.
+// stuck roles. A zero deadline takes Options.SessionTimeout, like every
+// enqueue. A deadline also changes the meaning of a confirmed sterile pass
+// (every task would-blocks twice over; see the package comment): with one
+// armed, the session parks until its deadline timer wakes it for a last
+// visit; with none, it fails fast with a *DeadlockError.
 func (s *Scheduler) Go(deadline time.Time, onDone func(error), steppers ...Stepper) error {
 	return s.enqueue(submission{deadline: deadline, onDone: onDone, steppers: steppers})
 }
@@ -451,7 +459,7 @@ func (k *Waker) Wake() {
 // w.inline), finishes, or — quantum exhausted, or a wake raced the sterile
 // pass — goes to w's inbox for the worker.
 func (s *Scheduler) runInline(w *worker, j *job) {
-	live, _ := s.visit(w, j)
+	live := s.visit(j)
 	w.mu.Lock()
 	w.inline = false
 	if live && !(j.idle && w.park(j)) {
@@ -532,8 +540,8 @@ type submission struct {
 
 // enqueue is the one submission path: closed check and job count, id and
 // round-robin worker, a Backlog slot and the job for scheduler-built
-// sessions, the deadline (Options.SessionTimeout for a zero one) and the
-// external deadline timer, then publication to the worker's inbox.
+// sessions, the deadline (Options.SessionTimeout for a zero one) and its
+// timer, then publication to the worker's inbox.
 func (s *Scheduler) enqueue(sub submission) error {
 	built := sub.base != nil || sub.sess != nil
 	if !built && len(sub.steppers) == 0 {
@@ -578,16 +586,20 @@ func (s *Scheduler) enqueue(sub submission) error {
 	}
 	j.onDone = sub.onDone
 	j.owner.Store(w)
-	if k := sub.wake; k != nil {
+	if sub.wake != nil {
 		j.external = true
-		k.j = j
-		// Arm the deadline requeue before the job is visible to the worker,
-		// so finish's timer.Stop never races this write. A parked session
-		// has no poll loop to notice its deadline; the timer's Wake requeues
-		// it and the next visit turns the expiry into a *TimeoutError.
-		if !j.deadline.IsZero() {
-			j.timer = time.AfterFunc(time.Until(j.deadline), k.Wake)
+		sub.wake.j = j
+	}
+	// Arm the deadline timer before the job is visible to the worker, so
+	// finish's timer.Stop never races this write. A parked session has no
+	// poll loop to notice its deadline; the timer's Wake requeues it and the
+	// next visit turns the expiry into a *TimeoutError.
+	if !j.deadline.IsZero() {
+		k := sub.wake
+		if k == nil {
+			k = &Waker{s: s, j: j}
 		}
+		j.timer = time.AfterFunc(time.Until(j.deadline), k.Wake)
 	}
 	w.mu.Lock()
 	w.inbox = append(w.inbox, j)
@@ -621,6 +633,7 @@ func (s *Scheduler) admit(w *worker, sub submission) (*bundle, error) {
 		sess := sub.sess
 		if sub.base != nil {
 			sess = sub.base.Fork()
+			s.built.Add(1)
 		}
 		var err error
 		if b, err = newBundle(sub.base, sess, sub.maxSteps, sub.strat); err != nil {
@@ -728,29 +741,15 @@ func (s *Scheduler) fail(err error) {
 	s.mu.Unlock()
 }
 
-// idleSpins is the number of consecutive all-idle passes a worker yields
-// through before it starts napping, and idlePoll caps the nap: transient
-// refusals (a fault-injected would-block storm that clears on retry) stay on
-// the yield fast path, while a genuine stall stops burning the core — the
-// same spin-then-park shape as the channel substrates. The nap is short
-// enough to observe a cleared fault or a deadline expiry promptly.
-const (
-	idleSpins = 64
-	idlePoll  = 100 * time.Microsecond
-)
-
 // run is the worker loop: pull newly assigned sessions, then make one pass
 // over the active ones, stepping each for up to a quantum of actions. A
-// session leaves the active list only by completing or failing, so a pass
+// session leaves the active list by completing, failing, or parking (a
+// confirmed sterile pass under a Waker or a deadline; see visit), so a pass
 // always makes global progress; when there is nothing to do the worker
-// sleeps on its condition variable until an enqueue hands it work or Close
-// stops it.
-// When every surviving session is deadline-parked (visit reported a sterile
-// pass inside an armed deadline), the worker naps briefly — capped by the
-// nearest deadline — instead of spinning.
+// sleeps on its condition variable until an enqueue, a steal or a wake
+// hands it work or Close stops it.
 func (s *Scheduler) run(w *worker) {
 	defer s.join.Done()
-	idlePasses := 0
 	for {
 		w.mu.Lock()
 		for len(w.inbox) == 0 && len(w.active) == 0 && !w.stopped {
@@ -804,82 +803,29 @@ func (s *Scheduler) run(w *worker) {
 		}
 
 		keep := w.active[:0]
-		stepsThisPass := 0
 		for _, j := range w.active {
-			// visit returns the step count by value: once finish has recycled
-			// a pooled job, j may already be re-armed by a producer, so the
-			// worker must not read j after a false return.
-			live, stepped := s.visit(w, j)
-			stepsThisPass += stepped
-			if live {
-				if j.external && j.idle && s.parkExternal(w, j) {
-					// Parked off the active list; a Wake requeues it via the
-					// inbox. Not kept: the worker must not poll it.
+			// Once finish has recycled a pooled job, j may already be
+			// re-armed by a producer, so the worker must not read j after a
+			// false return.
+			if !s.visit(j) {
+				continue
+			}
+			if j.idle {
+				w.mu.Lock()
+				parked := w.park(j)
+				w.mu.Unlock()
+				if parked {
 					continue
 				}
-				keep = append(keep, j)
 			}
+			keep = append(keep, j)
 		}
-		// Clear the dropped tail so finished jobs are collectable.
+		// Clear the dropped tail so finished and parked jobs are
+		// collectable.
 		for i := len(keep); i < len(w.active); i++ {
 			w.active[i] = nil
 		}
 		w.active = keep
-
-		allIdle := len(keep) > 0
-		nearest := time.Time{}
-		for _, j := range keep {
-			if !j.idle {
-				allIdle = false
-				break
-			}
-			if nearest.IsZero() || j.deadline.Before(nearest) {
-				nearest = j.deadline
-			}
-		}
-		if stepsThisPass > 0 {
-			// Progress anywhere on the shard resets the spin budget: a visit
-			// that performed actions and then went sterile (the common shape
-			// under would-block noise — visits only exit on quantum or a
-			// sterile sweep) is not a stall.
-			idlePasses = 0
-		}
-		if !allIdle {
-			continue
-		}
-		// Every active session is deadline-parked. If fresh work waits in
-		// the inbox (it would otherwise starve behind a full-but-idle
-		// active set), rotate the idle sessions back to the inbox — they
-		// are quiescent there, so they also become stealable — and pull
-		// the fresh work on the next pass.
-		w.mu.Lock()
-		if len(w.inbox) > 0 {
-			w.inbox = append(w.inbox, w.active...)
-			for i := range w.active {
-				w.active[i] = nil
-			}
-			w.active = w.active[:0]
-			w.mu.Unlock()
-			continue
-		}
-		w.mu.Unlock()
-		idlePasses++
-		if idlePasses < idleSpins {
-			runtime.Gosched()
-			continue
-		}
-		nap := idlePoll
-		if d := time.Until(nearest); d < nap {
-			nap = d
-		}
-		if nap > 0 {
-			w.mu.Lock()
-			quiet := len(w.inbox) == 0 && !w.stopped
-			w.mu.Unlock()
-			if quiet {
-				time.Sleep(nap)
-			}
-		}
 	}
 }
 
@@ -981,18 +927,27 @@ func stuckRoles(j *job) []types.Role {
 }
 
 // visit steps one session for at most a quantum of actions, maintaining the
-// ready/parked bookkeeping. It reports whether the session stays active,
-// plus the number of actions performed — returned by value because a pooled
-// job is recycled inside finish and must not be read after a false return.
-// w is the worker running the visit, which finish needs for pool recycling.
-func (s *Scheduler) visit(w *worker, j *job) (bool, int) {
+// ready/parked bookkeeping, and reports whether the session stays active.
+// A pooled job is recycled inside finish and must not be read after a false
+// return.
+//
+// A sterile pass — every live task would-blocks — is confirmed by one more
+// pass before anything is decided: a channel.Faulty route charges its
+// spurious refusal once per message and passes the retry, so after two
+// sterile passes no spurious refusal is pending and only a close, a
+// delivery by a transport pump or the deadline can unblock the session.
+// Then the session finishes clean if a task stopped deliberately, fails
+// with a *TimeoutError past its deadline, fails with a *DeadlockError when
+// it has neither a deadline nor a Waker (nothing can ever unblock it), and
+// otherwise reports idle, for the caller to park it until its Waker fires
+// or its deadline timer does.
+func (s *Scheduler) visit(j *job) bool {
 	stepped := 0
+	sterile := false
 	j.idle = false
-	if j.external {
-		// Snapshot before any Try: a Wake arriving anywhere past this point
-		// moves the counter, and parkExternal will refuse to park.
-		j.seen = j.wakes.Load()
-	}
+	// Snapshot before any Try: a Wake arriving anywhere past this point
+	// moves the counter, and park will refuse to park.
+	j.seen = j.wakes.Load()
 	for {
 		progressed := false
 		for _, t := range j.tasks {
@@ -1000,7 +955,7 @@ func (s *Scheduler) visit(w *worker, j *job) (bool, int) {
 				continue
 			}
 			if stepped >= s.quantum {
-				return true, stepped // quantum exhausted mid-pass; stay active
+				return true // quantum exhausted mid-pass; stay active
 			}
 			done, err := stepSafe(t.s)
 			switch {
@@ -1010,7 +965,7 @@ func (s *Scheduler) visit(w *worker, j *job) (bool, int) {
 				if errors.Is(err, session.ErrStopped) {
 					j.stopped = true
 				} else if err != nil {
-					return s.finish(w, j, fmt.Errorf("sched: session %d task %d: %w", j.id, indexOf(j, t), err)), stepped
+					return s.finish(j, fmt.Errorf("sched: session %d task %d: %w", j.id, indexOf(j, t), err))
 				}
 				// Completion is progress: a stop or finish may have
 				// published messages parked siblings wait for.
@@ -1027,7 +982,7 @@ func (s *Scheduler) visit(w *worker, j *job) (bool, int) {
 				// fault the session. The task is left not-done so finish
 				// aborts it (releasing its endpoint claim) along with its
 				// siblings.
-				return s.finish(w, j, fmt.Errorf("sched: session %d task %d: %w", j.id, indexOf(j, t), err)), stepped
+				return s.finish(j, fmt.Errorf("sched: session %d task %d: %w", j.id, indexOf(j, t), err))
 			default:
 				stepped++
 				progressed = true
@@ -1035,61 +990,41 @@ func (s *Scheduler) visit(w *worker, j *job) (bool, int) {
 			}
 		}
 		if j.done == len(j.tasks) {
-			return s.finish(w, j, nil), stepped
+			return s.finish(j, nil)
 		}
-		if !progressed {
-			// A full pass with no progress parks every live task (each was
-			// either already parked or parked just now). When a sibling
-			// stopped deliberately, that quiescence is the expected end of a
-			// bounded run, not a deadlock.
-			if j.stopped {
-				return s.finish(w, j, nil), stepped
-			}
-			if j.external {
-				// Externally driven: quiescence means "waiting on the wire",
-				// never deadlock. Fail at the deadline; otherwise report idle
-				// and let the worker park the session until a Wake.
-				if !j.deadline.IsZero() && !time.Now().Before(j.deadline) {
-					return s.finish(w, j, &TimeoutError{Session: j.id, Stuck: stuckRoles(j)}), stepped
-				}
-				j.idle = true
-				j.unparkAll()
-				return true, stepped
-			}
-			if j.deadline.IsZero() {
-				// No deadline: nothing inside the session can unblock it and
-				// nothing outside it ever will (routes refuse only for lack
-				// of peer progress) — fail fast, attributed.
-				return s.finish(w, j, &DeadlockError{Session: j.id, Stuck: stuckRoles(j)}), stepped
-			}
-			if !time.Now().Before(j.deadline) {
-				return s.finish(w, j, &TimeoutError{Session: j.id, Stuck: stuckRoles(j)}), stepped
-			}
-			// Deadline armed and not yet passed: the quiescence may be
-			// transient (a fault-injected route refuses spuriously and will
-			// admit a retry). Re-ready everything and stay active; the
-			// worker naps before re-polling an all-idle shard.
-			j.idle = true
+		if progressed {
+			sterile = false
+			continue
+		}
+		if !sterile {
+			// The first sterile pass: re-ready every task for the
+			// confirming one.
+			sterile = true
 			j.unparkAll()
-			return true, stepped
+			continue
 		}
+		switch {
+		case j.stopped:
+			// The expected end of a bounded run, not a deadlock.
+			return s.finish(j, nil)
+		case !j.deadline.IsZero() && !time.Now().Before(j.deadline):
+			return s.finish(j, &TimeoutError{Session: j.id, Stuck: stuckRoles(j)})
+		case !j.external && j.deadline.IsZero():
+			return s.finish(j, &DeadlockError{Session: j.id, Stuck: stuckRoles(j)})
+		}
+		j.idle = true
+		j.unparkAll()
+		return true
 	}
 }
 
-// parkExternal moves an idle external session off the active list, unless a
+// park moves an idle session off the active list, with w.mu held, unless a
 // Wake raced in since the visit's snapshot — then it stays active for an
 // immediate re-visit. The counter check and the waiting-list insert are one
 // critical section against Waker.Wake, which bumps the counter before
 // taking the same lock: every wake either moves the counter in time to veto
 // the park, or finds the session parked and requeues it. Lost wakeups are
 // structurally impossible.
-func (s *Scheduler) parkExternal(w *worker, j *job) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.park(j)
-}
-
-// park is parkExternal's check and insert, with w.mu held.
 func (w *worker) park(j *job) bool {
 	if j.wakes.Load() != j.seen {
 		return false
@@ -1115,15 +1050,16 @@ func (j *job) unparkAll() {
 // finish completes a session: tasks still live (a faulted session's
 // siblings, or the parked leftovers of a deliberate stop) are aborted so
 // their endpoint claims release, and a non-nil err is recorded as the
-// scheduler's first failure. A pooled job's bundle is recycled onto the
-// finishing worker's free list (clean outcomes only — a faulted instance's
-// substrate state is not trusted for reuse), and a scheduler-built job's
-// home worker's Backlog slot is released, unblocking one waiting producer.
-// It always reports false (drop from the active list).
-func (s *Scheduler) finish(w *worker, j *job, err error) bool {
-	if j.timer != nil {
-		j.timer.Stop()
-	}
+// scheduler's first failure. A scheduler-built job releases its home
+// worker's Backlog slot, unblocking one waiting producer, and a pooled one
+// goes back on its home worker's free list — clean outcomes only (a faulted
+// instance's substrate state is not trusted for reuse), and only if its
+// deadline timer had not fired (its Wake may still be running against the
+// job). Recycling home, not onto the worker that finished it, keeps every
+// free list within the Backlog of its worker under work stealing. It
+// always reports false (drop from the active list).
+func (s *Scheduler) finish(j *job, err error) bool {
+	quiet := j.timer == nil || j.timer.Stop()
 	for _, t := range j.tasks {
 		if !t.done {
 			if a, ok := t.s.(Aborter); ok {
@@ -1141,26 +1077,18 @@ func (s *Scheduler) finish(w *worker, j *job, err error) bool {
 	// producer unblocked by onDone — the synchronous enqueue-then-wait
 	// loop — always finds the bundle already pooled.
 	//
-	// No w.stopped check is needed: Close stops workers only after every
+	// No stopped check is needed: Close stops workers only after every
 	// counted job, this one included, has finished.
 	onDone := j.onDone
 	if b := j.bundle; b != nil {
 		home := j.home
-		w.mu.Lock()
-		if err == nil && b.base != nil {
-			w.free[b.base] = append(w.free[b.base], b)
+		home.mu.Lock()
+		if err == nil && b.base != nil && quiet {
+			home.free[b.base] = append(home.free[b.base], b)
 		}
-		if home == w {
-			home.pending--
-			home.prodCond.Signal()
-			w.mu.Unlock()
-		} else {
-			w.mu.Unlock()
-			home.mu.Lock()
-			home.pending--
-			home.prodCond.Signal()
-			home.mu.Unlock()
-		}
+		home.pending--
+		home.prodCond.Signal()
+		home.mu.Unlock()
 	}
 	if onDone != nil {
 		onDone(err)

@@ -115,43 +115,31 @@ var (
 )
 
 // Drive executes a process for the endpoint directly from a verified
-// machine: the Stepper's walk over the blocking Send/Receive. At output
-// states the strategy selects a branch; at input states the process
-// receives and follows the matching transition. It runs until the machine
-// reaches a final state or maxSteps actions were performed; a budget
-// exhaustion on an infinite protocol returns ErrStopped so callers under Run
-// treat it as a clean bounded execution. Drive takes no claim of its own:
-// it runs inside Run/TrySession, which already hold the endpoint. With a
-// deadline armed on the endpoint (SetDeadline) every blocking action fails
-// typed with a *TimeoutError instead of hanging.
-//
-// Drive only makes sense for machines verified in advance (the session's own
-// FSMs); a mismatch between the machine and the network's actual traffic
-// surfaces as a protocol or routing error.
+// machine: a Stepper stepped to the end, waiting on the route it refused
+// on after every would-block. It runs until the machine reaches a final
+// state or maxSteps actions were performed; a budget exhaustion on an
+// infinite protocol returns ErrStopped so callers under Run treat it as a
+// clean bounded execution. Drive takes no claim of its own: it runs inside
+// Run/TrySession, which already hold the endpoint. With a deadline armed on
+// the endpoint (SetDeadline) a wait past it fails typed with a
+// *TimeoutError instead of hanging. Like a deadline-armed Send, Drive never
+// blocks in a substrate's Send or Recv, so two Drives never meet on a
+// Rendezvous route. On a monitored endpoint m must be the monitor's
+// machine (ErrForeignMachine otherwise).
 func Drive(e *Endpoint, m *fsm.FSM, strat Strategy, maxSteps int) error {
-	w := newWalk(m, strat, maxSteps)
+	st, err := newStepper(e, m, strat, maxSteps)
+	if err != nil {
+		return err
+	}
 	for {
-		ts, done, err := w.next()
+		done, err := st.Step()
 		if done {
 			return err
 		}
-		if ts[0].Act.Dir == fsm.Send {
-			t, v, err := w.decide(ts)
-			if err == nil {
-				err = e.Send(t.Act.Peer, t.Act.Label, v)
-			}
-			if err != nil {
+		if err == ErrWouldBlock {
+			if err := st.wait(e.deadline); err != nil {
 				return err
 			}
-			w.sent(t)
-			continue
-		}
-		label, value, err := e.Receive(ts[0].Act.Peer)
-		if err == nil {
-			err = w.received(ts, label, value)
-		}
-		if err != nil {
-			return err
 		}
 	}
 }

@@ -295,6 +295,96 @@ func TestDriveDeadline(t *testing.T) {
 	}
 }
 
+// TestDriveWaitTimeoutNamesRoleOpPeer pins the error of Drive's wait: past
+// the endpoint's deadline it is the *TimeoutError a deadline-armed Receive
+// or Send builds, naming the role, the operation and the peer it waited
+// on.
+func TestDriveWaitTimeoutNamesRoleOpPeer(t *testing.T) {
+	for _, c := range []struct {
+		name, p, q string
+		bound      int // 0: the default unbounded rings
+		want       TimeoutError
+	}{
+		{"receive", "q?rep.end", "p!rep.end", 0, TimeoutError{Role: "p", Op: "receive", Peer: "q"}},
+		{"send", "q!a.q!a.end", "p?a.p?a.end", 1, TimeoutError{Role: "p", Op: "send", Peer: "q"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := BottomUp(1, fsm.MustFromLocal("p", types.MustParse(c.p)), fsm.MustFromLocal("q", types.MustParse(c.q)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.bound > 0 {
+				s = s.Rewire(func(roles ...types.Role) *Network { return NewBoundedNetwork(c.bound, roles...) })
+			}
+			ep, err := s.Endpoint("p")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ep.SetDeadline(time.Now().Add(10 * time.Millisecond))
+			err = Drive(ep, s.FSM("p"), FirstBranch{}, 16)
+			var te *TimeoutError
+			if !errors.As(err, &te) || *te != c.want {
+				t.Fatalf("Drive against a silent peer: %v, want %+v", err, c.want)
+			}
+		})
+	}
+}
+
+// TestDriveWaitSurfacesCloseCause pins the close arm of Drive's wait: an
+// abort while Drive waits on its route ends the wait, and the next Step
+// reports the abort with its cause.
+func TestDriveWaitSurfacesCloseCause(t *testing.T) {
+	s, err := BottomUp(1, fsm.MustFromLocal("p", types.MustParse("q?rep.end")), fsm.MustFromLocal("q", types.MustParse("p!rep.end")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, err := s.Endpoint("p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- Drive(ep, s.FSM("p"), FirstBranch{}, 16) }()
+	time.Sleep(5 * time.Millisecond) // most likely parked by now; either way the abort must surface
+	s.Abort(errRootCause)
+	err = <-done
+	if !errors.Is(err, errRootCause) || !errors.Is(err, channel.ErrClosed) || errors.Is(err, ErrTimeout) {
+		t.Fatalf("Drive after an abort: %v, want the close carrying the root cause", err)
+	}
+}
+
+// TestDriveRetriesFaultyRefusal pins the Faulty arm of Drive's wait: a
+// spurious refusal's wait returns at once and the retry passes, so a run
+// in which every message's first probe is refused completes, well inside
+// a deadline it never needs.
+func TestDriveRetriesFaultyRefusal(t *testing.T) {
+	s, err := BottomUp(1,
+		fsm.MustFromLocal("p", types.MustParse("q!a.q?b.q!a.end")),
+		fsm.MustFromLocal("q", types.MustParse("p?a.p!b.p?a.end")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s = s.Rewire(func(roles ...types.Role) *Network {
+		return NewCustomNetwork(func() channel.Substrate {
+			return channel.NewFaulty(channel.NewRingQueue(), channel.FaultPlan{Seed: 1, WouldBlockP: 1000})
+		}, roles...)
+	})
+	deadline := time.Now().Add(30 * time.Second)
+	procs := map[types.Role]func(*Endpoint) error{}
+	for _, r := range s.Roles() {
+		m := s.FSM(r)
+		procs[r] = func(e *Endpoint) error {
+			e.SetDeadline(deadline)
+			return Drive(e, m, FirstBranch{}, 16)
+		}
+	}
+	if err := s.Run(procs); err != nil {
+		t.Fatalf("Drive under a refusal on every message: %v", err)
+	}
+	if !time.Now().Before(deadline) {
+		t.Fatal("Drive completed only at its deadline")
+	}
+}
+
 // TestUncheckedFaceSurfacesAbortCause re-pins the generated-code face: an
 // abort's cause flows unchanged through the Unchecked Try*/blocking
 // wrappers the codegen APIs are built on.

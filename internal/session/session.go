@@ -1049,6 +1049,23 @@ func (s *Session) Abort(cause error) {
 	net.abort("", cause)
 }
 
+// SetNotify installs fn as the readiness hook of every route of the
+// session's network that has one — a netchan route, or a channel.Faulty
+// wrapping one — so a stepped runner parked on the session learns of each
+// delivery, close and freed send slot (see netchan.Options.Notify for when
+// the hook runs and which locks it must not need). In-memory substrates
+// have no hook: only the session's own steps move them.
+func (s *Session) SetNotify(fn func()) {
+	s.mu.Lock()
+	net := s.net
+	s.mu.Unlock()
+	for _, q := range net.routes {
+		if n, ok := q.(interface{ SetNotify(func()) }); ok {
+			n.SetNotify(fn)
+		}
+	}
+}
+
 // Run executes one process per role concurrently, each under TrySession, and
 // returns the first error (ErrStopped is filtered: deliberately stopped
 // benchmark loops are not failures). When a process faults, the session's

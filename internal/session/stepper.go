@@ -3,95 +3,19 @@ package session
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/channel"
 	"repro/internal/fsm"
 	"repro/internal/types"
 )
 
-// walk is a process's position in its verified machine — the one place the
-// runtime walks a machine. Stepper runs it straight over the routes (it is
-// its endpoint's monitor) and Drive over the monitored blocking ops; both ask
-// it what may happen next (next) and which output the strategy takes
-// (decide), and commit what the endpoint did (sent, or received with the
-// delivered label).
-type walk struct {
-	m        *fsm.FSM
-	strat    Strategy
-	cur      fsm.State
-	steps    int
-	maxSteps int
-
-	// pending caches an internal-choice decision (transition index and
-	// payload) taken before a send that then would-block, so retries commit
-	// the decided action instead of re-asking the strategy.
-	pending        int
-	pendingPayload any
-}
-
-func newWalk(m *fsm.FSM, strat Strategy, maxSteps int) walk {
-	return walk{m: m, strat: strat, cur: m.Initial(), maxSteps: maxSteps, pending: -1}
-}
-
-// next returns the transitions the walk may take from its current state. It
-// reports done when the walk is over: at a final state (err nil) or with the
-// step budget exhausted mid-protocol (ErrStopped, the bounded-execution
-// sentinel Run filters).
-func (w *walk) next() (ts []fsm.Transition, done bool, err error) {
-	ts = w.m.Transitions(w.cur)
-	if len(ts) == 0 {
-		return nil, true, nil
-	}
-	if w.steps >= w.maxSteps {
-		return nil, true, ErrStopped
-	}
-	return ts, false, nil
-}
-
-// decide returns the output transition the strategy picks among ts, and its
-// payload. The strategy is consulted once per performed action: until sent
-// commits it, every call replays the cached decision.
-func (w *walk) decide(ts []fsm.Transition) (*fsm.Transition, any, error) {
-	if w.pending < 0 {
-		i := w.strat.Choose(w.cur, ts)
-		if i < 0 || i >= len(ts) {
-			return nil, nil, fmt.Errorf("session: strategy chose %d of %d options", i, len(ts))
-		}
-		w.pending = i
-		w.pendingPayload = w.strat.Payload(ts[i].Act)
-	}
-	return &ts[w.pending], w.pendingPayload, nil
-}
-
-// sent commits the decided output t.
-func (w *walk) sent(t *fsm.Transition) {
-	w.pending = -1
-	w.pendingPayload = nil
-	w.cur = t.To
-	w.steps++
-}
-
-// received follows the input transition among ts that matches a message
-// delivered from ts[0]'s peer, and hands its payload to the strategy. A label
-// the machine does not accept there is a *ProtocolError, as from a monitor.
-func (w *walk) received(ts []fsm.Transition, label types.Label, value any) error {
-	act := fsm.Action{Dir: fsm.Recv, Peer: ts[0].Act.Peer, Label: label}
-	for i := range ts {
-		if ts[i].Act.Label == label && ts[i].Act.Dir == act.Dir && ts[i].Act.Peer == act.Peer {
-			w.strat.Received(ts[i].Act, value)
-			w.cur = ts[i].To
-			w.steps++
-			return nil
-		}
-	}
-	return &ProtocolError{Role: w.m.Role(), State: w.cur, Action: act}
-}
-
 // Stepper drives a process for an endpoint directly from its verified
-// machine — exactly what Drive does — but in non-blocking units: each Step
-// performs at most one protocol action with the substrate's TrySend/TryRecv
-// and yields ErrWouldBlock, with no effect, when the substrate cannot make
-// progress. That inversion is what lets thousands of sessions multiplex over
+// machine — the one place the runtime walks a machine — in non-blocking
+// units (Drive is its blocking face): each Step performs at most one
+// protocol action with the substrate's TrySend/TryRecv and yields
+// ErrWouldBlock, with no effect, when the substrate cannot make progress.
+// That inversion is what lets thousands of sessions multiplex over
 // a fixed worker pool (internal/sched) instead of parking two goroutines
 // each.
 //
@@ -107,22 +31,34 @@ func (w *walk) received(ts []fsm.Transition, label types.Label, value any) error
 //
 // Lifecycle: NewStepper claims the endpoint (the TrySession linearity CAS)
 // and Step releases it when the protocol completes, faults, or exhausts its
-// budget; Abort releases it early. A Stepper is not safe for concurrent use
-// — one goroutine steps it at a time, which is the scheduler's invariant
-// (each session is sharded whole onto one worker).
+// budget; Abort releases it early. (Drive's stepper neither takes nor
+// releases one.) A Stepper is not safe for concurrent use — one goroutine
+// steps it at a time, which is the scheduler's invariant (each session is
+// sharded whole onto one worker).
 //
 // Determinism: the strategy's Choose and Payload are consulted exactly once
 // per performed action — a would-block retry replays the cached decision —
 // so a stepped run makes the same choices, sends the same payloads and
-// observes the same per-role trace as Drive over the same strategy. The
-// trace oracle in internal/equiv pins this for every registry protocol.
+// observes the same per-role trace in every execution mode. The trace
+// oracle in internal/equiv pins this for every registry protocol.
 type Stepper struct {
-	walk
+	m        *fsm.FSM
+	strat    Strategy
+	cur      fsm.State
+	steps    int
+	maxSteps int
+	// pending caches an internal-choice decision (transition index and
+	// payload) taken before a send that then would-block, so retries commit
+	// the decided action instead of re-asking the strategy.
+	pending        int
+	pendingPayload any
+
 	e *Endpoint
 	// peers is e's monitor's route plan; nil routes every action by role
 	// lookup.
 	peers    [][]int
 	finished bool
+	claimed  bool // finish releases e's claim (NewStepper); Drive's runs under its caller's
 }
 
 // ErrForeignMachine is returned by NewStepper when asked to walk a machine
@@ -138,15 +74,27 @@ var ErrForeignMachine = errors.New("session: stepper machine is not the endpoint
 // already owned by a running session or another stepper. A monitored
 // endpoint's monitor is reset, as at TrySession entry.
 func NewStepper(e *Endpoint, m *fsm.FSM, strat Strategy, maxSteps int) (*Stepper, error) {
-	if e.mon != nil && e.mon.fsm != m {
-		return nil, fmt.Errorf("%w: role %s", ErrForeignMachine, e.role)
+	st, err := newStepper(e, m, strat, maxSteps)
+	if err != nil {
+		return nil, err
 	}
 	if !e.inUse.CompareAndSwap(false, true) {
 		return nil, ErrLinearity
 	}
-	st := &Stepper{walk: newWalk(m, strat, maxSteps), e: e}
+	st.claimed = true
 	if e.mon != nil {
 		e.mon.reset()
+	}
+	return st, nil
+}
+
+// newStepper is NewStepper without the claim.
+func newStepper(e *Endpoint, m *fsm.FSM, strat Strategy, maxSteps int) (*Stepper, error) {
+	if e.mon != nil && e.mon.fsm != m {
+		return nil, fmt.Errorf("%w: role %s", ErrForeignMachine, e.role)
+	}
+	st := &Stepper{m: m, strat: strat, cur: m.Initial(), maxSteps: maxSteps, pending: -1, e: e}
+	if e.mon != nil {
 		st.peers = e.mon.peers
 	}
 	return st, nil
@@ -170,8 +118,8 @@ func (s *Stepper) Reset(strat Strategy, maxSteps int) error {
 	if s.e.mon != nil {
 		s.e.mon.reset()
 	}
-	s.walk = newWalk(s.m, strat, maxSteps)
-	s.finished = false
+	s.strat, s.cur, s.steps, s.maxSteps = strat, s.m.Initial(), 0, maxSteps
+	s.pending, s.pendingPayload, s.finished = -1, nil, false
 	return nil
 }
 
@@ -185,11 +133,14 @@ func (s *Stepper) Steps() int { return s.steps }
 // exhausted its budget, or been aborted) and released its endpoint.
 func (s *Stepper) Done() bool { return s.finished }
 
-// finish releases the endpoint exactly once and marks the stepper done.
+// finish releases the endpoint claim exactly once and marks the stepper
+// done.
 func (s *Stepper) finish() {
 	if !s.finished {
 		s.finished = true
-		s.e.inUse.Store(false)
+		if s.claimed {
+			s.e.inUse.Store(false)
+		}
 	}
 }
 
@@ -205,7 +156,7 @@ func (s *Stepper) Abort() { s.finish() }
 //     until the peer makes progress; re-step after it does.
 //   - (true, nil): the protocol ran to completion (terminal state).
 //   - (true, ErrStopped): the step budget was exhausted mid-protocol — the
-//     bounded-execution sentinel, as from Drive.
+//     bounded-execution sentinel.
 //   - (true, err): the process faulted (protocol, sort or channel error).
 //
 // Once done, further Steps return (true, ErrStepperDone), so a scheduler
@@ -214,20 +165,25 @@ func (s *Stepper) Step() (bool, error) {
 	if s.finished {
 		return true, ErrStepperDone
 	}
-	ts, done, err := s.next()
-	if done {
+	ts := s.m.Transitions(s.cur)
+	if len(ts) == 0 || s.steps >= s.maxSteps {
 		s.finish()
-		// Mirror TrySession's completion check on the monitor.
-		if err == nil && s.e.mon != nil && !s.e.mon.Terminal() {
-			err = fmt.Errorf("%w: role %s stopped in state %d", ErrIncomplete, s.e.role, s.e.mon.State())
+		if len(ts) > 0 {
+			return true, ErrStopped
 		}
-		return true, err
+		// Mirror TrySession's completion check on the monitor.
+		if s.e.mon != nil && !s.e.mon.Terminal() {
+			return true, fmt.Errorf("%w: role %s stopped in state %d", ErrIncomplete, s.e.role, s.e.mon.State())
+		}
+		return true, nil
 	}
 	if ts[0].Act.Dir == fsm.Send {
 		t, v, err := s.decide(ts)
 		if err == nil {
 			if err = s.send(t, v); err == nil {
-				s.sent(t)
+				s.pending, s.pendingPayload = -1, nil
+				s.cur = t.To
+				s.steps++
 			}
 		}
 		return s.settle(err)
@@ -237,6 +193,37 @@ func (s *Stepper) Step() (bool, error) {
 		err = s.received(ts, m.Label, m.Value)
 	}
 	return s.settle(err)
+}
+
+// decide returns the output transition the strategy picks among ts, and its
+// payload. The strategy is consulted once per performed action: until the
+// send commits it, every call replays the cached decision.
+func (s *Stepper) decide(ts []fsm.Transition) (*fsm.Transition, any, error) {
+	if s.pending < 0 {
+		i := s.strat.Choose(s.cur, ts)
+		if i < 0 || i >= len(ts) {
+			return nil, nil, fmt.Errorf("session: strategy chose %d of %d options", i, len(ts))
+		}
+		s.pending = i
+		s.pendingPayload = s.strat.Payload(ts[i].Act)
+	}
+	return &ts[s.pending], s.pendingPayload, nil
+}
+
+// received follows the input transition among ts that matches a message
+// delivered from ts[0]'s peer, and hands its payload to the strategy. A label
+// the machine does not accept there is a *ProtocolError, as from a monitor.
+func (s *Stepper) received(ts []fsm.Transition, label types.Label, value any) error {
+	act := fsm.Action{Dir: fsm.Recv, Peer: ts[0].Act.Peer, Label: label}
+	for i := range ts {
+		if ts[i].Act.Label == label && ts[i].Act.Dir == act.Dir && ts[i].Act.Peer == act.Peer {
+			s.strat.Received(ts[i].Act, value)
+			s.cur = ts[i].To
+			s.steps++
+			return nil
+		}
+	}
+	return &ProtocolError{Role: s.m.Role(), State: s.cur, Action: act}
 }
 
 // send offers the decided output t (the pending transition), carrying v, to
@@ -288,6 +275,32 @@ func (s *Stepper) route(i int, t *fsm.Transition) (route, error) {
 		return s.e.outRoute(t.Act.Peer)
 	}
 	return s.e.inRoute(t.Act.Peer)
+}
+
+// wait parks on the one route the last Step refused on — a send's is fixed
+// by the pending decision, a receive's is the input state's peer — until
+// it is ready or closed (nil: the next Step reports a close), or past a
+// non-zero deadline: the *TimeoutError a deadline-armed Send or Receive
+// returns.
+func (s *Stepper) wait(deadline time.Time) error {
+	ts := s.m.Transitions(s.cur)
+	i, op := 0, "receive"
+	if ts[0].Act.Dir == fsm.Send {
+		i, op = s.pending, "send"
+	}
+	q, err := s.route(i, &ts[i])
+	if err != nil {
+		return nil
+	}
+	if op == "send" {
+		err = q.WaitSend(deadline)
+	} else {
+		err = q.WaitRecv(deadline)
+	}
+	if err == channel.ErrDeadline {
+		return &TimeoutError{Role: s.e.role, Op: op, Peer: ts[i].Act.Peer}
+	}
+	return nil
 }
 
 // settle maps the outcome of one attempted action onto Step's contract: a
