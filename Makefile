@@ -98,8 +98,7 @@ SCHED_BENCH_PKGS ?= ./internal/bench
 # batch over Unix sockets and loopback TCP against the in-memory ring the
 # session layer wires by default, plus the stepped round trip of two
 # sched.GoExternal sessions over Unix sockets (the pingpong-unix path:
-# direct write, inline wake, scheduler visit), read by goroutine pumps and
-# by the epoll pump (polled).
+# direct write, inline wake, scheduler visit).
 NET_BENCH_PATTERN ?= BenchmarkNetSendRecv|BenchmarkNetPingPong|BenchmarkNetBatch64|BenchmarkNetSchedPingPong
 NET_BENCH_PKGS ?= ./internal/netchan
 
@@ -230,8 +229,7 @@ bench-smoke:
 		-expect BenchmarkNetPingPong/ring -expect BenchmarkNetPingPong/unix \
 		-expect BenchmarkNetPingPong/tcp \
 		-expect BenchmarkNetBatch64/ring -expect BenchmarkNetBatch64/unix \
-		-expect BenchmarkNetBatch64/tcp -expect BenchmarkNetSchedPingPong/unix \
-		-expect BenchmarkNetSchedPingPong/polled
+		-expect BenchmarkNetBatch64/tcp -expect BenchmarkNetSchedPingPong/unix
 	$(GO) run ./cmd/benchcheck -file BENCH_smoke_check.json \
 		-baseline BENCH_check.json \
 		-expect 'CheckScale/states=1201' \

@@ -8,7 +8,6 @@
 //
 //	sessnet -protocol "Two Adder"            # unix sockets in a temp dir
 //	sessnet -protocol "Ring" -net tcp        # loopback TCP
-//	sessnet -protocol "Ring" -poll           # epoll receive pump (Linux)
 //	sessnet -all                             # every feasible registry entry
 //
 // The parent derives the consistent cut (per-role action budgets) from a
@@ -39,7 +38,6 @@ func main() {
 	proto := flag.String("protocol", "", "registry protocol to run (see cmd/table1)")
 	all := flag.Bool("all", false, "run every registry protocol")
 	network := flag.String("net", "unix", "socket family: unix or tcp")
-	poll := flag.Bool("poll", false, "use the epoll receive pump in children (Linux)")
 	maxCap := flag.Int("cap", 40, "per-role action cap for the reference cut")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-child session deadline")
 	child := flag.String("child", "", "internal: JSON ChildConfig (drive one role and exit)")
@@ -78,7 +76,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := equiv.RunDistributed(name, *network, dir, *maxCap, *timeout, *poll, spawn)
+		res, err := equiv.RunDistributed(name, *network, dir, *maxCap, *timeout, spawn)
 		os.RemoveAll(dir)
 		if err != nil {
 			fmt.Printf("FAIL  %-28s %v\n", name, err)

@@ -37,8 +37,6 @@ type ChildConfig struct {
 	// TimeoutMS bounds the whole child session (dial + drive); expiry fails
 	// the child with a timeout instead of hanging the demo.
 	TimeoutMS int `json:"timeout_ms"`
-	// UsePoller selects the epoll receive pump where supported.
-	UsePoller bool `json:"use_poller,omitempty"`
 }
 
 // ChildResult is what a child process reports back on stdout.
@@ -81,10 +79,7 @@ func runChild(cfg ChildConfig) ([]string, error) {
 	if timeout <= 0 {
 		timeout = 30 * time.Second
 	}
-	fab := netchan.NewFabric(cfg.Role, tab, netchan.Options{
-		DialTimeout: timeout,
-		UsePoller:   cfg.UsePoller,
-	})
+	fab := netchan.NewFabric(cfg.Role, tab, netchan.Options{DialTimeout: timeout})
 	defer fab.Close()
 	if _, err := fab.Listen(cfg.Network, cfg.Listen); err != nil {
 		return nil, fmt.Errorf("listen %s %s: %w", cfg.Network, cfg.Listen, err)
@@ -160,7 +155,7 @@ func (d *DistResult) Diverged() []types.Role {
 // over the socket fabric and compares every role's observed trace against
 // the in-memory stepped reference. network is "unix" (sockets under dir) or
 // "tcp" (loopback, ports pre-reserved under dir-independent :0 probing).
-func RunDistributed(e string, network, dir string, maxCap int, timeout time.Duration, usePoller bool, spawn Spawn) (*DistResult, error) {
+func RunDistributed(e string, network, dir string, maxCap int, timeout time.Duration, spawn Spawn) (*DistResult, error) {
 	entry, err := Lookup(e)
 	if err != nil {
 		return nil, err
@@ -200,7 +195,6 @@ func RunDistributed(e string, network, dir string, maxCap int, timeout time.Dura
 			Peers:     peers,
 			Budget:    budgets[r],
 			TimeoutMS: int(timeout / time.Millisecond),
-			UsePoller: usePoller,
 		}
 		raw, err := json.Marshal(cfg)
 		if err != nil {

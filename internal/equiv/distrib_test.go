@@ -60,7 +60,7 @@ func TestDistributedTraceEqualsReference(t *testing.T) {
 	names := []string{"Two Adder", "Three Adder", "Ring", "Ring With Choice", "Elevator"}
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
-			res, err := RunDistributed(name, "unix", t.TempDir(), 40, 30*time.Second, false, selfSpawn(t))
+			res, err := RunDistributed(name, "unix", t.TempDir(), 40, 30*time.Second, selfSpawn(t))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,13 +69,12 @@ func TestDistributedTraceEqualsReference(t *testing.T) {
 	}
 }
 
-// The polled variant: same property with the epoll receive pump driving
-// the wakeups, over TCP.
-func TestDistributedTraceEqualsReferencePolled(t *testing.T) {
+// The TCP cell: same property over loopback TCP instead of unix sockets.
+func TestDistributedTraceEqualsReferenceTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns process fleets")
 	}
-	res, err := RunDistributed("Two Adder", "tcp", t.TempDir(), 40, 30*time.Second, true, selfSpawn(t))
+	res, err := RunDistributed("Two Adder", "tcp", t.TempDir(), 40, 30*time.Second, selfSpawn(t))
 	if err != nil {
 		t.Fatal(err)
 	}

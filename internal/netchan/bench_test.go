@@ -27,18 +27,18 @@ var benchMsg = channel.Message{Label: "val", Value: int32(42)}
 // spq/rpq are the sending and receiving ends of p→q, sqp/rqp of q→p.
 func benchFabricRoutes(b *testing.B, network string) (spq, rpq, sqp, rqp channel.Substrate) {
 	b.Helper()
-	_, _, spq, rpq, sqp, rqp = benchFabrics(b, network, Options{})
+	_, _, spq, rpq, sqp, rqp = benchFabrics(b, network)
 	return spq, rpq, sqp, rqp
 }
 
 // benchFabrics is benchFabricRoutes that also returns the two fabrics, for
 // benchmarks that install a notify hook.
-func benchFabrics(b *testing.B, network string, opts Options) (fp, fq *Fabric, spq, rpq, sqp, rqp channel.Substrate) {
+func benchFabrics(b *testing.B, network string) (fp, fq *Fabric, spq, rpq, sqp, rqp channel.Substrate) {
 	b.Helper()
 	tab := testTable(b)
 	roles := []types.Role{"p", "q"}
-	fp = NewFabric("p", tab, opts)
-	fq = NewFabric("q", tab, opts)
+	fp = NewFabric("p", tab, Options{})
+	fq = NewFabric("q", tab, Options{})
 	addrOf := func(f *Fabric, name string) string {
 		addr := ":0"
 		if network == "unix" {
@@ -200,20 +200,13 @@ func BenchmarkNetBatch64(b *testing.B) {
 // the direct write, the inline wake and the scheduler visit, so its gated
 // allocs/op catch a regression there. A warm-up pair runs first, and the
 // measured pair is enqueued held, so session setup stays out of the
-// measurement. The polled column is the same round trip over Unix sockets
-// read by the epoll pump (Options.UsePoller) instead of a goroutine per
-// connection; its allocs/op should not exceed the unix column's.
+// measurement.
 func BenchmarkNetSchedPingPong(b *testing.B) {
-	for _, c := range []struct {
-		name string
-		opts Options
-	}{{"unix", Options{}}, {"polled", Options{UsePoller: true}}} {
-		b.Run(c.name, func(b *testing.B) { benchSchedPingPong(b, c.opts) })
-	}
+	b.Run("unix", benchSchedPingPong)
 }
 
-func benchSchedPingPong(b *testing.B, opts Options) {
-	fp, fq, spq, rpq, sqp, rqp := benchFabrics(b, "unix", opts)
+func benchSchedPingPong(b *testing.B) {
+	fp, fq, spq, rpq, sqp, rqp := benchFabrics(b, "unix")
 	s := sched.New(sched.Options{Workers: 2})
 	defer s.Close()
 	pair := func(n int, hold *atomic.Bool) (wp *sched.Waker, done chan error) {

@@ -21,20 +21,18 @@
 // byte-for-byte the contract of the in-memory substrates. A connection
 // that drops without a goodbye surfaces as ErrDisconnected.
 //
-// Receive pumps come in two flavours: a portable per-connection goroutine
-// (blocking reads parked on the Go runtime's netpoller), and an
-// epoll-backed poller (Linux, Options.UsePoller) where one goroutine owns
-// every registered connection and drains readiness events without blocking
-// — rings full stash the connection until the consumer drains, re-arming
-// interest on demand. Either way, every delivery and close fires the
-// fabric's notify hook, which cmd/sessnet wires to a sched.Waker so
-// sessions parked on ErrWouldBlock are woken by readiness instead of
-// sterile re-polling. A freed send slot fires it only after a refused
-// TrySend: the writer notifies once per drain that follows a refusal, not
-// per written frame, so a sender that never found its route full is not
-// requeued for every message it sends. The hook is always fired with no
-// lock held: a sched.Waker runs the woken session on the pump's goroutine,
-// so the session's next Try* lands on the routes the pump serves.
+// The receive pump is one goroutine per connection: blocking reads parked
+// on the Go runtime's netpoller, and blocking sends into the receive ring,
+// so a full ring stops the reads until the consumer frees a slot. Every
+// delivery and close fires the fabric's notify hook, which cmd/sessnet
+// wires to a sched.Waker so sessions parked on ErrWouldBlock are woken by
+// readiness instead of sterile re-polling. A freed send slot fires it only
+// after a refused TrySend: the writer notifies once per drain that follows
+// a refusal, not per written frame, so a sender that never found its route
+// full is not requeued for every message it sends. The hook is always
+// fired with no lock held: a sched.Waker runs the woken session on the
+// pump's goroutine, so the session's next Try* lands on the routes the
+// pump serves.
 //
 // Who writes a frame, and when: a TrySend that finds nothing queued ahead
 // of it (the ring empty and the writer not holding an unwritten batch)

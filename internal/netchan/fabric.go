@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"syscall"
 	"time"
 
 	"repro/internal/channel"
@@ -34,7 +33,6 @@ type Fabric struct {
 	parked   map[types.Role]*parkedConn // accepted before the half existed
 	sends    []*sendHalf
 	recvs    []*recvHalf
-	pol      *poller
 	closed   bool
 	closeCh  chan struct{} // graceful teardown: flush, then goodbye
 	hardCh   chan struct{} // grace expired: cut dials and connections now
@@ -58,7 +56,7 @@ func NewFabric(local types.Role, tab *wire.Table, opts Options) *Fabric {
 	opts = opts.withDefaults()
 	n := &notifier{}
 	n.set(opts.Notify)
-	f := &Fabric{
+	return &Fabric{
 		local:   local,
 		tab:     tab,
 		opts:    opts,
@@ -69,20 +67,11 @@ func NewFabric(local types.Role, tab *wire.Table, opts Options) *Fabric {
 		closeCh: make(chan struct{}),
 		hardCh:  make(chan struct{}),
 	}
-	if opts.UsePoller && pollerSupported {
-		if p, err := newPoller(); err == nil {
-			f.pol = p
-		}
-	}
-	return f
 }
 
 // SetNotify installs the readiness hook (e.g. a sched.Waker's Wake) for
 // every route of this fabric, current and future.
 func (f *Fabric) SetNotify(fn func()) { f.n.set(fn) }
-
-// Polling reports whether the epoll pump is active.
-func (f *Fabric) Polling() bool { return f.pol != nil }
 
 // Listen starts accepting inbound routes on network ("tcp" or "unix") at
 // addr; it returns the bound address (useful with ":0").
@@ -162,28 +151,12 @@ func (f *Fabric) bind(from types.Role, conn net.Conn, leftover []byte) {
 	}
 	if r, ok := f.waiting[from]; ok {
 		delete(f.waiting, from)
-		pol := f.pollerFor(conn)
 		f.mu.Unlock()
-		if err := r.attach(conn, leftover, pol); err != nil {
-			r.fail(err)
-			conn.Close()
-		}
+		r.attach(conn, leftover)
 		return
 	}
 	f.parked[from] = &parkedConn{conn: conn, leftover: append([]byte(nil), leftover...)}
 	f.mu.Unlock()
-}
-
-// pollerFor returns the fabric's poller when conn can be polled, else nil
-// (goroutine pump). Assumes f.mu held.
-func (f *Fabric) pollerFor(conn net.Conn) *poller {
-	if f.pol == nil {
-		return nil
-	}
-	if _, ok := conn.(syscall.Conn); !ok {
-		return nil
-	}
-	return f.pol
 }
 
 // RouteMaker returns the mk function for session.NewCustomNetwork (or the
@@ -290,12 +263,8 @@ func (f *Fabric) makeRecv(from types.Role) channel.Substrate {
 	f.recvs = append(f.recvs, r)
 	if pc, ok := f.parked[from]; ok {
 		delete(f.parked, from)
-		pol := f.pollerFor(pc.conn)
 		f.mu.Unlock()
-		if err := r.attach(pc.conn, pc.leftover, pol); err != nil {
-			r.fail(err)
-			pc.conn.Close()
-		}
+		r.attach(pc.conn, pc.leftover)
 		return r
 	}
 	f.waiting[from] = r
@@ -325,7 +294,7 @@ func (f *Fabric) makeRecv(from types.Role) channel.Substrate {
 	return r
 }
 
-// Close tears the fabric down: the listener, every route, the poller.
+// Close tears the fabric down: the listener and every route.
 func (f *Fabric) Close() {
 	f.mu.Lock()
 	if f.closed {
@@ -384,9 +353,6 @@ func (f *Fabric) Close() {
 		pc.conn.Close()
 	}
 	f.acceptWG.Wait()
-	if f.pol != nil {
-		f.pol.close()
-	}
 }
 
 // stubRoute stands in for routes between two remote roles: the local

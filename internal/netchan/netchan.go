@@ -29,10 +29,6 @@ type Options struct {
 	// Batch caps how many buffered messages the writer encodes into one
 	// socket write (default Buffer).
 	Batch int
-	// UsePoller selects the epoll-backed receive pump where the platform
-	// supports it (Linux); otherwise — and by default — each connection
-	// reads on its own goroutine, parked on the runtime netpoller.
-	UsePoller bool
 	// DialTimeout bounds connection establishment per route, including
 	// retries while the peer's listener is still coming up (default 10s).
 	DialTimeout time.Duration
@@ -298,31 +294,21 @@ func (s *sendHalf) Close() { s.ring.Close() }
 
 func (s *sendHalf) CloseWithError(err error) { s.ring.CloseWithError(err) }
 
-// recvHalf is the receiving end: a pump parses frames off the socket into
-// a bounded ring. In goroutine mode the pump is a dedicated reader; in
-// polled mode the epoll poller drives feed() from readiness events.
+// recvHalf is the receiving end: a reader goroutine, parked on the runtime
+// netpoller between reads, parses frames off the socket into a bounded
+// ring.
 type recvHalf struct {
 	ring   *channel.Ring
 	tab    *wire.Table
 	notify *notifier
 
-	mu      sync.Mutex // guards conn/state transitions and polled-mode feeds
+	mu      sync.Mutex // guards conn and stopped
 	conn    net.Conn
-	started bool
 	stopped bool // local Close before or after attach
 
-	// Pump parse state (owned by the pump: the reader goroutine, or the
-	// poller/consumer under mu in polled mode).
-	buf     []byte
-	pending channel.Message // decoded but undelivered (polled mode, ring full)
-	held    bool            // pending holds a message
-	woke    bool            // polled mode: this pump run delivered or closed
-
-	polled  bool
-	poller  *poller
-	stashed atomic.Bool // polled mode: interest disarmed because the ring was full
-	rbuf    []byte
-	polledConn
+	// Parse state, owned by the reader goroutine.
+	buf  []byte
+	rbuf []byte
 }
 
 func newRecvHalf(tab *wire.Table, opts Options, n *notifier) *recvHalf {
@@ -335,31 +321,17 @@ func newRecvHalf(tab *wire.Table, opts Options, n *notifier) *recvHalf {
 }
 
 // attach hands the half its accepted connection plus any bytes the
-// handshake read past the hello frame. p non-nil selects polled mode.
-func (r *recvHalf) attach(conn net.Conn, leftover []byte, p *poller) error {
+// handshake read past the hello frame, and starts its reader.
+func (r *recvHalf) attach(conn net.Conn, leftover []byte) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.stopped {
-		r.mu.Unlock()
 		conn.Close()
-		return nil
+		return
 	}
 	r.conn = conn
-	r.started = true
 	r.buf = append(r.buf, leftover...)
-	if p != nil {
-		r.polled, r.poller = true, p
-		r.mu.Unlock()
-		if err := p.add(conn, r); err != nil {
-			return err
-		}
-		// Drain the handshake leftover (and anything readable) once; the
-		// poller takes over from here.
-		r.pump()
-		return nil
-	}
-	r.mu.Unlock()
 	go r.runReader()
-	return nil
 }
 
 // fail aborts a half whose connection never arrived.
@@ -368,7 +340,7 @@ func (r *recvHalf) fail(err error) {
 	r.notify.wake()
 }
 
-// runReader is the portable pump: blocking reads on a dedicated goroutine
+// runReader is the receive pump: blocking reads on a dedicated goroutine
 // (parked on the runtime netpoller), blocking ring sends for backpressure.
 // The handshake may have read past the hello frame, so whatever it left in
 // r.buf is drained before the first read — a message that arrived glued to
@@ -440,157 +412,13 @@ func (r *recvHalf) drainBlocking() bool {
 	}
 }
 
-func (r *recvHalf) Recv() (channel.Message, error) {
-	m, err := r.ring.Recv()
-	r.drained()
-	return m, err
-}
-func (r *recvHalf) TryRecv() (channel.Message, bool, error) {
-	m, ok, err := r.ring.TryRecv()
-	if ok {
-		r.drained()
-	}
-	return m, ok, err
-}
-func (r *recvHalf) RecvN(dst []channel.Message) (int, error) {
-	n, err := r.ring.RecvN(dst)
-	if n > 0 {
-		r.drained()
-	}
-	return n, err
-}
+func (r *recvHalf) Recv() (channel.Message, error)           { return r.ring.Recv() }
+func (r *recvHalf) TryRecv() (channel.Message, bool, error)  { return r.ring.TryRecv() }
+func (r *recvHalf) RecvN(dst []channel.Message) (int, error) { return r.ring.RecvN(dst) }
 
-// WaitRecv parks on the ring the pump fills: a delivery (or the close a
-// goodbye frame or a dropped connection brings) wakes it. It consumes
-// nothing, so a stashed polled connection stays stashed.
+// WaitRecv parks on the ring the reader fills: a delivery (or the close a
+// goodbye frame or a dropped connection brings) wakes it.
 func (r *recvHalf) WaitRecv(deadline time.Time) error { return r.ring.WaitRecv(deadline) }
-
-// drained re-arms a stashed polled connection: the consumer just freed
-// ring space, so the pump can deliver again.
-func (r *recvHalf) drained() {
-	if r.stashed.CompareAndSwap(true, false) {
-		r.pump()
-	}
-}
-
-// errAgain is the polled pump's "socket drained, wait for readiness".
-var errAgain = errors.New("netchan: read would block")
-
-// pump drives a polled connection: deliver what is decoded, parse what is
-// buffered, read what is ready — stopping without blocking at the first
-// full ring (stash: the consumer re-arms via drained) or dry socket
-// (re-arm epoll interest). Serialised by r.mu against concurrent poller
-// and consumer calls. The notify hook fires once the run is over and r.mu
-// is released: it may run the woken session, whose TryRecv re-enters pump
-// through drained.
-func (r *recvHalf) pump() {
-	r.mu.Lock()
-	r.pumpLocked()
-	wake := r.woke
-	r.woke = false
-	r.mu.Unlock()
-	if wake {
-		r.notify.wake()
-	}
-}
-
-// pumpLocked is pump's body, run with r.mu held. Every delivery and close
-// sets r.woke instead of firing the hook.
-func (r *recvHalf) pumpLocked() {
-	if !r.polled || r.stopped {
-		return
-	}
-	for {
-		switch st := r.drainTry(); st {
-		case pumpDone:
-			r.finishPolled()
-			return
-		case pumpFull:
-			return
-		}
-		n, err := r.readNB()
-		if n > 0 {
-			r.buf = append(r.buf, r.rbuf[:n]...)
-			continue
-		}
-		if err == errAgain {
-			if rerr := r.poller.rearm(r); rerr != nil {
-				r.ring.CloseWithError(rerr)
-				r.finishPolled()
-				r.woke = true
-			}
-			return
-		}
-		r.ring.CloseWithError(readCause(err))
-		r.finishPolled()
-		r.woke = true
-		return
-	}
-}
-
-type pumpState int
-
-const (
-	pumpMore pumpState = iota // buffer exhausted: read again
-	pumpFull                  // ring full: stashed, consumer will re-arm
-	pumpDone                  // goodbye / failure: stream finished
-)
-
-// drainTry is drainBlocking with TrySend delivery: it never blocks the
-// poller thread, and it marks r.woke for pump instead of notifying. A full
-// ring stashes the half (pending holds the decoded message), with a
-// lost-wakeup guard: if the consumer drained between the failed TrySend and
-// the stash, the stash is taken back and delivery retried.
-func (r *recvHalf) drainTry() pumpState {
-	for {
-		if r.held {
-			ok, err := r.ring.TrySend(r.pending)
-			if err != nil {
-				return pumpDone // locally closed
-			}
-			if !ok {
-				r.stashed.Store(true)
-				if r.ring.Len() < r.ring.Cap() && r.stashed.CompareAndSwap(true, false) {
-					continue // consumer drained in the gap: retry
-				}
-				return pumpFull
-			}
-			r.pending, r.held = channel.Message{}, false
-			r.woke = true
-		}
-		f, n, err := r.tab.Parse(r.buf)
-		if errors.Is(err, wire.ErrIncomplete) {
-			return pumpMore
-		}
-		if err != nil {
-			r.ring.CloseWithError(err)
-			r.woke = true
-			return pumpDone
-		}
-		r.buf = append(r.buf[:0], r.buf[n:]...)
-		switch f.Kind {
-		case wire.KindData:
-			r.pending, r.held = channel.Message{Label: f.Label, Value: f.Value}, true
-		case wire.KindGoodbye:
-			r.ring.CloseWithError(f.Cause)
-			r.woke = true
-			return pumpDone
-		default:
-			r.ring.CloseWithError(&wire.FormatError{Reason: "unexpected handshake frame mid-stream"})
-			r.woke = true
-			return pumpDone
-		}
-	}
-}
-
-// finishPolled deregisters a finished polled connection. Assumes r.mu held.
-func (r *recvHalf) finishPolled() {
-	r.stopped = true
-	if r.poller != nil {
-		r.poller.remove(r)
-	}
-	r.conn.Close()
-}
 
 func (r *recvHalf) Send(channel.Message) error {
 	panic("netchan: Send on the receiving end of a network route")
@@ -622,7 +450,7 @@ func (r *recvHalf) closeLocal(cause error) {
 		r.ring.CloseWithError(cause)
 	}
 	if conn != nil {
-		conn.Close() // unblocks the reader; polled conns just error on next feed
+		conn.Close() // unblocks the reader
 	}
 	r.notify.wake()
 }
@@ -678,8 +506,7 @@ func (p *Route) SetNotify(fn func()) { p.n.set(fn) }
 
 // Pipe returns a substrate over an in-memory duplex (net.Pipe): the full
 // wire format and pump structure with no sockets — the loopback used by
-// the contract tests and the chaos network column. net.Pipe conns cannot
-// be polled, so the pipe always uses the goroutine pump.
+// the contract tests and the chaos network column.
 func Pipe(tab *wire.Table, opts Options) *Route {
 	opts = opts.withDefaults()
 	n := &notifier{}
@@ -688,7 +515,7 @@ func Pipe(tab *wire.Table, opts Options) *Route {
 	s := newSendHalf(tab, opts, n)
 	s.attach(c1)
 	r := newRecvHalf(tab, opts, n)
-	r.attach(c2, nil, nil)
+	r.attach(c2, nil)
 	return &Route{send: s, recv: r, n: n}
 }
 

@@ -125,8 +125,8 @@ func TestPipeTryWouldBlock(t *testing.T) {
 // Package-level: wire cause names bind process-wide, so -count>1 reruns
 // must re-register the same sentinels (idempotent) rather than fresh ones.
 var (
-	errFire        = errors.New("netchantest: sensor on fire")
-	errPolledAbort = errors.New("netchantest: polled abort")
+	errFire     = errors.New("netchantest: sensor on fire")
+	errTCPAbort = errors.New("netchantest: tcp abort")
 )
 
 func TestCloseCauseCrossesWire(t *testing.T) {
@@ -300,26 +300,23 @@ func TestFabricUnix(t *testing.T) {
 	testFabricRoundTrip(t, "unix", Options{Buffer: 16, DialTimeout: 5 * time.Second})
 }
 
-// The epoll path: same contract, readiness-driven receive pump. The tiny
-// ring forces the full/stash/re-arm cycle many times over.
-func TestFabricTCPPolled(t *testing.T) {
-	if !pollerSupported {
-		t.Skip("no epoll on this platform")
-	}
-	opts := Options{Buffer: 2, UsePoller: true, DialTimeout: 5 * time.Second}
-	send, recv, _, fq := fabricPair(t, "tcp", opts)
-	if !fq.Polling() {
-		t.Fatal("receiving fabric is not polling")
-	}
+// The receive pump under backpressure, over TCP: a two-slot ring fills,
+// the reader blocks in the ring's Send with the rest of the stream still
+// on the socket, and each slot a TryRecv frees must wake it to deliver the
+// next message. The consumer spins on TryRecv rather than parking in Recv,
+// so only the reader's own wake moves the stream on: a lost one stalls it.
+func TestFabricTCPFullRing(t *testing.T) {
+	opts := Options{Buffer: 2, DialTimeout: 5 * time.Second}
+	send, recv, _, _ := fabricPair(t, "tcp", opts)
 	const n = 300
 	go func() {
 		for i := 0; i < n; i++ {
 			send.Send(channel.Message{Label: "val", Value: int32(i)})
 		}
 	}()
+	ring := recv.(*recvHalf).ring
+	waitFor(t, "receive ring full", func() bool { return ring.Len() == ring.Cap() })
 	for i := 0; i < n; i++ {
-		// TryRecv-with-spin rather than Recv: exercises the stash/re-arm
-		// edge where the consumer drains between poller deliveries.
 		var m channel.Message
 		waitFor(t, fmt.Sprintf("message %d", i), func() bool {
 			got, ok, err := recv.TryRecv()
@@ -335,13 +332,13 @@ func TestFabricTCPPolled(t *testing.T) {
 	}
 }
 
-// A cause crosses real sockets, polled mode included.
-func TestFabricCloseCausePolled(t *testing.T) {
-	cause := errPolledAbort
-	if err := wire.RegisterCause("netchantest/polled-abort", cause); err != nil {
+// A cause crosses real sockets.
+func TestFabricCloseCauseTCP(t *testing.T) {
+	cause := errTCPAbort
+	if err := wire.RegisterCause("netchantest/tcp-abort", cause); err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Buffer: 4, UsePoller: pollerSupported, DialTimeout: 5 * time.Second}
+	opts := Options{Buffer: 4, DialTimeout: 5 * time.Second}
 	send, recv, _, _ := fabricPair(t, "tcp", opts)
 	if err := send.Send(channel.Message{Label: "val", Value: int32(1)}); err != nil {
 		t.Fatal(err)

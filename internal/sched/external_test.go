@@ -277,25 +277,20 @@ func TestExternalRefusedSendWoken(t *testing.T) {
 	}
 }
 
-// pollFabrics builds two connected unix-socket fabrics for roles p and q
-// with the epoll pump on, and returns each role's two halves: p sends on
-// pq and receives on qp, q the reverse. The caller closes the fabrics.
-func pollFabrics(t *testing.T) (fp, fq *netchan.Fabric, pOut, pIn, qOut, qIn channel.Substrate) {
+// unixFabrics builds two connected unix-socket fabrics for roles p and q
+// and returns each role's two halves: p sends on pq and receives on qp, q
+// the reverse. The caller closes the fabrics.
+func unixFabrics(t *testing.T) (fp, fq *netchan.Fabric, pOut, pIn, qOut, qIn channel.Substrate) {
 	t.Helper()
 	var pq types.Local = types.Send{Peer: "q", Branches: []types.Branch{
 		{Label: "val", Sort: types.I32, Cont: types.End{}},
 	}}
-	tab, err := wire.TableFromLocals("schedpolltest", map[types.Role]types.Local{"p": pq})
+	tab, err := wire.TableFromLocals("schednettest", map[types.Role]types.Local{"p": pq})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := netchan.Options{UsePoller: true, DialTimeout: 5 * time.Second}
+	opts := netchan.Options{DialTimeout: 5 * time.Second}
 	fp, fq = netchan.NewFabric("p", tab, opts), netchan.NewFabric("q", tab, opts)
-	if !fp.Polling() || !fq.Polling() {
-		fp.Close()
-		fq.Close()
-		t.Skip("no epoll pump on this platform")
-	}
 	dir := t.TempDir()
 	ap, err := fp.Listen("unix", filepath.Join(dir, "p.sock"))
 	if err != nil {
@@ -392,16 +387,17 @@ func (q *ponger) Step() (bool, error) {
 	return false, nil
 }
 
-// Two GoExternal sessions ping-pong over epoll-pumped unix fabrics. A
-// delivery wakes the parked receiver, which then runs on the poller
-// goroutine that delivered it; the last delivery on each side is followed,
-// in the same visit, by a Close of the half it arrived on, which takes the
-// half's pump lock. A pump that fired its notify hook while holding that
-// lock would deadlock on itself there. The scheduler and fabrics are closed
-// only on success: after a stall their Close would wait on the stuck pump.
-func TestExternalPingPongPolled(t *testing.T) {
+// Two GoExternal sessions ping-pong over unix fabrics. A delivery wakes
+// the parked receiver, which then runs on the reader goroutine that
+// delivered it; the last delivery on each side is followed, in the same
+// visit, by a Close of the half it arrived on, which takes the half's lock
+// and closes the connection that very reader serves. A reader that fired
+// its notify hook while holding that lock would deadlock on itself there.
+// The scheduler and fabrics are closed only on success: after a stall
+// their Close would wait on the stuck reader.
+func TestExternalPingPongCloseInStep(t *testing.T) {
 	const rounds = 1000
-	fp, fq, pOut, pIn, qOut, qIn := pollFabrics(t)
+	fp, fq, pOut, pIn, qOut, qIn := unixFabrics(t)
 	s := New(Options{Workers: 2})
 	done := make(chan error, 2)
 	deadline := time.Now().Add(30 * time.Second)
@@ -424,7 +420,7 @@ func TestExternalPingPongPolled(t *testing.T) {
 				t.Fatal(err)
 			}
 		case <-time.After(20 * time.Second):
-			t.Fatal("polled ping-pong stalled: a pump deadlocked or a wake was lost")
+			t.Fatal("ping-pong stalled: a reader deadlocked or a wake was lost")
 		}
 	}
 	if err := s.Close(); err != nil {

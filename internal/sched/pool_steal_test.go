@@ -190,6 +190,39 @@ func TestSchedNoStealHonoured(t *testing.T) {
 	}
 }
 
+// TestStealAllocatesNothing pins trySteal's scratch: once the thief's
+// slices have grown, moving half of a prepared victim inbox costs no heap
+// allocation, and the scratch keeps no stolen job reachable afterwards. The
+// scheduler is built by hand, with no worker goroutines, so nothing but the
+// call under test touches the inboxes.
+func TestStealAllocatesNothing(t *testing.T) {
+	thief, victim := &worker{}, &worker{}
+	s := &Scheduler{workers: []*worker{thief, victim}}
+	jobs := make([]*job, 8)
+	for i := range jobs {
+		jobs[i] = &job{}
+	}
+	steal := func() {
+		victim.inbox = append(victim.inbox[:0], jobs...)
+		thief.inbox = thief.inbox[:0]
+		if !s.trySteal(thief) {
+			t.Fatal("nothing stolen from a full victim inbox")
+		}
+	}
+	steal() // grow the thief's inbox and scratch
+	if n := testing.AllocsPerRun(100, steal); n != 0 {
+		t.Fatalf("steal: %v allocs/op, want 0", n)
+	}
+	if len(thief.inbox) != len(jobs)/2 || thief.inbox[0].owner.Load() != thief {
+		t.Fatalf("thief holds %d jobs owned by %p, want %d owned by the thief", len(thief.inbox), thief.inbox[0].owner.Load(), len(jobs)/2)
+	}
+	for i, j := range thief.loot[:cap(thief.loot)] {
+		if j != nil {
+			t.Fatalf("scratch slot %d still holds a stolen job", i)
+		}
+	}
+}
+
 // TestSchedPooledBundlesGoHome pins bounded pool memory under stealing:
 // with the spinner pinning one worker (MaxActive 1), every pooled session
 // routed to it is stolen and finishes on the other worker. Its bundle must

@@ -303,6 +303,7 @@ type worker struct {
 	inline   bool // a Waker.Wake is visiting one of this worker's sessions
 
 	active []*job // owned by the worker goroutine
+	loot   []*job // trySteal's scratch, owned by the worker goroutine
 }
 
 // bundle is the per-instance object graph of a session the scheduler
@@ -836,6 +837,9 @@ func (s *Scheduler) run(w *worker) {
 // retargeted under the victim's lock, which is what Waker.Wake's
 // load-lock-recheck loop synchronises against. Jobs in a waiting map
 // (external sessions parked for a Wake) and active jobs are never touched.
+// The jobs cross from one lock to the other in the thief's own scratch
+// slice, which only its worker goroutine calls trySteal with, so a steal
+// allocates nothing once the slice has grown.
 func (s *Scheduler) trySteal(thief *worker) bool {
 	var victim *worker
 	best := 0
@@ -859,9 +863,8 @@ func (s *Scheduler) trySteal(thief *worker) bool {
 		victim.mu.Unlock()
 		return false
 	}
-	loot := make([]*job, n)
 	cut := len(victim.inbox) - n
-	copy(loot, victim.inbox[cut:])
+	loot := append(thief.loot[:0], victim.inbox[cut:]...)
 	for i := cut; i < len(victim.inbox); i++ {
 		victim.inbox[i] = nil
 	}
@@ -874,6 +877,8 @@ func (s *Scheduler) trySteal(thief *worker) bool {
 	thief.mu.Lock()
 	thief.inbox = append(thief.inbox, loot...)
 	thief.mu.Unlock()
+	clear(loot) // the scratch must not keep stolen jobs reachable
+	thief.loot = loot[:0]
 	return true
 }
 
