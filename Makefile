@@ -89,8 +89,9 @@ CODEGEN_BENCH_PKGS ?= ./internal/session ./internal/bench ./internal/codegen
 
 # The multi-session scheduling axis: sessions/sec over the sched worker
 # pool — the forking matrix, the pooled matrix with its steal-on/steal-off
-# ablation and 1M-session row, the zero-alloc steady-state column — against
-# the per-session-goroutines baseline.
+# ablation and 1M-session row, the zero-alloc steady-state columns (one
+# worker, and two workers stealing) — against the per-session-goroutines
+# baseline.
 SCHED_BENCH_PATTERN ?= BenchmarkSchedThroughput|BenchmarkSchedPooledThroughput|BenchmarkSchedPooledSteady|BenchmarkSchedGoroutineBaseline
 SCHED_BENCH_PKGS ?= ./internal/bench
 
@@ -221,6 +222,7 @@ bench-smoke:
 		-expect 'SchedPooledThroughput/sessions=100000/procs=1/steal=off' \
 		-expect 'SchedPooledThroughput/sessions=1000000/procs=1/steal=on' \
 		-expect SchedPooledSteady \
+		-expect SchedPooledSteadySteal \
 		-expect SchedGoroutineBaseline
 	$(GO) run ./cmd/benchcheck -file BENCH_smoke_net.json \
 		-baseline BENCH_net.json \

@@ -117,6 +117,52 @@ func BenchmarkSchedPooledSteady(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "sessions/sec")
 }
 
+// BenchmarkSchedPooledSteadySteal is BenchmarkSchedPooledSteady's sibling
+// with work stealing on: two workers, each stepping one session at a time
+// (MaxActive 1), take bursts of 8 pooled sessions, so every burst leaves
+// overflow in an inbox for the other worker to steal. A stolen session
+// still recycles onto its home worker's free list, so after warm-up the row
+// must read 0 allocs/op and 0 B/op, like the one-worker row.
+func BenchmarkSchedPooledSteadySteal(b *testing.B) {
+	base, err := schedBaseSession()
+	if err != nil {
+		b.Fatal(err)
+	}
+	const burst = 8
+	s := sched.New(sched.Options{Workers: 2, MaxActive: 1, Backlog: burst})
+	defer s.Close()
+	done := make(chan error, burst)
+	onDone := func(err error) { done <- err }
+	run := func(n int) error {
+		for n > 0 {
+			k := min(n, burst)
+			for i := 0; i < k; i++ {
+				if err := s.GoSessionPooled(base, schedSessionBudget, schedStrategy, time.Time{}, onDone); err != nil {
+					return err
+				}
+			}
+			for i := 0; i < k; i++ {
+				if err := <-done; err != nil {
+					return err
+				}
+			}
+			n -= k
+		}
+		return nil
+	}
+	if err := run(1024); err != nil { // warm the pools, the workers' slices and the thieves' scratch
+		b.Fatal(err)
+	}
+	steals := s.Steals()
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := run(b.N); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "sessions/sec")
+	b.ReportMetric(float64(s.Steals()-steals)/float64(b.N), "steals/session")
+}
+
 func BenchmarkSchedGoroutineBaseline(b *testing.B) {
 	for _, n := range schedSessionCounts {
 		if n > 10000 {

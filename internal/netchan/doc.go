@@ -23,7 +23,12 @@
 //
 // The receive pump is one goroutine per connection: blocking reads parked
 // on the Go runtime's netpoller, and blocking sends into the receive ring,
-// so a full ring stops the reads until the consumer frees a slot. Every
+// so a full ring stops the reads until the consumer frees a slot. Reads land
+// straight in the spare capacity of the half's parse buffer, which starts
+// at 512 bytes and doubles while reads fill it (to 64 KiB, or further when
+// one frame needs it), so a route carrying small frames holds a small
+// buffer; the frames of a read are parsed in place and the incomplete tail
+// is moved to the front once per read. Every
 // delivery and close fires the fabric's notify hook, which cmd/sessnet
 // wires to a sched.Waker so sessions parked on ErrWouldBlock are woken by
 // readiness instead of sterile re-polling. A freed send slot fires it only
@@ -56,5 +61,7 @@
 // with retry, matches connections to routes by the wire hello handshake
 // (from-role, to-role, protocol), and hands session.NewCustomNetwork a
 // route maker that builds the send half, receive half, or an inert stub
-// for routes not local to this process.
+// for routes not local to this process. A receive half whose peer has not
+// dialed yet waits on a timer, not a goroutine: the connection's arrival
+// stops it, and if the peer never dials the half fails at DialTimeout.
 package netchan

@@ -151,6 +151,7 @@ func (f *Fabric) bind(from types.Role, conn net.Conn, leftover []byte) {
 	}
 	if r, ok := f.waiting[from]; ok {
 		delete(f.waiting, from)
+		r.dialTimer.Stop()
 		f.mu.Unlock()
 		r.attach(conn, leftover)
 		return
@@ -268,29 +269,22 @@ func (f *Fabric) makeRecv(from types.Role) channel.Substrate {
 		return r
 	}
 	f.waiting[from] = r
-	f.mu.Unlock()
 	// The accept loop will bind the connection when the peer dials; if it
 	// never does, fail the half at the dial deadline so receivers observe
-	// a typed cause instead of blocking forever.
-	go func() {
-		timer := time.NewTimer(f.opts.DialTimeout)
-		defer timer.Stop()
-		select {
-		case <-timer.C:
-		case <-f.closeCh:
-			return
-		}
+	// a typed cause instead of blocking forever. The timer holds no
+	// goroutine while it waits: bind stops it on attach, Close on teardown.
+	r.dialTimer = time.AfterFunc(f.opts.DialTimeout, func() {
 		f.mu.Lock()
-		still := f.waiting[from] == r
+		still := f.waiting[from] == r && !f.closed
 		if still {
 			delete(f.waiting, from)
 		}
-		closed := f.closed
 		f.mu.Unlock()
-		if still && !closed {
+		if still {
 			r.fail(fmt.Errorf("netchan: peer %s never dialed route %s->%s", from, from, f.local))
 		}
-	}()
+	})
+	f.mu.Unlock()
 	return r
 }
 
@@ -308,6 +302,9 @@ func (f *Fabric) Close() {
 	recvs := append([]*recvHalf(nil), f.recvs...)
 	parked := f.parked
 	f.parked = map[types.Role]*parkedConn{}
+	for _, r := range f.waiting {
+		r.dialTimer.Stop()
+	}
 	f.mu.Unlock()
 
 	if ln != nil {

@@ -306,17 +306,28 @@ type recvHalf struct {
 	conn    net.Conn
 	stopped bool // local Close before or after attach
 
-	// Parse state, owned by the reader goroutine.
-	buf  []byte
-	rbuf []byte
+	// dialTimer fails the half if its peer never dials (Fabric.makeRecv);
+	// guarded by the fabric's lock.
+	dialTimer *time.Timer
+
+	// buf holds the bytes read but not yet parsed; reads land in its spare
+	// capacity. Owned by the reader goroutine.
+	buf []byte
 }
+
+// A receive half's read buffer starts at readMin bytes and doubles each
+// time a read fills it, up to readMax; past that it grows only when an
+// unparsed frame fills it, so that the frame fits.
+const (
+	readMin = 512
+	readMax = 64 << 10
+)
 
 func newRecvHalf(tab *wire.Table, opts Options, n *notifier) *recvHalf {
 	return &recvHalf{
 		ring:   channel.NewParkingRing(opts.Buffer),
 		tab:    tab,
 		notify: n,
-		rbuf:   make([]byte, 64<<10),
 	}
 }
 
@@ -352,10 +363,15 @@ func (r *recvHalf) runReader() {
 		r.notify.wake()
 		return
 	}
+	filled := false
 	for {
-		n, err := conn.Read(r.rbuf)
+		if c := cap(r.buf); c < readMin || len(r.buf) == c || filled && c < readMax {
+			r.buf = append(make([]byte, 0, max(2*c, readMin)), r.buf...)
+		}
+		n, err := conn.Read(r.buf[len(r.buf):cap(r.buf)])
+		filled = n == cap(r.buf)-len(r.buf)
 		if n > 0 {
-			r.buf = append(r.buf, r.rbuf[:n]...)
+			r.buf = r.buf[:len(r.buf)+n]
 			if done := r.drainBlocking(); done {
 				conn.Close()
 				r.notify.wake()
@@ -383,19 +399,22 @@ func readCause(err error) error {
 }
 
 // drainBlocking parses every complete frame in r.buf, delivering with
-// blocking ring sends. It reports whether the stream is finished (goodbye,
-// parse failure, or local close).
+// blocking ring sends, then moves the incomplete tail to the front of the
+// buffer. It reports whether the stream is finished (goodbye, parse
+// failure, or local close).
 func (r *recvHalf) drainBlocking() bool {
+	off := 0
 	for {
-		f, n, err := r.tab.Parse(r.buf)
+		f, n, err := r.tab.Parse(r.buf[off:])
 		if errors.Is(err, wire.ErrIncomplete) {
+			r.buf = r.buf[:copy(r.buf, r.buf[off:])]
 			return false
 		}
 		if err != nil {
 			r.ring.CloseWithError(err)
 			return true
 		}
-		r.buf = append(r.buf[:0], r.buf[n:]...)
+		off += n
 		switch f.Kind {
 		case wire.KindData:
 			if r.ring.Send(channel.Message{Label: f.Label, Value: f.Value}) != nil {

@@ -42,7 +42,12 @@
 //     and is what makes the pool actually hit (an unbounded producer
 //     outruns the workers and every enqueue would miss).
 //
-//   - Ready/parked bookkeeping. Within a session, a task that reports
+//   - Ready/parked bookkeeping. A visit makes passes over a session's
+//     tasks. A task whose stepper reports its direction (Directed, as
+//     session.Stepper does) hands off: it is stepped again after each
+//     receive and yields to the next task after a send, so a role acts on
+//     a message as soon as it has it and is not stepped while it waits on a
+//     reply; other steppers take one step per pass. A task that reports
 //     ErrWouldBlock is parked; any sibling progress moves all parked tasks
 //     back to ready. A pass in which no task progresses is sterile, and a
 //     sterile pass is confirmed by one more before anything is decided: a
@@ -68,8 +73,10 @@
 //     cannot starve the rest of its shard.
 //
 //   - Teardown. A task error aborts the session's remaining tasks (their
-//     Abort releases endpoint claims); Close stops intake, drains every
-//     in-flight session to completion and joins the workers.
+//     Abort releases endpoint claims), and so does a panic inside Step,
+//     which one recover barrier per visit turns into a *PanicError; Close
+//     stops intake, drains every in-flight session to completion and joins
+//     the workers.
 //
 // The steppers the runtime provides are session.Stepper (monitored, driven
 // from the verified FSM — see GoSession) and the generated Try* state
@@ -104,9 +111,23 @@ import (
 //   - (true, err): the task faulted; the session fails and its remaining
 //     tasks are aborted.
 //
-// A Stepper is only ever stepped by one goroutine at a time.
+// A Stepper is only ever stepped by one goroutine at a time. One that also
+// implements Directed tells the scheduler which way its last action went,
+// and is stepped in hand-off order (see visit); one that does not is
+// stepped once per pass.
 type Stepper interface {
 	Step() (done bool, err error)
+}
+
+// Directed is implemented by steppers that report the direction of their
+// last committed action: Sent is true after a send and false after a
+// receive. The scheduler steps a task again at once after it receives (a
+// role that has taken its message usually acts again) and moves on to the
+// next task after it sends (a role that has just sent would next wait on a
+// reply its peer has not produced). session.Stepper implements it. The
+// scheduler checks for it once, when it builds the task.
+type Directed interface {
+	Sent() bool
 }
 
 // Aborter is implemented by steppers that hold resources (endpoint claims);
@@ -174,9 +195,10 @@ func (e *TimeoutError) Error() string {
 func (e *TimeoutError) Unwrap() error { return session.ErrTimeout }
 
 // PanicError is a stepper panic converted into a session fault: the worker
-// survives (the panic is recovered in the step loop), the panicking task and
-// its siblings are aborted, and the session's onDone observes this error
-// carrying the recovered value and the stack at the panic site.
+// survives (the panic is recovered by the visit that was stepping it), the
+// panicking task and its siblings are aborted, and the session's onDone
+// observes this error, wrapped with the session and task index, carrying the
+// recovered value and the stack at the panic site.
 type PanicError struct {
 	// Value is the value the stepper panicked with.
 	Value any
@@ -250,8 +272,15 @@ type Scheduler struct {
 // task is one stepper plus its parked/done bookkeeping slot.
 type task struct {
 	s      Stepper
+	dir    Directed // s as a Directed, or nil: one step per pass
 	parked bool
 	done   bool
+}
+
+// newTask wraps st, resolving its direction report once.
+func newTask(st Stepper) *task {
+	d, _ := st.(Directed)
+	return &task{s: st, dir: d}
 }
 
 // job is one session on a worker: its tasks and their ready/parked counts.
@@ -577,7 +606,7 @@ func (s *Scheduler) enqueue(sub submission) error {
 	} else {
 		j = &job{tasks: make([]*task, len(sub.steppers))}
 		for i, st := range sub.steppers {
-			j.tasks[i] = &task{s: st}
+			j.tasks[i] = newTask(st)
 		}
 	}
 	j.id = id
@@ -666,7 +695,7 @@ func newBundle(base, sess *session.Session, maxSteps int, strat func(types.Role)
 	b.steppers = steppers
 	b.job.tasks = make([]*task, len(steppers))
 	for i, st := range steppers {
-		b.job.tasks[i] = &task{s: st}
+		b.job.tasks[i] = newTask(st)
 	}
 	b.job.bundle = b
 	return b, nil
@@ -902,21 +931,6 @@ func (s *Scheduler) wakeOne(self *worker) {
 	}
 }
 
-// stepSafe runs one Step with a recover barrier: a panicking stepper becomes
-// an ordinary task fault (*PanicError) instead of unwinding the worker
-// goroutine and stranding every session sharded onto it. The panicked task
-// is reported not-done, so finish aborts it like any other faulted sibling —
-// releasing its endpoint claim.
-func stepSafe(st Stepper) (done bool, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			done = false
-			err = &PanicError{Value: v, Stack: debug.Stack()}
-		}
-	}()
-	return st.Step()
-}
-
 // stuckRoles lists the roles of a job's not-done tasks, for attributing a
 // deadlock or timeout; steppers that do not expose a Role are skipped.
 func stuckRoles(j *job) []types.Role {
@@ -936,6 +950,15 @@ func stuckRoles(j *job) []types.Role {
 // A pooled job is recycled inside finish and must not be read after a false
 // return.
 //
+// A pass offers every live task a turn. A Directed task's turn hands off:
+// it is stepped again after each receive it commits and ends at its first
+// send, would-block or completion, so a role that has just taken its
+// message acts on it in the same pass and a ping-pong or ring makes no
+// would-blocks in steady state. A task without a direction report takes
+// one step per turn. Either way each role performs its own actions in its
+// own order; only the interleaving of roles changes, which per-role traces
+// do not see.
+//
 // A sterile pass — every live task would-blocks — is confirmed by one more
 // pass before anything is decided: a channel.Faulty route charges its
 // spurious refusal once per message and passes the retry, so after two
@@ -946,52 +969,69 @@ func stuckRoles(j *job) []types.Role {
 // it has neither a deadline nor a Waker (nothing can ever unblock it), and
 // otherwise reports idle, for the caller to park it until its Waker fires
 // or its deadline timer does.
-func (s *Scheduler) visit(j *job) bool {
+//
+// One recover barrier covers the whole visit: a panic inside Step becomes
+// a *PanicError faulting the session, naming the task that was stepping,
+// and the worker survives. Only Step is covered — a panic in onDone (run by
+// finish) still unwinds the goroutine running the visit.
+func (s *Scheduler) visit(j *job) (live bool) {
 	stepped := 0
 	sterile := false
 	j.idle = false
 	// Snapshot before any Try: a Wake arriving anywhere past this point
 	// moves the counter, and park will refuse to park.
 	j.seen = j.wakes.Load()
+	var cur *task // the task inside Step; nil between steps
+	defer func() {
+		if cur != nil {
+			if v := recover(); v != nil {
+				// The task stays not-done, so finish aborts it (releasing
+				// its endpoint claim) along with its siblings.
+				pe := &PanicError{Value: v, Stack: debug.Stack()}
+				live = s.finish(j, fmt.Errorf("sched: session %d task %d: %w", j.id, indexOf(j, cur), pe))
+			}
+		}
+	}()
 	for {
 		progressed := false
 		for _, t := range j.tasks {
-			if t.done || t.parked {
-				continue
-			}
-			if stepped >= s.quantum {
-				return true // quantum exhausted mid-pass; stay active
-			}
-			done, err := stepSafe(t.s)
-			switch {
-			case done:
-				t.done = true
-				j.done++
-				if errors.Is(err, session.ErrStopped) {
-					j.stopped = true
-				} else if err != nil {
-					return s.finish(j, fmt.Errorf("sched: session %d task %d: %w", j.id, indexOf(j, t), err))
+			for again := true; again && !t.done && !t.parked; {
+				if stepped >= s.quantum {
+					return true // quantum exhausted mid-pass; stay active
 				}
-				// Completion is progress: a stop or finish may have
-				// published messages parked siblings wait for.
-				progressed = true
-				j.unparkAll()
-			case err == session.ErrWouldBlock, err != nil && errors.Is(err, session.ErrWouldBlock):
-				// Step returns the bare sentinel; errors.Is runs only for
-				// other errors, so a stepper that wraps it still parks.
-				t.parked = true
-				j.parked++
-			case err != nil:
-				// A stepper returning (false, err) for a real error is out
-				// of contract, and a recovered panic arrives here too; both
-				// fault the session. The task is left not-done so finish
-				// aborts it (releasing its endpoint claim) along with its
-				// siblings.
-				return s.finish(j, fmt.Errorf("sched: session %d task %d: %w", j.id, indexOf(j, t), err))
-			default:
-				stepped++
-				progressed = true
-				j.unparkAll()
+				cur = t
+				done, err := t.s.Step()
+				cur = nil
+				switch {
+				case done:
+					t.done = true
+					j.done++
+					if errors.Is(err, session.ErrStopped) {
+						j.stopped = true
+					} else if err != nil {
+						return s.finish(j, fmt.Errorf("sched: session %d task %d: %w", j.id, indexOf(j, t), err))
+					}
+					// Completion is progress: a stop or finish may have
+					// published messages parked siblings wait for.
+					progressed = true
+					j.unparkAll()
+				case err == session.ErrWouldBlock, err != nil && errors.Is(err, session.ErrWouldBlock):
+					// Step returns the bare sentinel; errors.Is runs only for
+					// other errors, so a stepper that wraps it still parks.
+					t.parked = true
+					j.parked++
+				case err != nil:
+					// A stepper returning (false, err) for a real error is out
+					// of contract and faults the session. The task is left
+					// not-done so finish aborts it (releasing its endpoint
+					// claim) along with its siblings.
+					return s.finish(j, fmt.Errorf("sched: session %d task %d: %w", j.id, indexOf(j, t), err))
+				default:
+					stepped++
+					progressed = true
+					j.unparkAll()
+					again = t.dir != nil && !t.dir.Sent()
+				}
 			}
 		}
 		if j.done == len(j.tasks) {

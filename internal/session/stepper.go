@@ -59,6 +59,7 @@ type Stepper struct {
 	peers    [][]int
 	finished bool
 	claimed  bool // finish releases e's claim (NewStepper); Drive's runs under its caller's
+	sent     bool // the last committed action was a send (Sent)
 }
 
 // ErrForeignMachine is returned by NewStepper when asked to walk a machine
@@ -119,7 +120,7 @@ func (s *Stepper) Reset(strat Strategy, maxSteps int) error {
 		s.e.mon.reset()
 	}
 	s.strat, s.cur, s.steps, s.maxSteps = strat, s.m.Initial(), 0, maxSteps
-	s.pending, s.pendingPayload, s.finished = -1, nil, false
+	s.pending, s.pendingPayload, s.finished, s.sent = -1, nil, false, false
 	return nil
 }
 
@@ -128,6 +129,12 @@ func (s *Stepper) Role() types.Role { return s.e.role }
 
 // Steps returns the number of protocol actions performed so far.
 func (s *Stepper) Steps() int { return s.steps }
+
+// Sent reports whether the last action Step committed was a send: false
+// after a receive and before the first action. The scheduler reads it to
+// hand off (sched.Directed): a role that has just received usually acts
+// again at once, while one that has just sent would next wait on its peer.
+func (s *Stepper) Sent() bool { return s.sent }
 
 // Done reports whether the stepper has finished (completed, faulted,
 // exhausted its budget, or been aborted) and released its endpoint.
@@ -184,6 +191,7 @@ func (s *Stepper) Step() (bool, error) {
 				s.pending, s.pendingPayload = -1, nil
 				s.cur = t.To
 				s.steps++
+				s.sent = true
 			}
 		}
 		return s.settle(err)
@@ -220,6 +228,7 @@ func (s *Stepper) received(ts []fsm.Transition, label types.Label, value any) er
 			s.strat.Received(ts[i].Act, value)
 			s.cur = ts[i].To
 			s.steps++
+			s.sent = false
 			return nil
 		}
 	}

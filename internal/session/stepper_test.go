@@ -387,3 +387,58 @@ func TestSteppersReleaseEarlierClaims(t *testing.T) {
 		st.Abort()
 	}
 }
+
+// TestStepperSentTracksDirection pins the direction report the scheduler
+// hands off on: Sent is true after a committed send, false after a
+// committed receive, unchanged by a would-block, and false again after
+// Reset.
+func TestStepperSentTracksDirection(t *testing.T) {
+	sess := twoAdderSession(t)
+	c, err := sess.Endpoint("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sess.Endpoint("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := NewStepper(c, sess.FSM("c"), &addThenBye{adds: 1}, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := NewStepper(s, sess.FSM("s"), FirstBranch{}, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func(st *Stepper, wantErr error, wantSent bool) {
+		t.Helper()
+		if _, err := st.Step(); err != wantErr {
+			t.Fatalf("role %s: Step = %v, want %v", st.Role(), err, wantErr)
+		}
+		if st.Sent() != wantSent {
+			t.Fatalf("role %s: Sent = %v, want %v", st.Role(), st.Sent(), wantSent)
+		}
+	}
+	if cs.Sent() || ss.Sent() {
+		t.Fatal("Sent is true before any action")
+	}
+	step(cs, nil, true)           // c!add
+	step(cs, nil, true)           // c!num
+	step(cs, ErrWouldBlock, true) // c?sum, not sent yet
+	step(ss, nil, false)          // s?add
+	step(ss, nil, false)          // s?num
+	step(ss, nil, true)           // s!sum
+	step(cs, nil, false)          // c?sum
+	for _, st := range []*Stepper{cs, ss} {
+		st.Abort()
+	}
+	if !sess.Reset() {
+		t.Fatal("Session.Reset declined")
+	}
+	if err := cs.Reset(&addThenBye{adds: 1}, 100); err != nil {
+		t.Fatal(err)
+	}
+	if cs.Sent() {
+		t.Fatal("Sent survived Reset")
+	}
+}
