@@ -1,8 +1,8 @@
 package bench
 
 // This file is the multi-session throughput experiment behind
-// BENCH_sched.json (`make bench-sched`): sessions/sec as a function of the
-// number of concurrent sessions (1 → 100k) and the worker-pool width
+// BENCH_sched.json (`make bench SUITE=sched`): sessions/sec as a function of
+// the number of concurrent sessions (1 → 100k) and the worker-pool width
 // (GOMAXPROCS 1/2/4). Where Fig. 6 measures one session at a time on
 // dedicated goroutines, this axis measures the production shape the ROADMAP
 // asks for — thousands of verified sessions multiplexed over a fixed pool

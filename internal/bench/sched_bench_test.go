@@ -1,8 +1,8 @@
 package bench
 
 // The BENCH_sched.json benchmarks: sessions/sec vs concurrent-session count
-// at several GOMAXPROCS settings (`make bench-sched`). The sched column is
-// the scheduler (fixed worker pool, non-blocking stepping); the goroutines
+// at several GOMAXPROCS settings (`make bench SUITE=sched`). The sched
+// column is the scheduler (fixed worker pool, non-blocking stepping); the goroutines
 // column is the classic 2-goroutines-per-session blocking shape, capped at
 // 10k sessions where its 2n parked goroutines stop being a sensible
 // baseline (100k sessions would park 200k goroutines).

@@ -9,70 +9,6 @@ import (
 // per-interaction rendezvous (Sesh/MultiCrusty cost model) is the mechanism
 // behind the Fig. 6 gaps.
 
-func BenchmarkQueueSendRecv(b *testing.B) {
-	q := NewQueue()
-	m := Message{Label: "value", Value: 42}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		q.Send(m)
-		if _, err := q.Recv(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkQueuePingPong(b *testing.B) {
-	a, bq := NewQueue(), NewQueue()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			m, err := a.Recv()
-			if err != nil {
-				return
-			}
-			bq.Send(m)
-		}
-	}()
-	m := Message{Label: "ping"}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Send(m)
-		if _, err := bq.Recv(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	a.Close()
-	<-done
-}
-
-func BenchmarkRendezvousPingPong(b *testing.B) {
-	a, bq := NewRendezvous(), NewRendezvous()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			m, err := a.Recv()
-			if err != nil {
-				return
-			}
-			bq.Send(m)
-		}
-	}()
-	m := Message{Label: "ping"}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Send(m)
-		if _, err := bq.Recv(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	a.Close()
-	<-done
-}
-
 func BenchmarkPerInteractionAllocation(b *testing.B) {
 	// The Sesh cost model: a fresh channel per interaction.
 	b.ReportAllocs()
@@ -80,17 +16,6 @@ func BenchmarkPerInteractionAllocation(b *testing.B) {
 		r := NewRendezvous()
 		go func() { r.Recv() }()
 		r.Send(Message{Label: "x"})
-	}
-}
-
-func BenchmarkBoundedSendRecv(b *testing.B) {
-	q := NewBounded(64)
-	m := Message{Label: "value", Value: 42}
-	for i := 0; i < b.N; i++ {
-		q.Send(m)
-		if _, err := q.Recv(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

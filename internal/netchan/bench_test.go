@@ -12,8 +12,8 @@ import (
 	"repro/internal/types"
 )
 
-// The network-vs-ring substrate benches behind `make bench-net`: the same
-// send+recv, ping-pong and batched-64 shapes as the channel benches, timed
+// The network-vs-ring substrate benches behind `make bench SUITE=net`: the
+// same send+recv, ping-pong and batched-64 shapes as the channel benches, timed
 // over same-host Unix sockets and loopback TCP against the in-memory
 // RingQueue the session layer wires by default. A network iteration pays
 // the whole pipeline — codec encode, framed write, kernel, framed read,

@@ -15,8 +15,9 @@ import (
 // pipeline's three verification engines pushed to machine sizes the
 // protocol registry never reaches — reflexive subtyping over
 // thousand-state chains, k-MC over thousand-state projected systems, and
-// the AMR search over deep pipelining unrolls. Run via `make bench-check`;
-// bench-smoke gates the allocation columns against the committed snapshot.
+// the AMR search over deep pipelining unrolls. Run via `make bench
+// SUITE=check`; bench-smoke gates the allocation columns against the
+// committed snapshot.
 
 // BenchmarkCheckScale drives core.Check's visited-pair history to its
 // quadratic worst case: a reflexive check of an alternating send/recv

@@ -226,19 +226,6 @@ func TestSchedDeadlineRetriesFaultyRefusal(t *testing.T) {
 	}
 }
 
-// TestSchedOptionsSessionTimeout pins the Options route to the same
-// behaviour: every session enqueued inherits Now+SessionTimeout.
-func TestSchedOptionsSessionTimeout(t *testing.T) {
-	s := New(Options{Workers: 1, SessionTimeout: 20 * time.Millisecond})
-	if err := s.Go(time.Time{}, nil, &roleStepper{role: "dave"}); err != nil {
-		t.Fatal(err)
-	}
-	err := s.Close()
-	if !errors.Is(err, session.ErrTimeout) {
-		t.Fatalf("Options.SessionTimeout session ended with %v, want ErrTimeout", err)
-	}
-}
-
 // TestSchedGoSessionWithDeadline drives a real verified session under a
 // generous deadline (the deadline argument of GoSessionPooled): it must
 // complete cleanly (armed-but-unfired deadlines change nothing observable).

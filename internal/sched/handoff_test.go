@@ -272,12 +272,11 @@ func TestHandOffPanicAfterReceive(t *testing.T) {
 // A panic in onDone is not a stepper fault: it unwinds the goroutine that
 // ran the visit, whether the session finished cleanly or on a recovered
 // Step panic. A Wake runs the visit on the caller's goroutine, where the
-// escape can be observed.
+// escape can be observed. The escape leaves the worker able to take the
+// next inline wake and the job uncounted, so Close returns.
 func TestOnDonePanicEscapes(t *testing.T) {
 	for _, stepPanics := range []bool{false, true} {
 		t.Run(fmt.Sprintf("stepPanics=%v", stepPanics), func(t *testing.T) {
-			// The scheduler is not closed: the escaped panic leaves its
-			// session unfinished.
 			s := New(Options{Workers: 1})
 			release := make(chan struct{})
 			st := stepFunc(func() (bool, error) {
@@ -323,6 +322,20 @@ func TestOnDonePanicEscapes(t *testing.T) {
 			var pe *PanicError
 			if errors.As(outcome, &pe) != stepPanics {
 				t.Fatalf("onDone saw %v with stepPanics=%v", outcome, stepPanics)
+			}
+			w.mu.Lock()
+			inline := w.inline
+			w.mu.Unlock()
+			if inline {
+				t.Fatal("the escaped panic left the worker's inline visit marked running")
+			}
+			// The limit only detects a hang; Close returns at once.
+			closed := make(chan error, 1)
+			go func() { closed <- s.Close() }()
+			select {
+			case <-closed:
+			case <-time.After(10 * time.Second):
+				t.Fatal("Close did not return after the onDone panic")
 			}
 		})
 	}

@@ -83,7 +83,7 @@
 // methods of internal/codegen; anything implementing Stepper schedules the
 // same way. See DESIGN.md, "Non-blocking stepping and the scheduler", for
 // why commit-on-success stepping preserves the Tier-2 safety argument, and
-// EXPERIMENTS.md for the throughput methodology (`make bench-sched`).
+// EXPERIMENTS.md for the throughput methodology (`make bench SUITE=sched`).
 package sched
 
 import (
@@ -173,10 +173,10 @@ func (e *DeadlockError) Error() string {
 func (e *DeadlockError) Unwrap() error { return ErrDeadlock }
 
 // TimeoutError reports a session that exceeded its deadline (the deadline
-// argument of Go, GoExternal or GoSessionPooled, or Options.SessionTimeout)
-// while parked: its deadline timer wakes it and the scheduler abandons it.
-// It unwraps to session.ErrTimeout, the sentinel shared by every deadline
-// expiry in the runtime.
+// argument of Go, GoExternal or GoSessionPooled) while parked: its deadline
+// timer wakes it and the scheduler abandons it. It unwraps to
+// session.ErrTimeout, the sentinel shared by every deadline expiry in the
+// runtime.
 type TimeoutError struct {
 	// Session is the scheduler-wide enqueue sequence number of the session.
 	Session uint64
@@ -216,16 +216,6 @@ type Options struct {
 	// perform per worker visit before the worker rotates to its next
 	// session; 0 means 64.
 	Quantum int
-	// SessionTimeout, when positive, arms a deadline of Now+SessionTimeout on
-	// every session at enqueue (unless the enqueue supplies its own): a
-	// session whose tasks refuse through a confirmed sterile pass parks
-	// until a wake or its deadline timer, and one still parked at its
-	// deadline fails with a *TimeoutError. Without a deadline or a Waker,
-	// a confirmed sterile pass is a *DeadlockError: nothing can unblock
-	// the session (a channel.Faulty refusal has passed by the confirming
-	// pass). A deadline costs a timer per session, so the zero-alloc
-	// steady state is a deadline-free one.
-	SessionTimeout time.Duration
 	// NoSteal disables work stealing: sessions run to completion on the
 	// worker they were placed on, as before the stealing scheduler. The
 	// default (stealing enabled) lets idle workers claim quiescent sessions
@@ -252,8 +242,7 @@ type Options struct {
 type Scheduler struct {
 	workers   []*worker
 	quantum   int
-	timeout   time.Duration // Options.SessionTimeout
-	steal     bool          // work stealing enabled (!Options.NoSteal)
+	steal     bool // work stealing enabled (!Options.NoSteal)
 	maxActive int
 	backlog   int
 	next      atomic.Uint64 // round-robin shard counter; also the session id
@@ -370,7 +359,6 @@ func New(opts Options) *Scheduler {
 	}
 	s := &Scheduler{
 		quantum:   q,
-		timeout:   opts.SessionTimeout,
 		steal:     !opts.NoSteal,
 		maxActive: ma,
 		backlog:   bl,
@@ -410,11 +398,11 @@ func (s *Scheduler) Steals() uint64 { return s.stole.Load() }
 //
 // deadline bounds the session: one still parked when it passes fails with
 // a *TimeoutError (wrapping session.ErrTimeout) naming the session and its
-// stuck roles. A zero deadline takes Options.SessionTimeout, like every
-// enqueue. A deadline also changes the meaning of a confirmed sterile pass
-// (every task would-blocks twice over; see the package comment): with one
-// armed, the session parks until its deadline timer wakes it for a last
-// visit; with none, it fails fast with a *DeadlockError.
+// stuck roles; a zero deadline arms none. A deadline also changes the
+// meaning of a confirmed sterile pass (every task would-blocks twice over;
+// see the package comment): with one armed, the session parks until its
+// deadline timer wakes it for a last visit; with none, it fails fast with a
+// *DeadlockError.
 func (s *Scheduler) Go(deadline time.Time, onDone func(error), steppers ...Stepper) error {
 	return s.enqueue(submission{deadline: deadline, onDone: onDone, steppers: steppers})
 }
@@ -489,14 +477,20 @@ func (k *Waker) Wake() {
 // w.inline), finishes, or — quantum exhausted, or a wake raced the sterile
 // pass — goes to w's inbox for the worker.
 func (s *Scheduler) runInline(w *worker, j *job) {
-	live := s.visit(j)
-	w.mu.Lock()
-	w.inline = false
-	if live && !(j.idle && w.park(j)) {
-		w.inbox = append(w.inbox, j)
-		w.cond.Signal()
-	}
-	w.mu.Unlock()
+	live := false
+	// Deferred so that a panic escaping onDone (visit recovers only Step's)
+	// still clears w.inline on its way to Wake's caller; the session was
+	// finished before onDone ran, so it is not requeued.
+	defer func() {
+		w.mu.Lock()
+		w.inline = false
+		if live && !(j.idle && w.park(j)) {
+			w.inbox = append(w.inbox, j)
+			w.cond.Signal()
+		}
+		w.mu.Unlock()
+	}()
+	live = s.visit(j)
 }
 
 // GoExternal enqueues a session whose progress can come from outside the
@@ -505,9 +499,9 @@ func (s *Scheduler) runInline(w *worker, j *job) {
 // same shard. Sterile quiescence is therefore not a deadlock here — the
 // session parks off the active list until the returned Waker fires (wire
 // its Wake as the transport's notify hook) or the deadline passes, at
-// which point it fails with a *TimeoutError. With a zero deadline (and no
-// Options.SessionTimeout) an un-woken session parks indefinitely: close
-// the transport or arm a deadline for Close/Wait to be able to return.
+// which point it fails with a *TimeoutError. With a zero deadline an
+// un-woken session parks indefinitely: close the transport or arm a
+// deadline for Close/Wait to be able to return.
 func (s *Scheduler) GoExternal(deadline time.Time, onDone func(error), steppers ...Stepper) (*Waker, error) {
 	k := &Waker{s: s}
 	if err := s.enqueue(submission{deadline: deadline, onDone: onDone, steppers: steppers, wake: k}); err != nil {
@@ -570,8 +564,8 @@ type submission struct {
 
 // enqueue is the one submission path: closed check and job count, id and
 // round-robin worker, a Backlog slot and the job for scheduler-built
-// sessions, the deadline (Options.SessionTimeout for a zero one) and its
-// timer, then publication to the worker's inbox.
+// sessions, the deadline and its timer, then publication to the worker's
+// inbox.
 func (s *Scheduler) enqueue(sub submission) error {
 	built := sub.base != nil || sub.sess != nil
 	if !built && len(sub.steppers) == 0 {
@@ -611,9 +605,6 @@ func (s *Scheduler) enqueue(sub submission) error {
 	}
 	j.id = id
 	j.deadline = sub.deadline
-	if j.deadline.IsZero() && s.timeout > 0 {
-		j.deadline = time.Now().Add(s.timeout)
-	}
 	j.onDone = sub.onDone
 	j.owner.Store(w)
 	if sub.wake != nil {
@@ -1135,10 +1126,12 @@ func (s *Scheduler) finish(j *job, err error) bool {
 		home.prodCond.Signal()
 		home.mu.Unlock()
 	}
+	// Deferred so that a panicking onDone still uncounts the job and
+	// Close/Wait can return.
+	defer s.jobs.Done()
 	if onDone != nil {
 		onDone(err)
 	}
-	s.jobs.Done()
 	return false
 }
 
