@@ -18,14 +18,12 @@ import (
 
 var errBoom = errors.New("boom: peer crashed")
 
-// causeSubstrates returns one fresh instance of each of the five
-// substrates, plus the ring whose waits park at once. The bounded ones get
+// causeSubstrates returns one fresh instance of each of the three
+// substrates, plus the ring whose waits park at once. The rings get
 // capacity 2 so fill-up paths are easy to reach.
 func causeSubstrates() map[string]Substrate {
 	return map[string]Substrate{
 		"queue":       NewQueue(),
-		"bounded":     NewBounded(2),
-		"rendezvous":  NewRendezvous(),
 		"ring":        NewRing(2),
 		"parkingring": NewParkingRing(2),
 		"ringqueue":   NewRingQueue(),
@@ -74,17 +72,6 @@ func TestCloseWithErrorCauseVisibleToParkedRecv(t *testing.T) {
 func TestCloseWithErrorCauseVisibleToLaterTrySendAndTryRecv(t *testing.T) {
 	for name, s := range causeSubstrates() {
 		s := s
-		if name == "rendezvous" {
-			// TrySend on a closed Rendezvous panics (native channel
-			// semantics, documented); only the receive side reports the
-			// cause.
-			t.Run(name, func(t *testing.T) {
-				s.CloseWithError(errBoom)
-				_, _, err := s.TryRecv()
-				assertCauseChain(t, err)
-			})
-			continue
-		}
 		t.Run(name, func(t *testing.T) {
 			s.CloseWithError(errBoom)
 			ok, err := s.TrySend(Message{Label: "l"})
@@ -172,9 +159,6 @@ func TestCloseWithErrorFirstCauseWins(t *testing.T) {
 func TestCloseWithErrorDrainThenCause(t *testing.T) {
 	for name, s := range causeSubstrates() {
 		s := s
-		if name == "rendezvous" {
-			continue // unbuffered: nothing to drain
-		}
 		t.Run(name, func(t *testing.T) {
 			if err := s.Send(Message{Label: "v", Value: 1}); err != nil {
 				t.Fatal(err)
@@ -203,7 +187,6 @@ func TestCloseWithErrorCauseUnderConcurrentTraffic(t *testing.T) {
 		"ring":        func() Substrate { return NewRing(4) },
 		"parkingring": func() Substrate { return NewParkingRing(4) },
 		"ringqueue":   func() Substrate { return NewRingQueue() },
-		"bounded":     func() Substrate { return NewBounded(4) },
 		"queue":       func() Substrate { return NewQueue() },
 	} {
 		mk := mk

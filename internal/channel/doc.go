@@ -6,8 +6,6 @@
 //	RingQueue   unbounded  lock-free SPSC     single     asynchronous queue (Rumpsteak) — default
 //	Ring        k          lock-free SPSC     single     k-bounded queue (k-MC execution model)
 //	Queue       unbounded  mutex + cond       multi      asynchronous queue, MPMC baseline
-//	Bounded     k          mutex + cond       multi      k-bounded queue, MPMC baseline
-//	Rendezvous  0          native go channel  multi      synchronous channel (Sesh, MultiCrusty)
 //
 // RingQueue and Ring exploit the session-network invariant that every
 // ordered role pair has exactly one sender and one receiver: their hot path
@@ -16,10 +14,11 @@
 // ring party spins, then yields, then parks, since an in-memory peer
 // usually moves within a yield; a ring built by NewParkingRing parks at
 // once, since its peer is a socket pump (internal/netchan) waiting on I/O,
-// and spinning for it only takes CPU from the sessions. Queue and
-// Bounded remain the mutex-based baselines for comparison (and for callers
-// that need multiple concurrent senders); Rendezvous models the synchronous
-// baselines of the paper's evaluation.
+// and spinning for it only takes CPU from the sessions. Queue remains the
+// mutex-based baseline for comparison (and for callers that need multiple
+// concurrent senders). The synchronous baselines of the paper's evaluation
+// (Sesh, MultiCrusty) are modelled in internal/baseline on native Go
+// channels, not here.
 //
 // All substrates share drain-on-close semantics: after Close, buffered
 // messages are still received in order, then receives return ErrClosed;

@@ -477,14 +477,13 @@ func (r *Ring) CloseWithError(err error) {
 // array. It drains through the normal consumer path (which zeroes slots),
 // so the monotonic head/tail counters stay consistent. Quiescence contract
 // as documented on Resetter.
-func (r *Ring) Reset() bool {
+func (r *Ring) Reset() {
 	for {
 		if _, ok, _ := r.TryRecv(); !ok {
 			break
 		}
 	}
 	r.reopen()
-	return true
 }
 
 // ringSegShift sizes RingQueue segments: 64 messages (2 KiB) each, so the
@@ -507,7 +506,7 @@ type ringSeg struct {
 // RingQueue is an unbounded lock-free SPSC FIFO: the paper's asynchronous
 // queue semantics (Send never blocks) over chained ring segments. It is the
 // default substrate of session networks; see the package comment for how it
-// compares with Queue, Bounded, Ring and Rendezvous.
+// compares with Ring and Queue.
 //
 // Same concurrency contract as Ring: one sender, one receiver, Close from
 // anywhere.
@@ -751,7 +750,7 @@ func (q *RingQueue) CloseWithError(err error) {
 // writes the same slots every run instead of whichever slots it last
 // touched up to a segment ago. Quiescence contract as documented on
 // Resetter.
-func (q *RingQueue) Reset() bool {
+func (q *RingQueue) Reset() {
 	for {
 		if _, ok, _ := q.TryRecv(); !ok {
 			break
@@ -764,7 +763,6 @@ func (q *RingQueue) Reset() bool {
 		q.cachedTail = 0
 	}
 	q.reopen()
-	return true
 }
 
 var (

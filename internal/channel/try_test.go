@@ -49,57 +49,47 @@ func TestTrySendUnboundedNeverFull(t *testing.T) {
 }
 
 func TestTrySendBoundedFullRing(t *testing.T) {
-	for name, mk := range map[string]func(k int) trySubstrate{
-		"ring":    func(k int) trySubstrate { return NewRing(k) },
-		"bounded": func(k int) trySubstrate { return NewBounded(k) },
-	} {
-		const k = 3
-		q := mk(k)
-		for i := 0; i < k; i++ {
-			if ok, err := q.TrySend(msg("x")); !ok || err != nil {
-				t.Fatalf("%s: TrySend %d = (%v, %v), want (true, nil)", name, i, ok, err)
-			}
-		}
-		// Full: refused without error, repeatedly (the probe must not corrupt
-		// producer-side state).
-		for i := 0; i < 10; i++ {
-			if ok, err := q.TrySend(msg("over")); ok || err != nil {
-				t.Fatalf("%s: TrySend on full = (%v, %v), want (false, nil)", name, ok, err)
-			}
-		}
-		// One receive frees exactly one slot.
-		if _, ok, err := q.TryRecv(); !ok || err != nil {
-			t.Fatalf("%s: TryRecv = (%v, %v)", name, ok, err)
-		}
+	const k = 3
+	q := NewRing(k)
+	for i := 0; i < k; i++ {
 		if ok, err := q.TrySend(msg("x")); !ok || err != nil {
-			t.Fatalf("%s: TrySend after one recv = (%v, %v), want (true, nil)", name, ok, err)
+			t.Fatalf("TrySend %d = (%v, %v), want (true, nil)", i, ok, err)
 		}
-		if ok, err := q.TrySend(msg("x")); ok || err != nil {
-			t.Fatalf("%s: TrySend on refull = (%v, %v), want (false, nil)", name, ok, err)
+	}
+	// Full: refused without error, repeatedly (the probe must not corrupt
+	// producer-side state).
+	for i := 0; i < 10; i++ {
+		if ok, err := q.TrySend(msg("over")); ok || err != nil {
+			t.Fatalf("TrySend on full = (%v, %v), want (false, nil)", ok, err)
 		}
+	}
+	// One receive frees exactly one slot.
+	if _, ok, err := q.TryRecv(); !ok || err != nil {
+		t.Fatalf("TryRecv = (%v, %v)", ok, err)
+	}
+	if ok, err := q.TrySend(msg("x")); !ok || err != nil {
+		t.Fatalf("TrySend after one recv = (%v, %v), want (true, nil)", ok, err)
+	}
+	if ok, err := q.TrySend(msg("x")); ok || err != nil {
+		t.Fatalf("TrySend on refull = (%v, %v), want (false, nil)", ok, err)
 	}
 }
 
 func TestTrySendClosedWinsOverFull(t *testing.T) {
-	for name, mk := range map[string]func(k int) trySubstrate{
-		"ring":    func(k int) trySubstrate { return NewRing(k) },
-		"bounded": func(k int) trySubstrate { return NewBounded(k) },
-	} {
-		q := mk(1)
-		if ok, err := q.TrySend(msg("x")); !ok || err != nil {
-			t.Fatalf("%s: fill = (%v, %v)", name, ok, err)
-		}
-		q.Close()
-		if ok, err := q.TrySend(msg("y")); ok || !errors.Is(err, ErrClosed) {
-			t.Fatalf("%s: TrySend on closed+full = (%v, %v), want (false, ErrClosed)", name, ok, err)
-		}
-		// The buffered message still drains.
-		if m, ok, err := q.TryRecv(); !ok || err != nil || m.Value != "x" {
-			t.Fatalf("%s: drain = (%v, %v, %v)", name, m, ok, err)
-		}
-		if _, ok, err := q.TryRecv(); ok || !errors.Is(err, ErrClosed) {
-			t.Fatalf("%s: TryRecv after drain = (%v, %v), want ErrClosed", name, ok, err)
-		}
+	q := NewRing(1)
+	if ok, err := q.TrySend(msg("x")); !ok || err != nil {
+		t.Fatalf("fill = (%v, %v)", ok, err)
+	}
+	q.Close()
+	if ok, err := q.TrySend(msg("y")); ok || !errors.Is(err, ErrClosed) {
+		t.Fatalf("TrySend on closed+full = (%v, %v), want (false, ErrClosed)", ok, err)
+	}
+	// The buffered message still drains.
+	if m, ok, err := q.TryRecv(); !ok || err != nil || m.Value != "x" {
+		t.Fatalf("drain = (%v, %v, %v)", m, ok, err)
+	}
+	if _, ok, err := q.TryRecv(); ok || !errors.Is(err, ErrClosed) {
+		t.Fatalf("TryRecv after drain = (%v, %v), want ErrClosed", ok, err)
 	}
 }
 
@@ -111,7 +101,6 @@ func TestTrySendWhileReceiverParked(t *testing.T) {
 		"ring":      NewRing(2),
 		"ringqueue": NewRingQueue(),
 		"queue":     NewQueue(),
-		"bounded":   NewBounded(2),
 	} {
 		got := make(chan Message, 1)
 		var wg sync.WaitGroup
@@ -147,35 +136,30 @@ func TestTrySendWhileReceiverParked(t *testing.T) {
 // against a full ring observes ErrClosed promptly once any goroutine closes
 // the ring — it can never spin forever against a dead peer.
 func TestTrySendCloseWhileSenderRetrying(t *testing.T) {
-	for name, mk := range map[string]func() trySubstrate{
-		"ring":    func() trySubstrate { return NewRing(1) },
-		"bounded": func() trySubstrate { return NewBounded(1) },
-	} {
-		q := mk()
-		if ok, err := q.TrySend(msg("fill")); !ok || err != nil {
-			t.Fatalf("%s: fill = (%v, %v)", name, ok, err)
-		}
-		done := make(chan error, 1)
-		go func() {
-			// Retry loop: the ring stays full (nobody receives), so the
-			// probe returns (false, nil) until Close flips it to ErrClosed.
-			for {
-				ok, err := q.TrySend(msg("spin"))
-				if err != nil {
-					done <- err
-					return
-				}
-				if ok {
-					done <- nil
-					return
-				}
-				runtime.Gosched()
+	q := NewRing(1)
+	if ok, err := q.TrySend(msg("fill")); !ok || err != nil {
+		t.Fatalf("fill = (%v, %v)", ok, err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		// Retry loop: the ring stays full (nobody receives), so the probe
+		// returns (false, nil) until Close flips it to ErrClosed.
+		for {
+			ok, err := q.TrySend(msg("spin"))
+			if err != nil {
+				done <- err
+				return
 			}
-		}()
-		q.Close()
-		if err := <-done; !errors.Is(err, ErrClosed) {
-			t.Fatalf("%s: retrying TrySend ended with %v, want ErrClosed", name, err)
+			if ok {
+				done <- nil
+				return
+			}
+			runtime.Gosched()
 		}
+	}()
+	q.Close()
+	if err := <-done; !errors.Is(err, ErrClosed) {
+		t.Fatalf("retrying TrySend ended with %v, want ErrClosed", err)
 	}
 }
 
@@ -183,28 +167,23 @@ func TestTrySendCloseWhileSenderRetrying(t *testing.T) {
 // interleaving: a blocking Send parked on a full ring is released by Close
 // with ErrClosed, and the buffered prefix remains receivable.
 func TestCloseWhileBlockedSendAndTryRecvDrain(t *testing.T) {
-	for name, mk := range map[string]func() trySubstrate{
-		"ring":    func() trySubstrate { return NewRing(1) },
-		"bounded": func() trySubstrate { return NewBounded(1) },
-	} {
-		q := mk()
-		if ok, err := q.TrySend(msg("kept")); !ok || err != nil {
-			t.Fatalf("%s: fill = (%v, %v)", name, ok, err)
-		}
-		blocked := make(chan error, 1)
-		go func() {
-			blocked <- q.Send(msg("lost")) // parks: ring is full
-		}()
-		q.Close()
-		if err := <-blocked; !errors.Is(err, ErrClosed) {
-			t.Fatalf("%s: parked Send released with %v, want ErrClosed", name, err)
-		}
-		if m, ok, err := q.TryRecv(); !ok || err != nil || m.Value != "kept" {
-			t.Fatalf("%s: drain after close = (%v, %v, %v)", name, m, ok, err)
-		}
-		if _, ok, err := q.TryRecv(); ok || !errors.Is(err, ErrClosed) {
-			t.Fatalf("%s: post-drain TryRecv = (%v, %v), want ErrClosed", name, ok, err)
-		}
+	q := NewRing(1)
+	if ok, err := q.TrySend(msg("kept")); !ok || err != nil {
+		t.Fatalf("fill = (%v, %v)", ok, err)
+	}
+	blocked := make(chan error, 1)
+	go func() {
+		blocked <- q.Send(msg("lost")) // parks: ring is full
+	}()
+	q.Close()
+	if err := <-blocked; !errors.Is(err, ErrClosed) {
+		t.Fatalf("parked Send released with %v, want ErrClosed", err)
+	}
+	if m, ok, err := q.TryRecv(); !ok || err != nil || m.Value != "kept" {
+		t.Fatalf("drain after close = (%v, %v, %v)", m, ok, err)
+	}
+	if _, ok, err := q.TryRecv(); ok || !errors.Is(err, ErrClosed) {
+		t.Fatalf("post-drain TryRecv = (%v, %v), want ErrClosed", ok, err)
 	}
 }
 
@@ -217,7 +196,6 @@ func TestTrySendRecvStress(t *testing.T) {
 		"ring":      NewRing(4),
 		"ringqueue": NewRingQueue(),
 		"queue":     NewQueue(),
-		"bounded":   NewBounded(4),
 	} {
 		const n = 5000
 		var wg sync.WaitGroup

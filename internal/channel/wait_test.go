@@ -2,7 +2,6 @@ package channel
 
 import (
 	"errors"
-	"runtime"
 	"testing"
 	"time"
 )
@@ -14,15 +13,14 @@ import (
 // faults — at once after a spurious refusal, held on a stall until close or
 // deadline. The package is in `make race`, so these run under -race too.
 
-// waitSubstrates builds each substrate under the wait contract. The bounded
-// ones get capacity 1, so a single message fills them.
+// waitSubstrates builds each substrate under the wait contract. The rings
+// get capacity 1, so a single message fills them.
 func waitSubstrates() map[string]func() Substrate {
 	return map[string]func() Substrate{
 		"ring":        func() Substrate { return NewRing(1) },
 		"parkingring": func() Substrate { return NewParkingRing(1) },
 		"ringqueue":   func() Substrate { return NewRingQueue() },
 		"queue":       func() Substrate { return NewQueue() },
-		"bounded":     func() Substrate { return NewBounded(1) },
 		"faulty":      func() Substrate { return NewFaulty(NewRing(1), FaultPlan{}) },
 	}
 }
@@ -330,61 +328,6 @@ func TestFaultyStallHoldsWaiter(t *testing.T) {
 		}
 		if err := f.WaitSend(far()); !errors.Is(err, ErrInjected) {
 			t.Fatalf("WaitSend after the injected close = %v, want ErrInjected", err)
-		}
-	})
-}
-
-// A rendezvous is ready to send while a receiver is blocked in Recv, and
-// ready to receive while a sender is blocked in Send.
-func TestRendezvousWait(t *testing.T) {
-	t.Run("send", func(t *testing.T) {
-		r := NewRendezvous()
-		done := waitAsync(t, r.WaitSend)
-		got := make(chan Message, 1)
-		go func() {
-			m, _ := r.Recv()
-			got <- m
-		}()
-		if err := <-done; err != nil {
-			t.Fatalf("WaitSend with a blocked receiver = %v", err)
-		}
-		for {
-			if ok, _ := r.TrySend(Message{Label: "v", Value: 3}); ok {
-				break
-			}
-			runtime.Gosched() // the receiver counted itself before it blocked
-		}
-		if m := <-got; m.Value != 3 {
-			t.Fatalf("received %v", m)
-		}
-	})
-	t.Run("recv", func(t *testing.T) {
-		r := NewRendezvous()
-		done := waitAsync(t, r.WaitRecv)
-		go r.Send(Message{Label: "v", Value: 4})
-		if err := <-done; err != nil {
-			t.Fatalf("WaitRecv with a blocked sender = %v", err)
-		}
-		for {
-			if m, ok, _ := r.TryRecv(); ok {
-				if m.Value != 4 {
-					t.Fatalf("received %v", m)
-				}
-				break
-			}
-			runtime.Gosched() // the sender counted itself before it blocked
-		}
-	})
-	t.Run("close", func(t *testing.T) {
-		r := NewRendezvous()
-		done := waitAsync(t, r.WaitRecv)
-		r.CloseWithError(errBoom)
-		assertCauseChain(t, <-done)
-	})
-	t.Run("deadline", func(t *testing.T) {
-		r := NewRendezvous()
-		if err := r.WaitSend(time.Now().Add(10 * time.Millisecond)); err != ErrDeadline {
-			t.Fatalf("WaitSend with no receiver = %v, want ErrDeadline", err)
 		}
 	})
 }

@@ -43,9 +43,6 @@ func twiddle(i, span int) complex128 {
 	return complex(c, s)
 }
 
-// Twiddle exposes the stage twiddle factor for the parallel implementations.
-func Twiddle(i, span int) complex128 { return twiddle(i, span) }
-
 func bitReversePermute(x []complex128) {
 	n := len(x)
 	shift := bits.LeadingZeros(uint(n)) + 1

@@ -1,32 +1,9 @@
 package session
 
 import (
-	"fmt"
-
 	"repro/internal/fsm"
 	"repro/internal/types"
 )
-
-// Branch receives one message from the given role and dispatches on its
-// label, mirroring Rumpsteak's Branch primitive over an external choice.
-// A missing handler is a protocol fault.
-func Branch(e *Endpoint, from types.Role, handlers map[types.Label]func(value any) error) error {
-	label, value, err := e.Receive(from)
-	if err != nil {
-		return err
-	}
-	h, ok := handlers[label]
-	if !ok {
-		return fmt.Errorf("session: role %s has no handler for label %s from %s", e.Role(), label, from)
-	}
-	return h(value)
-}
-
-// Select performs an internal choice, mirroring Rumpsteak's Select
-// primitive. It is Send under a name that makes choice sites explicit.
-func Select(e *Endpoint, to types.Role, label types.Label, value any) error {
-	return e.Send(to, label, value)
-}
 
 // Strategy decides a process's internal choices and payloads when a process
 // is driven directly from its FSM (Drive). Implementations must be
@@ -123,9 +100,8 @@ var (
 // Run/TrySession, which already hold the endpoint. With a deadline armed on
 // the endpoint (SetDeadline) a wait past it fails typed with a
 // *TimeoutError instead of hanging. Like a deadline-armed Send, Drive never
-// blocks in a substrate's Send or Recv, so two Drives never meet on a
-// Rendezvous route. On a monitored endpoint m must be the monitor's
-// machine (ErrForeignMachine otherwise).
+// blocks in a substrate's Send or Recv. On a monitored endpoint m must be
+// the monitor's machine (ErrForeignMachine otherwise).
 func Drive(e *Endpoint, m *fsm.FSM, strat Strategy, maxSteps int) error {
 	st, err := newStepper(e, m, strat, maxSteps)
 	if err != nil {

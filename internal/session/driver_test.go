@@ -10,28 +10,6 @@ import (
 	"repro/internal/types"
 )
 
-func TestBranchAndSelect(t *testing.T) {
-	net := NewNetwork("a", "b")
-	ea, eb := net.Endpoint("a"), net.Endpoint("b")
-	if err := Select(ea, "b", "go", 7); err != nil {
-		t.Fatal(err)
-	}
-	var got int
-	err := Branch(eb, "a", map[types.Label]func(any) error{
-		"go":   func(v any) error { got = v.(int); return nil },
-		"stop": func(any) error { return errors.New("wrong branch") },
-	})
-	if err != nil || got != 7 {
-		t.Fatalf("Branch: %v got=%d", err, got)
-	}
-	// Missing handler faults.
-	ea.Send("b", "mystery", nil)
-	err = Branch(eb, "a", map[types.Label]func(any) error{"go": func(any) error { return nil }})
-	if err == nil {
-		t.Error("missing handler accepted")
-	}
-}
-
 // driveSession runs every role of a verified session via Drive with its own
 // strategy, returning the first error.
 func driveSession(t *testing.T, sess *Session, strats map[types.Role]Strategy, maxSteps int) error {

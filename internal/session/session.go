@@ -264,20 +264,20 @@ func (n *Network) abort(role types.Role, cause error) {
 // Reset restores every route to its fresh-channel state and rearms the
 // abort CAS, so the network can carry a new protocol instance without
 // reallocating — the substrate half of the pooled Fork path. It reports
-// false when any route is not resettable (a non-Resetter substrate, or one
-// whose Reset declined, e.g. a closed Rendezvous); callers then fall back
-// to a fresh network. May only be called at a quiescent point: every
-// endpoint's process has finished or been released, so no route has a
-// concurrent sender or receiver.
+// false when any route is not a channel.Resetter (the Faulty wrapper, a
+// netchan half); callers then fall back to a fresh network. May only be
+// called at a quiescent point: every endpoint's process has finished or
+// been released, so no route has a concurrent sender or receiver.
 func (n *Network) Reset() bool {
 	for _, q := range n.routes {
 		if q == nil {
 			continue
 		}
 		r, ok := q.(channel.Resetter)
-		if !ok || !r.Reset() {
+		if !ok {
 			return false
 		}
+		r.Reset()
 	}
 	n.aborted.Store(false)
 	return true

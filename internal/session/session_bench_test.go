@@ -74,6 +74,15 @@ func BenchmarkNetworkPingPong(b *testing.B) {
 					}
 				}
 			}()
+			// One untimed round trip first: the ring routes allocate their
+			// first segment on first use, a one-time cost that would
+			// dominate B/op at smoke length (-benchtime 2x).
+			if err := ea.Send("b", "ping", nil); err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := ea.Receive("b"); err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -102,14 +111,18 @@ func BenchmarkNetworkSendRecvN(b *testing.B) {
 			const run = 64
 			values := make([]any, run)
 			dst := make([]any, run)
-			// One untimed batch first: the routes grow their buffers on
-			// first use, a one-time cost that would dominate B/op at smoke
-			// length (-benchtime 2x).
-			if err := ea.SendN("b", "v", values); err != nil {
-				b.Fatal(err)
-			}
-			if err := eb.ReceiveN("a", "v", dst); err != nil {
-				b.Fatal(err)
+			// Two untimed batches first: the routes grow their buffers on
+			// first use, and a run fills a ring segment exactly, so the
+			// second batch allocates the next one; from the third on, the
+			// drained segment is recycled. Timed, those one-time costs
+			// would dominate B/op at smoke length (-benchtime 2x).
+			for i := 0; i < 2; i++ {
+				if err := ea.SendN("b", "v", values); err != nil {
+					b.Fatal(err)
+				}
+				if err := eb.ReceiveN("a", "v", dst); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -169,7 +182,17 @@ func BenchmarkSessionSendRecvDeadline(b *testing.B) {
 				ea.SetDeadline(far)
 				eb.SetDeadline(far)
 			}
+			// One untimed round first, so B/op counts neither the setup
+			// above nor the route's first segment, which would dominate it
+			// at smoke length (-benchtime 2x).
+			if err := ea.Send("b", "ping", 0); err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := eb.Receive("a"); err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := ea.Send("b", "ping", i); err != nil {
 					b.Fatal(err)

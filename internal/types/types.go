@@ -303,17 +303,6 @@ func Unfold(t Local) Local {
 	}
 }
 
-// UnfoldGlobal is Unfold for global types.
-func UnfoldGlobal(g Global) Global {
-	for {
-		r, ok := g.(GRec)
-		if !ok {
-			return g
-		}
-		g = SubstGlobal(r.Body, r.Name, r)
-	}
-}
-
 // SubstGlobal substitutes repl for every free occurrence of name in g.
 func SubstGlobal(g Global, name string, repl Global) Global {
 	switch g := g.(type) {
@@ -365,31 +354,6 @@ func freeVars(t Local, bound, out map[string]bool) {
 	case Recv:
 		for _, b := range t.Branches {
 			freeVars(b.Cont, bound, out)
-		}
-	}
-}
-
-// FreeVarsGlobal returns the free recursion variables of g, sorted.
-func FreeVarsGlobal(g Global) []string {
-	set := map[string]bool{}
-	freeVarsGlobal(g, map[string]bool{}, set)
-	return sortedKeys(set)
-}
-
-func freeVarsGlobal(g Global, bound, out map[string]bool) {
-	switch g := g.(type) {
-	case GEnd:
-	case GVar:
-		if !bound[g.Name] {
-			out[g.Name] = true
-		}
-	case GRec:
-		inner := copyBoolMap(bound)
-		inner[g.Name] = true
-		freeVarsGlobal(g.Body, inner, out)
-	case Comm:
-		for _, b := range g.Branches {
-			freeVarsGlobal(b.Cont, bound, out)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"errors"
-	"sort"
 	"sync"
 )
 
@@ -40,15 +39,6 @@ func RegisterCause(name string, sentinel error) error {
 	causeReg.m[name] = sentinel
 	causeReg.names = append(causeReg.names, name)
 	return nil
-}
-
-// RegisteredCauses returns the registered cause names, sorted.
-func RegisteredCauses() []string {
-	causeReg.RLock()
-	out := append([]string(nil), causeReg.names...)
-	causeReg.RUnlock()
-	sort.Strings(out)
-	return out
 }
 
 // EncodeCause flattens a close cause for the goodbye frame: the first
