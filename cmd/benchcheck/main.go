@@ -81,10 +81,11 @@ var suites = []suite{
 		pkgs:  []string{"./internal/session", "./internal/bench", "./internal/codegen"}},
 	// Sessions/sec over the worker pool: the forking matrix, the pooled
 	// matrix with its steal-on/steal-off ablation and 1M-session row, the
-	// zero-alloc steady columns (one worker; two workers stealing), and the
+	// zero-alloc steady columns (one worker; two workers stealing), the
+	// resident bytes of parked pooled instances, and the
 	// per-session-goroutines baseline.
 	{name: "sched",
-		bench:  `^Benchmark(SchedThroughput|SchedPooledThroughput|SchedPooledSteady|SchedPooledSteadySteal|SchedGoroutineBaseline)$`,
+		bench:  `^Benchmark(SchedThroughput|SchedPooledThroughput|SchedPooledSteady|SchedPooledSteadySteal|SchedPooledResident|SchedGoroutineBaseline)$`,
 		pkgs:   []string{"./internal/bench"},
 		metric: "sessions/sec"},
 	// One message, a round trip and a 64-message batch over Unix sockets

@@ -44,10 +44,18 @@ func schedBaseSession() (*session.Session, error) {
 const schedStreamValues = 8
 
 // valuesThenStop drives the streaming source: it answers the sink's readys
-// with schedStreamValues values, then stop.
-type valuesThenStop struct{ sent int }
+// with schedStreamValues values, then stop. A non-nil hold makes its first
+// choice wait until hold is closed (NewPooledScheduler's pool fill);
+// ResetStrategy clears it.
+type valuesThenStop struct {
+	sent int
+	hold <-chan struct{}
+}
 
 func (v *valuesThenStop) Choose(_ fsm.State, options []fsm.Transition) int {
+	if v.hold != nil {
+		<-v.hold
+	}
 	want := types.Label("stop")
 	if v.sent < schedStreamValues {
 		want = "value"
@@ -74,7 +82,7 @@ func (v *valuesThenStop) Received(fsm.Action, any) {}
 // throughput runs rewind the source's send counter in place instead of
 // allocating a fresh strategy per recycled instance — a requirement for the
 // zero-alloc steady state.
-func (v *valuesThenStop) ResetStrategy() { v.sent = 0 }
+func (v *valuesThenStop) ResetStrategy() { v.sent, v.hold = 0, nil }
 
 // schedStrategy returns the per-role strategy of one benchmark session.
 func schedStrategy(r types.Role) session.Strategy {
@@ -113,45 +121,78 @@ func SchedThroughput(workers, n int) (int, error) {
 	return n, nil
 }
 
+// pooledBacklog is the pooled rows' admission cap per worker: the
+// scheduler's default, set explicitly because NewPooledScheduler fills
+// exactly this many instances per worker.
+const pooledBacklog = 1024
+
+// NewPooledScheduler starts the scheduler the pooled rows run on and fills
+// its free lists: every worker ends up holding exactly pooledBacklog
+// recycled instances of the streaming base. That is the most a worker ever
+// builds (a pool miss needs every instance it built to be in flight, and
+// Backlog caps those), so the runs measured afterwards build none and
+// their allocs/op is the recycle path's alone, whatever the interleaving
+// of producer and workers. The fill enqueues pooledBacklog sessions per
+// worker whose source holds its first choice until all are admitted: none
+// can finish, so every admission is a miss and no producer call blocks.
+func NewPooledScheduler(workers int, noSteal bool) (*sched.Scheduler, error) {
+	base, err := schedBaseSession()
+	if err != nil {
+		return nil, err
+	}
+	s := sched.New(sched.Options{Workers: workers, NoSteal: noSteal, Backlog: pooledBacklog})
+	release := make(chan struct{})
+	held := func(r types.Role) session.Strategy {
+		if r == "s" {
+			return &valuesThenStop{hold: release}
+		}
+		return session.FirstBranch{}
+	}
+	for i := 0; i < workers*pooledBacklog; i++ {
+		if err := s.GoSessionPooled(base, schedSessionBudget, held, time.Time{}, nil); err != nil {
+			close(release)
+			s.Close()
+			return nil, fmt.Errorf("bench: filling the pool, session %d: %w", i, err)
+		}
+	}
+	close(release)
+	if err := s.Wait(); err != nil {
+		s.Close()
+		return nil, fmt.Errorf("bench: filling the pool (%d workers): %w", workers, err)
+	}
+	// Two untimed runs over the full pool, so whatever else grows on
+	// first use (the workers' active lists, the runtime's wait queues) has
+	// grown before timing.
+	for i := 0; i < 2; i++ {
+		if _, err := SchedThroughputPooled(s, 4*workers*pooledBacklog); err != nil {
+			s.Close()
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
 // SchedThroughputPooled is SchedThroughput over the scheduler's pooled
-// enqueue path (sched.GoSessionPooled): instead of forking a fresh instance
-// per session, finished instances are recycled from per-worker free lists,
-// and the bounded Backlog admission keeps resident memory flat — this is
-// the path that holds sessions/sec level from 10k to 1M concurrent
-// sessions. noSteal disables work stealing for the ablation column; the
-// payload protocol, strategies and budgets are identical to
-// SchedThroughput, so the two columns are directly comparable.
-func SchedThroughputPooled(workers, n int, noSteal bool) (int, error) {
+// enqueue path (sched.GoSessionPooled) on s, a scheduler from
+// NewPooledScheduler: instead of forking a fresh instance per session,
+// finished instances are recycled from per-worker free lists, and the
+// bounded Backlog admission keeps resident memory flat — this is the path
+// that holds sessions/sec level from 10k to 1M concurrent sessions. It
+// returns once all n sessions have finished. The payload protocol,
+// strategies and budgets are identical to SchedThroughput, so the two
+// columns are directly comparable.
+func SchedThroughputPooled(s *sched.Scheduler, n int) (int, error) {
 	base, err := schedBaseSession()
 	if err != nil {
 		return 0, err
 	}
-	s := sched.New(sched.Options{Workers: workers, NoSteal: noSteal})
-	// First-failure capture without taking the error's address: &err in the
-	// callback would heap-allocate the parameter on every invocation and
-	// poison the zero-alloc steady state this function demonstrates.
-	var mu sync.Mutex
-	var failed error
-	onDone := func(err error) {
-		if err != nil {
-			mu.Lock()
-			if failed == nil {
-				failed = err
-			}
-			mu.Unlock()
-		}
-	}
 	for i := 0; i < n; i++ {
-		if err := s.GoSessionPooled(base, schedSessionBudget, schedStrategy, time.Time{}, onDone); err != nil {
-			s.Close()
+		if err := s.GoSessionPooled(base, schedSessionBudget, schedStrategy, time.Time{}, nil); err != nil {
 			return 0, fmt.Errorf("bench: pooled sched session %d: %w", i, err)
 		}
 	}
-	if err := s.Close(); err != nil {
-		return 0, fmt.Errorf("bench: pooled sched run (%d sessions, %d workers, noSteal=%v): %w", n, workers, noSteal, err)
-	}
-	if failed != nil {
-		return 0, fmt.Errorf("bench: pooled sched run: session failed: %w", failed)
+	if err := s.Wait(); err != nil {
+		return 0, fmt.Errorf("bench: pooled sched run (%d sessions): %w", n, err)
 	}
 	return n, nil
 }

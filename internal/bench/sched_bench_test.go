@@ -14,6 +14,8 @@ import (
 	"time"
 
 	"repro/internal/sched"
+	"repro/internal/session"
+	"repro/internal/types"
 )
 
 // schedSessionCounts is the session-count axis (1 → 100k).
@@ -65,10 +67,15 @@ func BenchmarkSchedPooledThroughput(b *testing.B) {
 				name := fmt.Sprintf("sessions=%d/procs=%d/steal=%s", n, procs, stealName(noSteal))
 				b.Run(name, func(b *testing.B) {
 					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					s, err := NewPooledScheduler(procs, noSteal)
+					if err != nil {
+						b.Fatal(err)
+					}
+					defer s.Close()
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						if _, err := SchedThroughputPooled(procs, n, noSteal); err != nil {
+						if _, err := SchedThroughputPooled(s, n); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -190,12 +197,111 @@ func TestSchedThroughputSmall(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		for _, noSteal := range []bool{false, true} {
-			if _, err := SchedThroughputPooled(workers, 64, noSteal); err != nil {
+			s, err := NewPooledScheduler(workers, noSteal)
+			if err != nil {
 				t.Fatalf("workers=%d noSteal=%v: %v", workers, noSteal, err)
+			}
+			if _, err := SchedThroughputPooled(s, 64); err != nil {
+				t.Fatalf("workers=%d noSteal=%v: %v", workers, noSteal, err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatalf("workers=%d noSteal=%v: Close: %v", workers, noSteal, err)
 			}
 		}
 	}
 	if _, err := SchedGoroutineBaseline(32); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// residentBudget is the resident-footprint target per parked two-role
+// streaming instance on the pooled layout, in bytes (ROADMAP item 2).
+const residentBudget = 1536
+
+// BenchmarkSchedPooledResident is the resident-footprint row: 10k streaming
+// instances parked mid-protocol on the layout the pooled scheduler forks
+// (parkResident). B/session is the live heap they hold after a GC, and
+// allocs/session the allocations it took to build them; the row fails above
+// residentBudget. sessions/sec is the build-and-park rate, the metric every
+// sched row carries.
+func BenchmarkSchedPooledResident(b *testing.B) {
+	const n = 10000
+	b.Run(fmt.Sprintf("sessions=%d", n), func(b *testing.B) {
+		b.ReportAllocs()
+		var bytes, allocs float64
+		for i := 0; i < b.N; i++ {
+			parked, by, al, err := parkResident(n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			runtime.KeepAlive(parked)
+			bytes, allocs = by, al
+		}
+		if bytes > residentBudget {
+			b.Fatalf("%.0f B per parked session, budget %d", bytes, residentBudget)
+		}
+		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "sessions/sec")
+		b.ReportMetric(bytes, "B/session")
+		b.ReportMetric(allocs, "allocs/session")
+	})
+}
+
+// TestSchedPooledResidentBudget is the tier-1 pin of the resident row: a
+// parked streaming instance on the pooled layout holds at most
+// residentBudget bytes of live heap.
+func TestSchedPooledResidentBudget(t *testing.T) {
+	parked, bytes, allocs, err := parkResident(5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(parked)
+	if bytes > residentBudget {
+		t.Fatalf("%.0f B (%.1f allocations) per parked session, budget %d B", bytes, allocs, residentBudget)
+	}
+}
+
+// residentSession is one parked instance of the resident row: the pooled
+// fork and its steppers, as a scheduler bundle holds them between visits.
+type residentSession struct {
+	sess     *session.Session
+	steppers []*session.Stepper
+}
+
+// residentPasses is how many stepping passes each parked instance has
+// taken: enough that both of its routes have carried a message.
+const residentPasses = 4
+
+// parkResident forks n instances of the streaming base the way the pooled
+// scheduler does (Session.ForkLocal), claims their steppers and steps each
+// role residentPasses times, leaving every instance mid-protocol. It
+// returns the instances with the live heap and the allocation count they
+// added, per instance, measured after a GC on each side.
+func parkResident(n int) ([]residentSession, float64, float64, error) {
+	base, err := schedBaseSession()
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	parked := make([]residentSession, n)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range parked {
+		inst := base.ForkLocal()
+		steppers, err := inst.Steppers(schedStrategy, func(types.Role) int { return schedSessionBudget })
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		for pass := 0; pass < residentPasses; pass++ {
+			for _, st := range steppers {
+				if _, err := st.Step(); err != nil && err != session.ErrWouldBlock {
+					return nil, 0, 0, err
+				}
+			}
+		}
+		parked[i] = residentSession{sess: inst, steppers: steppers}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perSession := func(a, b uint64) float64 { return (float64(a) - float64(b)) / float64(n) }
+	return parked, perSession(after.HeapAlloc, before.HeapAlloc), perSession(after.Mallocs, before.Mallocs), nil
 }

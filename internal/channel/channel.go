@@ -44,8 +44,9 @@ func (e *CloseError) Is(target error) bool { return target == ErrClosed }
 // Substrate is the full per-route channel contract the session runtimes
 // build networks from: both directions of the non-blocking algebra, the
 // deadline-bounded wait between its probes, and teardown with and without a
-// cause. All three substrates (Queue, Ring, RingQueue) and the Faulty
-// wrapper implement it.
+// cause. All four substrates (Queue, Ring, RingQueue, Local) and the Faulty
+// wrapper implement it. Local meets it for one owner only: its WaitRecv on
+// an empty route returns only on a close or at the deadline.
 type Substrate interface {
 	Sender
 	Receiver
@@ -100,7 +101,7 @@ type Receiver interface {
 // the substrate — the session runtimes guarantee this by resetting only
 // networks whose every endpoint has finished or been released.
 //
-// Queue, Ring and RingQueue are Resetters. The Faulty wrapper and
+// Queue, Ring, RingQueue and Local are Resetters. The Faulty wrapper and
 // network-backed routes are not: they cannot be reopened once closed, and
 // a network containing one simply falls back to a fresh allocation.
 type Resetter interface {

@@ -5,7 +5,8 @@ import (
 )
 
 // Micro-benchmarks for the communication substrates: the lock-free SPSC
-// rings against the mutex MPMC queue. The synchronous cost model behind the
+// rings against the mutex MPMC queue and, on one goroutine, the
+// single-owner Local. The synchronous cost model behind the
 // Fig. 6 gaps (Sesh, MultiCrusty: a fresh channel per interaction) lives in
 // internal/baseline on native Go channels.
 
@@ -27,17 +28,30 @@ func substrates(k int) map[string]func() substrate {
 
 // BenchmarkSendRecv is the same-goroutine hot path: one send immediately
 // consumed. It isolates per-operation substrate cost with no scheduling.
+// The single-owner Local runs here only: its one owner cannot ping-pong
+// with a second goroutine.
 func BenchmarkSendRecv(b *testing.B) {
-	for name, mk := range substrates(64) {
+	mks := substrates(64)
+	mks["local"] = func() substrate { return NewLocal() }
+	for name, mk := range mks {
 		b.Run(name, func(b *testing.B) {
 			q := mk()
 			m := Message{Label: "value", Value: 42}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
+			round := func() {
 				q.Send(m)
 				if _, err := q.Recv(); err != nil {
 					b.Fatal(err)
 				}
+			}
+			// One untimed round first: the queues allocate their buffer or
+			// first segment on first use, a one-time cost that, with the
+			// construction above, would dominate B/op at smoke length
+			// (-benchtime 2x).
+			round()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				round()
 			}
 		})
 	}

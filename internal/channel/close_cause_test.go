@@ -18,7 +18,7 @@ import (
 
 var errBoom = errors.New("boom: peer crashed")
 
-// causeSubstrates returns one fresh instance of each of the three
+// causeSubstrates returns one fresh instance of each of the four
 // substrates, plus the ring whose waits park at once. The rings get
 // capacity 2 so fill-up paths are easy to reach.
 func causeSubstrates() map[string]Substrate {
@@ -27,6 +27,7 @@ func causeSubstrates() map[string]Substrate {
 		"ring":        NewRing(2),
 		"parkingring": NewParkingRing(2),
 		"ringqueue":   NewRingQueue(),
+		"local":       NewLocal(),
 	}
 }
 
@@ -222,6 +223,65 @@ func TestCloseWithErrorCauseUnderConcurrentTraffic(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLocalCloseWhileOwnerProbes is the concurrent-close test for the
+// single-owner substrate, whose sends and receives never run on two
+// goroutines at once: the owner probes with TrySend and TryRecv, letting a
+// backlog build so the buffer grows, while another goroutine closes with
+// cause. Under -race this pins that Close touches only the shared close
+// state. The owner sees its messages in order, and the close error — the
+// full cause chain — only once it has drained them, on both probes.
+func TestLocalCloseWhileOwnerProbes(t *testing.T) {
+	const most = 1000 // sends per run; later probes only receive
+	for iter := 0; iter < 50; iter++ {
+		q := NewLocal()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			sent, got := 0, 0
+			for {
+				if sent < most {
+					if ok, err := q.TrySend(Message{Label: "v", Value: sent}); ok {
+						sent++
+					} else {
+						assertCauseChain(t, err)
+						break
+					}
+					if sent%3 == 0 {
+						continue
+					}
+				}
+				m, ok, err := q.TryRecv()
+				if err != nil {
+					if got != sent {
+						t.Errorf("TryRecv reported %v with %d messages buffered", err, sent-got)
+					}
+					break
+				}
+				if ok {
+					if m.Value != got {
+						t.Errorf("got %v, want %d", m.Value, got)
+						return
+					}
+					got++
+				}
+			}
+			for ; got < sent; got++ {
+				if m, ok, err := q.TryRecv(); !ok || err != nil || m.Value != got {
+					t.Errorf("drain %d of %d = (%v, %v, %v)", got, sent, m, ok, err)
+					return
+				}
+			}
+			_, _, err := q.TryRecv()
+			assertCauseChain(t, err)
+			_, err = q.TrySend(Message{Label: "v"})
+			assertCauseChain(t, err)
+		}()
+		runtime.Gosched()
+		q.CloseWithError(errBoom)
+		<-done
 	}
 }
 

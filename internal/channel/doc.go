@@ -5,6 +5,7 @@
 //	---------   ------     -------            ---------  -----------------------
 //	RingQueue   unbounded  lock-free SPSC     single     asynchronous queue (Rumpsteak) — default
 //	Ring        k          lock-free SPSC     single     k-bounded queue (k-MC execution model)
+//	Local       unbounded  none (one owner)   single     asynchronous queue, both ends on one goroutine
 //	Queue       unbounded  mutex + cond       multi      asynchronous queue, MPMC baseline
 //
 // RingQueue and Ring exploit the session-network invariant that every
@@ -16,9 +17,16 @@
 // once, since its peer is a socket pump (internal/netchan) waiting on I/O,
 // and spinning for it only takes CPU from the sessions. Queue remains the
 // mutex-based baseline for comparison (and for callers that need multiple
-// concurrent senders). The synchronous baselines of the paper's evaluation
-// (Sesh, MultiCrusty) are modelled in internal/baseline on native Go
-// channels, not here.
+// concurrent senders). Local drops the SPSC publication too: it is the
+// route of a session whose sender and receiver are stepped by the same
+// goroutine at a time — the scheduler's pooled instances
+// (session.Session.ForkLocal) — so its hot path is a plain slot write and
+// counter bump, with no padding and no wake; only its close state is shared,
+// so Close stays safe from any goroutine. With one owner no send can arrive
+// while it waits, so its WaitRecv returns only on a close or at the
+// deadline, and no role on a goroutine of its own may run over it. The
+// synchronous baselines of the paper's evaluation (Sesh, MultiCrusty) are
+// modelled in internal/baseline on native Go channels, not here.
 //
 // All substrates share drain-on-close semantics: after Close, buffered
 // messages are still received in order, then receives return ErrClosed;

@@ -5,22 +5,23 @@ import (
 	"testing"
 )
 
-// This file pins Reset on the two SPSC substrates the pooled scheduler
-// recycles: a reset route behaves exactly like a fresh one — FIFO across
-// segment boundaries, a clean close state for the next cause — and
-// recycling it allocates nothing.
+// This file pins Reset on the substrates the pooled scheduler recycles: a
+// reset route behaves exactly like a fresh one — FIFO across segment
+// boundaries (buffer growth, for the single-owner Local), a clean close
+// state for the next cause — and recycling it allocates nothing.
 
 // resettable is the surface the Reset tests drive.
 type resettable interface {
-	ringLike
+	Substrate
 	Resetter
-	CloseWithError(error)
+	Len() int
 }
 
 func resetVariants() map[string]func() resettable {
 	return map[string]func() resettable{
 		"ring":      func() resettable { return NewRing(2 * ringSegLen) },
 		"ringqueue": func() resettable { return NewRingQueue() },
+		"local":     func() resettable { return NewLocal() },
 	}
 }
 

@@ -25,6 +25,7 @@ func TestTrySendUnboundedNeverFull(t *testing.T) {
 	for name, q := range map[string]trySubstrate{
 		"queue":     NewQueue(),
 		"ringqueue": NewRingQueue(),
+		"local":     NewLocal(),
 	} {
 		for i := 0; i < 1000; i++ {
 			ok, err := q.TrySend(msg("x"))

@@ -2,6 +2,7 @@ package sched_test
 
 import (
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -179,6 +180,119 @@ func TestStealAblationTraceEquivalence(t *testing.T) {
 					c.entry.Name, r, ref, off)
 			}
 		}
+	}
+}
+
+// pooledTrace is a trace recorder the pooled path can recycle: on a pool
+// hit the scheduler rewinds it (ResetStrategy) instead of asking the
+// factory, and it then records into a fresh trace registered with the run
+// being submitted. Both the factory and ResetStrategy run on the
+// submitting goroutine, inside GoSessionPooled.
+type pooledTrace struct {
+	role    types.Role
+	pending *map[types.Role]*equiv.TraceStrategy // the run being submitted
+	resets  *int
+	*equiv.TraceStrategy
+}
+
+func (p *pooledTrace) ResetStrategy() {
+	*p.resets++
+	p.TraceStrategy = &equiv.TraceStrategy{}
+	(*p.pending)[p.role] = p.TraceStrategy
+}
+
+// spinStepper performs an action on every Step until released, so its job
+// holds a worker's one active slot (MaxActive 1) and every session placed
+// on that worker must be stolen to run.
+type spinStepper struct{ release *atomic.Bool }
+
+func (s spinStepper) Step() (bool, error) { return s.release.Load(), nil }
+
+// TestPooledTraceEquivalence is the trace property on the scheduler's
+// pooled instances, which run on single-owner routes (Session.ForkLocal):
+// every registry protocol runs several times per base through
+// GoSessionPooled, with stealing on, one active session per worker and a
+// quantum of one action, so sessions migrate mid-protocol and later rounds
+// run on recycled (Reset) instances. A spinner pins one worker, so the
+// sessions placed there are always stolen. Each run's per-role traces must
+// equal the sequential reference run's under the same uniform action cap:
+// the roles are deterministic and talk over FIFO routes, so the traces at
+// quiescence do not depend on the interleaving. The second pass arms a
+// far-off deadline on every session, which takes the deadline-timer path
+// through admission, finish and recycling. Under -race (make race) this is
+// also the check that the single-owner routes are only ever handed between
+// goroutines through the scheduler's locks.
+func TestPooledTraceEquivalence(t *testing.T) {
+	const maxCap, rounds = 40, 6
+	type cut struct {
+		entry protocols.Entry
+		base  *session.Session
+		ref   map[types.Role][]string
+	}
+	var cuts []*cut
+	for _, e := range protocols.Registry() {
+		base := entrySession(t, e)
+		_, ref := referenceRun(t, e, base, maxCap)
+		cuts = append(cuts, &cut{entry: e, base: base, ref: ref})
+	}
+	for _, armed := range []bool{false, true} {
+		name := "nodeadline"
+		if armed {
+			name = "deadline"
+		}
+		t.Run(name, func(t *testing.T) {
+			s := sched.New(sched.Options{Workers: 4, Quantum: 1, MaxActive: 1})
+			release := &atomic.Bool{}
+			if err := s.Go(time.Time{}, nil, spinStepper{release: release}); err != nil {
+				t.Fatalf("Go spinner: %v", err)
+			}
+			var pending map[types.Role]*equiv.TraceStrategy
+			resets := 0
+			strat := func(r types.Role) session.Strategy {
+				p := &pooledTrace{role: r, pending: &pending, resets: &resets, TraceStrategy: &equiv.TraceStrategy{}}
+				pending[r] = p.TraceStrategy
+				return p
+			}
+			var deadline time.Time
+			if armed {
+				deadline = time.Now().Add(time.Hour)
+			}
+			for round := 0; round < rounds; round++ {
+				done := make(chan error, len(cuts))
+				onDone := func(err error) { done <- err }
+				runs := make([]map[types.Role]*equiv.TraceStrategy, len(cuts))
+				for i, c := range cuts {
+					pending = map[types.Role]*equiv.TraceStrategy{}
+					runs[i] = pending
+					if err := s.GoSessionPooled(c.base, maxCap, strat, deadline, onDone); err != nil {
+						t.Fatalf("%s round %d: GoSessionPooled: %v", c.entry.Name, round, err)
+					}
+				}
+				for range cuts {
+					if err := <-done; err != nil {
+						t.Fatalf("round %d: %v", round, err)
+					}
+				}
+				for i, c := range cuts {
+					for r, ref := range c.ref {
+						if got := runs[i][r].Trace(); !reflect.DeepEqual(ref, got) {
+							t.Errorf("%s/%s round %d: pooled trace diverges from reference:\n ref:    %v\n pooled: %v",
+								c.entry.Name, r, round, ref, got)
+						}
+					}
+				}
+			}
+			release.Store(true)
+			if err := s.Close(); err != nil {
+				t.Fatalf("scheduler: %v", err)
+			}
+			if resets == 0 {
+				t.Error("no strategy was rewound: no pooled instance was recycled")
+			}
+			if s.Steals() == 0 {
+				t.Error("no session was stolen")
+			}
+		})
 	}
 }
 

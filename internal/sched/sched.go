@@ -35,12 +35,15 @@
 //     graph — forked session, network, routes, endpoints, monitors,
 //     steppers, job and task records — through per-worker free lists keyed
 //     by the base session, so scheduler steady state allocates nothing per
-//     session-run (the Session.Reset/Stepper.Reset reuse path). Admission
-//     is bounded: Options.Backlog caps each worker's in-flight sessions
-//     built by the scheduler (GoSession, GoSessionPooled), and those calls
-//     block until a slot frees, which both bounds memory at any concurrency
-//     and is what makes the pool actually hit (an unbounded producer
-//     outruns the workers and every enqueue would miss).
+//     session-run (the Session.Reset/Stepper.Reset reuse path). Its forks
+//     run on single-owner routes (Session.ForkLocal, channel.Local) when
+//     the base is on the default network: one worker at a time steps both
+//     ends. Admission is bounded: Options.Backlog caps each worker's
+//     in-flight sessions built by the scheduler (GoSession,
+//     GoSessionPooled), and those calls block until a slot frees, which
+//     both bounds memory at any concurrency and is what makes the pool
+//     actually hit (an unbounded producer outruns the workers and every
+//     enqueue would miss).
 //
 //   - Ready/parked bookkeeping. A visit makes passes over a session's
 //     tasks. A task whose stepper reports its direction (Directed, as
@@ -531,6 +534,12 @@ func (s *Scheduler) GoSession(sess *session.Session, maxSteps int, strat func(ty
 // forking fresh only on a pool miss or when the substrate declines to
 // reset. In steady state the call allocates nothing.
 //
+// The forks are Session.ForkLocal's: the scheduler steps both ends of each
+// route, one worker at a time, so a base on the default network gets
+// single-owner routes (channel.Local) with no cross-core publication. A
+// base Rewired onto another substrate (a k-bounded ring, channel.Faulty, a
+// socket) forks on that substrate, as with Fork.
+//
 // Strategies are pooled too: a recycled instance's strategies are rewound
 // in place when they implement session.StrategyResetter, and only otherwise
 // replaced via strat (which then allocates). For a zero-alloc steady state,
@@ -623,6 +632,14 @@ func (s *Scheduler) enqueue(sub submission) error {
 		j.timer = time.AfterFunc(time.Until(j.deadline), k.Wake)
 	}
 	w.mu.Lock()
+	if sub.base != nil && cap(w.inbox) < 2*s.backlog+2 {
+		// The first pooled session sizes the inbox for the most that
+		// scheduler-built sessions can fill it to, so the pooled steady
+		// state never grows it: a worker holds at most Backlog of its own
+		// and steals only when empty, at most half a victim's inbox, so an
+		// inbox never exceeds 2×Backlog+2 (nor a steal Backlog+1).
+		w.inbox = append(make([]*job, 0, 2*s.backlog+2), w.inbox...)
+	}
 	w.inbox = append(w.inbox, j)
 	w.cond.Signal()
 	w.mu.Unlock()
@@ -653,7 +670,7 @@ func (s *Scheduler) admit(w *worker, sub submission) (*bundle, error) {
 	if b == nil {
 		sess := sub.sess
 		if sub.base != nil {
-			sess = sub.base.Fork()
+			sess = sub.base.ForkLocal()
 			s.built.Add(1)
 		}
 		var err error
@@ -884,6 +901,12 @@ func (s *Scheduler) trySteal(thief *worker) bool {
 		return false
 	}
 	cut := len(victim.inbox) - n
+	if cap(thief.loot) < n {
+		// Grown at once to the most a steal from this victim can take,
+		// not step by step: with a pooled victim's inbox (see enqueue)
+		// that is the largest steal there will be.
+		thief.loot = make([]*job, 0, (cap(victim.inbox)+1)/2)
+	}
 	loot := append(thief.loot[:0], victim.inbox[cut:]...)
 	for i := cut; i < len(victim.inbox); i++ {
 		victim.inbox[i] = nil

@@ -123,6 +123,9 @@ type route = channel.Substrate
 //     execution model, with backpressure at exactly k messages.
 //   - NewQueueNetwork: unbounded mutex queues (channel.Queue) — the MPMC
 //     baseline the rings are benchmarked against.
+//   - Session.ForkLocal: unbounded single-owner queues (channel.Local) for
+//     an instance whose roles are all stepped by one goroutine at a time —
+//     the scheduler's pooled instances.
 //
 // The SPSC networks rely on the session discipline for their single-producer
 // single-consumer contract: route (a, b) is written only by a's process and
@@ -134,6 +137,7 @@ type Network struct {
 	roles  []types.Role
 	index  map[types.Role]int // nil for small networks (linear scan wins)
 	routes []route            // row-major: routes[from*len(roles)+to]; nil diagonal
+	locals []channel.Local    // the routes' backing array on a single-owner network (newLocalNetwork)
 
 	aborted atomic.Bool // a cause-carrying teardown already ran
 
@@ -170,6 +174,20 @@ func NewBoundedNetwork(k int, roles ...types.Role) *Network {
 // respect the SPSC discipline of the built-in networks if it is lock-free.
 func NewCustomNetwork(mk func() channel.Substrate, roles ...types.Role) *Network {
 	return newNetwork(roles, mk)
+}
+
+// newLocalNetwork creates a network of single-owner routes
+// (channel.Local), all in one block: the network of an instance whose every
+// role is stepped by one goroutine at a time (Session.ForkLocal).
+func newLocalNetwork(roles ...types.Role) *Network {
+	locals := make([]channel.Local, len(roles)*(len(roles)-1))
+	i := 0
+	n := newNetwork(roles, func() route {
+		i++
+		return &locals[i-1]
+	})
+	n.locals = locals
+	return n
 }
 
 // internThreshold is the role count above which the interner uses a map;
@@ -269,17 +287,27 @@ func (n *Network) abort(role types.Role, cause error) {
 // called at a quiescent point: every endpoint's process has finished or
 // been released, so no route has a concurrent sender or receiver.
 func (n *Network) Reset() bool {
-	for _, q := range n.routes {
-		if q == nil {
-			continue
+	if n.locals != nil {
+		// A single-owner network: every route is a channel.Local, reset
+		// directly, with no per-route type assertion.
+		for i := range n.locals {
+			n.locals[i].Reset()
 		}
-		r, ok := q.(channel.Resetter)
-		if !ok {
-			return false
+	} else {
+		for _, q := range n.routes {
+			if q == nil {
+				continue
+			}
+			r, ok := q.(channel.Resetter)
+			if !ok {
+				return false
+			}
+			r.Reset()
 		}
-		r.Reset()
 	}
-	n.aborted.Store(false)
+	if n.aborted.Load() {
+		n.aborted.Store(false)
+	}
 	return true
 }
 
@@ -836,10 +864,14 @@ type Session struct {
 	roles []types.Role
 	fsms  map[types.Role]*fsm.FSM
 	peers map[types.Role][][]int
-	mk    func(roles ...types.Role) *Network // substrate constructor; Fork reuses it
+	// mk is the substrate constructor Rewire installed, which Fork reuses;
+	// nil while the session runs on the default network.
+	mk func(roles ...types.Role) *Network
 
-	mu  sync.Mutex
-	eps map[types.Role]*Endpoint // memoized monitored endpoints
+	mu sync.Mutex
+	// eps memoizes the monitored endpoints, indexed like roles; nil until
+	// the first Endpoint call.
+	eps []*Endpoint
 }
 
 // TopDown builds a session via the top-down workflow (Fig. 1a): the global
@@ -920,7 +952,7 @@ func newSession(fsms map[types.Role]*fsm.FSM) *Session {
 	for r, m := range fsms {
 		peers[r] = routePlan(m, roles)
 	}
-	return &Session{net: NewNetwork(roles...), roles: roles, fsms: fsms, peers: peers, mk: NewNetwork}
+	return &Session{net: NewNetwork(roles...), roles: roles, fsms: fsms, peers: peers}
 }
 
 // routePlan resolves a machine's routes against a network's role order:
@@ -971,16 +1003,38 @@ func (s *Session) FSM(role types.Role) *fsm.FSM { return s.fsms[role] }
 
 // Fork returns a fresh instance of the same verified protocol: the machines
 // (and the verification they passed) are shared, the network and endpoints
-// are new. The fork runs on the same substrate as its parent — a session
-// Rewired onto, say, a k-bounded network forks k-bounded instances. This is
-// the cheap way to run N concurrent copies of one protocol — verify once,
-// fork per session — and is what the internal/sched throughput benchmarks
-// and examples/manysessions do at 10⁴–10⁵ sessions.
-func (s *Session) Fork() *Session {
+// are new. The fork runs on the same substrate as its parent — the default
+// ring network (channel.RingQueue routes), or what the parent was Rewired
+// onto: a session Rewired onto, say, a k-bounded network forks k-bounded
+// instances. This is the cheap way to run N concurrent copies of one
+// protocol — verify once, fork per session — and is what the internal/sched
+// throughput benchmarks and examples/manysessions do at 10⁴–10⁵ sessions.
+func (s *Session) Fork() *Session { return s.forkOr(NewNetwork) }
+
+// ForkLocal is Fork for an instance whose roles are all stepped by one
+// goroutine at a time — the scheduler's pooled instances
+// (sched.GoSessionPooled), handed between workers only whole and under a
+// lock. A fork of a session on the default network then gets single-owner
+// routes (channel.Local): no padding, no atomic publication, no wake on
+// send, and a few hundred bytes per instance instead of a few kilobytes.
+// Such an instance must never run a role on a goroutine of its own
+// (Session.Run, Drive): a Local route has no cross-goroutine hand-off, so
+// a receive waiting on another goroutine's send would wait for ever. A
+// Rewired session forks on its own substrate, exactly as Fork does, so a
+// k-bounded, fault-injecting or socket-backed base keeps its meaning.
+func (s *Session) ForkLocal() *Session { return s.forkOr(newLocalNetwork) }
+
+// forkOr returns a new instance of s on the substrate Rewire installed, or
+// on a network built by def when s runs on the default one.
+func (s *Session) forkOr(def func(roles ...types.Role) *Network) *Session {
 	s.mu.Lock()
 	mk := s.mk
 	s.mu.Unlock()
-	return &Session{net: mk(s.roles...), roles: s.roles, fsms: s.fsms, peers: s.peers, mk: mk}
+	build := def
+	if mk != nil {
+		build = mk
+	}
+	return &Session{net: build(s.roles...), roles: s.roles, fsms: s.fsms, peers: s.peers, mk: mk}
 }
 
 // Reset restores a finished (or aborted) instance for reuse: every route of
@@ -994,17 +1048,18 @@ func (s *Session) Fork() *Session {
 // It reports false when the substrate cannot be reused (see Network.Reset);
 // the instance is then dead and the caller forks a fresh one. May only be
 // called at a quiescent point: no endpoint of this instance is claimed, no
-// operation in flight. The scheduler's pooled path (sched.GoSessionPooled)
-// guarantees this by recycling an instance only after its job finished
-// cleanly.
+// operation in flight, and no concurrent Endpoint or Rewire call — so it
+// reads the network and the endpoints without taking the session's lock.
+// The scheduler's pooled path (sched.GoSessionPooled) guarantees this by
+// recycling an instance only after its job finished cleanly.
 func (s *Session) Reset() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if !s.net.Reset() {
 		return false
 	}
 	for _, ep := range s.eps {
-		ep.deadline = time.Time{}
+		if ep != nil {
+			ep.deadline = time.Time{}
+		}
 	}
 	return true
 }
@@ -1018,9 +1073,13 @@ func (s *Session) Endpoint(role types.Role) (*Endpoint, error) {
 	if !ok {
 		return nil, fmt.Errorf("session: unknown role %s", role)
 	}
+	i := slices.Index(s.roles, role)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if ep, ok := s.eps[role]; ok {
+	if s.eps == nil {
+		s.eps = make([]*Endpoint, len(s.roles))
+	}
+	if ep := s.eps[i]; ep != nil {
 		return ep, nil
 	}
 	mon := NewMonitor(m)
@@ -1029,10 +1088,7 @@ func (s *Session) Endpoint(role types.Role) (*Endpoint, error) {
 	}
 	ep := &Endpoint{role: role, net: s.net, mon: mon}
 	ep.resolveRoutes()
-	if s.eps == nil {
-		s.eps = make(map[types.Role]*Endpoint)
-	}
-	s.eps[role] = ep
+	s.eps[i] = ep
 	return ep, nil
 }
 

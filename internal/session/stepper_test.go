@@ -3,7 +3,9 @@ package session
 import (
 	"errors"
 	"testing"
+	"time"
 
+	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/fsm"
 	"repro/internal/types"
@@ -142,6 +144,63 @@ func TestForkPreservesSubstrate(t *testing.T) {
 	}
 	if err := a.TrySendMsg("b", "v", nil); !errors.Is(err, ErrWouldBlock) {
 		t.Fatalf("second send on a forked 1-bounded route: %v, want ErrWouldBlock", err)
+	}
+}
+
+// TestForkLocalRoutes pins which forks get single-owner routes: ForkLocal
+// of a session on the default network builds channel.Local routes, Fork of
+// it keeps channel.RingQueue, and a Rewired session forks on its own
+// substrate either way. A Local fork recycles through Session.Reset, which
+// also clears the endpoints' deadlines.
+func TestForkLocalRoutes(t *testing.T) {
+	g := types.MustParseGlobal("mu t.a->b:v.t")
+	sess, err := TopDown(g, nil, core.Options{})
+	if err != nil {
+		t.Fatalf("TopDown: %v", err)
+	}
+	routeOf := func(s *Session) channel.Substrate {
+		t.Helper()
+		q, err := s.net.queue("a", "b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	if _, ok := routeOf(sess.Fork()).(*channel.RingQueue); !ok {
+		t.Errorf("Fork of a default session: route %T, want *channel.RingQueue", routeOf(sess.Fork()))
+	}
+	local := sess.ForkLocal()
+	if _, ok := routeOf(local).(*channel.Local); !ok {
+		t.Errorf("ForkLocal of a default session: route %T, want *channel.Local", routeOf(local))
+	}
+	a, err := local.Endpoint("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.SetDeadline(time.Now().Add(time.Hour))
+	if err := a.TrySendMsg("b", "v", nil); err != nil {
+		t.Fatalf("send on a Local fork: %v", err)
+	}
+	local.Abort(errors.New("boom"))
+	if !local.Reset() {
+		t.Fatal("Reset declined a Local fork")
+	}
+	if !a.Deadline().IsZero() {
+		t.Error("Reset kept the endpoint's deadline")
+	}
+	if q := routeOf(local).(*channel.Local); q.Len() != 0 {
+		t.Errorf("Reset left %d messages on the route", q.Len())
+	}
+	a.mon.reset()
+	if err := a.TrySendMsg("b", "v", nil); err != nil {
+		t.Fatalf("send on the reset fork: %v", err)
+	}
+
+	sess.Rewire(func(roles ...types.Role) *Network { return NewBoundedNetwork(1, roles...) })
+	for name, fork := range map[string]*Session{"Fork": sess.Fork(), "ForkLocal": sess.ForkLocal()} {
+		if _, ok := routeOf(fork).(*channel.Ring); !ok {
+			t.Errorf("%s of a Rewired session: route %T, want *channel.Ring", name, routeOf(fork))
+		}
 	}
 }
 
