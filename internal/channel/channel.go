@@ -43,9 +43,10 @@ func (e *CloseError) Is(target error) bool { return target == ErrClosed }
 
 // Substrate is the full per-route channel contract the session runtimes
 // build networks from: both directions of the non-blocking algebra, the
-// deadline-bounded wait between its probes, and teardown with and without a
-// cause. All four substrates (Queue, Ring, RingQueue, Local) and the Faulty
-// wrapper implement it. Local meets it for one owner only: its WaitRecv on
+// deadline-bounded wait between its probes, the blocking Send and Recv
+// composed of the two (the package functions Send and Recv), and teardown
+// with and without a cause. All four substrates (Queue, Ring, RingQueue,
+// Local) and the Faulty wrapper implement it. Local meets it for one owner only: its WaitRecv on
 // an empty route returns only on a close or at the deadline.
 type Substrate interface {
 	Sender
@@ -62,12 +63,15 @@ type Substrate interface {
 
 // Sender is the output half of a channel.
 type Sender interface {
+	// Send blocks until the message is accepted or the substrate is
+	// closed. Every substrate's Send is the package function Send with no
+	// deadline: TrySend, and WaitSend between refused probes.
 	Send(Message) error
 	// TrySend returns immediately; ok reports whether the message was
 	// accepted. The contract mirrors Receiver.TryRecv: (true, nil) on
 	// success, (false, nil) when the substrate is full (retry after the
 	// peer makes progress), (false, ErrClosed) once closed. Substrates
-	// that never fill (Queue, RingQueue) never report (false, nil);
+	// that never fill (Queue, RingQueue, Local) never report (false, nil);
 	// their TrySend fails only with ErrClosed.
 	TrySend(Message) (ok bool, err error)
 	// WaitSend parks until a TrySend is worth retrying — the substrate
@@ -75,7 +79,7 @@ type Sender interface {
 	// the substrate is closed, returning the close error; or until deadline
 	// passes, returning ErrDeadline. A zero deadline waits without bound.
 	// It sends nothing, and a would-block TrySend followed by WaitSend is
-	// how a deadline-armed sender waits: parked on the substrate, woken by
+	// how every blocking sender waits: parked on the substrate, woken by
 	// the receiver's progress, not polling.
 	WaitSend(deadline time.Time) error
 }
@@ -83,7 +87,8 @@ type Sender interface {
 // Receiver is the input half of a channel.
 type Receiver interface {
 	// Recv blocks until a message is available or the channel is closed and
-	// drained.
+	// drained. Every substrate's Recv is the package function Recv with no
+	// deadline: TryRecv, and WaitRecv between empty probes.
 	Recv() (Message, error)
 	// TryRecv returns immediately; ok reports whether a message was taken.
 	TryRecv() (msg Message, ok bool, err error)
@@ -109,18 +114,55 @@ type Resetter interface {
 }
 
 // BatchSender is implemented by substrates that can publish a run of
-// messages with amortised synchronisation. SendN sends all of ms in order
-// and returns how many were sent (short only on ErrClosed).
+// messages with amortised synchronisation. TrySendN is TrySend for a run:
+// it never blocks, sends the longest prefix of ms that fits, in order, with
+// one publication, and returns its length — 0 with a nil error while the
+// substrate is full, and the close error once it is closed. A caller that
+// must move the whole run waits with WaitSend between probes.
 type BatchSender interface {
-	SendN(ms []Message) (int, error)
+	TrySendN(ms []Message) (int, error)
 }
 
 // BatchReceiver is implemented by substrates that can consume a run of
-// messages with amortised synchronisation. RecvN blocks until at least one
-// message is available, fills dst with up to len(dst) messages, and returns
-// how many.
+// messages with amortised synchronisation. TryRecvN is TryRecv for a run:
+// it never blocks, fills dst with up to len(dst) buffered messages in one
+// consumption, and returns how many — 0 with a nil error while the
+// substrate is empty, and the close error once it is closed and drained. A
+// caller that must wait for a message does so with WaitRecv.
 type BatchReceiver interface {
-	RecvN(dst []Message) (int, error)
+	TryRecvN(dst []Message) (int, error)
+}
+
+// Send is the one blocking send: it probes s with TrySend and, while the
+// probe is refused, parks in WaitSend until a retry is worth it, returning
+// nil once the message is accepted; the close error once s is closed; or
+// ErrDeadline once deadline passes, with nothing sent. A zero deadline
+// waits without bound. Every substrate's Send method is this call with a
+// zero deadline, so blocking and non-blocking callers meet the same code
+// and the same faults.
+func Send(s Sender, m Message, deadline time.Time) error {
+	for {
+		if ok, err := s.TrySend(m); ok || err != nil {
+			return err
+		}
+		if err := s.WaitSend(deadline); err != nil {
+			return err
+		}
+	}
+}
+
+// Recv is Send's receiving twin: TryRecv, and WaitRecv between empty
+// probes. It returns the next message; the close error once r is closed
+// and drained; or ErrDeadline once deadline passes, with nothing consumed.
+func Recv(r Receiver, deadline time.Time) (Message, error) {
+	for {
+		if m, ok, err := r.TryRecv(); ok || err != nil {
+			return m, err
+		}
+		if err := r.WaitRecv(deadline); err != nil {
+			return Message{}, err
+		}
+	}
 }
 
 // Queue is an unbounded FIFO. Send never blocks; Recv blocks until a message
@@ -154,37 +196,23 @@ func (q *Queue) lockedCond() *sync.Cond {
 	return q.cond
 }
 
-// Send appends m. It never blocks. It broadcasts rather than signals: a
-// WaitRecv caller may be among the woken, and it does not take the message.
-func (q *Queue) Send(m Message) error {
+// Send appends m. It never blocks.
+func (q *Queue) Send(m Message) error { return Send(q, m, time.Time{}) }
+
+// Recv removes and returns the oldest message, blocking while empty.
+func (q *Queue) Recv() (Message, error) { return Recv(q, time.Time{}) }
+
+// TrySend appends m. The queue is unbounded, so it only fails when closed.
+// It broadcasts rather than signals: several WaitRecv callers may be parked,
+// and a wait takes no message.
+func (q *Queue) TrySend(m Message) (bool, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
-		return q.closeErr()
+		return false, q.closeErr()
 	}
 	q.buf = append(q.buf, m)
 	q.lockedCond().Broadcast()
-	return nil
-}
-
-// Recv removes and returns the oldest message, blocking while empty.
-func (q *Queue) Recv() (Message, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.head >= len(q.buf) && !q.closed {
-		q.lockedCond().Wait()
-	}
-	if q.head >= len(q.buf) {
-		return Message{}, q.closeErr()
-	}
-	return q.pop(), nil
-}
-
-// TrySend appends m. The queue is unbounded, so it only fails when closed.
-func (q *Queue) TrySend(m Message) (bool, error) {
-	if err := q.Send(m); err != nil {
-		return false, err
-	}
 	return true, nil
 }
 

@@ -9,17 +9,19 @@ import (
 )
 
 // This file pins the close-with-cause contract on every substrate: a party
-// blocked in a blocking Recv, a later TrySend, and a SendN cut mid-batch all
-// observe a *CloseError that (a) still satisfies errors.Is(err, ErrClosed) —
-// the plain-close contract — and (b) unwraps to the root cause supplied to
-// CloseWithError. Plain Close keeps returning the bare ErrClosed, and the
-// first cause wins over later closes. Run under -race (make race), these
-// tests also pin that the cause publication happens-before its observation.
+// blocked in a blocking Recv, a later TrySend, and a batch send cut
+// mid-batch all observe a *CloseError that (a) still satisfies
+// errors.Is(err, ErrClosed) — the plain-close contract — and (b) unwraps to
+// the root cause supplied to CloseWithError. Plain Close keeps returning the
+// bare ErrClosed, and the first cause wins over later closes. Run under
+// -race (make race), these tests also pin that the cause publication
+// happens-before its observation.
 
 var errBoom = errors.New("boom: peer crashed")
 
 // causeSubstrates returns one fresh instance of each of the four
-// substrates, plus the ring whose waits park at once. The rings get
+// substrates, plus the ring whose waits park at once and a fault-free
+// Faulty, whose blocking Recv is its own probe-and-wait. The rings get
 // capacity 2 so fill-up paths are easy to reach.
 func causeSubstrates() map[string]Substrate {
 	return map[string]Substrate{
@@ -28,6 +30,7 @@ func causeSubstrates() map[string]Substrate {
 		"parkingring": NewParkingRing(2),
 		"ringqueue":   NewRingQueue(),
 		"local":       NewLocal(),
+		"faulty":      NewFaulty(NewRing(2), FaultPlan{}),
 	}
 }
 
@@ -87,8 +90,9 @@ func TestCloseWithErrorCauseVisibleToLaterTrySendAndTryRecv(t *testing.T) {
 }
 
 // TestCloseWithErrorCauseAfterSendNPartialBatch pins the batched contract on
-// the bounded ring: a SendN cut mid-batch by a cause-carrying close delivers
-// a prefix and returns the cause.
+// the bounded ring: a batch send (TrySendN, WaitSend while full) cut
+// mid-batch by a cause-carrying close delivers a prefix and returns the
+// cause.
 func TestCloseWithErrorCauseAfterSendNPartialBatch(t *testing.T) {
 	r := NewRing(2)
 	ms := make([]Message, 8)
@@ -101,7 +105,7 @@ func TestCloseWithErrorCauseAfterSendNPartialBatch(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		sent, sendErr = r.SendN(ms) // blocks at capacity 2 with no receiver
+		sent, sendErr = sendAll(r, ms) // waits at capacity 2 with no receiver
 	}()
 	// Wait until the sender has filled the ring, then kill the route.
 	for r.Len() < 2 {

@@ -11,7 +11,7 @@
 // RingQueue and Ring exploit the session-network invariant that every
 // ordered role pair has exactly one sender and one receiver: their hot path
 // is a slot write plus one atomic publication — no locks and no steady-state
-// allocation (see ring.go for the waiting and close protocol). A blocked
+// allocation (see ring.go for the waiting and close protocol). A waiting
 // ring party spins, then yields, then parks, since an in-memory peer
 // usually moves within a yield; a ring built by NewParkingRing parks at
 // once, since its peer is a socket pump (internal/netchan) waiting on I/O,
@@ -32,13 +32,18 @@
 // messages are still received in order, then receives return ErrClosed;
 // sends on a closed substrate fail with ErrClosed.
 //
-// The non-blocking half of the algebra (TrySend mirroring TryRecv) is what
-// the multi-session scheduler steps on: see DESIGN.md, "Non-blocking
-// stepping and the scheduler", and internal/sched. Its deadline-bounded wait
-// (WaitSend, WaitRecv: park until a retry is worth it, the substrate closes,
-// or the deadline passes, returning ErrDeadline) is what a deadline-armed
-// session endpoint parks on between probes, instead of polling: see
-// DESIGN.md, "Why deadlines ride the Try* algebra". The substrate
-// head-to-heads behind the table above are recorded in BENCH_channel.json
-// (EXPERIMENTS.md).
+// Every operation is a probe or a wait. The probes (TrySend mirroring
+// TryRecv, and the batch probes TrySendN and TryRecvN, which move what fits
+// or what is buffered) never block, and they are what the multi-session
+// scheduler steps on: see DESIGN.md, "Non-blocking stepping and the
+// scheduler", and internal/sched. The waits (WaitSend, WaitRecv) park until
+// a retry is worth it, the substrate closes, or a deadline passes,
+// returning ErrDeadline; a zero deadline waits without bound. Blocking is
+// the two composed, written once per direction: Send and Recv probe, wait
+// after a refusal, and repeat, and every substrate's Send and Recv methods
+// are those calls with no deadline, so a blocking caller, a deadline-armed
+// session endpoint and a stepped one meet the same code and the same
+// faults: see DESIGN.md, "Why deadlines ride the Try* algebra". The
+// substrate head-to-heads behind the table above are recorded in
+// BENCH_channel.json (EXPERIMENTS.md).
 package channel

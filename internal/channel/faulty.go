@@ -2,7 +2,6 @@ package channel
 
 import (
 	"errors"
-	"runtime"
 	"sync/atomic"
 	"time"
 )
@@ -10,14 +9,19 @@ import (
 // This file implements Faulty, the fault-injection wrapper substrate behind
 // internal/chaos: it surrounds any inner Substrate and perturbs its operations
 // on a deterministic, seed-derived schedule. The injectable faults are the
-// three ways a real peer misbehaves short of corrupting data — it is slow
-// (delay: blocking operations yield to the scheduler first), it exerts
+// ways a real peer misbehaves short of corrupting data — it exerts
 // backpressure it shouldn't (would-block storms: Try operations spuriously
-// report no progress), and it dies (early close-with-cause: the route is torn
-// down mid-protocol with ErrInjected). Payloads are never dropped, duplicated
-// or reordered: every fault is a refusal or a teardown, so the session
-// monitor's safety argument is untouched and any observed completion is still
-// a correct run.
+// report no progress), it wedges (a stall: every probe is refused until the
+// route closes), and it dies (early close-with-cause: the route is torn down
+// mid-protocol with ErrInjected). A slow peer needs no fault of its own: a
+// refusal is exactly what a slow peer looks like to a probe. Payloads are
+// never dropped, duplicated or reordered: every fault is a refusal or a
+// teardown, so the session monitor's safety argument is untouched and any
+// observed completion is still a correct run.
+//
+// The faults live in the probes and waits alone. Send and Recv are, as on
+// every substrate, the package's probe-and-wait loops, so a blocking caller
+// meets the same refusals, stalls and closes as a stepped one.
 //
 // Every fault decision is keyed to a per-side MESSAGE ORDINAL — the k-th
 // message sent (or received) through the route — never to a probe count.
@@ -49,14 +53,12 @@ type FaultPlan struct {
 	// retries of the same message pass through to the inner substrate, so a
 	// faulted message costs exactly one spurious refusal.
 	WouldBlockP int
-	// DelayP is the per-mille probability that a blocking Send/Recv yields
-	// to the scheduler a few times before acting (a slow peer).
-	DelayP int
 	// StallAfter, when positive, stalls the route at that effective
 	// operation (messages moved, both sides): the first StallAfter-1
 	// operations complete, then every Try operation reports no progress
-	// until the route is closed. This is the "peer wedged" fault — only a
-	// deadline (or an abort elsewhere in the session) gets a party out.
+	// until the route is closed, and a blocking Send or Recv waits for that
+	// close. This is the "peer wedged" fault — only a deadline (or an abort
+	// elsewhere in the session) gets a party out.
 	StallAfter int
 	// CloseAfter, when positive, closes the route with CloseCause once that
 	// many effective operations have completed (a crashed peer).
@@ -116,29 +118,22 @@ func splitmix64(state *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Side/purpose salts for the ordinal hash: each (side, purpose) pair draws
-// from an independent stream over the message ordinals.
+// Side salts for the ordinal hash: each side draws from an independent
+// stream over the message ordinals.
 const (
 	saltSendBlock uint64 = 0xa5a5a5a5a5a5a5a5
 	saltRecvBlock uint64 = 0x5a5a5a5a5a5a5a5a
-	saltSendDelay uint64 = 0xc3c3c3c3c3c3c3c3
-	saltRecvDelay uint64 = 0x3c3c3c3c3c3c3c3c
 )
 
-// draw is the stateless ordinal hash: a pure function of (seed, salt, k),
-// independent of how many probes preceded it.
-func draw(seed, salt, k uint64) uint64 {
-	st := seed ^ salt ^ k*0x9e3779b97f4a7c15
-	return splitmix64(&st)
-}
-
 // ordinalRoll reports whether the fault with per-mille probability p fires
-// for message ordinal k.
+// for message ordinal k. The roll is a stateless hash, a pure function of
+// (seed, salt, k), independent of how many probes preceded it.
 func ordinalRoll(seed, salt, k uint64, p int) bool {
 	if p <= 0 {
 		return false
 	}
-	return draw(seed, salt, k)%1000 < uint64(p)
+	st := seed ^ salt ^ k*0x9e3779b97f4a7c15
+	return splitmix64(&st)%1000 < uint64(p)
 }
 
 // effective counts one completed operation and fires the CloseAfter trigger
@@ -182,27 +177,8 @@ func (f *Faulty) stalled() bool {
 	return f.plan.StallAfter > 0 && f.ops.Load() >= int64(f.plan.StallAfter)-1
 }
 
-// delay yields to the scheduler a few times: the slow-peer fault for the
-// blocking operations (Try operations model slowness as would-block instead).
-func (f *Faulty) delay(salt, k uint64) {
-	if !ordinalRoll(f.plan.Seed, salt, k, f.plan.DelayP) {
-		return
-	}
-	yields := int(draw(f.plan.Seed, salt^0xffff, k)%4) + 1
-	for i := 0; i < yields; i++ {
-		runtime.Gosched()
-	}
-}
-
-// Send forwards to the inner substrate, possibly after a delay fault.
-func (f *Faulty) Send(m Message) error {
-	k := f.sendK + 1
-	f.delay(saltSendDelay, k)
-	err := f.inner.Send(m)
-	f.sendK = k
-	f.effective()
-	return err
-}
+// Send is TrySend, and WaitSend between refusals: the faults apply to it.
+func (f *Faulty) Send(m Message) error { return Send(f, m, time.Time{}) }
 
 // TrySend forwards to the inner substrate unless a stall fault holds or the
 // message's would-block fault fires, in which case it reports (false, nil)
@@ -229,15 +205,8 @@ func (f *Faulty) TrySend(m Message) (bool, error) {
 	return ok, err
 }
 
-// Recv forwards to the inner substrate, possibly after a delay fault.
-func (f *Faulty) Recv() (Message, error) {
-	k := f.recvK + 1
-	f.delay(saltRecvDelay, k)
-	m, err := f.inner.Recv()
-	f.recvK = k
-	f.effective()
-	return m, err
-}
+// Recv is TryRecv, and WaitRecv between refusals: the faults apply to it.
+func (f *Faulty) Recv() (Message, error) { return Recv(f, time.Time{}) }
 
 // TryRecv forwards to the inner substrate unless a stall fault holds or the
 // message's would-block fault fires, in which case it reports no message

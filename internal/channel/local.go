@@ -28,9 +28,10 @@ const localMinCap = 2
 //
 // Because no send can arrive while the owner waits, an empty open Local is
 // ready only when it closes: WaitRecv parks until a Close or the deadline
-// releases it, and Recv, which is TryRecv followed by WaitRecv, blocks
-// until the close. A Local therefore suits stepped runs, which only probe,
-// and not a role on a goroutine of its own waiting on a peer on another.
+// releases it, and Recv, which like every substrate's is TryRecv followed
+// by WaitRecv, blocks until the close. A Local therefore suits stepped
+// runs, which only probe, and not a role on a goroutine of its own waiting
+// on a peer on another.
 type Local struct {
 	buf        []Message // power-of-two length once grown; nil before the first send
 	head, tail uint64    // messages consumed and sent; owner-only
@@ -46,17 +47,7 @@ func NewLocal() *Local { return &Local{} }
 func (q *Local) Len() int { return int(q.tail - q.head) }
 
 // Send appends m. It never blocks.
-func (q *Local) Send(m Message) error {
-	if q.closed.Load() {
-		return q.closeErr()
-	}
-	if q.tail-q.head == uint64(len(q.buf)) {
-		q.grow()
-	}
-	q.buf[q.tail&uint64(len(q.buf)-1)] = m
-	q.tail++
-	return nil
-}
+func (q *Local) Send(m Message) error { return Send(q, m, time.Time{}) }
 
 // grow doubles the buffer (or allocates the first one), moving the
 // buffered messages to its front in order.
@@ -76,9 +67,14 @@ func (q *Local) grow() {
 
 // TrySend appends m: like RingQueue's, it fails only when closed.
 func (q *Local) TrySend(m Message) (bool, error) {
-	if err := q.Send(m); err != nil {
-		return false, err
+	if q.closed.Load() {
+		return false, q.closeErr()
 	}
+	if q.tail-q.head == uint64(len(q.buf)) {
+		q.grow()
+	}
+	q.buf[q.tail&uint64(len(q.buf)-1)] = m
+	q.tail++
 	return true, nil
 }
 
@@ -134,17 +130,7 @@ func (q *Local) WaitRecv(deadline time.Time) error {
 
 // Recv removes and returns the oldest message. On an empty route it blocks
 // until the queue is closed and returns the close error.
-func (q *Local) Recv() (Message, error) {
-	for {
-		m, ok, err := q.TryRecv()
-		if ok || err != nil {
-			return m, err
-		}
-		if err := q.WaitRecv(time.Time{}); err != nil {
-			return Message{}, err
-		}
-	}
-}
+func (q *Local) Recv() (Message, error) { return Recv(q, time.Time{}) }
 
 // Close marks the queue closed and releases a parked WaitRecv. Buffered
 // messages may still be received; subsequent sends fail. Safe from any

@@ -13,9 +13,12 @@ import (
 // single-producer single-consumer queues whose hot paths are one slot write
 // and one atomic publication — no locks, no allocation.
 //
-// Every wait is one helper, ringState.await: block until a counter moves
-// off a value — tail off head for a receiver, head off tail−k for a sender,
-// since a ring is full exactly when head == tail−k. It has three tiers: a
+// Every wait is one helper, ringState.await, and only WaitSend and WaitRecv
+// call it; the blocking Send and Recv are the package's probe-and-wait
+// loops over TrySend/WaitSend and TryRecv/WaitRecv (channel.go), and the
+// batch probes TrySendN/TryRecvN never wait. await blocks until a counter
+// moves off a value — tail off head for a receiver, head off tail−k for a
+// sender, since a ring is full exactly when head == tail−k. It has three tiers: a
 // short spin (skipped when GOMAXPROCS is 1, where spinning can only delay
 // the peer), a few scheduler yields, then a futex-style park on a
 // mutex+cond gate. The first two pay off when the peer is a goroutine of
@@ -26,13 +29,13 @@ import (
 // (internal/netchan) whose next move waits on a syscall, so spinning or
 // yielding for it only takes the CPU the sessions need.
 //
-// The gate is also what lets Close wake parties blocked on the fast path:
-// closing sets the flag and broadcasts both gates, so a receiver blocked on
-// an empty ring (or a sender blocked on a full one) fails promptly with
-// ErrClosed instead of spinning or sleeping forever. The deadline waits
-// (WaitSend, WaitRecv) run the same helper with the gate's park bounded by
-// an alarm, so a deadline-armed party parks exactly as a blocking one does
-// and is woken by the same publication.
+// The gate is also what lets Close wake parked parties: closing sets the
+// flag and broadcasts both gates, so a receiver waiting on an empty ring
+// (or a sender on a full one) fails promptly with ErrClosed instead of
+// spinning or sleeping forever. A deadline bounds the gate's park with an
+// alarm; a zero deadline parks without bound, which is all a blocking Send
+// or Recv is, so a deadline-armed party parks exactly as a blocking one
+// does and is woken by the same publication.
 //
 // Concurrency contract: at most one goroutine sends and at most one
 // goroutine receives at any time (the sender and receiver may be different
@@ -279,23 +282,7 @@ func (r *Ring) Len() int { return int(r.tail.Load() - r.head.Load()) }
 
 // Send appends m, blocking while the ring is full. It returns ErrClosed if
 // the ring is (or becomes, while blocked) closed.
-func (r *Ring) Send(m Message) error {
-	if r.closed.Load() {
-		return r.closeErr()
-	}
-	t := r.tail.Load()
-	if t-r.cachedHead >= r.capacity {
-		h, err := r.await(&r.head, t-r.capacity, &r.sendGate, time.Time{})
-		if err != nil {
-			return err
-		}
-		r.cachedHead = h
-	}
-	r.buf[t&r.mask] = m
-	r.tail.Store(t + 1)
-	r.recvGate.wake()
-	return nil
-}
+func (r *Ring) Send(m Message) error { return Send(r, m, time.Time{}) }
 
 // TrySend appends m if the ring has a free slot: (false, nil) while full —
 // the sender re-probes after the receiver makes progress — and
@@ -340,22 +327,7 @@ func (r *Ring) WaitSend(deadline time.Time) error {
 
 // Recv removes and returns the oldest message, blocking while empty. Once
 // the ring is closed and drained it returns ErrClosed.
-func (r *Ring) Recv() (Message, error) {
-	h := r.head.Load()
-	if r.cachedTail == h {
-		t, err := r.await(&r.tail, h, &r.recvGate, time.Time{})
-		if err != nil {
-			return Message{}, err
-		}
-		r.cachedTail = t
-	}
-	i := h & r.mask
-	m := r.buf[i]
-	r.buf[i] = Message{} // release the payload for GC
-	r.head.Store(h + 1)
-	r.sendGate.wake()
-	return m, nil
-}
+func (r *Ring) Recv() (Message, error) { return Recv(r, time.Time{}) }
 
 // WaitRecv parks the receiver until a message is buffered (nil), the ring
 // is closed and drained (the close error), or deadline passes while it is
@@ -397,57 +369,49 @@ func (r *Ring) TryRecv() (Message, bool, error) {
 	return m, true, nil
 }
 
-// SendN appends all of ms in order, blocking as needed, publishing each
-// contiguous free run with a single atomic store. It returns the number of
-// messages sent (len(ms), unless the ring closes mid-batch).
-func (r *Ring) SendN(ms []Message) (int, error) {
-	sent := 0
-	for sent < len(ms) {
-		if r.closed.Load() {
-			return sent, r.closeErr()
-		}
-		t := r.tail.Load()
-		if t-r.cachedHead >= r.capacity {
-			h, err := r.await(&r.head, t-r.capacity, &r.sendGate, time.Time{})
-			if err != nil {
-				return sent, err
-			}
-			r.cachedHead = h
-		}
-		free := int(r.capacity - (t - r.cachedHead))
-		if rem := len(ms) - sent; free > rem {
-			free = rem
-		}
-		for i := 0; i < free; i++ {
-			r.buf[(t+uint64(i))&r.mask] = ms[sent+i]
-		}
-		r.tail.Store(t + uint64(free))
-		sent += free
-		r.recvGate.wake()
+// TrySendN appends the longest prefix of ms the ring has room for,
+// publishing it with a single atomic store, and returns its length: 0 while
+// the ring is full, and the close error once it is closed.
+func (r *Ring) TrySendN(ms []Message) (int, error) {
+	if r.closed.Load() {
+		return 0, r.closeErr()
 	}
-	return sent, nil
+	t := r.tail.Load()
+	if t-r.cachedHead+uint64(len(ms)) > r.capacity {
+		r.cachedHead = r.head.Load()
+	}
+	n := min(int(r.capacity-(t-r.cachedHead)), len(ms))
+	if n == 0 {
+		return 0, nil
+	}
+	for i := 0; i < n; i++ {
+		r.buf[(t+uint64(i))&r.mask] = ms[i]
+	}
+	r.tail.Store(t + uint64(n))
+	r.recvGate.wake()
+	return n, nil
 }
 
-// RecvN fills dst with up to len(dst) messages, blocking only until at least
-// one is available; the whole available run is consumed with a single atomic
-// store. It returns the number received, or ErrClosed once closed and
-// drained.
-func (r *Ring) RecvN(dst []Message) (int, error) {
+// TryRecvN fills dst with up to len(dst) buffered messages, consuming the
+// whole run with a single atomic store, and returns how many: 0 while the
+// ring is empty, and the close error once it is closed and drained.
+func (r *Ring) TryRecvN(dst []Message) (int, error) {
 	if len(dst) == 0 {
 		return 0, nil
 	}
 	h := r.head.Load()
 	if r.cachedTail == h {
-		t, err := r.await(&r.tail, h, &r.recvGate, time.Time{})
-		if err != nil {
-			return 0, err
+		r.cachedTail = r.tail.Load()
+		if r.cachedTail == h {
+			if !r.closed.Load() {
+				return 0, nil
+			}
+			if r.cachedTail = r.tail.Load(); r.cachedTail == h {
+				return 0, r.closeErr()
+			}
 		}
-		r.cachedTail = t
 	}
-	n := int(r.cachedTail - h)
-	if n > len(dst) {
-		n = len(dst)
-	}
+	n := min(int(r.cachedTail-h), len(dst))
 	for i := 0; i < n; i++ {
 		j := (h + uint64(i)) & r.mask
 		dst[i] = r.buf[j]
@@ -534,9 +498,13 @@ func NewRingQueue() *RingQueue { return &RingQueue{} }
 func (q *RingQueue) Len() int { return int(q.tail.Load() - q.head.Load()) }
 
 // Send appends m. It never blocks.
-func (q *RingQueue) Send(m Message) error {
+func (q *RingQueue) Send(m Message) error { return Send(q, m, time.Time{}) }
+
+// TrySend appends m. The queue is unbounded, so TrySend only fails when
+// closed, and Send never blocks.
+func (q *RingQueue) TrySend(m Message) (bool, error) {
 	if q.closed.Load() {
-		return q.closeErr()
+		return false, q.closeErr()
 	}
 	t := q.tail.Load()
 	i := t & ringSegMask
@@ -546,16 +514,6 @@ func (q *RingQueue) Send(m Message) error {
 	q.tailSeg.buf[i] = m
 	q.tail.Store(t + 1)
 	q.recvGate.wake()
-	return nil
-}
-
-// TrySend appends m. The queue is unbounded, so Send never blocks and
-// TrySend only fails when closed — it exists so the unbounded default
-// satisfies the same non-blocking algebra as the bounded substrates.
-func (q *RingQueue) TrySend(m Message) (bool, error) {
-	if err := q.Send(m); err != nil {
-		return false, err
-	}
 	return true, nil
 }
 
@@ -591,8 +549,10 @@ func (q *RingQueue) growTail(t uint64) {
 	q.tailSeg = seg
 }
 
-// SendN appends all of ms with one atomic publication per segment run.
-func (q *RingQueue) SendN(ms []Message) (int, error) {
+// TrySendN appends all of ms with one atomic publication per segment run:
+// the queue never fills, so the run is sent whole unless the queue is
+// closed, when none of it is.
+func (q *RingQueue) TrySendN(ms []Message) (int, error) {
 	if q.closed.Load() {
 		return 0, q.closeErr()
 	}
@@ -617,24 +577,7 @@ func (q *RingQueue) SendN(ms []Message) (int, error) {
 }
 
 // Recv removes and returns the oldest message, blocking while empty.
-func (q *RingQueue) Recv() (Message, error) {
-	h := q.head.Load()
-	if q.cachedTail == h {
-		t, err := q.await(&q.tail, h, &q.recvGate, time.Time{})
-		if err != nil {
-			return Message{}, err
-		}
-		q.cachedTail = t
-	}
-	i := h & ringSegMask
-	if i == 0 {
-		q.advanceHead(h)
-	}
-	m := q.headSeg.buf[i]
-	q.headSeg.buf[i] = Message{}
-	q.head.Store(h + 1)
-	return m, nil
-}
+func (q *RingQueue) Recv() (Message, error) { return Recv(q, time.Time{}) }
 
 // advanceHead moves the consumer onto the next segment and recycles the
 // drained one; at h == 0 it instead installs the producer's lazily
@@ -691,19 +634,24 @@ func (q *RingQueue) TryRecv() (Message, bool, error) {
 	return m, true, nil
 }
 
-// RecvN fills dst with up to len(dst) messages, blocking only until at
-// least one is available, consuming whole segment runs per atomic store.
-func (q *RingQueue) RecvN(dst []Message) (int, error) {
+// TryRecvN fills dst with up to len(dst) buffered messages, consuming
+// whole segment runs per atomic store, and returns how many: 0 while the
+// queue is empty, and the close error once it is closed and drained.
+func (q *RingQueue) TryRecvN(dst []Message) (int, error) {
 	if len(dst) == 0 {
 		return 0, nil
 	}
 	h := q.head.Load()
 	if q.cachedTail == h {
-		t, err := q.await(&q.tail, h, &q.recvGate, time.Time{})
-		if err != nil {
-			return 0, err
+		q.cachedTail = q.tail.Load()
+		if q.cachedTail == h {
+			if !q.closed.Load() {
+				return 0, nil
+			}
+			if q.cachedTail = q.tail.Load(); q.cachedTail == h {
+				return 0, q.closeErr()
+			}
 		}
-		q.cachedTail = t
 	}
 	got := 0
 	for got < len(dst) && q.cachedTail != h {

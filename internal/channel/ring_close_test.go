@@ -6,12 +6,14 @@ import (
 	"time"
 )
 
-// These tests pin the close-during-SendN contract of the SPSC substrates:
-// how many messages of an interrupted batch are delivered, and that the
-// interruption is reported as a single (count, ErrClosed) return — not a
-// panic, not a per-message error, not a silent truncation.
+// These tests pin the close contract of the SPSC substrates' batch probe
+// (TrySendN) and of the batch send built on it (sendAll: TrySendN, WaitSend
+// while full — Endpoint.SendN's loop): how many messages of an interrupted
+// batch are delivered, and that the interruption is reported as a single
+// (count, ErrClosed) return — not a panic, not a per-message error, not a
+// silent truncation.
 
-// TestRingSendNCloseMidBatch: a batch blocked on a full bounded ring is cut
+// TestRingSendNCloseMidBatch: a batch waiting on a full bounded ring is cut
 // short by Close; the messages published before the close are exactly the
 // ones delivered, and the batch reports ErrClosed exactly once with the
 // accurate count.
@@ -27,7 +29,7 @@ func TestRingSendNCloseMidBatch(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		sent, err := r.SendN(ms)
+		sent, err := sendAll(r, ms)
 		done <- result{sent, err}
 	}()
 	// Wait until the producer has filled the ring and parked on the full
@@ -42,10 +44,10 @@ func TestRingSendNCloseMidBatch(t *testing.T) {
 	r.Close()
 	res := <-done
 	if res.err != ErrClosed {
-		t.Fatalf("SendN error = %v, want ErrClosed", res.err)
+		t.Fatalf("batch send error = %v, want ErrClosed", res.err)
 	}
 	if res.sent != 2 {
-		t.Fatalf("SendN sent = %d, want the 2 messages published before the close", res.sent)
+		t.Fatalf("batch sent = %d, want the 2 messages published before the close", res.sent)
 	}
 	// Every published message of the partial batch is still receivable, in
 	// order; after the drain the close is reported (again as ErrClosed, on
@@ -64,29 +66,38 @@ func TestRingSendNCloseMidBatch(t *testing.T) {
 	}
 }
 
-// TestRingSendNAfterClose: a batch started after the close delivers nothing
-// and reports the close once.
+// TestRingSendNAfterClose: a batch probe after the close delivers nothing
+// and reports the close; before it, a probe on a full ring delivers the
+// prefix that fits and then nothing, with no error.
 func TestRingSendNAfterClose(t *testing.T) {
 	r := NewRing(4)
+	ms := make([]Message, 6)
+	if sent, err := r.TrySendN(ms); sent != 4 || err != nil {
+		t.Fatalf("TrySendN on an empty ring = (%d, %v), want (4, nil)", sent, err)
+	}
+	if sent, err := r.TrySendN(ms[4:]); sent != 0 || err != nil {
+		t.Fatalf("TrySendN on a full ring = (%d, %v), want (0, nil)", sent, err)
+	}
 	r.Close()
-	sent, err := r.SendN([]Message{{Label: "v"}, {Label: "v"}})
+	sent, err := r.TrySendN([]Message{{Label: "v"}, {Label: "v"}})
 	if sent != 0 || err != ErrClosed {
-		t.Fatalf("SendN after close = (%d, %v), want (0, ErrClosed)", sent, err)
+		t.Fatalf("TrySendN after close = (%d, %v), want (0, ErrClosed)", sent, err)
 	}
 }
 
 // TestRingQueueSendNCloseContract pins the unbounded queue's all-or-nothing
-// entry check: SendN never blocks, so a batch either starts before the close
-// and publishes every message, or starts after it and publishes none.
+// entry check: TrySendN never runs out of room, so a batch either starts
+// before the close and publishes every message, or starts after it and
+// publishes none.
 func TestRingQueueSendNCloseContract(t *testing.T) {
 	q := NewRingQueue()
 	ms := make([]Message, 3*ringSegLen) // spans several segments
 	for i := range ms {
 		ms[i] = Message{Label: "v", Value: i}
 	}
-	sent, err := q.SendN(ms)
+	sent, err := q.TrySendN(ms)
 	if sent != len(ms) || err != nil {
-		t.Fatalf("SendN = (%d, %v), want (%d, nil)", sent, err, len(ms))
+		t.Fatalf("TrySendN = (%d, %v), want (%d, nil)", sent, err, len(ms))
 	}
 	q.Close()
 	for i := range ms {
@@ -101,8 +112,8 @@ func TestRingQueueSendNCloseContract(t *testing.T) {
 	if _, err := q.Recv(); err != ErrClosed {
 		t.Fatalf("Recv after drain = %v, want ErrClosed", err)
 	}
-	if sent, err := q.SendN(ms[:2]); sent != 0 || err != ErrClosed {
-		t.Fatalf("SendN after close = (%d, %v), want (0, ErrClosed)", sent, err)
+	if sent, err := q.TrySendN(ms[:2]); sent != 0 || err != ErrClosed {
+		t.Fatalf("TrySendN after close = (%d, %v), want (0, ErrClosed)", sent, err)
 	}
 }
 
@@ -123,7 +134,7 @@ func TestRingSendNCloseStress(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sent, sendErr = r.SendN(batch)
+			sent, sendErr = sendAll(r, batch)
 		}()
 		var received int
 		wg.Add(1)
@@ -148,7 +159,7 @@ func TestRingSendNCloseStress(t *testing.T) {
 			t.Fatalf("round %d: nil error but only %d of %d sent", round, sent, len(batch))
 		}
 		if sendErr != nil && sendErr != ErrClosed {
-			t.Fatalf("round %d: SendN error = %v, want ErrClosed", round, sendErr)
+			t.Fatalf("round %d: batch send error = %v, want ErrClosed", round, sendErr)
 		}
 		if received > sent {
 			t.Fatalf("round %d: drained %d messages but the batch reported %d sent", round, received, sent)

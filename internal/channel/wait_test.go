@@ -2,6 +2,7 @@ package channel
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -11,7 +12,10 @@ import (
 // (with its cause) or the deadline releases it; a timed-out wait leaves the
 // route exactly as it was; and the Faulty wrapper's waits follow its
 // faults — at once after a spurious refusal, held on a stall until close or
-// deadline. The package is in `make race`, so these run under -race too.
+// deadline. Each table test also runs the blocking operation built on the
+// wait (Send, Recv: a probe, then the wait, repeated) where it runs the
+// wait, so the blocking methods are pinned by the same rows. The package is
+// in `make race`, so these run under -race too.
 
 // waitSubstrates builds each substrate under the wait contract. The rings
 // get capacity 1, so a single message fills them.
@@ -48,6 +52,23 @@ func waitAsync(t *testing.T, wait func(time.Time) error) <-chan error {
 	return done
 }
 
+// blockingRecv is the blocking row of a receive-side wait: Recv in the
+// wait's place (it ignores the wait's deadline and blocks without bound),
+// keeping the message it took in *got.
+func blockingRecv(s Substrate, got *Message) func(time.Time) error {
+	return func(time.Time) error {
+		m, err := s.Recv()
+		*got = m
+		return err
+	}
+}
+
+// blockingSend is the blocking row of a send-side wait: Send(m) in the
+// wait's place.
+func blockingSend(s Substrate, m Message) func(time.Time) error {
+	return func(time.Time) error { return s.Send(m) }
+}
+
 // fill sends until the substrate is full.
 func fill(t *testing.T, s Substrate) {
 	t.Helper()
@@ -68,16 +89,30 @@ func TestWaitRecvReleasedBySend(t *testing.T) {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
-			s := mk()
-			done := waitAsync(t, s.WaitRecv)
-			if err := s.Send(Message{Label: "v", Value: 7}); err != nil {
-				t.Fatal(err)
-			}
-			if err := <-done; err != nil {
-				t.Fatalf("WaitRecv = %v after a send", err)
-			}
-			if m, ok, err := s.TryRecv(); !ok || err != nil || m.Value != 7 {
-				t.Fatalf("TryRecv after the wait = (%v, %v, %v)", m, ok, err)
+			for _, blocking := range []bool{false, true} {
+				s := mk()
+				var got Message
+				wait := s.WaitRecv
+				if blocking {
+					wait = blockingRecv(s, &got)
+				}
+				done := waitAsync(t, wait)
+				if err := s.Send(Message{Label: "v", Value: 7}); err != nil {
+					t.Fatal(err)
+				}
+				if err := <-done; err != nil {
+					t.Fatalf("wait (blocking=%v) = %v after a send", blocking, err)
+				}
+				if !blocking {
+					var ok bool
+					var err error
+					if got, ok, err = s.TryRecv(); !ok || err != nil {
+						t.Fatalf("TryRecv after the wait = (%v, %v)", ok, err)
+					}
+				}
+				if got.Value != 7 {
+					t.Fatalf("received %v (blocking=%v), want 7", got.Value, blocking)
+				}
 			}
 		})
 	}
@@ -105,6 +140,18 @@ func TestWaitSendReleasedByRecv(t *testing.T) {
 			if ok, err := s.TrySend(Message{Label: "v", Value: 1}); !ok || err != nil {
 				t.Fatalf("TrySend after the wait = (%v, %v)", ok, err)
 			}
+			// The blocking row: a Send parked on the full route is taken
+			// once the receiver frees the slot.
+			done = waitAsync(t, blockingSend(s, Message{Label: "v", Value: 2}))
+			if m, err := s.Recv(); err != nil || m.Value != 1 {
+				t.Fatalf("Recv = (%v, %v)", m, err)
+			}
+			if err := <-done; err != nil {
+				t.Fatalf("blocked Send = %v after a receive", err)
+			}
+			if m, err := s.Recv(); err != nil || m.Value != 2 {
+				t.Fatalf("Recv of the blocked send = (%v, %v)", m, err)
+			}
 		})
 	}
 }
@@ -127,20 +174,36 @@ func TestWaitReleasedByClose(t *testing.T) {
 				}
 			}
 			t.Run(name+"/"+how+"/recv", func(t *testing.T) {
-				s := mk()
-				done := waitAsync(t, s.WaitRecv)
-				closeIt(s)
-				check(t, <-done)
+				for _, blocking := range []bool{false, true} {
+					s := mk()
+					wait := s.WaitRecv
+					if blocking {
+						wait = blockingRecv(s, new(Message))
+					}
+					done := waitAsync(t, wait)
+					closeIt(s)
+					check(t, <-done)
+				}
 			})
 			if !bounded(name) {
 				continue
 			}
 			t.Run(name+"/"+how+"/send", func(t *testing.T) {
-				s := mk()
-				fill(t, s)
-				done := waitAsync(t, s.WaitSend)
-				closeIt(s)
-				check(t, <-done)
+				for _, blocking := range []bool{false, true} {
+					s := mk()
+					fill(t, s)
+					wait := s.WaitSend
+					if blocking {
+						wait = blockingSend(s, Message{Label: "v", Value: 1})
+					}
+					done := waitAsync(t, wait)
+					closeIt(s)
+					check(t, <-done)
+					// The message buffered before the close still drains.
+					if m, err := s.Recv(); err != nil || m.Value != 0 {
+						t.Fatalf("drain after close = (%v, %v)", m, err)
+					}
+				}
 			})
 		}
 	}
@@ -181,6 +244,14 @@ func TestWaitDeadline(t *testing.T) {
 			if el := time.Since(start); el < d {
 				t.Fatalf("timed out after %v, before the %v deadline", el, d)
 			}
+			// The blocking receive under a deadline times out the same way.
+			start = time.Now()
+			if _, err := Recv(s, start.Add(d)); err != ErrDeadline {
+				t.Fatalf("Recv with a deadline on an empty route = %v, want ErrDeadline", err)
+			}
+			if el := time.Since(start); el < d {
+				t.Fatalf("timed out after %v, before the %v deadline", el, d)
+			}
 			if _, ok, err := s.TryRecv(); ok || err != nil {
 				t.Fatalf("route changed by the timed-out wait: TryRecv = (%v, %v)", ok, err)
 			}
@@ -200,6 +271,15 @@ func TestWaitDeadline(t *testing.T) {
 			start := time.Now()
 			if err := s.WaitSend(start.Add(d)); err != ErrDeadline {
 				t.Fatalf("WaitSend on a full route = %v, want ErrDeadline", err)
+			}
+			if el := time.Since(start); el < d {
+				t.Fatalf("timed out after %v, before the %v deadline", el, d)
+			}
+			// The blocking send under a deadline times out with nothing
+			// sent.
+			start = time.Now()
+			if err := Send(s, Message{Label: "v", Value: 1}, start.Add(d)); err != ErrDeadline {
+				t.Fatalf("Send with a deadline on a full route = %v, want ErrDeadline", err)
 			}
 			if el := time.Since(start); el < d {
 				t.Fatalf("timed out after %v, before the %v deadline", el, d)
@@ -324,6 +404,36 @@ func TestFaultyStallHoldsWaiter(t *testing.T) {
 			t.Fatalf("drain after close = (%v, %v)", ok, err)
 		}
 		assertCauseChain(t, f.WaitRecv(far()))
+	})
+	t.Run("blocking-recv", func(t *testing.T) {
+		// A blocking Recv is the probe-and-wait loop too, so the stall
+		// holds it although the inner route holds a message: it must not
+		// return before the close, and then it takes that message.
+		f := NewFaulty(NewRingQueue(), FaultPlan{StallAfter: 2})
+		if err := f.Send(Message{Label: "v", Value: 5}); err != nil {
+			t.Fatalf("send before the stall: %v", err)
+		}
+		var closed atomic.Bool
+		type result struct {
+			m      Message
+			err    error
+			closed bool
+		}
+		done := make(chan result, 1)
+		go func() {
+			m, err := f.Recv()
+			done <- result{m, err, closed.Load()}
+		}()
+		time.Sleep(20 * time.Millisecond)
+		closed.Store(true)
+		f.Close()
+		r := <-done
+		if !r.closed {
+			t.Fatalf("blocking Recv returned (%v, %v) on a stalled route before Close", r.m, r.err)
+		}
+		if r.err != nil || r.m.Value != 5 {
+			t.Fatalf("blocking Recv after Close = (%v, %v), want the buffered message", r.m, r.err)
+		}
 	})
 	t.Run("injected-close", func(t *testing.T) {
 		// The operation that stalls the route also closes it (CloseAfter):

@@ -1,7 +1,7 @@
 // Package chaos is the fault-injection harness for the runtime's failure
 // semantics: it drives verified protocols over networks of channel.Faulty
-// routes — deterministic, seed-scheduled delays, would-block storms, stalls
-// and early closes — across the runtime's execution modes (equiv.Modes, run
+// routes — deterministic, seed-scheduled would-block storms, stalls and
+// early closes — across the runtime's execution modes (equiv.Modes, run
 // by equiv.Run under a uniform budget bound and a per-run deadline), and
 // classifies each run against the failure trichotomy:
 //
@@ -150,8 +150,8 @@ func mix64(x uint64) uint64 {
 // striped into four families so every soak exercises every trichotomy arm:
 //
 //	seed ≡ 0 (mod 4): transparent routes — the control arm, must end Clean.
-//	seed ≡ 1 (mod 4): transient noise (delays + would-block storms) on every
-//	                  route — must still end Clean: the faults always clear.
+//	seed ≡ 1 (mod 4): would-block storms on every route — must still end
+//	                  Clean: the faults always clear.
 //	seed ≡ 2 (mod 4): one route closes early with ErrInjected — the Abort
 //	                  arm (or Clean, if the protocol never uses that route).
 //	seed ≡ 3 (mod 4): one route stalls permanently — the Timeout arm (or
@@ -166,7 +166,6 @@ func planFor(seed uint64, n int) channel.FaultPlan {
 		return channel.FaultPlan{
 			Seed:        h,
 			WouldBlockP: 150 + int(h%200), // 15–35% spurious refusals
-			DelayP:      100,
 		}
 	case 2:
 		plan := channel.FaultPlan{Seed: h, WouldBlockP: 100}

@@ -87,7 +87,7 @@ func familiesCovered(seeds []uint64) map[uint64]bool {
 // TestChaosSoak is the acceptance soak: every registry protocol × seeds
 // covering every fault family × the three execution modes. Each cell must
 // land in the trichotomy — Clean, typed Timeout, or typed Abort — with the
-// fault-free and transient-noise families required to end Clean, and the
+// fault-free and would-block-storm families required to end Clean, and the
 // whole soak leaking no goroutines. The go test -timeout flag is the hang
 // detector: a cell that neither completes nor fails typed within its
 // deadline would stall the test binary past it.
@@ -149,7 +149,7 @@ func netSoakEntries(t *testing.T) []protocols.Entry {
 // families and execution modes as TestChaosSoak, but every route is a
 // Faulty-wrapped netchan pipe — each message crosses the wire codecs and
 // both pumps before the session layer sees it. The trichotomy contract is
-// unchanged: every cell classifies, the fault-free and transient-noise
+// unchanged: every cell classifies, the fault-free and would-block-storm
 // families end Clean, and the abort and timeout arms both fire somewhere.
 // Goroutines are the sharper edge here (every pipe runs a writer, a reader
 // and a pump), so the leak check also pins Route.Abandon as a sufficient
@@ -194,7 +194,7 @@ func TestChaosNetSoak(t *testing.T) {
 // (instant cleans next to deadline-parked stalls) leave quiescent work in
 // inboxes for idle workers to raid. The contract is unchanged from
 // TestChaosSoak: every cell classifies into the trichotomy, the fault-free
-// and transient-noise families end Clean, and nothing leaks — now with
+// and would-block-storm families end Clean, and nothing leaks — now with
 // sessions completing on workers they were never enqueued on.
 func TestChaosStealSoak(t *testing.T) {
 	baseGoroutines := runtime.NumGoroutine()

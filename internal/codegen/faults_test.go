@@ -32,10 +32,10 @@ var errCause = errors.New("route torn down by the test")
 // errAbandon ends a session body once the transition under test has run.
 var errAbandon = errors.New("session abandoned by the test")
 
-// raw is role r's monitor-free face on net: a hand-written peer that can
-// put any label and payload on the wire.
-func raw(net *session.Network, r types.Role) session.Unchecked {
-	return session.UncheckedForCodegen(net.Endpoint(r))
+// raw is role r's endpoint on net, which carries no monitor: a
+// hand-written peer that can put any label and payload on the wire.
+func raw(net *session.Network, r types.Role) *session.Endpoint {
+	return net.Endpoint(r)
 }
 
 func is(target error) func(error) bool {
@@ -105,7 +105,7 @@ func TestGeneratedSendFaults(t *testing.T) {
 			if !errors.Is(err, session.ErrWouldBlock) || t2 != (genstreaming.T2{}) {
 				t.Fatalf("full route: %v; want ErrWouldBlock and the zero state", err)
 			}
-			if _, _, err := raw(net, S).Recv(T); err != nil {
+			if _, _, err := raw(net, S).Receive(T); err != nil {
 				t.Fatal(err)
 			}
 			if t2, err = t0.TrySendReady(); err != nil {
@@ -126,13 +126,13 @@ func TestGeneratedSendFaults(t *testing.T) {
 			if !errors.Is(err, session.ErrWouldBlock) || s1 != (genstreaming.S1{}) {
 				t.Fatalf("full route: %v; want ErrWouldBlock and the zero state", err)
 			}
-			if _, _, err := raw(net, T).Recv(S); err != nil {
+			if _, _, err := raw(net, T).Receive(S); err != nil {
 				t.Fatal(err)
 			}
 			if _, err = s0.TrySendValue(7); err != nil {
 				t.Fatalf("retry after would-block: %v", err)
 			}
-			if _, v, err := raw(net, T).Recv(S); err != nil || v != int32(7) {
+			if _, v, err := raw(net, T).Receive(S); err != nil || v != int32(7) {
 				t.Errorf("retried send delivered %v, %v; want 7", v, err)
 			}
 		})

@@ -117,7 +117,11 @@ func TestRunnerFirstErrorTearsDown(t *testing.T) {
 	r.Go("b", func() error {
 		// Blocks on a message that will never arrive until the teardown
 		// closes the route.
-		_, _, err := session.UncheckedForCodegen(net.Endpoint("b")).Recv("a")
+		from, err := session.UncheckedForCodegen(net.Endpoint("b")).From("a")
+		if err != nil {
+			return err
+		}
+		_, _, err = from.Recv()
 		return err
 	})
 	if err := r.Wait(); !errors.Is(err, boom) {

@@ -149,8 +149,9 @@ func BenchmarkNetPingPong(b *testing.B) {
 	}
 }
 
-// BenchmarkNetBatch64 moves 64 messages per iteration through the batched
-// SendN/RecvN paths — over the wire the batch coalesces into large writes,
+// BenchmarkNetBatch64 moves 64 messages per iteration through the batch
+// probes TrySendN/TryRecvN, waiting with WaitSend/WaitRecv when a probe
+// moves nothing — over the wire the batch coalesces into large writes,
 // which is where the AMR-style reordering headroom comes from.
 func BenchmarkNetBatch64(b *testing.B) {
 	batch := make([]channel.Message, 64)
@@ -158,22 +159,27 @@ func BenchmarkNetBatch64(b *testing.B) {
 		batch[i] = benchMsg
 	}
 	dst := make([]channel.Message, 64)
-	drive := func(b *testing.B, s channel.BatchSender, r channel.BatchReceiver) {
+	drive := func(b *testing.B, s, r channel.Substrate) {
 		b.Helper()
+		bs, br := s.(channel.BatchSender), r.(channel.BatchReceiver)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sent := 0
-			for sent < len(batch) {
-				n, err := s.SendN(batch[sent:])
+			for sent := 0; sent < len(batch); {
+				n, err := bs.TrySendN(batch[sent:])
+				if err == nil && n == 0 {
+					err = s.WaitSend(time.Time{})
+				}
 				if err != nil {
 					b.Fatal(err)
 				}
 				sent += n
 			}
-			got := 0
-			for got < len(batch) {
-				n, err := r.RecvN(dst[got:])
+			for got := 0; got < len(dst); {
+				n, err := br.TryRecvN(dst[got:])
+				if err == nil && n == 0 {
+					err = r.WaitRecv(time.Time{})
+				}
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -188,7 +194,7 @@ func BenchmarkNetBatch64(b *testing.B) {
 	for _, network := range []string{"unix", "tcp"} {
 		b.Run(network, func(b *testing.B) {
 			spq, rpq, _, _ := benchFabricRoutes(b, network)
-			drive(b, spq.(channel.BatchSender), rpq.(channel.BatchReceiver))
+			drive(b, spq, rpq)
 		})
 	}
 }

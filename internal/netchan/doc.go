@@ -4,11 +4,13 @@
 //
 // A network route is one direction of one role pair, carried on its own
 // connection. Each end is a pump pair around a bounded channel.Ring: the
-// sending half buffers Send/SendN traffic (and TrySend traffic that finds
+// sending half buffers TrySendN batches (and TrySend traffic that finds
 // frames ahead of it) in its ring and a writer goroutine drains it,
 // encoding whole runs into single writes; the receiving half parses frames
-// off the socket into its ring, from which TryRecv/RecvN pop. The rings are the would-block boundary — a full send
-// ring is exactly the full-socket-buffer condition, reported as
+// off the socket into its ring, from which TryRecv/TryRecvN pop. Send and
+// Recv are, as on every substrate, those probes plus WaitSend/WaitRecv
+// (channel.Send, channel.Recv). The rings are the would-block boundary — a
+// full send ring is exactly the full-socket-buffer condition, reported as
 // (false, nil) per the Try* contract — and the receive ring's bound gives
 // end-to-end backpressure: when the consumer lags, the reader stops
 // draining the socket and TCP flow control pushes back on the sender, so a
@@ -44,16 +46,17 @@
 // writes its frame to the socket itself, on the sender's goroutine, in one
 // non-blocking write. If the socket takes only part of the frame, or none
 // of it, the rest is handed to the writer goroutine ahead of anything
-// queued later, and TrySend still returns at once. Every other frame —
-// TrySend behind a queue, blocking Send and SendN, every frame on a
-// net.Pipe route, and the goodbye — is written by the writer goroutine, so
-// blocking senders keep their batching and the goodbye still follows the
-// last data frame. A stepped session woken by a delivery therefore sends
+// queued later, and TrySend still returns at once. A blocking Send is
+// TrySend plus a wait, so it writes directly too. Every other frame —
+// TrySend behind a queue, TrySendN batches, every frame on a net.Pipe
+// route, and the goodbye — is written by the writer goroutine, so batches
+// keep their single writes and the goodbye still follows the last data
+// frame. A stepped session woken by a delivery therefore sends
 // its reply from the goroutine that read the delivery, with no goroutine
 // hand-off in the round trip.
 //
 // The rings on both ends are built by channel.NewParkingRing: every wait
-// on them (the writer's RecvN, the reader's Send, and a session's
+// on them (the writer's WaitRecv, the reader's Send, and a session's
 // Send/Recv/WaitSend/WaitRecv) waits for socket I/O, so it parks at once
 // instead of spinning and yielding the CPU the sessions need.
 //

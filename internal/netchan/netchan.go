@@ -142,7 +142,7 @@ func (s *sendHalf) fail(err error) { s.dialErr = err; close(s.ready) }
 // whole role before any connection existed.
 //
 // A drain notifies only when a TrySend was refused since the last one. No
-// wake is lost: the CAS that clears the flag comes after RecvN has freed
+// wake is lost: the CAS that clears the flag comes after TryRecvN has freed
 // the slots, and TrySend probes again after raising it, so either the
 // refused sender's second probe sees a free slot or this drain sees the
 // flag. The hook fires with no lock held, before the batch's write, which
@@ -178,9 +178,9 @@ func (s *sendHalf) run() {
 			s.notify.wake()
 			return
 		}
-		// WaitRecv saw a message and only this goroutine consumes, so RecvN
-		// returns at once.
-		n, _ := s.ring.RecvN(batch)
+		// WaitRecv saw a message and only this goroutine consumes, so
+		// TryRecvN takes at least one.
+		n, _ := s.ring.TryRecvN(batch)
 		s.busy.Store(true)
 		s.wmu.Unlock()
 		if s.refused.CompareAndSwap(true, false) {
@@ -215,7 +215,9 @@ func closeCause(err error) error {
 	return nil
 }
 
-func (s *sendHalf) Send(m channel.Message) error { return s.ring.Send(m) }
+// Send is TrySend, and WaitSend between refusals: a blocking sender takes
+// the direct write too.
+func (s *sendHalf) Send(m channel.Message) error { return channel.Send(s, m, time.Time{}) }
 
 // TrySend writes m straight to the socket when nothing is queued ahead of
 // it (writeDirect); otherwise it is the ring's TrySend. A refusal raises
@@ -275,7 +277,10 @@ func (s *sendHalf) writeDirect(m channel.Message) (bool, error) {
 	return true, nil
 }
 
-func (s *sendHalf) SendN(ms []channel.Message) (int, error) { return s.ring.SendN(ms) }
+// TrySendN queues the run on the ring for the writer, behind any frame
+// already queued. A short count is for WaitSend to wait out: unlike a
+// refused TrySend, it does not arm the notify hook.
+func (s *sendHalf) TrySendN(ms []channel.Message) (int, error) { return s.ring.TrySendN(ms) }
 
 // WaitSend parks on the ring the writer drains: a freed slot wakes it.
 func (s *sendHalf) WaitSend(deadline time.Time) error { return s.ring.WaitSend(deadline) }
@@ -431,9 +436,9 @@ func (r *recvHalf) drainBlocking() bool {
 	}
 }
 
-func (r *recvHalf) Recv() (channel.Message, error)           { return r.ring.Recv() }
-func (r *recvHalf) TryRecv() (channel.Message, bool, error)  { return r.ring.TryRecv() }
-func (r *recvHalf) RecvN(dst []channel.Message) (int, error) { return r.ring.RecvN(dst) }
+func (r *recvHalf) Recv() (channel.Message, error)              { return channel.Recv(r, time.Time{}) }
+func (r *recvHalf) TryRecv() (channel.Message, bool, error)     { return r.ring.TryRecv() }
+func (r *recvHalf) TryRecvN(dst []channel.Message) (int, error) { return r.ring.TryRecvN(dst) }
 
 // WaitRecv parks on the ring the reader fills: a delivery (or the close a
 // goodbye frame or a dropped connection brings) wakes it.
@@ -485,14 +490,14 @@ type Route struct {
 	n    *notifier
 }
 
-func (p *Route) Send(m channel.Message) error             { return p.send.Send(m) }
-func (p *Route) TrySend(m channel.Message) (bool, error)  { return p.send.TrySend(m) }
-func (p *Route) SendN(ms []channel.Message) (int, error)  { return p.send.SendN(ms) }
-func (p *Route) Recv() (channel.Message, error)           { return p.recv.Recv() }
-func (p *Route) TryRecv() (channel.Message, bool, error)  { return p.recv.TryRecv() }
-func (p *Route) RecvN(dst []channel.Message) (int, error) { return p.recv.RecvN(dst) }
-func (p *Route) WaitSend(deadline time.Time) error        { return p.send.WaitSend(deadline) }
-func (p *Route) WaitRecv(deadline time.Time) error        { return p.recv.WaitRecv(deadline) }
+func (p *Route) Send(m channel.Message) error                { return channel.Send(p, m, time.Time{}) }
+func (p *Route) TrySend(m channel.Message) (bool, error)     { return p.send.TrySend(m) }
+func (p *Route) TrySendN(ms []channel.Message) (int, error)  { return p.send.TrySendN(ms) }
+func (p *Route) Recv() (channel.Message, error)              { return channel.Recv(p, time.Time{}) }
+func (p *Route) TryRecv() (channel.Message, bool, error)     { return p.recv.TryRecv() }
+func (p *Route) TryRecvN(dst []channel.Message) (int, error) { return p.recv.TryRecvN(dst) }
+func (p *Route) WaitSend(deadline time.Time) error           { return p.send.WaitSend(deadline) }
+func (p *Route) WaitRecv(deadline time.Time) error           { return p.recv.WaitRecv(deadline) }
 
 // Close closes the sending end only: the goodbye frame closes the
 // receiving end after every in-flight data frame has drained, so a

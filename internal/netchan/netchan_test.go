@@ -192,7 +192,7 @@ func TestPlainCloseDrains(t *testing.T) {
 	}
 }
 
-// SendN batches cross as a unit and RecvN consumes runs.
+// A TrySendN batch crosses as a unit and TryRecvN consumes runs.
 func TestBatchAcrossWire(t *testing.T) {
 	tab := testTable(t)
 	p := Pipe(tab, Options{Buffer: 64})
@@ -201,13 +201,16 @@ func TestBatchAcrossWire(t *testing.T) {
 	for i := range ms {
 		ms[i] = channel.Message{Label: "val", Value: int32(i)}
 	}
-	if n, err := p.SendN(ms); n != len(ms) || err != nil {
-		t.Fatalf("SendN = %d, %v", n, err)
+	if n, err := p.TrySendN(ms); n != len(ms) || err != nil {
+		t.Fatalf("TrySendN on an empty route = %d, %v", n, err)
 	}
 	got := 0
 	dst := make([]channel.Message, 16)
 	for got < len(ms) {
-		n, err := p.RecvN(dst)
+		n, err := p.TryRecvN(dst)
+		if err == nil && n == 0 {
+			err = p.WaitRecv(time.Time{})
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

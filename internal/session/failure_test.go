@@ -156,6 +156,7 @@ func TestSendDeadlineTimesOutOnFullRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	ep.SetDeadline(time.Now().Add(10 * time.Millisecond))
+	start := ep.Monitor().State()
 	serr := ep.Send("q", "req", nil)
 	if !errors.Is(serr, ErrTimeout) {
 		t.Fatalf("send on a full route with deadline: %v, want ErrTimeout", serr)
@@ -163,6 +164,9 @@ func TestSendDeadlineTimesOutOnFullRoute(t *testing.T) {
 	var te *TimeoutError
 	if !errors.As(serr, &te) || te.Op != "send" || te.Peer != "q" {
 		t.Errorf("TimeoutError = %+v, want send to q", te)
+	}
+	if got := ep.Monitor().State(); got != start {
+		t.Errorf("monitor moved across a timed-out send: %d -> %d", start, got)
 	}
 }
 
@@ -198,10 +202,39 @@ func TestBatchDeadlineTimesOut(t *testing.T) {
 		}
 	}
 	eq.SetDeadline(time.Now().Add(10 * time.Millisecond))
+	start := eq.Monitor().State()
 	rerr := eq.ReceiveN("p", "req", make([]any, 4))
-	if !errors.Is(rerr, ErrTimeout) {
-		t.Fatalf("ReceiveN on an empty route with deadline: %v, want ErrTimeout", rerr)
+	var te *TimeoutError
+	if !errors.As(rerr, &te) || te.Op != "receive" || te.Peer != "p" {
+		t.Fatalf("ReceiveN on an empty route with deadline: %v, want a *TimeoutError receiving from p", rerr)
 	}
+	if got := eq.Monitor().State(); got != start {
+		t.Errorf("monitor moved across a timed-out ReceiveN: %d -> %d", start, got)
+	}
+}
+
+// TestSendNCloseMidBatch pins SendN's batch loop (TrySendN, then WaitSend
+// while the route is full) against a teardown: a batch waiting on a full
+// bounded route is released by the abort with its cause, and the prefix it
+// sent before stays receivable ahead of that cause.
+func TestSendNCloseMidBatch(t *testing.T) {
+	n := NewBoundedNetwork(2, "a", "b")
+	a, b := n.Endpoint("a"), n.Endpoint("b")
+	done := make(chan error, 1)
+	go func() { done <- a.SendN("b", "v", []any{0, 1, 2, 3, 4}) }()
+	q, _ := a.outRoute("b")
+	for q.(*channel.Ring).Len() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	n.abort("b", errRootCause)
+	assertAbortChain(t, <-done, "b", errRootCause)
+	for i := 0; i < 2; i++ {
+		if _, v, err := b.Receive("a"); err != nil || v != i {
+			t.Fatalf("prefix message %d = (%v, %v)", i, v, err)
+		}
+	}
+	_, _, err := b.Receive("a")
+	assertAbortChain(t, err, "b", errRootCause)
 }
 
 // TestDeadlineUnfiredCompletesCleanly pins that an armed-but-unfired
@@ -386,13 +419,16 @@ func TestDriveRetriesFaultyRefusal(t *testing.T) {
 }
 
 // TestUncheckedFaceSurfacesAbortCause re-pins the generated-code face: an
-// abort's cause flows unchanged through the Unchecked Try*/blocking
-// wrappers the codegen APIs are built on.
+// abort's cause flows unchanged through the route-bound Unchecked
+// receiver the codegen APIs are built on.
 func TestUncheckedFaceSurfacesAbortCause(t *testing.T) {
 	n := NewNetwork("a", "b")
-	u := UncheckedForCodegen(n.Endpoint("a"))
+	from, err := UncheckedForCodegen(n.Endpoint("a")).From("b")
+	if err != nil {
+		t.Fatal(err)
+	}
 	n.CloseWithError(&ProtocolError{Role: "b", Cause: errRootCause})
-	_, _, err := u.Recv("b")
+	_, _, err = from.Recv()
 	assertAbortChain(t, err, "b", errRootCause)
 }
 

@@ -368,23 +368,23 @@ type Endpoint struct {
 	inUse  atomic.Bool
 	closed bool
 	// deadline, when non-zero, bounds every blocking operation on the
-	// endpoint: Send/Receive/SendN/ReceiveN probe with the Try* algebra and
-	// park on the route's deadline wait between probes, failing with a
-	// *TimeoutError once the deadline passes. Owned by the endpoint's
-	// process like the rest of the endpoint state (not synchronized).
+	// endpoint: Send/Receive/SendN/ReceiveN park on the route's wait
+	// between Try* probes with it, failing with a *TimeoutError once it
+	// passes; zero waits without bound. Owned by the endpoint's process
+	// like the rest of the endpoint state (not synchronized).
 	deadline time.Time
 }
 
 // SetDeadline arms (or, with the zero time, clears) an absolute deadline for
-// every subsequent blocking operation on the endpoint. With a deadline
-// armed, Send/Receive and their batched forms probe with the non-blocking
-// Try* algebra and, between probes, park on the route until it is ready,
-// closed or past the deadline (channel.Sender.WaitSend,
-// channel.Receiver.WaitRecv) — each refused probe has no observable effect
-// and the monitor commits only on success, so the Tier-2 safety argument is
-// exactly the one stepping already relies on (see DESIGN.md, "Failure
-// semantics"), and the wait costs what a blocking operation's park costs.
-// On expiry the operation fails with a *TimeoutError (errors.Is(err,
+// every subsequent blocking operation on the endpoint. Send/Receive and
+// their batched forms always probe with the non-blocking Try* algebra and,
+// between probes, park on the route until it is ready or closed
+// (channel.Sender.WaitSend, channel.Receiver.WaitRecv); an armed deadline
+// bounds that park. Each refused probe has no observable effect and the
+// monitor commits only on success, so the Tier-2 safety argument is exactly
+// the one stepping already relies on (see DESIGN.md, "Failure semantics"),
+// and arming a deadline changes no code path, only the wait's bound. On
+// expiry the operation fails with a *TimeoutError (errors.Is(err,
 // ErrTimeout)) naming the role, the operation and the peer; the session is
 // otherwise untouched — the caller decides whether to retry with a later
 // deadline or Abort the session.
@@ -394,50 +394,6 @@ type Endpoint struct {
 // from within the process itself, not concurrently with in-flight
 // operations.
 func (e *Endpoint) SetDeadline(t time.Time) { e.deadline = t }
-
-// Deadline returns the currently armed deadline (zero when none).
-func (e *Endpoint) Deadline() time.Time { return e.deadline }
-
-// sendDeadline is Send under an armed deadline: probe with TrySendMsg, and
-// while it would block, park on the route (channel.Sender.WaitSend) until
-// the route is worth probing again or the deadline passes. Every refused
-// probe left no trace (the monitor rewinds on would-block), so the
-// committed run is indistinguishable from a blocking send that happened to
-// wait — and the wait is the substrate's own park, woken by the receiver's
-// progress exactly as a blocking Send is.
-func (e *Endpoint) sendDeadline(to types.Role, label types.Label, value any) error {
-	for {
-		// Try* on an Endpoint reports a refusal as the bare ErrWouldBlock
-		// sentinel, so the probe loop compares directly instead of paying
-		// errors.Is (a reflect call) on every accepted message.
-		err := e.TrySendMsg(to, label, value)
-		if err != ErrWouldBlock {
-			return err
-		}
-		// A would-block probe resolved the route, so this lookup succeeds.
-		q, _ := e.outRoute(to)
-		if q.WaitSend(e.deadline) == channel.ErrDeadline {
-			return &TimeoutError{Role: e.role, Op: "send", Peer: to}
-		}
-		// Anything else — ready, or closed — is for the next probe to
-		// report.
-	}
-}
-
-// receiveDeadline is Receive under an armed deadline, symmetric to
-// sendDeadline.
-func (e *Endpoint) receiveDeadline(from types.Role) (types.Label, any, error) {
-	for {
-		label, value, err := e.TryRecvMsg(from)
-		if err != ErrWouldBlock {
-			return label, value, err
-		}
-		q, _ := e.inRoute(from)
-		if q.WaitRecv(e.deadline) == channel.ErrDeadline {
-			return "", nil, &TimeoutError{Role: e.role, Op: "receive", Peer: from}
-		}
-	}
-}
 
 // resolveRoutes caches the endpoint's route slices. Called at creation;
 // also lazily from the hot paths so hand-constructed Endpoint literals
@@ -493,48 +449,47 @@ func (e *Endpoint) inRoute(from types.Role) (route, error) {
 // it blocks while the route is full. With a monitor attached, the action
 // must be allowed by the FSM and a non-nil payload must inhabit the declared
 // sort.
+//
+// Send is TrySendMsg and, while the probe would block, a park on the route
+// (channel.Sender.WaitSend) bounded by the endpoint's deadline. Every
+// refused probe left no trace (the monitor rewinds on would-block), so the
+// committed run is indistinguishable from a send that never waited, and the
+// wait is the substrate's own park, woken by the receiver's progress.
 func (e *Endpoint) Send(to types.Role, label types.Label, value any) error {
-	if !e.deadline.IsZero() {
-		return e.sendDeadline(to, label, value)
-	}
-	if e.mon != nil {
-		sort, err := e.mon.stepSort(fsm.Action{Dir: fsm.Send, Peer: to, Label: label})
-		if err != nil {
+	for {
+		// Try* on an Endpoint reports a refusal as the bare ErrWouldBlock
+		// sentinel, so the probe loop compares directly instead of paying
+		// errors.Is (a reflect call) on every accepted message.
+		err := e.TrySendMsg(to, label, value)
+		if err != ErrWouldBlock {
 			return err
 		}
-		if !sortAccepts(sort, value) {
-			return &SortError{Role: e.role, Act: fsm.Action{Dir: fsm.Send, Peer: to, Label: label, Sort: sort}, Value: value}
+		// A would-block probe resolved the route, so this lookup succeeds.
+		q, _ := e.outRoute(to)
+		if q.WaitSend(e.deadline) == channel.ErrDeadline {
+			return &TimeoutError{Role: e.role, Op: "send", Peer: to}
 		}
+		// Anything else — ready, or closed — is for the next probe to
+		// report.
 	}
-	q, err := e.outRoute(to)
-	if err != nil {
-		return err
-	}
-	return q.Send(channel.Message{Label: label, Value: value})
 }
 
 // Receive blocks until a message from the given role arrives and returns its
 // label and payload. With a monitor attached, the label is checked against
 // the FSM's expected inputs — an unexpected label faults the session rather
-// than being silently consumed.
+// than being silently consumed. Like Send, it is TryRecvMsg and a park on
+// the route (channel.Receiver.WaitRecv) bounded by the endpoint's deadline.
 func (e *Endpoint) Receive(from types.Role) (types.Label, any, error) {
-	if !e.deadline.IsZero() {
-		return e.receiveDeadline(from)
-	}
-	q, err := e.inRoute(from)
-	if err != nil {
-		return "", nil, err
-	}
-	m, err := q.Recv()
-	if err != nil {
-		return "", nil, err
-	}
-	if e.mon != nil {
-		if err := e.mon.step(fsm.Action{Dir: fsm.Recv, Peer: from, Label: m.Label}); err != nil {
-			return "", nil, err
+	for {
+		label, value, err := e.TryRecvMsg(from)
+		if err != ErrWouldBlock {
+			return label, value, err
+		}
+		q, _ := e.inRoute(from)
+		if q.WaitRecv(e.deadline) == channel.ErrDeadline {
+			return "", nil, &TimeoutError{Role: e.role, Op: "receive", Peer: from}
 		}
 	}
-	return m.Label, m.Value, nil
 }
 
 // TrySendMsg is the non-blocking Send: it delivers label(value) to the given
@@ -625,13 +580,12 @@ func (e *Endpoint) SendN(to types.Role, label types.Label, values []any) error {
 		return nil
 	}
 	if !e.deadline.IsZero() {
-		// Deadline-armed batches decay to per-message park-with-deadline
-		// sends: each message commits (or times out) individually, so a
-		// mid-batch expiry reports exactly how far the batch got through the
-		// monitor — the same partial-prefix semantics a closed route gives
-		// SendN.
+		// Deadline-armed batches decay to per-message Sends: each message
+		// commits (or times out) individually, so a mid-batch expiry
+		// reports exactly how far the batch got through the monitor — the
+		// same partial-prefix semantics a closed route gives SendN.
 		for _, v := range values {
-			if err := e.sendDeadline(to, label, v); err != nil {
+			if err := e.Send(to, label, v); err != nil {
 				return err
 			}
 		}
@@ -673,11 +627,18 @@ func (e *Endpoint) SendN(to types.Role, label types.Label, values []any) error {
 	}
 	defer e.releaseScratch(ms)
 	if bs, ok := q.(channel.BatchSender); ok {
-		_, err := bs.SendN(ms)
-		return err
+		for sent := 0; ; {
+			n, err := bs.TrySendN(ms[sent:])
+			if sent += n; err != nil || sent == len(ms) {
+				return err
+			}
+			if err := q.WaitSend(time.Time{}); err != nil {
+				return err
+			}
+		}
 	}
 	for _, m := range ms {
-		if err := q.Send(m); err != nil {
+		if err := channel.Send(q, m, time.Time{}); err != nil {
 			return err
 		}
 	}
@@ -687,22 +648,12 @@ func (e *Endpoint) SendN(to types.Role, label types.Label, values []any) error {
 // ReceiveN receives exactly len(dst) messages from the given role, all of
 // which must carry the label want, storing their payloads into dst. Like
 // SendN it amortises the monitor over self-loop runs and drains substrates
-// implementing channel.BatchReceiver in whole available windows.
+// implementing channel.BatchReceiver in whole available windows. Between
+// empty probes it parks on the route, bounded by the endpoint's deadline;
+// the monitor has then stepped over exactly the messages received, so a
+// timed-out batch is a received prefix, as a closed route leaves it.
 func (e *Endpoint) ReceiveN(from types.Role, want types.Label, dst []any) error {
 	if len(dst) == 0 {
-		return nil
-	}
-	if !e.deadline.IsZero() {
-		for i := range dst {
-			label, v, err := e.receiveDeadline(from)
-			if err != nil {
-				return err
-			}
-			if label != want {
-				return fmt.Errorf("session: role %s expected label %s from %s, got %s (message %d of batch)", e.role, want, from, label, i)
-			}
-			dst[i] = v
-		}
 		return nil
 	}
 	q, err := e.inRoute(from)
@@ -716,19 +667,20 @@ func (e *Endpoint) ReceiveN(from types.Role, want types.Label, dst []any) error 
 	selfLoop := false
 	got := 0
 	for got < len(dst) {
-		n := 0
+		n, ok := 0, false
 		if batched {
-			n, err = br.RecvN(ms[got:])
-			if err != nil {
-				return err
-			}
-		} else {
-			m, err := q.Recv()
-			if err != nil {
-				return err
-			}
-			ms[got] = m
+			n, err = br.TryRecvN(ms[got:])
+		} else if ms[got], ok, err = q.TryRecv(); ok {
 			n = 1
+		}
+		if err != nil {
+			return err
+		}
+		if n == 0 {
+			if q.WaitRecv(e.deadline) == channel.ErrDeadline {
+				return &TimeoutError{Role: e.role, Op: "receive", Peer: from}
+			}
+			continue
 		}
 		// Validate each window as it arrives — a protocol deviation
 		// mid-batch must fault immediately, not leave the receiver blocked

@@ -185,7 +185,7 @@ func TestForkLocalRoutes(t *testing.T) {
 	if !local.Reset() {
 		t.Fatal("Reset declined a Local fork")
 	}
-	if !a.Deadline().IsZero() {
+	if !a.deadline.IsZero() {
 		t.Error("Reset kept the endpoint's deadline")
 	}
 	if q := routeOf(local).(*channel.Local); q.Len() != 0 {

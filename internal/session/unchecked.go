@@ -2,6 +2,7 @@ package session
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/channel"
 	"repro/internal/types"
@@ -24,37 +25,13 @@ import (
 // support library that generated packages drive. See DESIGN.md ("The three
 // API tiers").
 
-// sendUnchecked delivers label(value) to the given role without consulting
-// the monitor. Conformance must be guaranteed by the caller's construction
-// (generated state-pattern code); linearity is still the endpoint owner's
-// responsibility.
-func (e *Endpoint) sendUnchecked(to types.Role, label types.Label, value any) error {
-	q, err := e.outRoute(to)
-	if err != nil {
-		return err
-	}
-	return q.Send(channel.Message{Label: label, Value: value})
-}
-
-// recvUnchecked receives the next message from the given role without
-// consulting the monitor.
-func (e *Endpoint) recvUnchecked(from types.Role) (types.Label, any, error) {
-	q, err := e.inRoute(from)
-	if err != nil {
-		return "", nil, err
-	}
-	m, err := q.Recv()
-	if err != nil {
-		return "", nil, err
-	}
-	return m.Label, m.Value, nil
-}
-
-// Unchecked is the monitor-free face of an endpoint: Send and Receive hit
-// the substrate directly, with no FSM step and no sort check. It exists for
-// code whose conformance is correct by construction — the state-pattern
-// packages emitted by internal/codegen — and is obtained only through
-// UncheckedForCodegen.
+// Unchecked is the monitor-free face of an endpoint: the route-bound
+// senders and receivers it hands out (To, From) hit the substrate directly,
+// with no FSM step and no sort check. Conformance must be guaranteed by the
+// caller's construction; linearity is still the endpoint owner's
+// responsibility. It exists for code whose conformance is correct by
+// construction — the state-pattern packages emitted by internal/codegen —
+// and is obtained only through UncheckedForCodegen.
 type Unchecked struct {
 	e *Endpoint
 }
@@ -69,16 +46,6 @@ func UncheckedForCodegen(e *Endpoint) Unchecked { return Unchecked{e: e} }
 // Endpoint returns the wrapped endpoint (for linearity via TrySession and
 // role identity).
 func (u Unchecked) Endpoint() *Endpoint { return u.e }
-
-// Send delivers label(value) to the given role, monitor-free.
-func (u Unchecked) Send(to types.Role, label types.Label, value any) error {
-	return u.e.sendUnchecked(to, label, value)
-}
-
-// Recv receives the next message from the given role, monitor-free.
-func (u Unchecked) Recv(from types.Role) (types.Label, any, error) {
-	return u.e.recvUnchecked(from)
-}
 
 // To resolves the route towards a peer once, returning a bound sender: the
 // per-transition face generated code caches at session start so the steady
@@ -111,7 +78,7 @@ func (s UncheckedSend) Send(label types.Label, value any) error {
 	if s.q == nil {
 		return fmt.Errorf("session: Send on zero UncheckedSend")
 	}
-	return s.q.Send(channel.Message{Label: label, Value: value})
+	return channel.Send(s.q, channel.Message{Label: label, Value: value}, time.Time{})
 }
 
 // TrySend delivers label(value) on the bound route if it has room, and
@@ -144,7 +111,7 @@ func (r UncheckedRecv) Recv() (types.Label, any, error) {
 	if r.q == nil {
 		return "", nil, fmt.Errorf("session: Recv on zero UncheckedRecv")
 	}
-	m, err := r.q.Recv()
+	m, err := channel.Recv(r.q, time.Time{})
 	if err != nil {
 		return "", nil, err
 	}
