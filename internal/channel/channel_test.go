@@ -30,6 +30,25 @@ func TestQueueFIFO(t *testing.T) {
 	}
 }
 
+func TestQueueBlockingRecv(t *testing.T) {
+	q := NewQueue()
+	done := make(chan Message)
+	go func() {
+		m, err := q.Recv()
+		if err != nil {
+			t.Error(err)
+		}
+		done <- m
+	}()
+	if err := q.Send(Message{Label: "x", Value: 42}); err != nil {
+		t.Fatal(err)
+	}
+	m := <-done
+	if m.Value.(int) != 42 {
+		t.Errorf("got %v", m.Value)
+	}
+}
+
 func TestQueueTryRecv(t *testing.T) {
 	q := NewQueue()
 	if _, ok, err := q.TryRecv(); ok || err != nil {
@@ -59,6 +78,19 @@ func TestQueueClose(t *testing.T) {
 	}
 	if _, _, err := q.TryRecv(); err != ErrClosed {
 		t.Errorf("TryRecv after drain = %v", err)
+	}
+}
+
+func TestQueueCloseUnblocksReceivers(t *testing.T) {
+	q := NewQueue()
+	done := make(chan error)
+	go func() {
+		_, err := q.Recv()
+		done <- err
+	}()
+	q.Close()
+	if err := <-done; err != ErrClosed {
+		t.Errorf("blocked Recv after Close = %v", err)
 	}
 }
 

@@ -177,6 +177,23 @@ func TestRingCloseUnblocksReceiver(t *testing.T) {
 	}
 }
 
+func TestRingCloseUnblocksSender(t *testing.T) {
+	r := NewRing(1)
+	r.Send(Message{Value: 0})
+	done := make(chan error)
+	go func() {
+		done <- r.Send(Message{Value: 1})
+	}()
+	r.Close()
+	if err := <-done; err != ErrClosed {
+		t.Errorf("blocked Send after Close = %v", err)
+	}
+	// The message buffered before the close still drains.
+	if m, err := r.Recv(); err != nil || m.Value.(int) != 0 {
+		t.Errorf("Recv = %v %v", m, err)
+	}
+}
+
 func TestRingTryRecv(t *testing.T) {
 	for name, mk := range ringVariants() {
 		t.Run(name, func(t *testing.T) {
