@@ -47,9 +47,6 @@ func (s Style) String() string {
 	}
 }
 
-// Synchronous reports whether the style blocks senders until reception.
-func (s Style) Synchronous() bool { return s != Ferrite }
-
 // packet carries one message plus the continuation channel for the next
 // interaction, mirroring how Sesh threads its one-shot channels.
 type packet struct {
@@ -95,15 +92,6 @@ func (c *Chan) Send(label types.Label, value any) *Chan {
 func (c *Chan) Recv() (types.Label, any, *Chan) {
 	p := <-c.ch
 	return p.label, p.value, p.next
-}
-
-// RecvLabel is Recv with a label assertion, for protocols without branching.
-func (c *Chan) RecvLabel(want types.Label) (any, *Chan, error) {
-	label, value, next := c.Recv()
-	if label != want {
-		return nil, next, fmt.Errorf("baseline: expected label %s, got %s", want, label)
-	}
-	return value, next, nil
 }
 
 // Mesh is the MultiCrusty representation of a multiparty session: one binary

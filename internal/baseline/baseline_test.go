@@ -1,7 +1,10 @@
 package baseline
 
 import (
+	"fmt"
 	"testing"
+
+	"repro/internal/types"
 )
 
 func TestSeshPingPong(t *testing.T) {
@@ -176,4 +179,16 @@ func TestMeshRecvLabelMismatch(t *testing.T) {
 	if _, err := b.RecvLabel("a", "y"); err == nil {
 		t.Error("label mismatch accepted")
 	}
+}
+
+// Synchronous reports whether the style blocks senders until reception.
+func (s Style) Synchronous() bool { return s != Ferrite }
+
+// RecvLabel is Recv with a label assertion, for protocols without branching.
+func (c *Chan) RecvLabel(want types.Label) (any, *Chan, error) {
+	label, value, next := c.Recv()
+	if label != want {
+		return nil, next, fmt.Errorf("baseline: expected label %s, got %s", want, label)
+	}
+	return value, next, nil
 }

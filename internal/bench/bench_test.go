@@ -3,11 +3,14 @@ package bench
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/channel"
+	"repro/internal/core"
 	"repro/internal/session"
 	"repro/internal/types"
 )
@@ -356,3 +359,96 @@ var errTest = errSentinel("test")
 type errSentinel string
 
 func (e errSentinel) Error() string { return string(e) }
+
+// NetworkSubstrate selects the session-network substrate for the
+// Session.Run end-to-end experiments: the lock-free ring default against
+// the mutex-queue baseline.
+type NetworkSubstrate int
+
+const (
+	// RingSubstrate: lock-free SPSC rings (session.NewNetwork, the default).
+	RingSubstrate NetworkSubstrate = iota
+	// QueueSubstrate: mutex+cond queues (session.NewQueueNetwork).
+	QueueSubstrate
+)
+
+func (s NetworkSubstrate) String() string {
+	if s == QueueSubstrate {
+		return "queue"
+	}
+	return "ring"
+}
+
+func (s NetworkSubstrate) network(roles ...types.Role) *session.Network {
+	if s == QueueSubstrate {
+		return session.NewQueueNetwork(roles...)
+	}
+	return session.NewNetwork(roles...)
+}
+
+// streamSess caches the verified streaming session so SessionStreaming
+// measures the runtime (Session.Run on a fresh network per call), not
+// projection and subtyping. The mutex serialises whole runs: each call
+// rewires the shared cached session, so concurrent calls must not overlap.
+var streamSess struct {
+	mu   sync.Mutex
+	sess *session.Session
+	err  error
+}
+
+// SessionStreaming runs the streaming protocol end-to-end under the fully
+// monitored session runtime — TopDown-verified FSMs, Session.Run, one
+// monitor step per action — over the chosen substrate, returning the number
+// of values the sink received. This is the Session.Run head-to-head behind
+// the ring-vs-queue numbers in CHANGES.md. Calls are serialised (the
+// verified session is shared and rewired per call).
+func SessionStreaming(sub NetworkSubstrate, n int) (int, error) {
+	streamSess.mu.Lock()
+	defer streamSess.mu.Unlock()
+	if streamSess.sess == nil && streamSess.err == nil {
+		g := types.MustParseGlobal("mu x.t->s:ready.s->t:{value.x, stop.end}")
+		streamSess.sess, streamSess.err = session.TopDown(g, nil, core.Options{})
+	}
+	if streamSess.err != nil {
+		return 0, streamSess.err
+	}
+	s := streamSess.sess.Rewire(sub.network)
+	received := 0
+	err := s.Run(map[types.Role]func(*session.Endpoint) error{
+		"s": func(e *session.Endpoint) error {
+			for i := 0; ; i++ {
+				if _, err := e.ReceiveLabel("t", "ready"); err != nil {
+					return err
+				}
+				if i == n {
+					return e.Send("t", "stop", nil)
+				}
+				if err := e.Send("t", "value", i); err != nil {
+					return err
+				}
+			}
+		},
+		"t": func(e *session.Endpoint) error {
+			for {
+				if err := e.Send("s", "ready", nil); err != nil {
+					return err
+				}
+				label, _, err := e.Receive("s")
+				if err != nil {
+					return err
+				}
+				if label == "stop" {
+					return nil
+				}
+				received++
+			}
+		},
+	})
+	if err != nil {
+		return received, err
+	}
+	if received != n {
+		return received, fmt.Errorf("bench: session sink received %d of %d", received, n)
+	}
+	return received, nil
+}

@@ -8,9 +8,11 @@ package bench
 // evidence that dropping the monitor loses no behaviour — only its cost.
 
 import (
+	"fmt"
 	"testing"
 
 	genelev "repro/examples/gen/elevator"
+	genring "repro/examples/gen/ring"
 	genstreaming "repro/examples/gen/streaming"
 	"repro/internal/core"
 	"repro/internal/fft"
@@ -477,4 +479,125 @@ func TestGenHelpers(t *testing.T) {
 	if got, err := GenElevator(9); err != nil || got != 9 {
 		t.Errorf("GenElevator = %d, %v", got, err)
 	}
+}
+
+// GenRing circulates the ring token for laps rounds over the generated API
+// and returns the completed lap count.
+func GenRing(laps int) (int, error) {
+	net := genring.NewNetwork()
+	done := 0
+	err := genring.Run(net, genring.Procs{
+		A: func(a genring.A0) error {
+			for i := 0; i < laps; i++ {
+				a2, err := a.SendV()
+				if err != nil {
+					return err
+				}
+				if a, err = a2.RecvV(); err != nil {
+					return err
+				}
+				done++
+			}
+			return nil
+		},
+		B: func(b genring.B0) error {
+			for i := 0; i < laps; i++ {
+				b2, err := b.RecvV()
+				if err != nil {
+					return err
+				}
+				if b, err = b2.SendV(); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		C: func(c genring.C0) error {
+			for i := 0; i < laps; i++ {
+				c2, err := c.RecvV()
+				if err != nil {
+					return err
+				}
+				if c, err = c2.SendV(); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		return done, err
+	}
+	return done, nil
+}
+
+// GenElevator drives the elevator control loop for calls panel presses
+// (alternating up and down) over the generated API, returning the number of
+// door cycles the door actually performed.
+func GenElevator(calls int) (int, error) {
+	net := genelev.NewNetwork()
+	opens := 0
+	err := genelev.Run(net, genelev.Procs{
+		P: func(p genelev.P0) error {
+			var err error
+			for i := 0; i < calls; i++ {
+				if i%2 == 0 {
+					p, err = p.SendUp()
+				} else {
+					p, err = p.SendDown()
+				}
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		E: func(e genelev.E0) error {
+			for i := 0; i < calls; i++ {
+				b, err := e.Branch()
+				if err != nil {
+					return err
+				}
+				switch b.Label {
+				case genelev.LabelUp:
+					e3, err := b.UpNext.SendOpen()
+					if err != nil {
+						return err
+					}
+					if e, err = e3.RecvDone(); err != nil {
+						return err
+					}
+				case genelev.LabelDown:
+					e5, err := b.DownNext.SendOpen()
+					if err != nil {
+						return err
+					}
+					if e, err = e5.RecvDone(); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		},
+		D: func(d genelev.D0) error {
+			for i := 0; i < calls; i++ {
+				d2, err := d.RecvOpen()
+				if err != nil {
+					return err
+				}
+				if d, err = d2.SendDone(); err != nil {
+					return err
+				}
+				opens++
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		return opens, err
+	}
+	if opens != calls {
+		return opens, fmt.Errorf("bench: door opened %d of %d times", opens, calls)
+	}
+	return opens, nil
 }

@@ -36,9 +36,13 @@ type CloseError struct {
 func (e *CloseError) Error() string { return "channel: closed: " + e.Cause.Error() }
 
 // Unwrap exposes the close cause to errors.Is/errors.As.
+//
+//repro:keep errors.Is and errors.As call it through an anonymous interface
 func (e *CloseError) Unwrap() error { return e.Cause }
 
 // Is reports true for ErrClosed: a cause-carrying close is still a close.
+//
+//repro:keep errors.Is and errors.As call it through an anonymous interface
 func (e *CloseError) Is(target error) bool { return target == ErrClosed }
 
 // Substrate is the full per-route channel contract the session runtimes
@@ -167,6 +171,14 @@ func Recv(r Receiver, deadline time.Time) (Message, error) {
 
 // Queue is an unbounded FIFO. Send never blocks; Recv blocks until a message
 // arrives. The zero value is ready to use.
+//
+// Queue is the mutex baseline, and its blocking receive is not tuned like
+// the rings': Recv is the package's probe-and-wait loop, so every receive
+// pays the loop's extra call around TryRecv, and one that waits (TryRecv,
+// WaitRecv, TryRecv) takes the mutex three times where a cond loop would
+// take it once. The SendRecv/queue and PingPong/queue bench rows include
+// that cost, so their ratios against the ring rows do not compare the
+// substrates like for like.
 type Queue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -267,13 +279,6 @@ func (q *Queue) pop() Message {
 		q.head = 0
 	}
 	return m
-}
-
-// Len returns the number of buffered messages.
-func (q *Queue) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.buf) - q.head
 }
 
 // Close marks the queue closed. Buffered messages may still be received;

@@ -177,3 +177,10 @@ func TestRingMinimumCapacity(t *testing.T) {
 	}
 	<-done
 }
+
+// Len returns the number of buffered messages.
+func (q *Queue) Len() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.buf) - q.head
+}

@@ -105,6 +105,8 @@ type Faulty struct {
 }
 
 // NewFaulty wraps inner with the given fault plan.
+//
+//repro:keep the fault-injection substrate the chaos soak and the channel, session and sched fault tests build
 func NewFaulty(inner Substrate, plan FaultPlan) *Faulty {
 	return &Faulty{inner: inner, plan: plan}
 }
@@ -274,10 +276,5 @@ func (f *Faulty) SetNotify(fn func()) {
 		n.SetNotify(fn)
 	}
 }
-
-// Ops returns the number of effective operations completed so far (both
-// sides); chaos reports use it to describe how deep into a schedule a fault
-// fired.
-func (f *Faulty) Ops() int { return int(f.ops.Load()) }
 
 var _ Substrate = (*Faulty)(nil)

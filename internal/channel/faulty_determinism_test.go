@@ -199,3 +199,8 @@ func TestFaultyInjectedCloseAfterLands(t *testing.T) {
 		t.Fatalf("after injected close: %v, want ErrInjected in the chain", err)
 	}
 }
+
+// Ops returns the number of effective operations completed so far (both
+// sides); chaos reports use it to describe how deep into a schedule a fault
+// fired.
+func (f *Faulty) Ops() int { return int(f.ops.Load()) }

@@ -39,13 +39,6 @@ type Local struct {
 	gate atomic.Pointer[parkGate] // built by the first WaitRecv that parks
 }
 
-// NewLocal returns an empty single-owner queue. No buffer is allocated
-// until the first send.
-func NewLocal() *Local { return &Local{} }
-
-// Len returns the number of buffered messages. Owner only.
-func (q *Local) Len() int { return int(q.tail - q.head) }
-
 // Send appends m. It never blocks.
 func (q *Local) Send(m Message) error { return Send(q, m, time.Time{}) }
 

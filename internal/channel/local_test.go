@@ -40,3 +40,10 @@ func TestLocalFIFOAcrossGrowth(t *testing.T) {
 		t.Fatalf("TryRecv on the drained queue = (%v, %v), want empty and open", ok, err)
 	}
 }
+
+// NewLocal returns an empty single-owner queue. No buffer is allocated
+// until the first send.
+func NewLocal() *Local { return &Local{} }
+
+// Len returns the number of buffered messages. Owner only.
+func (q *Local) Len() int { return int(q.tail - q.head) }

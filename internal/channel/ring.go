@@ -274,9 +274,6 @@ func NewParkingRing(k int) *Ring {
 	return r
 }
 
-// Cap returns the logical capacity.
-func (r *Ring) Cap() int { return int(r.capacity) }
-
 // Len returns the number of buffered messages.
 func (r *Ring) Len() int { return int(r.tail.Load() - r.head.Load()) }
 
@@ -493,9 +490,6 @@ type RingQueue struct {
 // NewRingQueue returns an empty unbounded ring queue. No segment is
 // allocated until the first send.
 func NewRingQueue() *RingQueue { return &RingQueue{} }
-
-// Len returns the number of buffered messages.
-func (q *RingQueue) Len() int { return int(q.tail.Load() - q.head.Load()) }
 
 // Send appends m. It never blocks.
 func (q *RingQueue) Send(m Message) error { return Send(q, m, time.Time{}) }

@@ -432,3 +432,9 @@ func TestQuickRingMatchesQueue(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Cap returns the logical capacity.
+func (r *Ring) Cap() int { return int(r.capacity) }
+
+// Len returns the number of buffered messages.
+func (q *RingQueue) Len() int { return int(q.tail.Load() - q.head.Load()) }

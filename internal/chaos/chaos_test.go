@@ -266,7 +266,8 @@ func TestChaosStealSoak(t *testing.T) {
 
 // driveSchedule pushes a fixed alternating workload — send message k
 // (retrying through refusals), receive it (ditto) — through a Faulty route
-// until the injected close ends it, and returns the observable schedule.
+// until the injected close ends it, and returns the observable schedule:
+// the messages delivered and the effective operations completed.
 // Refused probes yield (over the pipe a message is in the pumps' hands for
 // a while); the probe cap is the hang detector for a genuinely wedged
 // route.
@@ -280,9 +281,10 @@ func driveSchedule(t *testing.T, inner channel.Substrate, plan channel.FaultPlan
 			}
 			ok, err := f.TrySend(channel.Message{Label: "v", Value: int32(delivered)})
 			if err != nil {
-				return delivered, f.Ops()
+				return delivered, ops
 			}
 			if ok {
+				ops++
 				break
 			}
 			runtime.Gosched()
@@ -293,10 +295,11 @@ func driveSchedule(t *testing.T, inner channel.Substrate, plan channel.FaultPlan
 			}
 			_, ok, err := f.TryRecv()
 			if err != nil {
-				return delivered, f.Ops()
+				return delivered, ops
 			}
 			if ok {
 				delivered++
+				ops++
 				break
 			}
 			runtime.Gosched()

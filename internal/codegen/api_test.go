@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/codegen"
 	"repro/internal/protocols"
-	"repro/internal/scribble"
 )
 
 // updateAPI is separate from -update on purpose: regenerating the goldens
@@ -53,7 +52,7 @@ func TestGeneratedAPIUnchanged(t *testing.T) {
 	}
 	fromScribble := func(src, pkg string) func() ([]byte, error) {
 		return func() ([]byte, error) {
-			return codegen.FromScribble(scribble.MustParse(src), codegen.Options{Package: pkg})
+			return codegen.FromScribble(mustParse(src), codegen.Options{Package: pkg})
 		}
 	}
 	cases := map[string]func() ([]byte, error){

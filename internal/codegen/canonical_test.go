@@ -12,7 +12,6 @@ import (
 	"repro/internal/project"
 	"repro/internal/protocols"
 	"repro/internal/protofuzz"
-	"repro/internal/scribble"
 	"repro/internal/types"
 )
 
@@ -55,13 +54,13 @@ func TestGenerateIsGofmtCanonical(t *testing.T) {
 		check(c.pkg, src, err)
 	}
 	for _, c := range []struct{ scr, pkg string }{{greeterScr, "greeter"}, {swapScr, "swap"}} {
-		src, err := codegen.FromScribble(scribble.MustParse(c.scr), codegen.Options{Package: c.pkg})
+		src, err := codegen.FromScribble(mustParse(c.scr), codegen.Options{Package: c.pkg})
 		check(c.pkg, src, err)
 	}
 
 	// Role and label names whose rune counts order differently from their
 	// byte counts: gofmt pads to rune widths.
-	src, err := codegen.FromScribble(scribble.MustParse(`
+	src, err := codegen.FromScribble(mustParse(`
 global protocol Uni(role ä, role bcdefg) {
   vålue(vec<f64>) from ä to bcdefg;
   choice at ä {
@@ -77,7 +76,7 @@ global protocol Uni(role ä, role bcdefg) {
 
 	// A caseless (CJK) role and label: the mangler prefixes X, and the
 	// padding still counts runes.
-	src, err = codegen.FromScribble(scribble.MustParse(`
+	src, err = codegen.FromScribble(mustParse(`
 global protocol Cjk(role 数, role b) {
   choice at 数 {
     值(i32) from 数 to b;

@@ -90,7 +90,7 @@ global protocol Swap(role a, role b) {
 )
 
 func TestGoldenScribble(t *testing.T) {
-	src, err := codegen.FromScribble(scribble.MustParse(greeterScr), codegen.Options{Package: "greeter"})
+	src, err := codegen.FromScribble(mustParse(greeterScr), codegen.Options{Package: "greeter"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestCheckedInPackagesCurrent(t *testing.T) {
 // payload parameters, the typed genrt.As converter and the *new([]float64)
 // zero value — the whole registry-bound path, none of the scalar table.
 func TestGoldenVectorPayload(t *testing.T) {
-	src, err := codegen.FromScribble(scribble.MustParse(swapScr), codegen.Options{Package: "swap"})
+	src, err := codegen.FromScribble(mustParse(swapScr), codegen.Options{Package: "swap"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,4 +469,13 @@ func TestGeneratedLinearityAcrossSessions(t *testing.T) {
 	if err == nil {
 		t.Fatal("second concurrent session over the same endpoint was admitted")
 	}
+}
+
+// mustParse is scribble.Parse but panics on error.
+func mustParse(src string) *scribble.Protocol {
+	p, err := scribble.Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return p
 }

@@ -6,6 +6,7 @@ import (
 
 	genfft "repro/examples/gen/fft"
 	genstreaming "repro/examples/gen/streaming"
+	"repro/internal/channel"
 	"repro/internal/codegen/genrt"
 	"repro/internal/session"
 	"repro/internal/types"
@@ -28,6 +29,31 @@ import (
 
 // errCause is the close cause the closed-route cases tear networks down with.
 var errCause = errors.New("route torn down by the test")
+
+// recorded holds the routes of every network from recordedNetwork, so
+// closeWithCause can tear them down with a cause.
+var recorded = map[*session.Network][]channel.Substrate{}
+
+// recordedNetwork is the generated packages' default ring network over
+// roles, with its routes recorded.
+func recordedNetwork(roles ...types.Role) *session.Network {
+	var routes []channel.Substrate
+	net := session.NewCustomNetwork(func() channel.Substrate {
+		q := channel.NewRingQueue()
+		routes = append(routes, q)
+		return q
+	}, roles...)
+	recorded[net] = routes
+	return net
+}
+
+// closeWithCause closes every route of a recordedNetwork with errCause.
+func closeWithCause(net *session.Network) error {
+	for _, q := range recorded[net] {
+		q.CloseWithError(errCause)
+	}
+	return nil
+}
 
 // errAbandon ends a session body once the transition under test has run.
 var errAbandon = errors.New("session abandoned by the test")
@@ -140,7 +166,7 @@ func TestGeneratedSendFaults(t *testing.T) {
 	for _, try := range []bool{false, true} {
 		name := map[bool]string{false: "blocking", true: "try"}[try]
 		t.Run("signal/closed/"+name, func(t *testing.T) {
-			net := genstreaming.NewNetwork()
+			net := recordedNetwork(genstreaming.Roles()...)
 			runT(t, net, func(t0 genstreaming.T0) {
 				send := func() (genstreaming.T2, error) {
 					if try {
@@ -148,13 +174,13 @@ func TestGeneratedSendFaults(t *testing.T) {
 					}
 					return t0.SendReady()
 				}
-				net.CloseWithError(errCause)
+				closeWithCause(net)
 				t2, err := send()
 				consumed(t, "SendReady", t2, err, is(errCause), func() error { _, err := send(); return err })
 			})
 		})
 		t.Run("payload/closed/"+name, func(t *testing.T) {
-			net := genstreaming.NewNetwork()
+			net := recordedNetwork(genstreaming.Roles()...)
 			runS(t, net, func(s0 genstreaming.S0) {
 				send := func(v int32) (genstreaming.S1, error) {
 					if try {
@@ -162,7 +188,7 @@ func TestGeneratedSendFaults(t *testing.T) {
 					}
 					return s0.SendValue(v)
 				}
-				net.CloseWithError(errCause)
+				closeWithCause(net)
 				s1, err := send(7)
 				consumed(t, "SendValue", s1, err, is(errCause), func() error { _, err := send(7); return err })
 			})
@@ -215,14 +241,14 @@ func TestGeneratedSignalRecvFaults(t *testing.T) {
 		inject func(net *session.Network) error
 		want   func(error) bool
 	}{
-		{"closed", func(net *session.Network) error { net.CloseWithError(errCause); return nil }, is(errCause)},
+		{"closed", closeWithCause, is(errCause)},
 		{"wrong label", func(net *session.Network) error { return raw(net, T).Send(S, "bogus", nil) },
 			sameText(genrt.Unexpected(S, "S4", T, "bogus"))},
 	}
 	for _, f := range faults {
 		for _, try := range []bool{false, true} {
 			t.Run(f.name+"/"+map[bool]string{false: "blocking", true: "try"}[try], func(t *testing.T) {
-				net := genstreaming.NewNetwork()
+				net := recordedNetwork(genstreaming.Roles()...)
 				runS(t, net, func(s0 genstreaming.S0) {
 					s4 := toS4(t, s0)
 					recv := func() (genstreaming.S2, error) {
@@ -293,7 +319,7 @@ func TestGeneratedPayloadRecvFaults(t *testing.T) {
 		inject func(net *session.Network) error
 		want   func(error) bool
 	}{
-		{"closed", func(net *session.Network) error { net.CloseWithError(errCause); return nil }, is(errCause)},
+		{"closed", closeWithCause, is(errCause)},
 		{"wrong label", func(net *session.Network) error { return raw(net, W4).Send(W0, "bogus", nil) },
 			sameText(genrt.Unexpected(W0, "W01", W4, "bogus"))},
 		{"wrong payload", func(net *session.Network) error { return raw(net, W4).Send(W0, genfft.LabelCol, []float64{1}) },
@@ -302,7 +328,7 @@ func TestGeneratedPayloadRecvFaults(t *testing.T) {
 	for _, f := range faults {
 		for _, try := range []bool{false, true} {
 			t.Run(f.name+"/"+map[bool]string{false: "blocking", true: "try"}[try], func(t *testing.T) {
-				net := genfft.NewNetwork()
+				net := recordedNetwork(genfft.Roles()...)
 				runW0(t, net, func(w01 genfft.W01) {
 					recv := func() ([]complex128, genfft.W02, error) {
 						if try {
@@ -367,7 +393,7 @@ func TestGeneratedBranchFaults(t *testing.T) {
 		inject func(net *session.Network) error
 		want   func(error) bool
 	}{
-		{"closed", func(net *session.Network) error { net.CloseWithError(errCause); return nil }, is(errCause)},
+		{"closed", closeWithCause, is(errCause)},
 		{"wrong label", func(net *session.Network) error { return raw(net, S).Send(T, "bogus", nil) },
 			sameText(genrt.Unexpected(T, "T2", S, "bogus"))},
 		{"wrong payload", func(net *session.Network) error { return raw(net, S).Send(T, genstreaming.LabelValue, "five") },
@@ -376,7 +402,7 @@ func TestGeneratedBranchFaults(t *testing.T) {
 	for _, f := range faults {
 		for _, try := range []bool{false, true} {
 			t.Run(f.name+"/"+map[bool]string{false: "blocking", true: "try"}[try], func(t *testing.T) {
-				net := genstreaming.NewNetwork()
+				net := recordedNetwork(genstreaming.Roles()...)
 				runT(t, net, func(t0 genstreaming.T0) {
 					t2 := toT2(t, t0)
 					branch := func() (genstreaming.T2Branch, error) {

@@ -58,9 +58,6 @@ type Core struct {
 	seq  uint32
 }
 
-// Role returns the role this core drives.
-func (c *Core) Role() types.Role { return c.role }
-
 // U returns the unchecked endpoint face, for generated cores to resolve
 // their route-bound senders and receivers at session start.
 func (c *Core) U() session.Unchecked { return c.u }
@@ -346,6 +343,8 @@ func I32(v any) (int32, error) {
 }
 
 // U32 converts a received payload declared u32.
+//
+//repro:keep codegen.sortGo emits calls to it by name for generated receives
 func U32(v any) (uint32, error) {
 	switch n := v.(type) {
 	case uint32:
@@ -359,6 +358,8 @@ func U32(v any) (uint32, error) {
 }
 
 // I64 converts a received payload declared i64 or int.
+//
+//repro:keep codegen.sortGo emits calls to it by name for generated receives
 func I64(v any) (int64, error) {
 	switch n := v.(type) {
 	case int64:
@@ -372,6 +373,8 @@ func I64(v any) (int64, error) {
 }
 
 // U64 converts a received payload declared u64.
+//
+//repro:keep codegen.sortGo emits calls to it by name for generated receives
 func U64(v any) (uint64, error) {
 	switch n := v.(type) {
 	case uint64:
@@ -385,6 +388,8 @@ func U64(v any) (uint64, error) {
 }
 
 // Int converts a received payload declared int.
+//
+//repro:keep codegen.sortGo emits calls to it by name for generated receives
 func Int(v any) (int, error) {
 	switch n := v.(type) {
 	case int:
@@ -398,6 +403,8 @@ func Int(v any) (int, error) {
 }
 
 // Nat converts a received payload declared nat.
+//
+//repro:keep codegen.sortGo emits calls to it by name for generated receives
 func Nat(v any) (uint, error) {
 	switch n := v.(type) {
 	case uint:
@@ -421,6 +428,8 @@ func Nat(v any) (uint, error) {
 }
 
 // F64 converts a received payload declared f64.
+//
+//repro:keep codegen.sortGo emits calls to it by name for generated receives
 func F64(v any) (float64, error) {
 	switch n := v.(type) {
 	case float64:
@@ -432,6 +441,8 @@ func F64(v any) (float64, error) {
 }
 
 // Str converts a received payload declared str.
+//
+//repro:keep codegen.sortGo emits calls to it by name for generated receives
 func Str(v any) (string, error) {
 	switch n := v.(type) {
 	case string:
@@ -443,6 +454,8 @@ func Str(v any) (string, error) {
 }
 
 // Bool converts a received payload declared bool.
+//
+//repro:keep codegen.sortGo emits calls to it by name for generated receives
 func Bool(v any) (bool, error) {
 	switch n := v.(type) {
 	case bool:

@@ -27,6 +27,8 @@ const (
 )
 
 // Modes lists every execution mode.
+//
+//repro:keep the one list of modes the equiv and chaos tests iterate, so a new mode is one entry here
 var Modes = []Mode{Blocking, Stepped, Scheduled}
 
 func (m Mode) String() string {

@@ -134,3 +134,49 @@ func TestRunOverPipesWokenBySetNotify(t *testing.T) {
 		}
 	}
 }
+
+// TestOutsideAbortWakesParkedRun pins an abort from outside a run on
+// in-memory routes: every route stalls from its first operation, so the run
+// parks under a deadline far beyond the test's length and only
+// Session.Abort can end it. In every mode, and whether the abort lands
+// before the run starts, while it starts or once it has parked, the run
+// must end with the abort's cause. In-memory routes have no readiness hook
+// of their own, so a parked stepped or scheduled run sees the abort only
+// through the hook Session.SetNotify installed, which Abort runs.
+func TestOutsideAbortWakesParkedRun(t *testing.T) {
+	e, err := Lookup("Ring")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := BuildSession(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sched.New(sched.Options{Workers: 2})
+	defer s.Close()
+	cause := errors.New("aborted from outside")
+	strat := func(types.Role) session.Strategy { return &TraceStrategy{} }
+	for _, mode := range Modes {
+		for _, when := range []string{"before", "racing", "parked"} {
+			t.Run(mode.String()+"/"+when, func(t *testing.T) {
+				inst := base.Fork().Rewire(func(roles ...types.Role) *session.Network {
+					return session.NewCustomNetwork(func() channel.Substrate {
+						return channel.NewFaulty(channel.NewRingQueue(), channel.FaultPlan{StallAfter: 1})
+					}, roles...)
+				})
+				if when == "before" {
+					inst.Abort(cause)
+				}
+				done := make(chan error, 1)
+				go func() { done <- Run(inst, mode, Bound(60), strat, time.Now().Add(time.Hour), s) }()
+				if when == "parked" {
+					time.Sleep(20 * time.Millisecond) // orders the abort after the park; not the oracle
+				}
+				inst.Abort(cause)
+				if err := <-done; !errors.Is(err, cause) {
+					t.Fatalf("run ended with %v, want the abort's cause", err)
+				}
+			})
+		}
+	}
+}

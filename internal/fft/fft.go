@@ -63,6 +63,8 @@ func BitReverse(i, n int) int {
 
 // NaiveDFT returns the O(n²) discrete Fourier transform of x, used as the
 // test oracle.
+//
+//repro:keep the O(n²) oracle the FFT tests check Transform against
 func NaiveDFT(x []complex128) []complex128 {
 	n := len(x)
 	out := make([]complex128, n)
@@ -137,33 +139,4 @@ func Stages(numCols int) []int {
 		out = append(out, span)
 	}
 	return out
-}
-
-// ParallelSimulate runs the column-parallel schedule without concurrency: a
-// reference implementation used to validate the message-passing versions and
-// to test the butterfly helpers. It returns the columns in natural (bit-
-// reverse corrected) order.
-func ParallelSimulate(cols [][]complex128) ([][]complex128, error) {
-	nc := len(cols)
-	if nc == 0 || nc&(nc-1) != 0 {
-		return nil, fmt.Errorf("fft: %d columns is not a power of two", nc)
-	}
-	cur := make([][]complex128, nc)
-	for j := range cols {
-		cur[j] = append([]complex128(nil), cols[j]...)
-	}
-	for _, span := range Stages(nc) {
-		next := make([][]complex128, nc)
-		for j := 0; j < nc; j++ {
-			next[j] = make([]complex128, len(cur[j]))
-			StageOutput(nc, j, span, cur[j], cur[Partner(j, span)], next[j])
-		}
-		cur = next
-	}
-	// Undo the bit-reversed column order.
-	out := make([][]complex128, nc)
-	for j := 0; j < nc; j++ {
-		out[BitReverse(j, nc)] = cur[j]
-	}
-	return out, nil
 }

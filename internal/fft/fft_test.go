@@ -1,6 +1,7 @@
 package fft
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -237,4 +238,33 @@ func TestQuickParseval(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// ParallelSimulate runs the column-parallel schedule without concurrency: a
+// reference implementation used to validate the message-passing versions and
+// to test the butterfly helpers. It returns the columns in natural (bit-
+// reverse corrected) order.
+func ParallelSimulate(cols [][]complex128) ([][]complex128, error) {
+	nc := len(cols)
+	if nc == 0 || nc&(nc-1) != 0 {
+		return nil, fmt.Errorf("fft: %d columns is not a power of two", nc)
+	}
+	cur := make([][]complex128, nc)
+	for j := range cols {
+		cur[j] = append([]complex128(nil), cols[j]...)
+	}
+	for _, span := range Stages(nc) {
+		next := make([][]complex128, nc)
+		for j := 0; j < nc; j++ {
+			next[j] = make([]complex128, len(cur[j]))
+			StageOutput(nc, j, span, cur[j], cur[Partner(j, span)], next[j])
+		}
+		cur = next
+	}
+	// Undo the bit-reversed column order.
+	out := make([][]complex128, nc)
+	for j := 0; j < nc; j++ {
+		out[BitReverse(j, nc)] = cur[j]
+	}
+	return out, nil
 }

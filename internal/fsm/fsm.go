@@ -49,16 +49,6 @@ func (a Action) String() string {
 	return s + "(" + string(a.Sort) + ")"
 }
 
-// Dual returns the matching action from the peer's perspective, relative to
-// the given self role: if a = p!ℓ performed by r, Dual(r) = r?ℓ performed by p.
-func (a Action) Dual(self types.Role) Action {
-	d := Send
-	if a.Dir == Send {
-		d = Recv
-	}
-	return Action{Dir: d, Peer: self, Label: a.Label, Sort: a.Sort}
-}
-
 // State identifies a state within a machine.
 type State int
 
@@ -78,6 +68,8 @@ type FSM struct {
 
 // New returns an empty machine for the given role containing a single initial
 // state.
+//
+//repro:keep the kmc, core and codegen tests build their machines with it
 func New(role types.Role) *FSM {
 	m := &FSM{role: role}
 	m.initial = m.AddState()
@@ -89,12 +81,6 @@ func (m *FSM) Role() types.Role { return m.role }
 
 // Initial returns the initial state.
 func (m *FSM) Initial() State { return m.initial }
-
-// SetInitial changes the initial state.
-func (m *FSM) SetInitial(s State) {
-	m.mustHave(s)
-	m.initial = s
-}
 
 // NumStates returns the number of states.
 func (m *FSM) NumStates() int { return len(m.next) }
@@ -121,6 +107,8 @@ func (m *FSM) AddTransition(from State, act Action, to State) error {
 
 // MustAddTransition is AddTransition but panics on error; for protocol tables
 // built from literals.
+//
+//repro:keep the kmc, core and codegen tests build their machines with it
 func (m *FSM) MustAddTransition(from State, act Action, to State) {
 	if err := m.AddTransition(from, act, to); err != nil {
 		panic(err)

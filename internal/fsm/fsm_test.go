@@ -253,3 +253,19 @@ func TestSetInitial(t *testing.T) {
 	}()
 	m.SetInitial(State(42))
 }
+
+// Dual returns the matching action from the peer's perspective, relative to
+// the given self role: if a = p!ℓ performed by r, Dual(r) = r?ℓ performed by p.
+func (a Action) Dual(self types.Role) Action {
+	d := Send
+	if a.Dir == Send {
+		d = Recv
+	}
+	return Action{Dir: d, Peer: self, Label: a.Label, Sort: a.Sort}
+}
+
+// SetInitial changes the initial state.
+func (m *FSM) SetInitial(s State) {
+	m.mustHave(s)
+	m.initial = s
+}

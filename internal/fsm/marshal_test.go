@@ -1,6 +1,9 @@
 package fsm
 
 import (
+	"fmt"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -101,4 +104,135 @@ func TestMarshalContainsHeader(t *testing.T) {
 			t.Errorf("Marshal output missing %q:\n%s", frag, text)
 		}
 	}
+}
+
+// Marshal renders the machine in a line-oriented text format, the analogue of
+// the CFSM files exchanged between Rumpsteak's serialiser and the k-MC tool
+// (§2.2). The format is stable and diff-friendly:
+//
+//	fsm <role>
+//	initial <state>
+//	<from> <peer> ! <label> <sort> <to>
+//	<from> <peer> ? <label> <sort> <to>
+//
+// Transitions are sorted for determinism. Unmarshal parses it back.
+func Marshal(m *FSM) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "fsm %s\n", m.role)
+	fmt.Fprintf(&b, "initial %d\n", m.initial)
+	var lines []string
+	for s, ts := range m.next {
+		for _, t := range ts {
+			lines = append(lines, fmt.Sprintf("%d %s %s %s %s %d", s, t.Act.Peer, t.Act.Dir, t.Act.Label, t.Act.Sort, t.To))
+		}
+	}
+	sort.Strings(lines)
+	for _, l := range lines {
+		b.WriteString(l)
+		b.WriteByte('\n')
+	}
+	// States with no transitions still need to exist after a round trip:
+	// record the state count.
+	fmt.Fprintf(&b, "states %d\n", len(m.next))
+	return b.String()
+}
+
+// Unmarshal parses the Marshal format.
+func Unmarshal(src string) (*FSM, error) {
+	var role types.Role
+	initial := State(0)
+	stateCount := -1
+	type edge struct {
+		from State
+		act  Action
+		to   State
+	}
+	var edges []edge
+	maxState := State(0)
+
+	for ln, line := range strings.Split(src, "\n") {
+		line = strings.TrimSpace(line)
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		fields := strings.Fields(line)
+		switch fields[0] {
+		case "fsm":
+			if len(fields) != 2 {
+				return nil, fmt.Errorf("fsm: line %d: want 'fsm <role>'", ln+1)
+			}
+			role = types.Role(fields[1])
+		case "initial":
+			if len(fields) != 2 {
+				return nil, fmt.Errorf("fsm: line %d: want 'initial <state>'", ln+1)
+			}
+			v, err := strconv.Atoi(fields[1])
+			if err != nil {
+				return nil, fmt.Errorf("fsm: line %d: %v", ln+1, err)
+			}
+			initial = State(v)
+		case "states":
+			if len(fields) != 2 {
+				return nil, fmt.Errorf("fsm: line %d: want 'states <count>'", ln+1)
+			}
+			v, err := strconv.Atoi(fields[1])
+			if err != nil {
+				return nil, fmt.Errorf("fsm: line %d: %v", ln+1, err)
+			}
+			stateCount = v
+		default:
+			if len(fields) != 6 {
+				return nil, fmt.Errorf("fsm: line %d: want '<from> <peer> <!|?> <label> <sort> <to>'", ln+1)
+			}
+			from, err := strconv.Atoi(fields[0])
+			if err != nil {
+				return nil, fmt.Errorf("fsm: line %d: %v", ln+1, err)
+			}
+			var dir Dir
+			switch fields[2] {
+			case "!":
+				dir = Send
+			case "?":
+				dir = Recv
+			default:
+				return nil, fmt.Errorf("fsm: line %d: bad direction %q", ln+1, fields[2])
+			}
+			to, err := strconv.Atoi(fields[5])
+			if err != nil {
+				return nil, fmt.Errorf("fsm: line %d: %v", ln+1, err)
+			}
+			e := edge{
+				from: State(from),
+				act:  Action{Dir: dir, Peer: types.Role(fields[1]), Label: types.Label(fields[3]), Sort: types.Sort(fields[4])},
+				to:   State(to),
+			}
+			edges = append(edges, e)
+			if e.from > maxState {
+				maxState = e.from
+			}
+			if e.to > maxState {
+				maxState = e.to
+			}
+		}
+	}
+	if role == "" {
+		return nil, fmt.Errorf("fsm: missing 'fsm <role>' header")
+	}
+	n := int(maxState) + 1
+	if stateCount > n {
+		n = stateCount
+	}
+	if int(initial) >= n {
+		n = int(initial) + 1
+	}
+	m := &FSM{role: role, initial: initial, next: make([][]Transition, n)}
+	for _, e := range edges {
+		if err := m.AddTransition(e.from, e.act, e.to); err != nil {
+			return nil, err
+		}
+	}
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	return m, nil
 }

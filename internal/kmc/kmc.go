@@ -181,18 +181,6 @@ func NewSystem(machines ...*fsm.FSM) (*System, error) {
 	return s, nil
 }
 
-// MustNewSystem is NewSystem but panics on error.
-func MustNewSystem(machines ...*fsm.FSM) *System {
-	s, err := NewSystem(machines...)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// Roles returns the system's roles in machine order.
-func (s *System) Roles() []types.Role { return s.roles }
-
 // uvarint decodes the uvarint at key[p:] and returns it with the offset just
 // past it.
 func uvarint(key string, p int) (v, next int) {

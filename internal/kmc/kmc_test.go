@@ -245,3 +245,15 @@ func TestCheckUpToClampsBound(t *testing.T) {
 		t.Errorf("CheckUpTo(maxK=0) on a failing system = k=%d %+v, want a violation at k=1", k, res)
 	}
 }
+
+// MustNewSystem is NewSystem but panics on error.
+func MustNewSystem(machines ...*fsm.FSM) *System {
+	s, err := NewSystem(machines...)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// Roles returns the system's roles in machine order.
+func (s *System) Roles() []types.Role { return s.roles }

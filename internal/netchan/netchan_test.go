@@ -318,7 +318,7 @@ func TestFabricTCPFullRing(t *testing.T) {
 		}
 	}()
 	ring := recv.(*recvHalf).ring
-	waitFor(t, "receive ring full", func() bool { return ring.Len() == ring.Cap() })
+	waitFor(t, "receive ring full", func() bool { return ring.Len() == opts.Buffer })
 	for i := 0; i < n; i++ {
 		var m channel.Message
 		waitFor(t, fmt.Sprintf("message %d", i), func() bool {

@@ -106,19 +106,6 @@ func ScatterGather(n int) Entry {
 
 func sgWorker(i int) types.Role { return types.Role(fmt.Sprintf("w%d", i)) }
 
-// SequentialScatterGather returns the *interleaved* coordinator type
-// (task/result per worker in turn) for the same workers: the supertype that
-// the scattered coordinator of ScatterGather(n) refines. Used by tests to
-// show AMR verifying a fan-out optimisation.
-func SequentialScatterGather(n int) types.Local {
-	var coord types.Local = types.End{}
-	for i := n - 1; i >= 0; i-- {
-		coord = types.LSend(sgWorker(i), "task", types.I64,
-			types.LRecv(sgWorker(i), "result", types.I64, coord))
-	}
-	return coord
-}
-
 // PipelineEntry is an n-stage pipeline: stage i receives from its
 // predecessor and forwards to its successor, forever.
 func PipelineEntry(n int) Entry {

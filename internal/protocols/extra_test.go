@@ -132,3 +132,16 @@ func TestTwoBuyerBothOutcomes(t *testing.T) {
 		t.Errorf("only %d/20 runs terminated", terminated)
 	}
 }
+
+// SequentialScatterGather returns the *interleaved* coordinator type
+// (task/result per worker in turn) for the same workers: the supertype that
+// the scattered coordinator of ScatterGather(n) refines. Used by tests to
+// show AMR verifying a fan-out optimisation.
+func SequentialScatterGather(n int) types.Local {
+	var coord types.Local = types.End{}
+	for i := n - 1; i >= 0; i-- {
+		coord = types.LSend(sgWorker(i), "task", types.I64,
+			types.LRecv(sgWorker(i), "result", types.I64, coord))
+	}
+	return coord
+}

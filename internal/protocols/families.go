@@ -203,9 +203,3 @@ func renameBranches(bs []types.Branch, from, to types.Role) []types.Branch {
 	}
 	return out
 }
-
-// Dual exposes dualOf for tests and the k-MC harness.
-func Dual(t types.Local) types.Local { return dualOf(t) }
-
-// RenamePeer exposes renamePeer for the harness.
-func RenamePeer(t types.Local, from, to types.Role) types.Local { return renamePeer(t, from, to) }

@@ -249,15 +249,15 @@ func TestRingNFamily(t *testing.T) {
 
 func TestDualAndRename(t *testing.T) {
 	orig := types.MustParse("mu t.o!{a.o?b.t, c.end}")
-	d := Dual(orig)
+	d := dualOf(orig)
 	want := types.MustParse("mu t.o?{a.o!b.t, c.end}")
 	if !types.EqualLocal(d, want) {
 		t.Errorf("Dual = %s, want %s", d, want)
 	}
-	if !types.EqualLocal(Dual(d), orig) {
+	if !types.EqualLocal(dualOf(d), orig) {
 		t.Error("Dual not involutive")
 	}
-	rn := RenamePeer(orig, "o", "z")
+	rn := renamePeer(orig, "o", "z")
 	want2 := types.MustParse("mu t.z!{a.z?b.t, c.end}")
 	if !types.EqualLocal(rn, want2) {
 		t.Errorf("RenamePeer = %s", rn)

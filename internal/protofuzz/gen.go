@@ -6,8 +6,8 @@
 // registry rows. See DESIGN.md "Trace equivalence as the AMR oracle" and
 // EXPERIMENTS.md "Generative differential fuzzing".
 //
-// The package has three faces: Generate/GenerateProjectable (the bounded
-// random generator), RunPipeline (the differential driver with its staged
+// The package has three faces: Generate (the bounded random generator),
+// RunPipeline (the differential driver with its staged
 // failure taxonomy), and Shrink (greedy minimisation of a failing protocol
 // to a registry-style .scr reproducer, via cmd/protofuzz).
 package protofuzz
@@ -15,7 +15,6 @@ package protofuzz
 import (
 	"fmt"
 
-	"repro/internal/project"
 	"repro/internal/types"
 )
 
@@ -122,7 +121,8 @@ var labelPool = []types.Label{"a", "b", "req", "ack", "val", "stop", "go", "err"
 // Generate builds a random closed, contractive global type from cfg. The
 // result always passes types.ValidateGlobal, but is not guaranteed to be
 // projectable — full merge can legitimately reject a well-formed global —
-// so differential drivers use GenerateProjectable, which filters.
+// so a differential driver filters for projectability (the package's tests
+// do so with GenerateProjectable).
 func Generate(cfg Config) types.Global {
 	cfg = cfg.withDefaults()
 	r := newRng(cfg.Seed)
@@ -249,30 +249,6 @@ func hasComm(g types.Global) bool {
 		return hasComm(g.Body)
 	}
 	return false
-}
-
-// GenerateProjectable generates from cfg, re-deriving the seed up to tries
-// times until the protocol projects onto every participant (full merge).
-// The generator's choice-propagation discipline makes most proposals
-// projectable, but full merge can legitimately reject a well-formed global
-// — an unaware role whose branches diverge — and such a rejection is the
-// projector doing its job, not a finding. It returns the accepted protocol,
-// the number of proposals consumed, and ok=false when every try failed.
-func GenerateProjectable(cfg Config, tries int) (types.Global, int, bool) {
-	cfg = cfg.withDefaults()
-	base := cfg.Seed
-	for i := 0; i < tries; i++ {
-		cfg.Seed = deriveSeed(base, uint64(i))
-		g := Generate(cfg)
-		if err := types.ValidateGlobal(g); err != nil {
-			// Generator bug: Generate promises well-formedness.
-			panic(fmt.Sprintf("protofuzz: generated ill-formed global from seed %d: %v", cfg.Seed, err))
-		}
-		if _, err := project.ProjectAll(g); err == nil {
-			return g, i + 1, true
-		}
-	}
-	return nil, tries, false
 }
 
 // deriveSeed mixes a retry counter into a base seed, so that one logical

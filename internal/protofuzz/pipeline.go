@@ -113,6 +113,9 @@ type Failure struct {
 
 func (f *Failure) Error() string { return fmt.Sprintf("%s: %v", f.Stage, f.Err) }
 
+// Unwrap exposes the stage's error.
+//
+//repro:keep errors.Is and errors.As call it through an anonymous interface
 func (f *Failure) Unwrap() error { return f.Err }
 
 // Signature is the stable identity of a failure: its stage. Error strings

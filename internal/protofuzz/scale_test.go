@@ -9,6 +9,7 @@ import (
 	"repro/internal/optimise"
 	"repro/internal/project"
 	"repro/internal/protocols"
+	"repro/internal/types"
 )
 
 // scale_test is the scalability sweep behind BENCH_check.json: the static
@@ -100,4 +101,52 @@ func BenchmarkPipelineDeep(b *testing.B) {
 			b.Fatalf("stage %s: %v", fail.Stage, fail.Err)
 		}
 	}
+}
+
+// DeepGlobal builds a two-role alternating chain of n single-branch
+// communications: each projection is a machine with n+1 states. It is the
+// scalability input for the k-MC checker and the session pipeline — state
+// counts the registry never reaches.
+func DeepGlobal(n int) types.Global {
+	p, q := types.Role("p"), types.Role("q")
+	g := types.Global(types.GEnd{})
+	for i := n - 1; i >= 0; i-- {
+		from, to := p, q
+		if i%2 == 1 {
+			from, to = to, from
+		}
+		g = types.GComm(from, to, "m", types.I64, g)
+	}
+	return g
+}
+
+// DeepLocal builds a single-role alternating send/recv chain with n actions
+// (n+1 states) against peer q. Reflexively checking it drives core.Check's
+// n×n history to its quadratic worst case, which is what the BENCH_check
+// scalability sweep measures.
+func DeepLocal(n int) types.Local {
+	q := types.Role("q")
+	l := types.Local(types.End{})
+	for i := n - 1; i >= 0; i-- {
+		if i%2 == 0 {
+			l = types.LSend(q, "m", types.I64, l)
+		} else {
+			l = types.LRecv(q, "m", types.I64, l)
+		}
+	}
+	return l
+}
+
+// PipelinedLocal builds a recv-then-k-sends loop: rec t. q?req(i32).
+// q!ack(i64)…(k times)….t. The AMR optimiser hoists the send block across
+// the receive, so deep unrolls of this shape are the optimiser's
+// worst-case search input for the scalability sweep.
+func PipelinedLocal(k int) types.Local {
+	q := types.Role("q")
+	body := types.Local(types.Var{Name: "t"})
+	for i := 0; i < k; i++ {
+		body = types.LSend(q, types.Label(fmt.Sprintf("ack%d", i)), types.I64, body)
+	}
+	body = types.LRecv(q, "req", types.I32, body)
+	return types.Rec{Name: "t", Body: body}
 }

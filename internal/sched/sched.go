@@ -173,6 +173,8 @@ func (e *DeadlockError) Error() string {
 }
 
 // Unwrap exposes the ErrDeadlock sentinel to errors.Is.
+//
+//repro:keep errors.Is and errors.As call it through an anonymous interface
 func (e *DeadlockError) Unwrap() error { return ErrDeadlock }
 
 // TimeoutError reports a session that exceeded its deadline (the deadline
@@ -195,6 +197,8 @@ func (e *TimeoutError) Error() string {
 }
 
 // Unwrap exposes the session.ErrTimeout sentinel to errors.Is.
+//
+//repro:keep errors.Is and errors.As call it through an anonymous interface
 func (e *TimeoutError) Unwrap() error { return session.ErrTimeout }
 
 // PanicError is a stepper panic converted into a session fault: the worker

@@ -54,7 +54,7 @@ func TestFormatRegistry(t *testing.T) {
 }
 
 func TestFormatGolden(t *testing.T) {
-	p := MustParse(streamingSrc)
+	p := mustParse(streamingSrc)
 	got, err := Format(p)
 	if err != nil {
 		t.Fatal(err)

@@ -53,15 +53,6 @@ func Parse(src string) (*Protocol, error) {
 	return proto, nil
 }
 
-// MustParse is Parse but panics on error.
-func MustParse(src string) *Protocol {
-	p, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // lex decodes src as UTF-8 — byte-wise decoding would silently read each
 // invalid byte as its Latin-1 letter (0xFB lexes as 'û'), admitting
 // identifiers that are not valid UTF-8 and so cannot appear in generated

@@ -35,7 +35,7 @@ global protocol DoubleBuffering(role s, role k, role t) {
 }`
 
 func TestParseStreaming(t *testing.T) {
-	p := MustParse(streamingSrc)
+	p := mustParse(streamingSrc)
 	if p.Name != "Ring" {
 		t.Errorf("Name = %s", p.Name)
 	}
@@ -43,15 +43,15 @@ func TestParseStreaming(t *testing.T) {
 		t.Errorf("Roles = %v", p.Roles)
 	}
 	want := types.MustParseGlobal("mu loop.t->s:ready.s->t:{value.loop, stop.end}")
-	if !types.EqualGlobal(p.Global, want) {
+	if p.Global.String() != want.String() {
 		t.Errorf("Global = %s, want %s", p.Global, want)
 	}
 }
 
 func TestParseDoubleBuffering(t *testing.T) {
-	p := MustParse(doubleBufferingSrc)
+	p := mustParse(doubleBufferingSrc)
 	want := types.MustParseGlobal("mu loop.k->s:ready.s->k:value.t->k:ready.k->t:value.loop")
-	if !types.EqualGlobal(p.Global, want) {
+	if p.Global.String() != want.String() {
 		t.Errorf("Global = %s, want %s", p.Global, want)
 	}
 	// End-to-end with projection: the kernel's FSM must match Fig. 4a.
@@ -66,7 +66,7 @@ func TestParseDoubleBuffering(t *testing.T) {
 }
 
 func TestParsePayloadSort(t *testing.T) {
-	p := MustParse(`global protocol P(role a, role b) { msg(i32) from a to b; }`)
+	p := mustParse(`global protocol P(role a, role b) { msg(i32) from a to b; }`)
 	comm := p.Global.(types.Comm)
 	if comm.Branches[0].Sort != types.I32 {
 		t.Errorf("Sort = %s", comm.Branches[0].Sort)
@@ -79,7 +79,7 @@ func TestParseComments(t *testing.T) {
 global protocol P(role a, role b) {
   msg() from a to b; // trailing comment
 }`
-	p := MustParse(src)
+	p := mustParse(src)
 	if p.Name != "P" {
 		t.Errorf("Name = %s", p.Name)
 	}
@@ -108,10 +108,10 @@ global protocol AltBit(role s, role r) {
     }
   }
 }`
-	p := MustParse(src)
+	p := mustParse(src)
 	want := types.MustParseGlobal(
 		"mu t.s->r:d0.r->s:{a0.mu u.s->r:d1.r->s:{a0.u, a1.t}, a1.t}")
-	if !types.EqualGlobal(p.Global, want) {
+	if p.Global.String() != want.String() {
 		t.Errorf("Global = %s, want %s", p.Global, want)
 	}
 }
@@ -154,4 +154,13 @@ func TestParseUnicodeIdent(t *testing.T) {
 	if !ok || len(comm.Branches) != 1 || comm.Branches[0].Label != "α" {
 		t.Fatalf("unicode label mis-lexed: %s", p.Global)
 	}
+}
+
+// mustParse is Parse but panics on error.
+func mustParse(src string) *Protocol {
+	p, err := Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return p
 }

@@ -457,3 +457,9 @@ func TestNewCustomNetworkFaultyRoutes(t *testing.T) {
 		t.Fatalf("injected close chain broken: %v", last)
 	}
 }
+
+// CloseWithError tears the network down with a cause: like Close, but every
+// blocked or future operation observes a channel.CloseError wrapping err
+// rather than the bare channel.ErrClosed. The first cause wins; a nil err
+// is equivalent to Close.
+func (n *Network) CloseWithError(err error) { n.closeAllWith(err) }

@@ -57,6 +57,8 @@ func (e *TimeoutError) Error() string {
 }
 
 // Unwrap exposes the ErrTimeout sentinel to errors.Is.
+//
+//repro:keep errors.Is and errors.As call it through an anonymous interface
 func (e *TimeoutError) Unwrap() error { return ErrTimeout }
 
 // opPreposition keeps TimeoutError messages readable ("send to b",
@@ -99,6 +101,8 @@ func (e *ProtocolError) Error() string {
 
 // Unwrap exposes an abort's root cause to errors.Is/errors.As; nil for a
 // conformance violation.
+//
+//repro:keep errors.Is and errors.As call it through an anonymous interface
 func (e *ProtocolError) Unwrap() error { return e.Cause }
 
 // route is the channel shape a network needs per ordered pair of roles:
@@ -230,9 +234,6 @@ func (n *Network) roleIndex(r types.Role) int {
 	return -1
 }
 
-// Roles returns the connected roles.
-func (n *Network) Roles() []types.Role { return append([]types.Role(nil), n.roles...) }
-
 func (n *Network) queue(from, to types.Role) (route, error) {
 	i, j := n.roleIndex(from), n.roleIndex(to)
 	if i < 0 || j < 0 || i == j {
@@ -318,12 +319,6 @@ func (n *Network) Reset() bool {
 // bottom-up experiments) use Close for the same first-error teardown.
 func (n *Network) Close() { n.closeAll() }
 
-// CloseWithError tears the network down with a cause: like Close, but every
-// blocked or future operation observes a channel.CloseError wrapping err
-// rather than the bare channel.ErrClosed. The first cause wins; a nil err
-// is equivalent to Close.
-func (n *Network) CloseWithError(err error) { n.closeAllWith(err) }
-
 // Endpoint returns the unmonitored endpoint for role — protocol conformance
 // is then the caller's responsibility, as in the bottom-up workflow before
 // verification. Monitored endpoints are obtained from a Session.
@@ -395,9 +390,7 @@ type Endpoint struct {
 // operations.
 func (e *Endpoint) SetDeadline(t time.Time) { e.deadline = t }
 
-// resolveRoutes caches the endpoint's route slices. Called at creation;
-// also lazily from the hot paths so hand-constructed Endpoint literals
-// (tests, benchmarks) keep working.
+// resolveRoutes caches the endpoint's route slices. Called at creation.
 func (e *Endpoint) resolveRoutes() {
 	i := e.net.roleIndex(e.role)
 	if i < 0 {
@@ -418,11 +411,8 @@ func (e *Endpoint) Role() types.Role { return e.role }
 func (e *Endpoint) Monitor() *Monitor { return e.mon }
 
 // outRoute resolves the route towards a peer on the fast path, falling back
-// to the error-reporting lookup for unknown peers or lazy endpoints.
+// to the error-reporting lookup for unknown peers.
 func (e *Endpoint) outRoute(to types.Role) (route, error) {
-	if e.out == nil {
-		e.resolveRoutes()
-	}
 	if j := e.net.roleIndex(to); j >= 0 && e.out != nil {
 		if q := e.out[j]; q != nil {
 			return q, nil
@@ -433,9 +423,6 @@ func (e *Endpoint) outRoute(to types.Role) (route, error) {
 
 // inRoute resolves the route from a peer, symmetric to outRoute.
 func (e *Endpoint) inRoute(from types.Role) (route, error) {
-	if e.in == nil {
-		e.resolveRoutes()
-	}
 	if j := e.net.roleIndex(from); j >= 0 && e.in != nil {
 		if q := e.in[j]; q != nil {
 			return q, nil
@@ -824,6 +811,9 @@ type Session struct {
 	// eps memoizes the monitored endpoints, indexed like roles; nil until
 	// the first Endpoint call.
 	eps []*Endpoint
+	// notify is the hook SetNotify installed, which Abort runs once the
+	// routes are closed.
+	notify func()
 }
 
 // TopDown builds a session via the top-down workflow (Fig. 1a): the global
@@ -1049,12 +1039,18 @@ func (s *Session) Endpoint(role types.Role) (*Endpoint, error) {
 // in-flight (or future) operation fails with an error chain of
 // channel.CloseError → ProtocolError → cause rather than hanging or seeing a
 // bare channel.ErrClosed. The first abort wins; Abort is safe to call from
-// any goroutine (a supervisor, a context watcher, a chaos harness).
+// any goroutine (a supervisor, a context watcher, a chaos harness). Once
+// the routes are closed it runs the SetNotify hook, outside the session's
+// lock, so a stepped or scheduled run parked on routes without a hook of
+// their own sees the abort at once rather than at its deadline.
 func (s *Session) Abort(cause error) {
 	s.mu.Lock()
-	net := s.net
+	net, notify := s.net, s.notify
 	s.mu.Unlock()
 	net.abort("", cause)
+	if notify != nil {
+		notify()
+	}
 }
 
 // SetNotify installs fn as the readiness hook of every route of the
@@ -1062,10 +1058,12 @@ func (s *Session) Abort(cause error) {
 // wrapping one — so a stepped runner parked on the session learns of each
 // delivery, close and freed send slot (see netchan.Options.Notify for when
 // the hook runs and which locks it must not need). In-memory substrates
-// have no hook: only the session's own steps move them.
+// have no hook: only the session's own steps move them, and Abort, which
+// runs fn after closing the routes.
 func (s *Session) SetNotify(fn func()) {
 	s.mu.Lock()
 	net := s.net
+	s.notify = fn
 	s.mu.Unlock()
 	for _, q := range net.routes {
 		if n, ok := q.(interface{ SetNotify(func()) }); ok {
@@ -1113,6 +1111,8 @@ func (s *Session) Run(procs map[types.Role]func(*Endpoint) error) error {
 // typed error (errors.Is(err, context.Canceled) or context.DeadlineExceeded
 // through the ProtocolError chain). The watcher goroutine is always reaped
 // before RunContext returns.
+//
+//repro:keep the README failure table documents it as the context-bound Run
 func (s *Session) RunContext(ctx context.Context, procs map[types.Role]func(*Endpoint) error) error {
 	if ctx.Done() == nil {
 		return s.Run(procs)

@@ -166,8 +166,8 @@ func BenchmarkSendRecvMonitored(b *testing.B) {
 	net := NewNetwork("a", "b")
 	ma := fsm.MustFromLocal("a", types.MustParse("mu t.b!ping.t"))
 	mb := fsm.MustFromLocal("b", types.MustParse("mu t.a?ping.t"))
-	ea := &Endpoint{role: "a", net: net, mon: NewMonitor(ma)}
-	eb := &Endpoint{role: "b", net: net, mon: NewMonitor(mb)}
+	ea := monitoredEndpoint("a", net, ma)
+	eb := monitoredEndpoint("b", net, mb)
 	sendRecvLoop(b, ea, eb)
 }
 
@@ -190,8 +190,8 @@ func BenchmarkSessionSendRecvDeadline(b *testing.B) {
 			net := NewNetwork("a", "b")
 			ma := fsm.MustFromLocal("a", types.MustParse("mu t.b!ping.t"))
 			mb := fsm.MustFromLocal("b", types.MustParse("mu t.a?ping.t"))
-			ea := &Endpoint{role: "a", net: net, mon: NewMonitor(ma)}
-			eb := &Endpoint{role: "b", net: net, mon: NewMonitor(mb)}
+			ea := monitoredEndpoint("a", net, ma)
+			eb := monitoredEndpoint("b", net, mb)
 			if armed {
 				far := time.Now().Add(24 * time.Hour)
 				ea.SetDeadline(far)

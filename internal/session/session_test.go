@@ -45,7 +45,7 @@ func TestReceiveLabel(t *testing.T) {
 func TestMonitorEnforcesProtocol(t *testing.T) {
 	m := fsm.MustFromLocal("a", types.MustParse("b!req.b?rep.end"))
 	n := NewNetwork("a", "b")
-	ep := &Endpoint{role: "a", net: n, mon: NewMonitor(m)}
+	ep := monitoredEndpoint("a", n, m)
 
 	// Receiving first violates the FSM.
 	bEp := n.Endpoint("b")
@@ -63,7 +63,7 @@ func TestMonitorEnforcesProtocol(t *testing.T) {
 func TestMonitorWrongLabel(t *testing.T) {
 	m := fsm.MustFromLocal("a", types.MustParse("b!req.end"))
 	n := NewNetwork("a", "b")
-	ep := &Endpoint{role: "a", net: n, mon: NewMonitor(m)}
+	ep := monitoredEndpoint("a", n, m)
 	if err := ep.Send("b", "oops", nil); err == nil {
 		t.Error("wrong label accepted by monitor")
 	}
@@ -94,7 +94,7 @@ func TestTrySessionLinearity(t *testing.T) {
 func TestTrySessionCompletion(t *testing.T) {
 	m := fsm.MustFromLocal("a", types.MustParse("b!req.end"))
 	n := NewNetwork("a", "b")
-	ep := &Endpoint{role: "a", net: n, mon: NewMonitor(m)}
+	ep := monitoredEndpoint("a", n, m)
 
 	// Returning early is an incompleteness fault.
 	err := TrySession(ep, func(e *Endpoint) error { return nil })
@@ -398,8 +398,8 @@ func TestSendNReceiveNMonitored(t *testing.T) {
 	ma := fsm.MustFromLocal("a", types.MustParse("mu t.b!v(i32).t"))
 	mb := fsm.MustFromLocal("b", types.MustParse("mu t.a?v(i32).t"))
 	n := NewNetwork("a", "b")
-	ea := &Endpoint{role: "a", net: n, mon: NewMonitor(ma)}
-	eb := &Endpoint{role: "b", net: n, mon: NewMonitor(mb)}
+	ea := monitoredEndpoint("a", n, ma)
+	eb := monitoredEndpoint("b", n, mb)
 
 	values := make([]any, 8)
 	for i := range values {
@@ -565,4 +565,12 @@ func TestBoundedNetworkRunsKMCSystem(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// monitoredEndpoint builds a monitored endpoint for role on n outside any
+// Session, with its routes resolved as Network.Endpoint resolves them.
+func monitoredEndpoint(role types.Role, n *Network, m *fsm.FSM) *Endpoint {
+	e := &Endpoint{role: role, net: n, mon: NewMonitor(m)}
+	e.resolveRoutes()
+	return e
 }

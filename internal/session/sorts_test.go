@@ -12,7 +12,7 @@ func sortedEndpoint(t *testing.T, local string) *Endpoint {
 	t.Helper()
 	m := fsm.MustFromLocal("a", types.MustParse(local))
 	net := NewNetwork("a", "b")
-	return &Endpoint{role: "a", net: net, mon: NewMonitor(m)}
+	return monitoredEndpoint("a", net, m)
 }
 
 func TestSendSortChecked(t *testing.T) {

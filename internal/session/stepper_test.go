@@ -188,8 +188,8 @@ func TestForkLocalRoutes(t *testing.T) {
 	if !a.deadline.IsZero() {
 		t.Error("Reset kept the endpoint's deadline")
 	}
-	if q := routeOf(local).(*channel.Local); q.Len() != 0 {
-		t.Errorf("Reset left %d messages on the route", q.Len())
+	if _, ok, err := routeOf(local).(*channel.Local).TryRecv(); ok || err != nil {
+		t.Errorf("Reset left the route holding a message (%v) or closed (%v)", ok, err)
 	}
 	a.mon.reset()
 	if err := a.TrySendMsg("b", "v", nil); err != nil {

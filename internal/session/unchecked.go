@@ -43,10 +43,6 @@ type Unchecked struct {
 // runtime's conformance guarantee — use a monitored Session endpoint there.
 func UncheckedForCodegen(e *Endpoint) Unchecked { return Unchecked{e: e} }
 
-// Endpoint returns the wrapped endpoint (for linearity via TrySession and
-// role identity).
-func (u Unchecked) Endpoint() *Endpoint { return u.e }
-
 // To resolves the route towards a peer once, returning a bound sender: the
 // per-transition face generated code caches at session start so the steady
 // state pays no role lookup at all — just the substrate's Send.

@@ -190,7 +190,11 @@ func TestNewStepperRejectsForeignMachine(t *testing.T) {
 	}
 	// An equal but distinct machine is foreign too: the stepper stands in
 	// for the monitor, so it must walk the monitor's own machine.
-	clone, err := fsm.Unmarshal(fsm.Marshal(sess.FSM("c")))
+	l, err := fsm.ToLocal(sess.FSM("c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone, err := fsm.FromLocal("c", l)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,8 @@ import (
 // Check reports whether sub ≤ sup under synchronous subtyping: width
 // subtyping on choices (fewer outputs, more inputs), sort subtyping on
 // payloads, and no reordering.
+//
+//repro:keep the synchronous-subtyping oracle its tests hold internal/core's asynchronous relation against
 func Check(sub, sup types.Local) (bool, error) {
 	if err := types.ValidateLocal(sub); err != nil {
 		return false, fmt.Errorf("subsync: subtype: %w", err)

@@ -40,6 +40,8 @@ func IsSISO(t types.Local) bool {
 // Refines reports whether w ≲ w′ can be derived within the given unfolding
 // depth (0 means DefaultDepth). Both types must be closed, well-formed and
 // SISO. A false answer means "not derivable at this depth".
+//
+//repro:keep the reference semantics its tests hold internal/core against on the SISO fragment
 func Refines(w, wp types.Local, depth int) (bool, error) {
 	if err := types.ValidateLocal(w); err != nil {
 		return false, fmt.Errorf("theory: left: %w", err)

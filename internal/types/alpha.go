@@ -124,11 +124,6 @@ func alphaBranches(as, bs []Branch, env *binding) bool {
 	return true
 }
 
-// AlphaEqualGlobal is AlphaEqualLocal for global types.
-func AlphaEqualGlobal(a, b Global) bool {
-	return alphaGlobal(a, b, nil)
-}
-
 func alphaGlobal(a, b Global, env *binding) bool {
 	switch a := a.(type) {
 	case GEnd:

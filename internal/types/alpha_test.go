@@ -59,7 +59,7 @@ func TestAlphaEqualGlobal(t *testing.T) {
 		{"a->b:{l.end, r.end}", "a->b:{l.end, q.end}", false},
 	}
 	for _, c := range cases {
-		if got := AlphaEqualGlobal(MustParseGlobal(c.a), MustParseGlobal(c.b)); got != c.want {
+		if got := alphaGlobal(MustParseGlobal(c.a), MustParseGlobal(c.b), nil); got != c.want {
 			t.Errorf("AlphaEqualGlobal(%q, %q) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}

@@ -55,7 +55,7 @@ func FuzzParseGlobal(f *testing.F) {
 		if err != nil {
 			t.Fatalf("printed form %q of %q does not reparse: %v", printed, src, err)
 		}
-		if !EqualGlobal(parsed, again) {
+		if parsed.String() != again.String() {
 			t.Fatalf("parse(print) not a fixpoint: %q -> %q -> %q", src, printed, again)
 		}
 	})

@@ -349,6 +349,8 @@ func hasPayload(s Sort) bool {
 // RegisteredSorts returns the registered entries (built-ins plus user
 // registrations), sorted by name — the seed set for property tests and
 // fuzzers over the sort grammar.
+//
+//repro:keep the seed set of the types, scribble and wire fuzz tests
 func RegisteredSorts() []SortInfo {
 	sortReg.RLock()
 	out := make([]SortInfo, 0, len(sortReg.m))

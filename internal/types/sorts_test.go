@@ -153,7 +153,7 @@ func TestSortRoundTripProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("printed global %q does not reparse: %v", gPrinted, err)
 		}
-		if !EqualGlobal(g, gAgain) {
+		if g.String() != gAgain.String() {
 			t.Fatalf("global round trip changed %q -> %q", gPrinted, gAgain)
 		}
 	}

@@ -254,9 +254,6 @@ func EqualLocal(a, b Local) bool { return localKey(a) == localKey(b) }
 
 func localKey(t Local) string { return t.String() }
 
-// EqualGlobal reports structural equality of two global types.
-func EqualGlobal(a, b Global) bool { return a.String() == b.String() }
-
 // SubstLocal substitutes repl for every free occurrence of the recursion
 // variable name in t.
 func SubstLocal(t Local, name string, repl Local) Local {
@@ -502,35 +499,6 @@ func Roles(g Global) []Role {
 		}
 	}
 	walk(g)
-	out := make([]Role, 0, len(set))
-	for r := range set {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Peers returns the participants a local type communicates with, sorted.
-func Peers(t Local) []Role {
-	set := map[Role]bool{}
-	var walk func(Local)
-	walk = func(t Local) {
-		switch t := t.(type) {
-		case Send:
-			set[t.Peer] = true
-			for _, b := range t.Branches {
-				walk(b.Cont)
-			}
-		case Recv:
-			set[t.Peer] = true
-			for _, b := range t.Branches {
-				walk(b.Cont)
-			}
-		case Rec:
-			walk(t.Body)
-		}
-	}
-	walk(t)
 	out := make([]Role, 0, len(set))
 	for r := range set {
 		out = append(out, r)

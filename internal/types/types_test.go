@@ -1,6 +1,7 @@
 package types
 
 import (
+	"sort"
 	"strings"
 	"testing"
 )
@@ -66,7 +67,7 @@ func TestGlobalStringRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reparse of %q (printed %q): %v", src, printed, err)
 		}
-		if !EqualGlobal(parsed, again) {
+		if parsed.String() != again.String() {
 			t.Errorf("round trip mismatch: %q -> %q -> %q", src, printed, again.String())
 		}
 	}
@@ -255,4 +256,33 @@ func TestPaperTypesParse(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
+}
+
+// Peers returns the participants a local type communicates with, sorted.
+func Peers(t Local) []Role {
+	set := map[Role]bool{}
+	var walk func(Local)
+	walk = func(t Local) {
+		switch t := t.(type) {
+		case Send:
+			set[t.Peer] = true
+			for _, b := range t.Branches {
+				walk(b.Cont)
+			}
+		case Recv:
+			set[t.Peer] = true
+			for _, b := range t.Branches {
+				walk(b.Cont)
+			}
+		case Rec:
+			walk(t.Body)
+		}
+	}
+	walk(t)
+	out := make([]Role, 0, len(set))
+	for r := range set {
+		out = append(out, r)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }

@@ -96,4 +96,6 @@ type RemoteError struct {
 func (e *RemoteError) Error() string { return "wire: remote cause: " + e.Msg }
 
 // Unwrap exposes the matched sentinel (nil when the cause matched none).
+//
+//repro:keep errors.Is and errors.As call it through an anonymous interface
 func (e *RemoteError) Unwrap() error { return e.sentinel }

@@ -31,6 +31,8 @@ func (t *Table) Protocol() string { return t.protocol }
 
 // Labels returns the table's labels sorted by name — the seed set for the
 // wire round-trip fuzzer.
+//
+//repro:keep the wire fuzz tests and protofuzz's seed-corpus generator enumerate a table with it
 func (t *Table) Labels() []types.Label {
 	out := make([]types.Label, 0, len(t.codecs))
 	for l := range t.codecs {
@@ -41,6 +43,8 @@ func (t *Table) Labels() []types.Label {
 }
 
 // Sort returns the sort bound to label, and whether the label is known.
+//
+//repro:keep the wire fuzz tests and protofuzz's seed-corpus generator enumerate a table with it
 func (t *Table) Sort(label types.Label) (types.Sort, bool) {
 	c, ok := t.codecs[label]
 	return c.sort, ok
