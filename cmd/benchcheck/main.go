@@ -96,9 +96,11 @@ var suites = []suite{
 		pkgs:  []string{"./internal/netchan"}},
 	// Static verification at scale: core.Check over 1200-state chains,
 	// k-MC over 1000-state systems, the AMR search at deep unrolls, and the
-	// whole differential pipeline on one oversized cell.
+	// whole differential pipeline on one oversized cell; and the verifier
+	// toolchain end to end over the Table 1 global types, whose gated
+	// allocs/op is the verifier's end-to-end allocation count.
 	{name: "check",
-		bench: `^Benchmark(CheckScale|KmcScale|OptimiseScale|PipelineDeep)$`,
+		bench: `^Benchmark(CheckScale|KmcScale|OptimiseScale|PipelineDeep|VerifyTable1)$`,
 		pkgs:  []string{"./internal/protofuzz"}},
 }
 

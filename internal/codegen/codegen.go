@@ -7,7 +7,6 @@ import (
 	"go/parser"
 	"go/token"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"unicode"
@@ -189,52 +188,80 @@ type generator struct {
 	opts  Options
 	fsms  map[types.Role]*fsm.FSM
 
-	roles  []types.Role
-	labels []types.Label
-	rgs    []*roleGen
-	names  map[string]string // emitted top-level identifier -> what owns it
+	labels []labelGen        // sorted by label
+	rgs    []*roleGen        // sorted by role
+	names  map[string]owner  // emitted top-level identifier -> what owns it
+	idents map[string]string // exportIdent of each role and label
+	sorts  map[types.Sort]*sortGen
 	// extraImports are the packages referenced by registry sort bindings
 	// (types.SortInfo.Import) used in this protocol's payloads.
 	extraImports map[string]bool
 }
 
+type labelGen struct {
+	label types.Label
+	ident string // exported label identifier, e.g. "Value"
+}
+
+// sortGen is a payload sort's Go type and receive-side converter call, as
+// sortGo returns them.
+type sortGen struct{ goType, conv string }
+
 type roleGen struct {
 	role  types.Role
 	ident string // exported role identifier, e.g. "S"
 	ep    string // endpoint core type, e.g. "sEp"
-	m     *fsm.FSM
+	newEp string // its constructor, e.g. "newSEp"
+	init  string // the initial state's type name
 
-	states []fsm.State // reachable non-final states, ascending
-	finals []fsm.State // reachable final states, ascending
-	local  string      // pretty local type, for comments ("" if not directed-printable)
+	states      []stateGen // reachable non-final states, ascending
+	terminating bool       // a final state is reachable
+	local       string     // pretty local type, for comments ("" if not directed-printable)
 
-	sendPeers []types.Role
-	recvPeers []types.Role
+	sendPeers []peerGen
+	recvPeers []peerGen
 }
 
-func (r *roleGen) terminating() bool { return len(r.finals) > 0 }
+type peerGen struct {
+	role  types.Role
+	ident string
+}
 
-// stateName maps a state to its emitted type name; all final states share
-// the single End type (final states are behaviourally identical).
-func (r *roleGen) stateName(s fsm.State) string {
-	if r.m.IsFinal(s) {
-		return r.ident + "End"
-	}
-	return r.ident + strconv.Itoa(int(s))
+// stateGen is one emitted state type: its names and its transitions, with
+// every identifier they need computed once.
+type stateGen struct {
+	num   string // the state number
+	name  string // the emitted type name, e.g. "S3"
+	ref   string // the name qualified by the package, see stateRef
+	trans []transGen
+}
+
+type transGen struct {
+	act   *fsm.Action // in the machine
+	text  string      // act.String()
+	to    string      // the target state's number
+	next  string      // the target state's type name
+	peer  string      // exported peer identifier
+	label string      // exported label identifier
+	*sortGen
 }
 
 func (g *generator) prepare() error {
-	for r := range g.fsms {
-		g.roles = append(g.roles, r)
+	roles := make([]types.Role, 0, len(g.fsms))
+	names := 0 // identifiers to reserve, but the labels'
+	for r, m := range g.fsms {
+		roles = append(roles, r)
+		names += 4 + m.NumStates()
 	}
-	sort.Slice(g.roles, func(i, j int) bool { return g.roles[i] < g.roles[j] })
+	slices.Sort(roles)
 
-	g.names = map[string]string{}
+	g.names = make(map[string]owner, names)
+	g.idents = make(map[string]string, len(roles))
 	g.extraImports = map[string]bool{}
 	labelSet := map[types.Label]bool{}
 	labelIdents := map[string]types.Label{}
 
-	for _, role := range g.roles {
+	for _, role := range roles {
 		m := g.fsms[role]
 		if err := m.Validate(); err != nil {
 			return fmt.Errorf("codegen: role %s: %w", role, err)
@@ -242,31 +269,48 @@ func (g *generator) prepare() error {
 		if !m.Directed() {
 			return fmt.Errorf("codegen: machine for %s is not directed; state-pattern APIs need local-type-shaped machines", role)
 		}
-		rg := &roleGen{role: role, ident: exportIdent(string(role)), m: m}
+		rg := &roleGen{role: role, ident: g.export(string(role))}
 		rg.ep = unexportIdent(rg.ident) + "Ep"
+		rg.newEp = "new" + exportIdent(rg.ep)
 		if lt, err := fsm.ToLocal(m); err == nil {
 			rg.local = lt.String()
 		}
 
+		// Type names of the reachable states; all final states share the
+		// single End type (final states are behaviourally identical).
 		reach := m.Reachable()
-		var all []fsm.State
+		all := make([]fsm.State, 0, len(reach))
 		for s := range reach {
 			all = append(all, s)
 		}
-		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-		sends, recvs := map[types.Role]bool{}, map[types.Role]bool{}
+		slices.Sort(all)
+		name := make([]string, m.NumStates())
+		endName := rg.ident + "End"
+		nStates := 0
 		for _, s := range all {
 			if m.IsFinal(s) {
-				rg.finals = append(rg.finals, s)
+				rg.terminating = true
+				name[s] = endName
 				continue
 			}
-			rg.states = append(rg.states, s)
-			for _, t := range m.Transitions(s) {
+			name[s] = rg.ident + strconv.Itoa(int(s))
+			nStates++
+		}
+		rg.init = name[m.Initial()]
+
+		sends, recvs := map[types.Role]bool{}, map[types.Role]bool{}
+		rg.states = make([]stateGen, 0, nStates)
+		for _, s := range all {
+			if m.IsFinal(s) {
+				continue
+			}
+			ts := m.Transitions(s)
+			st := stateGen{num: strconv.Itoa(int(s)), name: name[s], trans: make([]transGen, len(ts))}
+			st.ref = g.stateRef(st.name)
+			for i := range ts {
+				t := &ts[i]
 				if !types.KnownSort(t.Act.Sort) {
 					return fmt.Errorf("codegen: role %s: payload sort %q is not registered; bind it to a Go type first (types.RegisterSort, or sessgen -sortmap %s=GoType)", role, t.Act.Sort, t.Act.Sort)
-				}
-				if info, ok := types.LookupSort(t.Act.Sort); ok && info.Import != "" {
-					g.extraImports[info.Import] = true
 				}
 				labelSet[t.Act.Label] = true
 				if t.Act.Dir == fsm.Send {
@@ -274,56 +318,95 @@ func (g *generator) prepare() error {
 				} else {
 					recvs[t.Act.Peer] = true
 				}
+				st.trans[i] = transGen{
+					act:     &t.Act,
+					text:    t.Act.String(),
+					to:      strconv.Itoa(int(t.To)),
+					next:    name[t.To],
+					peer:    g.export(string(t.Act.Peer)),
+					label:   g.export(string(t.Act.Label)),
+					sortGen: g.sortOf(t.Act.Sort),
+				}
 			}
+			rg.states = append(rg.states, st)
 		}
-		rg.sendPeers = sortedRoles(sends)
-		rg.recvPeers = sortedRoles(recvs)
+		rg.sendPeers = g.peers(sends)
+		rg.recvPeers = g.peers(recvs)
 
 		// Reserve the role's top-level identifiers, catching collisions
 		// between roles whose mangled names overlap (e.g. "s" state 10 vs a
 		// role literally named "s1").
-		if err := g.reserve("Role"+rg.ident, "role "+string(role)); err != nil {
+		if err := g.reserve("Role"+rg.ident, owner{what: "role ", name: string(role)}); err != nil {
 			return err
 		}
-		if err := g.reserve(rg.ep, "endpoint core of "+string(role)); err != nil {
+		if err := g.reserve(rg.ep, owner{what: "endpoint core of ", name: string(role)}); err != nil {
 			return err
 		}
-		for _, s := range rg.states {
-			if err := g.reserve(rg.stateName(s), "state "+strconv.Itoa(int(s))+" of role "+string(role)); err != nil {
+		for _, st := range rg.states {
+			if err := g.reserve(st.name, owner{what: "state ", num: st.num, name: string(role)}); err != nil {
 				return err
 			}
-			if len(m.Transitions(s)) > 1 && m.Transitions(s)[0].Act.Dir == fsm.Recv {
-				if err := g.reserve(rg.stateName(s)+"Branch", "branch sum of state "+strconv.Itoa(int(s))+" of role "+string(role)); err != nil {
+			if len(st.trans) > 1 && st.trans[0].act.Dir == fsm.Recv {
+				if err := g.reserve(st.name+"Branch", owner{what: "branch sum of state ", num: st.num, name: string(role)}); err != nil {
 					return err
 				}
 			}
 		}
-		if rg.terminating() {
-			if err := g.reserve(rg.ident+"End", "terminal state of role "+string(role)); err != nil {
+		if rg.terminating {
+			if err := g.reserve(endName, owner{what: "terminal state of role ", name: string(role)}); err != nil {
 				return err
 			}
 		}
-		if err := g.reserve("Run"+rg.ident, "runner of role "+string(role)); err != nil {
+		if err := g.reserve("Run"+rg.ident, owner{what: "runner of role ", name: string(role)}); err != nil {
 			return err
 		}
 		g.rgs = append(g.rgs, rg)
 	}
 
+	g.labels = make([]labelGen, 0, len(labelSet))
 	for l := range labelSet {
-		g.labels = append(g.labels, l)
+		g.labels = append(g.labels, labelGen{label: l, ident: g.export(string(l))})
 	}
-	sort.Slice(g.labels, func(i, j int) bool { return g.labels[i] < g.labels[j] })
+	slices.SortFunc(g.labels, func(a, b labelGen) int { return strings.Compare(string(a.label), string(b.label)) })
 	for _, l := range g.labels {
-		id := "Label" + exportIdent(string(l))
-		if prev, ok := labelIdents[id]; ok && prev != l {
-			return fmt.Errorf("%w: labels %q and %q both mangle to %s", ErrIdentCollision, prev, l, id)
+		id := "Label" + l.ident
+		if prev, ok := labelIdents[id]; ok && prev != l.label {
+			return fmt.Errorf("%w: labels %q and %q both mangle to %s", ErrIdentCollision, prev, l.label, id)
 		}
-		labelIdents[id] = l
-		if err := g.reserve(id, "label "+string(l)); err != nil {
+		labelIdents[id] = l.label
+		if err := g.reserve(id, owner{what: "label ", name: string(l.label)}); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// export is exportIdent, computed once per role or label name.
+func (g *generator) export(name string) string {
+	id, ok := g.idents[name]
+	if !ok {
+		id = exportIdent(name)
+		g.idents[name] = id
+	}
+	return id
+}
+
+// sortOf is sortGo, computed once per sort, and records the sort binding's
+// import.
+func (g *generator) sortOf(s types.Sort) *sortGen {
+	if sg, ok := g.sorts[s]; ok {
+		return sg
+	}
+	sg := new(sortGen)
+	sg.goType, sg.conv = sortGo(s)
+	if info, ok := types.LookupSort(s); ok && info.Import != "" {
+		g.extraImports[info.Import] = true
+	}
+	if g.sorts == nil {
+		g.sorts = map[types.Sort]*sortGen{}
+	}
+	g.sorts[s] = sg
+	return sg
 }
 
 // ErrIdentCollision reports that two protocol names (roles, labels, or the
@@ -334,29 +417,61 @@ func (g *generator) prepare() error {
 // as by-design rather than a generator bug.
 var ErrIdentCollision = errors.New("codegen: identifier collision")
 
-func (g *generator) reserve(name, owner string) error {
-	if prev, ok := g.names[name]; ok {
-		return fmt.Errorf("%w: identifier %s needed by %s collides with %s; rename a role or label", ErrIdentCollision, name, owner, prev)
+// owner describes what needs an emitted identifier: what, then the state
+// number num when it names a state, then the role or label name. The text
+// is built only for a collision's error.
+type owner struct{ what, num, name string }
+
+func (o owner) String() string {
+	if o.num != "" {
+		return o.what + o.num + " of role " + o.name
 	}
-	g.names[name] = owner
+	return o.what + o.name
+}
+
+func (g *generator) reserve(name string, o owner) error {
+	if prev, ok := g.names[name]; ok {
+		return fmt.Errorf("%w: identifier %s needed by %s collides with %s; rename a role or label", ErrIdentCollision, name, o, prev)
+	}
+	g.names[name] = o
 	return nil
 }
 
-func sortedRoles(set map[types.Role]bool) []types.Role {
-	out := make([]types.Role, 0, len(set))
+// peers returns the roles of set in order, with their exported identifiers.
+func (g *generator) peers(set map[types.Role]bool) []peerGen {
+	out := make([]peerGen, 0, len(set))
 	for r := range set {
-		out = append(out, r)
+		out = append(out, peerGen{role: r, ident: g.export(string(r))})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.SortFunc(out, func(a, b peerGen) int { return strings.Compare(string(a.role), string(b.role)) })
 	return out
 }
 
+// size estimates the emitted source's length from the prepared model, so
+// the output buffer is allocated once. The coefficients are fitted to the
+// registry and Fig. 7 outputs and round up: the estimate lands 7–16% above
+// the emitted length there.
+func (g *generator) size() int {
+	n := 1024 + 64*len(g.labels)
+	for _, rg := range g.rgs {
+		n += 1280 + 2*len(rg.local)
+		for _, st := range rg.states {
+			n += 128
+			if len(st.trans) > 1 && st.trans[0].act.Dir == fsm.Recv {
+				n += 512 // the branch sum and its switch
+			}
+			for _, t := range st.trans {
+				n += 512 + 24*(len(t.label)+len(t.next)+len(t.peer)+len(t.goType))
+			}
+		}
+	}
+	return n
+}
+
 // pf appends format to the output with its verbs replaced by args in
-// order. It knows only the verbs the emitter uses: %s and %d write the
-// argument's text, %q writes it quoted as fmt's %q does (strconv.Quote).
-// Arguments are strings, roles, states or Stringers; anything else is a
-// generator bug.
-func (g *generator) pf(format string, args ...any) {
+// order. It knows only the verbs the emitter uses: %s writes the argument,
+// %q writes it quoted as fmt's %q does (strconv.Quote).
+func (g *generator) pf(format string, args ...string) {
 	for {
 		i := strings.IndexByte(format, '%')
 		if i < 0 {
@@ -366,28 +481,15 @@ func (g *generator) pf(format string, args ...any) {
 		g.b.WriteString(format[:i])
 		verb := format[i+1]
 		format = format[i+2:]
-		var text string
-		switch a := args[0].(type) {
-		case string:
-			text = a
-		case types.Role:
-			text = string(a)
-		case fsm.State:
-			text = strconv.Itoa(int(a))
-		case fmt.Stringer:
-			text = a.String()
-		default:
-			panic("codegen: pf argument of unsupported type")
-		}
-		args = args[1:]
 		switch verb {
-		case 's', 'd':
-			g.b.WriteString(text)
+		case 's':
+			g.b.WriteString(args[0])
 		case 'q':
-			g.b.Write(strconv.AppendQuote(g.b.AvailableBuffer(), text))
+			g.b.Write(strconv.AppendQuote(g.b.AvailableBuffer(), args[0]))
 		default:
 			panic("codegen: pf verb %" + string(verb) + " unsupported")
 		}
+		args = args[1:]
 	}
 }
 
@@ -396,31 +498,35 @@ func (g *generator) pf(format string, args ...any) {
 // spaces to the widest name in the run plus one. Width counts runes, as
 // gofmt's tabwriter does, because Scribble identifiers may be any Unicode
 // letter. A run ends wherever gofmt ends one, e.g. at a comment line, so
-// callers pass only the rows between such breaks.
-func (g *generator) aligned(rows [][2]string) {
+// callers pass only the rows between such breaks. A row's name is the
+// concatenation of its first two strings and its rest that of the others.
+func (g *generator) aligned(rows [][4]string) {
 	w := 0
 	for _, r := range rows {
-		w = max(w, utf8.RuneCountInString(r[0]))
+		w = max(w, utf8.RuneCountInString(r[0])+utf8.RuneCountInString(r[1]))
 	}
 	for _, r := range rows {
 		g.b.WriteByte('\t')
 		g.b.WriteString(r[0])
-		for n := utf8.RuneCountInString(r[0]); n <= w; n++ {
+		g.b.WriteString(r[1])
+		for n := utf8.RuneCountInString(r[0]) + utf8.RuneCountInString(r[1]); n <= w; n++ {
 			g.b.WriteByte(' ')
 		}
-		g.b.WriteString(r[1])
+		g.b.WriteString(r[2])
+		g.b.WriteString(r[3])
 		g.b.WriteByte('\n')
 	}
 }
 
 func (g *generator) emit() {
-	g.pf("// Code generated by sessgen (internal/codegen) from protocol %q, optimised=%s. DO NOT EDIT.\n\n", g.proto, g.opts.Mode)
+	g.b.Grow(g.size())
+	g.pf("// Code generated by sessgen (internal/codegen) from protocol %q, optimised=%s. DO NOT EDIT.\n\n", g.proto, g.opts.Mode.String())
 	g.pf("package %s\n\n", g.opts.Package)
 	imports := []string{"repro/internal/codegen/genrt", "repro/internal/session", "repro/internal/types"}
 	for imp := range g.extraImports {
 		imports = append(imports, imp)
 	}
-	sort.Strings(imports)
+	slices.Sort(imports)
 	// A sort binding may name a package the API imports anyway; gofmt's
 	// canonical form lists each import once.
 	imports = slices.Compact(imports)
@@ -433,9 +539,9 @@ func (g *generator) emit() {
 	// Labels.
 	if len(g.labels) > 0 {
 		g.pf("// Message labels of the protocol.\nconst (\n")
-		rows := make([][2]string, len(g.labels))
+		rows := make([][4]string, len(g.labels))
 		for i, l := range g.labels {
-			rows[i] = [2]string{"Label" + exportIdent(string(l)), "types.Label = " + strconv.Quote(string(l))}
+			rows[i] = [4]string{"Label", l.ident, "types.Label = ", strconv.Quote(string(l.label))}
 		}
 		g.aligned(rows)
 		g.pf(")\n\n")
@@ -443,9 +549,9 @@ func (g *generator) emit() {
 
 	// Roles.
 	g.pf("// Participants of the protocol.\nconst (\n")
-	rows := make([][2]string, len(g.rgs))
+	rows := make([][4]string, len(g.rgs))
 	for i, rg := range g.rgs {
-		rows[i] = [2]string{"Role" + rg.ident, "types.Role = " + strconv.Quote(string(rg.role))}
+		rows[i] = [4]string{"Role", rg.ident, "types.Role = ", strconv.Quote(string(rg.role))}
 	}
 	g.aligned(rows)
 	g.pf(")\n\n")
@@ -473,9 +579,9 @@ func (g *generator) emit() {
 
 func (g *generator) emitProcs() {
 	g.pf("// Procs is one process per role, for Run.\ntype Procs struct {\n")
-	rows := make([][2]string, len(g.rgs))
+	rows := make([][4]string, len(g.rgs))
 	for i, rg := range g.rgs {
-		rows[i] = [2]string{rg.ident, g.procSig(rg)}
+		rows[i] = [4]string{rg.ident, "", "func(" + rg.init + ") ", procResult(rg)}
 	}
 	g.aligned(rows)
 	g.pf("}\n\n")
@@ -493,16 +599,17 @@ func (g *generator) emitProcs() {
 	g.pf("\treturn r.Wait()\n}\n\n")
 }
 
-func (g *generator) procSig(rg *roleGen) string {
-	init := rg.stateName(rg.m.Initial())
-	if rg.terminating() {
-		return "func(" + init + ") (" + rg.ident + "End, error)"
+// procResult is the result list of a role's process function: the End
+// value and an error for a terminating protocol, else an error alone.
+func procResult(rg *roleGen) string {
+	if rg.terminating {
+		return "(" + rg.ident + "End, error)"
 	}
-	return "func(" + init + ") error"
+	return "error"
 }
 
 func (g *generator) emitRole(rg *roleGen) {
-	g.pf("// ---- role %s ----\n", rg.role)
+	g.pf("// ---- role %s ----\n", string(rg.role))
 	if rg.local != "" {
 		g.pf("//\n// Verified machine: %s\n", rg.local)
 	}
@@ -510,55 +617,55 @@ func (g *generator) emitRole(rg *roleGen) {
 
 	// Endpoint core: shared stamp counter plus route-bound monitor-free
 	// senders and receivers, resolved once at session start.
-	g.pf("// %s is role %s's session core: the shared one-shot stamp counter and the\n// pre-resolved monitor-free routes.\n", rg.ep, rg.role)
+	g.pf("// %s is role %s's session core: the shared one-shot stamp counter and the\n// pre-resolved monitor-free routes.\n", rg.ep, string(rg.role))
 	g.pf("type %s struct {\n", rg.ep)
-	rows := [][2]string{{"c", "*genrt.Core"}}
+	rows := make([][4]string, 0, 1+len(rg.sendPeers)+len(rg.recvPeers))
+	rows = append(rows, [4]string{"c", "", "*genrt.Core", ""})
 	for _, p := range rg.sendPeers {
-		rows = append(rows, [2]string{"send" + exportIdent(string(p)), "session.UncheckedSend"})
+		rows = append(rows, [4]string{"send", p.ident, "session.UncheckedSend", ""})
 	}
 	for _, p := range rg.recvPeers {
-		rows = append(rows, [2]string{"recv" + exportIdent(string(p)), "session.UncheckedRecv"})
+		rows = append(rows, [4]string{"recv", p.ident, "session.UncheckedRecv", ""})
 	}
 	g.aligned(rows)
 	g.pf("}\n\n")
 
-	g.pf("func new%s(c *genrt.Core) (*%s, error) {\n\tep := &%s{c: c}\n\tvar err error\n", exportIdent(rg.ep), rg.ep, rg.ep)
+	g.pf("func %s(c *genrt.Core) (*%s, error) {\n\tep := &%s{c: c}\n\tvar err error\n", rg.newEp, rg.ep, rg.ep)
 	for _, p := range rg.sendPeers {
-		g.pf("\tif ep.send%s, err = c.U().To(Role%s); err != nil {\n\t\treturn nil, err\n\t}\n", exportIdent(string(p)), exportIdent(string(p)))
+		g.pf("\tif ep.send%s, err = c.U().To(Role%s); err != nil {\n\t\treturn nil, err\n\t}\n", p.ident, p.ident)
 	}
 	for _, p := range rg.recvPeers {
-		g.pf("\tif ep.recv%s, err = c.U().From(Role%s); err != nil {\n\t\treturn nil, err\n\t}\n", exportIdent(string(p)), exportIdent(string(p)))
+		g.pf("\tif ep.recv%s, err = c.U().From(Role%s); err != nil {\n\t\treturn nil, err\n\t}\n", p.ident, p.ident)
 	}
 	g.pf("\treturn ep, nil\n}\n\n")
 
 	// Runner.
-	init := rg.stateName(rg.m.Initial())
-	if rg.terminating() {
-		g.pf("// Run%s runs f as role %s on net with exclusive endpoint ownership. f is\n", rg.ident, rg.role)
+	if rg.terminating {
+		g.pf("// Run%s runs f as role %s on net with exclusive endpoint ownership. f is\n", rg.ident, string(rg.role))
 		g.pf("// handed the initial state and must return the End value: completion of the\n// protocol is witnessed by the live terminal state, not assumed.\n")
-		g.pf("func Run%s(net *session.Network, f %s) error {\n", rg.ident, g.procSig(rg))
+		g.pf("func Run%s(net *session.Network, f func(%s) %s) error {\n", rg.ident, rg.init, procResult(rg))
 		g.pf("\treturn genrt.Session(net, Role%s, func(c *genrt.Core) error {\n", rg.ident)
-		g.pf("\t\tep, err := new%s(c)\n\t\tif err != nil {\n\t\t\treturn err\n\t\t}\n", exportIdent(rg.ep))
-		g.pf("\t\tend, err := f(%s{ep: ep, st: c.Init()})\n\t\tif err != nil {\n\t\t\treturn err\n\t\t}\n", init)
+		g.pf("\t\tep, err := %s(c)\n\t\tif err != nil {\n\t\t\treturn err\n\t\t}\n", rg.newEp)
+		g.pf("\t\tend, err := f(%s{ep: ep, st: c.Init()})\n\t\tif err != nil {\n\t\t\treturn err\n\t\t}\n", rg.init)
 		g.pf("\t\treturn genrt.Finish(c, end.st)\n\t})\n}\n\n")
 	} else {
-		g.pf("// Run%s runs f as role %s on net with exclusive endpoint ownership. The\n", rg.ident, rg.role)
+		g.pf("// Run%s runs f as role %s on net with exclusive endpoint ownership. The\n", rg.ident, string(rg.role))
 		g.pf("// protocol is infinite (no terminal state is reachable), so completion\n// cannot be witnessed: f stops deliberately by returning, and callers bound\n// iteration counts so all roles stop consistently.\n")
-		g.pf("func Run%s(net *session.Network, f %s) error {\n", rg.ident, g.procSig(rg))
+		g.pf("func Run%s(net *session.Network, f func(%s) error) error {\n", rg.ident, rg.init)
 		g.pf("\treturn genrt.Session(net, Role%s, func(c *genrt.Core) error {\n", rg.ident)
-		g.pf("\t\tep, err := new%s(c)\n\t\tif err != nil {\n\t\t\treturn err\n\t\t}\n", exportIdent(rg.ep))
-		g.pf("\t\treturn f(%s{ep: ep, st: c.Init()})\n\t})\n}\n\n", init)
+		g.pf("\t\tep, err := %s(c)\n\t\tif err != nil {\n\t\t\treturn err\n\t\t}\n", rg.newEp)
+		g.pf("\t\treturn f(%s{ep: ep, st: c.Init()})\n\t})\n}\n\n", rg.init)
 	}
 
 	// End type.
-	if rg.terminating() {
-		g.pf("// %sEnd is role %s's terminal state: obtaining it is only possible by\n// driving the session to completion, and returning it from the process\n// witnesses that completion to Run%s.\n", rg.ident, rg.role, rg.ident)
+	if rg.terminating {
+		g.pf("// %sEnd is role %s's terminal state: obtaining it is only possible by\n// driving the session to completion, and returning it from the process\n// witnesses that completion to Run%s.\n", rg.ident, string(rg.role), rg.ident)
 		g.pf("type %sEnd struct {\n\tep *%s\n\tst genrt.St\n}\n\n", rg.ident, rg.ep)
 	}
 
 	// States.
-	for _, s := range rg.states {
-		g.emitState(rg, s)
+	for i := range rg.states {
+		g.emitState(rg, &rg.states[i])
 	}
 }
 
@@ -570,58 +677,53 @@ func (g *generator) stateRef(state string) string {
 	return g.opts.Package + "." + state
 }
 
-// transitionsComment renders a state's outgoing edges for its doc comment.
-func transitionsComment(m *fsm.FSM, s fsm.State) string {
-	var parts []string
-	for _, t := range m.Transitions(s) {
-		parts = append(parts, t.Act.String()+" → state "+strconv.Itoa(int(t.To)))
-	}
-	return strings.Join(parts, ", ")
-}
-
-func (g *generator) emitState(rg *roleGen, s fsm.State) {
-	name := rg.stateName(s)
-	ts := rg.m.Transitions(s)
+func (g *generator) emitState(rg *roleGen, st *stateGen) {
 	// The //sessgen:state directive is the marker contract with sessvet
 	// (internal/lint): analyzers recognise state types structurally by the
 	// genrt.St stamp field, and the directive makes the contract visible to
-	// humans and other tools without hardcoding package paths.
-	g.pf("// %s is role %s's protocol state %d: %s.\n//\n//sessgen:state\ntype %s struct {\n\tep *%s\n\tst genrt.St\n}\n\n", name, rg.role, s, transitionsComment(rg.m, s), name, rg.ep)
+	// humans and other tools without hardcoding package paths. The doc
+	// comment lists the state's outgoing edges.
+	g.pf("// %s is role %s's protocol state %s: ", st.name, string(rg.role), st.num)
+	for i, t := range st.trans {
+		if i > 0 {
+			g.pf(", ")
+		}
+		g.pf("%s → state %s", t.text, t.to)
+	}
+	g.pf(".\n//\n//sessgen:state\ntype %s struct {\n\tep *%s\n\tst genrt.St\n}\n\n", st.name, rg.ep)
 
-	if ts[0].Act.Dir == fsm.Send {
-		for _, t := range ts {
-			g.emitSend(rg, name, t)
+	ts := st.trans
+	if ts[0].act.Dir == fsm.Send {
+		for i := range ts {
+			g.emitSend(st, &ts[i])
 		}
 		return
 	}
 	if len(ts) == 1 {
-		g.emitRecvSingle(rg, name, ts[0])
+		g.emitRecvSingle(st, &ts[0])
 		return
 	}
-	g.emitRecvBranch(rg, name, ts)
+	g.emitRecvBranch(rg, st)
 }
 
-func (g *generator) emitSend(rg *roleGen, state string, t fsm.Transition) {
-	peer := exportIdent(string(t.Act.Peer))
-	label := exportIdent(string(t.Act.Label))
-	next := rg.stateName(t.To)
+func (g *generator) emitSend(st *stateGen, t *transGen) {
 	arg, val := "", "nil"
-	if goType, _ := sortGo(t.Act.Sort); goType != "" {
-		arg, val = "payload "+goType, "payload"
+	if t.goType != "" {
+		arg, val = "payload "+t.goType, "payload"
 	}
-	g.pf("// Send%s sends %s to %s, consuming the state and returning the next one.\n", label, t.Act, t.Act.Peer)
-	g.pf("func (s %s) Send%s(%s) (%s, error) {\n", state, label, arg, next)
-	g.pf("\tst, err := genrt.Send(s.st, %q, s.ep.send%s, Label%s, %s)\n", g.stateRef(state), peer, label, val)
-	g.ret(next, "")
+	g.pf("// Send%s sends %s to %s, consuming the state and returning the next one.\n", t.label, t.text, string(t.act.Peer))
+	g.pf("func (s %s) Send%s(%s) (%s, error) {\n", st.name, t.label, arg, t.next)
+	g.pf("\tst, err := genrt.Send(s.st, %q, s.ep.send%s, Label%s, %s)\n", st.ref, t.peer, t.label, val)
+	g.ret(t.next, "")
 
 	// The non-blocking stepping face: on session.ErrWouldBlock the state is
 	// NOT consumed, so the caller (an event loop or internal/sched worker)
 	// retries the same state value once the peer makes progress; every other
 	// outcome consumes the state exactly as the blocking method does.
-	g.pf("// TrySend%s is the non-blocking Send%s: it returns session.ErrWouldBlock —\n// leaving the state live for a retry — when the outgoing route is full.\n", label, label)
-	g.pf("func (s %s) TrySend%s(%s) (%s, error) {\n", state, label, arg, next)
-	g.pf("\tst, err := genrt.TrySend(s.st, %q, s.ep.send%s, Label%s, %s)\n", g.stateRef(state), peer, label, val)
-	g.ret(next, "")
+	g.pf("// TrySend%s is the non-blocking Send%s: it returns session.ErrWouldBlock —\n// leaving the state live for a retry — when the outgoing route is full.\n", t.label, t.label)
+	g.pf("func (s %s) TrySend%s(%s) (%s, error) {\n", st.name, t.label, arg, t.next)
+	g.pf("\tst, err := genrt.TrySend(s.st, %q, s.ep.send%s, Label%s, %s)\n", st.ref, t.peer, t.label, val)
+	g.ret(t.next, "")
 }
 
 // ret closes a single-transition method: the error return with zero
@@ -638,26 +740,21 @@ func (g *generator) ret(next, zero string) {
 // emitRecvSingle emits a single-transition receive and its non-blocking
 // face: session.ErrWouldBlock (nothing arrived yet) leaves the state live;
 // a delivered message consumes it, whether it converts or faults.
-func (g *generator) emitRecvSingle(rg *roleGen, state string, t fsm.Transition) {
-	peer := exportIdent(string(t.Act.Peer))
-	label := exportIdent(string(t.Act.Label))
-	next := rg.stateName(t.To)
-	goType, conv := sortGo(t.Act.Sort)
-	results, lhs, zero := next+", error", "_", ""
-	if goType == "" {
-		conv = "genrt.Signal"
-	} else {
-		results, lhs, zero = goType+", "+results, "payload", zeroOf(goType)
-		conv = convValue(goType, conv)
+func (g *generator) emitRecvSingle(st *stateGen, t *transGen) {
+	lead, lhs, zero, conv := "", "_", "", "genrt.Signal"
+	if t.goType != "" {
+		lead, lhs, zero, conv = t.goType+", ", "payload", zeroOf(t.goType), convValue(t.goType, t.conv)
 	}
-	g.pf("// Recv%s receives %s from %s, consuming the state and returning the next one.\n", label, t.Act, t.Act.Peer)
-	g.pf("func (s %s) Recv%s() (%s) {\n", state, label, results)
-	g.pf("\t%s, st, err := genrt.Recv(s.st, %q, s.ep.recv%s, Role%s, Label%s, %s)\n", lhs, g.stateRef(state), peer, peer, label, conv)
-	g.ret(next, zero)
-	g.pf("// TryRecv%s is the non-blocking Recv%s: it returns session.ErrWouldBlock —\n// leaving the state live for a retry — when no message has arrived yet.\n", label, label)
-	g.pf("func (s %s) TryRecv%s() (%s) {\n", state, label, results)
-	g.pf("\t%s, st, err := genrt.TryRecv(s.st, %q, s.ep.recv%s, Role%s, Label%s, %s)\n", lhs, g.stateRef(state), peer, peer, label, conv)
-	g.ret(next, zero)
+	for _, face := range [2]string{"", "Try"} {
+		if face == "" {
+			g.pf("// Recv%s receives %s from %s, consuming the state and returning the next one.\n", t.label, t.text, string(t.act.Peer))
+		} else {
+			g.pf("// TryRecv%s is the non-blocking Recv%s: it returns session.ErrWouldBlock —\n// leaving the state live for a retry — when no message has arrived yet.\n", t.label, t.label)
+		}
+		g.pf("func (s %s) %sRecv%s() (%s%s, error) {\n", st.name, face, t.label, lead, t.next)
+		g.pf("\t%s, st, err := genrt.%sRecv(s.st, %q, s.ep.recv%s, Role%s, Label%s, %s)\n", lhs, face, st.ref, t.peer, t.peer, t.label, conv)
+		g.ret(t.next, zero)
+	}
 }
 
 // convValue renders a receive's payload converter as the function value
@@ -671,59 +768,54 @@ func convValue(goType, call string) string {
 	return "func(v any) (" + goType + ", error) { return " + call + " }"
 }
 
-func (g *generator) emitRecvBranch(rg *roleGen, state string, ts []fsm.Transition) {
-	peer := exportIdent(string(ts[0].Act.Peer))
-	sum := state + "Branch"
+func (g *generator) emitRecvBranch(rg *roleGen, st *stateGen) {
+	ts := st.trans
 	payload := "_"
 	for _, t := range ts {
-		if gt, _ := sortGo(t.Act.Sort); gt != "" {
+		if t.goType != "" {
 			payload = "v"
 		}
 	}
 
-	g.pf("// %s is the one-shot outcome of %s.Branch: exactly one case is live,\n", sum, state)
+	g.pf("// %sBranch is the one-shot outcome of %s.Branch: exactly one case is live,\n", st.name, st.name)
 	g.pf("// discriminated by Label; the continuations of the cases not taken are\n// permanently consumed (driving them fails with genrt.ErrStateConsumed).\n//\n//sessgen:branch\n")
-	g.pf("type %s struct {\n\t// Label is the received label, selecting the live case.\n\tLabel types.Label\n", sum)
+	g.pf("type %sBranch struct {\n\t// Label is the received label, selecting the live case.\n\tLabel types.Label\n", st.name)
 	for _, t := range ts {
-		label := exportIdent(string(t.Act.Label))
-		goType, _ := sortGo(t.Act.Sort)
-		next := [2]string{label + "Next", rg.stateName(t.To)}
-		if goType != "" {
-			g.pf("\t// %sPayload and %sNext are live when Label == Label%s.\n", label, label, label)
-			g.aligned([][2]string{{label + "Payload", goType}, next})
+		next := [4]string{t.label, "Next", t.next, ""}
+		if t.goType != "" {
+			g.pf("\t// %sPayload and %sNext are live when Label == Label%s.\n", t.label, t.label, t.label)
+			g.aligned([][4]string{{t.label, "Payload", t.goType, ""}, next})
 		} else {
-			g.pf("\t// %sNext is live when Label == Label%s.\n", label, label)
-			g.aligned([][2]string{next})
+			g.pf("\t// %sNext is live when Label == Label%s.\n", t.label, t.label)
+			g.aligned([][4]string{next})
 		}
 	}
 	g.pf("}\n\n")
 
-	g.pf("// Branch receives the next message from %s and returns the branch it\n// selects, consuming the state.\n", ts[0].Act.Peer)
-	g.emitBranchMethod(rg, state, "Branch", payload, peer, ts)
+	g.pf("// Branch receives the next message from %s and returns the branch it\n// selects, consuming the state.\n", string(ts[0].act.Peer))
+	g.emitBranchMethod(rg, st, "Branch", payload)
 	g.pf("// TryBranch is the non-blocking Branch: it returns session.ErrWouldBlock —\n// leaving the state live for a retry — when no message has arrived yet.\n")
-	g.emitBranchMethod(rg, state, "TryBranch", payload, peer, ts)
+	g.emitBranchMethod(rg, st, "TryBranch", payload)
 }
 
 // emitBranchMethod emits Branch or TryBranch (method, which is also the
 // genrt helper it calls): the helper receives, then the cases match the
 // label and convert the payload (held in v, or discarded as _ when no case
 // carries one).
-func (g *generator) emitBranchMethod(rg *roleGen, state, method, payload, peer string, ts []fsm.Transition) {
-	sum := state + "Branch"
-	g.pf("func (s %s) %s() (%s, error) {\n", state, method, sum)
-	g.pf("\tlabel, %s, st, err := genrt.%s(s.st, %q, s.ep.recv%s)\n", payload, method, g.stateRef(state), peer)
-	g.pf("\tif err != nil {\n\t\treturn %s{}, err\n\t}\n", sum)
-	g.pf("\tb := %s{Label: label}\n\tswitch label {\n", sum)
-	for _, t := range ts {
-		label := exportIdent(string(t.Act.Label))
-		goType, conv := sortGo(t.Act.Sort)
-		g.pf("\tcase Label%s:\n", label)
-		if goType != "" {
-			g.pf("\t\tif b.%sPayload, err = %s; err != nil {\n\t\t\treturn %s{}, err\n\t\t}\n", label, conv, sum)
+func (g *generator) emitBranchMethod(rg *roleGen, st *stateGen, method, payload string) {
+	peer := st.trans[0].peer
+	g.pf("func (s %s) %s() (%sBranch, error) {\n", st.name, method, st.name)
+	g.pf("\tlabel, %s, st, err := genrt.%s(s.st, %q, s.ep.recv%s)\n", payload, method, st.ref, peer)
+	g.pf("\tif err != nil {\n\t\treturn %sBranch{}, err\n\t}\n", st.name)
+	g.pf("\tb := %sBranch{Label: label}\n\tswitch label {\n", st.name)
+	for _, t := range st.trans {
+		g.pf("\tcase Label%s:\n", t.label)
+		if t.goType != "" {
+			g.pf("\t\tif b.%sPayload, err = %s; err != nil {\n\t\t\treturn %sBranch{}, err\n\t\t}\n", t.label, t.conv, st.name)
 		}
-		g.pf("\t\tb.%sNext = %s{ep: s.ep, st: st}\n", label, rg.stateName(t.To))
+		g.pf("\t\tb.%sNext = %s{ep: s.ep, st: st}\n", t.label, t.next)
 	}
-	g.pf("\tdefault:\n\t\treturn %s{}, genrt.Unexpected(Role%s, %q, Role%s, label)\n\t}\n", sum, rg.ident, state, peer)
+	g.pf("\tdefault:\n\t\treturn %sBranch{}, genrt.Unexpected(Role%s, %q, Role%s, label)\n\t}\n", st.name, rg.ident, st.name, peer)
 	g.pf("\treturn b, nil\n}\n\n")
 }
 

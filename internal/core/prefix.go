@@ -6,9 +6,10 @@ import (
 	"repro/internal/fsm"
 )
 
-// entry is one transition in a prefix, lazily removable (Appendix B.5).
+// entry is one transition in a prefix, lazily removable (Appendix B.5). act
+// points at the action in its machine, which a check never modifies.
 type entry struct {
-	act     fsm.Action
+	act     *fsm.Action
 	removed bool
 }
 
@@ -31,14 +32,21 @@ type snapshot struct {
 	removed int // len(removed) at snapshot time
 }
 
-func (p *prefix) push(a fsm.Action) {
+// reset empties the prefix, keeping its buffers' capacity.
+func (p *prefix) reset() {
+	p.entries = p.entries[:0]
+	p.start = 0
+	p.removed = p.removed[:0]
+}
+
+func (p *prefix) push(a *fsm.Action) {
 	p.entries = append(p.entries, entry{act: a})
 }
 
 func (p *prefix) empty() bool { return p.start >= len(p.entries) }
 
 // head returns the first live transition. Callers must check empty first.
-func (p *prefix) head() fsm.Action { return p.entries[p.start].act }
+func (p *prefix) head() *fsm.Action { return p.entries[p.start].act }
 
 // normalize advances start past removed entries, maintaining the invariant.
 func (p *prefix) normalize() {
@@ -85,7 +93,7 @@ func (p *prefix) live() []fsm.Action {
 	var out []fsm.Action
 	for i := p.start; i < len(p.entries); i++ {
 		if !p.entries[i].removed {
-			out = append(out, p.entries[i].act)
+			out = append(out, *p.entries[i].act)
 		}
 	}
 	return out
@@ -142,7 +150,7 @@ func (p *prefix) liveEqualAt(s snapshot) bool {
 		if iDone || jDone {
 			return iDone && jDone
 		}
-		if p.entries[i].act != p.entries[j].act {
+		if a, b := p.entries[i].act, p.entries[j].act; a != b && *a != *b {
 			return false
 		}
 		i++

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/fsm"
@@ -97,20 +98,23 @@ func Check(sub, sup *fsm.FSM, opts Options) (Result, error) {
 	if err := validate(sup, "supertype"); err != nil {
 		return Result{}, err
 	}
-	return relate(sub, sup, opts), nil
+	v := visitor{sup: sup}
+	return v.relate(sub, opts), nil
 }
 
 // Supertype is a supertype machine validated once, for checking many
 // candidate subtypes against it: the optimiser certifies every rewrite of a
-// local type against the same original.
-type Supertype struct{ m *fsm.FSM }
+// local type against the same original. It owns one visitor scratch (the
+// history matrix, the prefixes, ρ and the assumption stack) that every Check
+// on it reuses, so a Supertype is not safe for concurrent use.
+type Supertype struct{ v visitor }
 
 // NewSupertype validates sup as Check does.
 func NewSupertype(sup *fsm.FSM) (*Supertype, error) {
 	if err := validate(sup, "supertype"); err != nil {
 		return nil, err
 	}
-	return &Supertype{m: sup}, nil
+	return &Supertype{v: visitor{sup: sup}}, nil
 }
 
 // Check reports whether sub is an asynchronous subtype of the supertype; it
@@ -119,27 +123,39 @@ func (s *Supertype) Check(sub *fsm.FSM, opts Options) (Result, error) {
 	if err := validate(sub, "candidate subtype"); err != nil {
 		return Result{}, err
 	}
-	return relate(sub, s.m, opts), nil
+	return s.v.relate(sub, opts), nil
 }
 
-func relate(sub, sup *fsm.FSM, opts Options) Result {
+// relate resets the visitor's scratch for sub against v.sup, keeping every
+// buffer's capacity, and runs the derivation from the initial pair.
+func (v *visitor) relate(sub *fsm.FSM, opts Options) Result {
 	bound := opts.Bound
 	if bound <= 0 {
 		bound = DefaultBound
 	}
-	v := &visitor{
-		sub:      sub,
-		sup:      sup,
-		history:  newHistory(sub.NumStates(), sup.NumStates(), bound),
-		failFast: !opts.NoFailFast,
+	bound = min(bound, math.MaxInt32)
+	v.sub = sub
+	v.nSup = v.sup.NumStates()
+	n := sub.NumStates() * v.nSup
+	v.history = slices.Grow(v.history[:0], n)[:n]
+	for i := range v.history {
+		v.history[i] = previous{visits: int32(bound)}
 	}
+	v.pre[0].reset()
+	v.pre[1].reset()
+	v.rho = v.rho[:0]
+	v.asms = v.asms[:0]
+	v.failFast = !opts.NoFailFast
+	v.stats = Stats{}
+	v.tr = nil
 	if opts.Trace {
 		v.tr = &tracer{}
 	}
-	ok := v.visit(sub.Initial(), sup.Initial())
+	ok := v.visit(sub.Initial(), v.sup.Initial())
 	res := Result{OK: ok, Stats: v.stats}
 	if v.tr != nil {
 		res.Trace = v.tr.lines
+		v.tr = nil
 	}
 	return res
 }
@@ -160,39 +176,31 @@ func CheckTypes(role types.Role, sub, sup types.Local, opts Options) (Result, er
 
 // previous is one cell of the history matrix: the remaining visit budget for
 // a pair of states and, when the pair is on the current derivation path, the
-// assumption made at its last visit (prefix snapshots plus the length of the
-// subtype-action log ρ at that time).
+// assumption made at its last visit, as a 1-based index into the visitor's
+// assumption stack (0: none).
 type previous struct {
-	visits int
-	snaps  *assumption
+	visits int32
+	asm    int32
 }
 
 // assumption corresponds to one entry of the map Σ of Fig. 5: it is keyed by
-// the state pair (implicitly, by living in history[l][r]) together with the
-// prefixes at assumption time (the snapshots), and stores ρ (here: the log
-// length, from which ρ' — the subtype actions performed since — is derived).
+// the state pair (implicitly, by being named from the pair's history cell)
+// together with the prefixes at assumption time (the snapshots), and stores
+// ρ (here: the log length, from which ρ' — the subtype actions performed
+// since — is derived). The stack holds one per visit on the current
+// derivation path.
 type assumption struct {
 	sub, sup snapshot
 	rhoLen   int
 }
 
-func newHistory(nSub, nSup, bound int) [][]previous {
-	h := make([][]previous, nSub)
-	cells := make([]previous, nSub*nSup)
-	for i := range h {
-		h[i] = cells[i*nSup : (i+1)*nSup]
-		for j := range h[i] {
-			h[i][j].visits = bound
-		}
-	}
-	return h
-}
-
 type visitor struct {
 	sub, sup *fsm.FSM
-	history  [][]previous
-	pre      [2]prefix // 0: subtype prefix π, 1: supertype prefix π′
-	rho      []fsm.Action
+	nSup     int
+	history  []previous    // nSub×nSup, row-major by subtype state
+	pre      [2]prefix     // 0: subtype prefix π, 1: supertype prefix π′
+	rho      []*fsm.Action // the subtype actions on the path, in the machine
+	asms     []assumption
 	failFast bool
 	stats    Stats
 	tr       *tracer
@@ -217,12 +225,13 @@ func (v *visitor) visit(ls, rs fsm.State) bool {
 		return false // fail-early: a head can never be matched
 	}
 
-	prev := &v.history[ls][rs]
+	prev := &v.history[int(ls)*v.nSup+int(rs)]
 
 	// (2) Assumption rule [asm]: the same state pair is an ancestor on the
 	// path with identical live prefixes, and the subtype has performed a
 	// superset of the supertype's pending actions since (act(ρ′) ⊇ act(π′)).
-	if a := prev.snaps; a != nil {
+	if prev.asm > 0 {
+		a := &v.asms[prev.asm-1]
 		if v.pre[0].liveEqualAt(a.sub) && v.pre[1].liveEqualAt(a.sup) && v.actCheck(a) {
 			v.traceRule("[asm]", "assumption matches; act(ρ′) ⊇ act(π′)")
 			return true
@@ -253,21 +262,30 @@ func (v *visitor) visit(ls, rs fsm.State) bool {
 	}
 
 	// (5) Pop one action from each machine and push it onto the prefixes,
-	// per rules [oi], [oo], [ii], [io].
+	// per rules [oi], [oo], [ii], [io]. The pair's assumption lives on the
+	// stack until this visit returns.
 	saved := *prev
 	prev.visits--
-	prev.snaps = &assumption{sub: v.pre[0].snapshot(), sup: v.pre[1].snapshot(), rhoLen: len(v.rho)}
-	defer func() { *prev = saved }()
+	v.asms = append(v.asms, assumption{sub: v.pre[0].snapshot(), sup: v.pre[1].snapshot(), rhoLen: len(v.rho)})
+	prev.asm = int32(len(v.asms))
+	ok := v.expand(ltr, rtr)
+	v.asms = v.asms[:len(v.asms)-1]
+	*prev = saved
+	return ok
+}
 
+// expand applies the rule for the direction pair of the current states'
+// transitions ltr and rtr, visiting the successor pairs it quantifies over.
+func (v *visitor) expand(ltr, rtr []fsm.Transition) bool {
 	subOut := ltr[0].Act.Dir == fsm.Send
 	supOut := rtr[0].Act.Dir == fsm.Send
 	rule := ruleName(subOut, supOut)
 
-	try := func(lt, rt fsm.Transition) bool {
+	try := func(lt, rt *fsm.Transition) bool {
 		subSnap, supSnap, rhoLen := v.pre[0].snapshot(), v.pre[1].snapshot(), len(v.rho)
-		v.pre[0].push(lt.Act)
-		v.pre[1].push(rt.Act)
-		v.rho = append(v.rho, lt.Act)
+		v.pre[0].push(&lt.Act)
+		v.pre[1].push(&rt.Act)
+		v.rho = append(v.rho, &lt.Act)
 		if v.tr != nil {
 			v.traceRule(rule, fmt.Sprintf("push %s / %s", lt.Act, rt.Act))
 		}
@@ -281,19 +299,19 @@ func (v *visitor) visit(ls, rs fsm.State) bool {
 	}
 	switch {
 	case subOut && !supOut: // [oi]: ∀i ∀j
-		for _, lt := range ltr {
-			for _, rt := range rtr {
-				if !try(lt, rt) {
+		for i := range ltr {
+			for j := range rtr {
+				if !try(&ltr[i], &rtr[j]) {
 					return false
 				}
 			}
 		}
 		return true
 	case subOut && supOut: // [oo]: ∀i ∃j
-		for _, lt := range ltr {
+		for i := range ltr {
 			ok := false
-			for _, rt := range rtr {
-				if try(lt, rt) {
+			for j := range rtr {
+				if try(&ltr[i], &rtr[j]) {
 					ok = true
 					break
 				}
@@ -304,10 +322,10 @@ func (v *visitor) visit(ls, rs fsm.State) bool {
 		}
 		return true
 	case !subOut && !supOut: // [ii]: ∀j ∃i
-		for _, rt := range rtr {
+		for j := range rtr {
 			ok := false
-			for _, lt := range ltr {
-				if try(lt, rt) {
+			for i := range ltr {
+				if try(&ltr[i], &rtr[j]) {
 					ok = true
 					break
 				}
@@ -318,9 +336,9 @@ func (v *visitor) visit(ls, rs fsm.State) bool {
 		}
 		return true
 	default: // [io]: ∃i ∃j
-		for _, lt := range ltr {
-			for _, rt := range rtr {
-				if try(lt, rt) {
+		for i := range ltr {
+			for j := range rtr {
+				if try(&ltr[i], &rtr[j]) {
 					return true
 				}
 			}
@@ -396,7 +414,7 @@ func (v *visitor) reduce() bool {
 //	         receive from p that does not match.
 //	h = p!ℓ: skip all receives and sends not to p (B(p)); blockers are sends
 //	         to p that do not match.
-func findMatch(r *prefix, h fsm.Action) (int, int, bool) {
+func findMatch(r *prefix, h *fsm.Action) (int, int, bool) {
 	skipped := 0
 	for i := r.start; i < len(r.entries); i++ {
 		e := &r.entries[i]
@@ -425,7 +443,7 @@ func findMatch(r *prefix, h fsm.Action) (int, int, bool) {
 // sortOK checks payload-sort compatibility between the subtype's action h and
 // the supertype's action a: outputs are covariant (the subtype may send a
 // smaller sort), inputs contravariant (the subtype may accept a larger sort).
-func sortOK(h, a fsm.Action) bool {
+func sortOK(h, a *fsm.Action) bool {
 	if h.Dir == fsm.Send {
 		return types.SubSort(h.Sort, a.Sort)
 	}

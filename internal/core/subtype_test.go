@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/fsm"
@@ -337,5 +339,69 @@ func TestStreamingWithChoiceOptimisation(t *testing.T) {
 	sub := "t!value.mu x.t?ready.t!{value.x, stop.t?ready.end}"
 	if !check(t, sub, sup) {
 		t.Error("optimised streaming with choice rejected")
+	}
+}
+
+// TestSupertypeScratchReuse checks that the visitor scratch a Supertype
+// reuses across checks (history, prefixes, ρ, the assumption stack) leaks
+// nothing from one check into the next: every candidate of the sequence
+// gets the same Result, Stats and trace included, from one Supertype as
+// from a fresh Check. The sequence mixes verdicts, a fail-fast rejection
+// deep in a derivation, a traced check, a tighter bound, and machines that
+// grow and shrink between checks.
+func TestSupertypeScratchReuse(t *testing.T) {
+	msup := fsm.MustFromLocal("k", types.MustParse("mu x.s!ready.s?copy.t?ready.t!copy.x"))
+	sup, err := NewSupertype(msup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grew := false
+	prev := 0
+	const deep = "s!ready.s?copy.t?ready.t!copy.mu x.t?ready.s!ready.s?copy.t!copy.x"
+	for _, c := range []struct {
+		name, sub string
+		opts      Options
+		ok        bool
+	}{
+		{"reflexive", "mu x.s!ready.s?copy.t?ready.t!copy.x", Options{}, true},
+		{"input anticipated", "mu x.s?copy.s!ready.t?ready.t!copy.x", Options{}, false},
+		{"send hoisted, more states", "s!ready.mu x.s!ready.s?copy.t?ready.t!copy.x", Options{}, true},
+		{"fail-fast after an iteration", deep, Options{}, false},
+		{"traced", "s!ready.mu x.s!ready.s?copy.t?ready.t!copy.x", Options{Trace: true}, true},
+		{"fewer states", "mu x.s!ready.s?copy.t!copy.t?ready.x", Options{}, true},
+		{"two sends hoisted, tight bound", "s!ready.s!ready.mu x.s!ready.s?copy.t?ready.t!copy.x", Options{Bound: 1}, false},
+		{"two sends hoisted", "s!ready.s!ready.mu x.s!ready.s?copy.t?ready.t!copy.x", Options{}, true},
+		{"no fail-fast", deep, Options{NoFailFast: true}, false},
+		{"reflexive again", "mu x.s!ready.s?copy.t?ready.t!copy.x", Options{}, true},
+	} {
+		msub := fsm.MustFromLocal("k", types.MustParse(c.sub))
+		grew = grew || prev > 0 && msub.NumStates() > prev
+		prev = msub.NumStates()
+		got, err := sup.Check(msub, c.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		want, err := Check(msub, msup, c.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: reused Supertype gave %+v, a fresh Check %+v", c.name, got, want)
+		}
+		if got.OK != c.ok {
+			t.Errorf("%s: OK = %v, want %v", c.name, got.OK, c.ok)
+		}
+	}
+	if !grew {
+		t.Error("no candidate had more states than the one before it")
+	}
+	// The deep candidate is rejected by the fail-early rule, after the
+	// derivation has walked a whole loop iteration.
+	res, err := CheckTypes("k", types.MustParse(deep), types.MustParse("mu x.s!ready.s?copy.t?ready.t!copy.x"), Options{Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := res.Trace[len(res.Trace)-1]; res.Stats.Visits < 5 || !strings.Contains(last, "fail-early") {
+		t.Errorf("deep candidate not rejected fail-early deep in the derivation: %d visits, last rule %q", res.Stats.Visits, last)
 	}
 }

@@ -10,7 +10,9 @@ package fsm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/types"
@@ -59,11 +61,14 @@ type Transition struct {
 }
 
 // FSM is a finite state machine for a single role. The zero value is not
-// usable; construct with New.
+// usable until LoadLocal fills it; construct with New or FromLocal.
 type FSM struct {
 	role    types.Role
 	initial State
 	next    [][]Transition
+	// trans is the backing array LoadLocal carved next's slices from, kept
+	// for the next LoadLocal to reuse.
+	trans []Transition
 }
 
 // New returns an empty machine for the given role containing a single initial
@@ -217,21 +222,32 @@ func (m *FSM) String() string {
 // framework the API type is serialised to an FSM; here the local type plays
 // the role of the API.
 func FromLocal(role types.Role, t types.Local) (*FSM, error) {
-	if err := types.ValidateLocal(t); err != nil {
-		return nil, err
-	}
-	m := &FSM{role: role}
-	env := map[string]State{}
-	memo := map[string]State{}
-	s, err := build(m, t, env, memo)
-	if err != nil {
-		return nil, err
-	}
-	m.initial = s
-	if err := m.Validate(); err != nil {
+	m := new(FSM)
+	if err := m.LoadLocal(role, t); err != nil {
 		return nil, err
 	}
 	return m, nil
+}
+
+// LoadLocal makes m the machine FromLocal(role, t) returns, reusing m's
+// storage: machines loaded one after another into one FSM allocate only
+// when a type outgrows every earlier one. It invalidates every slice
+// Transitions returned before. On error m holds no usable machine.
+func (m *FSM) LoadLocal(role types.Role, t types.Local) error {
+	if err := types.ValidateLocal(t); err != nil {
+		return err
+	}
+	states, trans := localSize(t)
+	m.role = role
+	m.next = slices.Grow(m.next[:0], states)
+	m.trans = slices.Grow(m.trans[:0], trans)[:trans]
+	b := builder{m: m, end: -1, trans: m.trans}
+	s, err := b.build(t)
+	if err != nil {
+		return err
+	}
+	m.initial = s
+	return m.Validate()
 }
 
 // MustFromLocal is FromLocal but panics on error.
@@ -243,33 +259,110 @@ func MustFromLocal(role types.Role, t types.Local) *FSM {
 	return m
 }
 
-// build assigns a state to the subterm t. env maps recursion variables in
-// scope to their states; memo shares states between structurally identical
-// closed subterms printed under the current env, which keeps machines small
-// when unrolled types repeat.
-func build(m *FSM, t types.Local, env map[string]State, memo map[string]State) (State, error) {
+// localSize counts the states and transitions FromLocal builds for t: one
+// state per choice and per μ, one shared end state, and one transition per
+// branch plus a copy of its body's transitions per μ.
+func localSize(t types.Local) (states, trans int) {
+	end := false
+	var walk func(types.Local)
+	walk = func(t types.Local) {
+		switch t := t.(type) {
+		case types.End:
+			end = true
+		case types.Rec:
+			states++
+			trans += len(headBranches(t.Body))
+			walk(t.Body)
+		case types.Send:
+			states++
+			trans += len(t.Branches)
+			for _, b := range t.Branches {
+				walk(b.Cont)
+			}
+		case types.Recv:
+			states++
+			trans += len(t.Branches)
+			for _, b := range t.Branches {
+				walk(b.Cont)
+			}
+		}
+	}
+	walk(t)
+	if end {
+		states++
+	}
+	return states, trans
+}
+
+// headBranches returns the branches of the choice t starts with, under any
+// number of μ binders, or nil.
+func headBranches(t types.Local) []types.Branch {
+	for {
+		switch u := t.(type) {
+		case types.Rec:
+			t = u.Body
+		case types.Send:
+			return u.Branches
+		case types.Recv:
+			return u.Branches
+		default:
+			return nil
+		}
+	}
+}
+
+// builder assigns states to the subterms of one local type.
+type builder struct {
+	m *FSM
+	// env holds the recursion variables in scope, innermost last.
+	env []binder
+	// end is the one state every end subterm shares, or -1 before the
+	// first is built.
+	end State
+	// trans is the unused tail of the backing array that every state's
+	// transitions are carved from, sized by localSize.
+	trans []Transition
+}
+
+type binder struct {
+	name string
+	s    State
+}
+
+// carve returns an empty slice with room for n transitions, cut from the
+// shared backing array; nil (so appends allocate) if the array is spent.
+func (b *builder) carve(n int) []Transition {
+	if n > len(b.trans) {
+		return nil
+	}
+	out := b.trans[:0:n]
+	b.trans = b.trans[n:]
+	return out
+}
+
+// build assigns a state to the subterm t.
+func (b *builder) build(t types.Local) (State, error) {
+	m := b.m
 	switch t := t.(type) {
 	case types.End:
-		key := "end"
-		if s, ok := memo[key]; ok {
-			return s, nil
+		if b.end < 0 {
+			b.end = m.AddState()
 		}
-		s := m.AddState()
-		memo[key] = s
-		return s, nil
+		return b.end, nil
 	case types.Var:
-		s, ok := env[t.Name]
-		if !ok {
-			return 0, fmt.Errorf("fsm: unbound variable %q", t.Name)
+		for i := len(b.env) - 1; i >= 0; i-- {
+			if b.env[i].name == t.Name {
+				return b.env[i].s, nil
+			}
 		}
-		return s, nil
+		return 0, fmt.Errorf("fsm: unbound variable %q", t.Name)
 	case types.Rec:
 		// Pre-allocate the state so the body's occurrences of the variable
 		// loop back to it.
 		s := m.AddState()
-		inner := copyEnv(env)
-		inner[t.Name] = s
-		body, err := build(m, t.Body, inner, memo)
+		b.env = append(b.env, binder{t.Name, s})
+		body, err := b.build(t.Body)
+		b.env = b.env[:len(b.env)-1]
 		if err != nil {
 			return 0, err
 		}
@@ -277,25 +370,27 @@ func build(m *FSM, t types.Local, env map[string]State, memo map[string]State) (
 		// copying the body's transitions. (The body state is freshly built
 		// and distinct unless the body is a bare variable, which
 		// contractivity rules out.)
-		m.next[s] = append([]Transition(nil), m.next[body]...)
+		m.next[s] = append(b.carve(len(m.next[body])), m.next[body]...)
 		return s, nil
 	case types.Send:
-		return buildChoice(m, Send, t.Peer, t.Branches, env, memo)
+		return b.buildChoice(Send, t.Peer, t.Branches)
 	case types.Recv:
-		return buildChoice(m, Recv, t.Peer, t.Branches, env, memo)
+		return b.buildChoice(Recv, t.Peer, t.Branches)
 	default:
 		return 0, fmt.Errorf("fsm: unknown local type %T", t)
 	}
 }
 
-func buildChoice(m *FSM, dir Dir, peer types.Role, branches []types.Branch, env map[string]State, memo map[string]State) (State, error) {
+func (b *builder) buildChoice(dir Dir, peer types.Role, branches []types.Branch) (State, error) {
+	m := b.m
 	s := m.AddState()
-	for _, b := range branches {
-		to, err := build(m, b.Cont, env, memo)
+	m.next[s] = b.carve(len(branches))
+	for _, br := range branches {
+		to, err := b.build(br.Cont)
 		if err != nil {
 			return 0, err
 		}
-		act := Action{Dir: dir, Peer: peer, Label: b.Label, Sort: normSort(b.Sort)}
+		act := Action{Dir: dir, Peer: peer, Label: br.Label, Sort: normSort(br.Sort)}
 		if err := m.AddTransition(s, act, to); err != nil {
 			return 0, err
 		}
@@ -310,14 +405,6 @@ func normSort(s types.Sort) types.Sort {
 	return s
 }
 
-func copyEnv(env map[string]State) map[string]State {
-	out := make(map[string]State, len(env))
-	for k, v := range env {
-		out[k] = v
-	}
-	return out
-}
-
 // ToLocal converts a directed machine back into a local session type,
 // introducing μ-binders at the targets of back edges. Fails if the machine is
 // not directed.
@@ -327,8 +414,8 @@ func ToLocal(m *FSM) (types.Local, error) {
 	}
 	// First find the states that need a binder: targets of edges discovered
 	// while the target is still on the DFS stack.
-	loop := map[State]bool{}
-	color := make([]int, m.NumStates()) // 0 white, 1 grey, 2 black
+	loop := make([]bool, m.NumStates())
+	color := make([]uint8, m.NumStates()) // 0 white, 1 grey, 2 black
 	var dfs func(State)
 	dfs = func(s State) {
 		color[s] = 1
@@ -344,16 +431,16 @@ func ToLocal(m *FSM) (types.Local, error) {
 	}
 	dfs(m.initial)
 
-	names := map[State]string{}
+	names := make([]string, m.NumStates())
 	i := 0
 	for s := range m.next {
-		if loop[State(s)] {
-			names[State(s)] = fmt.Sprintf("x%d", i)
+		if loop[s] {
+			names[s] = "x" + strconv.Itoa(i)
 			i++
 		}
 	}
 
-	emitting := map[State]bool{}
+	emitting := make([]bool, m.NumStates())
 	var emit func(State) (types.Local, error)
 	emit = func(s State) (types.Local, error) {
 		if emitting[s] {

@@ -227,7 +227,8 @@ func BenchmarkNetSchedPingPong(b *testing.B) {
 
 func benchSchedPingPong(b *testing.B) {
 	fp, fq, spq, rpq, sqp, rqp := benchFabrics(b, "unix")
-	s := sched.New(sched.Options{Workers: 2})
+	const workers = 2
+	s := sched.New(sched.Options{Workers: workers})
 	defer s.Close()
 	pair := func(n int, hold *atomic.Bool) (wp *sched.Waker, done chan error) {
 		done = make(chan error, 2)
@@ -252,12 +253,26 @@ func benchSchedPingPong(b *testing.B) {
 			}
 		}
 	}
+	// Warm a pair on every worker, so the measured pair does not start the
+	// first sync.Cond wait of a worker. GoExternal places jobs round-robin,
+	// so a no-op job between warm-up pairs moves each role of the next pair
+	// to the other worker.
 	var hold atomic.Bool
-	wp, done := pair(64, &hold)
-	wp.Wake()
-	wait(done)
+	for range workers {
+		wp, done := pair(64, &hold)
+		wp.Wake()
+		wait(done)
+		noop, err := s.GoExternal(time.Now().Add(time.Minute), func(err error) { done <- err }, &benchPinger{hold: &hold})
+		if err != nil {
+			b.Fatal(err)
+		}
+		noop.Wake()
+		if err := <-done; err != nil {
+			b.Fatal(err)
+		}
+	}
 	hold.Store(true)
-	wp, done = pair(b.N, &hold)
+	wp, done := pair(b.N, &hold)
 	b.ReportAllocs()
 	b.ResetTimer()
 	hold.Store(false)

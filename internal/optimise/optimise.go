@@ -1,8 +1,10 @@
 package optimise
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/fsm"
@@ -71,6 +73,7 @@ type Candidate struct {
 	Steps []string
 	// Unrolls is the cumulative pipelining depth of the candidate.
 	Unrolls int
+	key     string // the α-canonical key (types.AlphaKey) of Type
 }
 
 // Result is the outcome of an optimisation run.
@@ -140,24 +143,28 @@ func Optimise(role types.Role, orig types.Local, opts Options) (Result, error) {
 	// Breadth-first search over composed rewrites, deduplicated by
 	// α-canonical rendering so differently named but equivalent derivations
 	// collapse.
-	origKey := canonKey(orig)
+	var kbuf []byte // one buffer for every candidate's key
+	kbuf = types.AppendAlphaKey(kbuf, orig)
+	origKey := string(kbuf)
 	seen := map[string]bool{origKey: true}
+	// Each pass's new candidates are appended to the pool in order, so
+	// the next frontier is the pool's tail from the pass's start.
 	frontier := []derived{{t: orig, key: origKey}}
 	var pool []derived
 	for pass := 0; pass < opts.MaxPasses && len(frontier) > 0 && len(pool) < opts.MaxCandidates; pass++ {
-		var next []derived
+		start := len(pool)
 		for _, cur := range frontier {
-			var moves []rewrite
-			moves = append(moves, hoists(cur.t)...)
+			moves := hoists(cur.t)
 			if room := opts.MaxUnroll - cur.unrolls; room > 0 {
 				moves = append(moves, pipelines(cur.t, room)...)
 			}
 			for _, mv := range moves {
 				cand := straighten(mv.t)
-				key := canonKey(cand)
-				if seen[key] {
+				kbuf = types.AppendAlphaKey(kbuf[:0], cand)
+				if seen[string(kbuf)] {
 					continue
 				}
+				key := string(kbuf)
 				seen[key] = true
 				d := derived{
 					t:       cand,
@@ -165,7 +172,6 @@ func Optimise(role types.Role, orig types.Local, opts Options) (Result, error) {
 					steps:   append(append([]string(nil), cur.steps...), mv.desc),
 					unrolls: cur.unrolls + mv.unrolls,
 				}
-				next = append(next, d)
 				pool = append(pool, d)
 				if len(pool) >= opts.MaxCandidates {
 					break
@@ -175,60 +181,46 @@ func Optimise(role types.Role, orig types.Local, opts Options) (Result, error) {
 				break
 			}
 		}
-		frontier = next
+		frontier = pool[start:]
 	}
 	res.Considered = len(pool)
 
 	// Certify. Candidates that are not well-formed (a rewrite can in
-	// principle produce a non-contractive shape) or not asynchronous
-	// subtypes of the original are discarded — an uncertified rewrite is a
-	// bug, never an output. Each keeps the α-canonical key the search
-	// deduplicated it by, for the ranking's last tie-break.
-	type keyed struct {
-		Candidate
-		key string
-	}
-	certified := []keyed{{Candidate{Type: orig, Lookahead: res.Baseline, Cert: baseline}, origKey}}
+	// principle produce a non-contractive shape, which LoadLocal's
+	// validation rejects) or not asynchronous subtypes of the original are
+	// discarded — an uncertified rewrite is a bug, never an output. Each
+	// keeps the α-canonical key the search deduplicated it by, for the
+	// ranking's last tie-break.
+	certified := make([]Candidate, 1, 1+len(pool))
+	certified[0] = Candidate{Type: orig, Lookahead: res.Baseline, Cert: baseline, key: origKey}
+	var msub fsm.FSM // every candidate's machine, loaded in turn
 	for _, d := range pool {
-		if types.ValidateLocal(d.t) != nil {
+		if msub.LoadLocal(role, d.t) != nil {
 			continue
 		}
-		msub, err := fsm.FromLocal(role, d.t)
-		if err != nil {
-			continue
-		}
-		cert, err := sup.Check(msub, copts)
+		cert, err := sup.Check(&msub, copts)
 		if err != nil || !cert.OK {
 			continue
 		}
-		certified = append(certified, keyed{Candidate{
+		certified = append(certified, Candidate{
 			Type:      d.t,
 			Lookahead: cert.Stats.MaxSendAhead,
 			Cert:      cert,
 			Steps:     d.steps,
 			Unrolls:   d.unrolls,
-		}, d.key})
+			key:       d.key,
+		})
 	}
-	sort.SliceStable(certified, func(i, j int) bool {
-		a, b := certified[i], certified[j]
-		if a.Lookahead != b.Lookahead {
-			return a.Lookahead > b.Lookahead
-		}
-		if a.Unrolls != b.Unrolls {
-			return a.Unrolls < b.Unrolls
-		}
-		if len(a.Steps) != len(b.Steps) {
-			return len(a.Steps) < len(b.Steps)
-		}
-		return a.key < b.key
+	slices.SortStableFunc(certified, func(a, b Candidate) int {
+		return cmp.Or(
+			cmp.Compare(b.Lookahead, a.Lookahead),
+			cmp.Compare(a.Unrolls, b.Unrolls),
+			cmp.Compare(len(a.Steps), len(b.Steps)),
+			strings.Compare(a.key, b.key),
+		)
 	})
-	res.Certified = make([]Candidate, len(certified))
-	for i, c := range certified {
-		res.Certified[i] = c.Candidate
-	}
+	res.Certified = certified
 	res.Best = res.Certified[0]
 	res.Improved = res.Best.Lookahead > res.Baseline
 	return res, nil
 }
-
-func canonKey(t types.Local) string { return types.AlphaCanonicalLocal(t).String() }

@@ -2,6 +2,7 @@ package optimise
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/types"
 )
@@ -37,42 +38,68 @@ type rewrite struct {
 }
 
 // rewriteEverywhere applies the node-level generator f at every subterm
-// position of t, returning one whole-type rewrite per application site.
-func rewriteEverywhere(t types.Local, f func(types.Local) []rewrite) []rewrite {
-	out := append([]rewrite(nil), f(t)...)
+// position of t, in pre-order, appending one whole-type rewrite per
+// application site to out. Each rewrite copies only the nodes on the path
+// from the root to its site.
+func rewriteEverywhere(out []rewrite, t types.Local, f func(types.Local) []rewrite) []rewrite {
+	w := siteWalker{root: t, f: f, out: out}
+	w.walk(t)
+	return w.out
+}
+
+// siteWalker visits the subterms of root, tracking the branch indices
+// from the root to the current one (0 for a μ body).
+type siteWalker struct {
+	root types.Local
+	f    func(types.Local) []rewrite
+	path []int
+	out  []rewrite
+}
+
+func (w *siteWalker) walk(n types.Local) {
+	for _, r := range w.f(n) {
+		r.t = replaceAt(w.root, w.path, r.t)
+		w.out = append(w.out, r)
+	}
+	var bs []types.Branch
+	switch n := n.(type) {
+	case types.Rec:
+		w.path = append(w.path, 0)
+		w.walk(n.Body)
+		w.path = w.path[:len(w.path)-1]
+		return
+	case types.Send:
+		bs = n.Branches
+	case types.Recv:
+		bs = n.Branches
+	}
+	for i := range bs {
+		w.path = append(w.path, i)
+		w.walk(bs[i].Cont)
+		w.path = w.path[:len(w.path)-1]
+	}
+}
+
+// replaceAt returns t with the subterm at path replaced by sub.
+func replaceAt(t types.Local, path []int, sub types.Local) types.Local {
+	if len(path) == 0 {
+		return sub
+	}
 	switch t := t.(type) {
 	case types.Rec:
-		for _, r := range rewriteEverywhere(t.Body, f) {
-			out = append(out, rewrite{t: types.Rec{Name: t.Name, Body: r.t}, unrolls: r.unrolls, desc: r.desc})
-		}
+		return types.Rec{Name: t.Name, Body: replaceAt(t.Body, path[1:], sub)}
 	case types.Send:
-		for _, r := range rewriteInBranches(t.Branches, f) {
-			out = append(out, rewrite{t: types.Send{Peer: t.Peer, Branches: r.bs}, unrolls: r.unrolls, desc: r.desc})
-		}
+		return types.Send{Peer: t.Peer, Branches: replaceBranch(t.Branches, path, sub)}
 	case types.Recv:
-		for _, r := range rewriteInBranches(t.Branches, f) {
-			out = append(out, rewrite{t: types.Recv{Peer: t.Peer, Branches: r.bs}, unrolls: r.unrolls, desc: r.desc})
-		}
+		return types.Recv{Peer: t.Peer, Branches: replaceBranch(t.Branches, path, sub)}
 	}
-	return out
+	panic("optimise: rewrite path runs through a leaf")
 }
 
-type branchRewrite struct {
-	bs      []types.Branch
-	unrolls int
-	desc    string
-}
-
-func rewriteInBranches(bs []types.Branch, f func(types.Local) []rewrite) []branchRewrite {
-	var out []branchRewrite
-	for i := range bs {
-		for _, r := range rewriteEverywhere(bs[i].Cont, f) {
-			nb := append([]types.Branch(nil), bs...)
-			nb[i] = types.Branch{Label: bs[i].Label, Sort: bs[i].Sort, Cont: r.t}
-			out = append(out, branchRewrite{bs: nb, unrolls: r.unrolls, desc: r.desc})
-		}
-	}
-	return out
+func replaceBranch(bs []types.Branch, path []int, sub types.Local) []types.Branch {
+	nb := slices.Clone(bs)
+	nb[path[0]].Cont = replaceAt(bs[path[0]].Cont, path[1:], sub)
+	return nb
 }
 
 // hoists returns every single application of the in-place hoist anywhere in
@@ -86,7 +113,7 @@ func rewriteInBranches(bs []types.Branch, f func(types.Local) []rewrite) []branc
 // what rule ⤳B permits (outputs may be anticipated before any inputs);
 // whether the commitment is safe in context is decided by certification.
 func hoists(t types.Local) []rewrite {
-	return rewriteEverywhere(t, hoistNode)
+	return rewriteEverywhere(nil, t, hoistNode)
 }
 
 func hoistNode(t types.Local) []rewrite {
@@ -152,7 +179,7 @@ func pipelines(t types.Local, maxDepth int) []rewrite {
 	var out []rewrite
 	for d := 1; d <= maxDepth; d++ {
 		d := d
-		out = append(out, rewriteEverywhere(t, func(n types.Local) []rewrite { return pipelineNode(n, d) })...)
+		out = rewriteEverywhere(out, t, func(n types.Local) []rewrite { return pipelineNode(n, d) })
 	}
 	return out
 }
@@ -274,44 +301,77 @@ func patchEndsBranches(bs []types.Branch, pre []input, d int) []types.Branch {
 // equivalent shapes dedup: directly nested binders μx.μy.B collapse to one
 // self-loop binder (μx.B[y:=x]) and binders whose variable no longer occurs
 // are dropped. Pipelined candidates produce such shapes when a rewrite
-// straightens a loop whose inner structure carried its own μ.
+// straightens a loop whose inner structure carried its own μ. Subterms with
+// nothing to normalise are shared, not copied.
 func straighten(t types.Local) types.Local {
+	t, _ = straightened(t)
+	return t
+}
+
+// straightened is straighten, also reporting whether anything changed.
+func straightened(t types.Local) (types.Local, bool) {
 	switch t := t.(type) {
-	case types.End, types.Var:
-		return t
 	case types.Rec:
-		body := straighten(t.Body)
+		body, changed := straightened(t.Body)
 		for {
 			inner, ok := body.(types.Rec)
 			if !ok {
 				break
 			}
-			body = types.SubstLocal(inner.Body, inner.Name, types.Var{Name: t.Name})
+			body, changed = types.SubstLocal(inner.Body, inner.Name, types.Var{Name: t.Name}), true
 		}
 		if !occursFree(body, t.Name) {
-			return body
+			return body, true
 		}
-		return types.Rec{Name: t.Name, Body: body}
+		if !changed {
+			return t, false
+		}
+		return types.Rec{Name: t.Name, Body: body}, true
 	case types.Send:
-		return types.Send{Peer: t.Peer, Branches: straightenBranches(t.Branches)}
+		if bs, changed := straightenBranches(t.Branches); changed {
+			return types.Send{Peer: t.Peer, Branches: bs}, true
+		}
 	case types.Recv:
-		return types.Recv{Peer: t.Peer, Branches: straightenBranches(t.Branches)}
-	default:
-		return t
+		if bs, changed := straightenBranches(t.Branches); changed {
+			return types.Recv{Peer: t.Peer, Branches: bs}, true
+		}
 	}
+	return t, false
 }
 
-func straightenBranches(bs []types.Branch) []types.Branch {
-	out := make([]types.Branch, len(bs))
+// straightenBranches straightens every continuation, copying bs only when
+// one changed.
+func straightenBranches(bs []types.Branch) ([]types.Branch, bool) {
+	var out []types.Branch
 	for i, b := range bs {
-		out[i] = types.Branch{Label: b.Label, Sort: b.Sort, Cont: straighten(b.Cont)}
+		if cont, changed := straightened(b.Cont); changed {
+			if out == nil {
+				out = slices.Clone(bs)
+			}
+			out[i].Cont = cont
+		}
 	}
-	return out
+	return out, out != nil
 }
 
+// occursFree reports whether the variable name occurs free in t.
 func occursFree(t types.Local, name string) bool {
-	for _, v := range types.FreeVars(t) {
-		if v == name {
+	switch t := t.(type) {
+	case types.Var:
+		return t.Name == name
+	case types.Rec:
+		return t.Name != name && occursFree(t.Body, name)
+	case types.Send:
+		return branchesOccur(t.Branches, name)
+	case types.Recv:
+		return branchesOccur(t.Branches, name)
+	}
+	return false
+}
+
+func branchesOccur(bs []types.Branch, name string) bool {
+	for _, b := range bs {
+		if occursFree(b.Cont, name) {
 			return true
 		}
 	}

@@ -4,11 +4,14 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/codegen"
 	"repro/internal/core"
+	"repro/internal/fsm"
 	"repro/internal/kmc"
 	"repro/internal/optimise"
 	"repro/internal/project"
 	"repro/internal/protocols"
+	"repro/internal/scribble"
 	"repro/internal/types"
 )
 
@@ -99,6 +102,88 @@ func BenchmarkPipelineDeep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, fail := RunPipeline(g, PipelineOptions{}); fail != nil {
 			b.Fatalf("stage %s: %v", fail.Stage, fail.Err)
+		}
+	}
+}
+
+// BenchmarkVerifyTable1 takes every Table 1 row that has a global type
+// through the verifier toolchain, as perfbench's verify-corpus workload
+// does for one protocol per op: Scribble format and parse, projection,
+// k-MC of the projected system, the AMR search per role, an independent
+// core re-certification of each best candidate, k-MC of the optimised
+// system and code generation. Systems wider than five roles skip k-MC. The
+// gated allocs/op column is the verifier's end-to-end allocation count.
+func BenchmarkVerifyTable1(b *testing.B) {
+	var globals []types.Global
+	for _, e := range protocols.Registry() {
+		if e.Global != nil {
+			globals = append(globals, e.Global)
+		}
+	}
+	opts := PipelineOptions{}.withDefaults().Optimise
+	verify := func(g types.Global) error {
+		src, err := scribble.FormatGlobal("P", g)
+		if err != nil {
+			return err
+		}
+		p, err := scribble.Parse(src)
+		if err != nil {
+			return err
+		}
+		locals, err := project.ProjectAll(p.Global)
+		if err != nil {
+			return err
+		}
+		checkKMC := func(ms []*fsm.FSM) error {
+			if len(ms) > optKMCRoleCap {
+				return nil
+			}
+			sys, err := kmc.NewSystem(ms...)
+			if err != nil {
+				return err
+			}
+			if _, res := kmc.CheckUpTo(sys, 8); !res.OK {
+				return fmt.Errorf("not 8-MC: %v", res.Violation)
+			}
+			return nil
+		}
+		plain := make([]*fsm.FSM, len(p.Roles))
+		for i, r := range p.Roles {
+			if plain[i], err = fsm.FromLocal(r, locals[r]); err != nil {
+				return err
+			}
+		}
+		if err := checkKMC(plain); err != nil {
+			return err
+		}
+		opt := make(map[types.Role]*fsm.FSM, len(p.Roles))
+		optList := make([]*fsm.FSM, len(p.Roles))
+		for i, r := range p.Roles {
+			res, err := optimise.Optimise(r, locals[r], opts)
+			if err != nil {
+				return err
+			}
+			cert, err := core.CheckTypes(r, res.Best.Type, locals[r], core.Options{Bound: opts.Bound})
+			if err != nil || !cert.OK {
+				return fmt.Errorf("best candidate for %s failed re-certification (%v)", r, err)
+			}
+			if optList[i], err = fsm.FromLocal(r, res.Best.Type); err != nil {
+				return err
+			}
+			opt[r] = optList[i]
+		}
+		if err := checkKMC(optList); err != nil {
+			return err
+		}
+		_, err = codegen.Generate(p.Name, opt, codegen.Options{Package: "gen"})
+		return err
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, g := range globals {
+			if err := verify(g); err != nil {
+				b.Fatalf("%s: %v", g, err)
+			}
 		}
 	}
 }

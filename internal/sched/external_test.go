@@ -506,13 +506,13 @@ func TestNestedWakeBounded(t *testing.T) {
 				c.wake = wk
 			}
 			// Every link parked before the chain starts, so each Wake finds
-			// its session in a waiting map.
+			// its session parked.
 			parked := func() int {
 				n := 0
-				for _, w := range s.workers {
-					w.mu.Lock()
-					n += len(w.waiting)
-					w.mu.Unlock()
+				for _, c := range chain {
+					if c.wake.isParked() {
+						n++
+					}
 				}
 				return n
 			}
@@ -540,5 +540,20 @@ func TestNestedWakeBounded(t *testing.T) {
 				t.Fatalf("visits nested %d deep: a wake from a visit never ran its session inline", depth.Load())
 			}
 		})
+	}
+}
+
+// isParked reports whether k's session is parked awaiting a Wake, reading
+// the mark under its owner's lock as Wake does.
+func (k *Waker) isParked() bool {
+	for {
+		w := k.j.owner.Load()
+		w.mu.Lock()
+		if k.j.owner.Load() == w {
+			p := k.j.waiting
+			w.mu.Unlock()
+			return p
+		}
+		w.mu.Unlock()
 	}
 }

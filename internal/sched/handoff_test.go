@@ -300,10 +300,7 @@ func TestOnDonePanicEscapes(t *testing.T) {
 			}
 			w := s.workers[0]
 			for start := time.Now(); ; time.Sleep(time.Millisecond) {
-				w.mu.Lock()
-				n := len(w.waiting)
-				w.mu.Unlock()
-				if n == 1 {
+				if wk.isParked() {
 					break
 				}
 				if time.Since(start) > 10*time.Second {

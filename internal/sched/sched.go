@@ -288,7 +288,10 @@ type job struct {
 	done     int
 	stopped  bool // some task stopped deliberately (session.ErrStopped)
 	idle     bool // last visit ended sterile with a wake to wait for: park it
-	onDone   func(error)
+	// waiting marks a job parked off its owner's active list until a Wake;
+	// guarded by the owner's mu.
+	waiting bool
+	onDone  func(error)
 
 	// Parking bookkeeping. wakes counts Waker.Wake calls (the GoExternal
 	// Waker's, or the deadline timer's); seen is the snapshot taken at the
@@ -320,8 +323,7 @@ type worker struct {
 	prodCond *sync.Cond // pooled producers blocked on a full Backlog
 	inbox    []*job
 	stopped  bool
-	waiting  map[*job]struct{} // sessions parked until a Wake
-	pending  int               // in-flight scheduler-built jobs homed here (Backlog slots)
+	pending  int // in-flight scheduler-built jobs homed here (Backlog slots)
 	free     map[*session.Session][]*bundle
 	idle     bool // asleep (or hunting): a wakeOne candidate
 	poked    bool // wakeOne fired since the worker last cleared it
@@ -375,8 +377,7 @@ func New(opts Options) *Scheduler {
 	// mutated again) before the first worker can observe it.
 	for i := 0; i < n; i++ {
 		w := &worker{
-			waiting: map[*job]struct{}{},
-			free:    map[*session.Session][]*bundle{},
+			free: map[*session.Session][]*bundle{},
 		}
 		w.cond = sync.NewCond(&w.mu)
 		w.prodCond = sync.NewCond(&w.mu)
@@ -425,7 +426,7 @@ type Waker struct {
 }
 
 // Wake marks the session ready. The counter bump is ordered before the
-// waiting-list check, mirroring the park protocol's order (snapshot, then
+// parked-mark check, mirroring the park protocol's order (snapshot, then
 // park): whichever side loses the race, the wake is observed — either the
 // visiting goroutine sees the moved counter and keeps the session runnable,
 // or Wake finds it parked and takes it.
@@ -446,8 +447,8 @@ type Waker struct {
 // retarget. The load-lock-recheck loop makes that safe: migrations store
 // the new owner under the old owner's lock, so once Wake holds the lock of
 // the worker it loaded and the pointer still matches, no migration can
-// complete until it releases the lock — and a session parked in a waiting
-// map (or being visited inline) is never stolen at all, so taking it cannot
+// complete until it releases the lock — and a parked session (or one
+// being visited inline) is never stolen at all, so taking it cannot
 // race a migration.
 func (k *Waker) Wake() {
 	j := k.j
@@ -459,11 +460,11 @@ func (k *Waker) Wake() {
 			w.mu.Unlock()
 			continue
 		}
-		if _, ok := w.waiting[j]; !ok {
+		if !j.waiting {
 			w.mu.Unlock()
 			return
 		}
-		delete(w.waiting, j)
+		j.waiting = false
 		if w.inline {
 			w.inbox = append(w.inbox, j)
 			w.cond.Signal()
@@ -477,8 +478,8 @@ func (k *Waker) Wake() {
 	}
 }
 
-// runInline is one visit of an external session taken out of w's waiting
-// map, on the goroutine that woke it. While it runs the session is in no
+// runInline is one visit of an external session w had parked, on the
+// goroutine that woke it. While it runs the session is in no
 // list of w's, so no worker steps it and no thief can move it. After the
 // visit the session parks again (under the same lock that clears
 // w.inline), finishes, or — quantum exhausted, or a wake raced the sterile
@@ -876,8 +877,8 @@ func (s *Scheduler) run(w *worker) {
 // channel operation is in flight), so whole-session migration preserves the
 // SPSC no-cross-shard invariant. The owner pointer of each stolen job is
 // retargeted under the victim's lock, which is what Waker.Wake's
-// load-lock-recheck loop synchronises against. Jobs in a waiting map
-// (external sessions parked for a Wake) and active jobs are never touched.
+// load-lock-recheck loop synchronises against. Parked jobs (external
+// sessions waiting for a Wake) and active jobs are never touched.
 // The jobs cross from one lock to the other in the thief's own scratch
 // slice, which only its worker goroutine calls trySteal with, so a steal
 // allocates nothing once the slice has grown.
@@ -1083,7 +1084,7 @@ func (s *Scheduler) visit(j *job) (live bool) {
 
 // park moves an idle session off the active list, with w.mu held, unless a
 // Wake raced in since the visit's snapshot — then it stays active for an
-// immediate re-visit. The counter check and the waiting-list insert are one
+// immediate re-visit. The counter check and the waiting mark are one
 // critical section against Waker.Wake, which bumps the counter before
 // taking the same lock: every wake either moves the counter in time to veto
 // the park, or finds the session parked and requeues it. Lost wakeups are
@@ -1092,7 +1093,7 @@ func (w *worker) park(j *job) bool {
 	if j.wakes.Load() != j.seen {
 		return false
 	}
-	w.waiting[j] = struct{}{}
+	j.waiting = true
 	return true
 }
 

@@ -30,8 +30,8 @@ func Check(sub, sup types.Local) (bool, error) {
 }
 
 type checker struct {
-	// seen holds pairs assumed related, keyed by the printed forms of their
-	// α-canonical representatives; the relation is coinductive so assuming a
+	// seen holds pairs assumed related, keyed by their α-keys
+	// (types.AlphaKey); the relation is coinductive so assuming a
 	// revisited pair is sound. Canonical keys make α-variant recursions
 	// (μx.….x versus μy.….y) hit the same hypothesis: keyed on the raw
 	// String() they would never match, re-exploring every α-renamed revisit
@@ -45,10 +45,7 @@ type checker struct {
 
 func (c *checker) visit(sub, sup types.Local) bool {
 	c.visits++
-	key := [2]string{
-		types.AlphaCanonicalLocal(sub).String(),
-		types.AlphaCanonicalLocal(sup).String(),
-	}
+	key := [2]string{types.AlphaKey(sub), types.AlphaKey(sup)}
 	if c.seen[key] {
 		return true
 	}

@@ -1,58 +1,10 @@
 package types
 
-import "strconv"
-
 // AlphaEqualLocal reports equality of two local types up to consistent
 // renaming of recursion variables (α-equivalence). Structural equality
 // (EqualLocal) distinguishes μx.p!a.x from μy.p!a.y; this does not.
 func AlphaEqualLocal(a, b Local) bool {
 	return alphaLocal(a, b, nil)
-}
-
-// AlphaCanonicalLocal returns t with every recursion binder renamed to a
-// canonical name determined by its binding depth ("@0" for the outermost
-// binder in scope, "@1" for the next, and so on). Two local types are
-// α-equivalent exactly when their canonical forms are structurally equal, so
-// AlphaCanonicalLocal(t).String() is a memoisation key that identifies
-// α-variants — the key the subsync checker and the optimiser's candidate
-// dedup use. Free variables keep their names (the "@" prefix is not valid in
-// the concrete syntax, so canonical binders cannot capture them).
-func AlphaCanonicalLocal(t Local) Local {
-	return alphaCanonLocal(t, 0, nil)
-}
-
-func alphaCanonLocal(t Local, depth int, env map[string]string) Local {
-	switch t := t.(type) {
-	case End:
-		return t
-	case Var:
-		if n, ok := env[t.Name]; ok {
-			return Var{Name: n}
-		}
-		return t
-	case Rec:
-		name := "@" + strconv.Itoa(depth)
-		inner := make(map[string]string, len(env)+1)
-		for k, v := range env {
-			inner[k] = v
-		}
-		inner[t.Name] = name
-		return Rec{Name: name, Body: alphaCanonLocal(t.Body, depth+1, inner)}
-	case Send:
-		return Send{Peer: t.Peer, Branches: alphaCanonBranches(t.Branches, depth, env)}
-	case Recv:
-		return Recv{Peer: t.Peer, Branches: alphaCanonBranches(t.Branches, depth, env)}
-	default:
-		return t
-	}
-}
-
-func alphaCanonBranches(bs []Branch, depth int, env map[string]string) []Branch {
-	out := make([]Branch, len(bs))
-	for i, b := range bs {
-		out[i] = Branch{Label: b.Label, Sort: normSort(b.Sort), Cont: alphaCanonLocal(b.Cont, depth, env)}
-	}
-	return out
 }
 
 // binding pairs one binder of a with the corresponding binder of b; the list

@@ -1,9 +1,56 @@
 package types
 
 import (
+	"math/rand"
+	"reflect"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
+
+// AlphaCanonicalLocal returns t with every recursion binder renamed to a
+// canonical name determined by its binding depth ("@0" for the outermost
+// binder in scope, "@1" for the next, and so on); free variables keep their
+// names. It builds the renamed type, copying the binder map at every μ, and
+// is the oracle AlphaKey's one-pass writer is held to:
+// AlphaKey(t) == AlphaCanonicalLocal(t).String().
+func AlphaCanonicalLocal(t Local) Local {
+	return alphaCanonLocal(t, 0, nil)
+}
+
+func alphaCanonLocal(t Local, depth int, env map[string]string) Local {
+	switch t := t.(type) {
+	case End:
+		return t
+	case Var:
+		if n, ok := env[t.Name]; ok {
+			return Var{Name: n}
+		}
+		return t
+	case Rec:
+		name := "@" + strconv.Itoa(depth)
+		inner := make(map[string]string, len(env)+1)
+		for k, v := range env {
+			inner[k] = v
+		}
+		inner[t.Name] = name
+		return Rec{Name: name, Body: alphaCanonLocal(t.Body, depth+1, inner)}
+	case Send:
+		return Send{Peer: t.Peer, Branches: alphaCanonBranches(t.Branches, depth, env)}
+	case Recv:
+		return Recv{Peer: t.Peer, Branches: alphaCanonBranches(t.Branches, depth, env)}
+	default:
+		return t
+	}
+}
+
+func alphaCanonBranches(bs []Branch, depth int, env map[string]string) []Branch {
+	out := make([]Branch, len(bs))
+	for i, b := range bs {
+		out[i] = Branch{Label: b.Label, Sort: normSort(b.Sort), Cont: alphaCanonLocal(b.Cont, depth, env)}
+	}
+	return out
+}
 
 func TestAlphaEqualLocal(t *testing.T) {
 	cases := []struct {
@@ -129,6 +176,65 @@ func TestQuickAlphaCanonicalAgreesWithAlphaEqual(t *testing.T) {
 	}
 	if err := quick.Check(f, quickConfig()); err != nil {
 		t.Error(err)
+	}
+}
+
+// scrambledGen is a generated local type whose binder and variable names
+// are redrawn from a pool of three, independently of each other, and whose
+// unit sorts are randomly left empty: it has shadowed binders, free
+// variables and both spellings of unit, which genLocal's closed types with
+// depth-named binders never have.
+type scrambledGen struct{ T Local }
+
+func (scrambledGen) Generate(r *rand.Rand, size int) reflect.Value {
+	names := []string{"x", "y", "t"}
+	var scramble func(Local) Local
+	branches := func(bs []Branch) []Branch {
+		out := make([]Branch, len(bs))
+		for i, b := range bs {
+			if b.Sort == Unit && r.Intn(2) == 0 {
+				b.Sort = ""
+			}
+			out[i] = Branch{Label: b.Label, Sort: b.Sort, Cont: scramble(b.Cont)}
+		}
+		return out
+	}
+	scramble = func(t Local) Local {
+		switch t := t.(type) {
+		case Var:
+			return Var{Name: names[r.Intn(len(names))]}
+		case Rec:
+			return Rec{Name: names[r.Intn(len(names))], Body: scramble(t.Body)}
+		case Send:
+			return Send{Peer: t.Peer, Branches: branches(t.Branches)}
+		case Recv:
+			return Recv{Peer: t.Peer, Branches: branches(t.Branches)}
+		}
+		return t
+	}
+	return reflect.ValueOf(scrambledGen{T: scramble(genLocal(r, min(size, 6), nil))})
+}
+
+func TestQuickAlphaKeyMatchesCanonicalForm(t *testing.T) {
+	f := func(g localGen, s scrambledGen) bool {
+		for _, l := range []Local{g.T, s.T} {
+			if got, want := AlphaKey(l), AlphaCanonicalLocal(l).String(); got != want {
+				t.Logf("AlphaKey(%s) = %q, want %q", l, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, quickConfig()); err != nil {
+		t.Error(err)
+	}
+	// Deeper than the generators reach: binder indices past one digit.
+	deep := Local(Var{Name: "b0"})
+	for i := 11; i >= 0; i-- {
+		deep = Rec{Name: "b" + strconv.Itoa(i%6), Body: Send{Peer: "p", Branches: []Branch{{Label: "a", Cont: deep}}}}
+	}
+	if got, want := AlphaKey(deep), AlphaCanonicalLocal(deep).String(); got != want {
+		t.Errorf("AlphaKey(%s) = %q, want %q", deep, got, want)
 	}
 }
 

@@ -3,6 +3,7 @@ package types
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -93,56 +94,115 @@ func (r Rec) String() string  { return localString(r) }
 func (s Send) String() string { return localString(s) }
 func (r Recv) String() string { return localString(r) }
 
-// localString renders t in one strings.Builder pass, with no fmt: the optimiser
-// and subsync memo tables key on this text, so it is on their hot paths.
+// localString renders t in one pass, with no fmt.
 func localString(t Local) string {
-	var b strings.Builder
-	writeLocal(&b, t)
-	return b.String()
+	var w localWriter
+	w.local(t, nil)
+	return string(w.buf)
 }
 
-// writeLocal appends t's concrete syntax to b. A nil continuation renders
-// as fmt's %s would render it.
-func writeLocal(b *strings.Builder, t Local) {
+// AlphaKey returns the concrete syntax of t with every recursion binder
+// renamed to its canonical name, "@0" for the outermost binder in scope,
+// "@1" for the next, and so on. Two local types are α-equivalent exactly
+// when their keys are equal, so the key identifies α-variants in the
+// subsync checker's hypothesis table and the optimiser's candidate dedup.
+// Free variables keep their names (the "@" prefix is not valid in the
+// concrete syntax, so canonical binders cannot capture them). The key is
+// written in one pass, without building the renamed type.
+func AlphaKey(t Local) string { return string(AppendAlphaKey(nil, t)) }
+
+// AppendAlphaKey appends AlphaKey(t) to dst, so a caller keying many types
+// can reuse one buffer.
+func AppendAlphaKey(dst []byte, t Local) []byte {
+	w := localWriter{buf: dst, alpha: true}
+	w.local(t, nil)
+	return w.buf
+}
+
+// localWriter appends local types' concrete syntax to buf. With alpha set
+// it writes AlphaKey's canonical binder names.
+type localWriter struct {
+	buf   []byte
+	alpha bool
+}
+
+// binder is one recursion binder in scope, linked to the next one out; the
+// chain lives on the writer's call stack.
+type binder struct {
+	name  string
+	depth int
+	outer *binder
+}
+
+// local appends t, with the binders in scope innermost first. A nil
+// continuation renders as fmt's %s would render it.
+func (w *localWriter) local(t Local, scope *binder) {
 	switch t := t.(type) {
 	case End:
-		b.WriteString("end")
+		w.buf = append(w.buf, "end"...)
 	case Var:
-		b.WriteString(t.Name)
+		w.variable(t.Name, scope)
 	case Rec:
-		b.WriteString("mu ")
-		b.WriteString(t.Name)
-		b.WriteByte('.')
-		writeLocal(b, t.Body)
+		w.buf = append(w.buf, "mu "...)
+		if !w.alpha {
+			w.buf = append(w.buf, t.Name...)
+			w.buf = append(w.buf, '.')
+			w.local(t.Body, nil)
+			return
+		}
+		b := binder{name: t.Name, outer: scope}
+		if scope != nil {
+			b.depth = scope.depth + 1
+		}
+		w.canonical(b.depth)
+		w.buf = append(w.buf, '.')
+		w.local(t.Body, &b)
 	case Send:
-		writeChoice(b, t.Peer, '!', t.Branches)
+		w.choice(t.Peer, '!', t.Branches, scope)
 	case Recv:
-		writeChoice(b, t.Peer, '?', t.Branches)
+		w.choice(t.Peer, '?', t.Branches, scope)
 	case nil:
-		b.WriteString("%!s(<nil>)")
+		w.buf = append(w.buf, "%!s(<nil>)"...)
 	default:
-		b.WriteString(t.String())
+		w.buf = append(w.buf, t.String()...)
 	}
 }
 
-func writeChoice(b *strings.Builder, peer Role, op byte, branches []Branch) {
-	b.WriteString(string(peer))
-	b.WriteByte(op)
-	b.WriteByte('{')
+// variable appends a use of the recursion variable name: the canonical
+// name of the innermost binder in scope with that name, else name.
+func (w *localWriter) variable(name string, scope *binder) {
+	for b := scope; b != nil; b = b.outer {
+		if b.name == name {
+			w.canonical(b.depth)
+			return
+		}
+	}
+	w.buf = append(w.buf, name...)
+}
+
+// canonical appends the canonical name of the binder at depth i.
+func (w *localWriter) canonical(i int) {
+	w.buf = append(w.buf, '@')
+	w.buf = strconv.AppendInt(w.buf, int64(i), 10)
+}
+
+func (w *localWriter) choice(peer Role, op byte, branches []Branch, scope *binder) {
+	w.buf = append(w.buf, peer...)
+	w.buf = append(w.buf, op, '{')
 	for i, br := range branches {
 		if i > 0 {
-			b.WriteString(", ")
+			w.buf = append(w.buf, ", "...)
 		}
-		b.WriteString(string(br.Label))
+		w.buf = append(w.buf, br.Label...)
 		if br.Sort != Unit && br.Sort != "" {
-			b.WriteByte('(')
-			b.WriteString(string(br.Sort))
-			b.WriteByte(')')
+			w.buf = append(w.buf, '(')
+			w.buf = append(w.buf, br.Sort...)
+			w.buf = append(w.buf, ')')
 		}
-		b.WriteByte('.')
-		writeLocal(b, br.Cont)
+		w.buf = append(w.buf, '.')
+		w.local(br.Cont, scope)
 	}
-	b.WriteByte('}')
+	w.buf = append(w.buf, '}')
 }
 
 // Global is a global session type describing a protocol from the perspective
