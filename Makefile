@@ -1,8 +1,10 @@
 # Tier-1 verification and the perf trajectory for the session runtime.
 #
 #   make verify         build + full test suite (the tier-1 gate)
-#   make race           the substrate stress tests and the execution-mode
-#                       runners (internal/equiv) under the race detector
+#   make race           the substrate stress tests, the execution-mode
+#                       runners (internal/equiv) and the k-MC checker,
+#                       whose explorer pool concurrent checks share, under
+#                       the race detector
 #   make bench          every benchmark suite in cmd/benchcheck's table,
 #                       raw output to stderr, one box-annotated
 #                       BENCH_<suite>.json per suite (channel, codegen,
@@ -64,7 +66,7 @@ verify:
 
 race:
 	$(GO) test -race -timeout 600s ./internal/channel ./internal/session ./internal/sched ./internal/wire ./internal/netchan ./internal/equiv
-	$(GO) test -race -short -timeout 600s ./internal/chaos
+	$(GO) test -race -short -timeout 600s ./internal/chaos ./internal/kmc
 
 # chaos-smoke: the seeded fault-injection soak — every registry protocol ×
 # seeds covering all four fault families × {blocking, stepped, scheduled},

@@ -3,6 +3,7 @@ package kmc_test
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/fsm"
@@ -196,4 +197,102 @@ func mixedSender() *fsm.FSM {
 	p.MustAddTransition(s1, send("r", "go"), s3)
 	p.MustAddTransition(s3, send("q", "b"), s2)
 	return p
+}
+
+// chainSystem is p and q exchanging n messages alternately, p sending
+// first: machines of n+1 states. With bad set, q expects another label for
+// the last message, an unspecified reception in the last configuration.
+func chainSystem(n int, bad bool) []*fsm.FSM {
+	p, q := fsm.New("p"), fsm.New("q")
+	ps, qs := p.Initial(), q.Initial()
+	for i := range n {
+		np, nq := p.AddState(), q.AddState()
+		want := types.Label("m")
+		if bad && i == n-1 {
+			want = "x"
+		}
+		send := func(peer types.Role) fsm.Action {
+			return fsm.Action{Dir: fsm.Send, Peer: peer, Label: "m", Sort: types.Unit}
+		}
+		recv := func(peer types.Role) fsm.Action {
+			return fsm.Action{Dir: fsm.Recv, Peer: peer, Label: want, Sort: types.Unit}
+		}
+		if i%2 == 0 {
+			p.MustAddTransition(ps, send("q"), np)
+			q.MustAddTransition(qs, recv("p"), nq)
+		} else {
+			q.MustAddTransition(qs, send("p"), nq)
+			p.MustAddTransition(ps, recv("q"), np)
+		}
+		ps, qs = np, nq
+	}
+	return []*fsm.FSM{p, q}
+}
+
+// TestDifferentialFieldWidths drives the checker past one-byte key fields:
+// machines with more than 255 states, and bounds of 300 and 70 000, each
+// checked between one-byte checks so that a reused explorer changes width.
+func TestDifferentialFieldWidths(t *testing.T) {
+	m := func(role types.Role, src string) *fsm.FSM { return fsm.MustFromLocal(role, types.MustParse(src)) }
+	agree(t, "chain n=300", chainSystem(300, false), 2)
+	agree(t, "bad chain n=300", chainSystem(300, true), 2)
+	agree(t, "bad chain n=40", chainSystem(40, true), 2)
+	bounded := []struct {
+		name string
+		ms   []*fsm.FSM
+	}{
+		{"pipeline", []*fsm.FSM{m("p", "q!a.q!b.q!c.q?ack.end"), m("q", "p?a.p?b.p?c.p!ack.end")}},
+		{"deadlock", []*fsm.FSM{m("p", "q?l2.q!l1.end"), m("q", "p?l1.p!l2.end")}},
+		{"unspecified reception", []*fsm.FSM{m("p", "q!a.q!b.end"), m("q", "p?a.p?c.end")}},
+		{"orphan message", []*fsm.FSM{m("p", "q!a.q!b.end"), m("q", "p?a.end")}},
+		{"stuck send", []*fsm.FSM{mixedSender(), m("q", "r?go.p?a.p?b.end"), m("r", "p?go.q!go.end")}},
+	}
+	for _, c := range bounded {
+		sys := kmc.MustNewSystem(c.ms...)
+		for _, k := range []int{300, 1, 70_000, 2} {
+			sameResult(t, fmt.Sprintf("%s k=%d", c.name, k), kmc.Check(sys, k), kmc.ReferenceCheck(sys, k))
+		}
+	}
+}
+
+// TestConcurrentChecks runs checks from several goroutines at once, so that
+// explorers pass between them through the pool, including one exploration
+// too large to go back to it; every result must equal the one computed
+// alone.
+func TestConcurrentChecks(t *testing.T) {
+	type job struct {
+		sys  *kmc.System
+		maxK int
+	}
+	var jobs []job
+	for _, e := range protocols.Registry() {
+		jobs = append(jobs, job{kmc.MustNewSystem(machinesOf(t, e.Locals)...), 3})
+	}
+	jobs = append(jobs, job{kmc.MustNewSystem(protocols.RingNSystem(7)...), 3})
+	jobs = append(jobs, job{kmc.MustNewSystem(chainSystem(300, true)...), 2})
+	type result struct {
+		k   int
+		res kmc.Result
+	}
+	want := make([]result, len(jobs))
+	for i, j := range jobs {
+		want[i].k, want[i].res = kmc.CheckUpTo(j.sys, j.maxK)
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range 2 {
+				for i := range jobs {
+					j := jobs[(i+g+r)%len(jobs)]
+					k, res := kmc.CheckUpTo(j.sys, j.maxK)
+					if w := want[(i+g+r)%len(jobs)]; k != w.k || !reflect.DeepEqual(res, w.res) {
+						t.Errorf("goroutine %d: concurrent CheckUpTo = k=%d %+v, alone k=%d %+v", g, k, res, w.k, w.res)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -18,13 +18,17 @@
 // Fig. 7 of the paper measures.
 //
 // Configurations are compact. NewSystem interns every (label, sort) pair a
-// transition carries as a small integer id and resolves every peer to its
-// machine index. A configuration is stored only as its packed key: each
-// machine's control state, then for each ordered-pair queue its length and
-// message ids, all as uvarints. Expanding a configuration decodes the field
-// offsets of its key once; each successor is written into a scratch buffer
-// by copying the unchanged byte ranges around the one state and the one
-// queue the move touches, so a successor already visited allocates nothing.
+// transition carries as a small integer id, resolves every peer to its
+// machine index, and keeps only the queues some transition uses. A
+// configuration is stored only as its key, a run of fixed-width fields in
+// one byte arena: each machine's control state, each queue's length, then
+// the queued message ids queue by queue. The states and lengths sit at
+// fixed offsets, so any configuration's queue length is one read. Expanding
+// a configuration decodes its key once; each successor is written at the
+// arena's tail by copying the unchanged byte ranges around the one state
+// and the one queue the move touches, hashed once, and looked up in an
+// open-addressed index of configuration ids; a successor already visited is
+// cut off the arena again, so it allocates nothing.
 //
 // Exhaustivity is decided once per explored graph rather than once per
 // configuration. The breadth-first exploration records every edge with the
@@ -39,6 +43,9 @@ package kmc
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -103,14 +110,25 @@ type Result struct {
 type System struct {
 	machines []*fsm.FSM
 	roles    []types.Role
-	// steps[m][st] are machine m's transitions out of state st, in the
-	// machine's order, with peers resolved and messages interned.
-	steps [][][]step
+	// steps holds every machine's transitions, state by state in the
+	// machine's order, with peers resolved and messages interned. Machine
+	// m's transitions at state st are steps[stepAt[i]:stepAt[i+1]] for
+	// i = base[m]+st.
+	steps  []step
+	stepAt []int32
+	base   []int32
+	// queues lists the ordered pairs some transition uses, as
+	// sender*n + receiver in ascending order; a step's queue is an index
+	// into it. Only these queues are stored in a configuration.
+	queues []int32
 	// msgs holds the interned (label, sort) pairs by id. accepts[a*len(msgs)+b]
 	// reports whether a queued message a is received by a transition
 	// expecting b: same label, and a's sort is a subsort of b's.
 	msgs    []message
 	accepts []bool
+	// maxField is the largest state or message id: with the bound, it sets
+	// the width of a key's fields.
+	maxField int
 }
 
 // message is one (label, sort) pair a transition carries.
@@ -122,9 +140,10 @@ type message struct {
 // step is one compiled transition.
 type step struct {
 	send bool
-	peer int // machine index
-	msg  int // message id
-	to   fsm.State
+	peer int32 // machine index
+	msg  int32 // message id
+	to   int32 // target state
+	q    int32 // index into System.queues of the queue the step uses
 }
 
 // NewSystem builds a system from machines with pairwise-distinct roles. Every
@@ -133,45 +152,61 @@ func NewSystem(machines ...*fsm.FSM) (*System, error) {
 	if len(machines) == 0 {
 		return nil, fmt.Errorf("kmc: empty system")
 	}
-	s := &System{}
-	index := map[types.Role]int{}
-	for _, m := range machines {
-		if _, dup := index[m.Role()]; dup {
+	n := len(machines)
+	s := &System{machines: slices.Clone(machines), roles: make([]types.Role, n), base: make([]int32, n+1)}
+	nt := 0
+	for mi, m := range machines {
+		if slices.Contains(s.roles[:mi], m.Role()) {
 			return nil, fmt.Errorf("kmc: duplicate role %s", m.Role())
 		}
-		index[m.Role()] = len(s.machines)
-		s.machines = append(s.machines, m)
-		s.roles = append(s.roles, m.Role())
+		s.roles[mi] = m.Role()
+		s.base[mi+1] = s.base[mi] + int32(m.NumStates())
+		for st := range m.NumStates() {
+			nt += len(m.Transitions(fsm.State(st)))
+		}
+		s.maxField = max(s.maxField, m.NumStates()-1)
 	}
-	ids := map[message]int{}
-	s.steps = make([][][]step, len(machines))
+	s.steps = make([]step, 0, nt)
+	s.stepAt = make([]int32, s.base[n]+1)
+	ids := map[message]int32{}
+	used := make([]bool, n*n)
 	for mi, m := range machines {
-		var flat []step
-		ends := make([]int, m.NumStates())
-		for st := range ends {
+		for st := range m.NumStates() {
 			for _, t := range m.Transitions(fsm.State(st)) {
-				peer, ok := index[t.Act.Peer]
-				if !ok {
+				peer := slices.Index(s.roles, t.Act.Peer)
+				if peer < 0 {
 					return nil, fmt.Errorf("kmc: machine %s mentions unknown role %s", m.Role(), t.Act.Peer)
 				}
 				msg := message{label: t.Act.Label, sort: t.Act.Sort}
 				id, ok := ids[msg]
 				if !ok {
-					id = len(s.msgs)
+					id = int32(len(s.msgs))
 					ids[msg] = id
 					s.msgs = append(s.msgs, msg)
 				}
-				flat = append(flat, step{send: t.Act.Dir == fsm.Send, peer: peer, msg: id, to: t.To})
+				send := t.Act.Dir == fsm.Send
+				q := peer*n + mi
+				if send {
+					q = mi*n + peer
+				}
+				used[q] = true
+				// q holds the pair until every used pair is known.
+				s.steps = append(s.steps, step{send: send, peer: int32(peer), msg: id, to: int32(t.To), q: int32(q)})
 			}
-			ends[st] = len(flat)
-		}
-		s.steps[mi] = make([][]step, len(ends))
-		start := 0
-		for st, end := range ends {
-			s.steps[mi][st] = flat[start:end:end]
-			start = end
+			s.stepAt[int(s.base[mi])+st+1] = int32(len(s.steps))
 		}
 	}
+	index := make([]int32, n*n)
+	for q, u := range used {
+		if u {
+			index[q] = int32(len(s.queues))
+			s.queues = append(s.queues, int32(q))
+		}
+	}
+	for i := range s.steps {
+		s.steps[i].q = index[s.steps[i].q]
+	}
+	s.maxField = max(s.maxField, len(s.msgs)-1)
 	s.accepts = make([]bool, len(s.msgs)*len(s.msgs))
 	for a, ma := range s.msgs {
 		for b, mb := range s.msgs {
@@ -181,171 +216,347 @@ func NewSystem(machines ...*fsm.FSM) (*System, error) {
 	return s, nil
 }
 
-// uvarint decodes the uvarint at key[p:] and returns it with the offset just
-// past it.
-func uvarint(key string, p int) (v, next int) {
-	for shift := 0; ; shift += 7 {
-		b := key[p]
-		p++
-		v |= int(b&0x7f) << shift
-		if b < 0x80 {
-			return v, p
-		}
-	}
+// stepsAt returns machine mi's transitions at state st.
+func (s *System) stepsAt(mi int, st int32) []step {
+	at := int(s.base[mi]) + int(st)
+	return s.steps[s.stepAt[at]:s.stepAt[at+1]]
 }
 
-// config is a configuration decoded from its key: byte offsets into the key
-// for every field, plus each machine's state and each queue's length and
-// head. Queues are indexed sender*n + receiver.
-type config struct {
-	key    string
-	states []fsm.State
-	stAt   []int // stAt[i]: offset of machine i's state; stAt[n]: start of the queues
-	qAt    []int // qAt[q]: offset of queue q's length; qAt[n*n]: len(key)
-	qlen   []int
-	qhead  []int // message id at the head of queue q, when qlen[q] > 0
-}
-
-func newConfig(n int) config {
-	return config{
-		states: make([]fsm.State, n),
-		stAt:   make([]int, n+1),
-		qAt:    make([]int, n*n+1),
-		qlen:   make([]int, n*n),
-		qhead:  make([]int, n*n),
-	}
-}
-
-func (c *config) load(key string) {
-	c.key = key
-	n, p := len(c.states), 0
-	for i := range c.states {
-		c.stAt[i] = p
-		var st int
-		st, p = uvarint(key, p)
-		c.states[i] = fsm.State(st)
-	}
-	c.stAt[n] = p
-	for q := range c.qlen {
-		c.qAt[q] = p
-		c.qlen[q], p = uvarint(key, p)
-		for j := 0; j < c.qlen[q]; j++ {
-			var id int
-			id, p = uvarint(key, p)
-			if j == 0 {
-				c.qhead[q] = id
-			}
-		}
-	}
-	c.qAt[n*n] = p
-}
-
-// edge is an explored move, threaded onto the list of moves into its target:
-// machine by moved from configuration from; next is the previous edge into
-// the same target, or -1.
+// edge is an explored move: machine by moved to configuration to. The edges
+// out of configuration c are edges[out[c]:out[c+1]].
 type edge struct {
-	from, by, next int32
+	to, by int32
+}
+
+// stepRef names a transition of the loaded configuration: machine mi's
+// System.steps[st].
+type stepRef struct {
+	mi, st int32
+}
+
+// pred is a reversed edge: machine by moved from configuration from.
+type pred struct {
+	from, by int32
 }
 
 // blocked is a send that the bound blocks in an expanded configuration and
 // that the peer cannot make room for by receiving right away.
 type blocked struct {
 	config  int32
-	machine int
-	trans   int // index into the machine's transitions at its state
-	peer    int
+	machine int32
+	trans   int32 // index into the machine's transitions at its state
+	q       int32 // the full queue
 }
 
-// explorer holds one breadth-first exploration under queue bound k.
+// explorer holds one breadth-first exploration under queue bound k. Its
+// storage is reset, not freed, between explorations, so the k's of one
+// CheckUpTo and successive checks (through explorers) reuse it.
+//
+// A configuration's key is w-byte little-endian fields: n machine states,
+// then len(s.queues) queue lengths, then the queued message ids queue by
+// queue, head first. Configuration c's key is arena[at[c]:at[c+1]].
 type explorer struct {
-	s    *System
-	k, n int
-	keys []string // configurations in discovery order
-	ids  map[string]int32
-	// seen[c] is len(keys) when c was dequeued: the Configs of a check that
-	// stops at c.
+	s     *System
+	k, n  int
+	nq, w int
+	arena []byte
+	at    []int32
+	// slots is an open-addressed, linearly probed index of the
+	// configurations, its length a power of two at least twice their
+	// number. A slot holds the upper 32 bits of the key's hash above the
+	// configuration id plus one; 0 is empty. The cached hash bits pick the
+	// slot and filter a probe before the keys are compared, and let the
+	// index grow without rehashing a key.
+	slots []uint64
+	spare []uint64
+	seed  maphash.Seed
+	// seen[c] is the number of configurations when c was dequeued: the
+	// Configs of a check that stops at c.
 	seen    []int32
 	edges   []edge
-	into    []int32 // into[c]: last edge into c, or -1
+	out     []int32 // out[c]: first edge out of c; len(out)-1 configurations are expanded
 	blocked []blocked
 	next    int // next configuration to expand
-	cur     config
-	buf     []byte
+	// The configuration being expanded: its key, each machine's state, each
+	// queue's length, head message and field index of its first message
+	// (qAt[nq] is the key's field count); its enabled moves, and its sends
+	// the bound blocks.
+	key    []byte
+	states []int32
+	qlen   []int32
+	qhead  []int32
+	qAt    []int32
+	moves  []stepRef
+	full   []stepRef
+	// firstStuck's scratch: the edges reversed, the edges into c being
+	// preds[predAt[c]:predAt[c+1]]; fireAt[q] is the offset in fire of queue
+	// q's drain set, or -1 before it is computed; work is drains' stack.
+	preds  []pred
+	predAt []int32
+	fire   []bool
+	fireAt []int32
+	work   []int32
 }
 
-func newExplorer(s *System, k int) *explorer {
-	n := len(s.machines)
-	e := &explorer{s: s, k: k, n: n, ids: map[string]int32{}, cur: newConfig(n)}
+// minSlots is the index size an exploration starts from.
+const minSlots = 64
+
+// explorers holds idle explorers for the next checks, at most its capacity
+// of them, each with at most pooledBytes of storage: a check that explored
+// hundreds of thousands of configurations frees its storage rather than
+// pinning it for the small checks after it. Unlike a sync.Pool, which a
+// collection empties and whose items are bound to the processor that
+// returned them, it hands storage to the next check whatever the
+// collector and the scheduler did in between.
+var explorers = make(chan *explorer, 4)
+
+const pooledBytes = 256 << 10
+
+func getExplorer() *explorer {
+	select {
+	case e := <-explorers:
+		return e
+	default:
+		return &explorer{seed: maphash.MakeSeed()}
+	}
+}
+
+func putExplorer(e *explorer) {
+	e.s, e.key = nil, nil
+	size := cap(e.arena) + 4*(cap(e.at)+cap(e.seen)+cap(e.out)+cap(e.predAt)+cap(e.fireAt)+cap(e.work)) +
+		8*(cap(e.slots)+cap(e.spare)+cap(e.edges)+cap(e.preds)+cap(e.moves)+cap(e.full)) + cap(e.fire) + 16*cap(e.blocked)
+	if size > pooledBytes {
+		return
+	}
+	select {
+	case explorers <- e:
+	default:
+	}
+}
+
+// reset empties e for an exploration of s under bound k, seeded with the
+// initial configuration.
+func (e *explorer) reset(s *System, k int) {
+	e.s, e.k, e.n, e.nq = s, k, len(s.machines), len(s.queues)
+	switch m := max(k, s.maxField); {
+	case m <= 0xff:
+		e.w = 1
+	case m <= 0xffff:
+		e.w = 2
+	default:
+		e.w = 4
+	}
+	e.at, e.out = append(e.at[:0], 0), append(e.out[:0], 0)
+	e.seen, e.edges, e.blocked = e.seen[:0], e.edges[:0], e.blocked[:0]
+	e.slots = resize(e.slots, minSlots)
+	clear(e.slots)
+	e.next = 0
+	e.states = resize(e.states, e.n)
+	e.qlen = resize(e.qlen, e.nq)
+	e.qhead = resize(e.qhead, e.nq)
+	e.qAt = resize(e.qAt, e.nq+1)
+	b := e.arena[:0]
 	for _, m := range s.machines {
-		e.buf = binary.AppendUvarint(e.buf, uint64(m.Initial()))
+		b = e.appendField(b, int(m.Initial()))
 	}
-	for range n * n {
-		e.buf = append(e.buf, 0)
+	for range e.nq {
+		b = e.appendField(b, 0)
 	}
-	e.add(e.buf)
-	return e
+	e.arena = b
+	e.add(0)
 }
 
-// add returns the index of the configuration with the given key, recording
-// it if new.
-func (e *explorer) add(key []byte) int32 {
-	if c, ok := e.ids[string(key)]; ok {
-		return c
+// resize returns s with length n, reusing its storage when it is large
+// enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	c := int32(len(e.keys))
-	k := string(key)
-	e.ids[k] = c
-	e.keys = append(e.keys, k)
-	e.into = append(e.into, -1)
+	return s[:n]
+}
+
+// reserve returns s with room for n more elements. It at least doubles the
+// capacity when it must grow, so that a long exploration copies each element
+// a bounded number of times.
+func reserve[T any](s []T, n int) []T {
+	if cap(s)-len(s) < n {
+		return slices.Grow(s, max(n, len(s)))
+	}
+	return s
+}
+
+// field returns the i-th field of key.
+func (e *explorer) field(key []byte, i int) int32 {
+	switch e.w {
+	case 1:
+		return int32(key[i])
+	case 2:
+		return int32(binary.LittleEndian.Uint16(key[2*i:]))
+	default:
+		return int32(binary.LittleEndian.Uint32(key[4*i:]))
+	}
+}
+
+// setField overwrites the i-th field of key with v.
+func (e *explorer) setField(key []byte, i int, v int32) {
+	switch e.w {
+	case 1:
+		key[i] = byte(v)
+	case 2:
+		binary.LittleEndian.PutUint16(key[2*i:], uint16(v))
+	default:
+		binary.LittleEndian.PutUint32(key[4*i:], uint32(v))
+	}
+}
+
+// appendField appends v as one field.
+func (e *explorer) appendField(b []byte, v int) []byte {
+	switch e.w {
+	case 1:
+		return append(b, byte(v))
+	case 2:
+		return binary.LittleEndian.AppendUint16(b, uint16(v))
+	default:
+		return binary.LittleEndian.AppendUint32(b, uint32(v))
+	}
+}
+
+// keyOf returns configuration c's key.
+func (e *explorer) keyOf(c int32) []byte { return e.arena[e.at[c]:e.at[c+1]] }
+
+// configs returns the number of configurations discovered.
+func (e *explorer) configs() int { return len(e.at) - 1 }
+
+// add returns the index of the configuration whose key is arena[start:],
+// recording it if new and cutting the key off the arena if not.
+func (e *explorer) add(start int) int32 {
+	key := e.arena[start:]
+	tag := maphash.Bytes(e.seed, key) >> 32
+	mask := uint64(len(e.slots) - 1)
+	i := tag & mask
+	for ; e.slots[i] != 0; i = (i + 1) & mask {
+		if e.slots[i]>>32 != tag {
+			continue
+		}
+		if c := int32(e.slots[i]) - 1; string(e.keyOf(c)) == string(key) {
+			e.arena = e.arena[:start]
+			return c
+		}
+	}
+	if len(e.arena) > math.MaxInt32 {
+		panic("kmc: configuration keys exceed 2 GiB")
+	}
+	c := int32(e.configs())
+	e.slots[i] = tag<<32 | uint64(c+1)
+	e.at = append(e.at, int32(len(e.arena)))
+	if 2*e.configs() > len(e.slots) {
+		e.grow()
+	}
 	return c
 }
 
-// successor writes into e.buf the key of the configuration after machine mi
-// takes st in the loaded configuration: mi moves to st.to, and queue q gains
-// st.msg at its tail (a send) or loses its head (a receive).
-func (e *explorer) successor(mi int, st step, q int) []byte {
-	c := &e.cur
-	key := c.key
-	b := append(e.buf[:0], key[:c.stAt[mi]]...)
-	b = binary.AppendUvarint(b, uint64(st.to))
-	b = append(b, key[c.stAt[mi+1]:c.qAt[q]]...)
-	_, body := uvarint(key, c.qAt[q])
+// grow doubles the index and reinserts every configuration by its cached
+// hash bits. The old table is kept as the spare for the next growth.
+func (e *explorer) grow() {
+	next := resize(e.spare, 2*len(e.slots))
+	clear(next)
+	mask := uint64(len(next) - 1)
+	for _, s := range e.slots {
+		if s == 0 {
+			continue
+		}
+		i := s >> 32 & mask
+		for next[i] != 0 {
+			i = (i + 1) & mask
+		}
+		next[i] = s
+	}
+	e.slots, e.spare = next, e.slots
+}
+
+// load decodes configuration c into the expansion state.
+func (e *explorer) load(c int32) {
+	key := e.keyOf(c)
+	e.key = key
+	for i := range e.states {
+		e.states[i] = e.field(key, i)
+	}
+	at := int32(e.n + e.nq)
+	for q := range e.qlen {
+		l := e.field(key, e.n+q)
+		e.qlen[q], e.qAt[q] = l, at
+		if l > 0 {
+			e.qhead[q] = e.field(key, int(at))
+		}
+		at += l
+	}
+	e.qAt[e.nq] = at
+}
+
+// successor writes at the arena's tail the key of the configuration after
+// machine mi takes st in the loaded configuration: mi moves to st.to, and
+// queue st.q gains st.msg at its tail (a send) or loses its head (a
+// receive).
+func (e *explorer) successor(mi int, st step) {
+	start, w, q := len(e.arena), e.w, int(st.q)
+	var b []byte
+	l := e.qlen[q]
 	if st.send {
-		b = binary.AppendUvarint(b, uint64(c.qlen[q]+1))
-		b = append(b, key[body:c.qAt[q+1]]...)
-		b = binary.AppendUvarint(b, uint64(st.msg))
+		tail := w * int(e.qAt[q+1])
+		b = append(e.arena, e.key[:tail]...)
+		b = e.appendField(b, int(st.msg))
+		b = append(b, e.key[tail:]...)
+		l++
 	} else {
-		b = binary.AppendUvarint(b, uint64(c.qlen[q]-1))
-		_, rest := uvarint(key, body)
-		b = append(b, key[rest:c.qAt[q+1]]...)
+		head := w * int(e.qAt[q])
+		b = append(e.arena, e.key[:head]...)
+		b = append(b, e.key[head+w:]...)
+		l--
 	}
-	b = append(b, key[c.qAt[q+1]:]...)
-	e.buf = b
-	return b
+	key := b[start:]
+	e.setField(key, mi, st.to)
+	e.setField(key, e.n+q, l)
+	e.arena = b
 }
 
-// queue returns the index of the queue st uses when machine mi takes it.
-func (e *explorer) queue(mi int, st step) int {
-	if st.send {
-		return mi*e.n + st.peer
-	}
-	return st.peer*e.n + mi
+// canReceive reports whether receive st matches the head of its queue in the
+// loaded configuration.
+func (e *explorer) canReceive(st *step) bool {
+	return e.qlen[st.q] > 0 && e.s.accepts[int(e.qhead[st.q])*len(e.s.msgs)+int(st.msg)]
 }
 
-// canReceive reports whether machine mi's receive st matches the head of its
-// queue in the loaded configuration.
-func (e *explorer) canReceive(mi int, st step) bool {
-	q := st.peer*e.n + mi
-	return e.cur.qlen[q] > 0 && e.s.accepts[e.cur.qhead[q]*len(e.s.msgs)+st.msg]
-}
-
-// enabled reports whether machine mi can take st in the loaded configuration
-// under the queue bound.
-func (e *explorer) enabled(mi int, st step) bool {
-	if st.send {
-		return e.cur.qlen[mi*e.n+st.peer] < e.k
+// scan lists the loaded configuration's enabled moves under the queue bound
+// and its sends the bound blocks, both in machine and transition order, and
+// returns the first machine stuck on receives while a queue it expects from
+// is non-empty — an unspecified reception — or -1.
+func (e *explorer) scan() int {
+	s, stuck := e.s, -1
+	e.moves, e.full = e.moves[:0], e.full[:0]
+	for mi := range e.n {
+		at := int(s.base[mi]) + int(e.states[mi])
+		lo, hi := s.stepAt[at], s.stepAt[at+1]
+		recvOnly, waiting, before := lo < hi, false, len(e.moves)
+		for i := lo; i < hi; i++ {
+			st := &s.steps[i]
+			var ok bool
+			if st.send {
+				recvOnly = false
+				if ok = int(e.qlen[st.q]) < e.k; !ok {
+					e.full = append(e.full, stepRef{mi: int32(mi), st: i})
+				}
+			} else {
+				waiting = waiting || e.qlen[st.q] > 0
+				ok = e.canReceive(st)
+			}
+			if ok {
+				e.moves = append(e.moves, stepRef{mi: int32(mi), st: i})
+			}
+		}
+		if stuck < 0 && recvOnly && waiting && len(e.moves) == before {
+			stuck = mi
+		}
 	}
-	return e.canReceive(mi, st)
+	return stuck
 }
 
 // explore expands configurations in breadth-first order. With check set it
@@ -354,26 +565,26 @@ func (e *explorer) enabled(mi int, st step) bool {
 // violation; the configuration stays unexpanded, so a later call resumes
 // with it.
 func (e *explorer) explore(check bool) (int, *Violation) {
-	for ; e.next < len(e.keys); e.next++ {
+	for ; e.next < e.configs(); e.next++ {
 		c := int32(e.next)
-		e.cur.load(e.keys[c])
+		e.load(c)
+		stuck := e.scan()
 		if check {
-			e.seen = append(e.seen, int32(len(e.keys)))
-			if v := e.safety(); v != nil {
+			e.seen = append(e.seen, int32(e.configs()))
+			if v := e.safety(stuck); v != nil {
 				return e.next, v
 			}
 			e.noteBlocked(c)
 		}
-		for mi := range e.n {
-			for _, st := range e.s.steps[mi][e.cur.states[mi]] {
-				if !e.enabled(mi, st) {
-					continue
-				}
-				to := e.add(e.successor(mi, st, e.queue(mi, st)))
-				e.edges = append(e.edges, edge{from: c, by: int32(mi), next: e.into[to]})
-				e.into[to] = int32(len(e.edges) - 1)
-			}
+		e.edges = reserve(e.edges, len(e.moves))
+		e.at = reserve(e.at, len(e.moves))
+		e.arena = reserve(e.arena, len(e.moves)*(len(e.key)+e.w))
+		for _, mv := range e.moves {
+			start := len(e.arena)
+			e.successor(int(mv.mi), e.s.steps[mv.st])
+			e.edges = append(e.edges, edge{to: e.add(start), by: mv.mi})
 		}
+		e.out = append(e.out, int32(len(e.edges)))
 	}
 	return -1, nil
 }
@@ -394,10 +605,14 @@ func (e *explorer) explore(check bool) (int, *Violation) {
 // graph may be too small to free a blocked send seen before it; the
 // exploration then runs to completion before the blocked send is judged.
 func Check(s *System, k int) Result {
-	if k < 1 {
-		k = 1
-	}
-	e := newExplorer(s, k)
+	e := getExplorer()
+	defer putExplorer(e)
+	return e.check(s, max(k, 1))
+}
+
+// check is Check on e's storage.
+func (e *explorer) check(s *System, k int) Result {
+	e.reset(s, k)
 	at, unsafe := e.explore(true)
 	stuck, found := e.firstStuck()
 	if found && unsafe != nil {
@@ -410,79 +625,57 @@ func Check(s *System, k int) Result {
 	case unsafe != nil:
 		return Result{Violation: unsafe, Configs: int(e.seen[at])}
 	}
-	return Result{OK: true, Configs: len(e.keys)}
+	return Result{OK: true, Configs: e.configs()}
 }
 
-// safety classifies the loaded configuration if it is stuck or a queue
-// heads with a message its receiver cannot accept.
-func (e *explorer) safety() *Violation {
-	s, c, n := e.s, &e.cur, e.n
-	// Unspecified reception: machine mi has only receive transitions, none
-	// enabled, and some expected sender's queue heads with a mismatch.
-	for mi := range n {
-		steps := s.steps[mi][c.states[mi]]
-		stuck := len(steps) > 0
-		for _, st := range steps {
-			if st.send || e.canReceive(mi, st) {
-				stuck = false
-				break
-			}
-		}
-		if !stuck {
-			continue
-		}
-		for _, st := range steps {
-			if q := st.peer*n + mi; c.qlen[q] > 0 {
+// safety classifies the loaded configuration, scanned with stuck its first
+// machine in an unspecified reception, if it is unsafe or stuck.
+func (e *explorer) safety(stuck int) *Violation {
+	s := e.s
+	if stuck >= 0 {
+		for _, st := range s.stepsAt(stuck, e.states[stuck]) {
+			if e.qlen[st.q] > 0 {
 				return &Violation{
 					Kind:   UnspecifiedReception,
-					Role:   s.roles[mi],
-					Config: e.render(c.key),
-					Detail: fmt.Sprintf("queue %s->%s heads with %s, expected one of %s", s.roles[st.peer], s.roles[mi], s.msgs[c.qhead[q]].label, expectedLabels(s.machines[mi].Transitions(c.states[mi]))),
+					Role:   s.roles[stuck],
+					Config: e.render(e.key),
+					Detail: fmt.Sprintf("queue %s->%s heads with %s, expected one of %s", s.roles[st.peer], s.roles[stuck], s.msgs[e.qhead[st.q]].label, expectedLabels(s.machines[stuck].Transitions(fsm.State(e.states[stuck])))),
 				}
 			}
 		}
 	}
-
+	if len(e.moves) > 0 {
+		return nil
+	}
 	allFinal := true
-	for mi := range n {
-		for _, st := range s.steps[mi][c.states[mi]] {
-			if e.enabled(mi, st) {
-				return nil
-			}
-			allFinal = false
-		}
+	for mi := range e.n {
+		allFinal = allFinal && len(s.stepsAt(mi, e.states[mi])) == 0
 	}
-	queuesEmpty := true
-	for _, l := range c.qlen {
-		if l > 0 {
-			queuesEmpty = false
-			break
-		}
-	}
+	queuesEmpty := !slices.ContainsFunc(e.qlen, func(l int32) bool { return l > 0 })
 	switch {
 	case allFinal && queuesEmpty:
 		return nil // proper termination
 	case allFinal:
-		return &Violation{Kind: OrphanMessage, Role: s.roles[0], Config: e.render(c.key), Detail: "terminated with non-empty queues"}
+		return &Violation{Kind: OrphanMessage, Role: s.roles[0], Config: e.render(e.key), Detail: "terminated with non-empty queues"}
 	}
 	// If some machine is blocked only by the queue bound (its send would
 	// fire with an unbounded queue), the failure is a k-exhaustivity
 	// violation, not a true deadlock.
-	for mi := range n {
-		for _, tr := range s.machines[mi].Transitions(c.states[mi]) {
+	for mi := range e.n {
+		for _, tr := range s.machines[mi].Transitions(fsm.State(e.states[mi])) {
 			if tr.Act.Dir == fsm.Send {
 				return &Violation{
 					Kind:   NotExhaustive,
 					Role:   s.roles[mi],
-					Config: e.render(c.key),
+					Config: e.render(e.key),
 					Detail: fmt.Sprintf("system halts with send %s blocked by the bound", tr.Act),
 				}
 			}
 		}
 	}
-	for mi := range n {
-		if len(s.steps[mi][c.states[mi]]) > 0 {
-			return &Violation{Kind: Deadlock, Role: s.roles[mi], Config: e.render(c.key), Detail: "no machine can move"}
+	for mi := range e.n {
+		if len(s.stepsAt(mi, e.states[mi])) > 0 {
+			return &Violation{Kind: Deadlock, Role: s.roles[mi], Config: e.render(e.key), Detail: "no machine can move"}
 		}
 	}
 	return nil
@@ -492,24 +685,20 @@ func (e *explorer) safety() *Violation {
 // blocks. A send whose peer can receive the head of the full queue right now
 // is skipped: one step by the peer frees a slot.
 func (e *explorer) noteBlocked(c int32) {
-	s, cur, n := e.s, &e.cur, e.n
-	for mi := range n {
-		for ti, st := range s.steps[mi][cur.states[mi]] {
-			q := mi*n + st.peer
-			if !st.send || cur.qlen[q] < e.k {
-				continue
+	s := e.s
+	for _, f := range e.full {
+		mi, st := int(f.mi), &s.steps[f.st]
+		head := s.msgs[e.qhead[st.q]].label
+		drainable := false
+		for _, pt := range s.stepsAt(int(st.peer), e.states[st.peer]) {
+			if !pt.send && int(pt.peer) == mi && s.msgs[pt.msg].label == head {
+				drainable = true
+				break
 			}
-			head := s.msgs[cur.qhead[q]].label
-			drainable := false
-			for _, pt := range s.steps[st.peer][cur.states[st.peer]] {
-				if !pt.send && pt.peer == mi && s.msgs[pt.msg].label == head {
-					drainable = true
-					break
-				}
-			}
-			if !drainable {
-				e.blocked = append(e.blocked, blocked{config: c, machine: mi, trans: ti, peer: st.peer})
-			}
+		}
+		if !drainable {
+			ti := f.st - s.stepAt[int(s.base[mi])+int(e.states[mi])]
+			e.blocked = append(e.blocked, blocked{config: c, machine: f.mi, trans: ti, q: st.q})
 		}
 	}
 }
@@ -518,78 +707,107 @@ func (e *explorer) noteBlocked(c int32) {
 // that no sequence of moves by the other machines in the explored graph can
 // free.
 func (e *explorer) firstStuck() (blocked, bool) {
-	fire := make([][]bool, e.n*e.n)
+	if len(e.blocked) == 0 {
+		return blocked{}, false
+	}
+	e.reverse()
+	e.fire = e.fire[:0]
+	e.fireAt = resize(e.fireAt, e.nq)
+	for q := range e.fireAt {
+		e.fireAt[q] = -1
+	}
 	for _, b := range e.blocked {
-		q := b.machine*e.n + b.peer
-		if fire[q] == nil {
-			fire[q] = e.drains(b.machine, q)
+		if e.fireAt[b.q] < 0 {
+			e.fireAt[b.q] = int32(len(e.fire))
+			e.drains(int(b.machine), int(b.q))
 		}
-		if !fire[q][b.config] {
+		if !e.fire[int(e.fireAt[b.q])+int(b.config)] {
 			return b, true
 		}
 	}
 	return blocked{}, false
 }
 
-// drains is the backward fixpoint for queue q, whose sender is machine mi:
-// the explored configurations from which moves of machines other than mi
-// reach one where q holds fewer than k messages.
-func (e *explorer) drains(mi, q int) []bool {
-	in := make([]bool, len(e.keys))
-	var work []int32
-	cur := newConfig(e.n)
-	for c, key := range e.keys {
-		if cur.load(key); cur.qlen[q] < e.k {
-			in[c] = true
+// reverse files the explored edges by target into preds and predAt.
+func (e *explorer) reverse() {
+	nc := e.configs()
+	e.predAt = resize(e.predAt, nc+1)
+	clear(e.predAt)
+	for _, ed := range e.edges {
+		e.predAt[ed.to]++
+	}
+	sum := int32(0)
+	for c, cnt := range e.predAt {
+		sum += cnt
+		e.predAt[c] = sum
+	}
+	// predAt[c] is now the end of c's block; filling each block from its
+	// end leaves it at the block's start.
+	e.preds = resize(e.preds, len(e.edges))
+	for from := range len(e.out) - 1 {
+		for _, ed := range e.edges[e.out[from]:e.out[from+1]] {
+			e.predAt[ed.to]--
+			e.preds[e.predAt[ed.to]] = pred{from: int32(from), by: ed.by}
+		}
+	}
+}
+
+// drains appends to fire the backward fixpoint for queue q, whose sender is
+// machine mi: for each explored configuration, whether moves of machines
+// other than mi reach one where q holds fewer than k messages.
+func (e *explorer) drains(mi, q int) {
+	base := len(e.fire)
+	e.fire = slices.Grow(e.fire, e.configs())[:base+e.configs()]
+	in := e.fire[base:]
+	work := e.work[:0]
+	for c := range in {
+		in[c] = int(e.field(e.arena[e.at[c]:], e.n+q)) < e.k
+		if in[c] {
 			work = append(work, int32(c))
 		}
 	}
 	for len(work) > 0 {
 		c := work[len(work)-1]
 		work = work[:len(work)-1]
-		for i := e.into[c]; i >= 0; i = e.edges[i].next {
-			if ed := e.edges[i]; int(ed.by) != mi && !in[ed.from] {
-				in[ed.from] = true
-				work = append(work, ed.from)
+		for _, p := range e.preds[e.predAt[c]:e.predAt[c+1]] {
+			if int(p.by) != mi && !in[p.from] {
+				in[p.from] = true
+				work = append(work, p.from)
 			}
 		}
 	}
-	return in
+	e.work = work
 }
 
 func (e *explorer) notExhaustive(b blocked) *Violation {
-	e.cur.load(e.keys[b.config])
-	tr := e.s.machines[b.machine].Transitions(e.cur.states[b.machine])[b.trans]
+	e.load(b.config)
+	tr := e.s.machines[b.machine].Transitions(fsm.State(e.states[b.machine]))[b.trans]
 	return &Violation{
 		Kind:   NotExhaustive,
 		Role:   e.s.roles[b.machine],
-		Config: e.render(e.cur.key),
+		Config: e.render(e.key),
 		Detail: fmt.Sprintf("send %s can never fire within bound %d", tr.Act, e.k),
 	}
 }
 
 // render prints a configuration key for diagnostics.
-func (e *explorer) render(key string) string {
+func (e *explorer) render(key []byte) string {
 	var parts []string
-	p := 0
 	for i := range e.n {
-		var st int
-		st, p = uvarint(key, p)
-		parts = append(parts, fmt.Sprintf("%s@%d", e.s.roles[i], st))
+		parts = append(parts, fmt.Sprintf("%s@%d", e.s.roles[i], e.field(key, i)))
 	}
-	for q := range e.n * e.n {
-		var l int
-		l, p = uvarint(key, p)
+	at := e.n + e.nq
+	for qi, q := range e.s.queues {
+		l := int(e.field(key, e.n+qi))
 		if l == 0 {
 			continue
 		}
 		labels := make([]string, l)
 		for j := range labels {
-			var id int
-			id, p = uvarint(key, p)
-			labels[j] = string(e.s.msgs[id].label)
+			labels[j] = string(e.s.msgs[e.field(key, at+j)].label)
 		}
-		parts = append(parts, fmt.Sprintf("%s->%s:[%s]", e.s.roles[q/e.n], e.s.roles[q%e.n], strings.Join(labels, ",")))
+		at += l
+		parts = append(parts, fmt.Sprintf("%s->%s:[%s]", e.s.roles[int(q)/e.n], e.s.roles[int(q)%e.n], strings.Join(labels, ",")))
 	}
 	return "⟨" + strings.Join(parts, " ") + "⟩"
 }
@@ -606,14 +824,15 @@ func expectedLabels(ts []fsm.Transition) string {
 // CheckUpTo tries k = 1..maxK in turn and returns the first bound for which
 // the system is k-MC, mirroring how the k-MC tool is used in practice. It
 // returns the failing result for maxK when none succeeds. maxK below 1 is
-// taken as 1, as Check takes k.
+// taken as 1, as Check takes k. The explorations share one explorer's
+// storage.
 func CheckUpTo(s *System, maxK int) (int, Result) {
-	if maxK < 1 {
-		maxK = 1
-	}
+	maxK = max(maxK, 1)
+	e := getExplorer()
+	defer putExplorer(e)
 	var last Result
 	for k := 1; k <= maxK; k++ {
-		last = Check(s, k)
+		last = e.check(s, k)
 		if last.OK {
 			return k, last
 		}

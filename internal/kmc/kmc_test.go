@@ -257,3 +257,30 @@ func MustNewSystem(machines ...*fsm.FSM) *System {
 
 // Roles returns the system's roles in machine order.
 func (s *System) Roles() []types.Role { return s.roles }
+
+// TestExplorerReuse pins the explorer free list: a check takes the storage
+// a finished one returned, so a repeated passing check allocates nothing,
+// and an explorer that grew past pooledBytes is dropped instead of kept.
+func TestExplorerReuse(t *testing.T) {
+	small := MustNewSystem(machine(t, "p", "q!a.q?b.end"), machine(t, "q", "p?a.p!b.end"))
+	Check(small, 1)
+	if n := testing.AllocsPerRun(50, func() { Check(small, 1) }); n != 0 {
+		t.Errorf("a repeated passing check: %v allocs, want 0", n)
+	}
+	for len(explorers) > 0 {
+		<-explorers
+	}
+	// A queue filling to k = 1000 gives keys of up to 1000 two-byte fields,
+	// over 256 KiB of arena in all.
+	big := MustNewSystem(machine(t, "p", "mu t.q!a.t"), machine(t, "q", "mu t.p?a.t"))
+	if res := Check(big, 1000); !res.OK || res.Configs != 1001 {
+		t.Fatalf("unbounded sender at k=1000: %+v", res)
+	}
+	if len(explorers) != 0 {
+		t.Error("an explorer past pooledBytes went back to the free list")
+	}
+	Check(small, 1)
+	if len(explorers) != 1 {
+		t.Errorf("%d idle explorers after a small check, want 1", len(explorers))
+	}
+}

@@ -78,23 +78,28 @@ func TestPipeTryWouldBlock(t *testing.T) {
 	defer p.Close()
 
 	m := channel.Message{Label: "val", Value: int32(1)}
+	// Fill every stage: the send ring, the writer's popped batch, the pipe,
+	// the reader's buffer and the receive ring. A refusal is transient
+	// while the writer and the reader still move messages on, so the fill
+	// retries until the route refuses holding at least what it holds once
+	// settled: both rings full, and a message in the writer's hand and one
+	// in the reader's, whose deliveries then block for good.
+	const settled = 2 + 1 + 1 + 2
 	sent := 0
-	// Fill every stage: send ring, pipe hand-off, recv ring.
-	for i := 0; i < 100; i++ {
-		ok, err := p.TrySend(m)
-		if err != nil {
-			t.Fatal(err)
+	var ok bool
+	var err error
+	waitFor(t, "the route to fill", func() bool {
+		for sent < 100 {
+			if ok, err = p.TrySend(m); !ok || err != nil {
+				return err != nil || sent >= settled
+			}
+			sent++
 		}
-		if !ok {
-			break
-		}
-		sent++
-	}
-	if sent == 0 || sent == 100 {
 		t.Fatalf("route never filled (sent=%d)", sent)
-	}
-	// Now it reports would-block, not an error.
-	if ok, err := p.TrySend(m); ok || err != nil {
+		return true
+	})
+	// The refusal on the full route is a would-block, not an error.
+	if ok || err != nil {
 		t.Fatalf("TrySend on full route = (%v, %v), want (false, nil)", ok, err)
 	}
 	// Drain everything; every sent message arrives in order.

@@ -169,7 +169,7 @@ func Optimise(role types.Role, orig types.Local, opts Options) (Result, error) {
 				d := derived{
 					t:       cand,
 					key:     key,
-					steps:   append(append([]string(nil), cur.steps...), mv.desc),
+					steps:   append(append([]string(nil), cur.steps...), mv.desc()),
 					unrolls: cur.unrolls + mv.unrolls,
 				}
 				pool = append(pool, d)

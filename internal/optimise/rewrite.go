@@ -27,14 +27,28 @@ import (
 //     reconciled when the protocol stops.
 
 // rewrite is one candidate produced by a generator: the whole rewritten type
-// plus a human-readable description of the step (for derivations and the
-// cmd/optimise output).
+// plus the parts of a human-readable description of the step (for
+// derivations and the cmd/optimise output).
 type rewrite struct {
 	t types.Local
 	// unrolls is the pipelining depth this single step added (0 for hoists);
 	// the search uses it to bound cumulative unrolling.
 	unrolls int
-	desc    string
+	// The step sends peer!label: hoisted past a receive from past, or, for
+	// a pipeline (unrolls > 0), out of the loop μrec.
+	peer, past types.Role
+	label      types.Label
+	rec        string
+}
+
+// desc formats the step's description. The search calls it only for a
+// candidate that survives its deduplication, so a duplicate costs no
+// formatting.
+func (r rewrite) desc() string {
+	if r.unrolls > 0 {
+		return fmt.Sprintf("pipeline %s!%s out of μ%s ×%d", r.peer, r.label, r.rec, r.unrolls)
+	}
+	return fmt.Sprintf("hoist %s!%s past %s?{…}", r.peer, r.label, r.past)
 }
 
 // rewriteEverywhere applies the node-level generator f at every subterm
@@ -148,8 +162,7 @@ func hoistNode(t types.Local) []rewrite {
 		}
 		out[j] = types.Branch{Label: ob.Label, Sort: ob.Sort, Cont: types.Recv{Peer: rv.Peer, Branches: inner}}
 	}
-	desc := fmt.Sprintf("hoist %s!%s past %s?{…}", first.Peer, first.Branches[0].Label, rv.Peer)
-	return []rewrite{{t: types.Send{Peer: first.Peer, Branches: out}, desc: desc}}
+	return []rewrite{{t: types.Send{Peer: first.Peer, Branches: out}, peer: first.Peer, label: first.Branches[0].Label, past: rv.Peer}}
 }
 
 // input is one single-branch receive of a loop's input prefix.
@@ -225,11 +238,7 @@ func pipelineNode(t types.Local, d int) []rewrite {
 		for k := 0; k < d; k++ {
 			cand = types.LSend(snd.Peer, b.Label, b.Sort, cand)
 		}
-		out = append(out, rewrite{
-			t:       cand,
-			unrolls: d,
-			desc:    fmt.Sprintf("pipeline %s!%s out of μ%s ×%d", snd.Peer, b.Label, rec.Name, d),
-		})
+		out = append(out, rewrite{t: cand, unrolls: d, peer: snd.Peer, label: b.Label, rec: rec.Name})
 	}
 	if len(snd.Branches) == 1 {
 		if _, isVar := snd.Branches[0].Cont.(types.Var); !isVar {
@@ -242,11 +251,7 @@ func pipelineNode(t types.Local, d int) []rewrite {
 			for k := 0; k < d; k++ {
 				cand = types.LSend(snd.Peer, b.Label, b.Sort, cand)
 			}
-			out = append(out, rewrite{
-				t:       cand,
-				unrolls: d,
-				desc:    fmt.Sprintf("pipeline %s!%s out of μ%s ×%d", snd.Peer, b.Label, rec.Name, d),
-			})
+			out = append(out, rewrite{t: cand, unrolls: d, peer: snd.Peer, label: b.Label, rec: rec.Name})
 		}
 	}
 	return out

@@ -170,12 +170,6 @@ type PipelineOptions struct {
 	SkipCodegen bool
 }
 
-// optKMCRoleCap bounds the width of systems whose OPTIMISED machines are
-// k-MC-probed. The default generator emits at most 4 roles, so every
-// generated cell is probed; only oversized parsed inputs (e.g. the 8-role
-// FFT seeds) skip the probe.
-const optKMCRoleCap = 5
-
 func (o PipelineOptions) withDefaults() PipelineOptions {
 	if o.MaxK <= 0 {
 		o.MaxK = 8
@@ -301,28 +295,24 @@ func RunPipeline(g types.Global, opts PipelineOptions) (Report, *Failure) {
 	}
 
 	// Stage: the optimised system must still be k-MC (at a bound that has
-	// room for the certified lookahead). Gated by role count: hoisted sends
-	// inflate the reachable configuration space multiplicatively per role
-	// (the optimised FFT system costs seconds at k=1 where the plain one
-	// costs milliseconds), and wide systems are already pinned by the
-	// registry's own k-MC tests — the fuzzer's marginal value is in the
-	// narrow-but-weird shapes the generator emits, all under the cap.
-	if rep.Roles <= optKMCRoleCap {
-		optMachines := make([]*fsm.FSM, 0, len(roles))
-		for _, r := range roles {
-			optMachines = append(optMachines, optFSMs[r])
-		}
-		optSys, err := kmc.NewSystem(optMachines...)
-		if err != nil {
-			return rep, &Failure{Stage: StageOptKMC, Err: err}
-		}
-		optMaxK := opts.MaxK + 2*opts.Optimise.MaxUnroll
-		optK, optRes := kmc.CheckUpTo(optSys, optMaxK)
-		if !optRes.OK {
-			return rep, &Failure{Stage: StageOptKMC, Err: fmt.Errorf("optimised system not %d-MC: %w", optMaxK, optRes.Violation)}
-		}
-		rep.OptK = optK
+	// room for the certified lookahead). Hoisted sends inflate the reachable
+	// configuration space multiplicatively per role: the optimised 8-role
+	// FFT explores hundreds of thousands of configurations at k=1, where the
+	// plain one explores a few hundred.
+	optMachines := make([]*fsm.FSM, 0, len(roles))
+	for _, r := range roles {
+		optMachines = append(optMachines, optFSMs[r])
 	}
+	optSys, err := kmc.NewSystem(optMachines...)
+	if err != nil {
+		return rep, &Failure{Stage: StageOptKMC, Err: err}
+	}
+	optMaxK := opts.MaxK + 2*opts.Optimise.MaxUnroll
+	optK, optRes := kmc.CheckUpTo(optSys, optMaxK)
+	if !optRes.OK {
+		return rep, &Failure{Stage: StageOptKMC, Err: fmt.Errorf("optimised system not %d-MC: %w", optMaxK, optRes.Violation)}
+	}
+	rep.OptK = optK
 
 	// Stage: code generation. Both the plain and the optimised machines
 	// must generate, and the emitted source must parse as Go — the

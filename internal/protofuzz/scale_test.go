@@ -67,6 +67,35 @@ func BenchmarkKmcScale(b *testing.B) {
 	}
 }
 
+// BenchmarkKmcFFTAuto checks the auto-optimised 8-role FFT at k = 1, the
+// widest system the registry verifies: its hoisted sends inflate the
+// reachable space to hundreds of thousands of configurations, so the cost
+// per configuration, not the size of the machines, decides this row.
+func BenchmarkKmcFFTAuto(b *testing.B) {
+	var fft protocols.Entry
+	for _, e := range protocols.Registry() {
+		if e.Name == "FFT" {
+			fft = e
+		}
+	}
+	machines := protocols.Machines(protocols.FSMs(fft.AutoSystem()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var configs int
+	for i := 0; i < b.N; i++ {
+		sys, err := kmc.NewSystem(machines...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res := kmc.Check(sys, 1)
+		if !res.OK {
+			b.Fatalf("auto FFT not 1-MC: %v", res.Violation)
+		}
+		configs = res.Configs
+	}
+	b.ReportMetric(float64(configs), "configs/op")
+}
+
 // BenchmarkOptimiseScale measures the certified AMR search on its
 // worst-case shape — the recv-then-k-sends loop whose whole send block can
 // hoist across the receive — at increasing unroll depth. Every cell must
@@ -111,9 +140,11 @@ func BenchmarkPipelineDeep(b *testing.B) {
 // does for one protocol per op: Scribble format and parse, projection,
 // k-MC of the projected system, the AMR search per role, an independent
 // core re-certification of each best candidate, k-MC of the optimised
-// system and code generation. Systems wider than five roles skip k-MC. The
-// gated allocs/op column is the verifier's end-to-end allocation count.
+// system and code generation. Systems wider than five roles skip k-MC, as in
+// verify-corpus. The gated allocs/op column is the verifier's end-to-end
+// allocation count.
 func BenchmarkVerifyTable1(b *testing.B) {
+	const kmcRoleCap = 5
 	var globals []types.Global
 	for _, e := range protocols.Registry() {
 		if e.Global != nil {
@@ -135,7 +166,7 @@ func BenchmarkVerifyTable1(b *testing.B) {
 			return err
 		}
 		checkKMC := func(ms []*fsm.FSM) error {
-			if len(ms) > optKMCRoleCap {
+			if len(ms) > kmcRoleCap {
 				return nil
 			}
 			sys, err := kmc.NewSystem(ms...)

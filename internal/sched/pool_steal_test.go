@@ -72,8 +72,16 @@ func TestSchedPooledReusesInstances(t *testing.T) {
 	}
 }
 
+// branchSource hands out strategies through a method, the way a caller that
+// keeps per-workload state passes its factory as a method value.
+type branchSource struct{}
+
+func (*branchSource) strategy(types.Role) session.Strategy { return session.FirstBranch{} }
+
 // TestSchedPooledZeroAllocSteadyState is the tentpole's allocation pin: a
-// warmed pooled enqueue-run-complete cycle performs zero heap allocations.
+// warmed pooled enqueue-run-complete cycle performs zero heap allocations,
+// whether the strategy factory is a function or a method value, which
+// allocates a closure if the scheduler lets the factory escape.
 // AllocsPerRun runs with GOMAXPROCS=1, so the producer and the single
 // worker interleave cooperatively — exactly the steady-state shape the
 // throughput benchmark measures.
@@ -83,20 +91,29 @@ func TestSchedPooledZeroAllocSteadyState(t *testing.T) {
 	defer s.Close()
 	done := make(chan error, 1)
 	onDone := func(err error) { done <- err }
-	run := func() {
-		if err := s.GoSessionPooled(base, 64, firstBranchStrat, time.Time{}, onDone); err != nil {
-			t.Errorf("GoSessionPooled: %v", err)
-			return
+	src := &branchSource{}
+	for _, tc := range []struct {
+		name   string
+		submit func() error
+	}{
+		{"func", func() error { return s.GoSessionPooled(base, 64, firstBranchStrat, time.Time{}, onDone) }},
+		{"method value", func() error { return s.GoSessionPooled(base, 64, src.strategy, time.Time{}, onDone) }},
+	} {
+		run := func() {
+			if err := tc.submit(); err != nil {
+				t.Errorf("%s: GoSessionPooled: %v", tc.name, err)
+				return
+			}
+			if err := <-done; err != nil {
+				t.Errorf("%s: session failed: %v", tc.name, err)
+			}
 		}
-		if err := <-done; err != nil {
-			t.Errorf("session failed: %v", err)
+		for i := 0; i < 50; i++ {
+			run() // warm the pool, the inbox slice and the free list
 		}
-	}
-	for i := 0; i < 50; i++ {
-		run() // warm the pool, the inbox slice and the free list
-	}
-	if n := testing.AllocsPerRun(200, run); n != 0 {
-		t.Fatalf("pooled steady state: %v allocs/op, want 0", n)
+		if n := testing.AllocsPerRun(200, run); n != 0 {
+			t.Fatalf("%s: pooled steady state: %v allocs/op, want 0", tc.name, n)
+		}
 	}
 }
 

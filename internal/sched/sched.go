@@ -412,7 +412,7 @@ func (s *Scheduler) Steals() uint64 { return s.stole.Load() }
 // deadline timer wakes it for a last visit; with none, it fails fast with a
 // *DeadlockError.
 func (s *Scheduler) Go(deadline time.Time, onDone func(error), steppers ...Stepper) error {
-	return s.enqueue(submission{deadline: deadline, onDone: onDone, steppers: steppers})
+	return s.enqueue(submission{deadline: deadline, onDone: onDone, steppers: steppers}, nil)
 }
 
 // Waker re-readies an externally-driven session (GoExternal). Wake is safe
@@ -512,7 +512,7 @@ func (s *Scheduler) runInline(w *worker, j *job) {
 // deadline for Close/Wait to be able to return.
 func (s *Scheduler) GoExternal(deadline time.Time, onDone func(error), steppers ...Stepper) (*Waker, error) {
 	k := &Waker{s: s}
-	if err := s.enqueue(submission{deadline: deadline, onDone: onDone, steppers: steppers, wake: k}); err != nil {
+	if err := s.enqueue(submission{deadline: deadline, onDone: onDone, steppers: steppers, wake: k}, nil); err != nil {
 		return nil, err
 	}
 	return k, nil
@@ -529,7 +529,7 @@ func (s *Scheduler) GoExternal(deadline time.Time, onDone func(error), steppers 
 // session the scheduler builds, it takes a Backlog slot, so GoSession
 // blocks while the target worker has Options.Backlog of them in flight.
 func (s *Scheduler) GoSession(sess *session.Session, maxSteps int, strat func(types.Role) session.Strategy) error {
-	return s.enqueue(submission{sess: sess, maxSteps: maxSteps, strat: strat})
+	return s.enqueue(submission{sess: sess, maxSteps: maxSteps}, strat)
 }
 
 // GoSessionPooled is GoSession over recycled instances: instead of running
@@ -557,13 +557,16 @@ func (s *Scheduler) GoSession(sess *session.Session, maxSteps int, strat func(ty
 // keeps enqueues behind the recycle loop so the pool hits. deadline and
 // onDone are as for Go.
 func (s *Scheduler) GoSessionPooled(base *session.Session, maxSteps int, strat func(types.Role) session.Strategy, deadline time.Time, onDone func(error)) error {
-	return s.enqueue(submission{deadline: deadline, onDone: onDone, base: base, maxSteps: maxSteps, strat: strat})
+	return s.enqueue(submission{deadline: deadline, onDone: onDone, base: base, maxSteps: maxSteps}, strat)
 }
 
 // submission is one enqueue request as an entry point hands it to enqueue:
 // either raw steppers (Go, GoExternal), or a session for the scheduler to
 // build (GoSession's sess, or a recycled or fresh fork of GoSessionPooled's
-// base).
+// base). The strategy factory of a scheduler-built session travels beside
+// it, not in it: the job keeps onDone and the steppers, so every pointer in
+// a submission escapes, and a factory inside one would cost a caller that
+// passes a method value one heap closure per session.
 type submission struct {
 	deadline time.Time
 	onDone   func(error)
@@ -573,14 +576,13 @@ type submission struct {
 	base     *session.Session // pooled: instances are recycled keyed by base
 	sess     *session.Session // run as is, never recycled
 	maxSteps int
-	strat    func(types.Role) session.Strategy
 }
 
 // enqueue is the one submission path: closed check and job count, id and
 // round-robin worker, a Backlog slot and the job for scheduler-built
 // sessions, the deadline and its timer, then publication to the worker's
-// inbox.
-func (s *Scheduler) enqueue(sub submission) error {
+// inbox. strat is the strategy factory of a scheduler-built session.
+func (s *Scheduler) enqueue(sub submission, strat func(types.Role) session.Strategy) error {
 	built := sub.base != nil || sub.sess != nil
 	if !built && len(sub.steppers) == 0 {
 		return fmt.Errorf("sched: session with no tasks")
@@ -604,7 +606,7 @@ func (s *Scheduler) enqueue(sub submission) error {
 	w := s.workers[int(id)%len(s.workers)]
 	var j *job
 	if built {
-		b, err := s.admit(w, sub)
+		b, err := s.admit(w, sub, strat)
 		if err != nil {
 			s.jobs.Done()
 			return err
@@ -656,7 +658,7 @@ func (s *Scheduler) enqueue(sub submission) error {
 // a recycled one from w's free list when sub is pooled and one is there,
 // otherwise a fresh one. The wait and the free-list pop are one critical
 // section. On error the slot is released again.
-func (s *Scheduler) admit(w *worker, sub submission) (*bundle, error) {
+func (s *Scheduler) admit(w *worker, sub submission, strat func(types.Role) session.Strategy) (*bundle, error) {
 	w.mu.Lock()
 	for w.pending >= s.backlog {
 		w.prodCond.Wait()
@@ -670,7 +672,7 @@ func (s *Scheduler) admit(w *worker, sub submission) (*bundle, error) {
 	}
 	w.mu.Unlock()
 	if b != nil {
-		b = resetBundle(b, sub.maxSteps, sub.strat)
+		b = resetBundle(b, sub.maxSteps, strat)
 	}
 	if b == nil {
 		sess := sub.sess
@@ -679,7 +681,7 @@ func (s *Scheduler) admit(w *worker, sub submission) (*bundle, error) {
 			s.built.Add(1)
 		}
 		var err error
-		if b, err = newBundle(sub.base, sess, sub.maxSteps, sub.strat); err != nil {
+		if b, err = newBundle(sub.base, sess, sub.maxSteps, strat); err != nil {
 			w.mu.Lock()
 			w.pending--
 			w.prodCond.Signal()
