@@ -108,9 +108,13 @@ perf:
 
 # perf-smoke: each perfbench workload for 2 s. Every op is reference-
 # checked, so a run passes only when its last line reports "correct":true
-# and "failed":0; timings are not gated.
+# and "failed":0; timings are not gated. The workloads are the "name"s of
+# BENCHMARK.json's "workloads" array, read with sed, so a workload added
+# there is smoke-tested here without an edit.
 perf-smoke:
-	@for w in mux-inproc pingpong-unix verify-corpus; do \
+	@workloads="$$(sed -n '/"workloads"/,/^[[:space:]]*\],\{0,1\}$$/s/^[[:space:]]*"name": *"\([^"]*\)".*/\1/p' BENCHMARK.json)"; \
+	if [ -z "$$workloads" ]; then echo "perf-smoke: no workloads in BENCHMARK.json"; exit 1; fi; \
+	for w in $$workloads; do \
 		last="$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 | tail -n 1)"; \
 		echo "perf-smoke: $$w: $$last"; \
 		if ! grep -q '"correct":true' <<<"$$last" || ! grep -q '"failed":0[,}]' <<<"$$last"; then \

@@ -99,17 +99,6 @@ func (p *prefix) live() []fsm.Action {
 	return out
 }
 
-// liveLen returns the number of live transitions without allocating.
-func (p *prefix) liveLen() int {
-	n := 0
-	for i := p.start; i < len(p.entries); i++ {
-		if !p.entries[i].removed {
-			n++
-		}
-	}
-	return n
-}
-
 // liveEqualAt reports whether the live suffix now equals the live suffix at
 // the time snapshot s was taken. Entries present at snapshot time but lazily
 // removed since were live then, so they are compared against the snapshot

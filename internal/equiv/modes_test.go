@@ -2,7 +2,9 @@ package equiv
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -49,6 +51,44 @@ func TestModesReplayReferenceCut(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestModesTwelveRoleRing is the trace oracle past the eight roles any
+// workload has: a 12-role ring global (r00->r01:m. … r11->r00:m.end),
+// built through TopDown, replays its reference cut in every mode.
+func TestModesTwelveRoleRing(t *testing.T) {
+	var g strings.Builder
+	for i := range 12 {
+		fmt.Fprintf(&g, "r%02d->r%02d:m.", i, (i+1)%12)
+	}
+	g.WriteString("end")
+	base := mustSession(t, types.MustParseGlobal(g.String()))
+	if n := len(base.Roles()); n != 12 {
+		t.Fatalf("%d roles, want 12", n)
+	}
+	s := sched.New(sched.Options{Workers: 2, Quantum: 8})
+	defer s.Close()
+	budgets, ref, err := ReferenceRun(base, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, want := range ref {
+		if len(want) != 2 || budgets[r] != 2 {
+			t.Fatalf("%s: reference trace %v, want one receive and one send", r, want)
+		}
+	}
+	rec := func(types.Role) TraceRecorder { return &TraceStrategy{} }
+	for _, mode := range Modes {
+		t.Run(mode.String(), func(t *testing.T) {
+			got, err := Replay(base.Fork(), mode, budgets, rec, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(ref, got) {
+				t.Errorf("traces diverge from the reference:\n ref: %v\n got: %v", ref, got)
+			}
+		})
 	}
 }
 

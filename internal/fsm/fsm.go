@@ -101,13 +101,25 @@ func (m *FSM) AddState() State {
 func (m *FSM) AddTransition(from State, act Action, to State) error {
 	m.mustHave(from)
 	m.mustHave(to)
-	for _, t := range m.next[from] {
-		if t.Act.Dir == act.Dir && t.Act.Peer == act.Peer && t.Act.Label == act.Label {
-			return fmt.Errorf("fsm: duplicate action %s from state %d", act, from)
-		}
+	if Match(m.next[from], &act) >= 0 {
+		return fmt.Errorf("fsm: duplicate action %s from state %d", act, from)
 	}
 	m.next[from] = append(m.next[from], Transition{Act: act, To: to})
 	return nil
+}
+
+// Match returns the index in ts of the transition taking *act: the one with
+// its direction, peer and label (the sort is not compared), or -1. A
+// state's transitions differ in one of the three (AddTransition), so at
+// most one matches. act is a pointer so that the inlined call copies no
+// Action on the monitor's and the stepper's hot paths.
+func Match(ts []Transition, act *Action) int {
+	for i := range ts {
+		if ts[i].Act.Dir == act.Dir && ts[i].Act.Peer == act.Peer && ts[i].Act.Label == act.Label {
+			return i
+		}
+	}
+	return -1
 }
 
 // MustAddTransition is AddTransition but panics on error; for protocol tables

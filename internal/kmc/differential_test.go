@@ -93,6 +93,53 @@ func TestDifferentialFig7Families(t *testing.T) {
 	}
 }
 
+// TestCheckUpToMatchesCheck pins that CheckUpTo, which checks a failing
+// bound below its last for the verdict only, returns exactly what Check
+// returns at the bound it reports: at maxK itself, violation included, when
+// every bound fails. It runs the registry's systems, plain and (up to
+// referenceRoleCap roles) optimised, and the Fig. 7 families at every maxK
+// from 1 to 3.
+func TestCheckUpToMatchesCheck(t *testing.T) {
+	systems := map[string][]*fsm.FSM{}
+	for _, e := range append(protocols.Registry(), protocols.ExtraRegistry()...) {
+		systems[e.Name+"/plain"] = machinesOf(t, e.Locals)
+		if e.Participants <= referenceRoleCap {
+			systems[e.Name+"/system"] = machinesOf(t, e.System())
+			systems[e.Name+"/auto"] = machinesOf(t, e.AutoSystem())
+		}
+	}
+	for n := 1; n <= 4; n++ {
+		systems[fmt.Sprintf("streaming n=%d", n)] = protocols.StreamingUnrolledSystem(n)
+		systems[fmt.Sprintf("k-buffering n=%d", n)] = protocols.KBufferingSystem(n)
+		systems[fmt.Sprintf("nested-choice n=%d", n)] = protocols.NestedChoiceSystem(n)
+		systems[fmt.Sprintf("ring n=%d", n+1)] = protocols.RingNSystem(n + 1)
+	}
+	rejected := 0
+	for name, ms := range systems {
+		sys, err := kmc.NewSystem(ms...)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for maxK := 1; maxK <= 3; maxK++ {
+			k, got := kmc.CheckUpTo(sys, maxK)
+			if !got.OK {
+				rejected++
+				if k != maxK {
+					t.Errorf("%s: rejected CheckUpTo(%d) reports k=%d", name, maxK, k)
+				}
+			}
+			want := kmc.Check(sys, k)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: CheckUpTo(%d) = k=%d %+v %v, Check(%d) = %+v %v", name, maxK, k, got, got.Violation, k, want, want.Violation)
+			}
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("no system rejected: the comparison holds vacuously")
+	}
+	t.Logf("%d rejected checks", rejected)
+}
+
 // TestDifferentialProtofuzz runs both checkers over generated protocols,
 // projected and optimised with the fuzz pipeline's budget, at the bounds the
 // pipeline probes.

@@ -296,6 +296,23 @@ type explorer struct {
 	fire   []bool
 	fireAt []int32
 	work   []int32
+	// verdict marks a check whose caller reads only OK (CheckUpTo below
+	// its last bound): a violation is then unrendered, and the first
+	// unsafe configuration ends the check.
+	verdict bool
+}
+
+// unrendered is the violation a verdict-only check reports.
+var unrendered = &Violation{}
+
+// violation returns the violation kind by machine mi at the loaded
+// configuration, its detail formatted by detail, or unrendered in a
+// verdict-only check.
+func (e *explorer) violation(kind ViolationKind, mi int, detail func() string) *Violation {
+	if e.verdict {
+		return unrendered
+	}
+	return &Violation{Kind: kind, Role: e.s.roles[mi], Config: e.render(e.key), Detail: detail()}
 }
 
 // minSlots is the index size an exploration starts from.
@@ -607,13 +624,19 @@ func (e *explorer) explore(check bool) (int, *Violation) {
 func Check(s *System, k int) Result {
 	e := getExplorer()
 	defer putExplorer(e)
-	return e.check(s, max(k, 1))
+	return e.check(s, max(k, 1), false)
 }
 
-// check is Check on e's storage.
-func (e *explorer) check(s *System, k int) Result {
+// check is Check on e's storage. With verdict set only the result's OK
+// means anything: the check neither renders a violation nor explores past
+// an unsafe configuration.
+func (e *explorer) check(s *System, k int, verdict bool) Result {
 	e.reset(s, k)
+	e.verdict = verdict
 	at, unsafe := e.explore(true)
+	if verdict && unsafe != nil {
+		return Result{}
+	}
 	stuck, found := e.firstStuck()
 	if found && unsafe != nil {
 		e.explore(false)
@@ -635,12 +658,9 @@ func (e *explorer) safety(stuck int) *Violation {
 	if stuck >= 0 {
 		for _, st := range s.stepsAt(stuck, e.states[stuck]) {
 			if e.qlen[st.q] > 0 {
-				return &Violation{
-					Kind:   UnspecifiedReception,
-					Role:   s.roles[stuck],
-					Config: e.render(e.key),
-					Detail: fmt.Sprintf("queue %s->%s heads with %s, expected one of %s", s.roles[st.peer], s.roles[stuck], s.msgs[e.qhead[st.q]].label, expectedLabels(s.machines[stuck].Transitions(fsm.State(e.states[stuck])))),
-				}
+				return e.violation(UnspecifiedReception, stuck, func() string {
+					return fmt.Sprintf("queue %s->%s heads with %s, expected one of %s", s.roles[st.peer], s.roles[stuck], s.msgs[e.qhead[st.q]].label, expectedLabels(s.machines[stuck].Transitions(fsm.State(e.states[stuck]))))
+				})
 			}
 		}
 	}
@@ -656,7 +676,7 @@ func (e *explorer) safety(stuck int) *Violation {
 	case allFinal && queuesEmpty:
 		return nil // proper termination
 	case allFinal:
-		return &Violation{Kind: OrphanMessage, Role: s.roles[0], Config: e.render(e.key), Detail: "terminated with non-empty queues"}
+		return e.violation(OrphanMessage, 0, func() string { return "terminated with non-empty queues" })
 	}
 	// If some machine is blocked only by the queue bound (its send would
 	// fire with an unbounded queue), the failure is a k-exhaustivity
@@ -664,18 +684,15 @@ func (e *explorer) safety(stuck int) *Violation {
 	for mi := range e.n {
 		for _, tr := range s.machines[mi].Transitions(fsm.State(e.states[mi])) {
 			if tr.Act.Dir == fsm.Send {
-				return &Violation{
-					Kind:   NotExhaustive,
-					Role:   s.roles[mi],
-					Config: e.render(e.key),
-					Detail: fmt.Sprintf("system halts with send %s blocked by the bound", tr.Act),
-				}
+				return e.violation(NotExhaustive, mi, func() string {
+					return fmt.Sprintf("system halts with send %s blocked by the bound", tr.Act)
+				})
 			}
 		}
 	}
 	for mi := range e.n {
 		if len(s.stepsAt(mi, e.states[mi])) > 0 {
-			return &Violation{Kind: Deadlock, Role: s.roles[mi], Config: e.render(e.key), Detail: "no machine can move"}
+			return e.violation(Deadlock, mi, func() string { return "no machine can move" })
 		}
 	}
 	return nil
@@ -780,14 +797,14 @@ func (e *explorer) drains(mi, q int) {
 }
 
 func (e *explorer) notExhaustive(b blocked) *Violation {
+	if e.verdict {
+		return unrendered
+	}
 	e.load(b.config)
 	tr := e.s.machines[b.machine].Transitions(fsm.State(e.states[b.machine]))[b.trans]
-	return &Violation{
-		Kind:   NotExhaustive,
-		Role:   e.s.roles[b.machine],
-		Config: e.render(e.key),
-		Detail: fmt.Sprintf("send %s can never fire within bound %d", tr.Act, e.k),
-	}
+	return e.violation(NotExhaustive, int(b.machine), func() string {
+		return fmt.Sprintf("send %s can never fire within bound %d", tr.Act, e.k)
+	})
 }
 
 // render prints a configuration key for diagnostics.
@@ -825,14 +842,15 @@ func expectedLabels(ts []fsm.Transition) string {
 // the system is k-MC, mirroring how the k-MC tool is used in practice. It
 // returns the failing result for maxK when none succeeds. maxK below 1 is
 // taken as 1, as Check takes k. The explorations share one explorer's
-// storage.
+// storage; a failing k below maxK is checked for its verdict only, since
+// its result is not returned.
 func CheckUpTo(s *System, maxK int) (int, Result) {
 	maxK = max(maxK, 1)
 	e := getExplorer()
 	defer putExplorer(e)
 	var last Result
 	for k := 1; k <= maxK; k++ {
-		last = e.check(s, k)
+		last = e.check(s, k, k < maxK)
 		if last.OK {
 			return k, last
 		}

@@ -224,3 +224,12 @@ func GenerateProjectable(cfg Config, tries int) (types.Global, int, bool) {
 	}
 	return nil, tries, false
 }
+
+// deriveSeed mixes a retry counter into a base seed, so that one logical
+// seed names a deterministic sequence of proposals.
+func deriveSeed(base, i uint64) uint64 {
+	z := base ^ (i+1)*0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}

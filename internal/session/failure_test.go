@@ -222,7 +222,7 @@ func TestSendNCloseMidBatch(t *testing.T) {
 	a, b := n.Endpoint("a"), n.Endpoint("b")
 	done := make(chan error, 1)
 	go func() { done <- a.SendN("b", "v", []any{0, 1, 2, 3, 4}) }()
-	q, _ := a.outRoute("b")
+	q, _ := a.peerRoute(fsm.Send, "b")
 	for q.(*channel.Ring).Len() < 2 {
 		time.Sleep(time.Millisecond)
 	}

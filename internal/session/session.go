@@ -114,10 +114,9 @@ type route = channel.Substrate
 // Channels are persistent across the whole session, mirroring Rumpsteak's
 // reusable channels (no per-interaction allocation).
 //
-// Routes live in a dense table indexed by small-integer role ids (a
-// network-local interner assigns each role its index at construction), so
-// the send/receive hot path is an index computation instead of a
-// map[[2]Role] lookup.
+// Routes live in a dense table indexed by the roles' positions: an
+// endpoint sends on its row and receives on its column. A peer's position is
+// a linear scan of the roles, which beats a map at a protocol's few roles.
 //
 // Substrate selection (see package channel for the full table):
 //
@@ -139,14 +138,13 @@ type route = channel.Substrate
 // obtain independent producer handles onto one ring.
 type Network struct {
 	roles  []types.Role
-	index  map[types.Role]int // nil for small networks (linear scan wins)
-	routes []route            // row-major: routes[from*len(roles)+to]; nil diagonal
-	locals []channel.Local    // the routes' backing array on a single-owner network (newLocalNetwork)
+	routes []route         // row-major: routes[from*len(roles)+to]; nil diagonal
+	locals []channel.Local // the routes' backing array on a single-owner network (newLocalNetwork)
 
 	aborted atomic.Bool // a cause-carrying teardown already ran
 
 	mu  sync.Mutex
-	eps map[types.Role]*Endpoint // memoized per-role endpoints
+	eps []*Endpoint // memoized per-role endpoints, indexed like roles
 }
 
 // NewNetwork creates a network of unbounded lock-free rings connecting the
@@ -174,8 +172,9 @@ func NewBoundedNetwork(k int, roles ...types.Role) *Network {
 // per ordered role pair. This is the extension point for substrates the
 // session package does not construct itself: wrapped substrates such as
 // channel.Faulty (the fault-injection harness in internal/chaos builds its
-// networks this way) or future wire-backed routes. The substrate must
-// respect the SPSC discipline of the built-in networks if it is lock-free.
+// networks this way) and socket-backed routes (a netchan.Fabric's
+// RouteMaker). The substrate must respect the SPSC discipline of the
+// built-in networks if it is lock-free.
 func NewCustomNetwork(mk func() channel.Substrate, roles ...types.Role) *Network {
 	return newNetwork(roles, mk)
 }
@@ -194,20 +193,9 @@ func newLocalNetwork(roles ...types.Role) *Network {
 	return n
 }
 
-// internThreshold is the role count above which the interner uses a map;
-// below it a linear scan over the roles slice is faster (and allocation
-// free at construction).
-const internThreshold = 8
-
 func newNetwork(roles []types.Role, mk func() route) *Network {
 	k := len(roles)
 	n := &Network{roles: roles, routes: make([]route, k*k)}
-	if k > internThreshold {
-		n.index = make(map[types.Role]int, k)
-		for i, r := range roles {
-			n.index[r] = i
-		}
-	}
 	for i := range roles {
 		for j := range roles {
 			if i != j {
@@ -216,30 +204,6 @@ func newNetwork(roles []types.Role, mk func() route) *Network {
 		}
 	}
 	return n
-}
-
-// roleIndex returns the interned id of a role, or -1 if unknown.
-func (n *Network) roleIndex(r types.Role) int {
-	if n.index != nil {
-		if i, ok := n.index[r]; ok {
-			return i
-		}
-		return -1
-	}
-	for i, x := range n.roles {
-		if x == r {
-			return i
-		}
-	}
-	return -1
-}
-
-func (n *Network) queue(from, to types.Role) (route, error) {
-	i, j := n.roleIndex(from), n.roleIndex(to)
-	if i < 0 || j < 0 || i == j {
-		return nil, fmt.Errorf("session: no route %s -> %s", from, to)
-	}
-	return n.routes[i*len(n.roles)+j], nil
 }
 
 // closeAll closes every route, releasing any blocked sender or receiver with
@@ -327,20 +291,22 @@ func (n *Network) Close() { n.closeAll() }
 // role's single handle on its SPSC routes, so handing out two independent
 // producer handles would void the rings' one-sender contract. Exclusive use
 // of the one handle is the caller's (or TrySession's) responsibility, as
-// before.
+// before. A role the network does not know has no route to guard: it gets
+// a fresh endpoint whose every operation fails with "no route".
 func (n *Network) Endpoint(role types.Role) *Endpoint {
+	i := slices.Index(n.roles, role)
+	if i < 0 {
+		return &Endpoint{role: role, net: n, me: i}
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if e, ok := n.eps[role]; ok {
-		return e
-	}
-	e := &Endpoint{role: role, net: n}
-	e.resolveRoutes()
 	if n.eps == nil {
-		n.eps = make(map[types.Role]*Endpoint)
+		n.eps = make([]*Endpoint, len(n.roles))
 	}
-	n.eps[role] = e
-	return e
+	if n.eps[i] == nil {
+		n.eps[i] = &Endpoint{role: role, net: n, me: i}
+	}
+	return n.eps[i]
 }
 
 // Endpoint is one participant's handle on the network. Endpoints are not safe
@@ -348,20 +314,17 @@ func (n *Network) Endpoint(role types.Role) *Endpoint {
 type Endpoint struct {
 	role types.Role
 	net  *Network
-	// out and in are the endpoint's rows/columns of the network's dense
-	// route table, resolved once at creation so the hot path is a bounds
-	// check and an index instead of a map lookup. They are nil when the
-	// role is unknown to the network (all operations then fail in queue()).
-	out     []route // out[j]: route role -> roles[j]
-	in      []route // in[j]:  route roles[j] -> role
+	me   int // the role's position in net.roles; -1 if net does not know it
+	// rows is the monitored machine's route plan on net (routePlan), which
+	// a Stepper routes by; nil on an unmonitored endpoint.
+	rows    [][]int
 	scratch []channel.Message
 	mon     *Monitor
 	// inUse is the linearity guard. It is a CAS, not a plain flag: with
 	// memoized endpoints it is the enforcement of the SPSC rings'
 	// single-producer contract, so two concurrent TrySessions must not both
 	// get past it.
-	inUse  atomic.Bool
-	closed bool
+	inUse atomic.Bool
 	// deadline, when non-zero, bounds every blocking operation on the
 	// endpoint: Send/Receive/SendN/ReceiveN park on the route's wait
 	// between Try* probes with it, failing with a *TimeoutError once it
@@ -390,45 +353,38 @@ type Endpoint struct {
 // operations.
 func (e *Endpoint) SetDeadline(t time.Time) { e.deadline = t }
 
-// resolveRoutes caches the endpoint's route slices. Called at creation.
-func (e *Endpoint) resolveRoutes() {
-	i := e.net.roleIndex(e.role)
-	if i < 0 {
-		return
-	}
-	k := len(e.net.roles)
-	e.out = e.net.routes[i*k : (i+1)*k]
-	e.in = make([]route, k)
-	for j := range e.in {
-		e.in[j] = e.net.routes[j*k+i]
-	}
-}
-
 // Role returns the endpoint's role.
 func (e *Endpoint) Role() types.Role { return e.role }
 
 // Monitor returns the endpoint's monitor, or nil when unmonitored.
 func (e *Endpoint) Monitor() *Monitor { return e.mon }
 
-// outRoute resolves the route towards a peer on the fast path, falling back
-// to the error-reporting lookup for unknown peers.
-func (e *Endpoint) outRoute(to types.Role) (route, error) {
-	if j := e.net.roleIndex(to); j >= 0 && e.out != nil {
-		if q := e.out[j]; q != nil {
-			return q, nil
-		}
+// peerRoute returns the route the endpoint sends to peer on (dir
+// fsm.Send) or receives from peer on (fsm.Recv): row me of the route table
+// for a send, column me for a receive.
+func (e *Endpoint) peerRoute(dir fsm.Dir, peer types.Role) (route, error) {
+	if x := routeIndex(dir, e.me, slices.Index(e.net.roles, peer), len(e.net.roles)); x >= 0 {
+		return e.net.routes[x], nil
 	}
-	return e.net.queue(e.role, to)
+	from, to := e.role, peer
+	if dir == fsm.Recv {
+		from, to = peer, e.role
+	}
+	return nil, fmt.Errorf("session: no route %s -> %s", from, to)
 }
 
-// inRoute resolves the route from a peer, symmetric to outRoute.
-func (e *Endpoint) inRoute(from types.Role) (route, error) {
-	if j := e.net.roleIndex(from); j >= 0 && e.in != nil {
-		if q := e.in[j]; q != nil {
-			return q, nil
-		}
+// routeIndex returns the index in the route table of a network over k roles
+// of the route the role at position me sends to (dir fsm.Send) or receives
+// from (fsm.Recv) the role at position j, or -1 when there is none: either
+// position is -1 (a role the network does not know), or they are equal.
+func routeIndex(dir fsm.Dir, me, j, k int) int {
+	if dir == fsm.Recv {
+		me, j = j, me
 	}
-	return e.net.queue(from, e.role)
+	if me < 0 || j < 0 || me == j {
+		return -1
+	}
+	return me*k + j
 }
 
 // Send delivers label(value) to the given role. It never blocks on the
@@ -452,7 +408,7 @@ func (e *Endpoint) Send(to types.Role, label types.Label, value any) error {
 			return err
 		}
 		// A would-block probe resolved the route, so this lookup succeeds.
-		q, _ := e.outRoute(to)
+		q, _ := e.peerRoute(fsm.Send, to)
 		if q.WaitSend(e.deadline) == channel.ErrDeadline {
 			return &TimeoutError{Role: e.role, Op: "send", Peer: to}
 		}
@@ -472,7 +428,7 @@ func (e *Endpoint) Receive(from types.Role) (types.Label, any, error) {
 		if err != ErrWouldBlock {
 			return label, value, err
 		}
-		q, _ := e.inRoute(from)
+		q, _ := e.peerRoute(fsm.Recv, from)
 		if q.WaitRecv(e.deadline) == channel.ErrDeadline {
 			return "", nil, &TimeoutError{Role: e.role, Op: "receive", Peer: from}
 		}
@@ -490,7 +446,7 @@ func (e *Endpoint) Receive(from types.Role) (types.Label, any, error) {
 // scheduler").
 func (e *Endpoint) TrySendMsg(to types.Role, label types.Label, value any) error {
 	if e.mon == nil {
-		q, err := e.outRoute(to)
+		q, err := e.peerRoute(fsm.Send, to)
 		if err != nil {
 			return err
 		}
@@ -512,7 +468,7 @@ func (e *Endpoint) TrySendMsg(to types.Role, label types.Label, value any) error
 		e.mon.cur = start
 		return &SortError{Role: e.role, Act: fsm.Action{Dir: fsm.Send, Peer: to, Label: label, Sort: sort}, Value: value}
 	}
-	q, err := e.outRoute(to)
+	q, err := e.peerRoute(fsm.Send, to)
 	if err != nil {
 		e.mon.cur = start
 		return err
@@ -535,7 +491,7 @@ func (e *Endpoint) TrySendMsg(to types.Role, label types.Label, value any) error
 // after the substrate delivered a message (commit on success); an unexpected
 // label then faults the session rather than being silently consumed.
 func (e *Endpoint) TryRecvMsg(from types.Role) (types.Label, any, error) {
-	q, err := e.inRoute(from)
+	q, err := e.peerRoute(fsm.Recv, from)
 	if err != nil {
 		return "", nil, err
 	}
@@ -604,7 +560,7 @@ func (e *Endpoint) SendN(to types.Role, label types.Label, values []any) error {
 			}
 		}
 	}
-	q, err := e.outRoute(to)
+	q, err := e.peerRoute(fsm.Send, to)
 	if err != nil {
 		return err
 	}
@@ -643,7 +599,7 @@ func (e *Endpoint) ReceiveN(from types.Role, want types.Label, dst []any) error 
 	if len(dst) == 0 {
 		return nil
 	}
-	q, err := e.inRoute(from)
+	q, err := e.peerRoute(fsm.Recv, from)
 	if err != nil {
 		return err
 	}
@@ -675,6 +631,14 @@ func (e *Endpoint) ReceiveN(from types.Role, want types.Label, dst []any) error 
 		for i := got; i < got+n; i++ {
 			m := ms[i]
 			if m.Label != want {
+				// The message is consumed: the monitor steps over it, so a
+				// label the machine rejects is a *ProtocolError, as from
+				// TryRecvMsg.
+				if e.mon != nil {
+					if err := e.mon.step(fsm.Action{Dir: fsm.Recv, Peer: from, Label: m.Label}); err != nil {
+						return err
+					}
+				}
 				return fmt.Errorf("session: role %s expected label %s from %s, got %s (message %d of batch)", e.role, want, from, m.Label, i)
 			}
 			if e.mon != nil && !selfLoop {
@@ -726,10 +690,6 @@ func (e *Endpoint) ReceiveLabel(from types.Role, want types.Label) (any, error) 
 type Monitor struct {
 	fsm *fsm.FSM
 	cur fsm.State
-	// peers is the machine's route plan (see routePlan) when the monitor
-	// belongs to a session endpoint whose network keeps the session's role
-	// order; nil otherwise. A Stepper walking the machine routes by it.
-	peers [][]int
 }
 
 // NewMonitor returns a monitor at the machine's initial state.
@@ -751,13 +711,13 @@ func (m *Monitor) step(act fsm.Action) error {
 // stepSort is step, additionally returning the matched transition's declared
 // payload sort so that the endpoint can check the dynamic payload.
 func (m *Monitor) stepSort(act fsm.Action) (types.Sort, error) {
-	for _, t := range m.fsm.Transitions(m.cur) {
-		if t.Act.Dir == act.Dir && t.Act.Peer == act.Peer && t.Act.Label == act.Label {
-			m.cur = t.To
-			return t.Act.Sort, nil
-		}
+	ts := m.fsm.Transitions(m.cur)
+	i := fsm.Match(ts, &act)
+	if i < 0 {
+		return "", &ProtocolError{Role: m.fsm.Role(), State: m.cur, Action: act}
 	}
-	return "", &ProtocolError{Role: m.fsm.Role(), State: m.cur, Action: act}
+	m.cur = ts[i].To
+	return ts[i].Act.Sort, nil
 }
 
 // reset rewinds the monitor for a fresh session over the same protocol.
@@ -796,20 +756,15 @@ var ErrStopped = errors.New("session: process stopped deliberately")
 // Session is a verified protocol instance: a network plus one verified FSM
 // per role. Endpoints handed out by a Session are monitored.
 type Session struct {
-	net *Network
-	// roles, fsms and peers are fixed at verification and shared by every
-	// fork: roles is sorted once, so every fork's network indexes its roles
-	// alike and the per-role route plans in peers hold for all of them.
-	roles []types.Role
-	fsms  map[types.Role]*fsm.FSM
-	peers map[types.Role][][]int
+	net  *Network
+	plan *plan
 	// mk is the substrate constructor Rewire installed, which Fork reuses;
 	// nil while the session runs on the default network.
 	mk func(roles ...types.Role) *Network
 
 	mu sync.Mutex
-	// eps memoizes the monitored endpoints, indexed like roles; nil until
-	// the first Endpoint call.
+	// eps memoizes the monitored endpoints, indexed like plan.roles; nil
+	// until the first Endpoint call.
 	eps []*Endpoint
 	// notify is the hook SetNotify installed, which Abort runs once the
 	// routes are closed.
@@ -881,36 +836,41 @@ func BottomUp(k int, machines ...*fsm.FSM) (*Session, error) {
 	return newSession(fsms), nil
 }
 
-// newSession builds a session over the verified machines on the default
-// network, ordering its roles and resolving their route plans once for it
-// and all its forks.
-func newSession(fsms map[types.Role]*fsm.FSM) *Session {
-	roles := make([]types.Role, 0, len(fsms))
-	for r := range fsms {
-		roles = append(roles, r)
-	}
-	slices.Sort(roles)
-	peers := make(map[types.Role][][]int, len(fsms))
-	for r, m := range fsms {
-		peers[r] = routePlan(m, roles)
-	}
-	return &Session{net: NewNetwork(roles...), roles: roles, fsms: fsms, peers: peers}
+// plan is a verified protocol's role table, shared by the session and every
+// fork: the roles sorted once, and per position the role's verified machine
+// and its route plan on a network over roles, the order every fork's
+// network keeps.
+type plan struct {
+	roles []types.Role
+	fsms  []*fsm.FSM
+	rows  [][][]int
 }
 
-// routePlan resolves a machine's routes against a network's role order:
-// plan[s][i] is the index in roles of the peer of the machine's i-th
-// transition out of state s, or -1 when that peer has no route (it is not
-// in roles, or it is the machine's own role).
-func routePlan(m *fsm.FSM, roles []types.Role) [][]int {
+// newSession builds a session over the verified machines on the default
+// network, with the plan it and all its forks share.
+func newSession(fsms map[types.Role]*fsm.FSM) *Session {
+	p := &plan{roles: make([]types.Role, 0, len(fsms))}
+	for r := range fsms {
+		p.roles = append(p.roles, r)
+	}
+	slices.Sort(p.roles)
+	for _, r := range p.roles {
+		p.fsms = append(p.fsms, fsms[r])
+		p.rows = append(p.rows, routePlan(fsms[r], p.roles, len(p.rows)))
+	}
+	return &Session{net: NewNetwork(p.roles...), plan: p}
+}
+
+// routePlan resolves a machine's routes for the endpoint at position me of
+// a network over roles: plan[s][i] is the routeIndex of the i-th transition
+// out of state s.
+func routePlan(m *fsm.FSM, roles []types.Role, me int) [][]int {
 	plan := make([][]int, m.NumStates())
 	for s := range plan {
 		ts := m.Transitions(fsm.State(s))
 		row := make([]int, len(ts))
 		for i, t := range ts {
-			row[i] = -1
-			if t.Act.Peer != m.Role() {
-				row[i] = slices.Index(roles, t.Act.Peer)
-			}
+			row[i] = routeIndex(t.Act.Dir, me, slices.Index(roles, t.Act.Peer), len(roles))
 		}
 		plan[s] = row
 	}
@@ -919,7 +879,7 @@ func routePlan(m *fsm.FSM, roles []types.Role) [][]int {
 
 // Roles returns the session's participants, in the order fixed at
 // verification: the same for the session and every fork of it.
-func (s *Session) Roles() []types.Role { return append([]types.Role(nil), s.roles...) }
+func (s *Session) Roles() []types.Role { return slices.Clone(s.plan.roles) }
 
 // Rewire replaces the session's network with one built by mk over the same
 // roles, and returns the session. Verification is untouched — the point is
@@ -934,14 +894,19 @@ func (s *Session) Rewire(mk func(roles ...types.Role) *Network) *Session {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.mk = mk
-	s.net = mk(s.roles...)
+	s.net = mk(s.plan.roles...)
 	s.eps = nil
 	return s
 }
 
 // FSM returns the verified machine for a role, or nil if the role is
 // unknown.
-func (s *Session) FSM(role types.Role) *fsm.FSM { return s.fsms[role] }
+func (s *Session) FSM(role types.Role) *fsm.FSM {
+	if i := slices.Index(s.plan.roles, role); i >= 0 {
+		return s.plan.fsms[i]
+	}
+	return nil
+}
 
 // Fork returns a fresh instance of the same verified protocol: the machines
 // (and the verification they passed) are shared, the network and endpoints
@@ -976,7 +941,7 @@ func (s *Session) forkOr(def func(roles ...types.Role) *Network) *Session {
 	if mk != nil {
 		build = mk
 	}
-	return &Session{net: build(s.roles...), roles: s.roles, fsms: s.fsms, peers: s.peers, mk: mk}
+	return &Session{net: build(s.plan.roles...), plan: s.plan, mk: mk}
 }
 
 // Reset restores a finished (or aborted) instance for reuse: every route of
@@ -1011,25 +976,23 @@ func (s *Session) Reset() bool {
 // the SPSC single-producer contract); TrySession guards its exclusive use
 // and resets the monitor between sessions.
 func (s *Session) Endpoint(role types.Role) (*Endpoint, error) {
-	m, ok := s.fsms[role]
-	if !ok {
+	i := slices.Index(s.plan.roles, role)
+	if i < 0 {
 		return nil, fmt.Errorf("session: unknown role %s", role)
 	}
-	i := slices.Index(s.roles, role)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.eps == nil {
-		s.eps = make([]*Endpoint, len(s.roles))
+		s.eps = make([]*Endpoint, len(s.plan.roles))
 	}
 	if ep := s.eps[i]; ep != nil {
 		return ep, nil
 	}
-	mon := NewMonitor(m)
-	if slices.Equal(s.net.roles, s.roles) {
-		mon.peers = s.peers[role]
+	m := s.plan.fsms[i]
+	ep := &Endpoint{role: role, net: s.net, me: slices.Index(s.net.roles, role), mon: NewMonitor(m), rows: s.plan.rows[i]}
+	if !slices.Equal(s.net.roles, s.plan.roles) {
+		ep.rows = routePlan(m, s.net.roles, ep.me)
 	}
-	ep := &Endpoint{role: role, net: s.net, mon: mon}
-	ep.resolveRoutes()
 	s.eps[i] = ep
 	return ep, nil
 }

@@ -2,6 +2,8 @@ package session
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -458,6 +460,73 @@ func TestReceiveNFaultsPromptlyMidBatch(t *testing.T) {
 	}
 }
 
+// TestReceiveNRejectedLabelIsProtocolError pins that a monitored ReceiveN
+// fails a label its machine does not accept with the *ProtocolError
+// TryRecvMsg returns for the same message, and that a label the machine
+// accepts but the batch did not ask for moves the monitor over it: the
+// message is consumed either way.
+func TestReceiveNRejectedLabelIsProtocolError(t *testing.T) {
+	mb := fsm.MustFromLocal("b", types.MustParse("mu t.a?v(i32).t"))
+	n := NewNetwork("a", "b")
+	a, eb := n.Endpoint("a"), monitoredEndpoint("b", n, mb)
+	a.Send("b", "v", int32(0))
+	a.Send("b", "bogus", int32(1))
+	err := eb.ReceiveN("a", "v", make([]any, 2))
+	var pe *ProtocolError
+	if !errors.As(err, &pe) || pe.Action.Label != "bogus" || pe.Action.Peer != "a" || pe.Action.Dir != fsm.Recv {
+		t.Fatalf("ReceiveN of a rejected label = %v, want a *ProtocolError for a?bogus", err)
+	}
+
+	mc := fsm.MustFromLocal("c", types.MustParse("a?{x.end, y.end}"))
+	n = NewNetwork("a", "c")
+	ec := monitoredEndpoint("c", n, mc)
+	n.Endpoint("a").Send("c", "y", nil)
+	if err := ec.ReceiveN("a", "x", make([]any, 1)); err == nil || errors.As(err, &pe) {
+		t.Fatalf("ReceiveN of an accepted but unwanted label = %v, want a label mismatch", err)
+	}
+	if !ec.Monitor().Terminal() {
+		t.Errorf("monitor did not step over the consumed message: state %d", ec.Monitor().State())
+	}
+}
+
+// TestNetworkRoutesEveryPairBeyondEightRoles pins routing by role position
+// past the eight roles the workloads use: on a 12-role network every
+// ordered pair's Send reaches that pair's Receive, and no other route.
+func TestNetworkRoutesEveryPairBeyondEightRoles(t *testing.T) {
+	roles := make([]types.Role, 12)
+	for i := range roles {
+		roles[i] = types.Role(fmt.Sprintf("r%02d", i))
+	}
+	n := NewNetwork(roles...)
+	for _, from := range roles {
+		for _, to := range roles {
+			if from != to {
+				if err := n.Endpoint(from).Send(to, types.Label(from+"-"+to), nil); err != nil {
+					t.Fatalf("%s -> %s: %v", from, to, err)
+				}
+			}
+		}
+	}
+	for _, to := range roles {
+		ep := n.Endpoint(to)
+		for _, from := range roles {
+			if from == to {
+				continue
+			}
+			label, _, err := ep.TryRecvMsg(from)
+			if err != nil || label != types.Label(from+"-"+to) {
+				t.Fatalf("%s receiving from %s = (%q, %v), want %s-%s", to, from, label, err, from, to)
+			}
+			if _, _, err := ep.TryRecvMsg(from); err != ErrWouldBlock {
+				t.Fatalf("%s receiving from %s again = %v, want ErrWouldBlock", to, from, err)
+			}
+		}
+	}
+	if err := n.Endpoint("r99").Send("r00", "x", nil); err == nil {
+		t.Error("send from a role the network does not know accepted")
+	}
+}
+
 func TestRewireBoundedNetwork(t *testing.T) {
 	// A 1-MC system rewired onto a 1-bounded ring network must still run to
 	// completion (the execution-level counterpart of the k-MC guarantee).
@@ -568,9 +637,7 @@ func TestBoundedNetworkRunsKMCSystem(t *testing.T) {
 }
 
 // monitoredEndpoint builds a monitored endpoint for role on n outside any
-// Session, with its routes resolved as Network.Endpoint resolves them.
+// Session, placed on the network as Network.Endpoint places it.
 func monitoredEndpoint(role types.Role, n *Network, m *fsm.FSM) *Endpoint {
-	e := &Endpoint{role: role, net: n, mon: NewMonitor(m)}
-	e.resolveRoutes()
-	return e
+	return &Endpoint{role: role, net: n, me: slices.Index(n.roles, role), mon: NewMonitor(m)}
 }

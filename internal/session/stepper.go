@@ -26,8 +26,10 @@ import (
 // the strategy's payload must inhabit the transition's sort (*SortError)
 // and a received label must be one the state accepts (*ProtocolError) — and
 // moves the monitor to its own state after every committed action, so
-// Monitor.State and the ErrIncomplete check keep their meaning. Routes come
-// from the session's route plan, resolved once per verified protocol.
+// Monitor.State and the ErrIncomplete check keep their meaning. Every
+// action is routed by a route plan row: the session's shared one when the
+// network keeps the session's role order, else one built when the endpoint
+// (or, unmonitored, the stepper) is created.
 //
 // Lifecycle: NewStepper claims the endpoint (the TrySession linearity CAS)
 // and Step releases it when the protocol completes, faults, or exhausts its
@@ -53,10 +55,8 @@ type Stepper struct {
 	pending        int
 	pendingPayload any
 
-	e *Endpoint
-	// peers is e's monitor's route plan; nil routes every action by role
-	// lookup.
-	peers    [][]int
+	e        *Endpoint
+	rows     [][]int // m's route plan on e's network (routePlan)
 	finished bool
 	claimed  bool // finish releases e's claim (NewStepper); Drive's runs under its caller's
 	sent     bool // the last committed action was a send (Sent)
@@ -94,9 +94,9 @@ func newStepper(e *Endpoint, m *fsm.FSM, strat Strategy, maxSteps int) (*Stepper
 	if e.mon != nil && e.mon.fsm != m {
 		return nil, fmt.Errorf("%w: role %s", ErrForeignMachine, e.role)
 	}
-	st := &Stepper{m: m, strat: strat, cur: m.Initial(), maxSteps: maxSteps, pending: -1, e: e}
-	if e.mon != nil {
-		st.peers = e.mon.peers
+	st := &Stepper{m: m, strat: strat, cur: m.Initial(), maxSteps: maxSteps, pending: -1, e: e, rows: e.rows}
+	if st.rows == nil {
+		st.rows = routePlan(m, e.net.roles, e.me)
 	}
 	return st, nil
 }
@@ -223,16 +223,15 @@ func (s *Stepper) decide(ts []fsm.Transition) (*fsm.Transition, any, error) {
 // the machine does not accept there is a *ProtocolError, as from a monitor.
 func (s *Stepper) received(ts []fsm.Transition, label types.Label, value any) error {
 	act := fsm.Action{Dir: fsm.Recv, Peer: ts[0].Act.Peer, Label: label}
-	for i := range ts {
-		if ts[i].Act.Label == label && ts[i].Act.Dir == act.Dir && ts[i].Act.Peer == act.Peer {
-			s.strat.Received(ts[i].Act, value)
-			s.cur = ts[i].To
-			s.steps++
-			s.sent = false
-			return nil
-		}
+	i := fsm.Match(ts, &act)
+	if i < 0 {
+		return &ProtocolError{Role: s.m.Role(), State: s.cur, Action: act}
 	}
-	return &ProtocolError{Role: s.m.Role(), State: s.cur, Action: act}
+	s.strat.Received(ts[i].Act, value)
+	s.cur = ts[i].To
+	s.steps++
+	s.sent = false
+	return nil
 }
 
 // send offers the decided output t (the pending transition), carrying v, to
@@ -269,21 +268,13 @@ func (s *Stepper) recv(t *fsm.Transition) (channel.Message, error) {
 }
 
 // route returns the substrate carrying t, the i-th transition out of the
-// current state: an index into the endpoint's route row by the route plan,
-// or a lookup by role on endpoints without one.
+// current state: the route table entry the route plan row names. A -1
+// entry is a route the network lacks, which peerRoute reports.
 func (s *Stepper) route(i int, t *fsm.Transition) (route, error) {
-	if s.peers != nil {
-		if j := s.peers[s.cur][i]; j >= 0 {
-			if t.Act.Dir == fsm.Send {
-				return s.e.out[j], nil
-			}
-			return s.e.in[j], nil
-		}
+	if x := s.rows[s.cur][i]; x >= 0 {
+		return s.e.net.routes[x], nil
 	}
-	if t.Act.Dir == fsm.Send {
-		return s.e.outRoute(t.Act.Peer)
-	}
-	return s.e.inRoute(t.Act.Peer)
+	return s.e.peerRoute(t.Act.Dir, t.Act.Peer)
 }
 
 // wait parks on the one route the last Step refused on — a send's is fixed
@@ -340,12 +331,12 @@ var ErrStepperDone = fmt.Errorf("session: stepper already finished")
 // goroutine. If any claim fails, the steppers already claimed are aborted,
 // so every endpoint of the session is claimable again.
 func (s *Session) Steppers(strat func(types.Role) Strategy, budget func(types.Role) int) ([]*Stepper, error) {
-	steppers := make([]*Stepper, 0, len(s.roles))
-	for _, r := range s.roles {
+	steppers := make([]*Stepper, 0, len(s.plan.roles))
+	for i, r := range s.plan.roles {
 		ep, err := s.Endpoint(r)
 		if err == nil {
 			var st *Stepper
-			if st, err = NewStepper(ep, s.FSM(r), strat(r), budget(r)); err == nil {
+			if st, err = NewStepper(ep, s.plan.fsms[i], strat(r), budget(r)); err == nil {
 				steppers = append(steppers, st)
 				continue
 			}

@@ -160,7 +160,7 @@ func TestForkLocalRoutes(t *testing.T) {
 	}
 	routeOf := func(s *Session) channel.Substrate {
 		t.Helper()
-		q, err := s.net.queue("a", "b")
+		q, err := s.net.Endpoint("a").peerRoute(fsm.Send, "b")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/channel"
+	"repro/internal/fsm"
 	"repro/internal/types"
 )
 
@@ -47,7 +48,7 @@ func UncheckedForCodegen(e *Endpoint) Unchecked { return Unchecked{e: e} }
 // per-transition face generated code caches at session start so the steady
 // state pays no role lookup at all — just the substrate's Send.
 func (u Unchecked) To(peer types.Role) (UncheckedSend, error) {
-	q, err := u.e.outRoute(peer)
+	q, err := u.e.peerRoute(fsm.Send, peer)
 	if err != nil {
 		return UncheckedSend{}, err
 	}
@@ -56,7 +57,7 @@ func (u Unchecked) To(peer types.Role) (UncheckedSend, error) {
 
 // From resolves the route from a peer once, symmetric to To.
 func (u Unchecked) From(peer types.Role) (UncheckedRecv, error) {
-	q, err := u.e.inRoute(peer)
+	q, err := u.e.peerRoute(fsm.Recv, peer)
 	if err != nil {
 		return UncheckedRecv{}, err
 	}

@@ -279,8 +279,9 @@ func TestForkKeepsRoleOrder(t *testing.T) {
 }
 
 // TestStepperRoutesWithoutPlanOnReorderedNetwork pins the route plan's
-// guard: a network that does not keep the session's role order gets no
-// plan, and its steppers still route every action correctly.
+// guard: a network that does not keep the session's role order does not
+// get the session's shared plan rows but rows built for its own order, and
+// its steppers still route every action correctly.
 func TestStepperRoutesWithoutPlanOnReorderedNetwork(t *testing.T) {
 	sess := streamingSession(t)
 	sess.Rewire(func(roles ...types.Role) *Network {
@@ -290,8 +291,8 @@ func TestStepperRoutesWithoutPlanOnReorderedNetwork(t *testing.T) {
 	})
 	st := steppersFor(t, sess, map[types.Role]Strategy{"s": &streamValues{v: int32(1), left: 5}, "t": FirstBranch{}})
 	for r, s := range st {
-		if s.peers != nil {
-			t.Fatalf("role %s: route plan attached over a reordered network", r)
+		if sharesRows(s.rows, sess.plan.rows[slices.Index(sess.plan.roles, r)]) {
+			t.Fatalf("role %s: the session's route plan attached over a reordered network", r)
 		}
 	}
 	runLockstep(t, []*Stepper{st["s"], st["t"]}, func(*Stepper) {})
@@ -304,7 +305,10 @@ func TestStepperRoutesWithoutPlanOnReorderedNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ep.mon.peers == nil {
-		t.Fatalf("fork endpoint has no route plan")
+	if !sharesRows(ep.rows, plain.plan.rows[slices.Index(plain.plan.roles, "s")]) {
+		t.Fatalf("fork endpoint does not route by the session's route plan")
 	}
 }
+
+// sharesRows reports whether two route plans are one plan, not copies.
+func sharesRows(a, b [][]int) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }

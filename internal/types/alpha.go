@@ -75,43 +75,3 @@ func alphaBranches(as, bs []Branch, env *binding) bool {
 	}
 	return true
 }
-
-func alphaGlobal(a, b Global, env *binding) bool {
-	switch a := a.(type) {
-	case GEnd:
-		_, ok := b.(GEnd)
-		return ok
-	case GVar:
-		bv, ok := b.(GVar)
-		if !ok {
-			return false
-		}
-		bound, matched := env.lookup(a.Name, bv.Name)
-		if bound {
-			return matched
-		}
-		return a.Name == bv.Name
-	case GRec:
-		br, ok := b.(GRec)
-		if !ok {
-			return false
-		}
-		return alphaGlobal(a.Body, br.Body, &binding{a: a.Name, b: br.Name, next: env})
-	case Comm:
-		bc, ok := b.(Comm)
-		if !ok || bc.From != a.From || bc.To != a.To || len(bc.Branches) != len(a.Branches) {
-			return false
-		}
-		for i := range a.Branches {
-			if a.Branches[i].Label != bc.Branches[i].Label || normSort(a.Branches[i].Sort) != normSort(bc.Branches[i].Sort) {
-				return false
-			}
-			if !alphaGlobal(a.Branches[i].Cont, bc.Branches[i].Cont, env) {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
-	}
-}
