@@ -122,16 +122,19 @@ perf-smoke:
 	done
 
 # fuzz-smoke: the wire-format fuzzers — the Scribble parse→format→parse
-# round trip and the wire codec encode→decode round trip — plus the
-# whole-stack differential fuzzer (parse → project → k-MC → certified
-# optimisation → codegen → three-mode execution → guided replay), for
-# FUZZ_TIME each. CI runs the default 30s per target; the nightly workflow
-# stretches the same targets to minutes.
+# round trip and the wire codec encode→decode round trip — the whole-stack
+# differential fuzzer (parse → project → k-MC → certified optimisation →
+# codegen → three-mode execution → guided replay), and the codegen names
+# fuzzer (arbitrary role and label names and sort bindings must be refused
+# or generate source that parses), for FUZZ_TIME each. CI runs the default
+# 30s per target; the nightly workflow stretches the same targets to
+# minutes.
 FUZZ_TIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzScribbleRoundTrip -fuzztime $(FUZZ_TIME) ./internal/scribble
 	$(GO) test -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime $(FUZZ_TIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzPipeline -fuzztime $(FUZZ_TIME) ./internal/protofuzz
+	$(GO) test -run '^$$' -fuzz FuzzGenerateNames -fuzztime $(FUZZ_TIME) ./internal/codegen
 
 # net-smoke: the CI network job — build cmd/sessnet, then run the
 # multi-process demo (one OS process per role, Unix sockets) over every

@@ -43,6 +43,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"go/parser"
 	"go/token"
 	"log"
 	"os"
@@ -129,6 +130,12 @@ func main() {
 	}
 	if err != nil {
 		log.Fatal(err)
+	}
+	// Generate's output parses by construction; sessgen writes it once, so
+	// it also parses it whole before writing. A failure is a generator bug,
+	// reported with the raw source.
+	if _, err := parser.ParseFile(token.NewFileSet(), "", src, parser.SkipObjectResolution); err != nil {
+		log.Fatalf("codegen: generated source does not parse: %v\n%s", err, src)
 	}
 
 	if *stdout {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"go/parser"
 	"go/token"
 	"slices"
 	"strconv"
@@ -155,8 +154,13 @@ func unknownSortsErr(proto string, bad []types.Sort) error {
 // machines. Machines must be directed (the shape of machines derived from
 // local session types). Output is deterministic and gofmt-canonical by
 // construction: the emitter writes gofmt's layout itself (see aligned), so
-// no re-print pass runs. The emitted source is still parsed before it is
-// returned, and a parse failure is reported with the raw source attached.
+// no re-print pass runs. It parses by construction too, so Generate does
+// not parse it: the fixed text is balanced Go, and the varying text is
+// identifiers from exportIdent (never keywords), the checked package name,
+// strconv.Quote'd strings, escaped comment text (pf's %c), and sort
+// bindings that types.RegisterSort parsed once in every position emitted
+// here. Whole-file parses run in the tests (TestGenerateIsGofmtCanonical,
+// FuzzGenerateNames, goldens), the protofuzz pipeline and cmd/sessgen.
 func Generate(proto string, fsms map[types.Role]*fsm.FSM, opts Options) ([]byte, error) {
 	if opts.Package == "" {
 		return nil, fmt.Errorf("codegen: Options.Package is required")
@@ -172,13 +176,7 @@ func Generate(proto string, fsms map[types.Role]*fsm.FSM, opts Options) ([]byte,
 		return nil, err
 	}
 	g.emit()
-	src := g.b.Bytes()
-	if _, err := parser.ParseFile(token.NewFileSet(), "", src, parser.SkipObjectResolution); err != nil {
-		// A parse failure is a generator bug; surface the raw source to make
-		// it debuggable.
-		return nil, fmt.Errorf("codegen: generated source does not parse: %w\n%s", err, src)
-	}
-	return src, nil
+	return g.b.Bytes(), nil
 }
 
 // generator holds the prepared, deterministic model of the emitted package.
@@ -232,7 +230,7 @@ type peerGen struct {
 type stateGen struct {
 	num   string // the state number
 	name  string // the emitted type name, e.g. "S3"
-	ref   string // the name qualified by the package, see stateRef
+	ref   string // qualified by the package, e.g. "streaming.B2", for stamp faults
 	trans []transGen
 }
 
@@ -258,8 +256,8 @@ func (g *generator) prepare() error {
 	g.names = make(map[string]owner, names)
 	g.idents = make(map[string]string, len(roles))
 	g.extraImports = map[string]bool{}
+	g.sorts = map[types.Sort]*sortGen{}
 	labelSet := map[types.Label]bool{}
-	labelIdents := map[string]types.Label{}
 
 	for _, role := range roles {
 		m := g.fsms[role]
@@ -270,7 +268,7 @@ func (g *generator) prepare() error {
 			return fmt.Errorf("codegen: machine for %s is not directed; state-pattern APIs need local-type-shaped machines", role)
 		}
 		rg := &roleGen{role: role, ident: g.export(string(role))}
-		rg.ep = unexportIdent(rg.ident) + "Ep"
+		rg.ep = mapFirstRune(rg.ident, unicode.ToLower) + "Ep"
 		rg.newEp = "new" + exportIdent(rg.ep)
 		if lt, err := fsm.ToLocal(m); err == nil {
 			rg.local = lt.String()
@@ -306,7 +304,7 @@ func (g *generator) prepare() error {
 			}
 			ts := m.Transitions(s)
 			st := stateGen{num: strconv.Itoa(int(s)), name: name[s], trans: make([]transGen, len(ts))}
-			st.ref = g.stateRef(st.name)
+			st.ref = g.opts.Package + "." + st.name
 			for i := range ts {
 				t := &ts[i]
 				if !types.KnownSort(t.Act.Sort) {
@@ -369,12 +367,8 @@ func (g *generator) prepare() error {
 	}
 	slices.SortFunc(g.labels, func(a, b labelGen) int { return strings.Compare(string(a.label), string(b.label)) })
 	for _, l := range g.labels {
-		id := "Label" + l.ident
-		if prev, ok := labelIdents[id]; ok && prev != l.label {
-			return fmt.Errorf("%w: labels %q and %q both mangle to %s", ErrIdentCollision, prev, l.label, id)
-		}
-		labelIdents[id] = l.label
-		if err := g.reserve(id, owner{what: "label ", name: string(l.label)}); err != nil {
+		// Two labels that mangle alike collide here too.
+		if err := g.reserve("Label"+l.ident, owner{what: "label ", name: string(l.label)}); err != nil {
 			return err
 		}
 	}
@@ -401,9 +395,6 @@ func (g *generator) sortOf(s types.Sort) *sortGen {
 	sg.goType, sg.conv = sortGo(s)
 	if info, ok := types.LookupSort(s); ok && info.Import != "" {
 		g.extraImports[info.Import] = true
-	}
-	if g.sorts == nil {
-		g.sorts = map[types.Sort]*sortGen{}
 	}
 	g.sorts[s] = sg
 	return sg
@@ -470,7 +461,9 @@ func (g *generator) size() int {
 
 // pf appends format to the output with its verbs replaced by args in
 // order. It knows only the verbs the emitter uses: %s writes the argument,
-// %q writes it quoted as fmt's %q does (strconv.Quote).
+// %q writes it quoted as fmt's %q does (strconv.Quote), %c writes it as
+// comment text (comment). Role names, label names and the texts built from
+// them take %q or %c, never %s.
 func (g *generator) pf(format string, args ...string) {
 	for {
 		i := strings.IndexByte(format, '%')
@@ -486,11 +479,31 @@ func (g *generator) pf(format string, args ...string) {
 			g.b.WriteString(args[0])
 		case 'q':
 			g.b.Write(strconv.AppendQuote(g.b.AvailableBuffer(), args[0]))
+		case 'c':
+			g.comment(args[0])
 		default:
 			panic("codegen: pf verb %" + string(verb) + " unsupported")
 		}
 		args = args[1:]
 	}
+}
+
+// comment writes s as the text of a // comment. A newline would end the
+// comment, and go/scanner refuses a NUL, a byte order mark or invalid
+// UTF-8 anywhere in it, so each of those is written as its Go escape
+// (\n, \x00, \ufeff, \xff); every other rune is written as is.
+func (g *generator) comment(s string) {
+	for i, r := range s {
+		if r == '\n' || r == 0 || r == '\uFEFF' || r == utf8.RuneError {
+			_, n := utf8.DecodeRuneInString(s[i:])
+			q := strconv.Quote(s[i : i+n])
+			g.b.WriteString(s[:i])
+			g.b.WriteString(q[1 : len(q)-1])
+			g.comment(s[i+n:])
+			return
+		}
+	}
+	g.b.WriteString(s)
 }
 
 // aligned writes a run of tab-indented "name rest" rows the way gofmt lays
@@ -609,15 +622,15 @@ func procResult(rg *roleGen) string {
 }
 
 func (g *generator) emitRole(rg *roleGen) {
-	g.pf("// ---- role %s ----\n", string(rg.role))
+	g.pf("// ---- role %c ----\n", string(rg.role))
 	if rg.local != "" {
-		g.pf("//\n// Verified machine: %s\n", rg.local)
+		g.pf("//\n// Verified machine: %c\n", rg.local)
 	}
 	g.pf("\n")
 
 	// Endpoint core: shared stamp counter plus route-bound monitor-free
 	// senders and receivers, resolved once at session start.
-	g.pf("// %s is role %s's session core: the shared one-shot stamp counter and the\n// pre-resolved monitor-free routes.\n", rg.ep, string(rg.role))
+	g.pf("// %s is role %c's session core: the shared one-shot stamp counter and the\n// pre-resolved monitor-free routes.\n", rg.ep, string(rg.role))
 	g.pf("type %s struct {\n", rg.ep)
 	rows := make([][4]string, 0, 1+len(rg.sendPeers)+len(rg.recvPeers))
 	rows = append(rows, [4]string{"c", "", "*genrt.Core", ""})
@@ -641,7 +654,7 @@ func (g *generator) emitRole(rg *roleGen) {
 
 	// Runner.
 	if rg.terminating {
-		g.pf("// Run%s runs f as role %s on net with exclusive endpoint ownership. f is\n", rg.ident, string(rg.role))
+		g.pf("// Run%s runs f as role %c on net with exclusive endpoint ownership. f is\n", rg.ident, string(rg.role))
 		g.pf("// handed the initial state and must return the End value: completion of the\n// protocol is witnessed by the live terminal state, not assumed.\n")
 		g.pf("func Run%s(net *session.Network, f func(%s) %s) error {\n", rg.ident, rg.init, procResult(rg))
 		g.pf("\treturn genrt.Session(net, Role%s, func(c *genrt.Core) error {\n", rg.ident)
@@ -649,7 +662,7 @@ func (g *generator) emitRole(rg *roleGen) {
 		g.pf("\t\tend, err := f(%s{ep: ep, st: c.Init()})\n\t\tif err != nil {\n\t\t\treturn err\n\t\t}\n", rg.init)
 		g.pf("\t\treturn genrt.Finish(c, end.st)\n\t})\n}\n\n")
 	} else {
-		g.pf("// Run%s runs f as role %s on net with exclusive endpoint ownership. The\n", rg.ident, string(rg.role))
+		g.pf("// Run%s runs f as role %c on net with exclusive endpoint ownership. The\n", rg.ident, string(rg.role))
 		g.pf("// protocol is infinite (no terminal state is reachable), so completion\n// cannot be witnessed: f stops deliberately by returning, and callers bound\n// iteration counts so all roles stop consistently.\n")
 		g.pf("func Run%s(net *session.Network, f func(%s) error) error {\n", rg.ident, rg.init)
 		g.pf("\treturn genrt.Session(net, Role%s, func(c *genrt.Core) error {\n", rg.ident)
@@ -659,7 +672,7 @@ func (g *generator) emitRole(rg *roleGen) {
 
 	// End type.
 	if rg.terminating {
-		g.pf("// %sEnd is role %s's terminal state: obtaining it is only possible by\n// driving the session to completion, and returning it from the process\n// witnesses that completion to Run%s.\n", rg.ident, string(rg.role), rg.ident)
+		g.pf("// %sEnd is role %c's terminal state: obtaining it is only possible by\n// driving the session to completion, and returning it from the process\n// witnesses that completion to Run%s.\n", rg.ident, string(rg.role), rg.ident)
 		g.pf("type %sEnd struct {\n\tep *%s\n\tst genrt.St\n}\n\n", rg.ident, rg.ep)
 	}
 
@@ -669,26 +682,18 @@ func (g *generator) emitRole(rg *roleGen) {
 	}
 }
 
-// stateRef renders a state type's name as it appears in the runtime
-// linearity faults of the genrt transition helpers: qualified by the
-// generated package name, e.g. "streaming.B2", so a dynamic violation points
-// at the violating state.
-func (g *generator) stateRef(state string) string {
-	return g.opts.Package + "." + state
-}
-
 func (g *generator) emitState(rg *roleGen, st *stateGen) {
 	// The //sessgen:state directive is the marker contract with sessvet
 	// (internal/lint): analyzers recognise state types structurally by the
 	// genrt.St stamp field, and the directive makes the contract visible to
 	// humans and other tools without hardcoding package paths. The doc
 	// comment lists the state's outgoing edges.
-	g.pf("// %s is role %s's protocol state %s: ", st.name, string(rg.role), st.num)
+	g.pf("// %s is role %c's protocol state %s: ", st.name, string(rg.role), st.num)
 	for i, t := range st.trans {
 		if i > 0 {
 			g.pf(", ")
 		}
-		g.pf("%s → state %s", t.text, t.to)
+		g.pf("%c → state %s", t.text, t.to)
 	}
 	g.pf(".\n//\n//sessgen:state\ntype %s struct {\n\tep *%s\n\tst genrt.St\n}\n\n", st.name, rg.ep)
 
@@ -711,7 +716,7 @@ func (g *generator) emitSend(st *stateGen, t *transGen) {
 	if t.goType != "" {
 		arg, val = "payload "+t.goType, "payload"
 	}
-	g.pf("// Send%s sends %s to %s, consuming the state and returning the next one.\n", t.label, t.text, string(t.act.Peer))
+	g.pf("// Send%s sends %c to %c, consuming the state and returning the next one.\n", t.label, t.text, string(t.act.Peer))
 	g.pf("func (s %s) Send%s(%s) (%s, error) {\n", st.name, t.label, arg, t.next)
 	g.pf("\tst, err := genrt.Send(s.st, %q, s.ep.send%s, Label%s, %s)\n", st.ref, t.peer, t.label, val)
 	g.ret(t.next, "")
@@ -747,7 +752,7 @@ func (g *generator) emitRecvSingle(st *stateGen, t *transGen) {
 	}
 	for _, face := range [2]string{"", "Try"} {
 		if face == "" {
-			g.pf("// Recv%s receives %s from %s, consuming the state and returning the next one.\n", t.label, t.text, string(t.act.Peer))
+			g.pf("// Recv%s receives %c from %c, consuming the state and returning the next one.\n", t.label, t.text, string(t.act.Peer))
 		} else {
 			g.pf("// TryRecv%s is the non-blocking Recv%s: it returns session.ErrWouldBlock —\n// leaving the state live for a retry — when no message has arrived yet.\n", t.label, t.label)
 		}
@@ -792,7 +797,7 @@ func (g *generator) emitRecvBranch(rg *roleGen, st *stateGen) {
 	}
 	g.pf("}\n\n")
 
-	g.pf("// Branch receives the next message from %s and returns the branch it\n// selects, consuming the state.\n", string(ts[0].act.Peer))
+	g.pf("// Branch receives the next message from %c and returns the branch it\n// selects, consuming the state.\n", string(ts[0].act.Peer))
 	g.emitBranchMethod(rg, st, "Branch", payload)
 	g.pf("// TryBranch is the non-blocking Branch: it returns session.ErrWouldBlock —\n// leaving the state live for a retry — when no message has arrived yet.\n")
 	g.emitBranchMethod(rg, st, "TryBranch", payload)
@@ -901,11 +906,6 @@ func exportIdent(s string) string {
 		out = "X" + out
 	}
 	return mapFirstRune(out, unicode.ToUpper)
-}
-
-// unexportIdent lower-cases the leading rune of an exported identifier.
-func unexportIdent(s string) string {
-	return mapFirstRune(s, unicode.ToLower)
 }
 
 func mapFirstRune(s string, f func(rune) rune) string {

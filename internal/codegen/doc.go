@@ -34,8 +34,8 @@
 // aligned blocks (const specs, struct fields) and ends the file the way
 // gofmt does, so no go/format re-print runs on the generation path.
 // TestGenerateIsGofmtCanonical pins that property over the registry, the
-// golden protocols and fuzz-generated protocols, and Generate still parses
-// its output before returning it.
+// golden protocols and fuzz-generated protocols. The output also parses by
+// construction, and Generate's doc gives the argument.
 //
 // The command-line front end is cmd/sessgen; the checked-in packages under
 // examples/gen are regenerated with go:generate and gated against drift in

@@ -100,8 +100,14 @@ func BenchmarkNetSendRecv(b *testing.B) {
 		b.Run(network, func(b *testing.B) {
 			spq, rpq, _, _ := benchFabricRoutes(b, network)
 			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			// One untimed iteration: after the setup's single crossing of
+			// each route, the next send and receive still allocate once
+			// more than the steady state, which at smoke iteration counts
+			// would show in allocs/op.
+			for i := -1; i < b.N; i++ {
+				if i == 0 {
+					b.ResetTimer()
+				}
 				if err := spq.Send(benchMsg); err != nil {
 					b.Fatal(err)
 				}
@@ -138,8 +144,11 @@ func BenchmarkNetPingPong(b *testing.B) {
 		b.Run(network, func(b *testing.B) {
 			spq, rpq, sqp, rqp := benchFabricRoutes(b, network)
 			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			// One untimed round trip, as in BenchmarkNetSendRecv.
+			for i := -1; i < b.N; i++ {
+				if i == 0 {
+					b.ResetTimer()
+				}
 				if err := spq.Send(benchMsg); err != nil {
 					b.Fatal(err)
 				}

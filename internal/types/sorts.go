@@ -22,8 +22,11 @@ package types
 import (
 	"encoding/binary"
 	"fmt"
+	goparser "go/parser"
+	"go/token"
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"unicode"
@@ -192,13 +195,18 @@ func (e *CodecError) Error() string {
 // registry. Registration is idempotent for identical bindings; re-registering
 // a name (including a built-in) with a different Go type is an error, as is a
 // non-identifier name or a vector form (vec<S> is derived from S, never
-// registered).
+// registered). So is a binding the code generator could not emit: a Go type
+// that does not parse as a type wherever generated code spells it, or an
+// import path a Go compiler may refuse (see checkBinding).
 func RegisterSort(info SortInfo) error {
 	if err := checkSortName(string(info.Name)); err != nil {
 		return err
 	}
 	if info.Go == "" {
 		return fmt.Errorf("types: sort %s needs a Go type binding", info.Name)
+	}
+	if err := checkBinding(info); err != nil {
+		return err
 	}
 	sortReg.Lock()
 	defer sortReg.Unlock()
@@ -230,6 +238,63 @@ func checkSortName(name string) error {
 		if !(unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_') {
 			return fmt.Errorf("types: sort name %q is not a bare identifier (register the element sort; vec<S> is derived)", name)
 		}
+	}
+	return nil
+}
+
+// bindingProbe spells a Go binding (%[1]s) in every position the code
+// generator (internal/codegen) emits one, with the tokens around it that the
+// generator writes there: a branch sum's payload field, a send's parameter,
+// a receive's result, its converter literal around genrt.As, the zero value
+// *new(T) and a branch case's if header.
+const bindingProbe = `
+type XBranch struct {
+	XPayload %[1]s
+	XNext    X1
+}
+
+func (s X0) SendX(payload %[1]s) (X1, error) {
+	return X1{}, nil
+}
+
+func (s X0) RecvX() (%[1]s, X1, error) {
+	payload, st, err := genrt.Recv(s.st, "p.X0", s.ep.recvX, RoleX, LabelX, func(v any) (%[1]s, error) { return genrt.As[%[1]s]("x", v) })
+	if err != nil {
+		return *new(%[1]s), X1{}, err
+	}
+	switch label {
+	case LabelX:
+		if b.XPayload, err = genrt.As[%[1]s]("x", v); err != nil {
+			return XBranch{}, err
+		}
+	}
+	return payload, X1{ep: s.ep, st: st}, nil
+}
+`
+
+// checkBinding is what makes generated packages parse by construction:
+// every other piece of text the generator varies is an identifier it
+// mangles itself, a quoted string literal or comment text it escapes, so a
+// sort binding is the one piece it takes as given. The binding is checked
+// once, here: a probe file places the Go type, and []T for the vec<S>
+// forms derived from it, in every position the generator emits one, and
+// the import path in an import line. A type that fails to parse in any of
+// those positions is refused. So is an import path outside the Go spec's
+// implementation restriction: non-empty, graphic runes only, and no space,
+// U+FFFD or any of !"#$%&'()*,:;<=>?[\]^`{|}.
+func checkBinding(info SortInfo) error {
+	src := "package p\n"
+	if info.Import != "" {
+		if strings.ContainsFunc(info.Import, func(r rune) bool {
+			return !unicode.IsGraphic(r) || unicode.IsSpace(r) || r == '\uFFFD' || strings.ContainsRune("!\"#$%&'()*,:;<=>?[\\]^`{|}", r)
+		}) {
+			return fmt.Errorf("types: sort %s: import path %q is not a valid Go import path", info.Name, info.Import)
+		}
+		src += "\nimport " + strconv.Quote(info.Import) + "\n"
+	}
+	src += fmt.Sprintf(bindingProbe, info.Go) + fmt.Sprintf(bindingProbe, "[]"+info.Go)
+	if _, err := goparser.ParseFile(token.NewFileSet(), "", src, goparser.SkipObjectResolution); err != nil {
+		return fmt.Errorf("types: sort %s: Go binding %q does not parse as a type in generated code: %v", info.Name, info.Go, err)
 	}
 	return nil
 }

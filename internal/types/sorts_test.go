@@ -94,6 +94,57 @@ func TestRegisterSort(t *testing.T) {
 			t.Errorf("RegisterSort(%+v) accepted", info)
 		}
 	}
+	// Bindings the code generator could not emit: a Go type that is not a
+	// type where generated code spells one, or an import path a compiler
+	// may refuse.
+	for _, info := range []SortInfo{
+		{Name: "testsort_bad", Go: "1+2"},
+		{Name: "testsort_bad", Go: "int; func"},
+		{Name: "testsort_bad", Go: "[]"},
+		{Name: "testsort_bad", Go: "map[int"},
+		{Name: "testsort_bad", Go: "int\n"},
+		{Name: "testsort_bad", Go: "int // c"},
+		{Name: "testsort_bad", Go: "func"},
+		{Name: "testsort_bad", Go: "...int"},
+		{Name: "testsort_bad", Go: "int\x00"},
+		{Name: "testsort_bad", Go: "mypkg.T", Import: "a b"},
+		{Name: "testsort_bad", Go: "mypkg.T", Import: `a"b`},
+		{Name: "testsort_bad", Go: "mypkg.T", Import: "a\nb"},
+		{Name: "testsort_bad", Go: "mypkg.T", Import: "a\xffb"},
+	} {
+		if err := RegisterSort(info); err == nil {
+			t.Errorf("RegisterSort of Go %q, import %q accepted", info.Go, info.Import)
+		}
+	}
+	if KnownSort("testsort_bad") {
+		t.Error("a refused binding was registered")
+	}
+	// Every binding registered anywhere in the repository, and every
+	// built-in's, stays accepted.
+	accepted := []SortInfo{
+		{Go: "image.Point"},
+		{Go: "[]byte"},
+		{Go: "[][]float32"},
+		{Go: "uint8"},
+		{Go: "big.Float", Import: "math/big"},
+		{Go: "types.Role", Import: "repro/internal/types"},
+		{Go: "mypkg.Blob", Import: "example.com/mypkg"},
+		{Go: "mypkg.Reading", Import: "example.com/mypkg"},
+		{Go: "any"},
+		{Go: "map[string][]int"},
+		{Go: "struct{ X, Y int }"},
+		{Go: "func(int) error"},
+	}
+	for _, info := range RegisteredSorts() {
+		if info.Go != "" {
+			accepted = append(accepted, info)
+		}
+	}
+	for _, info := range accepted {
+		if err := checkBinding(info); err != nil {
+			t.Errorf("binding %s (import %q) refused: %v", info.Go, info.Import, err)
+		}
+	}
 }
 
 func TestRegisteredSortsSeedsAreKnown(t *testing.T) {
