@@ -2,9 +2,10 @@
 #
 #   make verify         build + full test suite (the tier-1 gate)
 #   make race           the substrate stress tests, the execution-mode
-#                       runners (internal/equiv) and the k-MC checker,
-#                       whose explorer pool concurrent checks share, under
-#                       the race detector
+#                       runners (internal/equiv), the k-MC checker, the
+#                       subtyping checker and the AMR search, whose storage
+#                       free lists concurrent checks share, under the race
+#                       detector
 #   make bench          every benchmark suite in cmd/benchcheck's table,
 #                       raw output to stderr, one box-annotated
 #                       BENCH_<suite>.json per suite (channel, codegen,
@@ -66,7 +67,7 @@ verify:
 
 race:
 	$(GO) test -race -timeout 600s ./internal/channel ./internal/session ./internal/sched ./internal/wire ./internal/netchan ./internal/equiv
-	$(GO) test -race -short -timeout 600s ./internal/chaos ./internal/kmc
+	$(GO) test -race -short -timeout 600s ./internal/chaos ./internal/kmc ./internal/core ./internal/optimise
 
 # chaos-smoke: the seeded fault-injection soak — every registry protocol ×
 # seeds covering all four fault families × {blocking, stepped, scheduled},
@@ -128,13 +129,17 @@ perf-smoke:
 # fuzzer (arbitrary role and label names and sort bindings must be refused
 # or generate source that parses), for FUZZ_TIME each. CI runs the default
 # 30s per target; the nightly workflow stretches the same targets to
-# minutes.
+# minutes. FUZZ_MINIMIZE_TIME caps the time each target spends minimising
+# one new interesting input (the go default is 60s, which a 30s budget can
+# spend almost whole at 0 execs/s), so the budget goes to fuzzing.
 FUZZ_TIME ?= 30s
+FUZZ_MINIMIZE_TIME ?= 5s
+FUZZ_FLAGS = -fuzztime $(FUZZ_TIME) -fuzzminimizetime $(FUZZ_MINIMIZE_TIME)
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzScribbleRoundTrip -fuzztime $(FUZZ_TIME) ./internal/scribble
-	$(GO) test -run '^$$' -fuzz FuzzWireRoundTrip -fuzztime $(FUZZ_TIME) ./internal/wire
-	$(GO) test -run '^$$' -fuzz FuzzPipeline -fuzztime $(FUZZ_TIME) ./internal/protofuzz
-	$(GO) test -run '^$$' -fuzz FuzzGenerateNames -fuzztime $(FUZZ_TIME) ./internal/codegen
+	$(GO) test -run '^$$' -fuzz FuzzScribbleRoundTrip $(FUZZ_FLAGS) ./internal/scribble
+	$(GO) test -run '^$$' -fuzz FuzzWireRoundTrip $(FUZZ_FLAGS) ./internal/wire
+	$(GO) test -run '^$$' -fuzz FuzzPipeline $(FUZZ_FLAGS) ./internal/protofuzz
+	$(GO) test -run '^$$' -fuzz FuzzGenerateNames $(FUZZ_FLAGS) ./internal/codegen
 
 # net-smoke: the CI network job — build cmd/sessnet, then run the
 # multi-process demo (one OS process per role, Unix sockets) over every

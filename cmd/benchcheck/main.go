@@ -96,12 +96,13 @@ var suites = []suite{
 		pkgs:  []string{"./internal/netchan"}},
 	// Static verification at scale: core.Check over 1200-state chains,
 	// k-MC over 1000-state systems and over the auto-optimised FFT's
-	// 452,318 configurations, the AMR search at deep unrolls, and the whole
-	// differential pipeline on one oversized cell; and the verifier
+	// 452,318 configurations, the AMR search at deep unrolls and over the
+	// heaviest Fig. 7 family members at verify-corpus's budget, and the
+	// whole differential pipeline on one oversized cell; and the verifier
 	// toolchain end to end over the Table 1 global types, whose gated
 	// allocs/op is the verifier's end-to-end allocation count.
 	{name: "check",
-		bench: `^Benchmark(CheckScale|KmcScale|KmcFFTAuto|OptimiseScale|PipelineDeep|VerifyTable1)$`,
+		bench: `^Benchmark(CheckScale|KmcScale|KmcFFTAuto|OptimiseScale|OptimiseFamilies|PipelineDeep|VerifyTable1)$`,
 		pkgs:  []string{"./internal/protofuzz"}},
 }
 

@@ -64,42 +64,90 @@ var ErrNotDirected = errors.New("core: machine is not directed (mixed send/recei
 // surface only as an `any`-typed generated API, so the checker refuses.
 var ErrUnknownSort = errors.New("core: machine carries an unregistered payload sort (see types.RegisterSort)")
 
-// unknownSorts returns the unregistered payload sorts on m's reachable
-// transitions, in deterministic order without duplicates.
-func unknownSorts(m *fsm.FSM) []types.Sort {
-	var out []types.Sort
+// checkSorts returns the unregistered payload sorts on m's reachable
+// transitions, in deterministic order without duplicates, and known with
+// m's other registered sorts appended. Sorts in known count as registered
+// (registrations are never withdrawn), so the registry is asked once per
+// sort that is in neither list, not once per transition.
+func checkSorts(m *fsm.FSM, known []types.Sort) (_, unknown []types.Sort) {
 	for s := 0; s < m.NumStates(); s++ {
 		for _, t := range m.Transitions(fsm.State(s)) {
-			if !types.KnownSort(t.Act.Sort) && !slices.Contains(out, t.Act.Sort) {
-				out = append(out, t.Act.Sort)
+			srt := t.Act.Sort
+			switch {
+			case slices.Contains(known, srt) || slices.Contains(unknown, srt):
+			case types.KnownSort(srt):
+				known = append(known, srt)
+			default:
+				unknown = append(unknown, srt)
 			}
 		}
 	}
-	return out
+	return known, unknown
 }
 
 // validate rejects a machine the checker cannot relate: one that is not
-// directed, or that carries an unregistered payload sort.
-func validate(m *fsm.FSM, what string) error {
+// directed, or that carries an unregistered payload sort. It takes and
+// returns the registered sorts found so far, as checkSorts does.
+func validate(m *fsm.FSM, what string, known []types.Sort) ([]types.Sort, error) {
 	if !m.Directed() {
-		return fmt.Errorf("%w: %s %s", ErrNotDirected, what, m.Role())
+		return known, fmt.Errorf("%w: %s %s", ErrNotDirected, what, m.Role())
 	}
-	if bad := unknownSorts(m); len(bad) > 0 {
-		return fmt.Errorf("%w: %s %s carries %v", ErrUnknownSort, what, m.Role(), bad)
+	known, bad := checkSorts(m, known)
+	if len(bad) > 0 {
+		return known, fmt.Errorf("%w: %s %s carries %v", ErrUnknownSort, what, m.Role(), bad)
 	}
-	return nil
+	return known, nil
 }
 
 // Check reports whether sub is an asynchronous subtype of sup.
 func Check(sub, sup *fsm.FSM, opts Options) (Result, error) {
-	if err := validate(sub, "candidate subtype"); err != nil {
+	known, err := validate(sub, "candidate subtype", make([]types.Sort, 0, 8))
+	if err != nil {
 		return Result{}, err
 	}
-	if err := validate(sup, "supertype"); err != nil {
+	if _, err := validate(sup, "supertype", known); err != nil {
 		return Result{}, err
 	}
-	v := visitor{sup: sup}
-	return v.relate(sub, opts), nil
+	v := getVisitor()
+	v.sup = sup
+	res := v.relate(sub, opts)
+	putVisitor(v)
+	return res, nil
+}
+
+// visitors holds idle visitor scratch for the next Checks, at most its
+// capacity of them, each with a history of at most pooledCells cells (8
+// bytes a cell): a check of machines with hundreds of states frees its
+// scratch rather than pinning it. A channel, unlike a sync.Pool, hands the
+// scratch to the next check whatever the collector did in between.
+var visitors = make(chan *visitor, 4)
+
+const pooledCells = 32 << 10
+
+func getVisitor() *visitor {
+	select {
+	case v := <-visitors:
+		return v
+	default:
+		return new(visitor)
+	}
+}
+
+// putVisitor returns v to visitors unless it grew past pooledCells. It
+// drops v's pointers into the checked machines first, so an idle visitor
+// keeps no caller's machine alive.
+func putVisitor(v *visitor) {
+	if cap(v.history) > pooledCells {
+		return
+	}
+	v.sub, v.sup = nil, nil
+	clear(v.rho[:cap(v.rho)])
+	clear(v.pre[0].entries[:cap(v.pre[0].entries)])
+	clear(v.pre[1].entries[:cap(v.pre[1].entries)])
+	select {
+	case visitors <- v:
+	default:
+	}
 }
 
 // Supertype is a supertype machine validated once, for checking many
@@ -107,20 +155,36 @@ func Check(sub, sup *fsm.FSM, opts Options) (Result, error) {
 // local type against the same original. It owns one visitor scratch (the
 // history matrix, the prefixes, ρ and the assumption stack) that every Check
 // on it reuses, so a Supertype is not safe for concurrent use.
-type Supertype struct{ v visitor }
+type Supertype struct {
+	v visitor
+	// sorts are the supertype's payload sorts, all registered: a candidate
+	// carrying only these needs no registry lookup.
+	sorts []types.Sort
+}
 
-// NewSupertype validates sup as Check does.
-func NewSupertype(sup *fsm.FSM) (*Supertype, error) {
-	if err := validate(sup, "supertype"); err != nil {
-		return nil, err
+// Reset validates sup as Check does and makes it s's supertype, keeping
+// s's visitor scratch for the checks to come: a caller certifying against
+// one supertype after another reuses one Supertype. The zero Supertype is
+// ready for Reset; on error s holds no supertype.
+func (s *Supertype) Reset(sup *fsm.FSM) error {
+	s.v.sup = nil
+	sorts, err := validate(sup, "supertype", s.sorts[:0])
+	s.sorts = sorts
+	if err != nil {
+		return err
 	}
-	return &Supertype{v: visitor{sup: sup}}, nil
+	s.v.sup = sup
+	return nil
 }
 
 // Check reports whether sub is an asynchronous subtype of the supertype; it
 // is Check(sub, sup, opts) without revalidating sup.
 func (s *Supertype) Check(sub *fsm.FSM, opts Options) (Result, error) {
-	if err := validate(sub, "candidate subtype"); err != nil {
+	if s.v.sup == nil {
+		return Result{}, errors.New("core: Supertype.Check before a successful Reset")
+	}
+	// Capped, so a sort the supertype lacks is appended to a copy.
+	if _, err := validate(sub, "candidate subtype", s.sorts[:len(s.sorts):len(s.sorts)]); err != nil {
 		return Result{}, err
 	}
 	return s.v.relate(sub, opts), nil

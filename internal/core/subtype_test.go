@@ -4,6 +4,7 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/fsm"
@@ -351,8 +352,8 @@ func TestStreamingWithChoiceOptimisation(t *testing.T) {
 // grow and shrink between checks.
 func TestSupertypeScratchReuse(t *testing.T) {
 	msup := fsm.MustFromLocal("k", types.MustParse("mu x.s!ready.s?copy.t?ready.t!copy.x"))
-	sup, err := NewSupertype(msup)
-	if err != nil {
+	var sup Supertype
+	if err := sup.Reset(msup); err != nil {
 		t.Fatal(err)
 	}
 	grew := false
@@ -395,6 +396,34 @@ func TestSupertypeScratchReuse(t *testing.T) {
 	if !grew {
 		t.Error("no candidate had more states than the one before it")
 	}
+	// Reset to another supertype keeps the scratch and forgets the old
+	// machine: checks against it match fresh ones.
+	other := fsm.MustFromLocal("k", types.MustParse("mu x.t?ready.t!{value.x, stop.end}"))
+	if err := sup.Reset(other); err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{"t!value.mu x.t?ready.t!{value.x, stop.t?ready.end}", "mu x.t!value.t?ready.x"} {
+		msub := fsm.MustFromLocal("k", types.MustParse(src))
+		got, err := sup.Check(msub, Options{Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := Check(msub, other, Options{Trace: true}); !reflect.DeepEqual(got, want) {
+			t.Errorf("after Reset, %s: reused Supertype gave %+v, a fresh Check %+v", src, got, want)
+		}
+	}
+	bad := fsm.New("k")
+	bad.MustAddTransition(bad.Initial(), fsm.Action{Dir: fsm.Send, Peer: "t", Label: "v", Sort: "vec<f65>"}, bad.AddState())
+	if err := sup.Reset(bad); !errors.Is(err, ErrUnknownSort) {
+		t.Errorf("Reset to a machine with an unknown sort: %v, want ErrUnknownSort", err)
+	}
+	if _, err := sup.Check(msup, Options{}); err == nil {
+		t.Error("Check after a failed Reset succeeded")
+	}
+	var empty Supertype
+	if _, err := empty.Check(msup, Options{}); err == nil {
+		t.Error("Check on a zero Supertype succeeded")
+	}
 	// The deep candidate is rejected by the fail-early rule, after the
 	// derivation has walked a whole loop iteration.
 	res, err := CheckTypes("k", types.MustParse(deep), types.MustParse("mu x.s!ready.s?copy.t?ready.t!copy.x"), Options{Trace: true})
@@ -404,4 +433,41 @@ func TestSupertypeScratchReuse(t *testing.T) {
 	if last := res.Trace[len(res.Trace)-1]; res.Stats.Visits < 5 || !strings.Contains(last, "fail-early") {
 		t.Errorf("deep candidate not rejected fail-early deep in the derivation: %d visits, last rule %q", res.Stats.Visits, last)
 	}
+}
+
+// TestConcurrentChecks runs Check from several goroutines at once, so the
+// recycled visitor scratch passes between them: every result must match
+// the one the same check gave alone.
+func TestConcurrentChecks(t *testing.T) {
+	sup := fsm.MustFromLocal("k", types.MustParse("mu x.s!ready.s?copy.t?ready.t!copy.x"))
+	var subs []*fsm.FSM
+	for _, src := range []string{
+		"mu x.s!ready.s?copy.t?ready.t!copy.x",
+		"mu x.s?copy.s!ready.t?ready.t!copy.x",
+		"s!ready.mu x.s!ready.s?copy.t?ready.t!copy.x",
+		"s!ready.s!ready.mu x.s!ready.s?copy.t?ready.t!copy.x",
+		"s!ready.s?copy.t?ready.t!copy.mu x.t?ready.s!ready.s?copy.t!copy.x",
+	} {
+		subs = append(subs, fsm.MustFromLocal("k", types.MustParse(src)))
+	}
+	want := make([]Result, len(subs))
+	for i, m := range subs {
+		want[i], _ = Check(m, sup, Options{Trace: i%2 == 0})
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for n := 0; n < 50; n++ {
+				i := (n + w) % len(subs)
+				got, err := Check(subs[i], sup, Options{Trace: i%2 == 0})
+				if err != nil || !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("check %d from goroutine %d: %+v (err %v), alone %+v", i, w, got, err, want[i])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

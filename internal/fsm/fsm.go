@@ -66,9 +66,10 @@ type FSM struct {
 	role    types.Role
 	initial State
 	next    [][]Transition
-	// trans is the backing array LoadLocal carved next's slices from, kept
-	// for the next LoadLocal to reuse.
+	// trans is the backing array LoadLocal carved next's slices from, and
+	// env its builder's binder stack, kept for the next LoadLocal to reuse.
 	trans []Transition
+	env   []binder
 }
 
 // New returns an empty machine for the given role containing a single initial
@@ -253,8 +254,9 @@ func (m *FSM) LoadLocal(role types.Role, t types.Local) error {
 	m.role = role
 	m.next = slices.Grow(m.next[:0], states)
 	m.trans = slices.Grow(m.trans[:0], trans)[:trans]
-	b := builder{m: m, end: -1, trans: m.trans}
+	b := builder{m: m, end: -1, trans: m.trans, env: m.env[:0]}
 	s, err := b.build(t)
+	m.env = b.env[:0]
 	if err != nil {
 		return err
 	}
@@ -275,35 +277,41 @@ func MustFromLocal(role types.Role, t types.Local) *FSM {
 // state per choice and per μ, one shared end state, and one transition per
 // branch plus a copy of its body's transitions per μ.
 func localSize(t types.Local) (states, trans int) {
-	end := false
-	var walk func(types.Local)
-	walk = func(t types.Local) {
-		switch t := t.(type) {
-		case types.End:
-			end = true
-		case types.Rec:
-			states++
-			trans += len(headBranches(t.Body))
-			walk(t.Body)
-		case types.Send:
-			states++
-			trans += len(t.Branches)
-			for _, b := range t.Branches {
-				walk(b.Cont)
-			}
-		case types.Recv:
-			states++
-			trans += len(t.Branches)
-			for _, b := range t.Branches {
-				walk(b.Cont)
-			}
+	var c sizer
+	c.walk(t)
+	if c.end {
+		c.states++
+	}
+	return c.states, c.trans
+}
+
+// sizer accumulates localSize's counts.
+type sizer struct {
+	states, trans int
+	end           bool
+}
+
+func (c *sizer) walk(t types.Local) {
+	switch t := t.(type) {
+	case types.End:
+		c.end = true
+	case types.Rec:
+		c.states++
+		c.trans += len(headBranches(t.Body))
+		c.walk(t.Body)
+	case types.Send:
+		c.states++
+		c.trans += len(t.Branches)
+		for _, b := range t.Branches {
+			c.walk(b.Cont)
+		}
+	case types.Recv:
+		c.states++
+		c.trans += len(t.Branches)
+		for _, b := range t.Branches {
+			c.walk(b.Cont)
 		}
 	}
-	walk(t)
-	if end {
-		states++
-	}
-	return states, trans
 }
 
 // headBranches returns the branches of the choice t starts with, under any
@@ -393,6 +401,9 @@ func (b *builder) build(t types.Local) (State, error) {
 	}
 }
 
+// buildChoice assigns a state to a choice. LoadLocal validated the type,
+// so the branches' labels are distinct and AddTransition's duplicate check
+// is not needed.
 func (b *builder) buildChoice(dir Dir, peer types.Role, branches []types.Branch) (State, error) {
 	m := b.m
 	s := m.AddState()
@@ -403,9 +414,7 @@ func (b *builder) buildChoice(dir Dir, peer types.Role, branches []types.Branch)
 			return 0, err
 		}
 		act := Action{Dir: dir, Peer: peer, Label: br.Label, Sort: normSort(br.Sort)}
-		if err := m.AddTransition(s, act, to); err != nil {
-			return 0, err
-		}
+		m.next[s] = append(m.next[s], Transition{Act: act, To: to})
 	}
 	return s, nil
 }

@@ -1,8 +1,10 @@
 package optimise
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/core"
 	"repro/internal/types"
@@ -56,12 +58,19 @@ func TestHoistNodeBranching(t *testing.T) {
 
 func TestHoistNodeRejectsMismatchedSends(t *testing.T) {
 	// Input branches whose sends differ in label set cannot hoist.
-	if res := hoistNode(mp(t, "p?{a.q!x.end, b.q!y.end}")); len(res) != 0 {
+	if res, ok := hoistNode(mp(t, "p?{a.q!x.end, b.q!y.end}")); ok {
 		t.Errorf("mismatched sends hoisted: %v", res)
 	}
 	// Nor can branches whose continuations are not sends at all.
-	if res := hoistNode(mp(t, "p?{a.q!x.end, b.end}")); len(res) != 0 {
+	if res, ok := hoistNode(mp(t, "p?{a.q!x.end, b.end}")); ok {
 		t.Errorf("non-send continuation hoisted: %v", res)
+	}
+	// A node of any other shape costs no allocation.
+	for _, src := range []string{"p?{a.q!x.end, b.q!y.end}", "p?{a.q!x.end, b.end}", "mu t.p!a.t", "p!a.q?b.end"} {
+		n := mp(t, src)
+		if allocs := testing.AllocsPerRun(10, func() { hoistNode(n) }); allocs != 0 {
+			t.Errorf("hoistNode(%s) allocates %.0f times", src, allocs)
+		}
 	}
 }
 
@@ -204,5 +213,88 @@ func TestOptimiseTraceCertificate(t *testing.T) {
 func TestOptimiseRejectsMalformed(t *testing.T) {
 	if _, err := Optimise("r", types.Var{Name: "x"}, Options{}); err == nil {
 		t.Error("unbound variable accepted")
+	}
+}
+
+// randLocal draws a local type over few names, so binders shadow one
+// another and variables occur free, bound and captured.
+func randLocal(r *rand.Rand, depth int) types.Local {
+	names := []string{"x", "y"}
+	if depth <= 0 || r.Intn(5) == 0 {
+		if r.Intn(2) == 0 {
+			return types.End{}
+		}
+		return types.Var{Name: names[r.Intn(len(names))]}
+	}
+	if r.Intn(4) == 0 {
+		return types.Rec{Name: names[r.Intn(len(names))], Body: randLocal(r, depth-1)}
+	}
+	bs := make([]types.Branch, 1+r.Intn(3))
+	for i := range bs {
+		bs[i] = types.Branch{Label: types.Label(rune('a' + i)), Sort: types.Unit, Cont: randLocal(r, depth-1)}
+	}
+	if r.Intn(2) == 0 {
+		return types.Send{Peer: "p", Branches: bs}
+	}
+	return types.Recv{Peer: "q", Branches: bs}
+}
+
+// randPath draws a route from t's root to one of its subterms.
+func randPath(r *rand.Rand, t types.Local) []int {
+	var path []int
+	for r.Intn(4) != 0 {
+		switch n := t.(type) {
+		case types.Rec:
+			path, t = append(path, 0), n.Body
+			continue
+		case types.Send:
+			i := r.Intn(len(n.Branches))
+			path, t = append(path, i), n.Branches[i].Cont
+			continue
+		case types.Recv:
+			i := r.Intn(len(n.Branches))
+			path, t = append(path, i), n.Branches[i].Cont
+			continue
+		}
+		break
+	}
+	return path
+}
+
+func TestQuickAlphaKeyAtMatchesReplaceAt(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		root := randLocal(r, 6)
+		path := randPath(r, root)
+		sub := randLocal(r, 3)
+		got := string(types.AppendAlphaKeyAt(nil, root, path, sub))
+		want := types.AlphaKey(replaceAt(root, path, sub))
+		if got != want {
+			t.Logf("root %s path %v sub %s: key %q, want %q", root, path, sub, got, want)
+		}
+		return got == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestCertifiedCandidatesStraight(t *testing.T) {
+	// The search keys a pool entry's hoists before building them on the
+	// ground that every pool entry is straight: check it on the certified
+	// ones, over shapes that pipeline, hoist and nest loops.
+	for _, src := range []string{
+		"mu x.t?ready.t!{value(i32).x, stop.end}",
+		"mu t.a?v.c!v.t",
+		"mu x.s!ready.s?value.t?ready.t!value.x",
+		"mu t.s?d0.s!{a0.mu u.s?d1.s!{a0.u, a1.t}, a1.t}",
+		"mu t.p?{up.d!open.d?done.t, down.d!open.d?done.t}",
+	} {
+		res := optimised(t, "r", src, Options{MaxPasses: 4, MaxUnroll: 3})
+		for _, c := range res.Certified[1:] {
+			if _, changed := straightened(c.Type); changed {
+				t.Errorf("%s: candidate %s is not straight", src, c.Type)
+			}
+		}
 	}
 }

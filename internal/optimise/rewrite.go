@@ -1,8 +1,8 @@
 package optimise
 
 import (
-	"fmt"
 	"slices"
+	"strconv"
 
 	"repro/internal/types"
 )
@@ -26,9 +26,9 @@ import (
 //     with the inputs the hoisted copies ran ahead of, so the overhang is
 //     reconciled when the protocol stops.
 
-// rewrite is one candidate produced by a generator: the whole rewritten type
-// plus the parts of a human-readable description of the step (for
-// derivations and the cmd/optimise output).
+// rewrite is one move at one site: the subterm that replaces the site, plus
+// the parts of a human-readable description of the step (for derivations
+// and the cmd/optimise output).
 type rewrite struct {
 	t types.Local
 	// unrolls is the pipelining depth this single step added (0 for hoists);
@@ -46,55 +46,14 @@ type rewrite struct {
 // formatting.
 func (r rewrite) desc() string {
 	if r.unrolls > 0 {
-		return fmt.Sprintf("pipeline %s!%s out of μ%s ×%d", r.peer, r.label, r.rec, r.unrolls)
+		return "pipeline " + string(r.peer) + "!" + string(r.label) + " out of μ" + r.rec + " ×" + strconv.Itoa(r.unrolls)
 	}
-	return fmt.Sprintf("hoist %s!%s past %s?{…}", r.peer, r.label, r.past)
+	return "hoist " + string(r.peer) + "!" + string(r.label) + " past " + string(r.past) + "?{…}"
 }
 
-// rewriteEverywhere applies the node-level generator f at every subterm
-// position of t, in pre-order, appending one whole-type rewrite per
-// application site to out. Each rewrite copies only the nodes on the path
-// from the root to its site.
-func rewriteEverywhere(out []rewrite, t types.Local, f func(types.Local) []rewrite) []rewrite {
-	w := siteWalker{root: t, f: f, out: out}
-	w.walk(t)
-	return w.out
-}
-
-// siteWalker visits the subterms of root, tracking the branch indices
-// from the root to the current one (0 for a μ body).
-type siteWalker struct {
-	root types.Local
-	f    func(types.Local) []rewrite
-	path []int
-	out  []rewrite
-}
-
-func (w *siteWalker) walk(n types.Local) {
-	for _, r := range w.f(n) {
-		r.t = replaceAt(w.root, w.path, r.t)
-		w.out = append(w.out, r)
-	}
-	var bs []types.Branch
-	switch n := n.(type) {
-	case types.Rec:
-		w.path = append(w.path, 0)
-		w.walk(n.Body)
-		w.path = w.path[:len(w.path)-1]
-		return
-	case types.Send:
-		bs = n.Branches
-	case types.Recv:
-		bs = n.Branches
-	}
-	for i := range bs {
-		w.path = append(w.path, i)
-		w.walk(bs[i].Cont)
-		w.path = w.path[:len(w.path)-1]
-	}
-}
-
-// replaceAt returns t with the subterm at path replaced by sub.
+// replaceAt returns t with the subterm at path replaced by sub, copying
+// only the nodes on the path. path lists a branch index at each choice and
+// 0 at each μ (its body), as types.AppendAlphaKeyAt reads it.
 func replaceAt(t types.Local, path []int, sub types.Local) types.Local {
 	if len(path) == 0 {
 		return sub
@@ -116,53 +75,52 @@ func replaceBranch(bs []types.Branch, path []int, sub types.Local) []types.Branc
 	return nb
 }
 
-// hoists returns every single application of the in-place hoist anywhere in
-// t: at a node p?{ℓᵢ.Cᵢ} whose every continuation Cᵢ is a send to the same
-// peer q offering the same labelled sorts {mⱼ(Uⱼ)}, the output choice moves
-// in front of the input:
+// hoistNode applies the in-place hoist at t, if t has its shape: at a node
+// p?{ℓᵢ.Cᵢ} whose every continuation Cᵢ is a send to the same peer q
+// offering the same labelled sorts {mⱼ(Uⱼ)}, the output choice moves in
+// front of the input:
 //
 //	p?{ℓᵢ. q!{mⱼ(Uⱼ). Dᵢⱼ}}  →  q!{mⱼ(Uⱼ). p?{ℓᵢ. Dᵢⱼ}}
 //
 // The move commits the output before the input is seen, which is exactly
 // what rule ⤳B permits (outputs may be anticipated before any inputs);
 // whether the commitment is safe in context is decided by certification.
-func hoists(t types.Local) []rewrite {
-	return rewriteEverywhere(nil, t, hoistNode)
-}
-
-func hoistNode(t types.Local) []rewrite {
+// A node of any other shape costs no allocation.
+func hoistNode(t types.Local) (rewrite, bool) {
 	rv, ok := t.(types.Recv)
 	if !ok || len(rv.Branches) == 0 {
-		return nil
+		return rewrite{}, false
 	}
 	first, ok := rv.Branches[0].Cont.(types.Send)
 	if !ok || len(first.Branches) == 0 {
-		return nil
+		return rewrite{}, false
 	}
 	// Every input branch must continue with a send to the same peer offering
 	// the same (label, sort) list, in the same order.
-	sends := make([]types.Send, len(rv.Branches))
-	for i, b := range rv.Branches {
+	for _, b := range rv.Branches[1:] {
 		s, ok := b.Cont.(types.Send)
 		if !ok || s.Peer != first.Peer || len(s.Branches) != len(first.Branches) {
-			return nil
+			return rewrite{}, false
 		}
 		for j := range s.Branches {
 			if s.Branches[j].Label != first.Branches[j].Label || s.Branches[j].Sort != first.Branches[j].Sort {
-				return nil
+				return rewrite{}, false
 			}
 		}
-		sends[i] = s
 	}
-	out := make([]types.Branch, len(first.Branches))
+	// The output branches and every input choice under them share one
+	// array, each slice capped at its own length.
+	m, n := len(first.Branches), len(rv.Branches)
+	buf := make([]types.Branch, m+m*n)
+	out := buf[:m:m]
 	for j, ob := range first.Branches {
-		inner := make([]types.Branch, len(rv.Branches))
+		inner := buf[m+j*n : m+(j+1)*n : m+(j+1)*n]
 		for i, ib := range rv.Branches {
-			inner[i] = types.Branch{Label: ib.Label, Sort: ib.Sort, Cont: sends[i].Branches[j].Cont}
+			inner[i] = types.Branch{Label: ib.Label, Sort: ib.Sort, Cont: ib.Cont.(types.Send).Branches[j].Cont}
 		}
 		out[j] = types.Branch{Label: ob.Label, Sort: ob.Sort, Cont: types.Recv{Peer: rv.Peer, Branches: inner}}
 	}
-	return []rewrite{{t: types.Send{Peer: first.Peer, Branches: out}, peer: first.Peer, label: first.Branches[0].Label, past: rv.Peer}}
+	return rewrite{t: types.Send{Peer: first.Peer, Branches: out}, peer: first.Peer, label: first.Branches[0].Label, past: rv.Peer}, true
 }
 
 // input is one single-branch receive of a loop's input prefix.
@@ -172,8 +130,8 @@ type input struct {
 	sort  types.Sort
 }
 
-// pipelines returns every application of the loop-pipelining move at any Rec
-// subterm, for every depth 1 ≤ d ≤ maxDepth. At μx. I₁…Iₘ. q!{…} — a loop
+// pipelineNode appends to out every application of the loop-pipelining move
+// at depth d to t, when t is a Rec. At μx. I₁…Iₘ. q!{…} — a loop
 // whose body runs a straight-line prefix of single-branch inputs into a send
 // — one send label is hoisted out of the loop d times:
 //
@@ -188,36 +146,35 @@ type input struct {
 //     q!ℓᵈ. μx.B with every End inside the body patched the same way (the
 //     double-buffering kernel, whose hoisted ready precedes any input, needs
 //     no patch at all).
-func pipelines(t types.Local, maxDepth int) []rewrite {
-	var out []rewrite
-	for d := 1; d <= maxDepth; d++ {
-		d := d
-		out = rewriteEverywhere(out, t, func(n types.Local) []rewrite { return pipelineNode(n, d) })
-	}
-	return out
-}
-
-func pipelineNode(t types.Local, d int) []rewrite {
+func pipelineNode(out []rewrite, t types.Local, d int) []rewrite {
 	rec, ok := t.(types.Rec)
 	if !ok {
-		return nil
+		return out
 	}
-	var pre []input
+	// Find the send the input prefix runs into, and record the prefix only
+	// when the loop has a move.
+	m := 0
 	cur := rec.Body
 	for {
 		rv, ok := cur.(types.Recv)
 		if !ok || len(rv.Branches) != 1 {
 			break
 		}
-		b := rv.Branches[0]
-		pre = append(pre, input{peer: rv.Peer, label: b.Label, sort: b.Sort})
-		cur = b.Cont
+		m++
+		cur = rv.Branches[0].Cont
 	}
 	snd, ok := cur.(types.Send)
-	if !ok {
-		return nil
+	if !ok || !pipelinable(snd, rec.Name) {
+		return out
 	}
-	var out []rewrite
+	pre := make([]input, m)
+	cur = rec.Body
+	for i := range pre {
+		rv := cur.(types.Recv)
+		b := rv.Branches[0]
+		pre[i] = input{peer: rv.Peer, label: b.Label, sort: b.Sort}
+		cur = b.Cont
+	}
 	for idx, b := range snd.Branches {
 		v, ok := b.Cont.(types.Var)
 		if !ok || v.Name != rec.Name {
@@ -255,6 +212,23 @@ func pipelineNode(t types.Local, d int) []rewrite {
 		}
 	}
 	return out
+}
+
+// pipelinable reports whether the loop μname's send snd has a pipelining
+// move: a branch looping straight back, or a single branch continuing into
+// the rest of the body.
+func pipelinable(snd types.Send, name string) bool {
+	if len(snd.Branches) == 1 {
+		if _, isVar := snd.Branches[0].Cont.(types.Var); !isVar {
+			return true
+		}
+	}
+	for _, b := range snd.Branches {
+		if v, ok := b.Cont.(types.Var); ok && v.Name == name {
+			return true
+		}
+	}
+	return false
 }
 
 // rebuildPrefix re-wraps cont in the recorded single-branch input prefix.

@@ -2,6 +2,9 @@ package protofuzz
 
 import (
 	"fmt"
+	"maps"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/codegen"
@@ -115,6 +118,40 @@ func BenchmarkOptimiseScale(b *testing.B) {
 				}
 				if !res.Improved {
 					b.Fatalf("no certified improvement on the pipelining shape")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkOptimiseFamilies runs the AMR search over every role of the
+// heaviest Fig. 7 family members perfbench's verify-corpus workload
+// verifies, KBuffering 4 and StreamingUnrolled 6, built as its corpus
+// builds them, at that workload's budget (one unroll, two passes, 32
+// candidates, bound 6): the tail of the corpus's optimise layer, which
+// BenchmarkOptimiseScale's single synthetic shape at the default budget
+// does not reach.
+func BenchmarkOptimiseFamilies(b *testing.B) {
+	opts := optimise.Options{MaxUnroll: 1, MaxPasses: 2, MaxCandidates: 32, Bound: 6}
+	for _, f := range []struct {
+		name   string
+		global string
+	}{
+		{"KBuffering4", "mu x." + strings.Repeat("k->s:ready.s->k:value(i32).t->k:ready.k->t:value(i32).", 4) + "x"},
+		{"StreamingUnrolled6", "mu x." + strings.Repeat("t->s:ready.s->t:value(i32).", 6) + "x"},
+	} {
+		locals, err := project.ProjectAll(types.MustParseGlobal(f.global))
+		if err != nil {
+			b.Fatal(err)
+		}
+		roles := slices.Sorted(maps.Keys(locals))
+		b.Run(f.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, r := range roles {
+					if _, err := optimise.Optimise(r, locals[r], opts); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})

@@ -2,6 +2,7 @@ package types
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -119,6 +120,17 @@ func AppendAlphaKey(dst []byte, t Local) []byte {
 	return w.buf
 }
 
+// AppendAlphaKeyAt appends the AlphaKey of root with the subterm at path
+// replaced by sub, without building that type: a caller can key a rewrite
+// and build it only if the key is new. path lists the steps from root to
+// the subterm, a branch index at each choice and 0 at each μ (its body);
+// it must name a subterm of root.
+func AppendAlphaKeyAt(dst []byte, root Local, path []int, sub Local) []byte {
+	w := localWriter{buf: dst, alpha: true}
+	w.at(root, path, sub, nil)
+	return w.buf
+}
+
 // localWriter appends local types' concrete syntax to buf. With alpha set
 // it writes AlphaKey's canonical binder names.
 type localWriter struct {
@@ -143,29 +155,62 @@ func (w *localWriter) local(t Local, scope *binder) {
 	case Var:
 		w.variable(t.Name, scope)
 	case Rec:
-		w.buf = append(w.buf, "mu "...)
 		if !w.alpha {
+			w.buf = append(w.buf, "mu "...)
 			w.buf = append(w.buf, t.Name...)
 			w.buf = append(w.buf, '.')
 			w.local(t.Body, nil)
 			return
 		}
-		b := binder{name: t.Name, outer: scope}
-		if scope != nil {
-			b.depth = scope.depth + 1
-		}
-		w.canonical(b.depth)
-		w.buf = append(w.buf, '.')
+		b := w.open(t.Name, scope)
 		w.local(t.Body, &b)
 	case Send:
-		w.choice(t.Peer, '!', t.Branches, scope)
+		w.choice(t.Peer, '!', t.Branches, scope, nil, nil)
 	case Recv:
-		w.choice(t.Peer, '?', t.Branches, scope)
+		w.choice(t.Peer, '?', t.Branches, scope, nil, nil)
 	case nil:
 		w.buf = append(w.buf, "%!s(<nil>)"...)
 	default:
 		w.buf = append(w.buf, t.String()...)
 	}
+}
+
+// open appends the head "mu @i." of an α-keyed binder for name and
+// returns the binder, to be put in scope for the body.
+func (w *localWriter) open(name string, scope *binder) binder {
+	b := binder{name: name, outer: scope}
+	if scope != nil {
+		b.depth = scope.depth + 1
+	}
+	w.buf = append(w.buf, "mu "...)
+	w.canonical(b.depth)
+	w.buf = append(w.buf, '.')
+	return b
+}
+
+// at appends the α-key of t with the subterm at path replaced by sub.
+func (w *localWriter) at(t Local, path []int, sub Local, scope *binder) {
+	if len(path) == 0 {
+		w.local(sub, scope)
+		return
+	}
+	switch t := t.(type) {
+	case Rec:
+		b := w.open(t.Name, scope)
+		w.at(t.Body, path[1:], sub, &b)
+		return
+	case Send:
+		if path[0] < len(t.Branches) {
+			w.choice(t.Peer, '!', t.Branches, scope, path, sub)
+			return
+		}
+	case Recv:
+		if path[0] < len(t.Branches) {
+			w.choice(t.Peer, '?', t.Branches, scope, path, sub)
+			return
+		}
+	}
+	panic("types: key path leaves the type")
 }
 
 // variable appends a use of the recursion variable name: the canonical
@@ -186,7 +231,9 @@ func (w *localWriter) canonical(i int) {
 	w.buf = strconv.AppendInt(w.buf, int64(i), 10)
 }
 
-func (w *localWriter) choice(peer Role, op byte, branches []Branch, scope *binder) {
+// choice appends a choice; with path set, the continuation of branch
+// path[0] is written with the subterm at path[1:] replaced by sub.
+func (w *localWriter) choice(peer Role, op byte, branches []Branch, scope *binder, path []int, sub Local) {
 	w.buf = append(w.buf, peer...)
 	w.buf = append(w.buf, op, '{')
 	for i, br := range branches {
@@ -200,7 +247,11 @@ func (w *localWriter) choice(peer Role, op byte, branches []Branch, scope *binde
 			w.buf = append(w.buf, ')')
 		}
 		w.buf = append(w.buf, '.')
-		w.local(br.Cont, scope)
+		if len(path) > 0 && path[0] == i {
+			w.at(br.Cont, path[1:], sub, scope)
+		} else {
+			w.local(br.Cont, scope)
+		}
 	}
 	w.buf = append(w.buf, '}')
 }
@@ -284,28 +335,53 @@ func normSort(s Sort) Sort {
 	return s
 }
 
-// NormalizeLocal returns a copy of t with all empty sorts replaced by Unit.
+// NormalizeLocal returns t with all empty sorts replaced by Unit. Subterms
+// with no empty sort are shared with t, not copied, so a type that is
+// already normal comes back as itself.
 func NormalizeLocal(t Local) Local {
+	t, _ = normalized(t)
+	return t
+}
+
+// normalized is NormalizeLocal, also reporting whether anything changed.
+func normalized(t Local) (Local, bool) {
 	switch t := t.(type) {
 	case End, Var:
-		return t
+		return t, false
 	case Rec:
-		return Rec{Name: t.Name, Body: NormalizeLocal(t.Body)}
+		if body, changed := normalized(t.Body); changed {
+			return Rec{Name: t.Name, Body: body}, true
+		}
+		return t, false
 	case Send:
-		return Send{Peer: t.Peer, Branches: normBranches(t.Branches)}
+		if bs, changed := normBranches(t.Branches); changed {
+			return Send{Peer: t.Peer, Branches: bs}, true
+		}
+		return t, false
 	case Recv:
-		return Recv{Peer: t.Peer, Branches: normBranches(t.Branches)}
+		if bs, changed := normBranches(t.Branches); changed {
+			return Recv{Peer: t.Peer, Branches: bs}, true
+		}
+		return t, false
 	default:
 		panic(fmt.Sprintf("types: unknown local type %T", t))
 	}
 }
 
-func normBranches(bs []Branch) []Branch {
-	out := make([]Branch, len(bs))
+// normBranches normalises every branch, copying bs only when one changed.
+func normBranches(bs []Branch) ([]Branch, bool) {
+	var out []Branch
 	for i, b := range bs {
-		out[i] = Branch{Label: b.Label, Sort: normSort(b.Sort), Cont: NormalizeLocal(b.Cont)}
+		cont, changed := normalized(b.Cont)
+		if !changed && b.Sort != "" {
+			continue
+		}
+		if out == nil {
+			out = slices.Clone(bs)
+		}
+		out[i] = Branch{Label: b.Label, Sort: normSort(b.Sort), Cont: cont}
 	}
-	return out
+	return out, out != nil
 }
 
 // EqualLocal reports structural equality of two local types (recursion
@@ -436,58 +512,66 @@ func sortedKeys(m map[string]bool) []string {
 // (every recursion variable is guarded by at least one communication), choices
 // are non-empty with pairwise-distinct labels, and recursion binders are not
 // shadowed confusingly (shadowing is permitted but empty choices are not).
+// The walk keeps its binders on the call stack and allocates only for an
+// error.
 func ValidateLocal(t Local) error {
-	return validateLocal(t, map[string]bool{}, map[string]bool{})
+	return validLocal(t, nil, nil)
 }
 
-// validateLocal walks t. bound holds binders in scope; unguarded holds binders
-// seen since the last communication prefix (a Var hitting one of those is not
-// contractive, e.g. μt.t or μt.μu.t).
-func validateLocal(t Local, bound, unguarded map[string]bool) error {
+// checkVar reports the error, if any, of a use of the variable name under
+// the binders scope, innermost first. guard is the innermost binder opened
+// before the last communication prefix: binders inside it are unguarded,
+// so a variable bound by one is not contractive (μt.t, μt.μu.t). The
+// innermost binder named name decides.
+func checkVar(name string, scope, guard *binder) error {
+	guarded := false
+	for b := scope; b != nil; b = b.outer {
+		guarded = guarded || b == guard
+		if b.name == name {
+			if !guarded {
+				return fmt.Errorf("types: non-contractive recursion through %q", name)
+			}
+			return nil
+		}
+	}
+	return fmt.Errorf("types: unbound recursion variable %q", name)
+}
+
+func validLocal(t Local, scope, guard *binder) error {
 	switch t := t.(type) {
 	case End:
 		return nil
 	case Var:
-		if !bound[t.Name] {
-			return fmt.Errorf("types: unbound recursion variable %q", t.Name)
-		}
-		if unguarded[t.Name] {
-			return fmt.Errorf("types: non-contractive recursion through %q", t.Name)
-		}
-		return nil
+		return checkVar(t.Name, scope, guard)
 	case Rec:
-		b := copyBoolMap(bound)
-		b[t.Name] = true
-		u := copyBoolMap(unguarded)
-		u[t.Name] = true
-		return validateLocal(t.Body, b, u)
+		return validLocal(t.Body, &binder{name: t.Name, outer: scope}, guard)
 	case Send:
-		return validateChoice(t.Peer, t.Branches, bound)
+		return validChoice(t.Peer, t.Branches, scope)
 	case Recv:
-		return validateChoice(t.Peer, t.Branches, bound)
+		return validChoice(t.Peer, t.Branches, scope)
 	default:
 		return fmt.Errorf("types: unknown local type %T", t)
 	}
 }
 
-func validateChoice(peer Role, branches []Branch, bound map[string]bool) error {
+func validChoice(peer Role, branches []Branch, scope *binder) error {
 	if peer == "" {
 		return fmt.Errorf("types: empty peer role")
 	}
 	if len(branches) == 0 {
 		return fmt.Errorf("types: empty choice towards %s", peer)
 	}
-	seen := map[Label]bool{}
-	for _, b := range branches {
+	for i, b := range branches {
 		if b.Label == "" {
 			return fmt.Errorf("types: empty label in choice towards %s", peer)
 		}
-		if seen[b.Label] {
-			return fmt.Errorf("types: duplicate label %q in choice towards %s", b.Label, peer)
+		for _, prev := range branches[:i] {
+			if prev.Label == b.Label {
+				return fmt.Errorf("types: duplicate label %q in choice towards %s", b.Label, peer)
+			}
 		}
-		seen[b.Label] = true
 		// All binders become guarded once we pass a communication.
-		if err := validateLocal(b.Cont, bound, map[string]bool{}); err != nil {
+		if err := validLocal(b.Cont, scope, scope); err != nil {
 			return err
 		}
 	}
@@ -496,29 +580,19 @@ func validateChoice(peer Role, branches []Branch, bound map[string]bool) error {
 
 // ValidateGlobal checks well-formedness of a global type: closed, contractive,
 // non-empty directed choices with distinct labels, and From ≠ To in every
-// interaction.
+// interaction. Like ValidateLocal, it allocates only for an error.
 func ValidateGlobal(g Global) error {
-	return validateGlobal(g, map[string]bool{}, map[string]bool{})
+	return validGlobal(g, nil, nil)
 }
 
-func validateGlobal(g Global, bound, unguarded map[string]bool) error {
+func validGlobal(g Global, scope, guard *binder) error {
 	switch g := g.(type) {
 	case GEnd:
 		return nil
 	case GVar:
-		if !bound[g.Name] {
-			return fmt.Errorf("types: unbound recursion variable %q", g.Name)
-		}
-		if unguarded[g.Name] {
-			return fmt.Errorf("types: non-contractive recursion through %q", g.Name)
-		}
-		return nil
+		return checkVar(g.Name, scope, guard)
 	case GRec:
-		b := copyBoolMap(bound)
-		b[g.Name] = true
-		u := copyBoolMap(unguarded)
-		u[g.Name] = true
-		return validateGlobal(g.Body, b, u)
+		return validGlobal(g.Body, &binder{name: g.Name, outer: scope}, guard)
 	case Comm:
 		if g.From == g.To {
 			return fmt.Errorf("types: self-communication %s -> %s", g.From, g.To)
@@ -526,13 +600,13 @@ func validateGlobal(g Global, bound, unguarded map[string]bool) error {
 		if len(g.Branches) == 0 {
 			return fmt.Errorf("types: empty interaction %s -> %s", g.From, g.To)
 		}
-		seen := map[Label]bool{}
-		for _, b := range g.Branches {
-			if seen[b.Label] {
-				return fmt.Errorf("types: duplicate label %q in %s -> %s", b.Label, g.From, g.To)
+		for i, b := range g.Branches {
+			for _, prev := range g.Branches[:i] {
+				if prev.Label == b.Label {
+					return fmt.Errorf("types: duplicate label %q in %s -> %s", b.Label, g.From, g.To)
+				}
 			}
-			seen[b.Label] = true
-			if err := validateGlobal(b.Cont, bound, map[string]bool{}); err != nil {
+			if err := validGlobal(b.Cont, scope, scope); err != nil {
 				return err
 			}
 		}
